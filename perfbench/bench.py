@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import gc
 import json
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from perfbench.calibrate import normalized, probe
@@ -29,10 +32,27 @@ from perfbench.workloads import (
     peak_rss_mb,
 )
 
-#: Set-ups per run; ``setup_s`` is their median (plus the import time).
-SETUP_REPEATS = 3
+#: Fresh processes per untraced run that each time imports plus one
+#: set-up; ``setup_s`` is their median.  The run's own process is one of
+#: them, the others are started for that sample alone: at least
+#: ``SETUP_PROCESSES`` in all, and more, up to ``MAX_SETUP_PROCESSES``,
+#: until they have run for ``SETUP_SECONDS`` (at full scale).  Cheap
+#: set-ups thus get more samples; a sub-second one spreads the most.
+SETUP_PROCESSES = 5
+MAX_SETUP_PROCESSES = 15
+SETUP_SECONDS = 8.0
+#: ``peak_rss_mb`` is read after this many operations (or at the end of
+#: a run with fewer).  The service keeps every job it served, so a later
+#: read would grow with the number of operations a run fits in, and a
+#: faster program would read as a larger one.
+RSS_OPS = 50
+#: Set-ups of a traced run's traced phase (the ``setup.*`` metrics).
+TRACED_SETUPS = 2
 #: Every phase times at least this many operations, whatever its time.
 MIN_OPS = 3
+#: Longest wait, in seconds, for one set-up process.
+SETUP_TIMEOUT = 120
+RUN_SCRIPT = Path(__file__).resolve().parent / "run.py"
 
 #: ``(name, unit, better)`` of the untraced run's metrics.
 END_TO_END: List[Tuple[str, str, str]] = [
@@ -182,6 +202,8 @@ class Phase:
     """Set-ups and timed operations of one measurement phase."""
 
     setups: List[float] = field(default_factory=list)
+    normalized_setups: List[float] = field(default_factory=list)
+    rss_mb: float = 0.0
     setup_probes: List[float] = field(default_factory=list)
     setup_spans: List[Dict] = field(default_factory=list)
     ops: List[OpResult] = field(default_factory=list)
@@ -194,44 +216,128 @@ class Phase:
     @property
     def normalized_setup(self) -> float:
         """Median set-up time, normalized by the machine-speed probe."""
-        return median([normalized(s, p) for s, p in zip(self.setups, self.setup_probes)])
+        return median(self.normalized_setups)
 
 
 def run_phase(
-    workload: Workload, seconds: float, tracer: Optional[Tracer] = None
+    workload: Workload,
+    seconds: float,
+    tracer: Optional[Tracer] = None,
+    setups: int = 1,
+    min_ops: int = MIN_OPS,
 ) -> Phase:
-    """``SETUP_REPEATS`` set-ups, then operations for ``seconds``.
+    """``setups`` set-ups, then at least ``min_ops`` operations and
+    operations for ``seconds``.
 
     The machine-speed probe runs between every two units; each unit
-    records the mean probe time on either side of it.
+    records the mean probe time on either side of it.  A set-up is timed
+    step by step (:meth:`Workload.setup_steps`), so that a set-up of
+    several seconds is normalized by the probes of seconds close to each
+    of its parts.
     """
     phase = Phase()
     last_probe = probe()
 
-    def timed(call: Callable, spans: List[Dict]):
+    def timed(call: Callable):
         nonlocal last_probe
         gc.collect()
-        before = tracer.snapshot() if tracer else None
         start = time.perf_counter()
         out = call()
         elapsed = time.perf_counter() - start
-        if tracer:
-            spans.append(delta(before, tracer.snapshot()))
         next_probe = probe()
         around, last_probe = (last_probe + next_probe) / 2.0, next_probe
         return elapsed, around, out
 
-    for _ in range(SETUP_REPEATS):
+    def snapshot() -> Optional[Dict]:
+        return tracer.snapshot() if tracer else None
+
+    for _ in range(setups):
         workload.reset()
-        elapsed, around, _ = timed(workload.setup, phase.setup_spans)
-        phase.setups.append(elapsed)
-        phase.setup_probes.append(around)
+        before, host, norm = snapshot(), 0.0, 0.0
+        for step in workload.setup_steps():
+            elapsed, around, _ = timed(step)
+            host += elapsed
+            norm += normalized(elapsed, around)
+            phase.setup_probes.append(around)
+        if tracer:
+            phase.setup_spans.append(delta(before, snapshot()))
+        phase.setups.append(host)
+        phase.normalized_setups.append(norm)
     start = time.perf_counter()
-    while len(phase.ops) < MIN_OPS or time.perf_counter() - start < seconds:
-        _, around, op = timed(workload.operation, phase.op_spans)
+    while len(phase.ops) < min_ops or time.perf_counter() - start < seconds:
+        before = snapshot()
+        _, around, op = timed(workload.operation)
+        if tracer:
+            phase.op_spans.append(delta(before, snapshot()))
         op.probe = around
         phase.ops.append(op)
+        if len(phase.ops) == RSS_OPS:
+            phase.rss_mb = peak_rss_mb()
+    phase.rss_mb = phase.rss_mb or peak_rss_mb()
     return phase
+
+
+def setup_sample(
+    name: str,
+    seed: int,
+    import_s: float,
+    scale: str = "full",
+    grid_seeds: Optional[List[int]] = None,
+) -> int:
+    """Set-up process mode: time this fresh process's imports plus one
+    set-up and print them as one JSON line; returns the exit code.
+
+    ``setup_s`` is normalized like every benchmark time.  ``digest`` is
+    the warm workloads' statistics digest of the cold fill, so the
+    parent can check that every fresh process built the same grid.
+    """
+    probe()
+    import_norm = normalized(import_s, probe())
+    workload = WORKLOADS[name](seed, scale, grid_seeds)
+    try:
+        phase = run_phase(workload, 0.0, min_ops=0)
+    finally:
+        workload.close()
+    print(json.dumps({
+        "setup_s": import_norm + phase.normalized_setup,
+        "host_s": import_s + phase.setups[0],
+        "digest": getattr(workload, "first_digest", None),
+    }))
+    return 0
+
+
+def fresh_setups(
+    workload: Workload, scale: str, count: int, seconds: float, most: int
+) -> Tuple[List[Dict], List[str]]:
+    """Set-up processes of ``workload``, one after another: ``count``,
+    and more until they have run for ``seconds``, at most ``most``.
+    Returns their samples and a failure message for each process that
+    gave none."""
+    samples: List[Dict] = []
+    failures: List[str] = []
+    command = [sys.executable, str(RUN_SCRIPT), "--workload", workload.name,
+               "--seed", str(workload.seed), "--scale", scale, "--setup-sample"]
+    grid_seeds = getattr(workload, "grid_seeds", None)
+    if grid_seeds:
+        command += ["--grid-seeds", ",".join(str(s) for s in grid_seeds)]
+    start = time.perf_counter()
+    started = 0
+    while started < count or (started < most and time.perf_counter() - start < seconds):
+        started += 1
+        gc.collect()
+        try:
+            out = subprocess.run(command, capture_output=True, text=True,
+                                 timeout=SETUP_TIMEOUT, check=False)
+        except subprocess.TimeoutExpired:
+            failures.append(f"set-up process ran over {SETUP_TIMEOUT} s")
+            continue
+        lines = out.stdout.strip().splitlines()
+        if out.returncode or not lines:
+            failures.append(f"set-up process exited {out.returncode}: "
+                            f"{out.stderr.strip()[-400:]}")
+            continue
+        samples.append(json.loads(lines[-1]))
+    return samples, failures
 
 
 def _span_values(
@@ -334,7 +440,12 @@ def trace_failures(workload: Workload, traced: Phase) -> List[str]:
 
 
 def _print_summary(
-    workload: Workload, phase: Phase, import_s: float, metrics: Dict[str, float]
+    workload: Workload,
+    phase: Phase,
+    import_s: float,
+    setup_samples: List[float],
+    children_rss: float,
+    metrics: Dict[str, float],
 ) -> None:
     """Human-readable metric lines with units and sample counts.
 
@@ -345,25 +456,31 @@ def _print_summary(
     out = print
     probes = [op.probe for op in phase.ops] + phase.setup_probes
     out(f"  setup_s            {metrics['setup_s']:.4f} s (normalized)  "
-        f"imports {import_s:.3f} s host + median of {len(phase.setups)} set-ups "
-        f"({', '.join(f'{s:.3f}' for s in phase.setups)} s host)")
+        f"median of {len(setup_samples)} fresh processes, each imports + one set-up "
+        f"({', '.join(f'{s:.3f}' for s in setup_samples)} s normalized); "
+        f"this process: imports {import_s:.3f} s + set-up {phase.setups[0]:.3f} s host")
     out(f"  node_pulses_per_s  {metrics['node_pulses_per_s']:.1f} 1/s (normalized)  "
         f"{workload.node_pulses_per_op} node-pulses per operation, "
         f"n={len(phase.ops)} operations")
-    out(f"  peak_rss_mb        {metrics['peak_rss_mb']:.1f} MiB")
+    out(f"  peak_rss_mb        {metrics['peak_rss_mb']:.1f} MiB  after set-up and "
+        f"{min(RSS_OPS, len(phase.ops))} of {len(phase.ops)} operations")
     out(f"  probe seconds      median {median(probes):.5f} host "
         f"(reference {normalized(1.0, 1.0):.5f}), n={len(probes)}")
     if isinstance(workload, ServiceMix):
+        # node_pulses_per_s blends these two medians at the assumed mix;
+        # each one is printed so no reading rests on the weights alone.
         for kind in ("miss", "hit"):
             s = summarize([op.normalized for op in phase.ops if op.kind == kind])
             p90 = (f"{s['p90']:.4f} s" if s["p90"] is not None
                    else "not reported (< 100 samples)")
             out(f"  {kind}_latency_p50_s {s['p50']:.4f} s (normalized)  n={s['n']}; "
                 f"{kind}_latency_p90_s {p90}")
+        out(f"  hit share          {workload.size['hit_fraction']:.2f} planned "
+            "(an assumed mix, weighting the two medians above)")
         total = sum(op.seconds for op in phase.ops)
         out(f"  jobs_per_s         {len(phase.ops) / total:.2f} 1/s   "
             f"n={len(phase.ops)} operations over {total:.2f} s of client time")
-        out(f"  child peak_rss_mb  {child_peak_rss_mb():.1f} MiB (largest worker)")
+        out(f"  child peak_rss_mb  {children_rss:.1f} MiB (largest worker)")
     else:
         seconds = [op.seconds for op in phase.ops]
         out(f"  operation seconds  median {median(seconds):.4f} host, "
@@ -389,36 +506,52 @@ def run(
     try:
         if not trace:
             phase = run_phase(workload, seconds)
-            metrics = {
-                "setup_s": import_norm + phase.normalized_setup,
-                "node_pulses_per_s": workload.throughput(phase.ops),
-                "peak_rss_mb": peak_rss_mb(),
-            }
             phases = [phase]
-            table = END_TO_END
         else:
             untraced = run_phase(workload, seconds / 2.0)
             tracer = Tracer()
             restore = install(tracer)
             try:
-                traced = run_phase(workload, seconds / 2.0, tracer)
+                traced = run_phase(workload, seconds / 2.0, tracer, setups=TRACED_SETUPS)
             finally:
                 restore()
             metrics = layer_metrics(workload, traced, untraced)
             failures += trace_failures(workload, traced)
             phases = [untraced, traced]
-            table = PER_LAYER
         failures += workload.final_checks()
-        if not trace:
-            _print_summary(workload, phase, import_s, metrics)
-        else:
-            for metric, unit, _ in PER_LAYER:
-                print(f"  {metric:50s} {metrics[metric]:.6g} {unit}")
-        digest = getattr(workload, "first_digest", None)
-        if digest:
-            print(f"  statistics digest  sha256:{digest}")
     finally:
         workload.close()
+    digest = getattr(workload, "first_digest", None)
+    if not trace:
+        # This process gave the first set-up sample.  The other set-up
+        # processes start only now that its workers have stopped, so the
+        # largest child read here is one of the service's workers.
+        children_rss = child_peak_rss_mb()
+        samples, setup_failures = fresh_setups(
+            workload, scale, SETUP_PROCESSES - 1,
+            SETUP_SECONDS if scale == "full" else 0.0, MAX_SETUP_PROCESSES - 1,
+        )
+        failures += setup_failures
+        failures += [
+            f"a fresh set-up process built other statistics (digest {s['digest']})"
+            for s in samples if s["digest"] != digest
+        ]
+        setup_samples = [import_norm + phase.normalized_setup] + [
+            s["setup_s"] for s in samples
+        ]
+        metrics = {
+            "setup_s": median(setup_samples),
+            "node_pulses_per_s": workload.throughput(phase.ops),
+            "peak_rss_mb": phase.rss_mb,
+        }
+        _print_summary(workload, phase, import_s, setup_samples, children_rss, metrics)
+        table = END_TO_END
+    else:
+        for metric, unit, _ in PER_LAYER:
+            print(f"  {metric:50s} {metrics[metric]:.6g} {unit}")
+        table = PER_LAYER
+    if digest:
+        print(f"  statistics digest  sha256:{digest}")
     op_failures = [f for p in phases for op in p.ops for f in op.failures]
     attempted = sum(len(p.ops) for p in phases) + 1  # + the once-per-run checks
     failed = sum(p.failed_ops for p in phases) + (1 if failures else 0)

@@ -8,8 +8,11 @@ Usage, from the repository root::
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics; the last line is the JSON result.  ``--workload all`` runs every
 workload in its own fresh process, untraced and then traced, and prints a
-combined table.  The program is imported from ``src/`` next to this
-directory; without it the command fails with exit code 2.
+combined table.  ``--setup-sample`` times only this process's imports
+and one set-up and prints them as JSON; an untraced run starts such
+processes to take ``setup_s`` as a median over fresh processes.  The
+program is imported from ``src/`` next to this directory; without it
+the command fails with exit code 2.
 """
 
 import time
@@ -45,6 +48,15 @@ def parse_args(argv):
     parser.add_argument(
         "--scale", choices=("full", "smoke"), default="full",
         help="workload sizes; smoke is a miniature for the benchmark's tests",
+    )
+    parser.add_argument(
+        "--setup-sample", action="store_true",
+        help="time imports plus one set-up in this fresh process, print them as JSON",
+    )
+    parser.add_argument(
+        "--grid-seeds", type=lambda text: [int(s) for s in text.split(",")],
+        help="comma-separated trial seeds of a warm workload's grid, instead of "
+             "deriving them from --seed (set-up processes get them from their run)",
     )
     return parser.parse_args(argv)
 
@@ -87,6 +99,10 @@ def main(argv=None) -> int:
     from perfbench import bench
 
     import_s = time.perf_counter() - PROCESS_START
+    if args.setup_sample:
+        return bench.setup_sample(
+            args.workload, args.seed, import_s, args.scale, args.grid_seeds
+        )
     return bench.run(
         args.workload, args.seed, args.seconds, bool(args.trace), import_s, args.scale
     )

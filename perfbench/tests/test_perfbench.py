@@ -22,6 +22,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # -- percentiles and the sample-count rule ---------------------------------
 def test_p90_needs_one_hundred_samples():
+    """A p90 is reported only from 100 samples of a kind on."""
     assert stats.p90([1.0] * 99) is None
     values = [float(i) for i in range(1, 101)]
     assert stats.p90(values) == pytest.approx(90.1)
@@ -30,6 +31,7 @@ def test_p90_needs_one_hundred_samples():
 
 
 def test_median_and_relative_iqr():
+    """Median and quartile spread match their definitions."""
     assert stats.median([3.0, 1.0, 2.0]) == 2.0
     with pytest.raises(ValueError):
         stats.median([])
@@ -48,6 +50,7 @@ class FakeClock:
 
 
 def test_self_time_subtracts_nested_spans():
+    """A span's self time excludes the spans nested in it."""
     clock = FakeClock()
     tracer = tracing.Tracer(clock=clock)
 
@@ -69,6 +72,7 @@ def test_self_time_subtracts_nested_spans():
 
 
 def test_recursive_spans_of_one_name_add_up():
+    """Recursive spans of one name count each level once in self time."""
     clock = FakeClock()
     tracer = tracing.Tracer(clock=clock)
 
@@ -85,6 +89,7 @@ def test_recursive_spans_of_one_name_add_up():
 
 
 def test_install_patches_callers_and_restores():
+    """Wrappers are bound where callers look names up, then removed."""
     import repro.experiments.batch as batch_module
     import repro.experiments.common as common
     from repro.delays.models import StaticDelayModel
@@ -107,6 +112,7 @@ def test_install_patches_callers_and_restores():
 
 # -- seeding ----------------------------------------------------------------
 def test_same_seed_gives_same_input_grids():
+    """One seed gives one set of inputs; another seed changes the drawn ones."""
     def grids(seed):
         cold = workloads.ColdSweep(seed, "smoke")
         stream = workloads.StreamHorizon(seed, "smoke")
@@ -123,11 +129,12 @@ def test_same_seed_gives_same_input_grids():
 
     assert grids(7) == grids(7)
     first, second = grids(7), grids(8)
-    assert first[1] == second[1]  # stream_horizon's grid is fixed
-    assert [a != b for a, b in zip(first, second)] == [True, False, True, True, True, True]
+    assert first[1:3] == second[1:3]  # the warm workloads' grids are fixed
+    assert [a != b for a, b in zip(first, second)] == [True, False, False, True, True, True]
 
 
 def test_service_plan_mix_and_first_miss():
+    """The service plan starts with a miss and keeps the planned share."""
     plan = workloads.ServiceMix(3, "smoke").plan
     assert plan[0] == "miss"
     for start in range(10, 200, 10):  # every later block holds the planned share
@@ -135,6 +142,7 @@ def test_service_plan_mix_and_first_miss():
 
 
 def test_fresh_seeds_are_never_reused():
+    """Trial seeds handed out in one run are all distinct."""
     workload = workloads.ColdSweep(1, "smoke")
     seen = [workload.held_out_seed] + workload.fresh_seeds(500)
     assert len(set(seen)) == len(seen)
@@ -142,6 +150,7 @@ def test_fresh_seeds_are_never_reused():
 
 # -- BENCHMARK.json and the command ------------------------------------------
 def test_benchmark_json_matches_the_metric_tables():
+    """BENCHMARK.json lists the metrics and workloads the code reports."""
     assert [m["name"] for m in BENCHMARK["end_to_end"]] == [n for n, _, _ in bench.END_TO_END]
     assert [(m["name"], m["unit"], m["better"]) for m in BENCHMARK["per_layer"]] == [
         tuple(entry) for entry in bench.PER_LAYER
@@ -160,6 +169,7 @@ def _run(workload, trace, cwd=ROOT, script=RUN):
 @pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
 @pytest.mark.parametrize("trace", [0, 1])
 def test_smoke_run_prints_every_metric(workload, trace):
+    """A smoke-size run passes its checks and prints every metric."""
     out = _run(workload, trace)
     assert out.returncode == 0, out.stdout + out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
@@ -173,7 +183,23 @@ def test_smoke_run_prints_every_metric(workload, trace):
         assert all(v["value"] > 0 for v in result["metrics"].values())
 
 
+@pytest.mark.parametrize("workload, warm", [("cold_sweep", False), ("stream_horizon", True)])
+def test_setup_sample_times_one_fresh_setup(workload, warm):
+    """The set-up process mode prints one positive sample, with the
+    statistics digest only for a warm workload."""
+    out = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "5",
+         "--scale", "smoke", "--setup-sample"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    sample = json.loads(out.stdout.strip().splitlines()[-1])
+    assert sample["setup_s"] > 0 and sample["host_s"] > 0
+    assert (sample["digest"] is not None) == warm
+
+
 def test_fails_without_the_program(tmp_path):
+    """Without src/ the command exits non-zero and prints no result."""
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))

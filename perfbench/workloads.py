@@ -1,9 +1,10 @@
 """The four benchmark workloads, their operations and their checks.
 
 Each workload is a closed loop with one caller.  A workload object is
-set up (:meth:`Workload.setup`) several times per run -- the benchmark
-reports the median set-up time -- and then runs timed operations
-(:meth:`Workload.operation`) until the run's time is up.  Every
+set up (:meth:`Workload.setup`) and then runs timed operations
+(:meth:`Workload.operation`) until the run's time is up; ``setup_s`` is
+the median over several fresh processes that each import the program
+and set the workload up once.  Every
 operation times only public calls of the program; the checks that follow
 it (statistics digest, Theorem 1.1 skew bound, service hit equality) run
 outside the timed region.  :meth:`Workload.final_checks` runs once per
@@ -16,12 +17,13 @@ Sizes come from :data:`SCALES`: ``full`` is what the benchmark measures,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,14 +39,17 @@ from repro.service.jobs import batch_payload, build_trials, to_jsonable
 from perfbench.calibrate import REFERENCE_SECONDS, normalized
 from perfbench.stats import median
 
-#: Workload sizes.  ``diameter``/``seeds``/``pulses`` size one operation;
-#: ``hit_fraction`` is the service's planned share of resubmissions.
+#: Workload sizes.  ``diameter``/``seeds``/``pulses`` size one operation.
+#: ``hit_fraction`` is the service's planned share of resubmissions.  It
+#: is an assumption: no recorded traffic exists to take it from.  Equal
+#: shares give the hit and miss medians the same sample count, and both
+#: medians are printed next to the throughput that blends them.
 SCALES: Dict[str, Dict[str, Dict[str, float]]] = {
     "full": {
         "cold_sweep": {"diameter": 32, "seeds": 8, "pulses": 4},
         "stream_horizon": {"diameter": 32, "seeds": 16, "pulses": 64},
         "fault_horizon": {
-            "diameter": 32, "seeds": 32, "pulses": 8, "faults_per_plan": 15,
+            "diameter": 32, "seeds": 16, "pulses": 8, "faults_per_plan": 15,
         },
         "service_mix": {
             "diameter": 16, "seeds": 4, "pulses": 4, "hit_fraction": 0.5,
@@ -212,11 +217,18 @@ def seed_pool(seed: int) -> Tuple[np.random.Generator, Iterator[int]]:
 
 
 class Workload:
-    """Base class: seeded inputs, repeated set-up, timed operations."""
+    """Base class: seeded inputs, repeated set-up, timed operations.
+
+    ``grid_seeds``, when given, are the trial seeds of a warm workload's
+    grid, so a set-up process can skip deriving them (see
+    :class:`FaultHorizon`); the other workloads ignore them.
+    """
 
     name = ""
 
-    def __init__(self, seed: int, scale: str = "full") -> None:
+    def __init__(
+        self, seed: int, scale: str = "full", grid_seeds: Optional[List[int]] = None
+    ) -> None:
         self.seed = seed
         self.size = SCALES[scale][self.name]
         self.rng, self._seed_pool = seed_pool(seed)
@@ -227,9 +239,15 @@ class Workload:
         """``count`` trial seeds never handed out before in this run."""
         return [next(self._seed_pool) for _ in range(count)]
 
-    def setup(self) -> None:
-        """One complete set-up; the last one's state serves the operations."""
+    def setup_steps(self) -> List[Callable[[], None]]:
+        """One complete set-up as consecutive steps, each timed on its own;
+        the last set-up's state serves the operations."""
         raise NotImplementedError
+
+    def setup(self) -> None:
+        """Run every set-up step."""
+        for step in self.setup_steps():
+            step()
 
     def reset(self) -> None:
         """Tear down the previous set-up before the next one (untimed)."""
@@ -266,11 +284,13 @@ class ColdSweep(Workload):
         stats = reduce_stats(batch)
         return time.perf_counter() - start, trials, batch, stats
 
-    def setup(self) -> None:
-        _, trials, _, stats = self._sweep()
+    def setup_steps(self) -> List[Callable[[], None]]:
+        return [self._warm_up]
+
+    def _warm_up(self) -> None:
+        _, trials, _, _ = self._sweep()
         self.node_pulses_per_op = node_pulses(trials, int(self.size["pulses"]))
         self.bound = skew_bound(trials)
-        self.first_digest = digest(stats)
 
     def operation(self) -> OpResult:
         seconds, _, batch, stats = self._sweep()
@@ -282,9 +302,20 @@ class ColdSweep(Workload):
 
 
 class _WarmGrid(Workload):
-    """A grid built and cold-filled in set-up, then re-run warm."""
+    """A grid built and cold-filled in set-up, then re-run warm.
 
-    def __init__(self, seed: int, scale: str = "full") -> None:
+    The grid is the same for every workload seed; the seed still picks
+    the held-out check trial.  What these workloads expose -- kernel,
+    reducers and fallback work -- depends on which trials the grid holds,
+    so a grid drawn per seed would move the figures between seeds.
+    """
+
+    #: Seed whose trial-seed stream supplies the grid.
+    GRID_SEED = 0
+
+    def __init__(
+        self, seed: int, scale: str = "full", grid_seeds: Optional[List[int]] = None
+    ) -> None:
         super().__init__(seed, scale)
         self.setup_digests: List[str] = []
 
@@ -300,14 +331,20 @@ class _WarmGrid(Workload):
         stats = reduce_stats(batch)
         return time.perf_counter() - start, batch, stats
 
-    def setup(self) -> None:
+    def setup_steps(self) -> List[Callable[[], None]]:
+        return [self._build_grid, self._cold_fill]
+
+    def _build_grid(self) -> None:
         self.trials = self._build()
         self.runner = BatchRunner(
             num_pulses=int(self.size["pulses"]), store_times=False
         )
         self.node_pulses_per_op = node_pulses(self.trials, int(self.size["pulses"]))
         self.bound = skew_bound(self.trials)
-        _, _, stats = self._run()  # the cold fill
+
+    def _cold_fill(self) -> None:
+        """The first, cold run of the grid; it samples every delay."""
+        _, _, stats = self._run()
         self.first_digest = digest(stats)
         self.setup_digests.append(self.first_digest)
 
@@ -333,22 +370,20 @@ class _WarmGrid(Workload):
 class StreamHorizon(_WarmGrid):
     """Warm re-runs of a fault-free D=32 grid over a long streamed horizon.
 
-    The grid is the same for every workload seed (the seed still picks
-    the held-out check trial).  Even fault-free grids send a few nodes
-    through the batched fallback at every pulse, and how many depends on
-    the trial seeds: over 20 seed draws of a 32-trial grid it ranged
-    from 2 to 12 nodes, and throughput tracked it, 19% apart.  A fixed
-    grid keeps that work, which this workload exists to expose, constant.
+    Even fault-free grids send a few nodes through the batched fallback
+    at every pulse, and how many depends on the trial seeds: over 20 seed
+    draws of a 32-trial grid it ranged from 2 to 12 nodes, and throughput
+    tracked it, 19% apart.  The fixed grid keeps that work constant.
     """
 
     name = "stream_horizon"
-    #: Seed whose trial-seed stream supplies the grid.
-    GRID_SEED = 0
 
-    def __init__(self, seed: int, scale: str = "full") -> None:
+    def __init__(
+        self, seed: int, scale: str = "full", grid_seeds: Optional[List[int]] = None
+    ) -> None:
         super().__init__(seed, scale)
         pool = seed_pool(self.GRID_SEED)[1]
-        self.grid_seeds = [next(pool) for _ in range(int(self.size["seeds"]))]
+        self.grid_seeds = grid_seeds or [next(pool) for _ in range(int(self.size["seeds"]))]
 
     def _build(self) -> List[BatchTrial]:
         return BatchRunner.seed_sweep(int(self.size["diameter"]), self.grid_seeds)
@@ -360,12 +395,16 @@ class FaultHorizon(_WarmGrid):
     The fallback work of a grid follows its number of faulty nodes
     (correlation 0.91 over 60 sampled D=32 plans), and that number
     varies by a quarter from plan to plan.  So plan seeds are taken from
-    the seeded stream in order, skipping any that would move the grid's
+    the grid's seed stream in order, skipping any that would move the
     running fault total more than :data:`TOLERANCE` away from
-    ``faults_per_plan`` per plan (the sampler's own mean at D=32): the
-    grids of different workload seeds then cost nearly the same.  Seeds
-    whose plan ``thm13_trials`` cannot describe (its locality statistic
-    raises ``RuntimeError`` on some dense fault clusters) are skipped too.
+    ``faults_per_plan`` per plan (the sampler's own mean at D=32), which
+    keeps the grid typical.  Grids drawn this way per workload seed still
+    differed by 4-7% in throughput and up to 14% in set-up time, hence
+    the fixed grid.  Seeds whose plan ``thm13_trials`` cannot describe
+    (its locality statistic raises ``RuntimeError`` on some dense fault
+    clusters) are skipped too.  The search runs the fault sampler, so a
+    set-up process is handed the chosen seeds instead: its set-up is then
+    the first time the process builds a thm13 grid.
     """
 
     name = "fault_horizon"
@@ -374,9 +413,11 @@ class FaultHorizon(_WarmGrid):
     #: Candidate seeds validated per ``thm13_trials`` call.
     BATCH = 8
 
-    def __init__(self, seed: int, scale: str = "full") -> None:
+    def __init__(
+        self, seed: int, scale: str = "full", grid_seeds: Optional[List[int]] = None
+    ) -> None:
         super().__init__(seed, scale)
-        self.grid_seeds = self._stratified_seeds()
+        self.grid_seeds = grid_seeds or self._stratified_seeds()
 
     def _thm13(self, seeds: List[int]) -> List[BatchTrial]:
         trials, _ = thm13_trials(
@@ -389,8 +430,9 @@ class FaultHorizon(_WarmGrid):
 
     def _candidates(self) -> Iterator[Tuple[int, int]]:
         """``(seed, faulty nodes)`` of every valid plan, in seeded order."""
+        pool = seed_pool(self.GRID_SEED)[1]
         while True:
-            batch = self.fresh_seeds(self.BATCH)
+            batch = [next(pool) for _ in range(self.BATCH)]
             try:
                 yield from zip(batch, [t.num_faults for t in self._thm13(batch)[1:]])
             except RuntimeError:
@@ -425,7 +467,9 @@ class ServiceMix(Workload):
     #: Warm-up grids per set-up: two misses then a hit of the first.
     WARMUP = ("miss", "miss", "hit")
 
-    def __init__(self, seed: int, scale: str = "full") -> None:
+    def __init__(
+        self, seed: int, scale: str = "full", grid_seeds: Optional[List[int]] = None
+    ) -> None:
         super().__init__(seed, scale)
         self.server: Optional[ServiceServer] = None
         self.warmup_seeds = [
@@ -464,16 +508,26 @@ class ServiceMix(Workload):
     def reset(self) -> None:
         self.close()
 
-    def setup(self) -> None:
+    def setup_steps(self) -> List[Callable[[], None]]:
+        grids = [self._grid(seeds) for seeds in self.warmup_seeds]
+        warm_ups = [
+            functools.partial(self._warm_up, kind, grid)
+            for kind, grid in zip(self.WARMUP, grids + grids[:1])
+        ]
+        return [self._boot] + warm_ups + [functools.partial(self._ready, grids[0])]
+
+    def _boot(self) -> None:
         self.server = ServiceServer(host="127.0.0.1", port=0).start()
         self.client = ServiceClient(self.server.url)
         self.client.health()
-        grids = [self._grid(seeds) for seeds in self.warmup_seeds]
-        for kind, grid in zip(self.WARMUP, grids + grids[:1]):
-            _, done, _ = self._request(grid)
-            if done["status"] != "done" or done["cache_hit"] != (kind == "hit"):
-                raise RuntimeError(f"service warm-up {kind} failed: {done}")
-        trials = build_trials(grids[0])
+
+    def _warm_up(self, kind: str, grid: Dict) -> None:
+        _, done, _ = self._request(grid)
+        if done["status"] != "done" or done["cache_hit"] != (kind == "hit"):
+            raise RuntimeError(f"service warm-up {kind} failed: {done}")
+
+    def _ready(self, grid: Dict) -> None:
+        trials = build_trials(grid)
         self.node_pulses_per_op = node_pulses(trials, int(self.size["pulses"]))
         self.bound = skew_bound(trials)
         self.computed = []
