@@ -40,18 +40,9 @@ Four micro-benchmarks track the performance trajectory across PRs:
   the CSR peak stays <= 0.5x dense (it is ~10x smaller in practice) with
   bit-identical times on a small companion cell; also recorded under
   ``"sparse"``.
-* ``test_dense_backend_no_regression``: the regular trial-stacked cell
-  with ``neighbor_backend="auto"`` vs explicit ``"dense"`` -- the
-  density heuristic must pick dense on regular graphs and cost nothing
-  measurable (<= 1.25x, bitwise-identical times).
-* ``test_kernel_backend_ops_speedup``: the pluggable kernel backend at
-  the ops level -- the dense padded neighbor reduction and its CSR
-  segment twin on the S = 64, D = 32 stacked cell shape, NumPy vs the
-  numba JIT backend.  The numba legs run (and the >= 2x dense floor is
-  asserted) only when the optional ``numba`` extra is installed --
-  CI's numba-backend job; a NumPy-only run still records its own legs.
-  Recorded under the ``"backend"`` section, together with a
-  full-kernel trial-stacked timing per installed backend.
+* ``test_dense_backend_no_regression``: the density heuristic must pick
+  the dense kernel on the regular trial-stacked cell, bitwise equal to
+  a run with the heuristic forced to dense.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -64,6 +55,13 @@ the others' numbers) with machine-readable throughput, so the perf
 trajectory is tracked across PRs; CI's bench-smoke job uploads it as an
 artifact.  The slow single-simulation bench only prints its table.
 
+The baselines of the retired speed-only knobs are rebuilt from calls
+that still exist: a per-trial ``FastSimulation.run`` loop
+(:func:`per_trial_loop`), one stack per geometry group
+(:func:`geometry_grouped_batch`), the identity row/lane selection
+(:func:`uncompacted`, :func:`lanes_uncompacted`) and a forced density
+verdict (:func:`prefer_csr`).
+
 Select just these with ``pytest benchmarks/test_batch_speed.py -m bench``;
 ``-m 'bench and not slow'`` is the CI smoke selection.
 """
@@ -72,20 +70,19 @@ import json
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.core.fast as fast_mod
+import repro.core.fast_batch as fast_batch_mod
 from repro.analysis.report import format_table
 from repro.clocks import uniform_random_rates
-from repro.core.backend import (
-    NUMPY_OPS,
-    numba_available,
-    resolve_kernel_ops,
-)
 from repro.core.fast import FastSimulation
+from repro.core.fast_batch import TrialStack
 from repro.delays import StaticDelayModel, UniformDelayModel
-from repro.experiments.batch import BatchRunner
+from repro.experiments.batch import BatchResult, BatchRunner
 from repro.faults import ChaosCampaign
 from repro.params import Parameters
 from repro.topology import LayeredGraph, replicated_line, sparse_layered
@@ -143,6 +140,70 @@ def _merge_sparse_section(subkey, value):
             existing = {}
     existing[subkey] = value
     _merge_bench_json({"sparse": existing})
+
+
+def per_trial_loop(trials, num_pulses):
+    """Baseline of the retired ``stack=False``: one run per trial."""
+    return BatchResult(
+        trials, [trial.simulation().run(num_pulses) for trial in trials]
+    )
+
+
+def geometry_grouped_batch(trials, num_pulses):
+    """Baseline of the retired ``stack_mixed_geometry=False``.
+
+    One trial stack per structurally identical group (same algorithm,
+    parameters, policy, depth and adjacency), reassembled in trial order.
+    """
+    groups = {}
+    for i, trial in enumerate(trials):
+        graph = trial.config.graph
+        key = (
+            trial.algorithm,
+            trial.config.params,
+            trial.policy,
+            graph.num_layers,
+            graph.base.adjacency,
+        )
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(trials)
+    for indices in groups.values():
+        stacked = TrialStack(
+            [trials[i].simulation() for i in indices]
+        ).run(num_pulses)
+        for i, result in zip(indices, stacked):
+            results[i] = result
+    return BatchResult(trials, results, stack_groups=list(groups.values()))
+
+
+def uncompacted():
+    """Baseline of the retired ``compact_depth=False``: the full plane.
+
+    Patches the stack's row/lane selection to the identity, so every
+    layer step runs on the whole padded ``(S, W_max)`` plane.
+    """
+    return mock.patch.object(
+        fast_batch_mod,
+        "_select_cells",
+        lambda *args: (slice(None), slice(None)),
+    )
+
+
+def lanes_uncompacted():
+    """Baseline of the retired ``compact_width=False``: rows only."""
+    select = fast_batch_mod._select_cells
+    return mock.patch.object(
+        fast_batch_mod,
+        "_select_cells",
+        lambda layer, depths, dead, prev, lane_needed: select(
+            layer, depths, dead, prev, None
+        ),
+    )
+
+
+def prefer_csr(prefer):
+    """Force the density heuristic's verdict (explicit dense or CSR)."""
+    return mock.patch.object(fast_mod, "_prefer_csr", lambda base: prefer)
 
 
 def acceptance_grid():
@@ -246,7 +307,6 @@ def test_trial_stacked_speedup():
     node_pulses = graph.num_nodes * NUM_PULSES
 
     stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
-    per_trial_runner = BatchRunner(num_pulses=NUM_PULSES, stack=False)
     scalar_runner = BatchRunner(num_pulses=NUM_PULSES, vectorize=False)
     sharded_runner = BatchRunner(
         num_pulses=NUM_PULSES, executor="process", shards=2
@@ -260,7 +320,7 @@ def test_trial_stacked_speedup():
             lambda: stacked_runner.run(trials), repeats=repeats
         )
         per_trial_time, per_trial_batch = timed(
-            lambda: per_trial_runner.run(trials), repeats=repeats
+            lambda: per_trial_loop(trials, NUM_PULSES), repeats=repeats
         )
         if per_trial_time / stacked_time >= 3.0:
             break
@@ -442,7 +502,7 @@ def test_heterogeneous_stacked_speedup():
     The sweep the paper's headline experiments run (mixed widths/depths)
     used to bypass the trial stack entirely; this bench pins the padded
     kernel's throughput against the per-trial vectorized loop and the
-    per-geometry grouping (`stack_mixed_geometry=False`), and records all
+    per-geometry grouping (one stack per geometry), and records all
     three modes under the ``"heterogeneous"`` section of
     ``BENCH_batch.json``.
     """
@@ -452,10 +512,6 @@ def test_heterogeneous_stacked_speedup():
     ) / len(trials)
 
     stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
-    grouped_runner = BatchRunner(
-        num_pulses=NUM_PULSES, stack_mixed_geometry=False
-    )
-    per_trial_runner = BatchRunner(num_pulses=NUM_PULSES, stack=False)
 
     # Warm the per-edge and per-layer delay caches once.
     warm = stacked_runner.run(trials)
@@ -467,12 +523,12 @@ def test_heterogeneous_stacked_speedup():
             lambda: stacked_runner.run(trials), repeats=repeats
         )
         per_trial_time, per_trial_batch = timed(
-            lambda: per_trial_runner.run(trials), repeats=repeats
+            lambda: per_trial_loop(trials, NUM_PULSES), repeats=repeats
         )
         if per_trial_time / stacked_time >= 1.3:
             break
     grouped_time, grouped_batch = timed(
-        lambda: grouped_runner.run(trials), repeats=1
+        lambda: geometry_grouped_batch(trials, NUM_PULSES), repeats=1
     )
 
     # Acceptance: the padded stack is bit-identical to the per-trial runs.
@@ -577,10 +633,6 @@ def test_depth_skewed_compaction_speedup():
     ) / len(trials)
 
     compacted_runner = BatchRunner(num_pulses=NUM_PULSES)
-    grouped_runner = BatchRunner(
-        num_pulses=NUM_PULSES, stack_mixed_geometry=False
-    )
-    padded_runner = BatchRunner(num_pulses=NUM_PULSES, compact_depth=False)
 
     # Warm the per-edge and per-layer delay caches once; also pin the
     # single-stack + compaction bookkeeping while we are at it.
@@ -589,7 +641,7 @@ def test_depth_skewed_compaction_speedup():
         "depth-skewed sweep must still run as a single padded stack"
     )
     (stats,) = warm.compaction_stats
-    assert stats["enabled"] and stats["dropped_fraction"] > 0.5, (
+    assert stats["dropped_fraction"] > 0.5, (
         "compaction should reclaim most of the depth padding here"
     )
     for repeats in (3, 5):
@@ -597,13 +649,15 @@ def test_depth_skewed_compaction_speedup():
             lambda: compacted_runner.run(trials), repeats=repeats
         )
         grouped_time, grouped_batch = timed(
-            lambda: grouped_runner.run(trials), repeats=repeats
+            lambda: geometry_grouped_batch(trials, NUM_PULSES),
+            repeats=repeats,
         )
         if grouped_time / compacted_time >= 1.3:
             break
-    padded_time, padded_batch = timed(
-        lambda: padded_runner.run(trials), repeats=1
-    )
+    with uncompacted():
+        padded_time, padded_batch = timed(
+            lambda: compacted_runner.run(trials), repeats=1
+        )
 
     # Acceptance: compaction changes the work done, never the results.
     np.testing.assert_array_equal(compacted_batch.times, grouped_batch.times)
@@ -831,7 +885,6 @@ def test_campaign_stacked_speedup():
         )
 
     stacked_runner = BatchRunner(num_pulses=CHURN_PULSES)
-    per_trial_runner = BatchRunner(num_pulses=CHURN_PULSES, stack=False)
 
     # Warm the per-edge delay and rate caches so every timed mode
     # measures its kernel, not one-time RNG setup.
@@ -841,7 +894,7 @@ def test_campaign_stacked_speedup():
             lambda: stacked_runner.run(trials), repeats=repeats
         )
         per_trial_time, per_trial_batch = timed(
-            lambda: per_trial_runner.run(trials), repeats=repeats
+            lambda: per_trial_loop(trials, CHURN_PULSES), repeats=repeats
         )
         if per_trial_time / stacked_time >= 1.5:
             break
@@ -983,7 +1036,6 @@ def test_width_skewed_lane_compaction_speedup():
     ) / len(trials)
 
     lane_runner = BatchRunner(num_pulses=NUM_PULSES)
-    padded_runner = BatchRunner(num_pulses=NUM_PULSES, compact_width=False)
 
     # Warm the per-edge delay and rate caches; pin the stacking shape
     # and the width-axis accounting while we are at it.
@@ -992,7 +1044,6 @@ def test_width_skewed_lane_compaction_speedup():
         "width-skewed sweep must run as a single padded stack"
     )
     (stats,) = warm.compaction_stats
-    assert "width" in stats["axes"], stats
     assert stats["lane_dropped_fraction"] > 0.5, (
         "lane compaction should reclaim most of the width padding here"
     )
@@ -1000,9 +1051,10 @@ def test_width_skewed_lane_compaction_speedup():
         lane_time, lane_batch = timed(
             lambda: lane_runner.run(trials), repeats=repeats
         )
-        padded_time, padded_batch = timed(
-            lambda: padded_runner.run(trials), repeats=repeats
-        )
+        with lanes_uncompacted():
+            padded_time, padded_batch = timed(
+                lambda: lane_runner.run(trials), repeats=repeats
+            )
         if padded_time / lane_time >= 1.3:
             break
 
@@ -1060,8 +1112,8 @@ def test_width_skewed_lane_compaction_speedup():
     )
 
 
-def _csr_cell_run(neighbor_backend, width=CSR_WIDTH):
-    """Build and sweep one hub-skewed sparse cell on ``neighbor_backend``.
+def _csr_cell_run(backend, width=CSR_WIDTH):
+    """Build and sweep one hub-skewed sparse cell on ``backend``.
 
     Construction stays inside the traced region on purpose: the dense
     kernel's cost is dominated by the ``(L, W, max_deg)`` delay tensors
@@ -1078,9 +1130,9 @@ def _csr_cell_run(neighbor_backend, width=CSR_WIDTH):
         graph,
         PARAMS,
         delay_model=UniformDelayModel(PARAMS.d, PARAMS.u),
-        neighbor_backend=neighbor_backend,
     )
-    return sim.run(CSR_PULSES)
+    with prefer_csr(backend == "csr"):
+        return sim.run(CSR_PULSES)
 
 
 def test_csr_backend_memory_reduction():
@@ -1153,201 +1205,25 @@ def test_csr_backend_memory_reduction():
 
 
 def test_dense_backend_no_regression():
-    """``auto`` must pick dense on regular graphs and cost ~nothing.
+    """The density heuristic picks dense on regular graphs, bitwise.
 
-    The density heuristic guards the default path: on the standard
-    trial-stacked cell (replicated lines, padding ratio 1.0) ``auto``
-    resolves to the dense kernel, produces bit-identical times, and
-    stays within 1.25x of an explicit ``neighbor_backend="dense"`` run.
+    On the standard trial-stacked cell (replicated lines, padding ratio
+    1.0) the heuristic must resolve to the dense kernel and produce the
+    same times as a run with the verdict forced to dense.
     """
     trials = BatchRunner.seed_sweep(
         BATCH_DIAMETER, range(16), num_pulses=NUM_PULSES
     )
-    auto_runner = BatchRunner(num_pulses=NUM_PULSES, neighbor_backend="auto")
-    dense_runner = BatchRunner(num_pulses=NUM_PULSES, neighbor_backend="dense")
-
-    warm = auto_runner.run(trials)
-    (stats,) = warm.compaction_stats
+    runner = BatchRunner(num_pulses=NUM_PULSES)
+    batch = runner.run(trials)
+    (stats,) = batch.compaction_stats
     assert stats["neighbor_backend"] == "dense", (
-        f"auto picked {stats['neighbor_backend']!r} on a regular graph"
+        f"the heuristic picked {stats['neighbor_backend']!r} on a regular "
+        "graph"
     )
-    for repeats in (3, 5):
-        auto_time, auto_batch = timed(
-            lambda: auto_runner.run(trials), repeats=repeats
-        )
-        dense_time, dense_batch = timed(
-            lambda: dense_runner.run(trials), repeats=repeats
-        )
-        if auto_time / dense_time <= 1.25:
-            break
-    np.testing.assert_array_equal(auto_batch.times, dense_batch.times)
-    overhead = auto_time / dense_time
-    print(
-        f"\nauto-vs-dense overhead {overhead:.3f}x "
-        f"({auto_time:.4f}s vs {dense_time:.4f}s)"
-    )
-    assert overhead <= 1.25, (
-        f"the auto backend heuristic costs {overhead:.2f}x the explicit "
-        f"dense run ({auto_time:.4f}s vs {dense_time:.4f}s)"
-    )
-
-
-#: The kernel-backend ops cell mirrors the trial-stacked acceptance cell
-#: (S = 64 trials at D = 32); the reductions are microseconds each, so
-#: every timed leg loops the op to push the measurement out of timer
-#: noise.
-BACKEND_OPS_ITERS = 200
-
-
-def _looped(fn, iters=BACKEND_OPS_ITERS):
-    """Wrap an op so one timed call runs it ``iters`` times."""
-
-    def run():
-        out = None
-        for _ in range(iters):
-            out = fn()
-        return out
-
-    return run
-
-
-def test_kernel_backend_ops_speedup():
-    """Numba dense neighbor reduction >= 2x NumPy (when installed).
-
-    Benchmarks the two reductions behind the layer-step kernels --
-    dense padded gather-reduce and the CSR segment reduce -- on the
-    S = 64, D = 32 stacked cell shape, per kernel backend, plus one
-    full-kernel trial-stacked run per installed backend.  The numba
-    legs are bitwise-checked against NumPy and the >= 2x dense-ops
-    floor asserted only when the optional extra is installed (CI's
-    numba-backend job); NumPy-only environments still refresh their
-    legs of the ``"backend"`` section in ``BENCH_batch.json``.
-    """
-    base = replicated_line(BATCH_DIAMETER + 1)
-    nb_idx, nb_valid = base.neighbor_index_arrays()
-    indptr, indices, _ = base.neighbor_csr()
-    width = base.num_nodes
-    max_deg = nb_idx.shape[1]
-    nnz = indices.shape[0]
-    owner = np.repeat(np.arange(width, dtype=np.int64), np.diff(indptr))
-    has_neighbors = np.diff(indptr) > 0
-
-    rng = np.random.default_rng(0)
-    prev = rng.normal(size=(BATCH_TRIALS, width))
-    rate = 1.0 + (PARAMS.vartheta - 1.0) * rng.random((BATCH_TRIALS, width))
-    dense_delay = rng.uniform(
-        PARAMS.d - PARAMS.u, PARAMS.d, size=(BATCH_TRIALS, width, max_deg)
-    )
-    csr_delay = rng.uniform(
-        PARAMS.d - PARAMS.u, PARAMS.d, size=(BATCH_TRIALS, nnz)
-    )
-
-    def dense_leg(ops):
-        return lambda: ops.neighbor_min_max(
-            prev, nb_idx, nb_valid, dense_delay, rate
-        )
-
-    def csr_leg(ops):
-        return lambda: ops.segment_min_max(
-            prev, indices, indptr, csr_delay, rate, owner, has_neighbors
-        )
-
-    ops_times = {}
-    ops_times["numpy_dense"], want_dense = timed(_looped(dense_leg(NUMPY_OPS)))
-    ops_times["numpy_csr"], want_csr = timed(_looped(csr_leg(NUMPY_OPS)))
-
-    # Full-kernel context: the same reduction inside the trial-stacked
-    # BatchRunner cell, per installed backend.
-    trials = BatchRunner.seed_sweep(
-        BATCH_DIAMETER, range(BATCH_TRIALS), num_pulses=NUM_PULSES
-    )
-    numpy_runner = BatchRunner(num_pulses=NUM_PULSES, kernel_backend="numpy")
-    numpy_runner.run(trials)  # warm the delay/rate caches
-    full_times = {}
-    full_times["numpy"], numpy_batch = timed(lambda: numpy_runner.run(trials))
-
-    speedup = None
-    if numba_available():
-        numba_ops = resolve_kernel_ops("numba")
-        dense_leg(numba_ops)()  # trigger JIT compilation outside timing
-        csr_leg(numba_ops)()
-        ops_times["numba_dense"], got_dense = timed(
-            _looped(dense_leg(numba_ops))
-        )
-        ops_times["numba_csr"], got_csr = timed(_looped(csr_leg(numba_ops)))
-        # Bit-exactness contract of repro.core.backend, at the ops level.
-        for got, want in ((got_dense, want_dense), (got_csr, want_csr)):
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-        numba_runner = BatchRunner(
-            num_pulses=NUM_PULSES, kernel_backend="numba"
-        )
-        numba_runner.run(trials)  # warm caches + compile
-        full_times["numba"], numba_batch = timed(
-            lambda: numba_runner.run(trials)
-        )
-        np.testing.assert_array_equal(numba_batch.times, numpy_batch.times)
-        speedup = ops_times["numpy_dense"] / ops_times["numba_dense"]
-
-    elements = BATCH_TRIALS * width * max_deg * BACKEND_OPS_ITERS
-    _merge_bench_json(
-        {
-            "backend": {
-                "grid": {
-                    "diameter": BATCH_DIAMETER,
-                    "width": width,
-                    "max_deg": max_deg,
-                    "nnz": nnz,
-                    "trials": BATCH_TRIALS,
-                    "ops_iters": BACKEND_OPS_ITERS,
-                },
-                "numba_available": numba_available(),
-                "ops": {
-                    name: {
-                        "seconds": seconds,
-                        "lanes_per_s": elements / seconds,
-                    }
-                    for name, seconds in ops_times.items()
-                },
-                "full_kernel": {
-                    name: _mode_record(
-                        BATCH_TRIALS,
-                        seconds,
-                        trials[0].config.graph.num_nodes * NUM_PULSES,
-                    )
-                    for name, seconds in full_times.items()
-                },
-                "speedups": {"numba_vs_numpy_dense_ops": speedup},
-            }
-        }
-    )
-
-    print()
-    print(
-        format_table(
-            ["leg", "seconds", "lanes/s"],
-            [
-                (name, seconds, elements / seconds)
-                for name, seconds in ops_times.items()
-            ]
-            + [
-                (f"full_kernel[{name}]", seconds, "")
-                for name, seconds in full_times.items()
-            ],
-            title=f"Kernel backends, S={BATCH_TRIALS}, D={BATCH_DIAMETER} "
-            + (
-                f"(numba {speedup:.1f}x vs numpy on dense ops)"
-                if speedup is not None
-                else "(numba not installed; NumPy legs only)"
-            ),
-        )
-    )
-    if speedup is not None:
-        assert speedup >= 2.0, (
-            f"numba dense reduction only {speedup:.1f}x faster than NumPy "
-            f"({ops_times['numba_dense']:.4f}s vs "
-            f"{ops_times['numpy_dense']:.4f}s)"
-        )
+    with prefer_csr(False):
+        dense_batch = runner.run(trials)
+    np.testing.assert_array_equal(batch.times, dense_batch.times)
 
 
 def test_batch_runner_throughput():

@@ -8,7 +8,6 @@ then injects a random fault plan per seed and compares the two skew
 distributions.  The closing section demonstrates the executor knobs:
 
 * ``BatchRunner(...)``                       -- trial-stacked (the default)
-* ``BatchRunner(stack=False)``               -- per-trial vectorized loop
 * ``BatchRunner(vectorize=False)``           -- scalar reference path
 * ``BatchRunner(executor="process", shards=N)`` -- shard trials across
   worker processes (fault-heavy sweeps; trials must be picklable)
@@ -82,7 +81,6 @@ def main() -> None:
     BatchRunner().run(trials)  # warm the per-edge delay caches once
     runners = {
         "trial-stacked (default)": BatchRunner(),
-        "per-trial vectorized": BatchRunner(stack=False),
         "process-sharded x4": BatchRunner(executor="process", shards=4),
     }
     reference = None

@@ -12,16 +12,14 @@ This script builds a sparse circulant base graph with one high-degree
 hub, stacks it four layers deep (10^6 simulated nodes), and runs a
 multi-pulse sweep with streaming reducers (``store_times=False``, so the
 ``(P, L, W)`` pulse-time block is never materialized either).  The
-``neighbor_backend="auto"`` heuristic picks CSR on its own; a small
-companion run pins CSR against the dense kernel bitwise first, so the
-big run's numbers are backed by the differential guarantee.
+density heuristic picks CSR on its own; the differential test suite
+pins CSR against the dense kernel bitwise, so the big run's numbers are
+backed by that guarantee.
 
 Run:  python examples/sparse_sweep.py
 """
 
 import time
-
-import numpy as np
 
 from repro.analysis.streaming import default_reducers
 from repro.clocks import uniform_random_rates
@@ -35,7 +33,7 @@ PARAMS = Parameters(d=1.0, u=0.05, vartheta=1.01, Lambda=2.5)
 NUM_PULSES = 3
 
 
-def simulation(graph, neighbor_backend="auto"):
+def simulation(graph):
     # Jittered layer 0 and drifting clocks: the perfectly symmetric
     # setup (PerfectLayer0 + unit rates) synchronizes exactly and shows
     # a skew of 0.0, which makes for a boring demonstration.
@@ -53,24 +51,12 @@ def simulation(graph, neighbor_backend="auto"):
         layer0=JitteredLayer0(
             PARAMS.Lambda, graph.width, PARAMS.kappa / 2.0, seed=7
         ),
-        neighbor_backend=neighbor_backend,
     )
 
 
 def main() -> None:
     # --------------------------------------------------------------
-    # 1. Small companion: CSR is bit-identical to dense, not merely
-    #    close.  Same graph family, small enough for both kernels.
-    # --------------------------------------------------------------
-    small = sparse_layered(512, 3, num_hubs=1, hub_degree=64)
-    dense = simulation(small, neighbor_backend="dense").run(NUM_PULSES)
-    csr = simulation(small, neighbor_backend="csr").run(NUM_PULSES)
-    np.testing.assert_array_equal(csr.times, dense.times)
-    np.testing.assert_array_equal(csr.corrections, dense.corrections)
-    print("small companion (W=512): CSR == dense bitwise")
-
-    # --------------------------------------------------------------
-    # 2. The big one: 250,000-vertex base, 4 layers = 10^6 nodes.
+    # 250,000-vertex base, 4 layers = 10^6 nodes.
     # --------------------------------------------------------------
     width, num_layers, hub_degree = 250_000, 4, 4_096
     build_start = time.perf_counter()
@@ -83,7 +69,7 @@ def main() -> None:
     nnz = 2 * len(base.edges)
     dense_plane = width * base.max_degree() * 8  # one (W, max_deg) float64
     print(
-        f"\ngraph: {base.name} x {num_layers} layers\n"
+        f"graph: {base.name} x {num_layers} layers\n"
         f"  simulated nodes      {width * num_layers:,}\n"
         f"  undirected edges     {len(base.edges):,} per layer\n"
         f"  max degree           {base.max_degree():,} (hub) "

@@ -79,7 +79,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import KERNEL_BACKENDS, NUMPY_OPS, resolve_kernel_ops
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY, compute_correction
 from repro.core.layer0 import Layer0Schedule, PerfectLayer0
 from repro.delays.models import DelayModel, UniformDelayModel
@@ -103,9 +102,6 @@ BRANCH_CODES = {
 
 RateProvider = Union[None, Dict[NodeId, float], Callable[[NodeId, int], float]]
 
-#: Valid values for the ``neighbor_backend`` knob.
-NEIGHBOR_BACKENDS = ("auto", "dense", "csr")
-
 
 def _prefer_csr(base) -> bool:
     """Density heuristic: should this base graph default to the CSR kernel?
@@ -124,16 +120,9 @@ def _prefer_csr(base) -> bool:
     return padded >= 4096 and 2 * nnz <= padded
 
 
-def _resolve_backend(base, requested: str) -> str:
-    """Resolve a ``neighbor_backend`` request against the density heuristic."""
-    if requested not in NEIGHBOR_BACKENDS:
-        raise ValueError(
-            f"neighbor_backend must be one of {NEIGHBOR_BACKENDS}, "
-            f"got {requested!r}"
-        )
-    if requested == "auto":
-        return "csr" if _prefer_csr(base) else "dense"
-    return requested
+def _neighbor_backend(base) -> str:
+    """The neighbor representation the density heuristic picks for ``base``."""
+    return "csr" if _prefer_csr(base) else "dense"
 
 
 def _correction_step(
@@ -269,7 +258,6 @@ def _layer_step_kernel(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-    ops=NUMPY_OPS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pulse of one layer for every cell of a ``(..., W)`` plane.
 
@@ -316,10 +304,18 @@ def _layer_step_kernel(
     """
     own_arrival = prev + own_delay
     h_own = rate * own_arrival
-    # Padded gather + delay + rate product + masked min/max, delegated to
-    # the selected backend (NumPy composition or a fused numba kernel;
-    # bitwise identical either way -- see :mod:`repro.core.backend`).
-    h_min, h_max = ops.neighbor_min_max(prev, nb_idx, nb_valid, nb_delay, rate)
+    # Padded gather + delay + rate product + masked min/max.  A 3-D
+    # ``nb_idx`` gathers row ``s`` only from trial ``s``'s plane.
+    if nb_idx.ndim == 3:
+        gathered = np.take_along_axis(
+            prev, nb_idx.reshape(nb_idx.shape[0], -1), axis=-1
+        ).reshape(nb_idx.shape)
+    else:
+        gathered = prev[..., nb_idx]
+    nb_arrival = gathered + nb_delay
+    h_nb = rate[..., None] * nb_arrival
+    h_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
+    h_max = np.where(nb_valid, h_nb, -np.inf).max(axis=-1)
 
     return _registers_step(
         h_own, h_min, h_max, rate, static_eligible, params, policy, simplified
@@ -339,7 +335,6 @@ def _layer_step_kernel_csr(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-    ops=NUMPY_OPS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CSR variant of :func:`_layer_step_kernel`: reduce over edge segments.
 
@@ -372,9 +367,14 @@ def _layer_step_kernel_csr(
         h_min = np.full(lead + (indptr.shape[0] - 1,), np.inf)
         h_max = np.full(lead + (indptr.shape[0] - 1,), -np.inf)
     else:
-        h_min, h_max = ops.segment_min_max(
-            prev, indices, indptr, nb_delay, rate, owner, has_neighbors
-        )
+        nb_arrival = prev[..., indices] + nb_delay
+        h_nb = rate[..., owner] * nb_arrival
+        starts = np.minimum(indptr[:-1], nnz - 1)
+        h_min = np.minimum.reduceat(h_nb, starts, axis=-1)
+        h_max = np.maximum.reduceat(h_nb, starts, axis=-1)
+        if not has_neighbors.all():
+            h_min[..., ~has_neighbors] = np.inf
+            h_max[..., ~has_neighbors] = -np.inf
 
     return _registers_step(
         h_own, h_min, h_max, rate, static_eligible, params, policy, simplified
@@ -603,24 +603,15 @@ class FastSimulation:
         schedule is gathered once from the seed topology; membership
         changes silence a vertex's column via per-epoch crash masks rather
         than rewriting history.
-    neighbor_backend:
-        Neighbor representation for the vectorized sweep: ``"dense"``
-        (padded ``(W, max_deg)`` gather tensors), ``"csr"``
-        (segment-reduce over the base graph's
-        :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr`
-        arrays, ``O(nnz)`` per step), or ``"auto"`` (default: CSR for
-        large graphs whose padding wastes >= 2x, dense otherwise).
-        Both backends are bit-identical on eligible cells; campaign
-        runs re-resolve ``"auto"`` per epoch topology.
-    kernel_backend:
-        Array-op implementation behind the layer-step kernels:
-        ``"numpy"`` (default resolution), ``"numba"`` (fused JIT
-        reductions; requires the optional ``numba`` extra) or
-        ``"auto"`` (numba when installed, NumPy otherwise).  Backends
-        are bitwise identical on eligible cells -- the knob is purely a
-        speed choice; see :mod:`repro.core.backend`.  Resolution happens
-        eagerly, so an explicit ``"numba"`` without the package raises
-        here rather than mid-run.
+
+    Notes
+    -----
+    The vectorized sweep reduces over padded ``(W, max_deg)`` neighbor
+    tensors, or over the base graph's
+    :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr` segments
+    when the density heuristic (:func:`_prefer_csr`) says padding
+    dominates; both are bit-identical on eligible cells, and campaign
+    runs re-apply the heuristic per epoch topology.
     """
 
     def __init__(
@@ -635,16 +626,9 @@ class FastSimulation:
         algorithm: str = "full",
         vectorize: bool = True,
         campaign: Optional["ChaosCampaign"] = None,
-        neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
     ) -> None:
         if algorithm not in ("full", "simplified"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if neighbor_backend not in NEIGHBOR_BACKENDS:
-            raise ValueError(
-                f"neighbor_backend must be one of {NEIGHBOR_BACKENDS}, "
-                f"got {neighbor_backend!r}"
-            )
         if campaign is not None:
             if campaign.base.num_nodes != graph.base.num_nodes or (
                 campaign.base.adjacency != graph.base.adjacency
@@ -667,12 +651,6 @@ class FastSimulation:
         self.algorithm = algorithm
         self.vectorize = vectorize
         self.campaign = campaign
-        self.neighbor_backend = neighbor_backend
-        # Eager resolution: validates the name, raises the install hint
-        # for an explicit "numba" without the package, and picks the
-        # concrete ops object every kernel call will route through.
-        self.kernel_backend = kernel_backend
-        self._kernel_ops = resolve_kernel_ops(kernel_backend)
         self._rates = clock_rates
         # Per-layer rate arrays for the vectorized sweep, rebuilt every run
         # so in-place edits of a rates dict between runs are honored.  The
@@ -983,7 +961,6 @@ class FastSimulation:
                     self.params,
                     self.policy,
                     self.algorithm == "simplified",
-                    ops=self._kernel_ops,
                 )
             )
         else:
@@ -999,7 +976,6 @@ class FastSimulation:
                     self.params,
                     self.policy,
                     self.algorithm == "simplified",
-                    ops=self._kernel_ops,
                 )
             )
 
@@ -1469,9 +1445,7 @@ class _VectorSweep:
         base = graph.base
         width = base.num_nodes
         self.width = width
-        self.backend = _resolve_backend(
-            base, sim.neighbor_backend if backend is None else backend
-        )
+        self.backend = backend or _neighbor_backend(base)
         self.nb_lists = [tuple(base.neighbors(v)) for v in base.nodes()]
         # Identifies the edge set the delay gathers cover: two graphs with
         # equal width and adjacency query exactly the same edge tuples, so

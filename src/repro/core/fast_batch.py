@@ -37,9 +37,9 @@ Depth-aware compaction (dropping finished rows)
 Depth padding makes mixed-depth stacks *correct*, but without further
 care a shallow trial keeps riding the layer loop as a dead NaN row until
 the deepest trial finishes -- on a strongly depth-skewed batch most of
-the ``(S, W_max)`` plane is then inert ballast.  With ``compact_depth``
-(the default) the stack instead *drops* a trial's row from the working
-plane as soon as the trial has nothing left to compute:
+the ``(S, W_max)`` plane is then inert ballast.  The stack instead
+*drops* a trial's row from the working plane as soon as the trial has
+nothing left to compute:
 
 * **depth exhausted** -- ``layer >= num_layers_s``: the trial's window
   simply has no such layer, or
@@ -54,8 +54,8 @@ into compact ``(S_active, W_max)`` state/parameter/neighbor arrays
 (cached per distinct row set -- the depth-driven sets are nested, so
 there are at most as many as distinct depths), the kernel runs on the
 compact plane, and the results scatter back to the original trial slots
--- bit-identical to the uncompacted stack, which in turn is bit-identical
-to per-trial runs.  A depth-skewed batch therefore pays for the layer
+-- bit-identical to a full-plane step, which in turn is bit-identical to
+per-trial runs.  A depth-skewed batch therefore pays for the layer
 steps its trials actually run (``sum_s L_s``) instead of ``S * L_max``.
 :attr:`TrialStack.compaction_stats` records the padded vs executed
 row-step counts after each :meth:`TrialStack.run`.
@@ -64,8 +64,8 @@ Width-aware compaction (dropping unused lanes)
 ----------------------------------------------
 The width axis has the mirror problem: one wide trial pads every other
 trial's plane to ``W_max``, and the padding keeps riding the kernel even
-after the wide trial drops out of the layer loop.  With ``compact_width``
-(the default) each step additionally gathers only the ``active_lanes``
+after the wide trial drops out of the layer loop.  Each step therefore
+also gathers only the ``active_lanes``
 -- the union, over the *active rows*, of lanes some trial still needs.
 A lane is needed by trial ``s`` when it is inside the trial's real width
 and, under a chaos campaign, the vertex is present in at least one epoch
@@ -78,7 +78,16 @@ results scatter back through ``rows x lanes`` -- dropped lanes keep
 their initial padding, which is exactly what the uncompacted path writes
 there (padding is never eligible, and a horizon-absent vertex's scalar
 replay records NaN/"none", the padding values, and no fault sends).
-Output is bit-identical with the knob on or off.
+
+One layer step
+--------------
+The full ``(S, W_max)`` plane is the identity case of compaction: rows
+and lanes index with ``slice(None)``.  :func:`_select_cells` picks the
+rows and lanes of each step, and :meth:`TrialStack._run_layer_stacked`
+runs the kernel on whatever plane they select, so the dense/CSR kernel
+call lives in one place.  Tests and benchmarks replace
+:func:`_select_cells` with the identity to measure or pin the
+uncompacted plane; it is a test seam, not an option.
 
 CSR neighbor backend (sparse/skewed graphs)
 -------------------------------------------
@@ -87,10 +96,10 @@ graph's CSR arrays (:meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr`)
 instead of the padded ``(W, max_deg)`` tensors: per-step cost becomes
 ``O(S * nnz)`` rather than ``O(S * W * max_deg)``, which is what lets a
 hub-skewed or million-node sparse layer through the fast path -- see
-:func:`repro.core.fast._layer_step_kernel_csr`.  The backend is chosen
-per stack by the density heuristic (``neighbor_backend="auto"``) or
-forced (``"dense"``/``"csr"``); mixed-adjacency stacks fall back to the
-dense padded path (recorded in ``compaction_stats["backend_fallback"]``).
+:func:`repro.core.fast._layer_step_kernel_csr`.  The density heuristic
+(:func:`repro.core.fast._prefer_csr`) picks the representation of a
+uniform stack; mixed-adjacency stacks always run the dense padded path.
+``compaction_stats["neighbor_backend"]`` records the choice.
 
 Stacking requirements (checked by :func:`stack_compatibility`)
 --------------------------------------------------------------
@@ -131,16 +140,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import resolve_kernel_ops
 from repro.core.fast import (
     BRANCH_CODES,
-    NEIGHBOR_BACKENDS,
     FastResult,
     FastSimulation,
     _VectorSweep,
     _layer_step_kernel,
     _layer_step_kernel_csr,
-    _resolve_backend,
+    _neighbor_backend,
 )
 from repro.core.layer0 import stacked_pulse_row, stacked_pulse_times
 
@@ -150,6 +157,10 @@ __all__ = ["TrialStack", "stack_compatibility"]
 #: streaming reducers still need the update (the inter-layer reducer
 #: retires its previous-pulse plane), just with no active trial.
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+
+#: Index of a whole axis: the full plane is the identity case of
+#: compaction (see :func:`_select_cells`).
+_ALL = slice(None)
 
 
 class _StackBlock:
@@ -211,6 +222,55 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
     return None
 
 
+def _select_cells(
+    layer: int,
+    depths: np.ndarray,
+    dead: Optional[np.ndarray],
+    prev_protocol: np.ndarray,
+    lane_needed: Optional[np.ndarray],
+):
+    """Rows and lanes of the working plane for one layer step.
+
+    Returns ``(rows, lanes)`` -- each :data:`_ALL` (the whole axis) or an
+    index array; ``lanes`` is an array only together with ``rows`` -- or
+    ``None`` when no cell of the step needs computing.  A row survives
+    while its trial is deeper than ``layer`` and has not gone dead this
+    iteration; ``dead`` (None on fault-free stacks, where no trial can
+    go dead) is updated in place from ``prev_protocol``, the
+    ``(S, W_max)`` protocol plane of layer ``layer - 1``.  A lane
+    survives while some surviving row still needs it (``lane_needed``;
+    None on uniform stacks, which carry no width padding).  See the
+    module docstring for why dropping the rest is exact.
+    """
+    mask = depths > layer
+    if dead is not None:
+        # A trial goes dead for the rest of this iteration when *no*
+        # node of its previous layer produced a pulse (protocol row
+        # all-NaN): correct nodes sent nothing and faulty nodes recorded
+        # no sends, so no message can reach this or any deeper layer.
+        candidates = np.flatnonzero(mask & ~dead)
+        if candidates.size:
+            silent = np.isnan(prev_protocol[candidates]).all(axis=1)
+            if silent.any():
+                dead[candidates[silent]] = True
+        mask &= ~dead
+    rows = _ALL
+    if not mask.all():
+        if not mask.any():
+            return None
+        rows = np.flatnonzero(mask)
+    if lane_needed is None:
+        return rows, _ALL
+    used = lane_needed[rows].any(axis=0)
+    if used.all():
+        return rows, _ALL
+    if not used.any():
+        return None
+    if isinstance(rows, slice):
+        rows = np.arange(mask.size, dtype=np.int64)
+    return rows, np.flatnonzero(used)
+
+
 class _StackedParams:
     """Per-trial ``(S, 1)`` numeric parameter columns for the kernel.
 
@@ -268,33 +328,6 @@ class TrialStack:
         structural policy switches); a :class:`ValueError` names the first
         violation otherwise.  Geometries may differ -- narrower/shallower
         trials are padded with inert cells.
-    compact_depth:
-        Drop finished trials out of the layer loop (depth exhausted, or
-        provably silent for the rest of the iteration) and run the kernel
-        on the compacted ``(S_active, W_max)`` plane; see the module
-        docstring.  The default.  ``False`` keeps every row riding the
-        full ``L_max`` loop (the pre-compaction behavior); output is
-        bit-identical either way.
-    compact_width:
-        Additionally drop lanes no active trial needs (width padding, and
-        vertices absent for the whole remaining campaign horizon) and run
-        the kernel on the ``(S_active, C)`` column-compacted plane; see
-        the module docstring.  The default.  Only engages on mixed-width
-        (padded) stacks; output is bit-identical either way.
-    neighbor_backend:
-        ``"auto"`` (default), ``"dense"``, or ``"csr"``: the neighbor
-        representation of the stacked kernel.  ``"auto"`` picks CSR for
-        uniform stacks over large sparse/skewed base graphs (see
-        :func:`repro.core.fast._prefer_csr`) and the dense padded
-        tensors otherwise; mixed-adjacency stacks always run dense
-        (``compaction_stats["backend_fallback"]`` says why).
-    kernel_backend:
-        ``"auto"`` (default), ``"numpy"``, or ``"numba"``: the array-op
-        implementation behind the stacked layer-step kernels (see
-        :mod:`repro.core.backend`).  ``"auto"`` picks numba when the
-        optional extra is installed and NumPy otherwise; backends are
-        bitwise identical, so the knob is purely a speed choice.  The
-        resolved name lands in ``compaction_stats["kernel_backend"]``.
 
     Notes
     -----
@@ -309,8 +342,11 @@ class TrialStack:
     snapshots, so no caller can corrupt the memory every trial of the
     stack shares (``BatchResult`` adopts the block without copying).
 
-    After :meth:`run`, :attr:`compaction_stats` holds the padded vs
-    executed row-step accounting of the last run.
+    Every layer step runs on the rows and lanes that still need it (see
+    the module docstring).  After :meth:`run`, :attr:`compaction_stats`
+    holds the padded vs executed row- and lane-step accounting of the
+    last run, the neighbor representation the density heuristic chose,
+    and the batched-fallback counts.
 
     Example
     -------
@@ -329,31 +365,11 @@ class TrialStack:
     [(2, 3, 4), (2, 3, 5)]
     """
 
-    def __init__(
-        self,
-        sims: Sequence[FastSimulation],
-        compact_depth: bool = True,
-        compact_width: bool = True,
-        neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
-    ) -> None:
+    def __init__(self, sims: Sequence[FastSimulation]) -> None:
         reason = stack_compatibility(sims)
         if reason is not None:
             raise ValueError(f"trials cannot be stacked: {reason}")
-        if neighbor_backend not in NEIGHBOR_BACKENDS:
-            raise ValueError(
-                f"neighbor_backend must be one of {NEIGHBOR_BACKENDS}, "
-                f"got {neighbor_backend!r}"
-            )
         self.sims: List[FastSimulation] = list(sims)
-        self.compact_depth = bool(compact_depth)
-        self.compact_width = bool(compact_width)
-        self.neighbor_backend = neighbor_backend
-        # Eager resolution, mirroring FastSimulation: validates the name
-        # and raises the install hint for an explicit "numba" without
-        # the package before any trial starts.
-        self.kernel_backend = kernel_backend
-        self._kernel_ops = resolve_kernel_ops(kernel_backend)
         #: Row/lane-step accounting of the last :meth:`run`; see the
         #: module docstring.  ``None`` until the first run completes.
         self.compaction_stats: Optional[Dict[str, object]] = None
@@ -367,15 +383,15 @@ class TrialStack:
         cache: Dict[object, Tuple[np.ndarray, np.ndarray]],
         layer: int,
         k: int,
-        rows: Optional[np.ndarray] = None,
-        lanes: Optional[np.ndarray] = None,
+        rows=_ALL,
+        lanes=_ALL,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Own ``(S, W)`` and neighbor ``(S, W, max_deg)`` delay arrays.
 
         Each sweep's per-trial arrays come from (and fill) its simulation's
         own delay cache; the stacked copies are cached here per layer when
-        every model is pulse-invariant, else per ``(layer, k)``.  With
-        compaction, ``rows`` selects the active trials and only their
+        every model is pulse-invariant, else per ``(layer, k)``.  On a
+        compacted step, ``rows`` selects the active trials and only their
         arrays are gathered (the cache key then carries the row set --
         depth-driven sets are nested, so at most one entry per distinct
         depth survives), and ``lanes`` slices the active columns out of
@@ -388,9 +404,9 @@ class TrialStack:
         their own graph.
         """
         key: object = layer if self._all_pulse_invariant else (layer, k)
-        if rows is not None:
+        if not isinstance(rows, slice):
             key = (key, rows.tobytes())
-        if lanes is not None:
+        if not isinstance(lanes, slice):
             full_own, full_nb = self._delay_stack(sweeps, cache, layer, k, rows)
             key = (key, "lanes", lanes.tobytes())
             cached = cache.get(key)
@@ -402,7 +418,9 @@ class TrialStack:
         if cached is None:
             if self._uniform:
                 selected = (
-                    sweeps if rows is None else [sweeps[s] for s in rows]
+                    sweeps
+                    if isinstance(rows, slice)
+                    else [sweeps[s] for s in rows]
                 )
                 per_trial = [sw.delay_arrays(layer, k) for sw in selected]
                 cached = (
@@ -410,7 +428,7 @@ class TrialStack:
                     np.stack([nb for _, nb in per_trial]),
                 )
             else:
-                indices = np.arange(len(sweeps)) if rows is None else rows
+                indices = np.arange(len(sweeps))[rows]
                 own = np.full((len(indices), self._width), np.nan)
                 nb = np.zeros((len(indices), self._width, self._max_deg))
                 for i, s in enumerate(indices):
@@ -429,8 +447,8 @@ class TrialStack:
         cache: Dict[object, np.ndarray],
         layer: int,
         k: int,
-        rows: Optional[np.ndarray] = None,
-        lanes: Optional[np.ndarray] = None,
+        rows=_ALL,
+        lanes=_ALL,
     ) -> np.ndarray:
         """Clock rates of the (active) trials' nodes during pulse ``k``.
 
@@ -439,10 +457,9 @@ class TrialStack:
         ``lanes`` slices the active columns out of the row-compacted
         array, mirroring :meth:`_delay_stack`.
         """
-        if lanes is not None:
+        if not isinstance(lanes, slice):
             full = self._rate_stack(sweeps, cache, layer, k, rows)
-            key = (layer, None if rows is None else rows.tobytes(),
-                   "lanes", lanes.tobytes())
+            key = (layer, rows.tobytes(), "lanes", lanes.tobytes())
             if self._rates_static:
                 cached = cache.get(key)
                 if cached is not None:
@@ -452,7 +469,7 @@ class TrialStack:
                 cache[key] = sliced
             return sliced
         key: object = (
-            layer if rows is None else (layer, rows.tobytes())
+            layer if isinstance(rows, slice) else (layer, rows.tobytes())
         )
         if self._rates_static:
             cached = cache.get(key)
@@ -461,10 +478,14 @@ class TrialStack:
         # Callable rate providers may depend on the pulse; query per step
         # exactly as the per-trial kernel does.
         if self._uniform:
-            selected = sweeps if rows is None else [sweeps[s] for s in rows]
+            selected = (
+                sweeps
+                if isinstance(rows, slice)
+                else [sweeps[s] for s in rows]
+            )
             stacked = np.stack([sw.rate_array(layer, k) for sw in selected])
         else:
-            indices = np.arange(len(sweeps)) if rows is None else rows
+            indices = np.arange(len(sweeps))[rows]
             stacked = np.ones((len(indices), self._width))
             for i, s in enumerate(indices):
                 if layer >= self._depths[s]:
@@ -590,22 +611,13 @@ class TrialStack:
             result.effective_corrections = effective[s, :, : depths[s], : widths[s]]
             result.branches = branches[s, :, : depths[s], : widths[s]]
 
-        # Resolve the neighbor backend for the whole stack.  CSR needs one
+        # One neighbor representation for the whole stack.  CSR needs one
         # shared adjacency (the segment structure is per-graph), so only
-        # uniform stacks qualify; an explicit "csr" request on a padded
-        # stack falls back to dense and says so in compaction_stats.
-        backend_fallback: Optional[str] = None
-        if self._uniform:
-            backend = _resolve_backend(
-                sims[0].graph.base, self.neighbor_backend
-            )
-        else:
-            backend = "dense"
-            if self.neighbor_backend == "csr":
-                backend_fallback = (
-                    "csr requires a uniform-adjacency static stack; "
-                    "ran dense padded instead"
-                )
+        # uniform stacks consult the density heuristic; padded stacks run
+        # the dense tensors.
+        backend = (
+            _neighbor_backend(sims[0].graph.base) if self._uniform else "dense"
+        )
         sweeps = [_VectorSweep(sim, backend=backend) for sim in sims]
         self._all_pulse_invariant = all(
             getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
@@ -693,7 +705,7 @@ class TrialStack:
         # the lane pass is skipped there outright.
         self._widths = widths
         self._lane_needed = width_mask.copy()
-        compact_w = self.compact_width and active is not None
+        lane_needed = None if active is None else self._lane_needed
 
         # Depth-aware compaction bookkeeping (see the module docstring):
         # at layer ``l`` only trials with ``depth > l`` that have not gone
@@ -701,11 +713,10 @@ class TrialStack:
         # can only ever trigger with faults -- a fault-free trial's layers
         # always pulse -- so the all-NaN probe is skipped entirely on
         # fault-free stacks.
-        compact = self.compact_depth
         depths_arr = np.array(depths)
         any_fault = bool(faulty.any())
         dead = np.zeros(num_trials, dtype=bool)
-        self._row_cache: Dict[bytes, Dict[str, object]] = {}
+        self._row_cache: Dict[Tuple, Dict[str, object]] = {}
         padded_row_steps = num_pulses * max(num_layers - 1, 0) * num_trials
         active_row_steps = 0
         # Lane-step (cell) accounting: padded cost is every row step times
@@ -760,83 +771,51 @@ class TrialStack:
                     stream.update(
                         k, 0, times[:, rk, 0, :], corrections[:, rk, 0, :]
                     )
-                if compact and any_fault:
+                if any_fault:
                     dead[:] = False
                 for layer in range(1, num_layers):
-                    rows: Optional[np.ndarray] = None
-                    lanes: Optional[np.ndarray] = None
-                    skipped = False
-                    if compact:
-                        mask = depths_arr > layer
-                        if any_fault:
-                            # A trial goes dead for the rest of this iteration
-                            # when *no* node of its previous layer produced a
-                            # pulse (protocol row all-NaN): correct nodes sent
-                            # nothing and faulty nodes recorded no sends, so
-                            # no message can reach this or any deeper layer.
-                            candidates = np.flatnonzero(mask & ~dead)
-                            if candidates.size:
-                                silent = np.isnan(
-                                    protocol_times[candidates, rk, layer - 1, :]
-                                ).all(axis=1)
-                                if silent.any():
-                                    dead[candidates[silent]] = True
-                            mask &= ~dead
-                        if not mask.all():
-                            if not mask.any():
-                                skipped = True
-                            else:
-                                rows = np.flatnonzero(mask)
-                    if not skipped and compact_w:
-                        # Union of lanes still needed by the active rows:
-                        # drop the columns nobody will read or write.
-                        need = (
-                            self._lane_needed
-                            if rows is None
-                            else self._lane_needed[rows]
-                        )
-                        used = need.any(axis=0)
-                        if not used.all():
-                            if not used.any():
-                                skipped = True
-                            else:
-                                lanes = np.flatnonzero(used)
-                                if rows is None:
-                                    rows = np.arange(
-                                        num_trials, dtype=np.int64
-                                    )
-                    if not skipped:
+                    cells = _select_cells(
+                        layer,
+                        depths_arr,
+                        dead if any_fault else None,
+                        protocol_times[:, rk, layer - 1, :],
+                        lane_needed,
+                    )
+                    if cells is None:
+                        hint = _NO_ROWS
+                    else:
+                        rows, lanes = cells
+                        hint = None if isinstance(rows, slice) else rows
                         row_count = (
-                            num_trials if rows is None else int(rows.size)
+                            num_trials if isinstance(rows, slice) else rows.size
                         )
                         active_row_steps += row_count
                         active_lane_steps += row_count * (
-                            width if lanes is None else int(lanes.size)
+                            width if isinstance(lanes, slice) else lanes.size
                         )
                         self._run_layer_stacked(
                             results,
-                            times,
-                            protocol_times,
-                            corrections,
-                            effective,
-                            branches,
-                            nb_idx,
-                            nb_valid,
-                            static_eligible,
-                            faulty,
-                            active,
-                            bool(layer_has_fault[layer]),
+                            (times, protocol_times, corrections, effective,
+                             branches),
+                            self._row_structs(
+                                rows,
+                                lanes,
+                                nb_idx,
+                                nb_valid,
+                                static_eligible,
+                                faulty,
+                                active,
+                            ),
                             self._delay_stack(
                                 sweeps, delay_cache, layer, k, rows, lanes
                             ),
                             self._rate_stack(
                                 sweeps, rate_cache, layer, k, rows, lanes
                             ),
+                            bool(layer_has_fault[layer]),
                             k,
                             layer,
-                            rows,
                             rk,
-                            lanes,
                         )
                     if stream is not None:
                         # Skipped steps still update with an empty rows hint so
@@ -846,7 +825,7 @@ class TrialStack:
                             layer,
                             times[:, rk, layer, :],
                             corrections[:, rk, layer, :],
-                            _NO_ROWS if skipped else rows,
+                            hint,
                         )
         finally:
             if has_campaign:
@@ -859,7 +838,6 @@ class TrialStack:
                 results[s].churn_stats = schedule.summary()
 
         self.compaction_stats = {
-            "enabled": compact,
             "trials": num_trials,
             "num_layers": num_layers,
             "min_depth": int(min(depths)),
@@ -871,14 +849,6 @@ class TrialStack:
                 if padded_row_steps
                 else 0.0
             ),
-            # Which axes this run compacted along -- process-shard merges
-            # of BatchResult.compaction_stats stay unambiguous about what
-            # each dict's numbers mean.
-            "axes": [
-                axis
-                for axis, on in (("depth", compact), ("width", compact_w))
-                if on
-            ],
             "min_width": int(min(widths)),
             "max_width": int(max(widths)),
             "padded_lane_steps": padded_lane_steps,
@@ -889,8 +859,6 @@ class TrialStack:
                 else 0.0
             ),
             "neighbor_backend": backend,
-            "backend_fallback": backend_fallback,
-            "kernel_backend": self._kernel_ops.name,
             # Batched-fallback accounting: total kernel-rejected cells
             # resolved by the masked replay, and in how many batched
             # passes.  Zero on fault-free stacks.
@@ -1041,41 +1009,43 @@ class TrialStack:
 
     def _row_structs(
         self,
-        rows: np.ndarray,
+        rows,
+        lanes,
         nb_idx: Optional[np.ndarray],
         nb_valid: Optional[np.ndarray],
         static_eligible: np.ndarray,
         faulty: np.ndarray,
         active: Optional[np.ndarray],
-        lanes: Optional[np.ndarray] = None,
     ) -> Dict[str, object]:
-        """Compacted per-row/lane-set kernel inputs, cached by both sets.
+        """Kernel inputs of the ``rows x lanes`` plane, cached by both sets.
 
         Depth-driven active sets are nested (they only shrink as the
         layer index grows), so at most one entry per distinct depth is
         ever built; dead-trial sets add at most a handful more, and lane
-        sets one entry per distinct (row set, lane set) pair.  Shared
+        sets one entry per distinct (row set, lane set) pair.  The full
+        plane (both :data:`_ALL`) is one more entry of views.  Shared
         2-D gather tables (uniform stacks) are row-independent and pass
         through untouched; CSR stacks carry no padded tables at all
         (``nb_idx``/``nb_valid`` are None and the kernel reads the
-        stack's shared CSR arrays).  With ``lanes``, the padded tables
+        stack's shared CSR arrays).  With a lane set, the padded tables
         are additionally re-indexed into the compact column space:
         ``lane_pos`` maps original vertex ids to compacted columns, and
         entries pointing at dropped lanes (only ever behind an invalid
         mask -- no valid entry of an active trial references a dropped
         lane) collapse to column 0 harmlessly.
+
+        Besides the kernel inputs, an entry carries ``index`` (the
+        ``(rows, lanes)`` subscripts into the shared ``(S, W_max)``
+        planes) and the original ``trials`` / ``vertices`` ids of its
+        rows and columns (``vertices`` is None on the full width).
         """
         key = (
-            rows.tobytes()
-            if lanes is None
-            else rows.tobytes() + b"|" + lanes.tobytes()
+            None if isinstance(rows, slice) else rows.tobytes(),
+            None if isinstance(lanes, slice) else lanes.tobytes(),
         )
         cached = self._row_cache.get(key)
         if cached is None:
-            if nb_idx is None:
-                sub_idx = None
-                sub_valid = None
-            elif nb_idx.ndim == 3:
+            if nb_idx is not None and nb_idx.ndim == 3:
                 sub_idx = nb_idx[rows]
                 sub_valid = nb_valid[rows]
             else:
@@ -1084,7 +1054,9 @@ class TrialStack:
             sub_eligible = static_eligible[rows]
             sub_faulty = faulty[rows]
             sub_active = None if active is None else active[rows]
-            if lanes is not None:
+            index = (rows, _ALL)
+            vertices = None
+            if not isinstance(lanes, slice):
                 lane_pos = np.zeros(self._width, dtype=np.int64)
                 lane_pos[lanes] = np.arange(lanes.size, dtype=np.int64)
                 sub_idx = lane_pos[sub_idx[:, lanes, :]]
@@ -1092,13 +1064,17 @@ class TrialStack:
                 sub_eligible = sub_eligible[:, :, lanes]
                 sub_faulty = sub_faulty[:, :, lanes]
                 sub_active = sub_active[:, :, lanes]
+                index = (rows[:, None], lanes[None, :])
+                vertices = lanes
             cached = {
                 "nb_idx": sub_idx,
                 "nb_valid": sub_valid,
                 "static_eligible": sub_eligible,
                 "faulty": sub_faulty,
                 "active": sub_active,
-                "lanes": lanes,
+                "index": index,
+                "trials": np.arange(len(self.sims))[rows],
+                "vertices": vertices,
                 "params": (
                     self._params.take(rows)
                     if isinstance(self._params, _StackedParams)
@@ -1113,50 +1089,49 @@ class TrialStack:
             self._row_cache[key] = cached
         return cached
 
-    def _run_layer_compacted(
+    def _run_layer_stacked(
         self,
         results: List[FastResult],
-        times: np.ndarray,
-        protocol_times: np.ndarray,
-        corrections: np.ndarray,
-        effective: np.ndarray,
-        branches_out: np.ndarray,
+        matrices: Tuple[np.ndarray, ...],
         structs: Dict[str, object],
         delays: Tuple[np.ndarray, np.ndarray],
         rate: np.ndarray,
+        layer_faulty: bool,
         k: int,
         layer: int,
-        rows: np.ndarray,
         rk: int,
     ) -> None:
-        """Pulse ``k`` of ``layer`` on the compacted ``(S_active, W)`` plane.
+        """Advance pulse ``k`` of ``layer`` on the selected plane.
 
-        The same kernel expressions as the uncompacted path, evaluated on
-        the active rows only and scattered back through ``rows``.  Cells
-        the uncompacted path would have left at their initial padding
-        values (``NaN``/``"none"``) are re-written with exactly those
-        values by the masked scatter, so the output is bit-identical; the
-        dropped rows are untouched and keep their initial padding, which
-        is also what the uncompacted path produces for them (inert or
-        silent rows are never eligible and their scalar replays record
-        nothing).  With a lane set (``structs["lanes"]``) the plane
-        shrinks along the width axis as well, to ``(A, C)``: results
-        scatter back through the ``rows x lanes`` cross product, and the
-        dropped lanes keep their initial padding -- which is exact for
-        the same reason dropped rows are, because a lane is only dropped
-        when no surviving row still needs it (its cells are width
-        padding, or belong to horizon-absent vertices whose scalar
-        replay writes exactly the padding values and records nothing).
-        ``rk`` is the block's storage row for pulse ``k``.
+        Mirrors :meth:`FastSimulation._run_layer_vectorized` with a leading
+        trial axis -- both delegate to the shape-generic
+        :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
+        ``csr`` stacks); see the module docstring for the exactness
+        argument.  ``structs`` (from :meth:`_row_structs`) holds the
+        kernel inputs of the plane :func:`_select_cells` picked, and
+        ``delays``/``rate`` are already compacted the same way.  The
+        full plane is the identity case: its subscripts are
+        ``slice(None)``.  ``matrices`` are the shared ``times``,
+        ``protocol_times``, ``corrections``, ``effective`` and
+        ``branches`` blocks; ``rk`` is the storage row of pulse ``k``
+        (``k`` itself on materialized runs, 0 on the rolling window).
+
+        Results scatter back through the plane's subscripts.  Ineligible
+        cells are written with the padding values (``NaN``/``"none"``)
+        that the rest of the block starts with, so the output is
+        bit-identical to a full-plane step: cells outside the plane keep
+        their initial padding, which is also what a full-plane step
+        produces for them (inert, silent and horizon-absent cells are
+        never eligible, and their scalar replays record nothing).
+        ``structs["active"]`` (None on uniform stacks) masks the padding
+        inside the plane, so inert cells are never replayed by the
+        scalar fallback.
         """
+        times, protocol_times, corrections, effective, branches_out = matrices
         sims = self.sims
-        lanes = structs["lanes"]
-        if lanes is None:
-            prev = times[rows, rk, layer - 1, :]  # (A, W), NaN = missing
-        else:
-            prev = times[rows[:, None], rk, layer - 1, lanes[None, :]]
+        ri, ci = structs["index"]
+        prev = times[ri, rk, layer - 1, ci]  # NaN = missing
         own_delay, nb_delay = delays
-
         simplified = sims[0].algorithm == "simplified"
         if self._csr is not None:
             indptr, indices, owner, has_neighbors = self._csr
@@ -1174,7 +1149,6 @@ class TrialStack:
                     structs["params"],
                     structs["policy"],
                     simplified,
-                    ops=self._kernel_ops,
                 )
             )
         else:
@@ -1190,15 +1164,20 @@ class TrialStack:
                     structs["params"],
                     structs["policy"],
                     simplified,
-                    ops=self._kernel_ops,
                 )
             )
 
+        if not layer_faulty and eligible.all():
+            # Common case (no trial has a fault on this layer, every cell
+            # on the fast path): plain assignments, no selects.
+            corrections[ri, rk, layer, ci] = correction
+            branches_out[ri, rk, layer, ci] = branches
+            effective[ri, rk, layer, ci] = eff
+            protocol_times[ri, rk, layer, ci] = pulse_time
+            times[ri, rk, layer, ci] = pulse_time
+            return
+
         faulty_here = structs["faulty"][:, layer, :]
-        if lanes is None:
-            ri, ci = rows, slice(None)
-        else:
-            ri, ci = rows[:, None], lanes[None, :]
         corrections[ri, rk, layer, ci] = np.where(eligible, correction, np.nan)
         branches_out[ri, rk, layer, ci] = np.where(
             eligible, branches, BRANCH_CODES["none"]
@@ -1210,10 +1189,12 @@ class TrialStack:
         times[ri, rk, layer, ci] = np.where(
             eligible & ~faulty_here, pulse_time, np.nan
         )
-        if faulty_here.any():
+        trials = structs["trials"]
+        vertices = structs["vertices"]
+        if layer_faulty:
             for si, vi in zip(*np.nonzero(eligible & faulty_here)):
-                s = int(rows[si])
-                v = int(vi) if lanes is None else int(lanes[vi])
+                s = int(trials[si])
+                v = int(vi if vertices is None else vertices[vi])
                 sims[s]._record_fault_sends(
                     results[s], (v, layer), k, float(pulse_time[si, vi])
                 )
@@ -1225,163 +1206,9 @@ class TrialStack:
             # One batched resolver call per trial row with rejected
             # cells (vertex ids mapped back through the lane set).
             for si in np.nonzero(fallback.any(axis=1))[0]:
-                s = int(rows[si])
+                s = int(trials[si])
                 vi = np.nonzero(fallback[si])[0]
                 sims[s]._run_fallback_batch(
                     results[s], k, layer,
-                    vi if lanes is None else lanes[vi], rk,
-                )
-
-    def _run_layer_stacked(
-        self,
-        results: List[FastResult],
-        times: np.ndarray,
-        protocol_times: np.ndarray,
-        corrections: np.ndarray,
-        effective: np.ndarray,
-        branches_out: np.ndarray,
-        nb_idx: np.ndarray,
-        nb_valid: np.ndarray,
-        static_eligible: np.ndarray,
-        faulty: np.ndarray,
-        active: Optional[np.ndarray],
-        layer_faulty: bool,
-        delays: Tuple[np.ndarray, np.ndarray],
-        rate: np.ndarray,
-        k: int,
-        layer: int,
-        rows: Optional[np.ndarray] = None,
-        rk: Optional[int] = None,
-        lanes: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance pulse ``k`` of ``layer`` for all ``S x W`` cells at once.
-
-        Mirrors :meth:`FastSimulation._run_layer_vectorized` with a leading
-        trial axis -- both delegate to the shape-generic
-        :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
-        ``csr``-backend stacks); see the module docstring for the
-        exactness argument.  ``active`` (None on uniform stacks) masks
-        the padding: inert cells are never eligible, never written, and
-        never replayed by the scalar fallback.  ``rows``
-        (depth compaction) routes the step through the gathered
-        ``(S_active, W)`` plane of :meth:`_run_layer_compacted`, and
-        ``lanes`` (width compaction, always with ``rows``) narrows that
-        plane to ``(S_active, C)``; the ``delays``/``rate`` arrays are
-        then already row- and lane-compacted.  ``rk`` is the storage row
-        of pulse ``k`` in the shared block (``k`` itself on materialized
-        runs, 0 on the rolling window).
-        """
-        if rk is None:
-            rk = k
-        if rows is not None:
-            self._run_layer_compacted(
-                results,
-                times,
-                protocol_times,
-                corrections,
-                effective,
-                branches_out,
-                self._row_structs(
-                    rows,
-                    nb_idx,
-                    nb_valid,
-                    static_eligible,
-                    faulty,
-                    active,
-                    lanes,
-                ),
-                delays,
-                rate,
-                k,
-                layer,
-                rows,
-                rk,
-            )
-            return
-        sims = self.sims
-        prev = times[:, rk, layer - 1, :]  # (S, W) send times, NaN = missing
-        own_delay, nb_delay = delays
-
-        if self._csr is not None:
-            indptr, indices, owner, has_neighbors = self._csr
-            eligible, correction, branches, pulse_time, eff = (
-                _layer_step_kernel_csr(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    indptr,
-                    indices,
-                    owner,
-                    has_neighbors,
-                    static_eligible[:, layer - 1, :],
-                    self._params,
-                    self._policy,
-                    sims[0].algorithm == "simplified",
-                    ops=self._kernel_ops,
-                )
-            )
-        else:
-            eligible, correction, branches, pulse_time, eff = (
-                _layer_step_kernel(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    nb_idx,
-                    nb_valid,
-                    static_eligible[:, layer - 1, :],
-                    self._params,
-                    self._policy,
-                    sims[0].algorithm == "simplified",
-                    ops=self._kernel_ops,
-                )
-            )
-
-        if active is None:
-            fallback = ~eligible
-            if not layer_faulty and eligible.all():
-                # Common case (uniform stack, no trial has a fault on this
-                # layer, every cell on the fast path): whole-plane
-                # assignments, no boolean gathers.
-                corrections[:, rk, layer] = correction
-                branches_out[:, rk, layer] = branches
-                effective[:, rk, layer] = eff
-                protocol_times[:, rk, layer] = pulse_time
-                times[:, rk, layer] = pulse_time
-                return
-        else:
-            fallback = active[:, layer, :] & ~eligible
-            if not layer_faulty and not fallback.any():
-                # Padded analogue of the fast path: every *real* cell is
-                # eligible, so one masked whole-plane select per matrix
-                # (inert cells keep their NaN/"none" padding).
-                corrections[:, rk, layer] = np.where(eligible, correction, np.nan)
-                branches_out[:, rk, layer] = np.where(
-                    eligible, branches, BRANCH_CODES["none"]
-                )
-                effective[:, rk, layer] = np.where(eligible, eff, np.nan)
-                protocol_times[:, rk, layer] = np.where(
-                    eligible, pulse_time, np.nan
-                )
-                times[:, rk, layer] = np.where(eligible, pulse_time, np.nan)
-                return
-
-        corrections[:, rk, layer][eligible] = correction[eligible]
-        branches_out[:, rk, layer][eligible] = branches[eligible]
-        effective[:, rk, layer][eligible] = eff[eligible]
-        protocol_times[:, rk, layer][eligible] = pulse_time[eligible]
-        faulty_here = faulty[:, layer, :]
-        correct = eligible & ~faulty_here
-        times[:, rk, layer][correct] = pulse_time[correct]
-        if layer_faulty:
-            for s, v in zip(*np.nonzero(eligible & faulty_here)):
-                sims[s]._record_fault_sends(
-                    results[s], (int(v), layer), k, float(pulse_time[s, v])
-                )
-        if fallback.any():
-            for s in np.nonzero(fallback.any(axis=1))[0]:
-                s = int(s)
-                sims[s]._run_fallback_batch(
-                    results[s], k, layer, np.nonzero(fallback[s])[0], rk
+                    vi if vertices is None else vertices[vi], rk,
                 )

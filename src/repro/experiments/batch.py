@@ -12,12 +12,10 @@ module sweeps many trials in one call instead:
   (padded to ``(S, W_max)`` with inert cells; see the ``fast_batch``
   module docstring): grouping is by algorithm variant and the structural
   policy switches only, so a mixed-width diameter sweep runs as one
-  stack.  ``stack_mixed_geometry=False`` opts out, restoring the old
-  structurally-identical grouping,
-* trials the stack cannot take (``vectorize=False``, ``stack=False``, or
-  a residual incompatibility) fall back to the per-trial vectorized
-  kernel of :class:`~repro.core.fast.FastSimulation`, with the reason
-  recorded per trial in :attr:`BatchResult.fallback_reasons` (no more
+  stack,
+* ``vectorize=False`` runs every trial through the per-trial scalar
+  replay of :class:`~repro.core.fast.FastSimulation`, with the reason
+  recorded per trial in :attr:`BatchResult.fallback_reasons` (no
   silent slow paths), and
 * the per-trial results are stacked along a leading *trial axis* --
   ``times`` of shape ``(S, K, L_max, W_max)``, NaN-padded when grids
@@ -61,15 +59,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import KERNEL_BACKENDS
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY
-from repro.core.fast import (
-    NEIGHBOR_BACKENDS,
-    FastResult,
-    FastSimulation,
-    RateProvider,
-)
-from repro.core.fast_batch import TrialStack, stack_compatibility
+from repro.core.fast import FastResult, FastSimulation, RateProvider
+from repro.core.fast_batch import TrialStack
 from repro.core.layer0 import Layer0Schedule
 from repro.delays.models import DelayModel
 from repro.experiments.common import ExperimentConfig, standard_config
@@ -126,12 +118,7 @@ class BatchTrial:
     campaign: Optional[ChaosCampaign] = None
     label: str = ""
 
-    def simulation(
-        self,
-        vectorize: bool = True,
-        neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
-    ) -> FastSimulation:
+    def simulation(self, vectorize: bool = True) -> FastSimulation:
         """The :class:`FastSimulation` realizing this trial."""
         rates = (
             self.config.clock_rates
@@ -149,8 +136,6 @@ class BatchTrial:
             algorithm=self.algorithm,
             vectorize=vectorize,
             campaign=self.campaign,
-            neighbor_backend=neighbor_backend,
-            kernel_backend=kernel_backend,
         )
 
     @property
@@ -221,24 +206,19 @@ class BatchResult:
         :class:`~repro.core.fast_batch.TrialStack` run along *both* axes
         -- padded vs executed row steps with min/max depth (depth axis),
         padded vs executed lane steps with min/max width (width axis),
-        the ``axes`` list naming which compactions were live, the
-        resolved ``neighbor_backend`` (``"dense"``/``"csr"``), the
-        resolved ``kernel_backend`` (``"numpy"``/``"numba"``), and the
-        batched-fallback accounting (``fallback_cells`` /
-        ``fallback_batches``: kernel-rejected cells resolved by the
-        masked replay of
+        the ``neighbor_backend`` (``"dense"``/``"csr"``) the density
+        heuristic chose, and the batched-fallback accounting
+        (``fallback_cells`` / ``fallback_batches``: kernel-rejected
+        cells resolved by the masked replay of
         :meth:`~repro.core.fast.FastSimulation._run_fallback_batch`,
         never by per-cell Python loops) -- so "how much padding did
-        compaction reclaim, and over which backends?" is on record next
-        to "which trials stacked".
+        compaction reclaim?" is on record next to "which trials
+        stacked".
     fallback_reasons:
         ``{trial_index: reason}`` for every trial that did *not* run
-        stacked -- the runner records why (``stack=False``,
-        ``vectorize=False``, the :func:`stack_compatibility` verdict, or
-        an explicit ``neighbor_backend="csr"`` request that a padded
-        mixed-geometry group cannot honor stacked, in which case the
-        trial runs per-trial *with* CSR) instead of silently dropping to
-        the slow path.  Executor-level events land here too: when a
+        stacked -- the runner records why (``vectorize=False``) instead
+        of silently dropping to the slow path.  Executor-level events
+        land here too: when a
         process shard's worker dies (``BrokenProcessPool``) and the
         shard is re-run in-parent, every trial of that shard carries the
         retry note, appended to any stacking reason it already had --
@@ -592,7 +572,7 @@ class BatchResult:
         return np.array([t.num_faults for t in self.trials], dtype=np.int64)
 
 
-def _stack_key(trial: BatchTrial, mixed_geometry: bool = True) -> Tuple:
+def _stack_key(trial: BatchTrial) -> Tuple:
     """Hashable grouping key for trials that can share a :class:`TrialStack`.
 
     Groups by the requirements of
@@ -600,42 +580,12 @@ def _stack_key(trial: BatchTrial, mixed_geometry: bool = True) -> Tuple:
     ``"full"`` and ``"simplified"`` stack, but not together) and the
     structural policy switches.  Geometry, parameters, and ``jump_slack``
     ride along through the padded kernel -- a thm11-style mixed-width
-    sweep is one group.  With ``mixed_geometry=False`` (the
-    :class:`BatchRunner` opt-out) the key reverts to the strict PR-2
-    grouping: identical parameters, policy, layer count, and base-graph
-    adjacency (the tuple the graph caches at construction).
+    sweep is one group.
     """
-    if mixed_geometry:
-        return (
-            trial.algorithm,
-            trial.policy.discretize,
-            trial.policy.stick_to_median,
-        )
-    graph = trial.config.graph
     return (
         trial.algorithm,
-        trial.config.params,
-        trial.policy,
-        graph.num_layers,
-        graph.base.adjacency,
-    )
-
-
-def _stack_is_uniform(sims: Sequence[FastSimulation]) -> bool:
-    """Whether a stack group would run the uniform (non-padded) kernel.
-
-    Mirrors the :class:`TrialStack` uniformity test -- one shared
-    adjacency, one depth, no campaigns -- which is exactly the set of
-    groups the stacked CSR kernel can take (its segment-reduce structure
-    is per-graph).
-    """
-    adjacency0 = sims[0].graph.base.adjacency
-    num_layers = sims[0].graph.num_layers
-    return all(
-        sim.campaign is None
-        and sim.graph.num_layers == num_layers
-        and sim.graph.base.adjacency == adjacency0
-        for sim in sims
+        trial.policy.discretize,
+        trial.policy.stick_to_median,
     )
 
 
@@ -643,12 +593,6 @@ def _run_shard(
     trials: List[BatchTrial],
     num_pulses: int,
     vectorize: bool,
-    stack: bool,
-    stack_mixed_geometry: bool,
-    compact_depth: bool,
-    compact_width: bool,
-    neighbor_backend: str,
-    kernel_backend: str,
     store_times: bool,
     sketch_rank: Optional[int],
     potential_levels: Tuple[int, ...],
@@ -665,12 +609,6 @@ def _run_shard(
     runner = BatchRunner(
         num_pulses=num_pulses,
         vectorize=vectorize,
-        stack=stack,
-        stack_mixed_geometry=stack_mixed_geometry,
-        compact_depth=compact_depth,
-        compact_width=compact_width,
-        neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
         store_times=store_times,
         sketch_rank=sketch_rank,
         potential_levels=potential_levels,
@@ -682,11 +620,11 @@ class BatchRunner:
     """Run many ``(seed, fault_plan, params)`` trials and stack the results.
 
     Trials may differ in geometry, parameters, faults, and campaigns;
-    compatible ones advance through shared :class:`TrialStack` kernels
-    (padding narrower/shallower trials with inert cells) and the rest
-    fall back per-trial, recording why in
-    :attr:`BatchResult.fallback_reasons`.  Results are bit-identical
-    across every execution strategy.
+    trials sharing an algorithm and the structural policy switches
+    advance through one shared :class:`TrialStack` kernel (padding
+    narrower/shallower trials with inert cells, compacting the rows and
+    lanes each step needs).  Results are bit-identical across every
+    execution strategy.
 
     Example
     -------
@@ -705,48 +643,6 @@ class BatchRunner:
         Forwarded to every :class:`FastSimulation`; ``False`` forces the
         scalar reference path everywhere (used by the equivalence tests
         and the throughput benchmark) and disables trial stacking.
-    stack:
-        Run compatible trials through the trial-stacked ``(S, W)`` kernel
-        (:class:`~repro.core.fast_batch.TrialStack`); the default.
-        ``False`` keeps the per-trial loop of the vectorized kernel.
-    stack_mixed_geometry:
-        Let one stack take trials with *different* grids/parameters via
-        the padded ``(S, W_max)`` kernel (the default -- a mixed-width
-        diameter sweep runs as a single stack).  ``False`` opts out,
-        grouping only structurally identical trials (the pre-padding
-        behavior; with depth compaction on, the padded stack no longer
-        loses to this grouping on depth-skewed batches).
-    compact_depth:
-        Drop finished trials out of the stacked layer loop
-        (:class:`TrialStack` ``compact_depth``; the default) so
-        mixed-depth groups pay for the layers each trial actually runs.
-        Auto-degenerates to a no-op on uniform-depth fault-free groups;
-        ``False`` opts out (every row rides the full padded loop).
-        Results are bit-identical either way; per-group accounting lands
-        in :attr:`BatchResult.compaction_stats`.
-    compact_width:
-        Drop unused width lanes out of the stacked layer loop
-        (:class:`TrialStack` ``compact_width``; the default) so
-        mixed-width groups pay for the columns still in use -- width
-        padding of narrow trials, and lanes whose campaign vertex is
-        absent through the end of the horizon.  Bit-identical either
-        way; the lane accounting rides the same per-group
-        ``compaction_stats`` dicts.
-    neighbor_backend:
-        Neighbor representation for the layer-step kernels: ``"auto"``
-        (default; per stack group, CSR when the density heuristic says
-        padding dominates), ``"dense"``, or ``"csr"``.  An explicit
-        ``"csr"`` on a padded mixed-geometry group runs those trials
-        per-trial with CSR instead (recorded in ``fallback_reasons``) --
-        the stacked CSR kernel needs one shared adjacency.
-    kernel_backend:
-        Array-op implementation behind the layer-step kernels:
-        ``"auto"`` (default; numba when the optional extra is installed,
-        NumPy otherwise), ``"numpy"``, or ``"numba"`` (raises a clear
-        error when numba is absent).  Backends are bitwise identical --
-        purely a speed knob; the resolved name is recorded per stack
-        group in ``compaction_stats["kernel_backend"]``.  See
-        :mod:`repro.core.backend`.
     executor:
         ``"serial"`` (default) or ``"process"``.  The process executor
         shards the trial list across worker processes -- worthwhile for
@@ -776,12 +672,6 @@ class BatchRunner:
         self,
         num_pulses: int = 4,
         vectorize: bool = True,
-        stack: bool = True,
-        stack_mixed_geometry: bool = True,
-        compact_depth: bool = True,
-        compact_width: bool = True,
-        neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
         executor: str = "serial",
         shards: Optional[int] = None,
         store_times: bool = True,
@@ -796,24 +686,8 @@ class BatchRunner:
             )
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if neighbor_backend not in NEIGHBOR_BACKENDS:
-            raise ValueError(
-                f"unknown neighbor_backend {neighbor_backend!r}; "
-                f"use one of {NEIGHBOR_BACKENDS}"
-            )
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel_backend {kernel_backend!r}; "
-                f"use one of {KERNEL_BACKENDS}"
-            )
         self.num_pulses = num_pulses
         self.vectorize = vectorize
-        self.stack = stack
-        self.stack_mixed_geometry = stack_mixed_geometry
-        self.compact_depth = compact_depth
-        self.compact_width = compact_width
-        self.neighbor_backend = neighbor_backend
-        self.kernel_backend = kernel_backend
         self.executor = executor
         self.shards = shards
         self.store_times = store_times
@@ -898,18 +772,10 @@ class BatchRunner:
         a fallback reason, so "why didn't this stack?" is always on
         record.
         """
-        if not (self.stack and self.vectorize):
-            reason = (
-                "stacking disabled (stack=False)"
-                if self.stack is False
-                else "vectorize=False forces the per-trial scalar path"
-            )
+        if not self.vectorize:
+            reason = "vectorize=False forces the per-trial scalar path"
             results = [
-                trial.simulation(
-                    vectorize=self.vectorize,
-                    neighbor_backend=self.neighbor_backend,
-                    kernel_backend=self.kernel_backend,
-                ).run(
+                trial.simulation(vectorize=False).run(
                     self.num_pulses,
                     reducers=self._reducers(),
                     store_times=self.store_times,
@@ -920,49 +786,11 @@ class BatchRunner:
         results: List[Optional[FastResult]] = [None] * len(trials)
         stack_groups: List[List[int]] = []
         compaction: List[Dict] = []
-        reasons: Dict[int, str] = {}
         groups: Dict[Tuple, List[int]] = {}
         for i, trial in enumerate(trials):
-            key = _stack_key(trial, mixed_geometry=self.stack_mixed_geometry)
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(_stack_key(trial), []).append(i)
         for indices in groups.values():
-            sims = [
-                trials[i].simulation(
-                    vectorize=True,
-                    neighbor_backend=self.neighbor_backend,
-                    kernel_backend=self.kernel_backend,
-                )
-                for i in indices
-            ]
-            reason = stack_compatibility(sims)
-            if reason is None and self.neighbor_backend == "csr" and not (
-                _stack_is_uniform(sims)
-            ):
-                # The stacked CSR kernel reduces over one shared segment
-                # structure; a padded mixed-geometry (or campaign) group
-                # has none.  Honor the explicit request per-trial rather
-                # than silently running the dense padded kernel.
-                reason = (
-                    "neighbor_backend='csr' needs a uniform-adjacency "
-                    "static stack; ran per-trial CSR instead"
-                )
-            if reason is not None:
-                for i, sim in zip(indices, sims):
-                    results[i] = sim.run(
-                        self.num_pulses,
-                        reducers=self._reducers(),
-                        store_times=self.store_times,
-                    )
-                    reasons[i] = reason
-                continue
-            stack_groups.append(list(indices))
-            stack = TrialStack(
-                sims,
-                compact_depth=self.compact_depth,
-                compact_width=self.compact_width,
-                neighbor_backend=self.neighbor_backend,
-                kernel_backend=self.kernel_backend,
-            )
+            stack = TrialStack([trials[i].simulation() for i in indices])
             stacked = stack.run(
                 self.num_pulses,
                 reducers=self._reducers(),
@@ -970,8 +798,9 @@ class BatchRunner:
             )
             for i, result in zip(indices, stacked):
                 results[i] = result
+            stack_groups.append(list(indices))
             compaction.append(dict(stack.compaction_stats))
-        return results, stack_groups, compaction, reasons  # type: ignore[return-value]
+        return results, stack_groups, compaction, {}  # type: ignore[return-value]
 
     def _run_single(
         self,
@@ -998,12 +827,6 @@ class BatchRunner:
         return (
             self.num_pulses,
             self.vectorize,
-            self.stack,
-            self.stack_mixed_geometry,
-            self.compact_depth,
-            self.compact_width,
-            self.neighbor_backend,
-            self.kernel_backend,
             self.store_times,
             self.sketch_rank,
             self.potential_levels,

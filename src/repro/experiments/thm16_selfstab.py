@@ -154,9 +154,6 @@ def run_thm16(
     campaign: Optional[ChaosCampaign] = None,
     executor: str = "serial",
     shards: Optional[int] = None,
-    compact_width: bool = True,
-    neighbor_backend: str = "auto",
-    kernel_backend: str = "auto",
 ) -> Thm16Result:
     """Measure self-stabilization under a sustained churn campaign.
 
@@ -194,8 +191,7 @@ def run_thm16(
         graph must match the standard config's, i.e. the replicated line
         of the given ``diameter``).
     executor, shards:
-        Forwarded to :class:`~repro.experiments.batch.BatchRunner`, as
-        are ``neighbor_backend`` and ``kernel_backend``.
+        Forwarded to :class:`~repro.experiments.batch.BatchRunner`.
 
     Returns
     -------
@@ -241,9 +237,6 @@ def run_thm16(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        compact_width=compact_width,
-        neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
     )
     batch = runner.run(trials)
 

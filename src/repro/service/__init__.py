@@ -4,8 +4,8 @@ The library's :class:`~repro.experiments.batch.BatchRunner` is a one-shot
 in-process call; this package wraps it in a long-lived serving surface:
 
 * :mod:`repro.service.store` -- a content-addressed result store that
-  deduplicates submissions on the trial stack key + seed + pulse budget
-  + backend knobs, so a resubmitted grid is a recorded cache hit served
+  deduplicates submissions on the trial identity + seed + pulse budget
+  + keyed runner knobs, so a resubmitted grid is a recorded cache hit served
   without touching a kernel.
 * :mod:`repro.service.jobs` -- trial-grid specs (the same grids the
   thm11/thm13/cor15/table1 drivers build) plus an asyncio job runner

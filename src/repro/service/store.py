@@ -1,11 +1,10 @@
 """Content-addressed result store with stack-key + seed deduplication.
 
 The store maps a *grid key* -- a SHA-256 digest over every trial's
-identity (the strict :func:`~repro.experiments.batch._stack_key`, which
-pins algorithm, parameters, policy, layer count, and base-graph
+identity (algorithm, parameters, policy, layer count, and base-graph
 adjacency, plus the seed and every per-trial override), the pulse budget,
-and the runner's backend knobs -- to the pickled statistics payload of
-the finished batch.  Two submissions with the same key are the same
+and the keyed runner knobs -- to the pickled statistics payload of the
+finished batch.  Two submissions with the same key are the same
 computation bit-for-bit (every execution strategy of the batch runner is
 bitwise-invariant), so the second is served from the store: a recorded
 cache hit.
@@ -13,11 +12,11 @@ cache hit.
 Deliberately *excluded* from the key: ``executor`` and ``shards``.  The
 test suite pins that results are bitwise identical for every sharding,
 so a grid first run serially and resubmitted with
-``executor="process"`` is still a hit.  Included even though they are
-also bitwise-invariant: ``kernel_backend`` / ``neighbor_backend`` /
-``vectorize`` / the stacking and compaction knobs -- the conservative
-reading of the cache contract (a backend bug should never be masked by
-a cache hit recorded under another backend).
+``executor="process"`` is still a hit.  Keyed: ``vectorize`` (bitwise
+invariant too, but the conservative reading of the cache contract is
+that a kernel bug should never be masked by a cache hit recorded under
+the scalar path), ``store_times``, ``sketch_rank`` and
+``potential_levels`` (the last two change the payload).
 
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
@@ -33,25 +32,20 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.batch import CONFIG_RATES, BatchTrial, _stack_key
+from repro.experiments.batch import CONFIG_RATES, BatchTrial
 
 __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 
 #: Bumped whenever the key layout or payload schema changes, so stores
-#: persisted to disk never serve a stale schema.
-CACHE_VERSION = 1
+#: persisted to disk never serve a stale schema.  Version 2 dropped the
+#: retired stacking, compaction and backend knobs from the key.
+CACHE_VERSION = 2
 
 #: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
 #: grid key, with their defaults.  ``executor``/``shards`` are absent by
 #: design (see the module docstring).
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
     "vectorize": True,
-    "stack": True,
-    "stack_mixed_geometry": True,
-    "compact_depth": True,
-    "compact_width": True,
-    "neighbor_backend": "auto",
-    "kernel_backend": "auto",
     "store_times": True,
     "sketch_rank": None,
     "potential_levels": (),
@@ -61,7 +55,7 @@ KEYED_RUNNER_KNOBS: Dict[str, object] = {
 def trial_cell_key(trial: BatchTrial) -> Tuple:
     """One trial's identity tuple (everything that can change its result).
 
-    The strict stack key covers algorithm, parameters, policy, layer
+    The structural part covers algorithm, parameters, policy, layer
     count, and base-graph adjacency; the rest of the tuple adds the seed
     and every per-trial override (fault plan, layer-0 schedule, delay
     model, clock rates, campaign).  ``CONFIG_RATES`` and config-derived
@@ -69,8 +63,15 @@ def trial_cell_key(trial: BatchTrial) -> Tuple:
     them without materializing anything.
     """
     config = trial.config
+    graph = config.graph
     return (
-        _stack_key(trial, mixed_geometry=False),
+        (
+            trial.algorithm,
+            config.params,
+            trial.policy,
+            graph.num_layers,
+            graph.base.adjacency,
+        ),
         config.seed,
         config.diameter,
         trial.fault_plan,

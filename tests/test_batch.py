@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.core.fast as fast_mod
 from repro.analysis.skew import (
     global_skew,
     max_inter_layer_skew,
@@ -193,7 +194,7 @@ class TestNoCopySingleStack:
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
 
     def test_per_trial_batches_remain_writable_copies(self):
-        trials, batch = seed_batch(stack=False)
+        trials, batch = seed_batch(vectorize=False)
         assert batch.times.flags.writeable
         for result in batch.results:
             assert not np.shares_memory(batch.times, result.times)
@@ -241,57 +242,61 @@ class TestBatchRunnerValidation:
 
 
 class TestSparseBatchOptions:
-    """neighbor_backend / compact_width threading through the runner."""
+    """Neighbor representation and lane compaction through the runner."""
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            BatchRunner(num_pulses=NUM_PULSES, neighbor_backend="coo")
+        # The retired speed-only knobs are gone, not silently ignored.
+        for knob in (
+            "stack",
+            "stack_mixed_geometry",
+            "compact_depth",
+            "compact_width",
+            "neighbor_backend",
+            "kernel_backend",
+        ):
+            with pytest.raises(TypeError, match=knob):
+                BatchRunner(num_pulses=NUM_PULSES, **{knob: "csr"})
 
-    def test_explicit_csr_matches_dense_on_uniform_group(self):
+    def test_explicit_csr_matches_dense_on_uniform_group(self, monkeypatch):
         trials = BatchRunner.seed_sweep(4, (0, 1), num_pulses=NUM_PULSES)
-        dense = BatchRunner(
-            num_pulses=NUM_PULSES, neighbor_backend="dense"
-        ).run(trials)
-        csr = BatchRunner(
-            num_pulses=NUM_PULSES, neighbor_backend="csr"
-        ).run(trials)
+        dense = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        assert dense.compaction_stats[0]["neighbor_backend"] == "dense"
+        monkeypatch.setattr(fast_mod, "_prefer_csr", lambda base: True)
+        csr = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         np.testing.assert_array_equal(csr.times, dense.times)
         assert csr.fallback_reasons == {}
         (stats,) = csr.compaction_stats
         assert stats["neighbor_backend"] == "csr"
-        assert stats["backend_fallback"] is None
 
-    def test_explicit_csr_on_padded_group_runs_per_trial(self):
-        # Mixed geometries cannot share one CSR edge layout; the runner
-        # honors the explicit request per trial and says why.
+    def test_csr_preference_on_padded_group_runs_dense(self, monkeypatch):
+        # Mixed geometries cannot share one CSR edge layout, so a padded
+        # group stacks on the dense tensors even where the heuristic
+        # prefers CSR.
         trials = [
             BatchTrial(config=standard_config(4)),
             BatchTrial(config=standard_config(6)),
         ]
-        dense = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        csr = BatchRunner(
-            num_pulses=NUM_PULSES, neighbor_backend="csr"
-        ).run(trials)
-        np.testing.assert_array_equal(csr.times, dense.times)
-        assert set(csr.fallback_reasons) == {0, 1}
-        for reason in csr.fallback_reasons.values():
-            assert "uniform-adjacency" in reason
+        reference = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        monkeypatch.setattr(fast_mod, "_prefer_csr", lambda base: True)
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        np.testing.assert_array_equal(batch.times, reference.times)
+        assert batch.fallback_reasons == {}
+        (stats,) = batch.compaction_stats
+        assert stats["neighbor_backend"] == "dense"
 
-    def test_compact_width_off_matches_default(self):
+    def test_lane_compacted_stack_matches_per_trial(self):
         trials = [
             BatchTrial(config=standard_config(4)),
             BatchTrial(config=standard_config(6)),
         ]
-        on = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        off = BatchRunner(
-            num_pulses=NUM_PULSES, compact_width=False
-        ).run(trials)
-        np.testing.assert_array_equal(on.times, off.times)
-        (stats_on,) = on.compaction_stats
-        (stats_off,) = off.compaction_stats
-        assert "width" in stats_on["axes"]
-        assert stats_on["active_lane_steps"] < stats_on["padded_lane_steps"]
-        assert "width" not in stats_off["axes"]
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        (stats,) = batch.compaction_stats
+        assert stats["active_lane_steps"] < stats["padded_lane_steps"]
+        for i, trial in enumerate(trials):
+            reference = trial.simulation().run(NUM_PULSES)
+            np.testing.assert_array_equal(
+                batch.results[i].times, reference.times
+            )
 
     def test_shard_merge_keeps_lane_and_backend_stats(self):
         # Regression: shard merging must carry the new width/backend
@@ -310,14 +315,14 @@ class TestSparseBatchOptions:
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
         for stats in sharded.compaction_stats:
             for key in (
-                "axes",
                 "min_width",
                 "max_width",
                 "padded_lane_steps",
                 "active_lane_steps",
                 "lane_dropped_fraction",
                 "neighbor_backend",
-                "backend_fallback",
+                "fallback_cells",
+                "fallback_batches",
             ):
                 assert key in stats, (key, stats)
         assert sharded.fallback_reasons == serial.fallback_reasons

@@ -41,11 +41,15 @@ The stacking decoys deliberately disagree with the scenario in width
 example, never just the degenerate all-uniform case.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.fast as fast_mod
+import repro.core.fast_batch as fast_batch_mod
 from repro.analysis.potentials import potential_layers
 from repro.analysis.skew import (
     global_skew_layers,
@@ -55,7 +59,6 @@ from repro.analysis.skew import (
 )
 from repro.analysis.streaming import default_reducers, fold_correction_planes
 from repro.clocks import uniform_random_rates
-from repro.core.backend import numba_available
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
 from repro.core.layer0 import (
@@ -291,6 +294,36 @@ def fast_simulation(scenario, algorithm="full", vectorize=True):
     )
 
 
+def uncompacted():
+    """Patch the stack's row/lane selection to the full plane.
+
+    The stack always compacts; the identity selection is the test seam
+    that recovers the padded, uncompacted plane for a differential leg.
+    """
+    return mock.patch.object(
+        fast_batch_mod,
+        "_select_cells",
+        lambda *args: (slice(None), slice(None)),
+    )
+
+
+def lanes_uncompacted():
+    """Patch the selection to compact rows only, never lanes."""
+    select = fast_batch_mod._select_cells
+    return mock.patch.object(
+        fast_batch_mod,
+        "_select_cells",
+        lambda layer, depths, dead, prev, lane_needed: select(
+            layer, depths, dead, prev, None
+        ),
+    )
+
+
+def prefer_csr(prefer):
+    """Force the density heuristic's dense/CSR verdict."""
+    return mock.patch.object(fast_mod, "_prefer_csr", lambda base: prefer)
+
+
 def _decoy(scenario, num_layers, algorithm):
     """A stack mate with different width *and* depth than the scenario.
 
@@ -324,40 +357,34 @@ def run_fast_family(scenario, algorithm="full"):
 
     depth = scenario["graph"].num_layers
     padded = [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 2, algorithm)]
-    family["padded_stack"] = TrialStack(
-        padded, compact_depth=False
-    ).run(NUM_PULSES)[0]
+    with uncompacted():
+        family["padded_stack"] = TrialStack(padded).run(NUM_PULSES)[0]
 
     # Compaction must engage from both sides: the scenario outlived by a
     # deeper decoy, and the scenario outliving a shallower one.
     deep = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 3, algorithm)],
-        compact_depth=True,
     )
     family["compacted_stack_deep_mate"] = deep.run(NUM_PULSES)[0]
-    assert deep.compaction_stats["enabled"]
     assert (
         deep.compaction_stats["active_row_steps"]
         < deep.compaction_stats["padded_row_steps"]
     )
     shallow = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-        compact_depth=True,
     )
     family["compacted_stack_shallow_mate"] = shallow.run(NUM_PULSES)[0]
     # The depth-1 decoy is also the *wider* mate, so once it retires the
     # scenario's surviving rows drop the decoy's extra lanes: the width
     # axis must actually engage here, never silently no-op.  Pin the
-    # lane-compacted leg above against the same stack with width
-    # compaction forced off.
+    # lane-compacted leg above against the same stack with only rows
+    # compacted.
     stats = shallow.compaction_stats
-    assert "width" in stats["axes"], stats
     assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
-    family["lane_padded_shallow_mate"] = TrialStack(
-        [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-        compact_depth=True,
-        compact_width=False,
-    ).run(NUM_PULSES)[0]
+    with lanes_uncompacted():
+        family["lane_padded_shallow_mate"] = TrialStack(
+            [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
+        ).run(NUM_PULSES)[0]
 
     family["scalar"] = fast_simulation(
         scenario, algorithm, vectorize=False
@@ -389,17 +416,15 @@ def run_streaming_family(scenario, algorithm="full"):
         )
     }
     depth = scenario["graph"].num_layers
-    family["padded_stack"] = TrialStack(
-        [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 2, algorithm)],
-        compact_depth=False,
-    ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
+    with uncompacted():
+        family["padded_stack"] = TrialStack(
+            [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 2, algorithm)],
+        ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
     family["compacted_stack_deep_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 3, algorithm)],
-        compact_depth=True,
     ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
     family["compacted_stack_shallow_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-        compact_depth=True,
     ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
     family["scalar"] = fast_simulation(
         scenario, algorithm, vectorize=False
@@ -437,26 +462,24 @@ def run_campaign_family(scenario, campaign):
     twins = [campaign_simulation(scenario, campaign) for _ in range(2)]
     family["homogeneous_stack"] = TrialStack(twins).run(CAMPAIGN_PULSES)[0]
     depth = scenario["graph"].num_layers
-    family["padded_stack"] = TrialStack(
-        [
-            campaign_simulation(scenario, campaign),
-            _decoy(scenario, depth + 2, "full"),
-        ],
-        compact_depth=False,
-    ).run(CAMPAIGN_PULSES)[0]
+    with uncompacted():
+        family["padded_stack"] = TrialStack(
+            [
+                campaign_simulation(scenario, campaign),
+                _decoy(scenario, depth + 2, "full"),
+            ],
+        ).run(CAMPAIGN_PULSES)[0]
     family["compacted_stack_deep_mate"] = TrialStack(
         [
             campaign_simulation(scenario, campaign),
             _decoy(scenario, depth + 3, "full"),
         ],
-        compact_depth=True,
     ).run(CAMPAIGN_PULSES)[0]
     family["compacted_stack_shallow_mate"] = TrialStack(
         [
             campaign_simulation(scenario, campaign),
             _decoy(scenario, 1, "full"),
         ],
-        compact_depth=True,
     ).run(CAMPAIGN_PULSES)[0]
     family["scalar"] = campaign_simulation(
         scenario, campaign, vectorize=False
@@ -622,7 +645,7 @@ class TestSparseBackendDifferential:
         algorithm = data.draw(st.sampled_from(["full", "simplified"]))
         scenario = data.draw(sparse_scenarios())
 
-        def sim(backend):
+        def sim():
             return FastSimulation(
                 scenario["graph"],
                 scenario["params"],
@@ -631,116 +654,24 @@ class TestSparseBackendDifferential:
                 fault_plan=scenario["fault_plan"],
                 layer0=scenario["layer0"],
                 algorithm=algorithm,
-                neighbor_backend=backend,
             )
 
-        dense = sim("dense").run(NUM_PULSES)
-        csr = sim("csr").run(NUM_PULSES)
+        with prefer_csr(False):
+            dense = sim().run(NUM_PULSES)
+            dense_stack = TrialStack([sim(), sim()])
+            want = dense_stack.run(NUM_PULSES)
+        with prefer_csr(True):
+            csr = sim().run(NUM_PULSES)
+            csr_stack = TrialStack([sim(), sim()])
+            got = csr_stack.run(NUM_PULSES)
         assert_results_equal(csr, dense, exact=True, label="per-trial csr")
-
-        want = TrialStack(
-            [sim("dense"), sim("dense")], neighbor_backend="dense"
-        ).run(NUM_PULSES)
-        csr_stack = TrialStack(
-            [sim("csr"), sim("csr")], neighbor_backend="csr"
-        )
-        got = csr_stack.run(NUM_PULSES)
         for index, (got_one, want_one) in enumerate(zip(got, want)):
             assert_results_equal(
                 got_one, want_one, exact=True, label=f"stacked csr[{index}]"
             )
+        assert dense_stack.compaction_stats["neighbor_backend"] == "dense"
         stats = csr_stack.compaction_stats
         assert stats["neighbor_backend"] == "csr", stats
-        assert stats["backend_fallback"] is None, stats
-
-
-class TestKernelBackendDifferential:
-    """The numba kernel backend against NumPy, bitwise.
-
-    Both backends evaluate ``rate * (prev + delay)`` per neighbor and
-    reduce with exact comparisons, so agreement is bitwise on every leg
-    (dense, CSR, stacked, campaign, streamed).  The whole class skips
-    when the optional numba extra is absent -- CI's numba job installs
-    it and runs these legs against the real JIT.
-    """
-
-    pytestmark = pytest.mark.skipif(
-        not numba_available(), reason="optional numba extra not installed"
-    )
-
-    def _sim(self, scenario, kernel_backend, **kwargs):
-        return FastSimulation(
-            scenario["graph"],
-            scenario["params"],
-            delay_model=scenario["delay_model"],
-            clock_rates=scenario["rates"],
-            fault_plan=scenario["fault_plan"],
-            layer0=scenario["layer0"],
-            kernel_backend=kernel_backend,
-            **kwargs,
-        )
-
-    @FAMILY_SETTINGS
-    @given(data=st.data())
-    def test_numba_matches_numpy_bitwise(self, data):
-        algorithm = data.draw(st.sampled_from(["full", "simplified"]))
-        scenario = data.draw(scenarios())
-
-        want = self._sim(
-            scenario, "numpy", algorithm=algorithm
-        ).run(NUM_PULSES)
-        got = self._sim(
-            scenario, "numba", algorithm=algorithm
-        ).run(NUM_PULSES)
-        assert_results_equal(got, want, exact=True, label="numba dense")
-
-        got_csr = self._sim(
-            scenario, "numba", algorithm=algorithm, neighbor_backend="csr"
-        ).run(NUM_PULSES)
-        assert_results_equal(got_csr, want, exact=True, label="numba csr")
-
-        stack = TrialStack(
-            [self._sim(scenario, "numba", algorithm=algorithm) for _ in range(2)],
-            kernel_backend="numba",
-        )
-        stacked = stack.run(NUM_PULSES)[0]
-        assert stack.compaction_stats["kernel_backend"] == "numba"
-        assert_results_equal(
-            stacked, want, exact=True, label="numba stacked"
-        )
-
-        streamed = self._sim(scenario, "numba", algorithm=algorithm).run(
-            NUM_PULSES, reducers=_stream_reducers(), store_times=False
-        )
-        assert_streamed_matches_materialized(
-            streamed, want, scenario, label="numba streamed"
-        )
-
-    @FAMILY_SETTINGS
-    @given(data=st.data())
-    def test_numba_matches_numpy_under_campaigns(self, data):
-        scenario = data.draw(scenarios())
-        campaign = data.draw(
-            campaigns(
-                scenario["graph"].base, scenario["graph"].num_layers
-            )
-        )
-
-        def sim(kernel_backend):
-            return FastSimulation(
-                scenario["graph"],
-                scenario["params"],
-                delay_model=scenario["delay_model"],
-                clock_rates=scenario["rates"],
-                fault_plan=scenario["fault_plan"],
-                layer0=scenario["layer0"],
-                campaign=campaign,
-                kernel_backend=kernel_backend,
-            )
-
-        want = sim("numpy").run(CAMPAIGN_PULSES)
-        got = sim("numba").run(CAMPAIGN_PULSES)
-        assert_results_equal(got, want, exact=True, label="numba campaign")
 
 
 class TestBatchedFallbackDifferential:
@@ -815,7 +746,6 @@ class TestEngineDifferential:
         depth = scenario["graph"].num_layers
         stack = TrialStack(
             [fast_simulation(scenario), _decoy(scenario, depth + 3, "full")],
-            compact_depth=True,
         )
         stacked = stack.run(NUM_PULSES)[0]
         event = self._engine_times(scenario)
@@ -945,7 +875,6 @@ class TestCampaignEngineDifferential:
                 campaign_simulation(scenario, campaign),
                 _decoy(scenario, depth + 3, "full"),
             ],
-            compact_depth=True,
         ).run(CAMPAIGN_PULSES)[0]
         event = self._engine_times_stitched(scenario, campaign)
         np.testing.assert_array_equal(np.isnan(event), np.isnan(stacked.times))
@@ -1112,13 +1041,57 @@ def test_campaign_permanent_leave_frees_lanes():
         )
         return [trial, decoy]
 
-    want = TrialStack(sims(), compact_width=False).run(CAMPAIGN_PULSES + 1)
-    stack = TrialStack(sims(), compact_width=True)
+    want = [sim.run(CAMPAIGN_PULSES + 1) for sim in sims()]
+    stack = TrialStack(sims())
     got = stack.run(CAMPAIGN_PULSES + 1)
     for index, (got_one, want_one) in enumerate(zip(got, want)):
         assert_results_equal(
             got_one, want_one, exact=True, label=f"campaign lanes[{index}]"
         )
     stats = stack.compaction_stats
-    assert "width" in stats["axes"], stats
     assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
+
+
+def test_lane_compacted_fallback_maps_vertex_ids():
+    """Fallback cells behind a lane hole replay their own vertices.
+
+    ``NodeLeave(vertex=2)`` never rejoins, so once the narrow, shallow
+    decoy retires the campaign trial's plane skips lane 2; the crash at
+    ``(6, 1)`` then sends layer 2's vertices 5-7 -- compacted columns
+    4-6 -- through the batched fallback, which must map the columns back
+    to vertex ids.
+    """
+    params = Parameters(d=1.0, u=0.05, vartheta=1.01, Lambda=2.5)
+    base = cycle_graph(8)
+    campaign = ChaosCampaign(
+        base,
+        3,
+        [NodeLeave(pulse=1, vertex=2), NodeCrash(pulse=2, node=(6, 1))],
+    )
+
+    def sims():
+        trial = FastSimulation(
+            LayeredGraph(base, 3),
+            params,
+            delay_model=StaticDelayModel(params.d, params.u, seed=4),
+            layer0=PerfectLayer0(params.Lambda),
+            campaign=campaign,
+        )
+        decoy = FastSimulation(
+            LayeredGraph(cycle_graph(5), 2),
+            params,
+            delay_model=StaticDelayModel(params.d, params.u, seed=8),
+            layer0=PerfectLayer0(params.Lambda),
+        )
+        return [trial, decoy]
+
+    want = [sim.run(CAMPAIGN_PULSES) for sim in sims()]
+    stack = TrialStack(sims())
+    got = stack.run(CAMPAIGN_PULSES)
+    for index, (got_one, want_one) in enumerate(zip(got, want)):
+        assert_results_equal(
+            got_one, want_one, exact=True, label=f"lane hole[{index}]"
+        )
+    stats = stack.compaction_stats
+    assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
+    assert stats["fallback_cells"] > 0, stats

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.correction import CorrectionPolicy
-from repro.core.fast import BRANCH_CODES
+from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
 from repro.delays.models import VaryingDelayModel
 from repro.experiments.batch import (
@@ -254,11 +254,12 @@ class TestHeterogeneousBatches:
     def test_stack_disabled_matches_stacked(self):
         trials = random_fault_trials(seeds=(0, 1))
         stacked = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        looped = BatchRunner(num_pulses=NUM_PULSES, stack=False).run(trials)
-        np.testing.assert_array_equal(stacked.times, looped.times)
-        np.testing.assert_array_equal(
-            stacked.effective_corrections, looped.effective_corrections
-        )
+        for i, trial in enumerate(trials):
+            looped = trial.simulation().run(NUM_PULSES)
+            np.testing.assert_array_equal(stacked.times[i], looped.times)
+            np.testing.assert_array_equal(
+                stacked.effective_corrections[i], looped.effective_corrections
+            )
 
 
 class TestProcessExecutor:
@@ -317,3 +318,49 @@ class TestTrialPickling:
         )
         clone = pickle.loads(pickle.dumps(trial))
         assert clone.clock_rates is None
+
+def _faulted_trials(n=4, seed0=0):
+    trials = []
+    for s in range(n):
+        config = standard_config(6, seed=seed0 + s)
+        plan = FaultPlan.random(config.graph, 0.10, rng_or_seed=seed0 + s)
+        trials.append(BatchTrial(config=config, fault_plan=plan))
+    return trials
+
+
+class TestFallbackAccounting:
+    def test_faulted_stack_counts_cells_and_batches(self):
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(_faulted_trials())
+        assert len(batch.compaction_stats) == 1
+        stats = batch.compaction_stats[0]
+        # Random 10% fault plans guarantee fault-adjacent cells; each is
+        # resolved by a batched replay, never a per-cell Python loop.
+        assert stats["fallback_cells"] > 0
+        assert stats["fallback_batches"] > 0
+        assert stats["fallback_cells"] >= stats["fallback_batches"]
+        # Per-cell scalar replays used to ride outside any accounting;
+        # fallback_reasons stays reserved for whole-trial stack refusals.
+        assert batch.fallback_reasons == {}
+
+    def test_fault_free_stack_has_no_fallback(self):
+        trials = [
+            BatchTrial(config=standard_config(6, seed=s)) for s in range(3)
+        ]
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        stats = batch.compaction_stats[0]
+        assert stats["fallback_cells"] == 0
+        assert stats["fallback_batches"] == 0
+
+    def test_single_simulation_accounts_fallback(self):
+        config = standard_config(6, seed=1)
+        plan = FaultPlan.random(config.graph, 0.10, rng_or_seed=1)
+        sim = FastSimulation(
+            config.graph,
+            config.params,
+            delay_model=config.delay_model,
+            clock_rates=config.clock_rates,
+            fault_plan=plan,
+        )
+        result = sim.run(NUM_PULSES)
+        assert result.fallback_cells > 0
+        assert result.fallback_batches > 0

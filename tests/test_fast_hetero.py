@@ -341,6 +341,18 @@ class TestStackedLayer0Fill:
             )
 
 
+def assert_matches_per_trial(batch, trials, num_pulses):
+    """Every stacked trial equals its own per-trial run, bit for bit."""
+    for got, trial in zip(batch.results, trials):
+        want = trial.simulation().run(num_pulses)
+        for attr in ("times", "corrections", "effective_corrections",
+                     "branches"):
+            np.testing.assert_array_equal(
+                getattr(got, attr), getattr(want, attr), err_msg=attr
+            )
+        assert got.fault_sends == want.fault_sends
+
+
 def thm11_style_trials(diameters=(4, 8, 16), seeds=(0, 1)):
     return [
         BatchTrial(config=standard_config(d, seed=s, num_pulses=NUM_PULSES))
@@ -364,14 +376,16 @@ class TestHeterogeneousGrouping:
         sims = [trial.simulation() for trial in thm11_style_trials()]
         assert stack_compatibility(sims) is None
 
-    def test_opt_out_groups_by_geometry(self):
+    def test_one_stack_matches_per_geometry_batches(self):
         trials = thm11_style_trials()
-        batch = BatchRunner(
-            num_pulses=NUM_PULSES, stack_mixed_geometry=False
-        ).run(trials)
-        assert sorted(len(g) for g in batch.stack_groups) == [2, 2, 2]
-        reference = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        np.testing.assert_array_equal(batch.times, reference.times)
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        for start in range(0, len(trials), 2):
+            group = trials[start: start + 2]
+            alone = BatchRunner(num_pulses=NUM_PULSES).run(group)
+            for i, result in enumerate(alone.results):
+                np.testing.assert_array_equal(
+                    batch.results[start + i].times, result.times
+                )
 
     def test_algorithms_still_split_groups(self):
         config = standard_config(4, num_pulses=NUM_PULSES)
@@ -403,9 +417,9 @@ class TestDepthSkewCompaction:
     """Depth compaction never changes results, only the work done.
 
     Randomized and extreme (1-vs-512) per-trial layer counts through the
-    compacted stack vs the uncompacted padded stack vs per-trial runs --
-    all bit-identical -- plus the bookkeeping invariants: stack_groups /
-    fallback_reasons survive row dropping, the per-group compaction
+    compacted stack vs per-trial runs -- bit-identical -- plus the
+    bookkeeping invariants: stack_groups / fallback_reasons survive row
+    dropping, the per-group compaction
     stats account exactly for the layers each trial owns, and the skew
     reducers never see a compacted-away cell (layers a trial does not
     have stay NaN in its per-layer statistics).
@@ -430,30 +444,17 @@ class TestDepthSkewCompaction:
     def test_compaction_bit_identical_and_accounted(self, depths, diameter):
         trials = self._depth_trials(depths, diameter=diameter)
         compact = BatchRunner(num_pulses=2).run(trials)
-        padded = BatchRunner(num_pulses=2, compact_depth=False).run(trials)
-        per_trial = BatchRunner(num_pulses=2, stack=False).run(trials)
-        np.testing.assert_array_equal(compact.times, padded.times)
-        np.testing.assert_array_equal(compact.times, per_trial.times)
-        np.testing.assert_array_equal(
-            compact.corrections, per_trial.corrections
-        )
+        assert_matches_per_trial(compact, trials, 2)
         # Bookkeeping survives row dropping: still one stack group over
         # every trial, no fallbacks, and the stats account exactly for
         # the layer steps the trials own (fault-free: no dead rows).
         assert compact.stack_groups == [list(range(len(trials)))]
         assert compact.fallback_reasons == {}
         (stats,) = compact.compaction_stats
-        assert stats["enabled"]
         assert stats["padded_row_steps"] == (
             2 * (max(depths) - 1) * len(depths)
         )
         assert stats["active_row_steps"] == 2 * sum(d - 1 for d in depths)
-        (padded_stats,) = padded.compaction_stats
-        assert not padded_stats["enabled"]
-        assert (
-            padded_stats["active_row_steps"]
-            == padded_stats["padded_row_steps"]
-        )
 
     @HETERO_SETTINGS
     @given(depths=st.lists(st.integers(1, 7), min_size=2, max_size=5))
@@ -480,11 +481,7 @@ class TestDepthSkewCompaction:
         """The acceptance cell: depths {1, 512} in one stack, bit-identical."""
         trials = self._depth_trials([1, 512, 1, 3])
         compact = BatchRunner(num_pulses=2).run(trials)
-        per_trial = BatchRunner(num_pulses=2, stack=False).run(trials)
-        np.testing.assert_array_equal(compact.times, per_trial.times)
-        np.testing.assert_array_equal(
-            compact.effective_corrections, per_trial.effective_corrections
-        )
+        assert_matches_per_trial(compact, trials, 2)
         (stats,) = compact.compaction_stats
         # 511 + 0 + 0 + 2 owned layer steps per pulse out of 511 * 4.
         assert stats["active_row_steps"] == 2 * (511 + 2)
@@ -511,16 +508,7 @@ class TestDepthSkewCompaction:
             ),
         ]
         compact = BatchRunner(num_pulses=3).run(trials)
-        padded = BatchRunner(num_pulses=3, compact_depth=False).run(trials)
-        per_trial = BatchRunner(num_pulses=3, stack=False).run(trials)
-        for reference in (padded, per_trial):
-            np.testing.assert_array_equal(compact.times, reference.times)
-            np.testing.assert_array_equal(
-                compact.corrections, reference.corrections
-            )
-        for got, want in zip(compact.results, per_trial.results):
-            assert got.fault_sends == want.fault_sends
-            np.testing.assert_array_equal(got.branches, want.branches)
+        assert_matches_per_trial(compact, trials, 3)
         (stats,) = compact.compaction_stats
         # The wiped trial goes dead above layer 1, so it executes fewer
         # row steps than its depth alone would grant.
@@ -531,19 +519,14 @@ class TestDepthSkewCompaction:
 class TestFallbackReasons:
     """Per-trial fallbacks always leave a trace on BatchResult."""
 
-    def test_stack_disabled_records_reason(self):
+    def test_scalar_path_records_reason(self):
         trials = thm11_style_trials(diameters=(4,), seeds=(0, 1))
-        batch = BatchRunner(num_pulses=NUM_PULSES, stack=False).run(trials)
+        batch = BatchRunner(num_pulses=NUM_PULSES, vectorize=False).run(trials)
         assert batch.stack_groups == []
         assert set(batch.fallback_reasons) == {0, 1}
         assert all(
-            "stack=False" in why for why in batch.fallback_reasons.values()
+            "vectorize=False" in why for why in batch.fallback_reasons.values()
         )
-
-    def test_scalar_path_records_reason(self):
-        trials = thm11_style_trials(diameters=(4,), seeds=(0,))
-        batch = BatchRunner(num_pulses=NUM_PULSES, vectorize=False).run(trials)
-        assert "vectorize=False" in batch.fallback_reasons[0]
 
     def test_stacked_runs_record_no_reason(self):
         batch = BatchRunner(num_pulses=NUM_PULSES).run(thm11_style_trials())
@@ -552,6 +535,6 @@ class TestFallbackReasons:
     def test_process_executor_propagates_reasons(self):
         trials = thm11_style_trials(diameters=(4, 6), seeds=(0, 1))
         batch = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2, stack=False
+            num_pulses=NUM_PULSES, executor="process", shards=2, vectorize=False
         ).run(trials)
         assert set(batch.fallback_reasons) == set(range(len(trials)))

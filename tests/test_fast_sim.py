@@ -1,9 +1,12 @@
 """Tests for repro.core.fast: the layer-recurrence simulator, fault-free."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import repro.core.fast as fast_mod
 
 from repro.analysis.skew import max_inter_layer_skew
 from repro.clocks import uniform_random_rates
@@ -318,3 +321,106 @@ class TestPolicies:
         node = (2, 3)
         assert result.pulse_time(node, 1) == result.times[1, 3, 2]
         assert result.faulty_mask.sum() == 0
+
+
+# ----------------------------------------------------------------------
+# Neighbor reductions of the layer-step kernels
+# ----------------------------------------------------------------------
+def _reductions(kernel, *args):
+    """The ``(H_min, H_max)`` a layer-step kernel hands its register step."""
+    captured = []
+
+    def capture(h_own, h_min, h_max, *rest):
+        captured.append((h_min, h_max))
+
+    with mock.patch.object(fast_mod, "_registers_step", capture):
+        kernel(*args, None, None, False)
+    (reduced,) = captured
+    return reduced
+
+
+def _dense_reductions(prev, nb_idx, nb_valid, nb_delay, rate):
+    return _reductions(
+        fast_mod._layer_step_kernel,
+        prev, np.zeros_like(prev), nb_delay, rate, nb_idx, nb_valid,
+        np.ones(prev.shape, dtype=bool),
+    )
+
+
+def _csr_reductions(prev, indices, indptr, nb_delay, rate, owner, has_nbs):
+    return _reductions(
+        fast_mod._layer_step_kernel_csr,
+        prev, np.zeros_like(prev), nb_delay, rate, indptr, indices, owner,
+        has_nbs, np.ones(prev.shape, dtype=bool),
+    )
+
+
+class TestKernelReductions:
+    def test_masked_reductions_ignore_invalid_lanes(self):
+        # Zero send times and unit rates: the lane values are the delays.
+        vals = np.array([[1.0, -5.0, 3.0], [2.0, 7.0, 0.5]])
+        valid = np.array([[True, False, True], [True, True, False]])
+        h_min, h_max = _dense_reductions(
+            np.zeros(2), np.zeros((2, 3), dtype=np.int64), valid, vals,
+            np.ones(2),
+        )
+        np.testing.assert_array_equal(h_min, [1.0, 2.0])
+        np.testing.assert_array_equal(h_max, [3.0, 7.0])
+
+    def test_neighbor_min_max_matches_inline_expression(self):
+        rng = np.random.default_rng(0)
+        width, deg = 7, 3
+        prev = rng.normal(size=width)
+        nb_idx = rng.integers(0, width, size=(width, deg))
+        nb_valid = rng.random(size=(width, deg)) < 0.7
+        nb_delay = rng.random(size=(width, deg))
+        rate = 1.0 + 0.01 * rng.random(size=width)
+        h_nb = rate[:, None] * (prev[nb_idx] + nb_delay)
+        want_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
+        want_max = np.where(nb_valid, h_nb, -np.inf).max(axis=-1)
+        got_min, got_max = _dense_reductions(
+            prev, nb_idx, nb_valid, nb_delay, rate
+        )
+        np.testing.assert_array_equal(got_min, want_min)
+        np.testing.assert_array_equal(got_max, want_max)
+        # Per-trial (S, W, max_deg) index rows gather trial s's plane only.
+        stacked = np.stack([prev, prev[::-1]])
+        got_min, got_max = _dense_reductions(
+            stacked,
+            np.stack([nb_idx, nb_idx]),
+            np.stack([nb_valid, nb_valid]),
+            nb_delay,
+            np.stack([rate, rate]),
+        )
+        np.testing.assert_array_equal(got_min[0], want_min)
+        np.testing.assert_array_equal(got_max[0], want_max)
+        h_rev = rate[:, None] * (prev[::-1][nb_idx] + nb_delay)
+        np.testing.assert_array_equal(
+            got_min[1], np.where(nb_valid, h_rev, np.inf).min(axis=-1)
+        )
+
+    def test_neighbor_min_max_propagates_nan(self):
+        prev = np.array([np.nan, 1.0, 2.0])
+        nb_idx = np.array([[1], [0], [1]])
+        nb_valid = np.ones((3, 1), dtype=bool)
+        h_min, h_max = _dense_reductions(
+            prev, nb_idx, nb_valid, np.zeros((3, 1)), np.ones(3)
+        )
+        assert np.isnan(h_min[1]) and np.isnan(h_max[1])
+        assert h_min[0] == 1.0 and h_max[2] == 1.0
+
+    def test_segment_min_max_fills_empty_segments(self):
+        # Vertex 1 has no neighbors (campaign epoch shape): the dense
+        # identities must appear explicitly -- reduceat has no empty
+        # reduction.
+        prev = np.array([3.0, 5.0, 7.0])
+        indices = np.array([2, 0], dtype=np.int64)  # v0 -> {2}, v2 -> {0}
+        indptr = np.array([0, 1, 1, 2], dtype=np.int64)
+        nb_delay = np.array([0.5, 0.25])
+        owner = np.array([0, 2], dtype=np.int64)
+        has_neighbors = np.array([True, False, True])
+        h_min, h_max = _csr_reductions(
+            prev, indices, indptr, nb_delay, np.ones(3), owner, has_neighbors
+        )
+        np.testing.assert_array_equal(h_min, [7.5, np.inf, 3.25])
+        np.testing.assert_array_equal(h_max, [7.5, -np.inf, 3.25])

@@ -7,8 +7,9 @@ The service contract under test, end to end:
   ``float.__repr__`` exactly, so the equality is checked on the decoded
   JSON, NaN-aware),
 * resubmitting the same grid is a **recorded cache hit** (the
-  content-addressed store dedups on stack key + seed + pulse budget +
-  backend knobs; ``executor``/``shards`` deliberately excluded),
+  content-addressed store dedups on trial identity + seed + pulse
+  budget + the keyed runner knobs; ``executor``/``shards`` deliberately
+  excluded),
 * a worker process dying mid-batch loses no completed shard and the
   job still completes (the ``BrokenProcessPool`` retry path, exercised
   deterministically through the service with an ``os._exit`` trial and
@@ -42,6 +43,7 @@ from repro.service import (
     grid_key,
 )
 from repro.service.jobs import batch_payload, to_jsonable
+from repro.service.store import CACHE_VERSION, KEYED_RUNNER_KNOBS
 
 SMALL_GRID = {"kind": "thm11", "diameters": [4, 6], "seeds": [0, 1]}
 NUM_PULSES = 3
@@ -128,16 +130,31 @@ class TestGridKey:
             trials, NUM_PULSES, {"executor": "process", "shards": 4}
         )
 
-    def test_backend_knobs_are_included(self):
+    def test_keyed_knobs_are_the_four_survivors(self):
+        # The retired stacking/compaction/backend knobs left the key, so
+        # the layout changed and CACHE_VERSION moved past 1.
+        assert set(KEYED_RUNNER_KNOBS) == {
+            "vectorize",
+            "store_times",
+            "sketch_rank",
+            "potential_levels",
+        }
+        assert CACHE_VERSION == 2
         trials = build_trials(SMALL_GRID)
-        assert grid_key(trials, NUM_PULSES) != grid_key(
-            trials, NUM_PULSES, {"kernel_backend": "numpy"}
-        )
+        for knob, value in (
+            ("vectorize", False),
+            ("store_times", False),
+            ("sketch_rank", 2),
+            ("potential_levels", (1,)),
+        ):
+            assert grid_key(trials, NUM_PULSES) != grid_key(
+                trials, NUM_PULSES, {knob: value}
+            ), knob
 
     def test_explicit_default_hashes_like_omitted(self):
         trials = build_trials(SMALL_GRID)
         assert grid_key(trials, NUM_PULSES) == grid_key(
-            trials, NUM_PULSES, {"kernel_backend": "auto"}
+            trials, NUM_PULSES, {"vectorize": True, "store_times": True}
         )
 
     def test_unpicklable_grid_is_uncacheable(self):
@@ -302,9 +319,17 @@ class TestJobRunner:
             runner.submit({"grid": {"kind": "thm99"}})
         with pytest.raises(ValueError, match="grid spec"):
             runner.submit({"grid": None})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="executor"):
             runner.submit(
-                {"grid": SMALL_GRID, "runner": {"kernel_backend": "cuda"}}
+                {"grid": SMALL_GRID, "runner": {"executor": "gpu"}}
+            )
+        assert runner.jobs() == []
+
+    def test_retired_runner_knob_fails_the_submit_call(self, runner):
+        # BatchRunner no longer takes the knob, so validation names it.
+        with pytest.raises(TypeError, match="kernel_backend"):
+            runner.submit(
+                {"grid": SMALL_GRID, "runner": {"kernel_backend": "numpy"}}
             )
         assert runner.jobs() == []
 
@@ -472,6 +497,10 @@ class TestServiceHTTP:
     def test_bad_grid_is_a_400(self, client):
         with pytest.raises(RuntimeError, match="HTTP 400"):
             client.submit({"kind": "thm99"})
+
+    def test_retired_runner_knob_is_a_400_naming_it(self, client):
+        with pytest.raises(RuntimeError, match="HTTP 400.*kernel_backend"):
+            client.submit(SMALL_GRID, runner={"kernel_backend": "numpy"})
 
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(RuntimeError, match="HTTP 404"):

@@ -27,7 +27,6 @@ from repro.analysis.skew import local_skew_layers
 from repro.analysis.streaming import (
     IncrementalSketch,
     StreamLayout,
-    StreamedStats,
     default_reducers,
 )
 from repro.core.fast import FastSimulation

@@ -1,7 +1,9 @@
 """Tests for repro.topology: base graphs and the layered DAG."""
 
+import numpy as np
 import pytest
 
+from repro.experiments.common import standard_config
 from repro.topology import (
     BaseGraph,
     LayeredGraph,
@@ -367,3 +369,49 @@ class TestSparseGraphs:
         g = sparse_layered(64, 3)
         assert (g.width, g.num_layers) == (64, 3)
         assert g.base.max_degree() == 4
+
+
+class TestFrozenGraphCaches:
+    def test_cached_neighbor_tensors_are_frozen_and_stable(self):
+        base = standard_config(6).graph.base
+        idx, valid = base.neighbor_index_arrays()
+        left, right = base.edge_index_arrays()
+        for arr in (idx, valid, left, right):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # Revisits hand back the same objects -- one cache per graph,
+        # shared across trials, stacks, and campaign epochs.
+        idx2, valid2 = base.neighbor_index_arrays()
+        assert idx2 is idx and valid2 is valid
+        left2, right2 = base.edge_index_arrays()
+        assert left2 is left and right2 is right
+
+    def test_campaign_epoch_revisit_reuses_identical_tensors(self):
+        """A revisited epoch state must see bit-identical adjacency.
+
+        The chaos-campaign layer caches epoch graphs by state key; if a
+        consumer mutated the shared cached tensors in between, the
+        revisit would silently simulate a different topology.
+        """
+        from repro.faults.campaign import ChaosCampaign, EdgeFlap
+
+        config = standard_config(6, seed=0)
+        base = config.graph.base
+        edge = base.edges[0]
+        campaign = ChaosCampaign(
+            base,
+            config.graph.num_layers,
+            # Down-up-down-up: pulses 1 and 3 revisit the degraded
+            # state, pulses 0/2/4+ the seed state.
+            [EdgeFlap(pulse=1, edge=edge), EdgeFlap(pulse=3, edge=edge)],
+        )
+        schedule = campaign.compile(num_pulses=6)
+        by_state = {}
+        for epoch in schedule.epochs:
+            snap = epoch.graph.base.neighbor_index_arrays()
+            prior = by_state.setdefault(epoch.state_key, snap)
+            assert prior[0] is snap[0] and prior[1] is snap[1]
+            np.testing.assert_array_equal(prior[0], snap[0])
+            np.testing.assert_array_equal(prior[1], snap[1])
+        assert len(by_state) >= 2
