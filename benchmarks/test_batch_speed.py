@@ -43,6 +43,12 @@ Four micro-benchmarks track the performance trajectory across PRs:
 * ``test_dense_backend_no_regression``: the density heuristic must pick
   the dense kernel on the regular trial-stacked cell, bitwise equal to
   a run with the heuristic forced to dense.
+* ``test_cold_gather_speedup``: a fresh S = 8, D = 32 seed sweep with
+  the per-edge static sampler (one ``SeedSequence`` + ``Generator`` per
+  edge) vs the array-valued block gather, timing the delay gather alone
+  and the whole cold sweep, asserting bitwise-equal arrays and
+  statistics and the >= 5x gather floor; recorded under
+  ``"cold_gather"``.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -82,6 +88,7 @@ from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.delays import StaticDelayModel, UniformDelayModel
+from repro.delays.models import _edge_rng
 from repro.experiments.batch import BatchResult, BatchRunner
 from repro.faults import ChaosCampaign
 from repro.params import Parameters
@@ -1248,3 +1255,135 @@ def test_batch_runner_throughput():
     )
     assert len(batch) == len(trials)
     assert per_trial < 1.0  # sanity floor, not a tight bound
+
+
+#: The cold-gather cell: a fresh fault-free seed sweep, as a new study
+#: pays it (every delay sampled for the first time).
+COLD_DIAMETER = 32
+COLD_SEEDS = range(1000, 1008)
+#: Floor on the per-edge / block delay-gather time ratio.
+COLD_GATHER_FLOOR = 5.0
+
+
+class PerEdgeStaticDelays(StaticDelayModel):
+    """The per-edge static sampler the block gather replaced.
+
+    One ``SeedSequence`` + ``Generator`` per edge (memoized), and no
+    array-valued endpoints, so sweeps gather it one edge at a time.
+    """
+
+    array_endpoints = False
+
+    def delay(self, edge, pulse=0):
+        cached = self._cache.get(edge)
+        if cached is None:
+            rng = _edge_rng(self.seed, edge)
+            cached = float(rng.uniform(self.d - self.u, self.d))
+            self._cache[edge] = cached
+        return cached
+
+
+def _gather_all_layers(sims):
+    """Every layer's (own, neighbor) delay arrays of every simulation."""
+    gathered = []
+    for sim in sims:
+        sweep = fast_mod._VectorSweep(sim)
+        gathered.extend(
+            sweep.delay_arrays(layer, 0)
+            for layer in range(1, sim.graph.num_layers)
+        )
+    return gathered
+
+
+def test_cold_gather_speedup():
+    """Block delay gather vs the per-edge loop on a fresh seed sweep.
+
+    Times the delay gather alone and the whole cold sweep (config
+    construction, gather, run and reduction) with the per-edge sampler
+    (:class:`PerEdgeStaticDelays`) and with the array-valued
+    :class:`StaticDelayModel`, asserts the gathered arrays and the
+    reduced statistics are bitwise equal, and records both under the
+    ``"cold_gather"`` section of ``BENCH_batch.json``.
+    """
+
+    def fresh_trials(per_edge):
+        trials = BatchRunner.seed_sweep(
+            COLD_DIAMETER, COLD_SEEDS, num_pulses=NUM_PULSES
+        )
+        if per_edge:
+            for trial in trials:
+                model = trial.config.delay_model
+                trial.delay_model = PerEdgeStaticDelays(
+                    model.d, model.u, seed=model.seed
+                )
+        return trials
+
+    def gather(per_edge):
+        sims = [trial.simulation() for trial in fresh_trials(per_edge)]
+        start = time.perf_counter()
+        arrays = _gather_all_layers(sims)
+        return time.perf_counter() - start, arrays
+
+    def sweep(per_edge):
+        runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+        start = time.perf_counter()
+        batch = runner.run(fresh_trials(per_edge))
+        skews = batch.local_skews()
+        return time.perf_counter() - start, batch, skews
+
+    before_gather, loop_arrays = gather(per_edge=True)
+    after_gather, block_arrays = gather(per_edge=False)
+    for (own_a, nb_a), (own_b, nb_b) in zip(loop_arrays, block_arrays):
+        assert own_a.tobytes() == own_b.tobytes()
+        assert nb_a.tobytes() == nb_b.tobytes()
+    before_sweep, before_batch, before_skews = sweep(per_edge=True)
+    after_sweep, after_batch, after_skews = sweep(per_edge=False)
+    np.testing.assert_array_equal(before_skews, after_skews)
+    np.testing.assert_array_equal(
+        before_batch.global_skews(), after_batch.global_skews()
+    )
+
+    config = before_batch.trials[0].config
+    node_pulses = config.num_grid_nodes * NUM_PULSES
+    gather_speedup = before_gather / after_gather
+    _merge_bench_json(
+        {
+            "cold_gather": {
+                "grid": {
+                    "diameter": COLD_DIAMETER,
+                    "num_layers": config.num_layers,
+                    "width": config.graph.width,
+                    "num_pulses": NUM_PULSES,
+                    "trials": len(COLD_SEEDS),
+                    "faults": 0,
+                },
+                "gather_s": {"per_edge": before_gather, "block": after_gather},
+                "cold_sweep": {
+                    "per_edge": _mode_record(
+                        len(COLD_SEEDS), before_sweep, node_pulses
+                    ),
+                    "block": _mode_record(
+                        len(COLD_SEEDS), after_sweep, node_pulses
+                    ),
+                },
+                "gather_speedup": gather_speedup,
+                "cold_sweep_speedup": before_sweep / after_sweep,
+            }
+        }
+    )
+    print()
+    print(
+        format_table(
+            ["mode", "gather s", "cold sweep s"],
+            [
+                ("per-edge", before_gather, before_sweep),
+                ("block", after_gather, after_sweep),
+            ],
+            title=f"Cold delay gather, S={len(COLD_SEEDS)}, "
+            f"D={COLD_DIAMETER} ({gather_speedup:.0f}x faster gather)",
+        )
+    )
+    assert gather_speedup >= COLD_GATHER_FLOOR, (
+        f"block gather only {gather_speedup:.1f}x faster than the per-edge "
+        f"loop; floor is {COLD_GATHER_FLOOR}x"
+    )

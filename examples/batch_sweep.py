@@ -78,7 +78,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nExecutor knobs (S=32 fault-free trials, D=16):")
     trials = BatchRunner.seed_sweep(16, range(32))
-    BatchRunner().run(trials)  # warm the per-edge delay caches once
+    BatchRunner().run(trials)  # warm the per-layer delay caches once
     runners = {
         "trial-stacked (default)": BatchRunner(),
         "process-sharded x4": BatchRunner(executor="process", shards=4),

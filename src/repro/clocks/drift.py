@@ -38,16 +38,29 @@ def uniform_random_rates(
 
     The paper assumes no known phase relation between hardware clocks, so
     ``offset_span > 0`` draws offsets uniformly from ``[0, offset_span]``.
+
+    Draws are taken in bulk but in the order of one ``uniform`` call per
+    rate (then per offset) node by node, so the values are bitwise those
+    of the sequential scalar draws.
     """
     if vartheta < 1:
         raise ValueError(f"vartheta must be >= 1, got {vartheta}")
     rng = _as_rng(rng_or_seed)
-    clocks: Dict[Hashable, AffineClock] = {}
-    for node in nodes:
-        rate = float(rng.uniform(1.0, vartheta))
-        offset = float(rng.uniform(0.0, offset_span)) if offset_span > 0 else 0.0
-        clocks[node] = AffineClock(rate=rate, offset=offset)
-    return clocks
+    nodes = list(nodes)
+    n = len(nodes)
+    if offset_span > 0:
+        # Rate and offset draws interleave: even doubles are rates, odd
+        # ones offsets, each scaled exactly as ``uniform`` scales it.
+        draws = rng.random(2 * n)
+        rates = 1.0 + (float(vartheta) - 1.0) * draws[0::2]
+        offsets = 0.0 + float(offset_span) * draws[1::2]
+    else:
+        rates = rng.uniform(1.0, vartheta, size=n)
+        offsets = np.zeros(n)
+    return {
+        node: AffineClock(rate=rate, offset=offset)
+        for node, rate, offset in zip(nodes, rates.tolist(), offsets.tolist())
+    }
 
 
 def slowly_varying_clock(

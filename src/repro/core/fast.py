@@ -657,8 +657,8 @@ class FastSimulation:
         # per-layer *delay* arrays are cached on the delay model itself
         # (see :class:`~repro.delays.models.DelayModel`), so they survive
         # simulation reconstruction -- a batch sweep rebuilding one
-        # FastSimulation per trial per run pays the per-edge Python gather
-        # only once per model.
+        # FastSimulation per trial per run gathers each layer only once
+        # per model.
         self._rate_cache: Dict[object, np.ndarray] = {}
         # (num_pulses, W) layer-0 schedule, gathered once per run in
         # :meth:`_begin_run`; consumed row by row in :meth:`_run_layer0`.
@@ -1004,7 +1004,7 @@ class FastSimulation:
                 )
         if not eligible.all():
             self._run_fallback_batch(
-                result, k, layer, np.nonzero(~eligible)[0], row_index
+                result, k, layer, np.nonzero(~eligible)[0], sweep, row_index
             )
 
     def _record_fault_sends(
@@ -1028,6 +1028,7 @@ class FastSimulation:
         k: int,
         layer: int,
         cells: np.ndarray,
+        sweep: "_VectorSweep",
         row_index: Optional[int] = None,
     ) -> None:
         """Resolve all of one layer's kernel-rejected cells in one pass.
@@ -1046,9 +1047,10 @@ class FastSimulation:
         operation-for-operation, so outcomes are bit-identical to it --
         the differential suite pins both against the event engine.
 
-        Only the event *gather* stays per-edge Python: send times may
-        come from the ``fault_sends`` dict and delays from arbitrary
-        delay models, exactly as in :meth:`_arrivals`.
+        Only the event *gather* stays per-edge Python, because send
+        times may come from the ``fault_sends`` dict (as in
+        :meth:`_arrivals`).  Delays are read from ``sweep``'s gathered
+        layer arrays, the ones the kernel read, not queried per message.
         """
         rk = k if row_index is None else row_index
         cells = np.asarray(cells, dtype=np.int64)
@@ -1059,7 +1061,7 @@ class FastSimulation:
         result.fallback_cells += n
         params = self.params
         graph = self.graph
-        delay = self.delay_model.delay
+        own_delay, nb_delay = sweep.delay_arrays(layer, k)
         prev_layer = layer - 1
 
         # --- Gather: one +inf-padded event row per cell (col 0 = own
@@ -1078,12 +1080,18 @@ class FastSimulation:
             own_pred = (v, prev_layer)
             own_send = self._send_time(result, own_pred, node, k, row_index)
             if own_send is not None:
-                ev_time[i, 0] = own_send + delay((own_pred, node), k)
+                ev_time[i, 0] = own_send + own_delay[v]
                 ev_own[i, 0] = True
+            # Neighbor-copy delays of v, in neighbor_predecessors order.
+            nb_row = (
+                nb_delay[sweep.indptr[v]: sweep.indptr[v + 1]]
+                if sweep.backend == "csr"
+                else nb_delay[v]
+            )
             for j, pred in enumerate(preds[i], start=1):
                 send = self._send_time(result, pred, node, k, row_index)
                 if send is not None:
-                    ev_time[i, j] = send + delay((pred, node), k)
+                    ev_time[i, j] = send + nb_row[j - 1]
 
         # Chronological event order in local time.  Rates are positive,
         # so sorting real arrivals sorts local times; the secondary key
@@ -1432,9 +1440,10 @@ class _VectorSweep:
     between runs).  Rate arrays are cached on the simulation per run;
     delay arrays are cached on the *delay model* (keyed by edge structure
     and layer/pulse), so they survive simulation reconstruction and are
-    never re-gathered edge by edge for the same model.  Edge tuples are
-    built from plain ``int`` vertices so delay models keyed or seeded by
-    edge identity see exactly the scalar path's edges.
+    never re-gathered for the same model.  Block gathers pass int64
+    vertex arrays and per-edge gathers plain ``int`` vertices, so delay
+    models keyed or seeded by edge identity see exactly the scalar
+    path's edges.
     """
 
     def __init__(
@@ -1499,17 +1508,24 @@ class _VectorSweep:
         self.has_faulty_pred = prev | nb_faulty
         self.static_eligible = self.has_neighbors[None, :] & ~self.has_faulty_pred
         self.layer_has_fault = [bool(row.any()) for row in faulty]
+        #: ``(sources, targets)`` vertex ids of every own-copy then
+        #: neighbor-copy edge into a layer, in the gathered arrays'
+        #: order; built on the first gather.
+        self._edge_ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def delay_arrays(self, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Own-copy ``(W,)`` and neighbor-copy delays for one layer.
 
         Neighbor delays are ``(W, max_deg)`` padded in dense mode and a
-        flat ``(nnz,)`` vector in CSR segment order in ``csr`` mode.
-        Cached on the delay model keyed by the edge structure and layer
-        (plus pulse unless the model is pulse-invariant), so rebuilt
-        simulations over the same model skip the per-edge Python gather;
-        models not subclassing :class:`~repro.delays.models.DelayModel`
-        are gathered uncached.
+        flat ``(nnz,)`` vector in CSR segment order in ``csr`` mode.  A
+        model with ``array_endpoints`` answers the whole layer -- every
+        own-copy and neighbor-copy edge -- in one array-valued ``delay``
+        call, with no per-edge Python gather; other models are queried
+        edge by edge.  Cached on the delay model keyed by the edge
+        structure and layer (plus pulse unless the model is
+        pulse-invariant), so rebuilt simulations over the same model
+        gather nothing; models not subclassing
+        :class:`~repro.delays.models.DelayModel` are gathered uncached.
         """
         model = self.sim.delay_model
         csr = self.backend == "csr"
@@ -1527,36 +1543,44 @@ class _VectorSweep:
         )
         cached = None if cache is None else cache.get(key)
         if cached is None:
-            own = np.empty(self.width)
-            if csr:
-                nnz = self.indices.shape[0]
-                if type(model) is UniformDelayModel:
-                    # A uniform model returns the same constant for every
-                    # edge; the bulk fill is bitwise-identical to the
-                    # per-edge queries and makes million-edge layers
-                    # gather in O(1) Python calls.
-                    own.fill(model.value)
-                    nb = np.full(nnz, model.value)
-                else:
-                    nb = np.empty(nnz)
-                    pos = 0
-                    for v, nbs in enumerate(self.nb_lists):
-                        own[v] = model.delay(((v, layer - 1), (v, layer)), k)
-                        for w in nbs:
-                            nb[pos] = model.delay(
-                                ((w, layer - 1), (v, layer)), k
-                            )
-                            pos += 1
-            else:
-                nb = np.zeros((self.width, max(self.max_deg, 1)))
-                for v, nbs in enumerate(self.nb_lists):
-                    own[v] = model.delay(((v, layer - 1), (v, layer)), k)
-                    for j, w in enumerate(nbs):
-                        nb[v, j] = model.delay(((w, layer - 1), (v, layer)), k)
-            cached = (own, nb)
+            cached = self._gather(model, layer, k)
             if cache is not None:
                 cache[key] = cached
         return cached
+
+    def _gather(self, model, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Query every edge into ``layer`` and lay the delays out."""
+        if self._edge_ends is None:
+            own = np.arange(self.width, dtype=np.int64)
+            if self.backend == "csr":
+                sources, targets = self.indices, self.owner
+            else:
+                sources = self.nb_idx[self.nb_valid]
+                targets = np.nonzero(self.nb_valid)[0]
+            self._edge_ends = (
+                np.concatenate((own, sources)),
+                np.concatenate((own, targets)),
+            )
+        sources, targets = self._edge_ends
+        if getattr(model, "array_endpoints", False):
+            values = np.asarray(
+                model.delay(((sources, layer - 1), (targets, layer)), k),
+                dtype=float,
+            )
+        else:
+            values = np.array(
+                [
+                    model.delay(((w, layer - 1), (v, layer)), k)
+                    for w, v in zip(sources.tolist(), targets.tolist())
+                ],
+                dtype=float,
+            )
+        own = values[: self.width]
+        if self.backend == "csr":
+            return own, values[self.width:]
+        nb = np.zeros(self.nb_valid.shape)
+        nb[self.nb_valid] = values[self.width:]
+        return own, nb
 
     def rate_array(self, layer: int, k: int) -> np.ndarray:
         """Hardware clock rates of the layer's nodes during pulse ``k``."""

@@ -816,6 +816,7 @@ class TrialStack:
                             k,
                             layer,
                             rk,
+                            sweeps,
                         )
                     if stream is not None:
                         # Skipped steps still update with an empty rows hint so
@@ -1100,6 +1101,7 @@ class TrialStack:
         k: int,
         layer: int,
         rk: int,
+        sweeps: Sequence[_VectorSweep],
     ) -> None:
         """Advance pulse ``k`` of ``layer`` on the selected plane.
 
@@ -1115,6 +1117,8 @@ class TrialStack:
         ``protocol_times``, ``corrections``, ``effective`` and
         ``branches`` blocks; ``rk`` is the storage row of pulse ``k``
         (``k`` itself on materialized runs, 0 on the rolling window).
+        ``sweeps`` are the trials' current sweeps, whose gathered delay
+        arrays the batched fallback reads.
 
         Results scatter back through the plane's subscripts.  Ineligible
         cells are written with the padding values (``NaN``/``"none"``)
@@ -1210,5 +1214,5 @@ class TrialStack:
                 vi = np.nonzero(fallback[si])[0]
                 sims[s]._run_fallback_batch(
                     results[s], k, layer,
-                    vi if vertices is None else vertices[vi], rk,
+                    vi if vertices is None else vertices[vi], sweeps[s], rk,
                 )

@@ -309,6 +309,11 @@ def replicated_line(length: int) -> BaseGraph:
     Every node has degree at least 2, nodes ``1`` and ``length - 2`` have
     degree 3 (hence in-degree 4 in the layered graph -- the "some 4" of
     Figure 3).
+
+    The diameter is set in closed form instead of by all-pairs BFS: the
+    path's ends, and the two twins, are ``length - 1`` hops apart, and
+    for ``length == 2`` the twins are 2 hops apart through either path
+    node.
     """
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
@@ -324,7 +329,9 @@ def replicated_line(length: int) -> BaseGraph:
         # For length == 2 the twins attach to both path nodes; avoid the
         # duplicate (right_twin, 0) that the generic rule would create.
         edges.append((right_twin, 0))
-    return BaseGraph(length + 2, edges, name=f"replicated_line({length})")
+    graph = BaseGraph(length + 2, edges, name=f"replicated_line({length})")
+    graph._diameter = length - 1 if length >= 3 else 2
+    return graph
 
 
 def cycle_graph(num_nodes: int) -> BaseGraph:

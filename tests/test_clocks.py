@@ -1,5 +1,8 @@
 """Tests for repro.clocks: hardware clock models and drift samplers."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +115,30 @@ class TestDriftSamplers:
         offsets = [c.offset for c in clocks.values()]
         assert all(0.0 <= o <= 3.0 for o in offsets)
         assert max(offsets) > 0.0
+
+    @pytest.mark.parametrize("offset_span", [0.0, 3.0])
+    def test_uniform_random_rates_match_sequential_draws(self, offset_span):
+        clocks = uniform_random_rates(
+            range(300), 1.3, rng_or_seed=8, offset_span=offset_span
+        )
+        rng = np.random.default_rng(8)
+        for node in range(300):
+            assert clocks[node].rate == float(rng.uniform(1.0, 1.3))
+            offset = (
+                float(rng.uniform(0.0, offset_span)) if offset_span > 0 else 0.0
+            )
+            assert clocks[node].offset == offset
+
+    def test_standard_config_rates_golden(self):
+        """Digest of the D=8 standard config's rates, recorded from the
+        per-node sampler the bulk draw replaced."""
+        from repro.experiments.common import standard_config
+
+        config = standard_config(8, seed=0)
+        rates = np.array([config.clock_rates[n] for n in config.graph.nodes()])
+        assert hashlib.sha256(rates.tobytes()).hexdigest() == (
+            "25ae35fd66d793e0e18cc19ec009c2afa4c18c45243a18360d921f5b87070961"
+        )
 
     def test_uniform_random_rejects_bad_vartheta(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Tests for repro.delays: delay model implementations."""
 
+import hashlib
+import zlib
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +69,92 @@ class TestStatic:
         m = StaticDelayModel(d=1.0, u=0.1, seed=0)
         delay = m.delay((("source", -1), (0, 0)))
         assert 0.9 <= delay <= 1.0
+
+
+
+def numpy_reference(seed, edge, d, u):
+    """The per-edge draw the static model promises, built from numpy."""
+    words = [seed & 0xFFFFFFFF]
+    for part in (edge[0][0], edge[0][1], edge[1][0], edge[1][1]):
+        if isinstance(part, int):
+            words.append(part & 0xFFFFFFFF)
+        else:
+            words.append(zlib.crc32(repr(part).encode()))
+    return np.random.default_rng(np.random.SeedSequence(words)).uniform(
+        d - u, d
+    )
+
+
+class TestArrayEndpoints:
+    """Array-valued endpoints return the whole block, bitwise per edge."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 7, 3608831833, 2**32 + 5, 2**40 + 12345, 2**63 - 1]
+    )
+    def test_static_block_matches_numpy_bitwise(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        n = 400
+        v1 = rng.integers(-3, 2**34, n)
+        l1 = rng.integers(-1, 3, n)  # layer words -1, 0, 1, 2
+        v2 = rng.integers(0, 2**31, n)
+        l2 = rng.integers(-1, 70, n)
+        m = StaticDelayModel(d=1.0, u=0.01, seed=seed)
+        block = m.delay(((v1, l1), (v2, l2)))
+        want = np.array([
+            numpy_reference(seed, ((int(a), int(b)), (int(c), int(e))), 1.0, 0.01)
+            for a, b, c, e in zip(v1, l1, v2, l2)
+        ])
+        assert block.shape == (n,)
+        assert block.tobytes() == want.tobytes()
+
+    def test_string_parts_and_broadcast(self):
+        m = StaticDelayModel(d=2.0, u=0.5, seed=11)
+        targets = np.arange(40).reshape(5, 8)
+        block = m.delay((("source", -1), (targets, 0)))
+        want = np.array([
+            numpy_reference(11, (("source", -1), (int(v), 0)), 2.0, 0.5)
+            for v in targets.ravel()
+        ]).reshape(5, 8)
+        assert block.tobytes() == want.tobytes()
+
+    def test_scalar_is_the_zero_d_case(self):
+        m = StaticDelayModel(d=1.0, u=0.1, seed=2**33 + 1)
+        v = np.arange(30)
+        block = m.delay(((v, 4), (v + 1, 5)))
+        scalars = [m.delay(((int(x), 4), (int(x) + 1, 5))) for x in v]
+        assert all(type(x) is float for x in scalars)
+        assert block.tobytes() == np.array(scalars).tobytes()
+        edge = (("source", -1), (3, 0))
+        assert m.delay(edge) == numpy_reference(2**33 + 1, edge, 1.0, 0.1)
+
+    def test_rejects_non_integer_array_parts(self):
+        m = StaticDelayModel(d=1.0, u=0.1, seed=0)
+        with pytest.raises(TypeError):
+            m.delay(((np.array([0.5]), 0), (np.array([1]), 1)))
+
+    def test_uniform_block(self):
+        m = UniformDelayModel(d=1.0, u=0.2, value=0.85)
+        block = m.delay(((np.arange(6), 0), (np.arange(6), 1)))
+        np.testing.assert_array_equal(block, np.full(6, 0.85))
+
+    def test_golden_delay_table(self):
+        """Digest of the D=8 standard config's delays, recorded from the
+        per-edge numpy sampler the bulk path replaced."""
+        from repro.experiments.common import standard_config
+
+        config = standard_config(8, seed=0)
+        graph = config.graph
+        edges = []
+        for v in range(graph.width):
+            edges.append((("source", -1), (v, 0)))
+            edges.extend(((w, 0), (v, 0)) for w in graph.base.neighbors(v))
+        for node in graph.nodes():
+            edges.extend((pred, node) for pred in graph.predecessors(node))
+        values = np.array([config.delay_model.delay(e) for e in edges])
+        assert len(edges) == 280
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "6554f016280362befd86238a9e10fb4d1686d93f1e204cbcd8a0259d3453d473"
+        )
 
 
 class TestAdversarial:

@@ -16,7 +16,7 @@ import pytest
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
-from repro.delays.models import VaryingDelayModel
+from repro.delays.models import StaticDelayModel, VaryingDelayModel
 from repro.experiments.batch import (
     BatchRunner,
     BatchTrial,
@@ -350,6 +350,32 @@ class TestFallbackAccounting:
         stats = batch.compaction_stats[0]
         assert stats["fallback_cells"] == 0
         assert stats["fallback_batches"] == 0
+
+    def test_gather_is_one_call_per_layer_and_warm_runs_query_nothing(
+        self, monkeypatch
+    ):
+        calls = []
+        original = StaticDelayModel.delay
+
+        def counting(model, edge, pulse=0):
+            calls.append(isinstance(edge[0][0], np.ndarray))
+            return original(model, edge, pulse)
+
+        monkeypatch.setattr(StaticDelayModel, "delay", counting)
+        trials = _faulted_trials(seed0=50)
+        runner = BatchRunner(num_pulses=NUM_PULSES)
+        cold = runner.run(trials)
+        layers = trials[0].config.num_layers
+        # One array-valued call per (trial, layer); the rest are the
+        # layer-0 chain's scalar queries.
+        assert sum(calls) == len(trials) * (layers - 1)
+        calls.clear()
+        warm = runner.run(trials)
+        assert warm.compaction_stats[0]["fallback_cells"] > 0
+        # The batched fallback reads the gathered arrays too.
+        assert calls == []
+        for got, want in zip(warm.results, cold.results):
+            np.testing.assert_array_equal(got.times, want.times)
 
     def test_single_simulation_accounts_fallback(self):
         config = standard_config(6, seed=1)

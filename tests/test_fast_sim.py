@@ -13,9 +13,14 @@ from repro.clocks import uniform_random_rates
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.layer0 import JitteredLayer0
-from repro.delays import StaticDelayModel
+from repro.delays import StaticDelayModel, UniformDelayModel
 from repro.params import Parameters
-from repro.topology import LayeredGraph, cycle_graph, replicated_line
+from repro.topology import (
+    LayeredGraph,
+    cycle_graph,
+    replicated_line,
+    sparse_base_graph,
+)
 
 PARAMS = Parameters(d=1.0, u=0.01, vartheta=1.001, Lambda=2.0)
 
@@ -207,6 +212,35 @@ class TestSimplifiedEquivalence:
         full = FastSimulation(graph, PARAMS, algorithm="full").run(3)
         simple = FastSimulation(graph, PARAMS, algorithm="simplified").run(3)
         assert np.array_equal(full.times, simple.times)
+
+
+class TestDelayGather:
+    """The one-call block gather equals the per-edge gather bitwise."""
+
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [(StaticDelayModel, {"seed": 2**35 + 3}), (UniformDelayModel, {})],
+        ids=["static", "uniform"],
+    )
+    def test_block_matches_per_edge(self, backend, cls, kwargs):
+        per_edge_cls = type("PerEdge", (cls,), {"array_endpoints": False})
+        graph = LayeredGraph(
+            sparse_base_graph(300, num_hubs=2, hub_degree=40), 4
+        )
+        gathered = []
+        for model_cls in (cls, per_edge_cls):
+            model = model_cls(PARAMS.d, PARAMS.u, **kwargs)
+            sim = FastSimulation(graph, PARAMS, delay_model=model)
+            sweep = fast_mod._VectorSweep(sim, backend=backend)
+            gathered.append([
+                sweep.delay_arrays(layer, 0)
+                for layer in range(1, graph.num_layers)
+            ])
+        for block, loop in zip(*gathered):
+            for got, want in zip(block, loop):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestVectorizedCrossValidation:

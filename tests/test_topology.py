@@ -149,6 +149,30 @@ class TestDistances:
         for v, w in g.edges:
             assert g.distance(v, w) == 1
 
+    def test_replicated_line_closed_form_diameter(self):
+        """The closed-form diameter agrees with a BFS over all sources."""
+
+        def bfs_diameter(graph):
+            adjacency = graph.adjacency
+            worst = 0
+            for source in graph.nodes():
+                dist = {source: 0}
+                frontier = [source]
+                while frontier:
+                    nxt = []
+                    for x in frontier:
+                        for y in adjacency[x]:
+                            if y not in dist:
+                                dist[y] = dist[x] + 1
+                                nxt.append(y)
+                    frontier = nxt
+                worst = max(worst, max(dist.values()))
+            return worst
+
+        for length in range(2, 261):
+            g = replicated_line(length)
+            assert g.diameter == bfs_diameter(g), length
+
     def test_ball(self):
         g = cycle_graph(8)
         assert sorted(g.ball(0, 1)) == [0, 1, 7]
