@@ -5,9 +5,9 @@ Four micro-benchmarks track the performance trajectory across PRs:
 * ``test_vectorized_kernel_speedup`` (marked ``slow``): scalar per-node
   replay vs the whole-layer array kernel on the PR-1 acceptance grid
   (fault-free, D = 64, 64 layers), asserting the >= 10x floor.
-* ``test_trial_stacked_speedup``: per-trial vectorized loop vs the
-  trial-stacked ``(S, W)`` kernel on a fault-free S = 64, D = 32 batch,
-  asserting the >= 3x floor.
+* ``test_trial_stacked_speedup``: per-trial loop (each run a trial
+  stack of one) vs the trial-stacked ``(S, W)`` kernel on a fault-free
+  S = 64, D = 32 batch, asserting the >= 3x floor.
 * ``test_simplified_stacked_speedup``: the vectorized + trial-stacked
   simplified (Algorithm 1) path vs its scalar replay at D = 64,
   asserting the >= 5x floor and bit-identical times.
@@ -150,9 +150,23 @@ def _merge_sparse_section(subkey, value):
 
 
 def per_trial_loop(trials, num_pulses):
-    """Baseline of the retired ``stack=False``: one run per trial."""
+    """Baseline of the retired ``stack=False``: one run per trial.
+
+    Each run is a trial stack of one (``FastSimulation.run``).
+    """
     return BatchResult(
         trials, [trial.simulation().run(num_pulses) for trial in trials]
+    )
+
+
+def scalar_loop(trials, num_pulses):
+    """The scalar reference replay of every trial, one run per trial."""
+    return BatchResult(
+        trials,
+        [
+            trial.simulation(vectorize=False).run(num_pulses)
+            for trial in trials
+        ],
     )
 
 
@@ -314,7 +328,6 @@ def test_trial_stacked_speedup():
     node_pulses = graph.num_nodes * NUM_PULSES
 
     stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
-    scalar_runner = BatchRunner(num_pulses=NUM_PULSES, vectorize=False)
     sharded_runner = BatchRunner(
         num_pulses=NUM_PULSES, executor="process", shards=2
     )
@@ -332,7 +345,7 @@ def test_trial_stacked_speedup():
         if per_trial_time / stacked_time >= 3.0:
             break
     scalar_time, _ = timed(
-        lambda: scalar_runner.run(trials[:SCALAR_TRIALS]), repeats=1
+        lambda: scalar_loop(trials[:SCALAR_TRIALS], NUM_PULSES), repeats=1
     )
     sharded_time, sharded_batch = timed(
         lambda: sharded_runner.run(trials), repeats=1
@@ -415,12 +428,12 @@ def test_simplified_stacked_speedup():
     node_pulses = graph.num_nodes * NUM_PULSES
 
     stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
-    scalar_runner = BatchRunner(num_pulses=NUM_PULSES, vectorize=False)
 
     stacked_runner.run(trials)  # warm the delay/rate caches
     stacked_time, stacked_batch = timed(lambda: stacked_runner.run(trials))
     scalar_time, scalar_batch = timed(
-        lambda: scalar_runner.run(trials[:SIMPLIFIED_SCALAR_TRIALS]), repeats=1
+        lambda: scalar_loop(trials[:SIMPLIFIED_SCALAR_TRIALS], NUM_PULSES),
+        repeats=1,
     )
 
     # Acceptance: the stacked kernel is bit-identical to the scalar replay.
@@ -1287,7 +1300,9 @@ def _gather_all_layers(sims):
     """Every layer's (own, neighbor) delay arrays of every simulation."""
     gathered = []
     for sim in sims:
-        sweep = fast_mod._VectorSweep(sim)
+        sweep = fast_mod._VectorSweep(
+            sim, fast_mod._neighbor_backend(sim.graph.base)
+        )
         gathered.extend(
             sweep.delay_arrays(layer, 0)
             for layer in range(1, sim.graph.num_layers)

@@ -8,9 +8,11 @@ then injects a random fault plan per seed and compares the two skew
 distributions.  The closing section demonstrates the executor knobs:
 
 * ``BatchRunner(...)``                       -- trial-stacked (the default)
-* ``BatchRunner(vectorize=False)``           -- scalar reference path
 * ``BatchRunner(executor="process", shards=N)`` -- shard trials across
   worker processes (fault-heavy sweeps; trials must be picklable)
+
+(The scalar reference replay is per simulation --
+``trial.simulation(vectorize=False).run(...)`` -- not a runner mode.)
 
 All strategies produce bit-identical results; only the wall clock moves.
 

@@ -36,38 +36,37 @@ their behaviour dictates, per successor.
 
 Vectorized/scalar split
 -----------------------
-``FastSimulation`` advances one pulse of one layer for **all** ``W`` base
-vertices at once with NumPy array operations (reception times, do-until
-exit, correction, pulse time), which is what makes large parameter sweeps
-tractable.  The arithmetic lives in the shape-generic
-:func:`_layer_step_kernel`, shared with the trial-stacked ``(S, W)``
-kernel of :mod:`repro.core.fast_batch`; both algorithms run through it:
+:meth:`FastSimulation.run` is a :class:`~repro.core.fast_batch.TrialStack`
+of one: the stack advances one pulse of one layer for **all** base
+vertices of all its trials at once with NumPy array operations
+(reception times, do-until exit, correction, pulse time), which is what
+makes large parameter sweeps tractable.  The arithmetic lives in the
+shape-generic :func:`_layer_step_kernel` (and its CSR twin); both
+algorithms run through it:
 
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
-  every register filled -- the fault-free/normal-branch path.  A node is
-  handled by the scalar per-node replay
-  (:meth:`FastSimulation._run_node`) instead when any of its predecessors
-  is faulty (reception times then come from ``fault_sends``), a
-  predecessor never pulsed (missing-message regime), or the loop would
-  exit *early* -- the own-copy timeout (via-``H_max`` branch,
-  ``H_own > H_max + k/2 + vt*k``) or the last-neighbor timeout
+  every register filled -- the fault-free/normal-branch path.  A cell is
+  resolved by the batched fallback
+  (:meth:`FastSimulation._run_fallback_batch`) instead when any of its
+  predecessors is faulty (reception times then come from
+  ``fault_sends``), a predecessor never pulsed (missing-message regime),
+  or the loop would exit *early* -- the own-copy timeout (via-``H_max``
+  branch, ``H_own > H_max + k/2 + vt*k``) or the last-neighbor timeout
   (``H_max > 2*H_own - H_min + 2k``) fires before the last arrival.
 * Under the **simplified** Algorithm 1 semantics there is no do-until
   exit to predict -- the node waits for its own, first, and last neighbor
   arrival unconditionally, so those arrivals are a fixed gather and the
   fault-free case is a pure array op.  Only fault-adjacent and
-  missing-message cells (where Algorithm 1 deadlocks) fall back to the
-  scalar :meth:`FastSimulation._run_node_simplified` replay.
+  missing-message cells (where Algorithm 1 deadlocks) go through the
+  batched fallback.
 
-The eligibility tests are exact (ties fall back conservatively), so the
-vectorized and scalar paths produce bit-identical results; the test suite
-cross-validates them over random rates, delays, and fault plans.  Pass
-``vectorize=False`` to force the scalar path everywhere.
-
-For multi-trial sweeps, :mod:`repro.core.fast_batch` widens this kernel by
-a leading trial axis, advancing ``S`` structurally identical simulations
-through the recurrence in lock-step with ``(S, W)`` array ops.
+The eligibility tests are exact (ties fall back conservatively), and the
+kernel and the batched fallback mirror the scalar per-node replay
+(:meth:`FastSimulation._run_node`) operation for operation.
+``vectorize=False`` runs that scalar replay for every cell: it is the
+per-simulation reference the test suite cross-validates the kernel
+against over random rates, delays, and fault plans.
 """
 
 from __future__ import annotations
@@ -261,20 +260,19 @@ def _layer_step_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pulse of one layer for every cell of a ``(..., W)`` plane.
 
-    The shape-generic arithmetic behind both the per-trial ``(W,)`` sweep
-    (:meth:`FastSimulation._run_layer_vectorized`) and the trial-stacked
-    ``(S, W)`` kernel (:class:`repro.core.fast_batch.TrialStack`): every
-    operation broadcasts over the leading axes, so both callers evaluate
-    *the same* NumPy expressions elementwise and eligible cells produce
-    bit-identical floats.  Formulae mirror the scalar replay
-    operation-for-operation.
+    The shape-generic arithmetic behind the trial-stacked ``(S, W)``
+    layer step (:class:`repro.core.fast_batch.TrialStack`): every
+    operation broadcasts over the leading axes, so a row of the stack
+    evaluates *the same* NumPy expressions as a ``(W,)`` call and
+    eligible cells produce bit-identical floats.  Formulae mirror the
+    scalar replay operation-for-operation.
 
     ``prev`` holds the previous layer's send times (NaN = missing);
     ``static_eligible`` is the precomputed fault-structure part of the
     eligibility mask for this layer.  Returns ``(eligible, correction,
     branches, pulse_time, effective_correction)``; only entries where
-    ``eligible`` is True are meaningful -- the rest are replayed by the
-    caller through the exact scalar fallback.
+    ``eligible`` is True are meaningful -- the rest are resolved by the
+    caller through the exact batched fallback.
 
     Two generalizations serve the heterogeneous trial stack of
     :mod:`repro.core.fast_batch`:
@@ -311,7 +309,9 @@ def _layer_step_kernel(
             prev, nb_idx.reshape(nb_idx.shape[0], -1), axis=-1
         ).reshape(nb_idx.shape)
     else:
-        gathered = prev[..., nb_idx]
+        # ``take`` gathers like ``prev[..., nb_idx]`` with less
+        # per-call overhead (this runs once per layer step).
+        gathered = prev.take(nb_idx, axis=-1)
     nb_arrival = gathered + nb_delay
     h_nb = rate[..., None] * nb_arrival
     h_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
@@ -367,8 +367,8 @@ def _layer_step_kernel_csr(
         h_min = np.full(lead + (indptr.shape[0] - 1,), np.inf)
         h_max = np.full(lead + (indptr.shape[0] - 1,), -np.inf)
     else:
-        nb_arrival = prev[..., indices] + nb_delay
-        h_nb = rate[..., owner] * nb_arrival
+        nb_arrival = prev.take(indices, axis=-1) + nb_delay
+        h_nb = rate.take(owner, axis=-1) * nb_arrival
         starts = np.minimum(indptr[:-1], nnz - 1)
         h_min = np.minimum.reduceat(h_nb, starts, axis=-1)
         h_max = np.maximum.reduceat(h_nb, starts, axis=-1)
@@ -590,15 +590,16 @@ class FastSimulation:
         all predecessors; deadlocks on crashed predecessors exactly as the
         paper warns).
     vectorize:
-        Use the whole-layer array kernel where eligible (default).  The
-        scalar per-node replay remains the fallback for nodes adjacent to
-        faults or taking the via-``H_max``/missing-message branches; see
-        the module docstring.  ``False`` forces the scalar path everywhere.
+        ``True`` (default) runs as a one-trial
+        :class:`~repro.core.fast_batch.TrialStack`; see the module
+        docstring.  ``False`` replays every cell through the scalar
+        per-node loop instead -- the reference the tests compare the
+        stacked kernel against.
     campaign:
         Optional :class:`~repro.faults.campaign.ChaosCampaign` over the
         same base graph: the run compiles it into per-epoch adjacency +
-        fault state and swaps graph/plan (re-gathering the vectorized
-        sweep's neighbor tensors) at epoch boundaries only.  ``fault_plan``
+        fault state and swaps graph/plan (re-gathering the stack's
+        neighbor tensors) at epoch boundaries only.  ``fault_plan``
         stays the *static* plan every epoch merges over.  The layer-0
         schedule is gathered once from the seed topology; membership
         changes silence a vertex's column via per-epoch crash masks rather
@@ -606,12 +607,11 @@ class FastSimulation:
 
     Notes
     -----
-    The vectorized sweep reduces over padded ``(W, max_deg)`` neighbor
+    The stacked kernel reduces over padded ``(W, max_deg)`` neighbor
     tensors, or over the base graph's
     :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr` segments
     when the density heuristic (:func:`_prefer_csr`) says padding
-    dominates; both are bit-identical on eligible cells, and campaign
-    runs re-apply the heuristic per epoch topology.
+    dominates; both are bit-identical on eligible cells.
     """
 
     def __init__(
@@ -696,7 +696,18 @@ class FastSimulation:
         result serves its skew accessors from ``result.streamed``
         (bitwise identical to the materialized reducers; ``reducers``
         defaults to :func:`~repro.analysis.streaming.default_reducers`).
+
+        The vectorized run is a :class:`~repro.core.fast_batch.TrialStack`
+        of one, so its result is a frozen snapshot like every stacked
+        result (read-only matrices, ``stack_row == 0``).  With
+        ``vectorize=False`` the loop below replays every cell through the
+        scalar per-node path.
         """
+        if self.vectorize:
+            # Local import: fast_batch builds on this module.
+            from repro.core.fast_batch import TrialStack
+
+            return TrialStack([self]).run(num_pulses, reducers, store_times)[0]
         stream = None
         if reducers is not None or not store_times:
             from repro.analysis.streaming import (
@@ -718,15 +729,8 @@ class FastSimulation:
         result = self._begin_run(
             num_pulses, storage_pulses=num_pulses if store_times else 1
         )
-        # The sweep structures depend on the fault plan, so they are built
-        # per run (tests mutate ``fault_plan`` between construction and run).
-        sweep = _VectorSweep(self) if self.vectorize else None
         num_layers = self.graph.num_layers
-        # Campaign state: graph/plan swap at epoch boundaries; sweeps are
-        # cached by epoch state so a revisited topology (an edge flapping
-        # back up) reuses its gather tensors instead of rebuilding them.
         seed_state = (self.graph, self.fault_plan, self._layer0_has_fault)
-        sweep_cache: Dict[Tuple, "_VectorSweep"] = {}
         epoch_index = -1
         try:
             for k in range(num_pulses):
@@ -734,13 +738,7 @@ class FastSimulation:
                     index = schedule.epoch_index(k)
                     if index != epoch_index:
                         epoch_index = index
-                        epoch = schedule.epochs[index]
-                        self._enter_epoch(epoch)
-                        if self.vectorize:
-                            sweep = sweep_cache.get(epoch.state_key)
-                            if sweep is None:
-                                sweep = _VectorSweep(self)
-                                sweep_cache[epoch.state_key] = sweep
+                        self._enter_epoch(schedule.epochs[index])
                 rk = k if store_times else 0
                 if not store_times and k > 0:
                     # Recycle the rolling one-pulse window for this iteration.
@@ -756,10 +754,7 @@ class FastSimulation:
                         result.corrections[rk, 0][None],
                     )
                 for layer in range(1, num_layers):
-                    if sweep is not None:
-                        self._run_layer_vectorized(result, k, layer, sweep, rk)
-                    else:
-                        self._run_layer(result, k, layer, rk)
+                    self._run_layer(result, k, layer, rk)
                     if stream is not None:
                         stream.update(
                             k, layer, result.times[rk, layer][None],
@@ -796,7 +791,7 @@ class FastSimulation:
     ) -> FastResult:
         """Validate, reset the per-run caches, and allocate the result.
 
-        Shared by :meth:`run` and the trial-stacked runner
+        Shared by the scalar :meth:`run` and the trial-stacked runner
         (:class:`repro.core.fast_batch.TrialStack`), which drives many
         simulations through the same pulse/layer recurrence in lock-step.
         Also gathers the whole ``(num_pulses, W)`` layer-0 schedule once
@@ -918,94 +913,6 @@ class FastSimulation:
             self._record_fault_sends(result, node, k, outcome.pulse_time)
         else:
             result.times[rk, layer, v] = outcome.pulse_time
-
-    # ------------------------------------------------------------------
-    # Vectorized layer sweep
-    # ------------------------------------------------------------------
-    def _run_layer_vectorized(
-        self,
-        result: FastResult,
-        k: int,
-        layer: int,
-        sweep: "_VectorSweep",
-        row_index: Optional[int] = None,
-    ) -> None:
-        """Advance pulse ``k`` of ``layer`` for all ``W`` nodes at once.
-
-        Covers the executions whose loop (the do-until replay under the
-        full semantics, the wait-for-everything gather under Algorithm 1)
-        completes with all registers filled; every other node falls back
-        to :meth:`_run_node_and_record`.  The arithmetic lives in the
-        shape-generic :func:`_layer_step_kernel`, which mirrors the scalar
-        path operation-for-operation so both produce bit-identical floats.
-        ``row_index`` maps pulse ``k`` to its storage row (rolling-window
-        streamed runs store every pulse in row 0).
-        """
-        rk = k if row_index is None else row_index
-        prev = result.times[rk, layer - 1, :]  # (W,) send times, NaN = missing
-        own_delay, nb_delay = sweep.delay_arrays(layer, k)
-        rate = sweep.rate_array(layer, k)
-
-        if sweep.backend == "csr":
-            eligible, correction, branches, pulse_time, effective = (
-                _layer_step_kernel_csr(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    sweep.indptr,
-                    sweep.indices,
-                    sweep.owner,
-                    sweep.has_neighbors,
-                    sweep.static_eligible[layer - 1],
-                    self.params,
-                    self.policy,
-                    self.algorithm == "simplified",
-                )
-            )
-        else:
-            eligible, correction, branches, pulse_time, effective = (
-                _layer_step_kernel(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    sweep.nb_idx,
-                    sweep.nb_valid,
-                    sweep.static_eligible[layer - 1],
-                    self.params,
-                    self.policy,
-                    self.algorithm == "simplified",
-                )
-            )
-
-        layer_faulty = sweep.layer_has_fault[layer]
-        if not layer_faulty and eligible.all():
-            # Common case (fault-free layer, every node on the fast path):
-            # whole-row assignments, no boolean gathers.
-            result.corrections[rk, layer] = correction
-            result.branches[rk, layer] = branches
-            result.effective_corrections[rk, layer] = effective
-            result.protocol_times[rk, layer] = pulse_time
-            result.times[rk, layer] = pulse_time
-            return
-
-        result.corrections[rk, layer, eligible] = correction[eligible]
-        result.branches[rk, layer, eligible] = branches[eligible]
-        result.effective_corrections[rk, layer, eligible] = effective[eligible]
-        result.protocol_times[rk, layer, eligible] = pulse_time[eligible]
-        faulty_here = sweep.faulty[layer]
-        correct = eligible & ~faulty_here
-        result.times[rk, layer, correct] = pulse_time[correct]
-        if layer_faulty:
-            for v in np.nonzero(eligible & faulty_here)[0]:
-                self._record_fault_sends(
-                    result, (int(v), layer), k, float(pulse_time[v])
-                )
-        if not eligible.all():
-            self._run_fallback_batch(
-                result, k, layer, np.nonzero(~eligible)[0], sweep, row_index
-            )
 
     def _record_fault_sends(
         self, result: FastResult, node: NodeId, k: int, correct_time: float
@@ -1434,27 +1341,27 @@ class FastSimulation:
 
 
 class _VectorSweep:
-    """Index/mask structures backing the vectorized layer sweep.
+    """One trial's index/mask structures for the stacked layer step.
 
-    Built once per :meth:`FastSimulation.run` (the fault plan may change
-    between runs).  Rate arrays are cached on the simulation per run;
-    delay arrays are cached on the *delay model* (keyed by edge structure
-    and layer/pulse), so they survive simulation reconstruction and are
-    never re-gathered for the same model.  Block gathers pass int64
-    vertex arrays and per-edge gathers plain ``int`` vertices, so delay
-    models keyed or seeded by edge identity see exactly the scalar
+    Built by :meth:`repro.core.fast_batch.TrialStack.run` once per trial
+    and run (the fault plan may change between runs) and once per
+    campaign epoch state, with the neighbor ``backend`` (``"dense"`` or
+    ``"csr"``) the stack chose.  Rate arrays are cached on the simulation
+    per run; delay arrays are cached on the *delay model* (keyed by edge
+    structure and layer/pulse), so they survive simulation reconstruction
+    and are never re-gathered for the same model.  Block gathers pass
+    int64 vertex arrays and per-edge gathers plain ``int`` vertices, so
+    delay models keyed or seeded by edge identity see exactly the scalar
     path's edges.
     """
 
-    def __init__(
-        self, sim: FastSimulation, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, sim: FastSimulation, backend: str) -> None:
         self.sim = sim
         graph = sim.graph
         base = graph.base
         width = base.num_nodes
         self.width = width
-        self.backend = backend or _neighbor_backend(base)
+        self.backend = backend
         self.nb_lists = [tuple(base.neighbors(v)) for v in base.nodes()]
         # Identifies the edge set the delay gathers cover: two graphs with
         # equal width and adjacency query exactly the same edge tuples, so
@@ -1507,7 +1414,6 @@ class _VectorSweep:
             ).any(axis=2)
         self.has_faulty_pred = prev | nb_faulty
         self.static_eligible = self.has_neighbors[None, :] & ~self.has_faulty_pred
-        self.layer_has_fault = [bool(row.any()) for row in faulty]
         #: ``(sources, targets)`` vertex ids of every own-copy then
         #: neighbor-copy edge into a layer, in the gathered arrays'
         #: order; built on the first gather.

@@ -1,16 +1,16 @@
 """Trial-stacked ``(S, W)`` kernel for the fast simulator.
 
-:class:`~repro.core.fast.FastSimulation` vectorizes one pulse of one layer
-across the ``W`` base vertices, but a parameter sweep still walks the
-pulse/layer recurrence (Lemma B.1) once per trial in Python.  Because the
-recurrence has no cross-trial coupling -- trial ``s``'s pulse ``k`` of
-layer ``l`` depends only on trial ``s``'s pulse ``k`` of layer ``l - 1`` --
-``S`` compatible trials can advance through the recurrence in lock-step,
-with every per-layer array op widened from shape ``(W,)`` to ``(S, W)``.
-That is what :class:`TrialStack` does: reception times, do-until exit
-test, correction, and pulse time are computed for the whole ``(S, W)``
-plane at once, so the Python-loop overhead per layer step is paid once per
-*batch* instead of once per *trial*.
+:class:`~repro.core.fast.FastSimulation` walks the pulse/layer recurrence
+(Lemma B.1) one layer step at a time.  Because the recurrence has no
+cross-trial coupling -- trial ``s``'s pulse ``k`` of layer ``l`` depends
+only on trial ``s``'s pulse ``k`` of layer ``l - 1`` -- ``S`` compatible
+trials can advance through it in lock-step, with every per-layer array
+op over the ``(S, W)`` plane.  That is what :class:`TrialStack` does:
+reception times, do-until exit test, correction, and pulse time are
+computed for the whole plane at once, so the Python-loop overhead per
+layer step is paid once per *batch* instead of once per *trial*.  A
+vectorized :meth:`FastSimulation.run <repro.core.fast.FastSimulation.run>`
+is a stack of one.
 
 Heterogeneous geometries (padded stacking)
 ------------------------------------------
@@ -19,7 +19,7 @@ count, timing parameters, or correction strength to stack.  The stack
 pads every per-trial plane to ``(S, W_max)`` (``W_max`` = widest trial)
 and marks cells past a trial's width or depth *inert*: their state is
 NaN, their gather lanes are masked invalid, their eligibility is
-statically False, and the scalar fallback skips them -- so an inert cell
+statically False, and the batched fallback skips them -- so an inert cell
 can never influence a real one, and NaN (the simulator's own marker for
 "never pulsed") keeps them out of every downstream reducer.  Per-trial
 neighbor gathers run through padded ``(S, W_max, max_deg)`` index/valid
@@ -46,8 +46,8 @@ nothing left to compute:
 * **gone dead** -- no node of the trial's previous layer produced a
   pulse for the current iteration (possible only with faults, e.g. a
   fully crashed layer), so no message will ever reach this or any deeper
-  layer of this pulse; today's code would replay every such cell through
-  the scalar fallback just to record "no pulse".
+  layer of this pulse; a full-plane step would replay every such cell
+  through the batched fallback just to record "no pulse".
 
 The surviving trials are re-gathered through an ``active_rows`` index
 into compact ``(S_active, W_max)`` state/parameter/neighbor arrays
@@ -76,7 +76,7 @@ set).  Neighbor tables are re-indexed into the compact column space
 (``lane_pos``), the kernel runs on the ``(S_active, C)`` plane, and
 results scatter back through ``rows x lanes`` -- dropped lanes keep
 their initial padding, which is exactly what the uncompacted path writes
-there (padding is never eligible, and a horizon-absent vertex's scalar
+there (padding is never eligible, and a horizon-absent vertex's fallback
 replay records NaN/"none", the padding values, and no fault sends).
 
 One layer step
@@ -120,18 +120,19 @@ consumes.
 
 Exactness
 ---------
-The stacked kernel evaluates *the same* NumPy expressions as
-:meth:`FastSimulation._run_layer_vectorized` -- both call the
-shape-generic :func:`~repro.core.fast._layer_step_kernel`, here with an
-extra leading axis -- so eligible cells produce bit-identical floats
+Every stack -- one trial or many -- evaluates *the same* NumPy
+expressions of the shape-generic
+:func:`~repro.core.fast._layer_step_kernel` elementwise, so a trial's
+eligible cells produce bit-identical floats whatever stack it runs in
 (per-trial parameter columns broadcast elementwise and change no
-operation).  The exact per-trial eligibility test of the per-trial kernel
-is applied cell by cell: fault-adjacent, via-``H_max``, and
-missing-message cells drop out of the array path and are replayed through
-the scalar :meth:`FastSimulation._run_node_and_record` of their own
-simulation, same as in a per-trial run.  The test suite asserts equality
-against both the per-trial vectorized and the scalar reference paths, for
-both algorithms, over randomized mixed-geometry stacks.
+operation).  The exact eligibility test is applied cell by cell:
+fault-adjacent, via-``H_max``, and missing-message cells drop out of the
+array path and are resolved by the batched
+:meth:`FastSimulation._run_fallback_batch` of their own simulation, which
+mirrors the scalar per-node replay operation for operation.  The test
+suite asserts equality against both per-trial runs (stacks of one) and
+the scalar reference (``vectorize=False``), for both algorithms, over
+randomized mixed-geometry stacks.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
         return "need at least one simulation"
     first = sims[0]
     if not first.vectorize:
-        return "vectorize=False forces the per-trial scalar path"
+        return "vectorize=False selects the scalar reference replay"
     structure = (first.policy.discretize, first.policy.stick_to_median)
     for i, sim in enumerate(sims[1:], start=1):
         if sim.algorithm != first.algorithm:
@@ -213,7 +214,7 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
                 f"trial 0's {first.algorithm!r}"
             )
         if not sim.vectorize:
-            return f"trial {i}: vectorize=False forces the per-trial path"
+            return f"trial {i}: vectorize=False selects the scalar replay"
         if (sim.policy.discretize, sim.policy.stick_to_median) != structure:
             return (
                 f"trial {i}: correction-policy structure "
@@ -334,7 +335,7 @@ class TrialStack:
     :meth:`run` returns ordinary per-trial :class:`FastResult` objects
     whose matrices are views into one shared ``(S, K, L_max, W_max)``
     block (each trial seeing its own ``(K, L_s, W_s)`` window), so
-    downstream code (skew reducers, ``fault_sends`` drill-in, the scalar
+    downstream code (skew reducers, ``fault_sends`` drill-in, the batched
     fallback itself) sees exactly the per-trial layout while the kernel
     reads and writes whole ``(S, W_max)`` planes without gathering.  The
     block is attached to each result (``stack_block``/``stack_row``) and
@@ -423,9 +424,11 @@ class TrialStack:
                     else [sweeps[s] for s in rows]
                 )
                 per_trial = [sw.delay_arrays(layer, k) for sw in selected]
+                # np.array stacks equal-shape rows exactly like np.stack,
+                # at a fraction of its per-call overhead (paid per layer).
                 cached = (
-                    np.stack([own for own, _ in per_trial]),
-                    np.stack([nb for _, nb in per_trial]),
+                    np.array([own for own, _ in per_trial]),
+                    np.array([nb for _, nb in per_trial]),
                 )
             else:
                 indices = np.arange(len(sweeps))[rows]
@@ -483,7 +486,7 @@ class TrialStack:
                 if isinstance(rows, slice)
                 else [sweeps[s] for s in rows]
             )
-            stacked = np.stack([sw.rate_array(layer, k) for sw in selected])
+            stacked = np.array([sw.rate_array(layer, k) for sw in selected])
         else:
             indices = np.arange(len(sweeps))[rows]
             stacked = np.ones((len(indices), self._width))
@@ -595,7 +598,7 @@ class TrialStack:
         shape = (num_trials, store_pulses, num_layers, width)
 
         # One shared block per matrix; each FastResult holds the trial-s
-        # window view, so scalar fallbacks and analysis code read/write
+        # window view, so batched fallbacks and analysis code read/write
         # through it.  Cells outside a trial's window stay NaN (padding
         # never turns eligible; the whole-plane fast path only runs on
         # uniform stacks).
@@ -666,7 +669,7 @@ class TrialStack:
                 (layer_index[None, :, None] < np.array(depths)[:, None, None])
                 & (np.arange(width)[None, None, :] < np.array(widths)[:, None, None])
             )
-        layer_has_fault = faulty.any(axis=(0, 2))
+        layer_has_fault = faulty.any(axis=(0, 2)).tolist()
 
         # Per-trial parameter/policy columns when trials disagree; the
         # shared objects otherwise (scalar broadcasting, old fast path).
@@ -735,6 +738,7 @@ class TrialStack:
             (sim.graph, sim.fault_plan, sim._layer0_has_fault) for sim in sims
         ]
 
+        matrices = (times, protocol_times, corrections, effective, branches)
         try:
             for k in range(num_pulses):
                 if has_campaign and self._enter_stack_epochs(
@@ -746,7 +750,7 @@ class TrialStack:
                     # delay cache and the compacted row gathers hold stale
                     # copies; the rate caches survive (rates are keyed by
                     # node id and the vertex set never changes).
-                    layer_has_fault = faulty.any(axis=(0, 2))
+                    layer_has_fault = faulty.any(axis=(0, 2)).tolist()
                     any_fault = bool(faulty.any())
                     dead[:] = False
                     delay_cache.clear()
@@ -795,8 +799,7 @@ class TrialStack:
                         )
                         self._run_layer_stacked(
                             results,
-                            (times, protocol_times, corrections, effective,
-                             branches),
+                            matrices,
                             self._row_structs(
                                 rows,
                                 lanes,
@@ -812,7 +815,7 @@ class TrialStack:
                             self._rate_stack(
                                 sweeps, rate_cache, layer, k, rows, lanes
                             ),
-                            bool(layer_has_fault[layer]),
+                            layer_has_fault[layer],
                             k,
                             layer,
                             rk,
@@ -1105,8 +1108,7 @@ class TrialStack:
     ) -> None:
         """Advance pulse ``k`` of ``layer`` on the selected plane.
 
-        Mirrors :meth:`FastSimulation._run_layer_vectorized` with a leading
-        trial axis -- both delegate to the shape-generic
+        Delegates to the shape-generic
         :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
         ``csr`` stacks); see the module docstring for the exactness
         argument.  ``structs`` (from :meth:`_row_structs`) holds the
@@ -1126,10 +1128,10 @@ class TrialStack:
         bit-identical to a full-plane step: cells outside the plane keep
         their initial padding, which is also what a full-plane step
         produces for them (inert, silent and horizon-absent cells are
-        never eligible, and their scalar replays record nothing).
+        never eligible, and their fallback replays record nothing).
         ``structs["active"]`` (None on uniform stacks) masks the padding
         inside the plane, so inert cells are never replayed by the
-        scalar fallback.
+        batched fallback.
         """
         times, protocol_times, corrections, effective, branches_out = matrices
         sims = self.sims

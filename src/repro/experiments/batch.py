@@ -12,11 +12,7 @@ module sweeps many trials in one call instead:
   (padded to ``(S, W_max)`` with inert cells; see the ``fast_batch``
   module docstring): grouping is by algorithm variant and the structural
   policy switches only, so a mixed-width diameter sweep runs as one
-  stack,
-* ``vectorize=False`` runs every trial through the per-trial scalar
-  replay of :class:`~repro.core.fast.FastSimulation`, with the reason
-  recorded per trial in :attr:`BatchResult.fallback_reasons` (no
-  silent slow paths), and
+  stack, and
 * the per-trial results are stacked along a leading *trial axis* --
   ``times`` of shape ``(S, K, L_max, W_max)``, NaN-padded when grids
   differ -- so skew and correction statistics for the whole sweep reduce
@@ -24,7 +20,7 @@ module sweeps many trials in one call instead:
   (one sweep per distinct geometry; padding cells are NaN and therefore
   invisible to every reducer).
 
-For fault-heavy sweeps whose cells mostly replay the scalar path,
+For fault-heavy sweeps whose cells mostly go through the batched fallback,
 ``BatchRunner(executor="process", shards=N)`` splits the trial list into
 ``N`` shards and runs them in worker processes via
 :mod:`concurrent.futures`; every trial is deterministic given its spec, so
@@ -119,7 +115,11 @@ class BatchTrial:
     label: str = ""
 
     def simulation(self, vectorize: bool = True) -> FastSimulation:
-        """The :class:`FastSimulation` realizing this trial."""
+        """The :class:`FastSimulation` realizing this trial.
+
+        ``vectorize=False`` builds the scalar reference replay (see
+        :class:`FastSimulation`); the runner never does.
+        """
         rates = (
             self.config.clock_rates
             if self.clock_rates is CONFIG_RATES
@@ -198,8 +198,7 @@ class BatchResult:
         and for ``fault_sends``).
     stack_groups:
         Trial-index lists that advanced through one shared
-        :class:`~repro.core.fast_batch.TrialStack` each (empty for trials
-        that ran per-trial).
+        :class:`~repro.core.fast_batch.TrialStack` each.
     compaction_stats:
         One dict per stack group (parallel to ``stack_groups``): the
         compaction accounting of that group's
@@ -215,14 +214,11 @@ class BatchResult:
         compaction reclaim?" is on record next to "which trials
         stacked".
     fallback_reasons:
-        ``{trial_index: reason}`` for every trial that did *not* run
-        stacked -- the runner records why (``vectorize=False``) instead
-        of silently dropping to the slow path.  Executor-level events
-        land here too: when a
+        ``{trial_index: reason}`` for executor-level events: when a
         process shard's worker dies (``BrokenProcessPool``) and the
         shard is re-run in-parent, every trial of that shard carries the
-        retry note, appended to any stacking reason it already had --
-        so a trial may be *both* in a stack group and annotated here.
+        retry note -- so a trial is *both* in a stack group and
+        annotated here.  Empty when nothing went wrong.
     campaign_stats:
         ``{trial_index: churn_stats}`` for every trial that ran under a
         :class:`~repro.faults.campaign.ChaosCampaign` -- the compiled
@@ -237,8 +233,8 @@ class BatchResult:
     the stack's shared block (no re-copy; ``np.shares_memory`` with every
     per-trial result) and are frozen read-only, as are the per-trial
     result windows -- so no consumer can corrupt another's view of the
-    shared memory.  Multi-group and per-trial batches materialize fresh
-    (writable) stacked copies as before.
+    shared memory.  Multi-group and multi-shard batches materialize
+    fresh (writable) stacked copies.
 
     When the runner *streamed* (``store_times=False``), ``times``,
     ``corrections``, and ``effective_corrections`` are ``None`` and
@@ -592,23 +588,21 @@ def _stack_key(trial: BatchTrial) -> Tuple:
 def _run_shard(
     trials: List[BatchTrial],
     num_pulses: int,
-    vectorize: bool,
     store_times: bool,
     sketch_rank: Optional[int],
     potential_levels: Tuple[int, ...],
-) -> Tuple[List[FastResult], List[List[int]], List[Dict], Dict[int, str]]:
+) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
     """Process-executor worker: run one contiguous shard serially.
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
     pickle it under every start method (fork, spawn, forkserver).
-    Returns the shard's results plus its shard-local stack-group indices,
-    compaction stats, and fallback reasons (re-offset by the parent).
+    Returns the shard's results plus its shard-local stack-group indices
+    and compaction stats (re-offset by the parent).
     Streamed shards ship their accumulators back through the results'
     ``streamed`` attribute (``FastResult.__getstate__`` keeps it).
     """
     runner = BatchRunner(
         num_pulses=num_pulses,
-        vectorize=vectorize,
         store_times=store_times,
         sketch_rank=sketch_rank,
         potential_levels=potential_levels,
@@ -639,14 +633,10 @@ class BatchRunner:
     ----------
     num_pulses:
         Pulses simulated per trial.
-    vectorize:
-        Forwarded to every :class:`FastSimulation`; ``False`` forces the
-        scalar reference path everywhere (used by the equivalence tests
-        and the throughput benchmark) and disables trial stacking.
     executor:
         ``"serial"`` (default) or ``"process"``.  The process executor
         shards the trial list across worker processes -- worthwhile for
-        fault-heavy sweeps dominated by the scalar fallback.  Trials must
+        fault-heavy sweeps dominated by the batched fallback.  Trials must
         be picklable.
     shards:
         Number of process shards; defaults to ``os.cpu_count()`` capped at
@@ -671,7 +661,6 @@ class BatchRunner:
     def __init__(
         self,
         num_pulses: int = 4,
-        vectorize: bool = True,
         executor: str = "serial",
         shards: Optional[int] = None,
         store_times: bool = True,
@@ -687,7 +676,6 @@ class BatchRunner:
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.num_pulses = num_pulses
-        self.vectorize = vectorize
         self.executor = executor
         self.shards = shards
         self.store_times = store_times
@@ -733,14 +721,13 @@ class BatchRunner:
         trials = list(trials)
         if not trials:
             raise ValueError("need at least one trial")
+        reasons: Dict[int, str] = {}
         if self.executor == "process":
             results, groups, compaction, reasons = self._run_process(
                 trials, on_shard
             )
         else:
-            results, groups, compaction, reasons = self._run_single(
-                trials, on_shard
-            )
+            results, groups, compaction = self._run_single(trials, on_shard)
         # Stamp each distinct streamed accumulator with the batch index
         # of its first trial so StreamedStats.merge orders shards by
         # batch position rather than argument order.
@@ -763,26 +750,13 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _run_serial(
         self, trials: List[BatchTrial]
-    ) -> Tuple[List[FastResult], List[List[int]], List[Dict], Dict[int, str]]:
-        """In-process execution: stacked groups, per-trial fallback.
+    ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
+        """In-process execution: one :class:`TrialStack` per stack key.
 
-        Returns ``(results, stack_groups, compaction_stats,
-        fallback_reasons)`` -- every trial either belongs to exactly one
-        stack group (whose compaction accounting is recorded) or carries
-        a fallback reason, so "why didn't this stack?" is always on
-        record.
+        Returns ``(results, stack_groups, compaction_stats)`` -- every
+        trial belongs to exactly one stack group, whose compaction
+        accounting is recorded.
         """
-        if not self.vectorize:
-            reason = "vectorize=False forces the per-trial scalar path"
-            results = [
-                trial.simulation(vectorize=False).run(
-                    self.num_pulses,
-                    reducers=self._reducers(),
-                    store_times=self.store_times,
-                )
-                for trial in trials
-            ]
-            return results, [], [], {i: reason for i in range(len(trials))}
         results: List[Optional[FastResult]] = [None] * len(trials)
         stack_groups: List[List[int]] = []
         compaction: List[Dict] = []
@@ -800,13 +774,13 @@ class BatchRunner:
                 results[i] = result
             stack_groups.append(list(indices))
             compaction.append(dict(stack.compaction_stats))
-        return results, stack_groups, compaction, {}  # type: ignore[return-value]
+        return results, stack_groups, compaction  # type: ignore[return-value]
 
     def _run_single(
         self,
         trials: List[BatchTrial],
         on_shard: Optional[ShardCallback] = None,
-    ) -> Tuple[List[FastResult], List[List[int]], List[Dict], Dict[int, str]]:
+    ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
         """Serial execution wrapped in the one-shard progress protocol."""
         _emit(on_shard, {"event": "plan", "shards": 1, "sizes": [len(trials)]})
         out = self._run_serial(trials)
@@ -826,7 +800,6 @@ class BatchRunner:
         """The :func:`_run_shard` knob tuple after the trial chunk."""
         return (
             self.num_pulses,
-            self.vectorize,
             self.store_times,
             self.sketch_rank,
             self.potential_levels,
@@ -841,8 +814,8 @@ class BatchRunner:
 
         Per-trial execution is deterministic given the trial spec, so the
         reassembled result list is independent of the shard count.  Stack
-        groups, compaction stats, and fallback reasons come back
-        shard-local and are re-offset to batch indices here.
+        groups and compaction stats come back shard-local and are
+        re-offset to batch indices here.
 
         Failure isolation: a worker killed mid-shard (OOM, signal,
         ``os._exit``) used to raise ``BrokenProcessPool`` out of the bare
@@ -858,7 +831,7 @@ class BatchRunner:
         shards = self.shards or os.cpu_count() or 1
         shards = max(1, min(shards, len(trials)))
         if shards == 1:
-            return self._run_single(trials, on_shard)
+            return (*self._run_single(trials, on_shard), {})
         bounds = _shard_bounds(len(trials), shards)
         chunks = [
             (bounds[i], trials[bounds[i]: bounds[i + 1]])
@@ -919,26 +892,20 @@ class BatchRunner:
         compaction: List[Dict] = []
         reasons: Dict[int, str] = {}
         for j, ((offset, chunk), (
-            shard_results, shard_groups, shard_compaction, shard_reasons
+            shard_results, shard_groups, shard_compaction
         )) in enumerate(zip(chunks, shard_outputs)):
             results.extend(shard_results)
             stack_groups.extend(
                 [offset + i for i in group] for group in shard_groups
             )
             compaction.extend(shard_compaction)
-            reasons.update(
-                {offset + i: why for i, why in shard_reasons.items()}
-            )
             if j in lost:
                 note = (
                     "process shard re-run in-parent after a worker death "
                     f"({lost[j]})"
                 )
                 for i in range(len(chunk)):
-                    prior = reasons.get(offset + i)
-                    reasons[offset + i] = (
-                        f"{prior}; {note}" if prior else note
-                    )
+                    reasons[offset + i] = note
         return results, stack_groups, compaction, reasons
 
     # ------------------------------------------------------------------

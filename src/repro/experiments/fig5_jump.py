@@ -18,8 +18,7 @@ through the vectorized simplified layer-step kernel (every message is
 awaited, so the fault-free sweep is a pure array op).  ``jump_slack`` is
 a *numeric* policy knob, so the with-JC and without-JC runs advance
 together through one :class:`~repro.core.fast_batch.TrialStack` (the
-slack broadcasts as a per-trial column); ``vectorize=False`` forces the
-per-trial scalar replay, which produces bit-identical amplitudes.
+slack broadcasts as a per-trial column).
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ def run_fig5(
     diameter: int = 24,
     num_pulses: int = 2,
     amplitude_kappas: float = 4.0,
-    vectorize: bool = True,
 ) -> Fig5Result:
     """Compare oscillation amplitudes with and without jump dampening.
 
@@ -134,14 +132,10 @@ def run_fig5(
             layer0=layer0,
             policy=CorrectionPolicy(jump_slack=jump_slack),
             algorithm="simplified",
-            vectorize=vectorize,
         )
         for jump_slack in (1.0, -1.0)
     ]
-    if vectorize:
-        results = TrialStack(sims).run(num_pulses)
-    else:
-        results = [sim.run(num_pulses) for sim in sims]
+    results = TrialStack(sims).run(num_pulses)
     with_jc, without_jc = (
         [float(x) for x in local_skew_per_layer(result)] for result in results
     )

@@ -9,6 +9,9 @@ The driver stacks ``f`` adversarially-late faults in one column on
 consecutive layers and reports the measured skew against ``B_f`` from the
 paper's induction (``B_0 = 4k(2 + log2 D)``, ``B_{i+1} = 5 B_i + 4k``).
 Shape checks: skew grows monotonically with ``f`` and stays below ``B_f``.
+The whole fault-count sweep runs as one
+:class:`~repro.experiments.batch.BatchRunner` call, one trial per ``f``
+(the trials' depths differ and stack padded).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import List, Sequence
 from repro.analysis.report import format_table
 from repro.faults.injection import FaultPlan
 from repro.faults.model import AdversarialLateFault
+from repro.experiments.batch import BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
 
 __all__ = ["Thm12Row", "Thm12Result", "run_thm12"]
@@ -88,9 +92,9 @@ def run_thm12(
     >>> result.all_within_bound and result.monotone
     True
     """
-    rows: List[Thm12Row] = []
     config0 = standard_config(diameter, seed=seed)
     column = config0.graph.width // 2
+    trials: List[BatchTrial] = []
     for f in fault_counts:
         config = standard_config(
             diameter,
@@ -106,12 +110,18 @@ def run_thm12(
             layer_spacing=layer_spacing,
             behavior_factory=lambda node: AdversarialLateFault(lag_kappas),
         )
-        result = config.simulation(fault_plan=plan).run(num_pulses)
-        rows.append(
-            Thm12Row(
-                num_faults=f,
-                local_skew=result.max_local_skew(),
-                bound=config.params.worst_case_fault_bound(diameter, f),
-            )
+        trials.append(
+            BatchTrial(config=config, fault_plan=plan, label=f"f={f}")
         )
+    batch = BatchRunner(num_pulses=num_pulses).run(trials)
+    rows = [
+        Thm12Row(
+            num_faults=f,
+            local_skew=float(skew),
+            bound=trial.config.params.worst_case_fault_bound(diameter, f),
+        )
+        for f, trial, skew in zip(
+            fault_counts, trials, batch.max_local_skews()
+        )
+    ]
     return Thm12Result(diameter=diameter, rows=rows)

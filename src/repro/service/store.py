@@ -12,11 +12,9 @@ cache hit.
 Deliberately *excluded* from the key: ``executor`` and ``shards``.  The
 test suite pins that results are bitwise identical for every sharding,
 so a grid first run serially and resubmitted with
-``executor="process"`` is still a hit.  Keyed: ``vectorize`` (bitwise
-invariant too, but the conservative reading of the cache contract is
-that a kernel bug should never be masked by a cache hit recorded under
-the scalar path), ``store_times``, ``sketch_rank`` and
-``potential_levels`` (the last two change the payload).
+``executor="process"`` is still a hit.  Keyed: ``store_times``,
+``sketch_rank`` and ``potential_levels`` (the last two change the
+payload).
 
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
@@ -38,14 +36,14 @@ __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 
 #: Bumped whenever the key layout or payload schema changes, so stores
 #: persisted to disk never serve a stale schema.  Version 2 dropped the
-#: retired stacking, compaction and backend knobs from the key.
-CACHE_VERSION = 2
+#: retired stacking, compaction and backend knobs from the key; version 3
+#: dropped ``vectorize``.
+CACHE_VERSION = 3
 
 #: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
 #: grid key, with their defaults.  ``executor``/``shards`` are absent by
 #: design (see the module docstring).
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
-    "vectorize": True,
     "store_times": True,
     "sketch_rank": None,
     "potential_levels": (),

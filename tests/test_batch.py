@@ -16,7 +16,12 @@ from repro.analysis.skew import (
     overall_skew,
 )
 from repro.delays.models import UniformDelayModel
-from repro.experiments.batch import BatchRunner, BatchTrial, _shard_bounds
+from repro.experiments.batch import (
+    BatchResult,
+    BatchRunner,
+    BatchTrial,
+    _shard_bounds,
+)
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import CrashFault, FaultPlan
@@ -70,8 +75,14 @@ class TestEquivalenceWithLoop:
         trials = BatchRunner.seed_sweep(
             6, (0, 1), num_pulses=NUM_PULSES, fault_plan_factory=plans
         )
-        fast = BatchRunner(num_pulses=NUM_PULSES, vectorize=True).run(trials)
-        slow = BatchRunner(num_pulses=NUM_PULSES, vectorize=False).run(trials)
+        fast = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        slow = BatchResult(
+            trials,
+            [
+                trial.simulation(vectorize=False).run(NUM_PULSES)
+                for trial in trials
+            ],
+        )
         np.testing.assert_allclose(
             fast.times, slow.times, rtol=0.0, atol=1e-9, equal_nan=True
         )
@@ -194,7 +205,12 @@ class TestNoCopySingleStack:
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
 
     def test_per_trial_batches_remain_writable_copies(self):
-        trials, batch = seed_batch(vectorize=False)
+        # Per-trial runs are stacks of one each; a batch over several of
+        # them re-stacks their windows into a fresh writable block.
+        trials = BatchRunner.seed_sweep(6, (0, 1, 2), num_pulses=NUM_PULSES)
+        batch = BatchResult(
+            trials, [trial.simulation().run(NUM_PULSES) for trial in trials]
+        )
         assert batch.times.flags.writeable
         for result in batch.results:
             assert not np.shares_memory(batch.times, result.times)

@@ -59,7 +59,11 @@ class TestWithFaults:
 
 class TestViolationDetection:
     def _doctored(self):
+        # Run results are frozen snapshots: doctor writable copies.
         result = noisy_sim(diameter=6, seed=0).run(2)
+        for name in ("times", "protocol_times", "corrections",
+                     "effective_corrections", "branches"):
+            setattr(result, name, getattr(result, name).copy())
         return result
 
     def test_slow_violation_detected(self):

@@ -105,6 +105,16 @@ class TestTheorems:
         assert result.monotone
         assert result.rows[1].local_skew > result.rows[0].local_skew
         assert "Theorem 1.2" in result.table()
+        # The batched sweep reproduces the per-f runs bit for bit: these
+        # are the values one FastSimulation.run per fault count gave.
+        assert [
+            (r.num_faults, r.local_skew.hex(), r.bound.hex())
+            for r in result.rows
+        ] == [
+            (0, "0x1.183f8481aae00p-6", "0x1.f739f79d7f59cp-2"),
+            (1, "0x1.381d8d17c5dc0p-5", "0x1.796b79b61f835p+1"),
+            (2, "0x1.63a4160287f00p-5", "0x1.e78027e0935efp+3"),
+        ]
 
     def test_thm13(self):
         result = run_thm13(diameter=10, num_trials=5, num_pulses=2)

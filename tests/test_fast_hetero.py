@@ -517,24 +517,8 @@ class TestDepthSkewCompaction:
 
 
 class TestFallbackReasons:
-    """Per-trial fallbacks always leave a trace on BatchResult."""
-
-    def test_scalar_path_records_reason(self):
-        trials = thm11_style_trials(diameters=(4,), seeds=(0, 1))
-        batch = BatchRunner(num_pulses=NUM_PULSES, vectorize=False).run(trials)
-        assert batch.stack_groups == []
-        assert set(batch.fallback_reasons) == {0, 1}
-        assert all(
-            "vectorize=False" in why for why in batch.fallback_reasons.values()
-        )
+    """Only executor events (worker deaths) leave a reason on BatchResult."""
 
     def test_stacked_runs_record_no_reason(self):
         batch = BatchRunner(num_pulses=NUM_PULSES).run(thm11_style_trials())
         assert batch.fallback_reasons == {}
-
-    def test_process_executor_propagates_reasons(self):
-        trials = thm11_style_trials(diameters=(4, 6), seeds=(0, 1))
-        batch = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2, vectorize=False
-        ).run(trials)
-        assert set(batch.fallback_reasons) == set(range(len(trials)))

@@ -1,6 +1,7 @@
 """Tests for repro.core.fast: the layer-recurrence simulator, fault-free."""
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -355,6 +356,34 @@ class TestPolicies:
         node = (2, 3)
         assert result.pulse_time(node, 1) == result.times[1, 3, 2]
         assert result.faulty_mask.sum() == 0
+
+
+class TestRunIsAStackOfOne:
+    """``FastSimulation.run`` returns a stacked result like any stack."""
+
+    def test_arrays_are_frozen(self):
+        result = noisy_sim(diameter=6).run(2)
+        for attr in RESULT_ARRAYS + ("branches",):
+            assert not getattr(result, attr).flags.writeable, attr
+        with pytest.raises(ValueError):
+            result.times[0, 0, 0] = 0.0
+
+    def test_result_is_row_zero_of_its_block(self):
+        result = noisy_sim(diameter=6).run(2)
+        assert result.stack_row == 0
+        assert result.stack_block.times.shape[0] == 1
+        assert np.shares_memory(result.times, result.stack_block.times)
+
+    def test_pickle_drops_block_and_round_trips(self):
+        result = noisy_sim(diameter=6).run(2)
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.stack_block is None
+        assert clone.stack_row is None
+        for attr in RESULT_ARRAYS + ("branches",):
+            np.testing.assert_array_equal(
+                getattr(clone, attr), getattr(result, attr), err_msg=attr
+            )
+        assert clone.max_local_skew() == result.max_local_skew()
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,11 @@ coverage of ``tests/test_fast_batch.py``:
   stack key) and group them separately from full-algorithm trials.
 """
 
+import functools
+
 import numpy as np
 
+import repro.experiments.fig5_jump as fig5_mod
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
@@ -147,9 +150,26 @@ class TestVectorizedSimplified:
         np.testing.assert_array_equal(vec.times, scalar.times)
         np.testing.assert_array_equal(vec.corrections, scalar.corrections)
 
-    def test_fig5_driver_matches_scalar(self):
-        fast = run_fig5(diameter=8, num_pulses=2, vectorize=True)
-        slow = run_fig5(diameter=8, num_pulses=2, vectorize=False)
+    def test_fig5_driver_matches_scalar(self, monkeypatch):
+        fast = run_fig5(diameter=8, num_pulses=2)
+
+        class PerTrialScalar:
+            """Stand-in stack: each simulation runs on its own."""
+
+            def __init__(self, sims):
+                self.sims = sims
+
+            def run(self, num_pulses):
+                return [sim.run(num_pulses) for sim in self.sims]
+
+        # Re-run the driver with its simulations on the scalar replay.
+        monkeypatch.setattr(
+            fig5_mod,
+            "FastSimulation",
+            functools.partial(FastSimulation, vectorize=False),
+        )
+        monkeypatch.setattr(fig5_mod, "TrialStack", PerTrialScalar)
+        slow = run_fig5(diameter=8, num_pulses=2)
         assert fast.amplitude_with_jc == slow.amplitude_with_jc
         assert fast.amplitude_without_jc == slow.amplitude_without_jc
 

@@ -130,19 +130,18 @@ class TestGridKey:
             trials, NUM_PULSES, {"executor": "process", "shards": 4}
         )
 
-    def test_keyed_knobs_are_the_four_survivors(self):
-        # The retired stacking/compaction/backend knobs left the key, so
-        # the layout changed and CACHE_VERSION moved past 1.
+    def test_keyed_knobs_are_the_three_survivors(self):
+        # The retired stacking/compaction/backend knobs and then
+        # ``vectorize`` left the key, so the layout changed twice and
+        # CACHE_VERSION moved to 3.
         assert set(KEYED_RUNNER_KNOBS) == {
-            "vectorize",
             "store_times",
             "sketch_rank",
             "potential_levels",
         }
-        assert CACHE_VERSION == 2
+        assert CACHE_VERSION == 3
         trials = build_trials(SMALL_GRID)
         for knob, value in (
-            ("vectorize", False),
             ("store_times", False),
             ("sketch_rank", 2),
             ("potential_levels", (1,)),
@@ -154,7 +153,7 @@ class TestGridKey:
     def test_explicit_default_hashes_like_omitted(self):
         trials = build_trials(SMALL_GRID)
         assert grid_key(trials, NUM_PULSES) == grid_key(
-            trials, NUM_PULSES, {"vectorize": True, "store_times": True}
+            trials, NUM_PULSES, {"store_times": True, "sketch_rank": None}
         )
 
     def test_unpicklable_grid_is_uncacheable(self):
@@ -326,11 +325,10 @@ class TestJobRunner:
         assert runner.jobs() == []
 
     def test_retired_runner_knob_fails_the_submit_call(self, runner):
-        # BatchRunner no longer takes the knob, so validation names it.
-        with pytest.raises(TypeError, match="kernel_backend"):
-            runner.submit(
-                {"grid": SMALL_GRID, "runner": {"kernel_backend": "numpy"}}
-            )
+        # BatchRunner no longer takes the knobs, so validation names them.
+        for knob, value in (("kernel_backend", "numpy"), ("vectorize", False)):
+            with pytest.raises(TypeError, match=knob):
+                runner.submit({"grid": SMALL_GRID, "runner": {knob: value}})
         assert runner.jobs() == []
 
     def test_trial_error_fails_the_job_not_the_runner(self, runner):
@@ -499,8 +497,9 @@ class TestServiceHTTP:
             client.submit({"kind": "thm99"})
 
     def test_retired_runner_knob_is_a_400_naming_it(self, client):
-        with pytest.raises(RuntimeError, match="HTTP 400.*kernel_backend"):
-            client.submit(SMALL_GRID, runner={"kernel_backend": "numpy"})
+        for knob, value in (("kernel_backend", "numpy"), ("vectorize", False)):
+            with pytest.raises(RuntimeError, match=f"HTTP 400.*{knob}"):
+                client.submit(SMALL_GRID, runner={knob: value})
 
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(RuntimeError, match="HTTP 404"):
