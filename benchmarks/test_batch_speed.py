@@ -54,6 +54,11 @@ Four micro-benchmarks track the performance trajectory across PRs:
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
   and asserting the >= 4x reduction floor (and that the streamed peak
   stays under a single block -- CI fails if the block ever comes back).
+* ``test_fault_fallback_overhead``: warm runs of the 17-trial thm13
+  stack (a fault-free reference plus 16 sampled fault plans, D = 32,
+  8 pulses) against the same configs run fault-free, asserting the
+  faulted stack takes at most 4x as long; recorded under
+  ``"fault_fallback"``.
 
 The batch benches record their modes into ``BENCH_batch.json`` next to
 this file (merge-updating their own section, so running a subset keeps
@@ -89,7 +94,8 @@ from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.delays import StaticDelayModel, UniformDelayModel
 from repro.delays.models import _edge_rng
-from repro.experiments.batch import BatchResult, BatchRunner
+from repro.experiments.batch import BatchResult, BatchRunner, BatchTrial
+from repro.experiments.thm13_random_faults import thm13_trials
 from repro.faults import ChaosCampaign
 from repro.params import Parameters
 from repro.topology import LayeredGraph, replicated_line, sparse_layered
@@ -1401,4 +1407,104 @@ def test_cold_gather_speedup():
     assert gather_speedup >= COLD_GATHER_FLOOR, (
         f"block gather only {gather_speedup:.1f}x faster than the per-edge "
         f"loop; floor is {COLD_GATHER_FLOOR}x"
+    )
+
+
+#: The fault-fallback cell: the thm13 grid the ``fault_horizon``
+#: benchmark re-runs -- a fault-free reference plus 16 sampled fault
+#: plans at D = 32 over 8 pulses (seeds fixed here).
+FALLBACK_DIAMETER = 32
+FALLBACK_SEEDS = list(range(1, 17))
+FALLBACK_PULSES = 8
+#: Ceiling on the warm faulted / fault-free time ratio.
+FALLBACK_CEILING = 4.0
+#: The same cell and protocol before the stack-wide pass (one resolver
+#: call per trial row and layer, gathering events edge by edge in
+#: Python), best of 5 on a 2-core x86-64 box.  Written into the section
+#: next to the live numbers.
+PER_TRIAL_RESOLVER = {
+    "faulted_s": 1.094,
+    "fault_free_s": 0.133,
+    "faulted_over_fault_free": 8.2,
+    "fallback_cells": 8894,
+    "fallback_batches": 2634,
+}
+
+
+def fault_fallback_timings(repeats=3):
+    """Best-of warm seconds of the faulted grid and of its fault-free twin.
+
+    Both grids are cold-filled first, so every delay array is cached and
+    the timings hold the kernel, the fallback and the reducers only.
+    Returns ``(record, faulted_batch)``; the record holds both timings,
+    their ratio and the faulted stack's fallback counters.
+    """
+    trials, _ = thm13_trials(
+        FALLBACK_DIAMETER, FALLBACK_SEEDS, num_pulses=FALLBACK_PULSES
+    )
+    fault_free = [BatchTrial(config=trial.config) for trial in trials]
+    runner = BatchRunner(num_pulses=FALLBACK_PULSES, store_times=False)
+    for grid in (trials, fault_free):
+        runner.run(grid)
+    faulted_time, faulted = timed(lambda: runner.run(trials), repeats)
+    free_time, _ = timed(lambda: runner.run(fault_free), repeats)
+    node_pulses = trials[0].config.num_grid_nodes * FALLBACK_PULSES
+    counters = {
+        key: sum(stats.get(key, 0) for stats in faulted.compaction_stats)
+        for key in ("fallback_cells", "fallback_batches", "fallback_passes")
+    }
+    record = {
+        "faulted": _mode_record(
+            len(trials), faulted_time, node_pulses, **counters
+        ),
+        "fault_free": _mode_record(len(trials), free_time, node_pulses),
+        "faulted_over_fault_free": faulted_time / free_time,
+    }
+    return record, faulted
+
+
+def test_fault_fallback_overhead():
+    """Warm faulted thm13 stack <= 4x the same configs run fault-free.
+
+    Before the fallback resolved each layer step in one stack-wide pass
+    gathered from arrays, the faulted stack took ~8x as long; the
+    section records those timings (:data:`PER_TRIAL_RESOLVER`) next to
+    the live ``stack_wide`` ones.
+    """
+    for repeats in (3, 5):
+        record, faulted = fault_fallback_timings(repeats)
+        if record["faulted_over_fault_free"] <= FALLBACK_CEILING:
+            break
+    ratio = record["faulted_over_fault_free"]
+    counters = record["faulted"]
+    assert 0 < counters["fallback_passes"] <= counters["fallback_batches"]
+    _merge_bench_json(
+        {
+            "fault_fallback": {
+                "grid": {
+                    "diameter": FALLBACK_DIAMETER,
+                    "num_pulses": FALLBACK_PULSES,
+                    "trials": len(faulted.trials),
+                    "faults": int(sum(t.num_faults for t in faulted.trials)),
+                },
+                "per_trial_resolver": PER_TRIAL_RESOLVER,
+                "stack_wide": record,
+            }
+        }
+    )
+    print()
+    print(
+        format_table(
+            ["grid", "seconds", "fallback passes"],
+            [
+                ("faulted", counters["seconds"], counters["fallback_passes"]),
+                ("fault-free", record["fault_free"]["seconds"], 0),
+            ],
+            title=f"Warm thm13 stack, D={FALLBACK_DIAMETER}, "
+            f"{FALLBACK_PULSES} pulses ({ratio:.1f}x fault-free)",
+        )
+    )
+    assert ratio <= FALLBACK_CEILING, (
+        f"faulted stack {ratio:.1f}x the fault-free one; ceiling is "
+        f"{FALLBACK_CEILING}x"
     )

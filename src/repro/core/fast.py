@@ -47,10 +47,11 @@ algorithms run through it:
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
   every register filled -- the fault-free/normal-branch path.  A cell is
-  resolved by the batched fallback
-  (:meth:`FastSimulation._run_fallback_batch`) instead when any of its
-  predecessors is faulty (reception times then come from
-  ``fault_sends``), a predecessor never pulsed (missing-message regime),
+  resolved by the stack-wide batched fallback
+  (:meth:`~repro.core.fast_batch.TrialStack._run_fallback`, replaying
+  through :func:`_fallback_replay`) instead when any of its
+  predecessors is faulty (reception times then come from the faulty
+  nodes' recorded sends), a predecessor never pulsed (missing-message regime),
   or the loop would exit *early* -- the own-copy timeout (via-``H_max``
   branch, ``H_own > H_max + k/2 + vt*k``) or the last-neighbor timeout
   (``H_max > 2*H_own - H_min + 2k``) fires before the last arrival.
@@ -381,6 +382,135 @@ def _layer_step_kernel_csr(
     )
 
 
+def _fallback_replay(
+    ev_time: np.ndarray,
+    num_nb: np.ndarray,
+    rates: np.ndarray,
+    params: Parameters,
+    policy: CorrectionPolicy,
+    simplified: bool,
+) -> Tuple[np.ndarray, ...]:
+    """Replay the loop of every kernel-rejected cell at once.
+
+    ``ev_time`` holds one row of real reception times per cell: column 0
+    is the own copy, columns ``1..`` the neighbor copies (order is
+    irrelevant), ``+inf`` where a message is missing or the slot is
+    padding.  ``num_nb`` counts each cell's neighbor predecessors and
+    ``rates`` its clock rate; the numeric fields of ``params``/``policy``
+    are scalars or one value per cell.  The events are sorted along the
+    event axis and the replay advances event **positions**: at most
+    ``max_deg + 1`` vectorized steps, however many cells there are.
+    Register updates, the exit test (:meth:`FastSimulation._exit_requirement`)
+    and the correction (:func:`_correction_step`) mirror the scalar
+    replay operation for operation, and every operation is per cell, so a
+    cell's outcome does not depend on which other cells share the pass.
+
+    Returns ``(pulses, correction, branches, pulse_time, effective,
+    h_own)``: ``pulses`` marks cells that pulse, and the rest of the
+    arrays are meaningful where the scalar replay would record them.
+    """
+    n, n_ev = ev_time.shape
+    ev_own = np.zeros(ev_time.shape, dtype=bool)
+    ev_own[:, 0] = True
+    # Chronological event order in local time.  Rates are positive,
+    # so sorting real arrivals sorts local times; the secondary key
+    # puts own-copy events after neighbor events on ties, matching
+    # the scalar sort key ``(time, kind != "neighbor")``.
+    order = np.lexsort((ev_own, ev_time))
+    local = rates[:, None] * np.take_along_axis(ev_time, order, axis=1)
+    own_sorted = np.take_along_axis(ev_own, order, axis=1)
+    is_event = np.isfinite(local)
+
+    via_max = np.zeros(n, dtype=bool)
+    if simplified:
+        # Algorithm 1: wait for own + first + last neighbor
+        # unconditionally; no do-until exit to replay.
+        nb_event = is_event & ~own_sorted
+        own_ok = np.isfinite(ev_time[:, 0])
+        complete = own_ok & (nb_event.sum(axis=1) >= num_nb) & (num_nb > 0)
+        with np.errstate(invalid="ignore"):
+            h_own = np.where(own_ok, rates * ev_time[:, 0], np.inf)
+            h_min = np.where(nb_event, local, np.inf).min(axis=1)
+            h_max = np.where(nb_event, local, -np.inf).max(axis=1)
+            exit_tau = np.maximum(h_own, h_max)
+        pulses = complete
+    else:
+        # Algorithm 3: replay the do-until loop for every cell at
+        # once, one event *position* per step.
+        kappa = params.kappa
+        vartheta = params.vartheta
+        h_own = np.full(n, np.inf)
+        h_min = np.full(n, np.inf)
+        h_max = np.full(n, np.inf)
+        received = np.zeros(n, dtype=np.int64)
+        exit_tau = np.zeros(n)
+        done = np.zeros(n, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            for j in range(n_ev):
+                live = is_event[:, j] & ~done
+                if not live.any():
+                    # Events are sorted, +inf-padded to the right:
+                    # nothing live here means nothing live later.
+                    break
+                t = local[:, j]
+                upd_own = live & own_sorted[:, j]
+                upd_nb = live & ~own_sorted[:, j]
+                h_own = np.where(upd_own, np.minimum(h_own, t), h_own)
+                received = received + upd_nb
+                h_min = np.where(upd_nb & (received == 1), t, h_min)
+                h_max = np.where(upd_nb & (received == num_nb), t, h_max)
+                # _exit_requirement, vectorized: the earliest local
+                # exit time given the registers known after event j.
+                own_inf = np.isinf(h_own)
+                max_inf = np.isinf(h_max)
+                req_own = np.where(
+                    own_inf,
+                    h_max + kappa / 2.0 + vartheta * kappa,
+                    -np.inf,
+                )
+                req_nb = np.where(
+                    max_inf,
+                    2.0 * h_own - h_min + 2.0 * kappa,
+                    -np.inf,
+                )
+                required = np.maximum(t, np.maximum(req_own, req_nb))
+                can_exit = live & np.isfinite(h_min) & ~(own_inf & max_inf)
+                next_t = (
+                    local[:, j + 1] if j + 1 < n_ev else np.full(n, np.inf)
+                )
+                exits = can_exit & (required < next_t)
+                exit_tau = np.where(exits, required, exit_tau)
+                via_max = via_max | (exits & own_inf)
+                done = done | exits
+        pulses = done
+
+    # Outcomes.  Cells that never exit stay "none" (NaN correction, no
+    # pulse); via-H_max cells anchor on H_max; the rest run the
+    # correction rule on their frozen registers.
+    correction = np.full(n, np.nan)
+    branch_codes = np.full(n, BRANCH_CODES["none"], dtype=np.int8)
+    normal = pulses & ~via_max
+    if normal.any():
+        corr, br = _correction_step(h_own, h_min, h_max, params, policy)
+        correction = np.where(normal, corr, correction)
+        branch_codes = np.where(normal, br, branch_codes)
+    with np.errstate(invalid="ignore"):
+        target = h_own + params.Lambda - params.d - correction
+        pulse_local = np.maximum(target, exit_tau)
+        if via_max.any():
+            vm_local = np.maximum(
+                h_max + 1.5 * params.kappa + params.Lambda - params.d,
+                exit_tau,
+            )
+            pulse_local = np.where(via_max, vm_local, pulse_local)
+            branch_codes = np.where(
+                via_max, np.int8(BRANCH_CODES["via_max"]), branch_codes
+            )
+        pulse_time = np.where(pulses, pulse_local / rates, np.nan)
+        effective = h_own + params.Lambda - params.d - rates * pulse_time
+    return pulses, correction, branch_codes, pulse_time, effective, h_own
+
+
 @dataclass
 class NodeOutcome:
     """Outcome of one node's loop iteration (used internally and by tests)."""
@@ -422,6 +552,16 @@ class FastResult:
         ``int8`` codes per :data:`BRANCH_CODES`.
     fault_sends:
         ``{(faulty_node, successor): {pulse: send_time_or_None}}``.
+    fallback_cells:
+        How many of this trial's kernel-rejected cells the stack-wide
+        batched fallback resolved.  Zero on fault-free runs that never
+        hit a missing message or an early exit.
+    fallback_batches:
+        In how many (pulse, layer) steps this trial had any such cell:
+        the per-trial count of fallback work, whatever stack the trial
+        ran in.  The stack's own count of resolver calls is
+        ``fallback_passes`` in
+        :attr:`~repro.core.fast_batch.TrialStack.compaction_stats`.
 
     Streamed runs (``store_times=False``) keep only a rolling one-pulse
     window of these matrices while running and release even that at the
@@ -464,10 +604,7 @@ class FastResult:
             self.effective_corrections = None
             self.branches = None
         self.fault_sends: Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]] = {}
-        # Batched-fallback accounting: how many kernel-rejected cells were
-        # resolved by :meth:`FastSimulation._run_fallback_batch`, and in
-        # how many batched passes (one per (pulse, layer) with any
-        # rejected cell).  Zero on fault-free runs.
+        # Batched-fallback accounting (see the class docstring).
         self.fallback_cells = 0
         self.fallback_batches = 0
         # Set by campaign runs (:class:`~repro.faults.campaign.ChaosCampaign`):
@@ -916,213 +1053,24 @@ class FastSimulation:
 
     def _record_fault_sends(
         self, result: FastResult, node: NodeId, k: int, correct_time: float
-    ) -> None:
+    ) -> List[Optional[float]]:
+        """Record faulty ``node``'s pulse-``k`` sends in ``fault_sends``.
+
+        Returns the send times (None = silent) in ``graph.successors``
+        order -- own copy first, then the neighbor copies -- so the trial
+        stack can also lay them out as arrays.
+        """
         behavior = self.fault_plan.behavior(node)
         assert behavior is not None
         context = FaultContext(
             node=node, pulse=k, correct_time=correct_time, kappa=self.params.kappa
         )
+        sends = []
         for successor in self.graph.successors(node):
             send = behavior.send_time(context, successor)
             result.fault_sends.setdefault((node, successor), {})[k] = send
-
-    # ------------------------------------------------------------------
-    # Batched fallback
-    # ------------------------------------------------------------------
-    def _run_fallback_batch(
-        self,
-        result: FastResult,
-        k: int,
-        layer: int,
-        cells: np.ndarray,
-        sweep: "_VectorSweep",
-        row_index: Optional[int] = None,
-    ) -> None:
-        """Resolve all of one layer's kernel-rejected cells in one pass.
-
-        ``cells`` holds the vertex ids the vectorized kernel declared
-        ineligible -- fault-adjacent, missing-message, or early-exit
-        (via-``H_max`` / last-neighbor timeout) candidates.  Instead of
-        replaying each node's do-until loop in Python
-        (:meth:`_run_node_and_record`), the arrival events of *all* cells
-        are packed into one ``(n_cells, max_deg + 1)`` matrix (``+inf`` =
-        missing) sorted along the event axis, and the replay advances
-        event **positions**: at most ``max_deg + 1`` vectorized steps
-        regardless of how many cells fell back.  Register updates, the
-        exit test (:meth:`_exit_requirement`), and the correction
-        (:func:`_correction_step`) mirror the scalar replay
-        operation-for-operation, so outcomes are bit-identical to it --
-        the differential suite pins both against the event engine.
-
-        Only the event *gather* stays per-edge Python, because send
-        times may come from the ``fault_sends`` dict (as in
-        :meth:`_arrivals`).  Delays are read from ``sweep``'s gathered
-        layer arrays, the ones the kernel read, not queried per message.
-        """
-        rk = k if row_index is None else row_index
-        cells = np.asarray(cells, dtype=np.int64)
-        n = int(cells.size)
-        if n == 0:
-            return
-        result.fallback_batches += 1
-        result.fallback_cells += n
-        params = self.params
-        graph = self.graph
-        own_delay, nb_delay = sweep.delay_arrays(layer, k)
-        prev_layer = layer - 1
-
-        # --- Gather: one +inf-padded event row per cell (col 0 = own
-        # copy, cols 1.. = neighbor copies; order is irrelevant after the
-        # sort below).  Mirrors :meth:`_arrivals` per edge.
-        preds = [graph.neighbor_predecessors((int(v), layer)) for v in cells]
-        num_nb = np.array([len(p) for p in preds], dtype=np.int64)
-        n_ev = int(num_nb.max()) + 1 if n else 1
-        ev_time = np.full((n, n_ev), np.inf)
-        ev_own = np.zeros((n, n_ev), dtype=bool)
-        rates = np.empty(n)
-        for i in range(n):
-            v = int(cells[i])
-            node = (v, layer)
-            rates[i] = self.rate(node, k)
-            own_pred = (v, prev_layer)
-            own_send = self._send_time(result, own_pred, node, k, row_index)
-            if own_send is not None:
-                ev_time[i, 0] = own_send + own_delay[v]
-                ev_own[i, 0] = True
-            # Neighbor-copy delays of v, in neighbor_predecessors order.
-            nb_row = (
-                nb_delay[sweep.indptr[v]: sweep.indptr[v + 1]]
-                if sweep.backend == "csr"
-                else nb_delay[v]
-            )
-            for j, pred in enumerate(preds[i], start=1):
-                send = self._send_time(result, pred, node, k, row_index)
-                if send is not None:
-                    ev_time[i, j] = send + nb_row[j - 1]
-
-        # Chronological event order in local time.  Rates are positive,
-        # so sorting real arrivals sorts local times; the secondary key
-        # puts own-copy events after neighbor events on ties, matching
-        # the scalar sort key ``(time, kind != "neighbor")``.
-        order = np.lexsort((ev_own, ev_time))
-        local = rates[:, None] * np.take_along_axis(ev_time, order, axis=1)
-        own_sorted = np.take_along_axis(ev_own, order, axis=1)
-        is_event = np.isfinite(local)
-
-        via_max = np.zeros(n, dtype=bool)
-        if self.algorithm == "simplified":
-            # Algorithm 1: wait for own + first + last neighbor
-            # unconditionally; no do-until exit to replay.
-            nb_event = is_event & ~own_sorted
-            own_ok = (ev_own & np.isfinite(ev_time)).any(axis=1)
-            complete = (
-                own_ok & (nb_event.sum(axis=1) >= num_nb) & (num_nb > 0)
-            )
-            with np.errstate(invalid="ignore"):
-                h_own = np.where(own_ok, rates * ev_time[:, 0], np.inf)
-                h_min = np.where(nb_event, local, np.inf).min(axis=1)
-                h_max = np.where(nb_event, local, -np.inf).max(axis=1)
-                exit_tau = np.maximum(h_own, h_max)
-            pulses = complete
-        else:
-            # Algorithm 3: replay the do-until loop for every cell at
-            # once, one event *position* per step.
-            kappa = params.kappa
-            vartheta = params.vartheta
-            h_own = np.full(n, np.inf)
-            h_min = np.full(n, np.inf)
-            h_max = np.full(n, np.inf)
-            received = np.zeros(n, dtype=np.int64)
-            exit_tau = np.zeros(n)
-            done = np.zeros(n, dtype=bool)
-            with np.errstate(invalid="ignore"):
-                for j in range(n_ev):
-                    live = is_event[:, j] & ~done
-                    if not live.any():
-                        # Events are sorted, +inf-padded to the right:
-                        # nothing live here means nothing live later.
-                        break
-                    t = local[:, j]
-                    upd_own = live & own_sorted[:, j]
-                    upd_nb = live & ~own_sorted[:, j]
-                    h_own = np.where(upd_own, np.minimum(h_own, t), h_own)
-                    received = received + upd_nb
-                    h_min = np.where(upd_nb & (received == 1), t, h_min)
-                    h_max = np.where(upd_nb & (received == num_nb), t, h_max)
-                    # _exit_requirement, vectorized: the earliest local
-                    # exit time given the registers known after event j.
-                    own_inf = np.isinf(h_own)
-                    max_inf = np.isinf(h_max)
-                    req_own = np.where(
-                        own_inf,
-                        h_max + kappa / 2.0 + vartheta * kappa,
-                        -np.inf,
-                    )
-                    req_nb = np.where(
-                        max_inf,
-                        2.0 * h_own - h_min + 2.0 * kappa,
-                        -np.inf,
-                    )
-                    required = np.maximum(t, np.maximum(req_own, req_nb))
-                    can_exit = (
-                        live & np.isfinite(h_min) & ~(own_inf & max_inf)
-                    )
-                    next_t = (
-                        local[:, j + 1]
-                        if j + 1 < n_ev
-                        else np.full(n, np.inf)
-                    )
-                    exits = can_exit & (required < next_t)
-                    exit_tau = np.where(exits, required, exit_tau)
-                    via_max = via_max | (exits & own_inf)
-                    done = done | exits
-            pulses = done
-
-        # --- Outcomes.  Cells that never exit stay "none" (NaN
-        # correction, no pulse); via-H_max cells anchor on H_max; the
-        # rest run the correction rule on their frozen registers.
-        correction = np.full(n, np.nan)
-        branch_codes = np.full(n, BRANCH_CODES["none"], dtype=np.int8)
-        normal = pulses & ~via_max
-        if normal.any():
-            corr, br = _correction_step(
-                h_own, h_min, h_max, params, self.policy
-            )
-            correction = np.where(normal, corr, correction)
-            branch_codes = np.where(normal, br, branch_codes)
-        with np.errstate(invalid="ignore"):
-            target = h_own + params.Lambda - params.d - correction
-            pulse_local = np.maximum(target, exit_tau)
-            if via_max.any():
-                vm_local = np.maximum(
-                    h_max + 1.5 * params.kappa + params.Lambda - params.d,
-                    exit_tau,
-                )
-                pulse_local = np.where(via_max, vm_local, pulse_local)
-                branch_codes = np.where(
-                    via_max, np.int8(BRANCH_CODES["via_max"]), branch_codes
-                )
-            pulse_time = np.where(pulses, pulse_local / rates, np.nan)
-            effective = (
-                h_own + params.Lambda - params.d - rates * pulse_time
-            )
-
-        result.corrections[rk, layer, cells] = correction
-        result.branches[rk, layer, cells] = branch_codes
-        eff_ok = pulses & np.isfinite(h_own)
-        result.effective_corrections[rk, layer, cells[eff_ok]] = effective[
-            eff_ok
-        ]
-        result.protocol_times[rk, layer, cells[pulses]] = pulse_time[pulses]
-        faulty = np.array(
-            [self.fault_plan.is_faulty((int(v), layer)) for v in cells]
-        )
-        ok = pulses & ~faulty
-        result.times[rk, layer, cells[ok]] = pulse_time[ok]
-        for i in np.nonzero(pulses & faulty)[0]:
-            self._record_fault_sends(
-                result, (int(cells[i]), layer), k, float(pulse_time[i])
-            )
+            sends.append(send)
+        return sends
 
     # ------------------------------------------------------------------
     # Reception times
@@ -1359,6 +1307,7 @@ class _VectorSweep:
         self.sim = sim
         graph = sim.graph
         base = graph.base
+        self.base = base
         width = base.num_nodes
         self.width = width
         self.backend = backend
@@ -1418,6 +1367,36 @@ class _VectorSweep:
         #: neighbor-copy edge into a layer, in the gathered arrays'
         #: order; built on the first gather.
         self._edge_ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: ``(indptr, indices, reverse)`` CSR tables of the send slots;
+        #: built on the first fault send.
+        self._reverse: Optional[Tuple[np.ndarray, ...]] = None
+
+    def send_slots(self, v: int) -> Tuple[np.ndarray, ...]:
+        """Where vertex ``v``'s neighbor-copy sends land one layer up.
+
+        ``graph.successors((v, l))`` lists the own copy, then ``(w, l + 1)``
+        for each neighbor ``w`` of ``v`` in sorted order; the message to
+        ``(w, l + 1)`` is the copy of ``v`` among ``w``'s neighbors.
+        Returns the index of those slots in the neighbor-delay layout:
+        ``(targets, positions)`` into a ``(W, max_deg)`` plane in dense
+        mode, ``(entries,)`` into the ``(nnz,)`` edge vector in CSR mode.
+        """
+        if self._reverse is None:
+            indptr, indices, _ = self.base.neighbor_csr()
+            owner = np.repeat(
+                np.arange(self.width, dtype=np.int64), np.diff(indptr)
+            )
+            # Adjacency is symmetric and sorted, so the entries sorted by
+            # (target, source) list the reverse of CSR entry i at i.
+            reverse = np.lexsort((owner, indices))
+            self._reverse = (indptr, indices, reverse)
+        indptr, indices, reverse = self._reverse
+        segment = slice(indptr[v], indptr[v + 1])
+        entries = reverse[segment]
+        if self.backend == "csr":
+            return (entries,)
+        targets = indices[segment]
+        return targets, entries - indptr[targets]
 
     def delay_arrays(self, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Own-copy ``(W,)`` and neighbor-copy delays for one layer.

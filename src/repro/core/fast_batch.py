@@ -127,12 +127,18 @@ eligible cells produce bit-identical floats whatever stack it runs in
 (per-trial parameter columns broadcast elementwise and change no
 operation).  The exact eligibility test is applied cell by cell:
 fault-adjacent, via-``H_max``, and missing-message cells drop out of the
-array path and are resolved by the batched
-:meth:`FastSimulation._run_fallback_batch` of their own simulation, which
-mirrors the scalar per-node replay operation for operation.  The test
+array path and are resolved by one stack-wide batched fallback pass per
+layer step (:meth:`TrialStack._run_fallback`), which mirrors the scalar
+per-node replay operation for operation.  The pass gathers every
+rejected cell's arrivals from arrays: send times from the stacked
+``times`` plane or, for faulty predecessors, from a per-layer overlay of
+their recorded sends, plus the layer's delay and rate planes and the
+cells' own parameter values.  Every operation of the replay is per cell,
+so a cell's outcome does not depend on which stack it ran in.  The test
 suite asserts equality against both per-trial runs (stacks of one) and
 the scalar reference (``vectorize=False``), for both algorithms, over
-randomized mixed-geometry stacks.
+randomized mixed-geometry stacks.  :func:`_kernel_cells` is the test
+seam that sends every cell through the fallback instead.
 """
 
 from __future__ import annotations
@@ -146,6 +152,7 @@ from repro.core.fast import (
     FastResult,
     FastSimulation,
     _VectorSweep,
+    _fallback_replay,
     _layer_step_kernel,
     _layer_step_kernel_csr,
     _neighbor_backend,
@@ -272,6 +279,18 @@ def _select_cells(
     return rows, np.flatnonzero(used)
 
 
+def _kernel_cells(eligible: np.ndarray) -> np.ndarray:
+    """The cells of a layer step that keep the kernel's outputs.
+
+    These are the ``eligible`` cells themselves; every other active cell
+    goes through the stack-wide fallback.  A test seam like
+    :func:`_select_cells`, not an option: patching it to return an
+    all-False mask replays every cell through the fallback, the
+    same-arithmetic vectorized reference of the scalar replay.
+    """
+    return eligible
+
+
 class _StackedParams:
     """Per-trial ``(S, 1)`` numeric parameter columns for the kernel.
 
@@ -289,11 +308,16 @@ class _StackedParams:
             column = np.array([getattr(sim.params, name) for sim in sims])
             setattr(self, name, column[:, None])
 
-    def take(self, rows: np.ndarray) -> "_StackedParams":
-        """The columns of the compacted row subset (same broadcast shape)."""
+    def take(self, rows: np.ndarray, flat: bool = False) -> "_StackedParams":
+        """The columns of the compacted row subset (same broadcast shape).
+
+        With ``flat``, one value per entry of ``rows`` instead: the
+        per-cell vectors of the stack-wide fallback.
+        """
         taken = object.__new__(type(self))
         for name in self.__slots__:
-            setattr(taken, name, getattr(self, name)[rows])
+            column = getattr(self, name)
+            setattr(taken, name, column[rows, 0] if flat else column[rows])
         return taken
 
 
@@ -309,12 +333,15 @@ class _StackedPolicy:
             [sim.policy.jump_slack for sim in sims]
         )[:, None]
 
-    def take(self, rows: np.ndarray) -> "_StackedPolicy":
-        """The policy restricted to the compacted row subset."""
+    def take(self, rows: np.ndarray, flat: bool = False) -> "_StackedPolicy":
+        """The policy restricted to the compacted row subset (or, with
+        ``flat``, one ``jump_slack`` per entry of ``rows``)."""
         taken = object.__new__(type(self))
         taken.discretize = self.discretize
         taken.stick_to_median = self.stick_to_median
-        taken.jump_slack = self.jump_slack[rows]
+        taken.jump_slack = (
+            self.jump_slack[rows, 0] if flat else self.jump_slack[rows]
+        )
         return taken
 
 
@@ -622,6 +649,8 @@ class TrialStack:
             _neighbor_backend(sims[0].graph.base) if self._uniform else "dense"
         )
         sweeps = [_VectorSweep(sim, backend=backend) for sim in sims]
+        # Epoch entries replace a trial's sweep in this list in place.
+        self._sweeps = sweeps
         self._all_pulse_invariant = all(
             getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
         )
@@ -738,6 +767,12 @@ class TrialStack:
             (sim.graph, sim.fault_plan, sim._layer0_has_fault) for sim in sims
         ]
 
+        # Fault-send overlays of the current pulse, keyed by the layer that
+        # receives the sends (see _record_fault_sends), and the count of
+        # stack-wide fallback passes.
+        self._sends: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._fallback_passes = 0
+
         matrices = (times, protocol_times, corrections, effective, branches)
         try:
             for k in range(num_pulses):
@@ -768,6 +803,7 @@ class TrialStack:
                     corrections[:, 0] = np.nan
                     effective[:, 0] = np.nan
                     branches[:, 0] = BRANCH_CODES["none"]
+                self._sends.clear()
                 self._run_layer0_stacked(
                     results, times, protocol_times, branches, k, rk
                 )
@@ -819,7 +855,6 @@ class TrialStack:
                             k,
                             layer,
                             rk,
-                            sweeps,
                         )
                     if stream is not None:
                         # Skipped steps still update with an empty rows hint so
@@ -864,11 +899,15 @@ class TrialStack:
             ),
             "neighbor_backend": backend,
             # Batched-fallback accounting: total kernel-rejected cells
-            # resolved by the masked replay, and in how many batched
-            # passes.  Zero on fault-free stacks.
+            # resolved by the replay, their per-trial (pulse, layer)
+            # batches, and the stack-wide resolver passes -- one per
+            # (pulse, layer) step with any such cell, so never more than
+            # the batches.  Zero on fault-free stacks.
             "fallback_cells": sum(r.fallback_cells for r in results),
             "fallback_batches": sum(r.fallback_batches for r in results),
+            "fallback_passes": self._fallback_passes,
         }
+        self._sends = {}
 
         if stream is not None:
             stream.finalize()
@@ -989,9 +1028,9 @@ class TrialStack:
         streamed runs, over one reusable ``(S, W_max)`` row refilled per
         pulse by :func:`~repro.core.layer0.stacked_pulse_row`
         (bit-identical entries).  ``rk`` is the block's storage row for
-        pulse ``k`` (``k`` itself, or 0 on the rolling window).  Only
-        trials with layer-0 faults drop to a per-vertex loop (their
-        ``fault_sends`` bookkeeping is inherently per-edge).
+        pulse ``k`` (``k`` itself, or 0 on the rolling window).  Faulty
+        layer-0 nodes record their sends one node at a time: each
+        successor's send comes from a Python fault behavior.
         """
         if self._layer0_block is not None:
             row = self._layer0_block[:, k, :]  # (S, W), NaN on padding
@@ -1007,9 +1046,53 @@ class TrialStack:
         times[:, rk, 0, :] = np.where(self._l0_faulty, np.nan, row)
         for s in self._l0_fault_trials:
             for v in np.nonzero(self._l0_faulty[s])[0]:
-                self.sims[s]._record_fault_sends(
-                    results[s], (int(v), 0), k, float(row[s, v])
+                self._record_fault_sends(
+                    results, s, int(v), 0, k, float(row[s, v])
                 )
+
+    def _record_fault_sends(
+        self,
+        results: List[FastResult],
+        s: int,
+        v: int,
+        layer: int,
+        k: int,
+        correct_time: float,
+    ) -> None:
+        """Record faulty ``(v, layer)``'s pulse-``k`` sends of trial ``s``.
+
+        The simulation records them in its result's ``fault_sends``
+        (:meth:`FastSimulation._record_fault_sends`); the stack also
+        writes them into the overlay of ``layer + 1``: an ``(own, nb)``
+        pair laid out like that layer's delay arrays -- ``(S, W_max)``
+        own copies plus ``(S, W_max, max_deg)`` neighbor copies, or the
+        ``(S, nnz)`` edge vector on CSR stacks.  A silent send is
+        ``+inf``, and so is every slot no send was recorded for.  The
+        fallback reads a faulty predecessor's send from the overlay at
+        the slot where it reads that edge's delay.
+        """
+        sends = self.sims[s]._record_fault_sends(
+            results[s], (v, layer), k, correct_time
+        )
+        if not sends:
+            return  # last layer: no successors
+        overlay = self._sends.get(layer + 1)
+        if overlay is None:
+            num_trials = len(self.sims)
+            nb_shape = (
+                (num_trials, self._csr[1].shape[0])
+                if self._csr is not None
+                else (num_trials, self._width, self._max_deg)
+            )
+            overlay = (
+                np.full((num_trials, self._width), np.inf),
+                np.full(nb_shape, np.inf),
+            )
+            self._sends[layer + 1] = overlay
+        own, nb = overlay
+        values = [np.inf if send is None else send for send in sends]
+        own[s, v] = values[0]
+        nb[(s,) + self._sweeps[s].send_slots(v)] = values[1:]
 
     def _row_structs(
         self,
@@ -1104,7 +1187,6 @@ class TrialStack:
         k: int,
         layer: int,
         rk: int,
-        sweeps: Sequence[_VectorSweep],
     ) -> None:
         """Advance pulse ``k`` of ``layer`` on the selected plane.
 
@@ -1119,8 +1201,6 @@ class TrialStack:
         ``protocol_times``, ``corrections``, ``effective`` and
         ``branches`` blocks; ``rk`` is the storage row of pulse ``k``
         (``k`` itself on materialized runs, 0 on the rolling window).
-        ``sweeps`` are the trials' current sweeps, whose gathered delay
-        arrays the batched fallback reads.
 
         Results scatter back through the plane's subscripts.  Ineligible
         cells are written with the padding values (``NaN``/``"none"``)
@@ -1131,10 +1211,12 @@ class TrialStack:
         never eligible, and their fallback replays record nothing).
         ``structs["active"]`` (None on uniform stacks) masks the padding
         inside the plane, so inert cells are never replayed by the
-        batched fallback.
+        batched fallback.  Every other rejected cell of the plane is
+        resolved by one :meth:`_run_fallback` pass.
         """
         times, protocol_times, corrections, effective, branches_out = matrices
         sims = self.sims
+        sent = self._sends.pop(layer, None)
         ri, ci = structs["index"]
         prev = times[ri, rk, layer - 1, ci]  # NaN = missing
         own_delay, nb_delay = delays
@@ -1172,6 +1254,7 @@ class TrialStack:
                     simplified,
                 )
             )
+        eligible = _kernel_cells(eligible)
 
         if not layer_faulty and eligible.all():
             # Common case (no trial has a fault on this layer, every cell
@@ -1199,22 +1282,136 @@ class TrialStack:
         vertices = structs["vertices"]
         if layer_faulty:
             for si, vi in zip(*np.nonzero(eligible & faulty_here)):
-                s = int(trials[si])
-                v = int(vi if vertices is None else vertices[vi])
-                sims[s]._record_fault_sends(
-                    results[s], (v, layer), k, float(pulse_time[si, vi])
+                self._record_fault_sends(
+                    results,
+                    int(trials[si]),
+                    int(vi if vertices is None else vertices[vi]),
+                    layer,
+                    k,
+                    float(pulse_time[si, vi]),
                 )
         active = structs["active"]
         fallback = (
             ~eligible if active is None else active[:, layer, :] & ~eligible
         )
         if fallback.any():
-            # One batched resolver call per trial row with rejected
-            # cells (vertex ids mapped back through the lane set).
-            for si in np.nonzero(fallback.any(axis=1))[0]:
-                s = int(trials[si])
-                vi = np.nonzero(fallback[si])[0]
-                sims[s]._run_fallback_batch(
-                    results[s], k, layer,
-                    vi if vertices is None else vertices[vi], sweeps[s], rk,
-                )
+            self._run_fallback(
+                results, matrices, structs, prev, delays, rate, sent,
+                np.nonzero(fallback), k, layer, rk,
+            )
+
+    def _run_fallback(
+        self,
+        results: List[FastResult],
+        matrices: Tuple[np.ndarray, ...],
+        structs: Dict[str, object],
+        prev: np.ndarray,
+        delays: Tuple[np.ndarray, np.ndarray],
+        rate: np.ndarray,
+        sent: Optional[Tuple[np.ndarray, np.ndarray]],
+        cells: Tuple[np.ndarray, np.ndarray],
+        k: int,
+        layer: int,
+        rk: int,
+    ) -> None:
+        """Resolve every kernel-rejected cell of one layer step in one pass.
+
+        ``cells`` are the ``(row, column)`` positions of the rejected
+        cells in the plane :meth:`_run_layer_stacked` ran on, whose
+        ``prev`` send times, ``delays`` and ``rate`` it passes on.  Each
+        cell's arrival events are gathered from those arrays: the own
+        copy at the cell's own column, the neighbor copies through the
+        plane's neighbor table (or the shared CSR segments).  A faulty
+        predecessor's send comes from ``sent``, the overlay its
+        recorded sends were written to (:meth:`_record_fault_sends`;
+        None when no faulty predecessor sent anything), and a missing
+        message is ``+inf``.  Parameters are each cell's trial's own.
+        :func:`~repro.core.fast._fallback_replay` then replays all cells
+        at once, and the outcomes scatter back to the cells' trials and
+        vertices; faulty cells that pulse record their sends.
+        """
+        times, protocol_times, corrections, effective, branches = matrices
+        si, vi = cells
+        trials = structs["trials"][si]
+        vertices = vi if structs["vertices"] is None else structs["vertices"][vi]
+        own_delay, nb_delay = delays
+        prev_faulty = structs["faulty"][:, layer - 1, :]
+
+        # Neighbor slots of each cell: source column in the plane,
+        # validity, delay, and overlay index.
+        if self._csr is None:
+            nb_idx, nb_valid = structs["nb_idx"], structs["nb_valid"]
+            if nb_idx.ndim == 3:
+                source, valid = nb_idx[si, vi], nb_valid[si, vi]
+            else:
+                source, valid = nb_idx[vi], nb_valid[vi]
+            nb_d = nb_delay[si, vi]
+            slot = (trials, vertices)
+        else:
+            indptr, indices = self._csr[0], self._csr[1]
+            start = indptr[vi]
+            degree = indptr[vi + 1] - start
+            offsets = np.arange(int(degree.max()))
+            valid = offsets < degree[:, None]
+            entry = np.minimum(start[:, None] + offsets, indices.shape[0] - 1)
+            source = indices[entry]
+            nb_d = nb_delay[si[:, None], entry]
+            slot = (trials[:, None], entry)
+        row = si[:, None]
+        own_sent = nb_sent = np.inf  # no faulty predecessor sent anything
+        if sent is not None:
+            own_sent = sent[0][trials, vertices]
+            nb_sent = sent[1][slot]
+        own_send = np.where(prev_faulty[si, vi], own_sent, prev[si, vi])
+        nb_send = np.where(prev_faulty[row, source], nb_sent, prev[row, source])
+
+        ev_time = np.empty((si.size, 1 + valid.shape[1]))
+        ev_time[:, 0] = own_send + own_delay[si, vi]
+        ev_time[:, 1:] = np.where(valid, nb_send + nb_d, np.inf)
+        # A correct predecessor that never pulsed sent nothing.
+        ev_time[np.isnan(ev_time)] = np.inf
+
+        params, policy = self._params, self._policy
+        if isinstance(params, _StackedParams):
+            params = params.take(trials, flat=True)
+        if isinstance(policy, _StackedPolicy):
+            policy = policy.take(trials, flat=True)
+        rates = rate[si, vi]
+        pulses, correction, branch_codes, pulse_time, eff, h_own = (
+            _fallback_replay(
+                ev_time,
+                valid.sum(axis=1),
+                rates,
+                params,
+                policy,
+                self.sims[0].algorithm == "simplified",
+            )
+        )
+
+        corrections[trials, rk, layer, vertices] = correction
+        branches[trials, rk, layer, vertices] = branch_codes
+        eff_ok = pulses & np.isfinite(h_own)
+        effective[trials[eff_ok], rk, layer, vertices[eff_ok]] = eff[eff_ok]
+        protocol_times[trials[pulses], rk, layer, vertices[pulses]] = (
+            pulse_time[pulses]
+        )
+        faulty = structs["faulty"][si, layer, vi]
+        ok = pulses & ~faulty
+        times[trials[ok], rk, layer, vertices[ok]] = pulse_time[ok]
+        for i in np.flatnonzero(pulses & faulty):
+            self._record_fault_sends(
+                results,
+                int(trials[i]),
+                int(vertices[i]),
+                layer,
+                k,
+                float(pulse_time[i]),
+            )
+
+        # Per-trial accounting keeps its meaning: a trial's batch is one
+        # (pulse, layer) step with any rejected cell of that trial.
+        self._fallback_passes += 1
+        counts = np.bincount(trials)
+        for s in np.flatnonzero(counts):
+            results[s].fallback_batches += 1
+            results[s].fallback_cells += int(counts[s])

@@ -206,11 +206,13 @@ class BatchResult:
         -- padded vs executed row steps with min/max depth (depth axis),
         padded vs executed lane steps with min/max width (width axis),
         the ``neighbor_backend`` (``"dense"``/``"csr"``) the density
-        heuristic chose, and the batched-fallback accounting
-        (``fallback_cells`` / ``fallback_batches``: kernel-rejected
-        cells resolved by the masked replay of
-        :meth:`~repro.core.fast.FastSimulation._run_fallback_batch`,
-        never by per-cell Python loops) -- so "how much padding did
+        heuristic chose, and the batched-fallback accounting --
+        ``fallback_cells`` (kernel-rejected cells the replay resolved,
+        never by per-cell Python loops), ``fallback_batches`` (summed
+        over trials: the (pulse, layer) steps each trial had such cells
+        in) and ``fallback_passes`` (the stack's resolver calls, one per
+        (pulse, layer) step with any such cell, so at most
+        ``fallback_batches``) -- so "how much padding did
         compaction reclaim?" is on record next to "which trials
         stacked".
     fallback_reasons:
@@ -635,9 +637,10 @@ class BatchRunner:
         Pulses simulated per trial.
     executor:
         ``"serial"`` (default) or ``"process"``.  The process executor
-        shards the trial list across worker processes -- worthwhile for
-        fault-heavy sweeps dominated by the batched fallback.  Trials must
-        be picklable.
+        shards the trial list across worker processes, whose inputs are
+        gathered cold in a pool built anew on each call -- it pays only
+        when per-trial work dwarfs that start-up.  Trials must be
+        picklable.
     shards:
         Number of process shards; defaults to ``os.cpu_count()`` capped at
         the trial count.  Ignored by the serial executor.

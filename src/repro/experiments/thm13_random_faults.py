@@ -170,9 +170,9 @@ def run_thm13(
 
     All sampled plans (plus the fault-free reference as trial 0) run as a
     single :class:`BatchRunner` batch; the per-trial skew maxima reduce in
-    one sweep over the stacked pulse-time stack.  Fault-heavy cells replay
-    the scalar fallback, which is exactly the regime
-    ``executor="process"`` shards across cores.  The reference trial's
+    one sweep over the stacked pulse-time stack.  Fault-adjacent cells
+    of all trials replay through one batched fallback pass per layer
+    step.  The reference trial's
     pulse budget differs from the fault trials', not its geometry, so the
     whole batch is one stack group, and depth compaction retires trials
     whose layers a fault plan has silenced outright.  The driver reduces

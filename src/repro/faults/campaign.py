@@ -25,7 +25,7 @@ any part of pulse ``k``'s window is down for pulse ``k``.
 
 * **Crash / recover** (:class:`NodeCrash` / :class:`NodeRecover`): the
   grid node keeps its edges but stops sending -- neighbors still *wait*
-  for it (and time out, or take the exact scalar fallback).  A fault in
+  for it (and time out, or take the exact batched fallback).  A fault in
   the paper's sense, realized by merging a
   :class:`~repro.faults.model.FaultBehavior` into the epoch's plan.
 * **Leave / join** (:class:`NodeLeave` / :class:`NodeJoin`): membership.

@@ -339,6 +339,7 @@ class TestSparseBatchOptions:
                 "neighbor_backend",
                 "fallback_cells",
                 "fallback_batches",
+                "fallback_passes",
             ):
                 assert key in stats, (key, stats)
         assert sharded.fallback_reasons == serial.fallback_reasons

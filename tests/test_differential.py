@@ -45,7 +45,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.fast as fast_mod
@@ -59,6 +59,7 @@ from repro.analysis.skew import (
 )
 from repro.analysis.streaming import default_reducers, fold_correction_planes
 from repro.clocks import uniform_random_rates
+from repro.core.correction import CorrectionPolicy
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
 from repro.core.layer0 import (
@@ -116,6 +117,29 @@ ENGINE_SETTINGS = settings(
 
 
 @st.composite
+def layered_graphs(draw):
+    """A small layered grid: a line, cycle or complete graph, 2-4 layers."""
+    kind = draw(st.sampled_from(["line", "cycle", "complete"]))
+    if kind == "line":
+        base = replicated_line(draw(st.integers(2, 5)))
+    elif kind == "cycle":
+        base = cycle_graph(draw(st.integers(3, 7)))
+    else:
+        base = complete_graph(draw(st.integers(3, 5)))
+    return LayeredGraph(base, draw(st.integers(2, 4)))
+
+
+def random_fault(rng, params):
+    """A crash, late or fixed-offset fault behaviour drawn from ``rng``."""
+    roll = rng.random()
+    if roll < 0.4:
+        return CrashFault()
+    if roll < 0.7:
+        return AdversarialLateFault(float(rng.uniform(0.5, 0.9 * params.Lambda)))
+    return FixedOffsetFault(float(rng.uniform(0.05, 0.4)))
+
+
+@st.composite
 def scenarios(draw):
     """One engine-compatible cell: geometry, delays, rates, layer 0, faults.
 
@@ -129,15 +153,8 @@ def scenarios(draw):
     (observed empirically from ~3.5 Lambda).  The vectorized fast family
     stays bitwise-pinned against itself for arbitrary magnitudes.
     """
-    kind = draw(st.sampled_from(["line", "cycle", "complete"]))
-    if kind == "line":
-        base = replicated_line(draw(st.integers(2, 5)))
-    elif kind == "cycle":
-        base = cycle_graph(draw(st.integers(3, 7)))
-    else:
-        base = complete_graph(draw(st.integers(3, 5)))
-    num_layers = draw(st.integers(2, 4))
-    graph = LayeredGraph(base, num_layers)
+    graph = draw(layered_graphs())
+    base, num_layers = graph.base, graph.num_layers
     params = draw(st.sampled_from(PARAMS_CHOICES))
     seed = draw(st.integers(0, 2**16))
 
@@ -179,16 +196,7 @@ def scenarios(draw):
                 int(rng.integers(base.num_nodes)),
                 int(rng.integers(num_layers)),
             )
-            roll = rng.random()
-            if roll < 0.4:
-                behavior = CrashFault()
-            elif roll < 0.7:
-                behavior = AdversarialLateFault(
-                    float(rng.uniform(0.5, 0.9 * params.Lambda))
-                )
-            else:
-                behavior = FixedOffsetFault(float(rng.uniform(0.05, 0.4)))
-            behaviors[node] = behavior
+            behaviors[node] = random_fault(rng, params)
         fault_plan = FaultPlan.from_nodes(behaviors)
 
     return {
@@ -322,6 +330,16 @@ def lanes_uncompacted():
 def prefer_csr(prefer):
     """Force the density heuristic's dense/CSR verdict."""
     return mock.patch.object(fast_mod, "_prefer_csr", lambda base: prefer)
+
+
+def all_fallback():
+    """Patch the kernel's accepted cells to none.
+
+    Every active cell of every layer step then goes through the
+    stack-wide fallback: the same-arithmetic vectorized reference of the
+    scalar per-node replay.
+    """
+    return mock.patch.object(fast_batch_mod, "_kernel_cells", np.zeros_like)
 
 
 def _decoy(scenario, num_layers, algorithm):
@@ -678,8 +696,8 @@ class TestBatchedFallbackDifferential:
     """The batched fault-adjacent replay against the scalar reference.
 
     Every scenario here carries at least one fault, so the vectorized
-    path must route cells through ``_run_fallback_batch`` -- and the
-    accounting proves it did (no silently-eligible examples).
+    path must route cells through the stack-wide fallback pass -- and
+    the accounting proves it did (no silently-eligible examples).
     """
 
     @FAMILY_SETTINGS
@@ -709,6 +727,127 @@ class TestBatchedFallbackDifferential:
         assert_results_equal(
             vectorized, scalar, exact=False, label="batched fallback"
         )
+
+
+@st.composite
+def faulted_trials(draw, graph, params, algorithm, campaign=False):
+    """A builder of fresh simulations of one faulted stack mate.
+
+    Delays, clock rates, layer 0 and the numeric policy knob are drawn
+    per trial.  The fault plan always holds a layer-0 fault, so layer
+    1's cells reach the fallback through the sends layer 0 records, plus
+    up to two more faults anywhere.  With ``campaign`` the trial also
+    runs a drawn churn campaign that crosses at least one epoch
+    boundary.
+    """
+    base = graph.base
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        delay_model = StaticDelayModel(params.d, params.u, seed=seed)
+    else:
+        delay_model = UniformDelayModel(params.d, params.u)
+    if draw(st.booleans()):
+        layer0 = JitteredLayer0(
+            params.Lambda, base.num_nodes, params.kappa / 2.0, seed=seed
+        )
+    else:
+        layer0 = PerfectLayer0(params.Lambda)
+    clocks = uniform_random_rates(
+        list(graph.nodes()), params.vartheta, rng_or_seed=seed + 1
+    )
+    rates = {node: clock.rate for node, clock in clocks.items()}
+    rng = np.random.default_rng(seed + 2)
+    behaviors = {}
+    layers = [0] + [
+        int(rng.integers(graph.num_layers))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    for layer in layers:
+        node = (int(rng.integers(base.num_nodes)), layer)
+        behaviors[node] = random_fault(rng, params)
+    fault_plan = FaultPlan.from_nodes(behaviors)
+    policy = CorrectionPolicy(jump_slack=draw(st.sampled_from([1.0, 0.0])))
+    churn = None
+    if campaign:
+        churn = draw(campaigns(base, graph.num_layers))
+        schedule = churn.compile(CAMPAIGN_PULSES, base_plan=fault_plan)
+        assume(len(schedule.epochs) >= 2)
+
+    def build():
+        return FastSimulation(
+            graph,
+            params,
+            delay_model=delay_model,
+            clock_rates=rates,
+            fault_plan=fault_plan,
+            layer0=layer0,
+            policy=policy,
+            algorithm=algorithm,
+            campaign=churn,
+        )
+
+    return build
+
+
+class TestStackWideFallbackDifferential:
+    """One fallback pass per layer step for a stack == each trial alone.
+
+    Every stack mate carries faults, including one on layer 0, so each
+    layer step resolves the rejected cells of several trials in one
+    pass.  Mates alternate between the two parameter sets (per-trial
+    parameter columns) and draw their own policy knob.  Dense stacks mix
+    widths and depths and run their first trial under a churn campaign;
+    CSR stacks share one graph, as the segment layout needs.  Every
+    materialized matrix and ``fault_sends`` must equal the trial's own
+    stack of one bitwise, and so must the streamed folds of a
+    ``store_times=False`` run of the same stack.
+    """
+
+    @FAMILY_SETTINGS
+    @given(data=st.data())
+    def test_stack_matches_stacks_of_one(self, data):
+        algorithm = data.draw(st.sampled_from(["full", "simplified"]))
+        csr = data.draw(st.booleans())
+        count = data.draw(st.integers(2, 3))
+        if csr:
+            graphs = [data.draw(layered_graphs())] * count
+        else:
+            graphs = [data.draw(layered_graphs()) for _ in range(count)]
+        params = [PARAMS_CHOICES[i % 2] for i in range(count)]
+        builders = [
+            data.draw(
+                faulted_trials(
+                    graphs[i],
+                    params[i],
+                    algorithm,
+                    campaign=not csr and i == 0,
+                )
+            )
+            for i in range(count)
+        ]
+        with prefer_csr(csr):
+            stack = TrialStack([build() for build in builders])
+            stacked = stack.run(CAMPAIGN_PULSES)
+            streamed = TrialStack([build() for build in builders]).run(
+                CAMPAIGN_PULSES, reducers=_stream_reducers(), store_times=False
+            )
+            alone = [build().run(CAMPAIGN_PULSES) for build in builders]
+
+        stats = stack.compaction_stats
+        assert stats["neighbor_backend"] == ("csr" if csr else "dense")
+        assert isinstance(stack._params, fast_batch_mod._StackedParams)
+        assert 0 < stats["fallback_passes"] <= stats["fallback_batches"]
+        if not csr:
+            assert stacked[0].churn_stats["epochs"] >= 2
+        for i, (got, want) in enumerate(zip(stacked, alone)):
+            assert_results_equal(got, want, exact=True, label=f"trial {i}")
+            assert streamed[i].fault_sends == want.fault_sends
+            assert_streamed_matches_materialized(
+                streamed[i],
+                want,
+                {"graph": graphs[i], "params": params[i]},
+                label=f"streamed trial {i}",
+            )
 
 
 class TestEngineDifferential:
@@ -782,6 +921,67 @@ class TestEngineDifferential:
             rtol=0.0, atol=1e-9, equal_nan=True,
             err_msg="engine vs streamed global skew",
         )
+
+
+class TestAllFallbackSeam:
+    """Every cell through the stack-wide fallback, against the engine.
+
+    With :func:`all_fallback` the kernel decides nothing: the fallback
+    replays every active cell of every layer step, and the accounting
+    proves it.  The replay is pinned to the event engine at 1e-9 and to
+    the normal run bitwise -- on a cell the kernel accepts, the replay
+    exits at the last arrival with the kernel's own registers.
+    """
+
+    def _replay(self, scenario, algorithm):
+        with all_fallback():
+            stack = TrialStack([fast_simulation(scenario, algorithm)])
+            replayed = stack.run(NUM_PULSES)[0]
+        stats = stack.compaction_stats
+        assert stats["fallback_cells"] == stats["active_lane_steps"], stats
+        assert stats["fallback_passes"] == stats["active_row_steps"], stats
+        normal = fast_simulation(scenario, algorithm).run(NUM_PULSES)
+        assert_results_equal(replayed, normal, exact=True, label="all-fallback")
+        event = TestEngineDifferential()._engine_times(scenario)
+        np.testing.assert_array_equal(np.isnan(event), np.isnan(replayed.times))
+        np.testing.assert_allclose(
+            event, replayed.times, rtol=0.0, atol=1e-9, equal_nan=True
+        )
+
+    @ENGINE_SETTINGS
+    @given(data=st.data())
+    def test_full_algorithm_matches_engine(self, data):
+        scenario = data.draw(scenarios())
+        graph = scenario["graph"]
+        # One more fault below the last layer, so faulty sends always
+        # reach the replay.
+        plan = scenario["fault_plan"]
+        behaviors = {} if plan is None else {n: plan.behavior(n) for n in plan}
+        node = (
+            data.draw(st.integers(0, graph.base.num_nodes - 1)),
+            data.draw(st.integers(0, graph.num_layers - 2)),
+        )
+        behaviors[node] = data.draw(
+            st.sampled_from([FixedOffsetFault(0.2), CrashFault()])
+        )
+        self._replay(
+            dict(scenario, fault_plan=FaultPlan.from_nodes(behaviors)), "full"
+        )
+
+    @ENGINE_SETTINGS
+    @given(scenario=scenarios())
+    def test_simplified_algorithm_matches_engine(self, scenario):
+        """Algorithm 1 where Lemma B.2 makes it Algorithm 3 exactly.
+
+        The engine runs Algorithm 3.  On a fault-free run whose every
+        cell the full kernel accepts, each loop exits at its last
+        arrival, which is exactly when Algorithm 1 stops waiting.
+        """
+        scenario = dict(scenario, fault_plan=None)
+        full = TrialStack([fast_simulation(scenario)])
+        full.run(NUM_PULSES)
+        assume(full.compaction_stats["fallback_cells"] == 0)
+        self._replay(scenario, "simplified")
 
 
 class TestCampaignDifferential:

@@ -338,6 +338,8 @@ class TestFallbackAccounting:
         assert stats["fallback_cells"] > 0
         assert stats["fallback_batches"] > 0
         assert stats["fallback_cells"] >= stats["fallback_batches"]
+        # One stack-wide pass serves every trial of a layer step.
+        assert 0 < stats["fallback_passes"] <= stats["fallback_batches"]
         # Per-cell scalar replays used to ride outside any accounting;
         # fallback_reasons stays reserved for whole-trial stack refusals.
         assert batch.fallback_reasons == {}
@@ -350,6 +352,39 @@ class TestFallbackAccounting:
         stats = batch.compaction_stats[0]
         assert stats["fallback_cells"] == 0
         assert stats["fallback_batches"] == 0
+        assert stats["fallback_passes"] == 0
+
+    def test_one_pass_per_layer_step_with_fallback_cells(self, monkeypatch):
+        """``fallback_passes`` counts distinct (pulse, layer) steps.
+
+        A spy records the step of every resolver call.  The stack makes
+        one call per step, and its steps are exactly the steps in which
+        some trial, run alone, has a fallback cell; alone, a trial's
+        calls are its ``fallback_batches``.
+        """
+        steps = []
+        resolve = TrialStack._run_fallback
+
+        def spy(stack, *args):
+            k, layer = args[-3], args[-2]
+            steps.append((k, layer))
+            return resolve(stack, *args)
+
+        monkeypatch.setattr(TrialStack, "_run_fallback", spy)
+        trials = _faulted_trials()
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        stats = batch.compaction_stats[0]
+        stack_steps = list(steps)
+        assert len(stack_steps) == len(set(stack_steps))
+        assert stats["fallback_passes"] == len(stack_steps)
+        assert 0 < stats["fallback_passes"] <= stats["fallback_batches"]
+        union = set()
+        for trial in trials:
+            steps.clear()
+            result = trial.simulation().run(NUM_PULSES)
+            assert len(steps) == result.fallback_batches
+            union.update(steps)
+        assert set(stack_steps) == union
 
     def test_gather_is_one_call_per_layer_and_warm_runs_query_nothing(
         self, monkeypatch

@@ -101,7 +101,7 @@ class TestVectorizedSimplified:
         assert not np.isnan(result.times).any()
 
     def test_fault_adjacent_cells_fall_back_to_scalar(self):
-        """A late Byzantine predecessor drives the exact scalar fallback."""
+        """A late Byzantine predecessor drives the exact batched fallback."""
         config = standard_config(5, num_pulses=NUM_PULSES)
         plan = FaultPlan.from_nodes({(2, 1): AdversarialLateFault(30.0)})
         trials = [
