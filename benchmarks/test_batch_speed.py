@@ -49,6 +49,10 @@ Four micro-benchmarks track the performance trajectory across PRs:
   and the whole cold sweep, asserting bitwise-equal arrays and
   statistics and the >= 5x gather floor; recorded under
   ``"cold_gather"``.
+* ``test_cold_vs_warm``: a fresh S = 64, D = 32 streamed sweep's
+  first run vs its warm rerun (every delay and rate cached), asserting
+  the first run takes at most 3x as long; recorded under
+  ``"cold_vs_warm"``.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -1407,6 +1411,99 @@ def test_cold_gather_speedup():
     assert gather_speedup >= COLD_GATHER_FLOOR, (
         f"block gather only {gather_speedup:.1f}x faster than the per-edge "
         f"loop; floor is {COLD_GATHER_FLOOR}x"
+    )
+
+
+#: The cold-vs-warm cell: 64 fresh fault-free D = 32 trials over 4
+#: pulses, streamed -- the sweep a new study starts with.
+COLD_WARM_TRIALS = 64
+#: Ceiling on the first-run / warm-rerun time ratio.
+COLD_WARM_CEILING = 3.0
+#: The same cell and protocol with one delay replay per trial and layer
+#: (and per-layer rate lists), best of 3 on a 2-core x86-64 box.
+#: Written into the section next to the live numbers.
+PER_LAYER_REPLAY = {
+    "config_s": 0.116,
+    "first_run_s": 0.786,
+    "warm_rerun_s": 0.108,
+    "first_over_warm": 7.31,
+}
+
+
+def cold_vs_warm_timings(rounds=3):
+    """Best-of first-run and warm-rerun seconds of fresh 64-trial sweeps.
+
+    Each round builds a fresh grid (new configs, so new delay models with
+    empty caches), times its construction and its first streamed run,
+    then re-runs it warm.  Returns the record and the last warm batch.
+    """
+    runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+    config_s = first_s = warm_s = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        trials = BatchRunner.seed_sweep(
+            BATCH_DIAMETER, range(COLD_WARM_TRIALS), num_pulses=NUM_PULSES
+        )
+        config_s = min(config_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        runner.run(trials)
+        first_s = min(first_s, time.perf_counter() - start)
+        seconds, batch = timed(lambda: runner.run(trials))
+        warm_s = min(warm_s, seconds)
+    record = {
+        "config_s": config_s,
+        "first_run_s": first_s,
+        "warm_rerun_s": warm_s,
+        "first_over_warm": first_s / warm_s,
+    }
+    return record, batch
+
+
+def test_cold_vs_warm():
+    """A fresh sweep's first run costs at most 3x its warm rerun.
+
+    The first run gathers every delay (one array-valued replay per
+    trial) and rate plane; the rerun finds them cached.  With one replay
+    per trial and layer the first run took ~6-8x the rerun; the section
+    records those timings (:data:`PER_LAYER_REPLAY`) next to the live
+    ``per_trial_replay`` ones.
+    """
+    record, batch = cold_vs_warm_timings()
+    config = batch.trials[0].config
+    _merge_bench_json(
+        {
+            "cold_vs_warm": {
+                "grid": {
+                    "diameter": BATCH_DIAMETER,
+                    "num_layers": config.num_layers,
+                    "width": config.graph.width,
+                    "num_pulses": NUM_PULSES,
+                    "trials": COLD_WARM_TRIALS,
+                    "faults": 0,
+                    "streamed": True,
+                },
+                "per_layer_replay": PER_LAYER_REPLAY,
+                "per_trial_replay": record,
+            }
+        }
+    )
+    ratio = record["first_over_warm"]
+    print()
+    print(
+        format_table(
+            ["stage", "seconds"],
+            [
+                ("config construction", record["config_s"]),
+                ("first run", record["first_run_s"]),
+                ("warm rerun", record["warm_rerun_s"]),
+            ],
+            title=f"Cold vs warm, S={COLD_WARM_TRIALS}, D={BATCH_DIAMETER} "
+            f"({ratio:.1f}x warm)",
+        )
+    )
+    assert ratio <= COLD_WARM_CEILING, (
+        f"first run {ratio:.1f}x the warm rerun; ceiling is "
+        f"{COLD_WARM_CEILING}x"
     )
 
 

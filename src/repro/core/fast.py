@@ -75,6 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -101,6 +102,12 @@ BRANCH_CODES = {
 }
 
 RateProvider = Union[None, Dict[NodeId, float], Callable[[NodeId, int], float]]
+
+#: Most edges one array-valued ``delay`` call gathers: a delay-cache miss
+#: covers whole layers up to this many edges, so a D = 32 trial (~3.3k
+#: edges) replays all its delays in one call while the replay's uint64
+#: temporaries stay bounded on 10^5-node graphs (one layer per call).
+_GATHER_BLOCK_EDGES = 1 << 16
 
 
 def _prefer_csr(base) -> bool:
@@ -789,14 +796,15 @@ class FastSimulation:
         self.vectorize = vectorize
         self.campaign = campaign
         self._rates = clock_rates
-        # Per-layer rate arrays for the vectorized sweep, rebuilt every run
-        # so in-place edits of a rates dict between runs are honored.  The
-        # per-layer *delay* arrays are cached on the delay model itself
-        # (see :class:`~repro.delays.models.DelayModel`), so they survive
+        # (L, W) rate plane of a static rate provider for the vectorized
+        # sweep, rebuilt every run so in-place edits of a rates dict
+        # between runs are honored.  The per-layer *delay* arrays are
+        # cached on the delay model itself (see
+        # :class:`~repro.delays.models.DelayModel`), so they survive
         # simulation reconstruction -- a batch sweep rebuilding one
-        # FastSimulation per trial per run gathers each layer only once
-        # per model.
-        self._rate_cache: Dict[object, np.ndarray] = {}
+        # FastSimulation per trial per run gathers a trial's delays once
+        # per model, all its layers in one call.
+        self._rate_plane: Optional[np.ndarray] = None
         # (num_pulses, W) layer-0 schedule, gathered once per run in
         # :meth:`_begin_run`; consumed row by row in :meth:`_run_layer0`.
         self._layer0_times: Optional[np.ndarray] = None
@@ -956,7 +964,7 @@ class FastSimulation:
             allocate=allocate,
             storage_pulses=storage_pulses,
         )
-        self._rate_cache = {}
+        self._rate_plane = None
         if layer0_times is None and gather_layer0:
             layer0_times = self.layer0.pulse_times_array(
                 self.graph.base, num_pulses
@@ -1294,13 +1302,13 @@ class _VectorSweep:
     Built by :meth:`repro.core.fast_batch.TrialStack.run` once per trial
     and run (the fault plan may change between runs) and once per
     campaign epoch state, with the neighbor ``backend`` (``"dense"`` or
-    ``"csr"``) the stack chose.  Rate arrays are cached on the simulation
-    per run; delay arrays are cached on the *delay model* (keyed by edge
-    structure and layer/pulse), so they survive simulation reconstruction
-    and are never re-gathered for the same model.  Block gathers pass
-    int64 vertex arrays and per-edge gathers plain ``int`` vertices, so
-    delay models keyed or seeded by edge identity see exactly the scalar
-    path's edges.
+    ``"csr"``) the stack chose.  The rate plane is cached on the
+    simulation per run; delay arrays are cached on the *delay model*
+    (keyed by edge structure and layer/pulse), so they survive simulation
+    reconstruction and are never re-gathered for the same model.  Block
+    gathers pass int64 vertex arrays and per-edge gathers plain ``int``
+    vertices, so delay models keyed or seeded by edge identity see
+    exactly the scalar path's edges.
     """
 
     def __init__(self, sim: FastSimulation, backend: str) -> None:
@@ -1316,6 +1324,7 @@ class _VectorSweep:
         # equal width and adjacency query exactly the same edge tuples, so
         # they may share a delay model's array cache.
         self.edge_signature = (width, tuple(self.nb_lists))
+        self.num_layers = graph.num_layers
         self.max_deg = base.max_degree() if width else 0
         if self.backend == "csr":
             # CSR mode never materializes the O(W * max_deg) padded
@@ -1363,13 +1372,21 @@ class _VectorSweep:
             ).any(axis=2)
         self.has_faulty_pred = prev | nb_faulty
         self.static_eligible = self.has_neighbors[None, :] & ~self.has_faulty_pred
-        #: ``(sources, targets)`` vertex ids of every own-copy then
-        #: neighbor-copy edge into a layer, in the gathered arrays'
-        #: order; built on the first gather.
-        self._edge_ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: ``(indptr, indices, reverse)`` CSR tables of the send slots;
         #: built on the first fault send.
         self._reverse: Optional[Tuple[np.ndarray, ...]] = None
+
+    @cached_property
+    def _edge_ends(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sources, targets)`` vertex ids of every own-copy then
+        neighbor-copy edge into a layer, in the gathered arrays' order."""
+        own = np.arange(self.width, dtype=np.int64)
+        if self.backend == "csr":
+            sources, targets = self.indices, self.owner
+        else:
+            sources = self.nb_idx[self.nb_valid]
+            targets = np.nonzero(self.nb_valid)[0]
+        return np.concatenate((own, sources)), np.concatenate((own, targets))
 
     def send_slots(self, v: int) -> Tuple[np.ndarray, ...]:
         """Where vertex ``v``'s neighbor-copy sends land one layer up.
@@ -1402,88 +1419,114 @@ class _VectorSweep:
         """Own-copy ``(W,)`` and neighbor-copy delays for one layer.
 
         Neighbor delays are ``(W, max_deg)`` padded in dense mode and a
-        flat ``(nnz,)`` vector in CSR segment order in ``csr`` mode.  A
-        model with ``array_endpoints`` answers the whole layer -- every
-        own-copy and neighbor-copy edge -- in one array-valued ``delay``
-        call, with no per-edge Python gather; other models are queried
-        edge by edge.  Cached on the delay model keyed by the edge
-        structure and layer (plus pulse unless the model is
-        pulse-invariant), so rebuilt simulations over the same model
-        gather nothing; models not subclassing
-        :class:`~repro.delays.models.DelayModel` are gathered uncached.
+        flat ``(nnz,)`` vector in CSR segment order in ``csr`` mode.
+        Cached on the delay model keyed by the edge structure and layer
+        (plus pulse unless the model is pulse-invariant), so rebuilt
+        simulations over the same model gather nothing.  A miss gathers
+        the requested layer together with every missing layer above it,
+        whole layers up to :data:`_GATHER_BLOCK_EDGES` edges at a time:
+        a sweep's first layer step fills a small trial's every layer in
+        one array-valued ``delay`` call.  Models not subclassing
+        :class:`~repro.delays.models.DelayModel` are gathered uncached,
+        one layer at a time.
         """
         model = self.sim.delay_model
+        model_cache = getattr(model, "_edge_array_cache", None)
+        if model_cache is None:
+            return self._gather(model, [layer], k)[0]
+        per_pulse = not getattr(model, "pulse_invariant", False)
         csr = self.backend == "csr"
-        key = layer if getattr(model, "pulse_invariant", False) else (layer, k)
-        if csr:
+
+        def key(at: int) -> object:
+            plain = (at, k) if per_pulse else at
             # CSR delays are a flat (nnz,) vector in segment order; keep
             # them on a distinct cache key so dense and CSR consumers of
             # the same model never hand each other the wrong shape.
-            key = ("csr", key)
-        model_cache = getattr(model, "_edge_array_cache", None)
-        cache = (
-            None
-            if model_cache is None
-            else model_cache.setdefault(self.edge_signature, {})
-        )
-        cached = None if cache is None else cache.get(key)
+            return ("csr", plain) if csr else plain
+
+        cache = model_cache.setdefault(self.edge_signature, {})
+        cached = cache.get(key(layer))
         if cached is None:
-            cached = self._gather(model, layer, k)
-            if cache is not None:
-                cache[key] = cached
+            missing = [
+                at for at in range(layer, self.num_layers) if key(at) not in cache
+            ]
+            per_call = _GATHER_BLOCK_EDGES // max(1, len(self._edge_ends[0]))
+            missing = missing[: max(1, per_call)]
+            for at, arrays in zip(missing, self._gather(model, missing, k)):
+                cache[key(at)] = arrays
+            cached = cache[key(layer)]
         return cached
 
-    def _gather(self, model, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Query every edge into ``layer`` and lay the delays out."""
-        if self._edge_ends is None:
-            own = np.arange(self.width, dtype=np.int64)
-            if self.backend == "csr":
-                sources, targets = self.indices, self.owner
-            else:
-                sources = self.nb_idx[self.nb_valid]
-                targets = np.nonzero(self.nb_valid)[0]
-            self._edge_ends = (
-                np.concatenate((own, sources)),
-                np.concatenate((own, targets)),
-            )
+    def _gather(
+        self, model, layers: List[int], k: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Query every edge into each of ``layers``; one ``(own, nb)`` each.
+
+        A model with ``array_endpoints`` answers all the layers' edges in
+        one array-valued ``delay`` call (layers as an int64 array); other
+        models are queried edge by edge with plain ``int`` parts.
+        """
         sources, targets = self._edge_ends
+        count = len(layers)
         if getattr(model, "array_endpoints", False):
+            tops = np.repeat(np.array(layers, dtype=np.int64), sources.shape[0])
             values = np.asarray(
-                model.delay(((sources, layer - 1), (targets, layer)), k),
+                model.delay(
+                    (
+                        (np.tile(sources, count), tops - 1),
+                        (np.tile(targets, count), tops),
+                    ),
+                    k,
+                ),
                 dtype=float,
             )
         else:
+            pairs = list(zip(sources.tolist(), targets.tolist()))
             values = np.array(
                 [
-                    model.delay(((w, layer - 1), (v, layer)), k)
-                    for w, v in zip(sources.tolist(), targets.tolist())
+                    model.delay(((w, top - 1), (v, top)), k)
+                    for top in layers
+                    for w, v in pairs
                 ],
                 dtype=float,
             )
-        own = values[: self.width]
+        values = values.reshape(count, sources.shape[0])
+        own = values[:, : self.width]
         if self.backend == "csr":
-            return own, values[self.width:]
-        nb = np.zeros(self.nb_valid.shape)
-        nb[self.nb_valid] = values[self.width:]
-        return own, nb
+            nb = values[:, self.width:]
+        else:
+            nb = np.zeros((count,) + self.nb_valid.shape)
+            nb[:, self.nb_valid] = values[:, self.width:]
+        return list(zip(own, nb))
 
     def rate_array(self, layer: int, k: int) -> np.ndarray:
-        """Hardware clock rates of the layer's nodes during pulse ``k``."""
-        rates = self.sim._rates
-        if rates is None:
-            cached = self.sim._rate_cache.get("ones")
-            if cached is None:
-                cached = np.ones(self.width)
-                self.sim._rate_cache["ones"] = cached
-            return cached
+        """Hardware clock rates of the layer's nodes during pulse ``k``.
+
+        Static providers (none, or a ``NodeId``-keyed mapping) are read
+        once per run into the simulation's ``(L, W)`` rate plane, so
+        in-place edits of a rates dict between runs are honored; callable
+        providers are queried per layer and pulse.
+        """
+        sim = self.sim
+        rates = sim._rates
         if callable(rates):
             return np.array(
                 [float(rates((v, layer), k)) for v in range(self.width)]
             )
-        cached = self.sim._rate_cache.get(layer)
-        if cached is None:
-            cached = np.array(
-                [float(rates.get((v, layer), 1.0)) for v in range(self.width)]
-            )
-            self.sim._rate_cache[layer] = cached
-        return cached
+        if sim._rate_plane is None:
+            layers, width = self.num_layers, self.width
+            if rates is None:
+                sim._rate_plane = np.ones((layers, width))
+            else:
+                # Every (v, layer) node id, layer by layer, built and
+                # looked up without a Python-level loop.
+                nodes = zip(
+                    chain.from_iterable(repeat(range(width), layers)),
+                    chain.from_iterable(map(repeat, range(layers), repeat(width))),
+                )
+                sim._rate_plane = np.fromiter(
+                    map(rates.get, nodes, repeat(1.0)),
+                    dtype=float,
+                    count=layers * width,
+                ).reshape(layers, width)
+        return sim._rate_plane[layer]

@@ -204,8 +204,9 @@ class DelayModel(ABC):
     ``array_endpoints`` declares that :meth:`delay` also accepts
     array-valued endpoints ``((v1, l1), (v2, l2))`` with ndarray parts and
     returns the per-edge delays of the whole block, each bitwise equal to
-    the single-edge query.  The vectorized sweep then gathers a layer's
-    delays in one call instead of one Python call per edge.  It defaults
+    the single-edge query.  The vectorized sweep then gathers the edges of
+    many layers (a small trial's every layer, layer parts as int64
+    arrays) in one call instead of one Python call per edge.  It defaults
     to False; such models are gathered edge by edge.
 
     Because models are deterministic functions of their seed and the edge
@@ -266,7 +267,8 @@ class StaticDelayModel(DelayModel):
     This is the paper's baseline communication model: "each edge has an
     unknown, but fixed associated delay".  Edge ``e``'s delay is the first
     draw of ``default_rng(SeedSequence([seed, v1, l1, v2, l2]))`` (node
-    parts as 32-bit words, see :func:`_edge_rng`); a block of edges is
+    parts as 32-bit words, see :func:`_edge_rng`); a block of edges --
+    the vectorized sweep passes a whole trial's layers at once -- is
     sampled in one vectorized replay of that pipeline
     (:func:`_first_uniform`), bitwise equal to the per-edge draws.
     """

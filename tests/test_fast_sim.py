@@ -13,6 +13,7 @@ from repro.analysis.skew import max_inter_layer_skew
 from repro.clocks import uniform_random_rates
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation
+from repro.core.fast_batch import TrialStack
 from repro.core.layer0 import JitteredLayer0
 from repro.delays import StaticDelayModel, UniformDelayModel
 from repro.params import Parameters
@@ -215,15 +216,64 @@ class TestSimplifiedEquivalence:
         assert np.array_equal(full.times, simple.times)
 
 
-class TestDelayGather:
-    """The one-call block gather equals the per-edge gather bitwise."""
+def per_layer_per_edge(model, base, layer, backend):
+    """One layer's ``(own, nb)`` delays, queried one edge at a time.
 
-    @pytest.mark.parametrize("backend", ["dense", "csr"])
-    @pytest.mark.parametrize(
+    The reference layout the sweep's gathers must reproduce bitwise:
+    own copies by vertex; neighbor copies in CSR segment order (a flat
+    vector) or padded ``(W, max_deg)`` by sorted neighbor slot.
+    """
+    width = base.num_nodes
+    own = np.array(
+        [model.delay(((v, layer - 1), (v, layer))) for v in range(width)],
+        dtype=float,
+    )
+    rows = [
+        [model.delay(((w, layer - 1), (v, layer))) for w in base.neighbors(v)]
+        for v in range(width)
+    ]
+    if backend == "csr":
+        return own, np.array([d for row in rows for d in row], dtype=float)
+    nb = np.zeros((width, base.max_degree()))
+    for v, row in enumerate(rows):
+        nb[v, : len(row)] = row
+    return own, nb
+
+
+def assert_gathered(got, want):
+    for got_part, want_part in zip(got, want):
+        assert got_part.shape == want_part.shape
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+class TestDelayGather:
+    """The whole-trial block gather equals per-layer per-edge queries
+    bitwise."""
+
+    MODELS = pytest.mark.parametrize(
         "cls, kwargs",
         [(StaticDelayModel, {"seed": 2**35 + 3}), (UniformDelayModel, {})],
         ids=["static", "uniform"],
     )
+    BACKENDS = pytest.mark.parametrize("backend", ["dense", "csr"])
+
+    @staticmethod
+    def count_array_calls(monkeypatch, cls):
+        """Record the target layers of every array-valued ``delay`` call."""
+        calls = []
+        original = cls.delay
+
+        def counting(model, edge, pulse=0):
+            layers = edge[1][1]
+            if isinstance(layers, np.ndarray):
+                calls.append(sorted(set(layers.tolist())))
+            return original(model, edge, pulse)
+
+        monkeypatch.setattr(cls, "delay", counting)
+        return calls
+
+    @BACKENDS
+    @MODELS
     def test_block_matches_per_edge(self, backend, cls, kwargs):
         per_edge_cls = type("PerEdge", (cls,), {"array_endpoints": False})
         graph = LayeredGraph(
@@ -239,9 +289,119 @@ class TestDelayGather:
                 for layer in range(1, graph.num_layers)
             ])
         for block, loop in zip(*gathered):
-            for got, want in zip(block, loop):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            assert_gathered(block, loop)
+
+    @BACKENDS
+    @MODELS
+    def test_whole_trial_in_one_call(self, monkeypatch, backend, cls, kwargs):
+        base = sparse_base_graph(60, num_hubs=1, hub_degree=12)
+        graph = LayeredGraph(base, 6)
+        model = cls(PARAMS.d, PARAMS.u, **kwargs)
+        reference = cls(PARAMS.d, PARAMS.u, **kwargs)
+        calls = self.count_array_calls(monkeypatch, cls)
+        sweep = fast_mod._VectorSweep(
+            FastSimulation(graph, PARAMS, delay_model=model), backend=backend
+        )
+        for layer in range(1, graph.num_layers):
+            assert_gathered(
+                sweep.delay_arrays(layer, 0),
+                per_layer_per_edge(reference, base, layer, backend),
+            )
+        assert calls == [list(range(1, graph.num_layers))]
+
+    @BACKENDS
+    def test_blocks_larger_than_the_bound_take_several_calls(
+        self, monkeypatch, backend
+    ):
+        base = sparse_base_graph(60, num_hubs=1, hub_degree=12)
+        graph = LayeredGraph(base, 8)
+        layer_edges = base.num_nodes + 2 * len(base.edges)
+        # Room for two and a half layers: whole layers only, two per call.
+        monkeypatch.setattr(
+            fast_mod, "_GATHER_BLOCK_EDGES", 5 * layer_edges // 2
+        )
+        calls = self.count_array_calls(monkeypatch, StaticDelayModel)
+        model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=11)
+        sweep = fast_mod._VectorSweep(
+            FastSimulation(graph, PARAMS, delay_model=model), backend=backend
+        )
+        for layer in range(1, graph.num_layers):
+            assert_gathered(
+                sweep.delay_arrays(layer, 0),
+                per_layer_per_edge(model, base, layer, backend),
+            )
+        assert calls == [[1, 2], [3, 4], [5, 6], [7]]
+
+    def test_layer_larger_than_the_bound_is_one_call(self, monkeypatch):
+        base = replicated_line(9)
+        graph = LayeredGraph(base, 4)
+        monkeypatch.setattr(fast_mod, "_GATHER_BLOCK_EDGES", 3)
+        calls = self.count_array_calls(monkeypatch, StaticDelayModel)
+        model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=4)
+        sweep = fast_mod._VectorSweep(
+            FastSimulation(graph, PARAMS, delay_model=model), backend="dense"
+        )
+        for layer in range(1, graph.num_layers):
+            assert_gathered(
+                sweep.delay_arrays(layer, 0),
+                per_layer_per_edge(model, base, layer, "dense"),
+            )
+        assert calls == [[1], [2], [3]]
+
+    def test_shared_model_fills_only_missing_layers(self, monkeypatch):
+        base = cycle_graph(12)
+        model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=5)
+        shallow = LayeredGraph(base, 4)
+        deep = LayeredGraph(base, 9)
+        calls = self.count_array_calls(monkeypatch, StaticDelayModel)
+        FastSimulation(shallow, PARAMS, delay_model=model).run(2)
+        (entries,) = model._edge_array_cache.values()
+        before = {
+            key: (own.tobytes(), nb.tobytes(), own, nb)
+            for key, (own, nb) in entries.items()
+        }
+        assert sorted(before) == [1, 2, 3]
+        assert calls == [[1, 2, 3]]
+        calls.clear()
+        FastSimulation(deep, PARAMS, delay_model=model).run(2)
+        assert calls == [[4, 5, 6, 7, 8]]
+        assert sorted(entries) == list(range(1, 9))
+        for key, (own_bytes, nb_bytes, own, nb) in before.items():
+            assert entries[key][0] is own and entries[key][1] is nb
+            assert own.tobytes() == own_bytes and nb.tobytes() == nb_bytes
+        for layer in range(1, deep.num_layers):
+            assert_gathered(
+                entries[layer],
+                per_layer_per_edge(model, base, layer, "dense"),
+            )
+
+    def test_padded_mixed_depth_stack(self, monkeypatch):
+        shapes = [
+            (replicated_line(7), 9),
+            (cycle_graph(10), 4),
+            (replicated_line(5), 6),
+        ]
+        sims = [
+            FastSimulation(
+                LayeredGraph(base, layers),
+                PARAMS,
+                delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=20 + i),
+            )
+            for i, (base, layers) in enumerate(shapes)
+        ]
+        calls = self.count_array_calls(monkeypatch, StaticDelayModel)
+        TrialStack(sims).run(2)
+        # One call per trial, never past its own depth.
+        assert calls == [list(range(1, layers)) for _, layers in shapes]
+        calls.clear()
+        for sim, (base, layers) in zip(sims, shapes):
+            sweep = fast_mod._VectorSweep(sim, backend="dense")
+            for layer in range(1, layers):
+                assert_gathered(
+                    sweep.delay_arrays(layer, 0),
+                    per_layer_per_edge(sim.delay_model, base, layer, "dense"),
+                )
+        assert calls == []
 
 
 class TestVectorizedCrossValidation:
