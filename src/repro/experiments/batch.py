@@ -22,8 +22,9 @@ module sweeps many trials in one call instead:
 
 For fault-heavy sweeps whose cells mostly go through the batched fallback,
 ``BatchRunner(executor="process", shards=N)`` splits the trial list into
-``N`` shards and runs them in worker processes via
-:mod:`concurrent.futures`; every trial is deterministic given its spec, so
+``N`` shards and runs them on one process-wide worker pool of
+:mod:`concurrent.futures`, forked on first use and kept across calls;
+every trial is deterministic given its spec, so
 the assembled :class:`BatchResult` is identical for every ``shards``
 setting (the test suite pins this).  Trials must be picklable for the
 process executor -- use module-level functions/classes, not lambdas, for
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -158,6 +160,39 @@ def _emit(on_shard: Optional[ShardCallback], event: Dict) -> None:
     """Deliver one progress event to the optional shard callback."""
     if on_shard is not None:
         on_shard(dict(event))
+
+
+#: The process executor's worker pool, shared by every run in this
+#: process (see :func:`_worker_pool`).
+_POOL: Optional[ProcessPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _worker_pool(
+    stale: Optional[ProcessPoolExecutor] = None,
+) -> ProcessPoolExecutor:
+    """The process-wide pool of ``os.cpu_count()`` workers.
+
+    Forked on the first process run and kept for every later one, so
+    runs pay no start-up and worker caches survive between them.  A pool
+    passed as ``stale`` (its caller saw it break) is replaced when it is
+    still the current one.  Interpreter exit joins the pool through
+    :mod:`concurrent.futures`' own exit hook.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL is stale:
+            _POOL = ProcessPoolExecutor(max_workers=os.cpu_count() or 1)
+        return _POOL
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool so the next process run forks a fresh one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _POOL = None
+    pool.shutdown(wait=False)
 
 
 def _shard_bounds(num_trials: int, shards: int) -> List[int]:
@@ -637,13 +672,15 @@ class BatchRunner:
         Pulses simulated per trial.
     executor:
         ``"serial"`` (default) or ``"process"``.  The process executor
-        shards the trial list across worker processes, whose inputs are
-        gathered cold in a pool built anew on each call -- it pays only
-        when per-trial work dwarfs that start-up.  Trials must be
-        picklable.
+        shards the trial list across one process-wide pool of
+        ``os.cpu_count()`` workers, forked on the first process run and
+        kept across calls.  Workers gather each trial's inputs cold
+        (trials arrive pickled), so it pays only when per-trial work
+        dwarfs that gather and the pickling.  Trials must be picklable.
     shards:
         Number of process shards; defaults to ``os.cpu_count()`` capped at
-        the trial count.  Ignored by the serial executor.
+        the trial count.  Shards beyond the pool's workers queue on it.
+        Ignored by the serial executor.
     store_times:
         ``True`` (default) materializes the stacked ``(S, K, L, W)``
         pulse-time block as before.  ``False`` streams instead: skew and
@@ -808,6 +845,17 @@ class BatchRunner:
             self.potential_levels,
         )
 
+    def _submit(
+        self,
+        pool: ProcessPoolExecutor,
+        chunks: List[Tuple[int, List[BatchTrial]]],
+    ) -> Dict:
+        """Queue one :func:`_run_shard` task per chunk: ``{future: j}``."""
+        return {
+            pool.submit(_run_shard, chunk, *self._shard_args()): j
+            for j, (_, chunk) in enumerate(chunks)
+        }
+
     def _run_process(
         self,
         trials: List[BatchTrial],
@@ -821,15 +869,18 @@ class BatchRunner:
         re-offset to batch indices here.
 
         Failure isolation: a worker killed mid-shard (OOM, signal,
-        ``os._exit``) used to raise ``BrokenProcessPool`` out of the bare
-        ``future.result()`` loop and discard every *completed* shard
-        with it.  Now each future is collected individually as it
-        completes; shards whose future broke are re-run serially
-        in-parent after the pool exits (deterministic trials make the
-        re-run bitwise identical), and the event is recorded in
-        :attr:`BatchResult.fallback_reasons` for every trial of the lost
-        shard.  Exceptions *raised by a trial itself* still propagate
-        unchanged -- only executor-level worker death is retried.
+        ``os._exit``) breaks the pool, and each of the futures it held
+        raises ``BrokenProcessPool``.  Futures are collected one by one,
+        so completed shards keep their results; the broken pool is
+        discarded (the next run forks a fresh one) and the lost shards
+        are re-run serially in-parent (deterministic trials make the
+        re-run bitwise identical), the event recorded in
+        :attr:`BatchResult.fallback_reasons` for every trial of a lost
+        shard.  A pool that broke while idle (a worker died between
+        runs) is replaced before anything is submitted, so that run
+        loses nothing.  Exceptions *raised by a trial itself* still
+        propagate unchanged -- only executor-level worker death is
+        retried.
         """
         shards = self.shards or os.cpu_count() or 1
         shards = max(1, min(shards, len(trials)))
@@ -850,33 +901,36 @@ class BatchRunner:
         )
         shard_outputs: List[Optional[Tuple]] = [None] * len(chunks)
         lost: Dict[int, str] = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = {
-                pool.submit(_run_shard, chunk, *self._shard_args()): j
-                for j, (_, chunk) in enumerate(chunks)
+        pool = _worker_pool()
+        try:
+            futures = self._submit(pool, chunks)
+        except BrokenProcessPool:
+            pool = _worker_pool(stale=pool)
+            futures = self._submit(pool, chunks)
+        for future in as_completed(futures):
+            j = futures[future]
+            offset, chunk = chunks[j]
+            event = {
+                "event": "shard",
+                "shard": j,
+                "offset": offset,
+                "trials": len(chunk),
             }
-            for future in as_completed(futures):
-                j = futures[future]
-                offset, chunk = chunks[j]
-                event = {
-                    "event": "shard",
-                    "shard": j,
-                    "offset": offset,
-                    "trials": len(chunk),
-                }
-                try:
-                    shard_outputs[j] = future.result()
-                except BrokenProcessPool as exc:
-                    # One dead worker breaks the whole pool, so every
-                    # still-pending shard lands here too; each is
-                    # re-run below.  Completed shards keep their
-                    # results -- nothing is discarded.
-                    lost[j] = f"{type(exc).__name__}: {exc}" if str(exc) else (
-                        type(exc).__name__
-                    )
-                    _emit(on_shard, {**event, "status": "lost"})
-                else:
-                    _emit(on_shard, {**event, "status": "done"})
+            try:
+                shard_outputs[j] = future.result()
+            except BrokenProcessPool as exc:
+                # One dead worker breaks the whole pool, so every
+                # still-pending shard lands here too; each is
+                # re-run below.  Completed shards keep their
+                # results -- nothing is discarded.
+                lost[j] = f"{type(exc).__name__}: {exc}" if str(exc) else (
+                    type(exc).__name__
+                )
+                _emit(on_shard, {**event, "status": "lost"})
+            else:
+                _emit(on_shard, {**event, "status": "done"})
+        if lost:
+            _discard_pool(pool)
         for j in sorted(lost):
             offset, chunk = chunks[j]
             shard_outputs[j] = _run_shard(chunk, *self._shard_args())

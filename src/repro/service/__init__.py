@@ -10,11 +10,12 @@ in-process call; this package wraps it in a long-lived serving surface:
 * :mod:`repro.service.jobs` -- trial-grid specs (the same grids the
   thm11/thm13/cor15/table1 drivers build) plus an asyncio job runner
   that queues submissions, executes them through the existing
-  ``executor="process"`` sharding (failure-isolated: a worker killed
-  mid-batch loses no completed shard), and streams per-shard progress.
-* :mod:`repro.service.api` -- a stdlib HTTP server over the runner
-  (submit / poll / stream events / fetch results), and
-  :mod:`repro.service.client` -- the matching thin client.
+  ``executor="process"`` sharding on one worker pool kept across jobs
+  (failure-isolated: a worker killed mid-batch loses no completed
+  shard), and streams per-shard progress.
+* :mod:`repro.service.api` -- a stdlib HTTP/1.1 keep-alive server over
+  the runner (submit / poll / stream events / fetch results), and
+  :mod:`repro.service.client` -- the matching keep-alive client.
 
 Boot it with ``python -m repro.service`` (see ``docs/service.md``).
 """

@@ -8,12 +8,15 @@ Options::
     --concurrency N      jobs executing at once   (default 2)
 
 Prints one ``listening on http://HOST:PORT`` line (the smoke harness
-parses it) and serves until interrupted.
+parses it) and serves until interrupted (SIGINT or SIGTERM).  Either
+signal exits cleanly, so the process executor's idle worker pool is
+joined rather than orphaned.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.service.api import ServiceServer
@@ -35,6 +38,9 @@ def main(argv: list[str] | None = None) -> int:
     store = ResultStore(directory=args.store_dir)
     runner = JobRunner(store=store, concurrency=args.concurrency)
     server = ServiceServer(host=args.host, port=args.port, runner=runner)
+    # SIGTERM's default action skips interpreter exit, which would leave
+    # the pool's idle workers blocked on their task queue for good.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"listening on {server.url}", flush=True)
     try:
         server.serve_forever()

@@ -4,7 +4,9 @@ Endpoints (all JSON unless noted):
 
 ==============================  ======================================
 ``GET /healthz``                liveness + job counts
-``GET /workers``                PIDs of live worker processes
+``GET /workers``                PIDs of live worker processes (the
+                                process executor's pool stays up
+                                between jobs, so idle workers count)
 ``GET /store``                  result-store stats (entries/hits/misses)
 ``POST /jobs``                  submit a grid (see :mod:`.jobs`); 202
 ``GET /jobs``                   all jobs, submission order
@@ -15,12 +17,15 @@ Endpoints (all JSON unless noted):
                                 pickled payload with ``?format=pickle``
 ==============================  ======================================
 
-The server is a ``ThreadingHTTPServer``: handler threads validate and
-enqueue, the runner's asyncio loop schedules, and the blocking batch
-work happens on executor threads / worker processes -- so concurrent
-submissions and polls never block each other.  FastAPI would be the
-production face of this (see ``docs/service.md``); the stdlib server
-keeps the dependency budget at zero while serving the same contract.
+The server is a ``ThreadingHTTPServer`` speaking HTTP/1.1 keep-alive:
+one handler thread per client connection, which it serves until the
+client closes it or it idles past :attr:`_Handler.timeout`.  Handler
+threads validate and enqueue, the runner's asyncio loop schedules, and
+the blocking batch work happens on executor threads / worker processes
+-- so concurrent submissions and polls never block each other.
+FastAPI would be the production face of this (see
+``docs/service.md``); the stdlib server keeps the dependency budget at
+zero while serving the same contract.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: Seconds a keep-alive connection may idle before its thread exits.
+    timeout = 60.0
+    #: Headers and body go out as separate writes; with Nagle's
+    #: algorithm on, the body waits for the client's delayed ACK
+    #: (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     @property
@@ -67,9 +78,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
-    def _json_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+    def _read_body(self) -> bytes:
+        """Read the whole request body before any response.
+
+        On a keep-alive connection unread body bytes would be parsed as
+        the next request.  A body whose length cannot be read cannot be
+        skipped, so the connection closes after the response instead.
+        """
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal() or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise ValueError("request body length is unreadable")
+        return self.rfile.read(int(length))
+
+    @staticmethod
+    def _json_object(raw: bytes) -> Dict:
         body = json.loads(raw.decode() or "{}")
         if not isinstance(body, dict):
             raise ValueError("request body must be a JSON object")
@@ -142,9 +165,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         """Dispatch the submission route."""
         try:
+            raw = self._read_body()
             parts, _ = self._route()
             if parts == ("jobs",):
-                job = self.runner.submit(self._json_body())
+                job = self.runner.submit(self._json_object(raw))
                 return self._send_json(202, job.describe())
             return self._error(404, f"no route for {self.path!r}")
         except Exception as exc:

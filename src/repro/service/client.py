@@ -1,20 +1,24 @@
-"""Thin urllib client for the service API (submit / poll / fetch).
+"""Keep-alive HTTP client for the service API (submit / poll / fetch).
 
 Mirrors the endpoints of :mod:`repro.service.api` one method each; the
 experiment CLI's ``--submit`` path and the test suite both drive the
-server through it.  JSON floats round-trip ``float.__repr__`` exactly,
+server through it.  Each client keeps one persistent
+:class:`http.client.HTTPConnection` per calling thread, so a job's
+submit / poll / fetch round trips share one TCP connection instead of
+opening one each.  JSON floats round-trip ``float.__repr__`` exactly,
 so statistics fetched here compare bitwise against an in-process
 ``BatchRunner.run``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import pickle
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 __all__ = ["ServiceClient"]
 
@@ -25,27 +29,67 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.netloc:
+            raise ValueError(
+                f"service URL must be http://HOST:PORT, got {base_url!r}"
+            )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # -- plumbing -------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (not yet connected when fresh)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            self._local.conn = conn
+        return conn
+
+    def _drop_connection(self) -> None:
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+            self._local.conn = None
+
+    def _round_trip(
+        self, method: str, path: str, data: Optional[bytes], headers: Dict
+    ) -> Tuple[int, bytes]:
+        """One request on this thread's connection: ``(status, body)``.
+
+        A reused connection the server has closed since (its idle
+        keep-alive timeout) is reopened and the request sent once more;
+        a failure on a fresh connection is raised.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            conn.request(method, self._prefix + path, data, headers)
+            rsp = conn.getresponse()
+            return rsp.status, rsp.read()
+        except (ConnectionResetError, BrokenPipeError):
+            # ConnectionResetError covers http.client's RemoteDisconnected.
+            self._drop_connection()
+            if not reused:
+                raise
+        except BaseException:
+            self._drop_connection()
+            raise
+        return self._round_trip(method, path, data, headers)
+
     def _request(
         self, path: str, body: Optional[Dict] = None, raw: bool = False
     ):
+        method = "GET" if body is None else "POST"
         data = None if body is None else json.dumps(body).encode()
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-            method="POST" if data is not None else "GET",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as rsp:
-                blob = rsp.read()
-        except urllib.error.HTTPError as exc:
-            blob = exc.read()
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        status, blob = self._round_trip(method, path, data, headers)
+        if not 200 <= status < 300:
             detail = blob.decode(errors="replace")
-            raise RuntimeError(
-                f"{request.method} {path} -> HTTP {exc.code}: {detail}"
-            ) from exc
+            raise RuntimeError(f"{method} {path} -> HTTP {status}: {detail}")
         return blob if raw else json.loads(blob.decode())
 
     # -- endpoints ------------------------------------------------------

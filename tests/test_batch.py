@@ -2,6 +2,10 @@
 
 import multiprocessing
 import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.core.fast as fast_mod
+import repro.experiments.batch as batch_mod
 from repro.analysis.skew import (
     global_skew,
     max_inter_layer_skew,
@@ -463,3 +468,114 @@ class TestWorkerDeathRetry:
         assert [e["event"] for e in events] == ["plan", "shard"]
         assert events[0]["sizes"] == [len(trials)]
         assert events[1]["status"] == "done"
+
+
+def worker_pids():
+    """PIDs of this process's live multiprocessing children."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def wait_reaped(pids, timeout=30.0):
+    """Block until none of ``pids`` is a live child any more."""
+    deadline = time.monotonic() + timeout
+    while worker_pids() & set(pids):
+        assert time.monotonic() < deadline, f"workers {pids} never exited"
+        time.sleep(0.02)
+
+
+class TestWorkerPool:
+    """One worker pool serves every process run, and recovers when broken."""
+
+    def _run(self, trials):
+        """A two-shard process run: (batch, shard statuses, pids seen)."""
+        events, pids = [], set()
+
+        def on_shard(event):
+            events.append(event)
+            pids.update(worker_pids())
+
+        batch = BatchRunner(
+            num_pulses=NUM_PULSES, executor="process", shards=2
+        ).run(trials, on_shard=on_shard)
+        statuses = [e["status"] for e in events if e["event"] == "shard"]
+        return batch, statuses, pids
+
+    def test_consecutive_runs_share_worker_pids(self):
+        trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
+        _, _, first = self._run(trials)
+        _, _, second = self._run(trials)
+        assert first and first == second
+        # The workers outlive the run, idle until the next one.
+        assert first <= worker_pids()
+
+    def test_pool_broken_by_a_dying_worker_is_replaced(self):
+        trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
+        _, _, old = self._run(trials)
+        _, statuses, _ = self._run(TestWorkerDeathRetry()._trials())
+        assert "lost" in statuses
+        wait_reaped(old)
+        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        batch, statuses, new = self._run(trials)
+        assert statuses == ["done", "done"]
+        assert not batch.fallback_reasons
+        assert new and not new & old
+        assert new <= worker_pids()
+        np.testing.assert_array_equal(serial.times, batch.times)
+
+    def test_idle_worker_killed_between_runs_loses_nothing(self):
+        trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
+        self._run(trials)
+        idle = worker_pids()
+        assert idle, "no idle workers between runs"
+        os.kill(min(idle), signal.SIGKILL)
+        # The pool's manager thread sees the death and stops the other
+        # workers; once all are reaped the pool is flagged broken.
+        wait_reaped(idle)
+        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        batch, statuses, pids = self._run(trials)
+        assert statuses == ["done", "done"]
+        assert batch.fallback_reasons == {}
+        assert pids and not pids & idle
+        np.testing.assert_array_equal(serial.times, batch.times)
+
+    def _race_fresh_pool(self, trials, count):
+        """``count`` threads start process runs at once with no pool."""
+        if batch_mod._POOL is not None:
+            idle = worker_pids()
+            batch_mod._discard_pool(batch_mod._POOL)
+            wait_reaped(idle)
+        outcomes = []
+        start = threading.Barrier(count)
+
+        def run():
+            start.wait(30.0)
+            outcomes.append(self._run(trials))
+
+        threads = [threading.Thread(target=run) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+            assert not thread.is_alive()
+        assert len(outcomes) == count
+        return outcomes
+
+    def test_concurrent_runs_fork_one_pool(self):
+        trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
+        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        workers = os.cpu_count() or 1
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                seen = set()
+                for batch, statuses, pids in self._race_fresh_pool(
+                    trials, 2 * workers + 2
+                ):
+                    assert statuses == ["done", "done"]
+                    np.testing.assert_array_equal(serial.times, batch.times)
+                    seen |= pids
+                # A second pool forked by a lost update would add PIDs.
+                assert len(seen) <= workers
+        finally:
+            sys.setswitchinterval(switch)

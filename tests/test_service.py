@@ -13,7 +13,10 @@ The service contract under test, end to end:
 * a worker process dying mid-batch loses no completed shard and the
   job still completes (the ``BrokenProcessPool`` retry path, exercised
   deterministically through the service with an ``os._exit`` trial and
-  for real -- SIGKILL on a live worker PID -- in the HTTP smoke).
+  for real -- SIGKILL on a live worker PID -- in the HTTP smoke),
+* the HTTP/1.1 transport keeps one connection per client in step
+  across requests: bodies are drained before any answer, and a
+  connection the server closed while idle is reopened transparently.
 """
 
 import json
@@ -22,6 +25,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -42,6 +46,7 @@ from repro.service import (
     build_trials,
     grid_key,
 )
+from repro.service.api import _Handler
 from repro.service.jobs import batch_payload, to_jsonable
 from repro.service.store import CACHE_VERSION, KEYED_RUNNER_KNOBS
 
@@ -511,6 +516,53 @@ class TestServiceHTTP:
         with pytest.raises(RuntimeError, match="HTTP 404"):
             client._request("/frobnicate")
 
+    def test_unknown_post_route_keeps_the_connection_in_step(self, client):
+        client.health()
+        sock = client._connection().sock
+        with pytest.raises(RuntimeError, match="HTTP 404"):
+            client._request("/frobnicate", body={"padding": "x" * 4096})
+        # The 404 drained the body, so the next request on the same
+        # keep-alive connection parses cleanly.
+        assert client.health()["status"] == "ok"
+        assert client._connection().sock is sock
+
+    def test_requests_reuse_one_socket(self, client):
+        names = set()
+        for _ in range(20):
+            client.health()
+            names.add(client._connection().sock.getsockname())
+        client.store_stats()
+        names.add(client._connection().sock.getsockname())
+        assert len(names) == 1
+
+    def test_idle_connection_closed_by_server_reconnects(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.1)
+        client = ServiceClient(server.url)
+        client.health()
+        sock = client._connection().sock
+        time.sleep(0.3)  # the server drops the idle connection
+        assert client.health()["status"] == "ok"
+        assert client._connection().sock is not sock
+
+    def test_client_rejects_urls_it_cannot_speak_to(self):
+        for url in ("https://127.0.0.1:8631", "127.0.0.1:8631"):
+            with pytest.raises(ValueError, match="http://"):
+                ServiceClient(url)
+
+    def test_unreadable_body_length_closes_the_connection(self, server):
+        with socket.create_connection((server.host, server.port), 5) as raw:
+            raw.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: many\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := raw.recv(4096):  # ends when the server closes
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"unreadable" in reply
+
     def test_experiments_cli_submit_path(self, server, capsys):
         from repro.experiments.__main__ import main as experiments_main
 
@@ -632,6 +684,30 @@ class TestServiceSmoke:
                 proc.wait(10)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
+
+    def test_sigterm_joins_the_idle_worker_pool(self):
+        proc, url = self._boot()
+        try:
+            client = ServiceClient(url, timeout=60.0)
+            accepted = client.submit(
+                SMALL_GRID,
+                num_pulses=NUM_PULSES,
+                runner={"executor": "process", "shards": 2},
+            )
+            assert client.wait(accepted["id"])["status"] == "done"
+            idle = client.workers()
+            assert idle, "the pool should outlive the job"
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(10)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.kill()
+        assert proc.returncode == 0
+        for pid in idle:
+            # Joined and reaped by the exiting service, not orphaned.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_pickle_result_round_trips_over_http(self):
         proc, url = self._boot()
