@@ -10,7 +10,7 @@ so the same sweep fits in a few hundred MiB.
 
 This script builds a sparse circulant base graph with one high-degree
 hub, stacks it four layers deep (10^6 simulated nodes), and runs a
-multi-pulse sweep with streaming reducers (``store_times=False``, so the
+multi-pulse sweep with streamed statistics (``store_times=False``, so the
 ``(P, L, W)`` pulse-time block is never materialized either).  The
 density heuristic picks CSR on its own; the differential test suite
 pins CSR against the dense kernel bitwise, so the big run's numbers are
@@ -21,7 +21,6 @@ Run:  python examples/sparse_sweep.py
 
 import time
 
-from repro.analysis.streaming import default_reducers
 from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation
 from repro.core.layer0 import JitteredLayer0
@@ -83,14 +82,7 @@ def main() -> None:
     )
 
     sweep_start = time.perf_counter()
-    result = simulation(graph).run(
-        NUM_PULSES,
-        # No potential stream here: Psi^s folds against an all-pairs
-        # distance matrix, which is itself O(W^2) -- the skew and
-        # correction folds are O(W).
-        reducers=default_reducers(),
-        store_times=False,
-    )
+    result = simulation(graph).run(NUM_PULSES, store_times=False)
     sweep = time.perf_counter() - sweep_start
 
     # The exact diameter needs all-pairs BFS (250k sweeps); a single

@@ -4,10 +4,10 @@
   ``L_{l,l+1}``, ``L``, global skew) over simulation results.
 * :mod:`repro.analysis.potentials` -- the potential functions of
   Definition 4.1 (``psi``, ``Psi``, ``xi``, ``Xi``).
-* :mod:`repro.analysis.streaming` -- online (streaming) counterparts of
-  the skew/potential reducers plus an incremental low-rank sketch, for
-  ``store_times=False`` sweeps that never materialize the pulse-time
-  block.
+* :mod:`repro.analysis.streaming` -- :class:`StreamedStats`, the one
+  online fold of the local, inter-layer and global skew and the
+  correction statistics, for ``store_times=False`` sweeps that never
+  materialize the pulse-time block.
 * :mod:`repro.analysis.stats` -- regression helpers (log/linear/power fits)
   used to check growth *shapes* against the paper's bounds.
 * :mod:`repro.analysis.report` -- ASCII tables for benchmark output.
@@ -34,34 +34,18 @@ from repro.analysis.potentials import (
     local_skew_bound_from_potential,
 )
 from repro.analysis.streaming import (
-    CorrectionStatsStream,
-    GlobalSkewStream,
-    IncrementalSketch,
-    InterLayerSkewStream,
-    LocalSkewStream,
-    PotentialStream,
     StreamedStats,
-    StreamingReducer,
     StreamLayout,
-    default_reducers,
     fold_correction_planes,
 )
 from repro.analysis.stats import fit_linear, fit_log2, fit_power
 from repro.analysis.report import format_table
 
 __all__ = [
-    "CorrectionStatsStream",
-    "GlobalSkewStream",
-    "IncrementalSketch",
-    "InterLayerSkewStream",
-    "LocalSkewStream",
-    "PotentialStream",
     "Psi",
     "StreamLayout",
     "StreamedStats",
-    "StreamingReducer",
     "Xi",
-    "default_reducers",
     "fit_linear",
     "fit_log2",
     "fit_power",

@@ -104,9 +104,7 @@ def potential_layers(
     layer (pass ``coefficient = 4 s kappa`` for ``Psi^s``,
     ``(4 s - 2) kappa`` for ``Xi^s``); shape ``(..., L)``.  Layers with
     no correct pair report ``empty`` (default NaN, matching the scalar
-    entry points).  This is the materialized reference that
-    :class:`repro.analysis.streaming.PotentialStream` folds incrementally
-    -- a max-only reduction, so the two agree bitwise.
+    entry points).
     """
     times = np.asarray(times, dtype=float)
     base = graph.base

@@ -1,28 +1,28 @@
-"""Streaming reducers: fold statistics online, layer plane by layer plane.
+"""Streamed statistics: fold the skew and correction statistics online.
 
 The kernels of :mod:`repro.core.fast` / :mod:`repro.core.fast_batch`
 advance one ``(S, W)`` layer plane at a time, but until now every trial's
 full ``(K, L, W)`` pulse-time block stayed in memory so the array
-reducers of :mod:`repro.analysis.skew` / :mod:`repro.analysis.potentials`
-could run afterwards -- stacked, an ``(S, K, L_max, W_max)`` array that
-caps sweep size long before the kernel does.  This module is the
-incremental counterpart (the incremental-POD template of Fareed &
-Singler): a :class:`StreamingReducer` consumes each plane *as the kernel
-writes it* and folds it into O(S, L) accumulators, so a sweep with
-``store_times=False`` never allocates the pulse-time block at all.
+reducers of :mod:`repro.analysis.skew` could run afterwards -- stacked,
+an ``(S, K, L_max, W_max)`` array that caps sweep size long before the
+kernel does.  This module is the incremental counterpart:
+:class:`StreamedStats` consumes each plane *as the kernel writes it* and
+folds the paper's four statistics -- local, inter-layer and global skew
+plus the correction summary -- into O(S, L) accumulators, so a sweep
+with ``store_times=False`` never allocates the pulse-time block at all.
 
 Design constraints, all load-bearing:
 
-* **Bitwise parity.**  Every skew/potential accumulator is a pure
-  ``max``-fold.  Max is associative and exact in floating point, so a
-  streamed statistic is *bitwise identical* to the corresponding array
-  reducer applied to the materialized block (the differential suite pins
-  this).  The one non-max statistic -- the correction mean -- folds
-  per-plane partial sums in a fixed ``(pulse, layer)`` order, and
+* **Bitwise parity.**  Every skew accumulator is a pure ``max``-fold.
+  Max is associative and exact in floating point, so a streamed
+  statistic is *bitwise identical* to the corresponding array reducer
+  applied to the materialized block (the differential suite pins this).
+  The one non-max statistic -- the correction mean -- folds per-plane
+  partial sums in a fixed ``(pulse, layer)`` order, and
   :func:`fold_correction_planes` applies the *same* order to materialized
   blocks so both paths agree bitwise there too.
 * **NaN semantics.**  NaN is the simulator's "never pulsed / faulty /
-  padding" marker; reducers mask it exactly like
+  padding" marker; the folds mask it exactly like
   :func:`repro.analysis.skew.masked_max` (explicit validity masks, no
   warnings suppressed).  Padding cells of a heterogeneous stack are NaN
   and therefore invisible here, as everywhere else.
@@ -30,20 +30,20 @@ Design constraints, all load-bearing:
   index; accumulators gather/scatter through it like every other
   row-indexed tensor of the compacted kernel.  A fully skipped layer
   step still *must* call ``update`` with an empty ``rows`` array so the
-  inter-layer reducer can retire its previous-pulse plane.
+  inter-layer fold can retire its previous-pulse plane.
 * **Picklable + mergeable.**  Accumulators survive the process executor
   (:meth:`StreamedStats.merge` concatenates shards along the trial
   axis), so ``executor="process"`` sweeps stream too.
 
 The inter-layer skew compares pulse ``k+1`` on layer ``l`` against pulse
-``k`` on layer ``l+1`` -- a *cross-pulse* comparison -- so its reducer
+``k`` on layer ``l+1`` -- a *cross-pulse* comparison -- so the fold
 keeps one ``(S, L, W)`` previous-pulse buffer, the O(S, W)-per-layer
 memory floor of the statistic itself; ``finalize`` releases it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,15 +52,7 @@ from repro.topology.layered import LayeredGraph
 __all__ = [
     "StreamGroup",
     "StreamLayout",
-    "StreamingReducer",
-    "LocalSkewStream",
-    "InterLayerSkewStream",
-    "GlobalSkewStream",
-    "CorrectionStatsStream",
-    "PotentialStream",
-    "IncrementalSketch",
     "StreamedStats",
-    "default_reducers",
     "fold_correction_planes",
 ]
 
@@ -68,9 +60,9 @@ __all__ = [
 class StreamGroup:
     """One geometry group of a streamed batch: a graph plus trial rows.
 
-    Mirrors :meth:`BatchResult._geometry_groups`: reducers gather along
-    base-graph edges, so trials only share a sweep when they share the
-    ``(num_layers, adjacency)`` geometry.
+    Mirrors :meth:`BatchResult._geometry_groups`: the skew folds gather
+    along base-graph edges, so trials only share a sweep when they share
+    the ``(num_layers, adjacency)`` geometry.
     """
 
     __slots__ = ("graph", "indices")
@@ -97,49 +89,16 @@ class StreamGroup:
             return self.indices
         return self.indices[mask[self.indices]]
 
-    def active_positions(
-        self, mask: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(positions-within-group, global rows)`` of the active trials."""
-        if mask is None:
-            return np.arange(self.indices.size), self.indices
-        positions = np.flatnonzero(mask[self.indices])
-        return positions, self.indices[positions]
-
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs base distances ``d(v, w)``; shape ``(W, W)``."""
-        base = self.graph.base
-        n = base.num_nodes
-        dist = np.empty((n, n))
-        for v in range(n):
-            dist[v, :] = base.distances_from(v)
-        return dist
-
-    # __slots__ classes pickle their slot dict via protocol 2+, but the
-    # process executor must not choke on older default reducers either.
-    def __getstate__(self):
-        return {"graph": self.graph, "indices": self.indices}
-
-    def __setstate__(self, state):
-        self.graph = state["graph"]
-        self.indices = state["indices"]
-
 
 class StreamLayout:
-    """Shapes and geometry grouping shared by all reducers of one run."""
+    """Shapes and geometry grouping of one streamed run."""
 
     def __init__(
-        self,
-        graphs: Sequence[LayeredGraph],
-        kappas: Sequence[float],
-        num_pulses: int,
+        self, graphs: Sequence[LayeredGraph], num_pulses: int
     ) -> None:
         self.graphs = list(graphs)
         if not self.graphs:
             raise ValueError("need at least one trial graph")
-        self.kappas = np.asarray(kappas, dtype=float)
-        if self.kappas.shape != (len(self.graphs),):
-            raise ValueError("need one kappa per trial graph")
         self.num_pulses = int(num_pulses)
         self.num_trials = len(self.graphs)
         self.depths = np.array(
@@ -162,11 +121,7 @@ class StreamLayout:
     @classmethod
     def from_sims(cls, sims, num_pulses: int) -> "StreamLayout":
         """Layout of a :class:`FastSimulation` list (one trial each)."""
-        return cls(
-            [sim.graph for sim in sims],
-            [sim.params.kappa for sim in sims],
-            num_pulses,
-        )
+        return cls([sim.graph for sim in sims], num_pulses)
 
 
 def _rows_mask(
@@ -191,21 +146,85 @@ def _masked_plane_max(diffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return values, valid.any(axis=-1)
 
 
-class StreamingReducer:
-    """Protocol for online statistics folded one layer plane at a time.
+def _correction_plane(
+    plane: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise ``(count, sum |C|, max |C|)`` over a plane's finite cells."""
+    finite = np.isfinite(plane)
+    abs_vals = np.where(finite, np.abs(plane), 0.0)
+    return (
+        finite.sum(axis=-1),
+        abs_vals.sum(axis=-1),
+        abs_vals.max(axis=-1, initial=0.0),
+    )
 
-    Lifecycle: :meth:`bind` once with the run's :class:`StreamLayout`,
-    then :meth:`update` for **every** ``(pulse, layer)`` cell in pulse-
-    major order -- including layer 0 and layer steps the compacted kernel
-    skipped outright (``rows`` is an empty index array there) -- then
-    :meth:`finalize` once the run ends.  ``times``/``corrections`` are
-    the kernel's live ``(S, W)`` planes; treat them as read-only views.
+
+class StreamedStats:
+    """The four streamed statistics of one run (one stack group / trial).
+
+    Per-layer running maxima of the local skew ``L_l``, the inter-layer
+    skew ``L_{l,l+1}`` and the global skew (largest same-pulse spread),
+    plus the correction count / sum / max ``|C|``, each bitwise equal to
+    its array reducer on the materialized block
+    (:func:`~repro.analysis.skew.local_skew_layers`,
+    :func:`~repro.analysis.skew.inter_layer_skew_layers`,
+    :func:`~repro.analysis.skew.global_skew_layers`,
+    :func:`fold_correction_planes`).
+
+    Lifecycle: :meth:`update` for **every** ``(pulse, layer)`` cell in
+    pulse-major order -- including layer 0 and layer steps the compacted
+    kernel skipped outright (``rows`` is an empty index array there) --
+    then :meth:`finalize` once the run ends.
+
+    Attached to every participating :class:`~repro.core.fast.FastResult`
+    as ``result.streamed`` with the trial's row in ``result.streamed_row``
+    -- one shared object per stack group, which pickling deduplicates
+    within a shard payload, so the process executor carries it at no
+    per-trial cost (unlike the stripped ``_StackBlock``).
     """
 
-    name: str = "reducer"
+    def __init__(self, layout: StreamLayout) -> None:
+        self.layout = layout
+        # Position of this stream's first trial in the parent batch.
+        # BatchRunner stamps it after reassembly; merge() orders shards
+        # by it so ``a.merge(b)`` and ``b.merge(a)`` concatenate the
+        # trial axis identically (shard futures may resolve out of
+        # order).  Standalone streams keep 0 (self-first).
+        self.trial_offset = 0
+        trials, layers = layout.num_trials, layout.num_layers
+        self._max = {
+            "local": np.full((trials, layers), -np.inf),
+            "inter_layer": np.full((trials, max(layers - 1, 0)), -np.inf),
+            "global": np.full((trials, layers), -np.inf),
+        }
+        self._valid = {
+            name: np.zeros(acc.shape, dtype=bool)
+            for name, acc in self._max.items()
+        }
+        self._counts = np.zeros(trials, dtype=np.int64)
+        self._totals = np.zeros(trials)
+        self._max_abs = np.zeros(trials)
+        self._prev: Optional[np.ndarray] = np.full(
+            (trials, layers, layout.width), np.nan
+        )
 
-    def bind(self, layout: StreamLayout) -> None:
-        raise NotImplementedError
+    @staticmethod
+    def of(result) -> "StreamedStats":
+        """A block-less result's streamed statistics, or raise."""
+        if result.streamed is None:
+            raise ValueError(
+                "result holds no pulse-time matrices and no streamed "
+                "statistics; run it with store_times=True"
+            )
+        return result.streamed
+
+    def _fold(
+        self, name: str, idx: np.ndarray, column: int, diffs: np.ndarray
+    ) -> None:
+        values, any_valid = _masked_plane_max(diffs)
+        acc = self._max[name]
+        acc[idx, column] = np.maximum(acc[idx, column], values)
+        self._valid[name][idx, column] |= any_valid
 
     def update(
         self,
@@ -215,70 +234,11 @@ class StreamingReducer:
         corrections: np.ndarray,
         rows: Optional[np.ndarray] = None,
     ) -> None:
-        raise NotImplementedError
+        """Fold one ``(S, W)`` plane of times and corrections.
 
-    def finalize(self) -> None:
-        """Release per-run scratch state (buffers, caches)."""
-
-    def merged(
-        self, other: "StreamingReducer", layout: StreamLayout
-    ) -> "StreamingReducer":
-        """Shard merge: ``self``'s trials followed by ``other``'s."""
-        raise NotImplementedError
-
-
-class _PerLayerMaxStream(StreamingReducer):
-    """Shared machinery for (S, columns) running-max accumulators."""
-
-    def _alloc(self, layout: StreamLayout, columns: int) -> None:
-        self.layout = layout
-        self._acc = np.full((layout.num_trials, columns), -np.inf)
-        self._valid = np.zeros((layout.num_trials, columns), dtype=bool)
-
-    def _fold(self, idx: np.ndarray, column: int, diffs: np.ndarray) -> None:
-        values, any_valid = _masked_plane_max(diffs)
-        self._acc[idx, column] = np.maximum(self._acc[idx, column], values)
-        self._valid[idx, column] |= any_valid
-
-    def _trial_columns(self, row: int) -> int:
-        raise NotImplementedError
-
-    def trial_values(self, row: int, empty: float = 0.0) -> np.ndarray:
-        """One trial's per-layer statistic over its *own* layer count."""
-        columns = self._trial_columns(row)
-        return np.where(
-            self._valid[row, :columns], self._acc[row, :columns], empty
-        )
-
-    def merged(self, other, layout):
-        out = self._spawn()
-        out.bind(layout)
-        first = self.layout.num_trials
-        out._acc[:first, : self._acc.shape[1]] = self._acc
-        out._acc[first:, : other._acc.shape[1]] = other._acc
-        out._valid[:first, : self._valid.shape[1]] = self._valid
-        out._valid[first:, : other._valid.shape[1]] = other._valid
-        out.finalize()
-        return out
-
-    def _spawn(self) -> "StreamingReducer":
-        return type(self)()
-
-
-class LocalSkewStream(_PerLayerMaxStream):
-    """Intra-layer local skew ``L_l``, streamed.
-
-    Folds ``max_{edges} |t_v - t_w|`` of each plane into an ``(S, L)``
-    running max; bitwise equal to
-    :func:`repro.analysis.skew.local_skew_layers`.
-    """
-
-    name = "local"
-
-    def bind(self, layout):
-        self._alloc(layout, layout.num_layers)
-
-    def update(self, pulse, layer, times, corrections, rows=None):
+        ``times``/``corrections`` are the kernel's live planes (read
+        only); ``rows`` restricts the fold to the active trials.
+        """
         mask = _rows_mask(rows, self.layout.num_trials)
         for group in self.layout.groups:
             if layer >= group.depth:
@@ -287,46 +247,16 @@ class LocalSkewStream(_PerLayerMaxStream):
             if idx.size == 0:
                 continue
             left, right = group.edges()
+            width = group.width
             plane = times[idx]
-            self._fold(idx, layer, np.abs(plane[:, left] - plane[:, right]))
-
-    def _trial_columns(self, row):
-        return int(self.layout.depths[row])
-
-
-class InterLayerSkewStream(_PerLayerMaxStream):
-    """Inter-layer local skew ``L_{l,l+1}``, streamed.
-
-    The statistic compares pulse ``k+1`` on layer ``l`` against pulse
-    ``k`` on layer ``l+1`` along own-copy and neighbor-copy edges, so the
-    reducer carries one ``(S, L, W)`` previous-pulse buffer -- refreshed
-    through ``active_rows`` at every update (a skipped layer writes NaN,
-    keeping dead rows inert) and dropped by :meth:`finalize`.  Bitwise
-    equal to :func:`repro.analysis.skew.inter_layer_skew_layers`.
-    """
-
-    name = "inter_layer"
-
-    def bind(self, layout):
-        self._alloc(layout, max(layout.num_layers - 1, 0))
-        self._prev = np.full(
-            (layout.num_trials, layout.num_layers, layout.width), np.nan
-        )
-
-    def update(self, pulse, layer, times, corrections, rows=None):
-        mask = _rows_mask(rows, self.layout.num_trials)
-        if pulse >= 1 and self._acc.shape[1]:
-            for group in self.layout.groups:
-                if layer > group.depth - 2:
-                    continue
-                idx = group.active(mask)
-                if idx.size == 0:
-                    continue
-                left, right = group.edges()
-                width = group.width
-                upper = times[idx][:, :width]  # pulse k,   layer l
+            self._fold(
+                "local", idx, layer, np.abs(plane[:, left] - plane[:, right])
+            )
+            if pulse >= 1 and layer <= group.depth - 2:
+                upper = plane[:, :width]  # pulse k,   layer l
                 lower = self._prev[idx, layer + 1, :width]  # k-1, l+1
                 self._fold(
+                    "inter_layer",
                     idx,
                     layer,
                     np.concatenate(
@@ -338,6 +268,29 @@ class InterLayerSkewStream(_PerLayerMaxStream):
                         axis=-1,
                     ),
                 )
+            # Global skew is geometry-agnostic: the spread masks NaN, so
+            # the padded lanes of the full-width plane never contribute.
+            valid = ~np.isnan(plane)
+            any_valid = valid.any(axis=-1)
+            maxs = np.where(valid, plane, -np.inf).max(
+                axis=-1, initial=-np.inf
+            )
+            mins = np.where(valid, plane, np.inf).min(
+                axis=-1, initial=np.inf
+            )
+            spread = np.where(any_valid, maxs - mins, -np.inf)
+            acc = self._max["global"]
+            acc[idx, layer] = np.maximum(acc[idx, layer], spread)
+            self._valid["global"][idx, layer] |= any_valid
+            # Slice to the group's true width: summing a padded W_max row
+            # changes numpy's pairwise-sum association, so the mean would
+            # drift ULPs away from a per-trial fold of the same data.
+            counts, totals, max_abs = _correction_plane(
+                corrections[idx][:, :width]
+            )
+            self._counts[idx] += counts
+            self._totals[idx] = self._totals[idx] + totals
+            self._max_abs[idx] = np.maximum(self._max_abs[idx], max_abs)
         if self._prev is not None:
             if rows is None:
                 self._prev[:, layer, :] = times
@@ -345,82 +298,29 @@ class InterLayerSkewStream(_PerLayerMaxStream):
                 self._prev[:, layer, :] = np.nan
                 self._prev[rows, layer, :] = times[rows]
 
-    def finalize(self):
+    def finalize(self) -> None:
+        """Release the inter-layer fold's previous-pulse buffer."""
         self._prev = None
 
-    def _trial_columns(self, row):
-        return max(int(self.layout.depths[row]) - 1, 0)
+    def trial_values(
+        self, name: str, row: int, empty: float = 0.0
+    ) -> np.ndarray:
+        """One trial's per-layer statistic over its *own* layer count.
 
-
-class GlobalSkewStream(_PerLayerMaxStream):
-    """Per-layer global skew (largest same-pulse spread), streamed.
-
-    Geometry-agnostic like :func:`repro.analysis.skew.global_skew_layers`:
-    the spread masks NaN cells, so padded lanes never contribute.
-    """
-
-    name = "global"
-
-    def bind(self, layout):
-        self._alloc(layout, layout.num_layers)
-
-    def update(self, pulse, layer, times, corrections, rows=None):
-        idx = np.arange(self.layout.num_trials) if rows is None else rows
-        if idx.size == 0:
-            return
-        plane = times[idx]
-        valid = ~np.isnan(plane)
-        any_valid = valid.any(axis=-1)
-        maxs = np.where(valid, plane, -np.inf).max(axis=-1, initial=-np.inf)
-        mins = np.where(valid, plane, np.inf).min(axis=-1, initial=np.inf)
-        spread = np.where(any_valid, maxs - mins, -np.inf)
-        self._acc[idx, layer] = np.maximum(self._acc[idx, layer], spread)
-        self._valid[idx, layer] |= any_valid
-
-    def _trial_columns(self, row):
-        return int(self.layout.depths[row])
-
-
-class CorrectionStatsStream(StreamingReducer):
-    """Correction summary (count / mean ``|C|`` / max ``|C|``), streamed.
-
-    The count and max are exact under any fold order; the mean's partial
-    sums accumulate in plane order, which is why
-    :meth:`BatchResult.correction_stats` reduces materialized blocks
-    through :func:`fold_correction_planes` -- the identical op sequence
-    -- rather than one flat sum.
-    """
-
-    name = "corrections"
-
-    def bind(self, layout):
-        self.layout = layout
-        trials = layout.num_trials
-        self._counts = np.zeros(trials, dtype=np.int64)
-        self._totals = np.zeros(trials)
-        self._max_abs = np.zeros(trials)
-
-    def update(self, pulse, layer, times, corrections, rows=None):
-        mask = _rows_mask(rows, self.layout.num_trials)
-        for group in self.layout.groups:
-            if layer >= group.depth:
-                continue
-            idx = group.active(mask)
-            if idx.size == 0:
-                continue
-            # Slice to the group's true width: summing a padded W_max row
-            # changes numpy's pairwise-sum association, so the mean would
-            # drift ULPs away from a per-trial fold of the same data.
-            plane = corrections[idx][:, : group.width]
-            finite = np.isfinite(plane)
-            abs_vals = np.where(finite, np.abs(plane), 0.0)
-            self._counts[idx] += finite.sum(axis=-1)
-            self._totals[idx] = self._totals[idx] + abs_vals.sum(axis=-1)
-            self._max_abs[idx] = np.maximum(
-                self._max_abs[idx], abs_vals.max(axis=-1, initial=0.0)
-            )
+        ``name`` is ``"local"``, ``"inter_layer"`` or ``"global"``;
+        ``empty`` fills layers that had nothing to fold.
+        """
+        columns = int(self.layout.depths[row])
+        if name == "inter_layer":
+            columns = max(columns - 1, 0)
+        return np.where(
+            self._valid[name][row, :columns],
+            self._max[name][row, :columns],
+            empty,
+        )
 
     def trial_stats(self, row: int) -> Dict[str, float]:
+        """One trial's correction count / mean ``|C|`` / max ``|C|``."""
         count = int(self._counts[row])
         mean = self._totals[row] / max(count, 1) if count > 0 else 0.0
         return {
@@ -428,255 +328,6 @@ class CorrectionStatsStream(StreamingReducer):
             "mean_abs": float(mean),
             "num_corrections": count,
         }
-
-    def stats(self) -> Dict[str, np.ndarray]:
-        """All-trials summary in the :meth:`correction_stats` layout."""
-        return {
-            "max_abs": self._max_abs.copy(),
-            "mean_abs": np.where(
-                self._counts > 0,
-                self._totals / np.maximum(self._counts, 1),
-                0.0,
-            ),
-            "num_corrections": self._counts.copy(),
-        }
-
-    def merged(self, other, layout):
-        out = CorrectionStatsStream()
-        out.bind(layout)
-        first = self.layout.num_trials
-        out._counts[:first] = self._counts
-        out._counts[first:] = other._counts
-        out._totals[:first] = self._totals
-        out._totals[first:] = other._totals
-        out._max_abs[:first] = self._max_abs
-        out._max_abs[first:] = other._max_abs
-        return out
-
-
-class PotentialStream(_PerLayerMaxStream):
-    """Definition 4.1 potential ``Psi^s(l)``, streamed.
-
-    Folds ``max_{v,w} (t_v - t_w - 4 s kappa d(v, w))`` per plane -- the
-    all-pairs weight matrices are cached per geometry group at bind time
-    (O(S W^2) once, instead of an (S, K, L, W, W) diff tensor).  Bitwise
-    equal to :func:`repro.analysis.potentials.potential_layers` with
-    ``coefficient = 4 s kappa``.
-    """
-
-    def __init__(self, s: int) -> None:
-        self.s = int(s)
-        self.name = f"potential_s{self.s}"
-
-    def bind(self, layout):
-        self._alloc(layout, layout.num_layers)
-        self._weights = []
-        for group in layout.groups:
-            dist = group.distance_matrix()
-            coefficients = 4.0 * self.s * layout.kappas[group.indices]
-            self._weights.append(
-                coefficients[:, None, None] * dist[None, :, :]
-            )
-
-    def update(self, pulse, layer, times, corrections, rows=None):
-        mask = _rows_mask(rows, self.layout.num_trials)
-        for gi, group in enumerate(self.layout.groups):
-            if layer >= group.depth:
-                continue
-            positions, idx = group.active_positions(mask)
-            if idx.size == 0:
-                continue
-            plane = times[idx][:, : group.width]
-            diffs = (
-                (plane[:, :, None] - plane[:, None, :])
-                - self._weights[gi][positions]
-            )
-            self._fold(idx, layer, diffs.reshape(idx.size, -1))
-
-    def finalize(self):
-        self._weights = None
-
-    def _trial_columns(self, row):
-        return int(self.layout.depths[row])
-
-    def trial_values(self, row: int, empty: float = np.nan) -> np.ndarray:
-        # Layers with no correct pair have an *undefined* potential (the
-        # scalar ``Psi`` reports NaN), hence the NaN default.
-        return super().trial_values(row, empty=empty)
-
-    def _spawn(self):
-        return PotentialStream(self.s)
-
-
-class IncrementalSketch(StreamingReducer):
-    """Bounded rank-``r`` SVD sketch of the trial block, streamed.
-
-    The Fareed & Singler incremental-POD update: each ``(S, W)`` plane is
-    one column (NaN as 0) of the implicit ``(S*W, K*L)`` snapshot matrix,
-    folded into a rank-``r`` factorization ``U diag(s) Vt`` by a Brand
-    single-column update.  Memory stays ``O(r (S W + K L))`` regardless
-    of how many pulses stream past -- the post-hoc-analysis replacement
-    for keeping the full block.  The sketch is an *approximation* (exact
-    only while the data's rank stays <= r), so it is excluded from the
-    bitwise differential matrix.
-    """
-
-    name = "sketch"
-
-    def __init__(self, rank: int) -> None:
-        if rank < 1:
-            raise ValueError(f"sketch rank must be >= 1, got {rank}")
-        self.rank = int(rank)
-
-    def bind(self, layout):
-        self.layout = layout
-        rows = layout.num_trials * layout.width
-        self._u = np.zeros((rows, 0))
-        self._sv = np.zeros(0)
-        self._vt = np.zeros((0, 0))
-        self.num_columns = 0
-
-    def update(self, pulse, layer, times, corrections, rows=None):
-        column = np.where(np.isnan(times), 0.0, times).reshape(-1)
-        rank = self._sv.size
-        projection = self._u.T @ column
-        residual = column - self._u @ projection
-        rho = float(np.linalg.norm(residual))
-        core = np.zeros((rank + 1, rank + 1))
-        core[:rank, :rank] = np.diag(self._sv)
-        core[:rank, rank] = projection
-        core[rank, rank] = rho
-        core_u, core_s, core_vt = np.linalg.svd(core)
-        direction = (
-            residual / rho if rho > 1e-12 else np.zeros_like(residual)
-        )
-        basis = np.concatenate([self._u, direction[:, None]], axis=1)
-        grown_v = np.zeros((self.num_columns + 1, rank + 1))
-        grown_v[: self.num_columns, :rank] = self._vt.T
-        grown_v[self.num_columns, rank] = 1.0
-        keep = min(self.rank, core_s.size)
-        self._u = basis @ core_u[:, :keep]
-        self._sv = core_s[:keep]
-        self._vt = (grown_v @ core_vt.T)[:, :keep].T
-        self.num_columns += 1
-
-    def reconstruct(self) -> np.ndarray:
-        """Best rank-``r`` approximation of the block; ``(S, K, L, W)``."""
-        layout = self.layout
-        expected = layout.num_pulses * layout.num_layers
-        if self.num_columns != expected:
-            raise ValueError(
-                f"sketch saw {self.num_columns} planes, expected {expected}"
-            )
-        matrix = (self._u * self._sv[None, :]) @ self._vt
-        return matrix.reshape(
-            layout.num_trials, layout.width,
-            layout.num_pulses, layout.num_layers,
-        ).transpose(0, 2, 3, 1)
-
-    def _padded_u(self, width: int) -> np.ndarray:
-        if width == self.layout.width:
-            return self._u
-        trials, own = self.layout.num_trials, self.layout.width
-        padded = np.zeros((trials * width, self._sv.size))
-        padded.reshape(trials, width, -1)[:, :own, :] = self._u.reshape(
-            trials, own, -1
-        )
-        return padded
-
-    def merged(self, other, layout):
-        if self.num_columns != other.num_columns:
-            raise ValueError("cannot merge sketches over different pulses")
-        out = IncrementalSketch(max(self.rank, other.rank))
-        out.layout = layout
-        upper = self._padded_u(layout.width)
-        lower = other._padded_u(layout.width)
-        stacked = np.concatenate(
-            [
-                self._sv[:, None] * self._vt,
-                other._sv[:, None] * other._vt,
-            ],
-            axis=0,
-        )
-        if stacked.size == 0:
-            out._u = np.zeros((upper.shape[0] + lower.shape[0], 0))
-            out._sv = np.zeros(0)
-            out._vt = np.zeros((0, self.num_columns))
-        else:
-            core_u, core_s, core_vt = np.linalg.svd(
-                stacked, full_matrices=False
-            )
-            basis = np.zeros(
-                (
-                    upper.shape[0] + lower.shape[0],
-                    upper.shape[1] + lower.shape[1],
-                )
-            )
-            basis[: upper.shape[0], : upper.shape[1]] = upper
-            basis[upper.shape[0]:, upper.shape[1]:] = lower
-            keep = min(out.rank, core_s.size)
-            out._u = basis @ core_u[:, :keep]
-            out._sv = core_s[:keep]
-            out._vt = core_vt[:keep]
-        out.num_columns = self.num_columns
-        return out
-
-
-class StreamedStats:
-    """Bound reducer set of one streamed run (one stack group / trial).
-
-    Attached to every participating :class:`~repro.core.fast.FastResult`
-    as ``result.streamed`` with the trial's row in ``result.streamed_row``
-    -- one shared object per stack group, which pickling deduplicates
-    within a shard payload, so the process executor carries it at no
-    per-trial cost (unlike the stripped ``_StackBlock``).
-    """
-
-    def __init__(
-        self, layout: StreamLayout, reducers: Iterable[StreamingReducer]
-    ) -> None:
-        self.layout = layout
-        # Position of this stream's first trial in the parent batch.
-        # BatchRunner stamps it after reassembly; merge() orders shards
-        # by it so ``a.merge(b)`` and ``b.merge(a)`` concatenate the
-        # trial axis identically (shard futures may resolve out of
-        # order).  Standalone streams keep 0 (self-first, the historical
-        # behavior).
-        self.trial_offset = 0
-        self._reducers = list(reducers)
-        names = [r.name for r in self._reducers]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate reducer names: {names}")
-        self._by_name = {r.name: r for r in self._reducers}
-        for reducer in self._reducers:
-            reducer.bind(layout)
-
-    def update(
-        self,
-        pulse: int,
-        layer: int,
-        times: np.ndarray,
-        corrections: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> None:
-        for reducer in self._reducers:
-            reducer.update(pulse, layer, times, corrections, rows)
-
-    def finalize(self) -> None:
-        for reducer in self._reducers:
-            reducer.finalize()
-
-    def names(self) -> List[str]:
-        return [r.name for r in self._reducers]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> StreamingReducer:
-        return self._by_name[name]
-
-    def get(self, name: str) -> Optional[StreamingReducer]:
-        return self._by_name.get(name)
 
     def merge(self, other: "StreamedStats") -> "StreamedStats":
         """Concatenate two shards' accumulators along the trial axis.
@@ -688,63 +339,34 @@ class StreamedStats:
         """
         if self.layout.num_pulses != other.layout.num_pulses:
             raise ValueError("cannot merge streams over different pulses")
-        if self.names() != other.names():
-            raise ValueError(
-                f"reducer sets differ: {self.names()} vs {other.names()}"
-            )
-        self_offset = getattr(self, "trial_offset", 0)
-        other_offset = getattr(other, "trial_offset", 0)
         first, second = (
-            (self, other) if self_offset <= other_offset else (other, self)
+            (self, other)
+            if self.trial_offset <= other.trial_offset
+            else (other, self)
         )
-        layout = StreamLayout(
-            first.layout.graphs + second.layout.graphs,
-            np.concatenate([first.layout.kappas, second.layout.kappas]),
-            first.layout.num_pulses,
+        merged = StreamedStats(
+            StreamLayout(
+                first.layout.graphs + second.layout.graphs,
+                first.layout.num_pulses,
+            )
         )
-        merged = StreamedStats.__new__(StreamedStats)
-        merged.layout = layout
-        merged.trial_offset = min(self_offset, other_offset)
-        merged._reducers = [
-            first[reducer.name].merged(second[reducer.name], layout)
-            for reducer in first._reducers
-        ]
-        merged._by_name = {r.name: r for r in merged._reducers}
+        merged.finalize()
+        merged.trial_offset = first.trial_offset
+        split = first.layout.num_trials
+        for part, rows in ((first, slice(None, split)), (second, slice(split, None))):
+            for name, acc in part._max.items():
+                merged._max[name][rows, : acc.shape[1]] = acc
+                merged._valid[name][rows, : acc.shape[1]] = part._valid[name]
+        merged._counts = np.concatenate([first._counts, second._counts])
+        merged._totals = np.concatenate([first._totals, second._totals])
+        merged._max_abs = np.concatenate([first._max_abs, second._max_abs])
         return merged
-
-
-def default_reducers(
-    sketch_rank: Optional[int] = None,
-    potential_levels: Sequence[int] = (),
-) -> List[StreamingReducer]:
-    """The reducer set backing :class:`BatchResult`'s streamed accessors.
-
-    Local / inter-layer / global skew and correction stats always;
-    ``potential_levels`` adds one ``Psi^s`` stream per level and
-    ``sketch_rank`` an :class:`IncrementalSketch`.
-
-    Example
-    -------
-    >>> from repro.analysis.streaming import default_reducers
-    >>> [r.name for r in default_reducers(potential_levels=(1,))]
-    ['local', 'inter_layer', 'global', 'corrections', 'potential_s1']
-    """
-    reducers: List[StreamingReducer] = [
-        LocalSkewStream(),
-        InterLayerSkewStream(),
-        GlobalSkewStream(),
-        CorrectionStatsStream(),
-    ]
-    reducers.extend(PotentialStream(s) for s in potential_levels)
-    if sketch_rank is not None:
-        reducers.append(IncrementalSketch(sketch_rank))
-    return reducers
 
 
 def fold_correction_planes(corrections: np.ndarray) -> Dict[str, np.ndarray]:
     """Correction stats of an ``(S, K, L, W)`` block, in *stream order*.
 
-    Reduces plane by plane exactly like :class:`CorrectionStatsStream`
+    Reduces plane by plane exactly like :meth:`StreamedStats.update`
     (same partial-sum association), so materialized and streamed
     correction means agree bitwise -- a flat ``.sum()`` over the block
     would not, since float addition is order-sensitive.
@@ -756,12 +378,12 @@ def fold_correction_planes(corrections: np.ndarray) -> Dict[str, np.ndarray]:
     max_abs = np.zeros(trials)
     for pulse in range(pulses):
         for layer in range(layers):
-            plane = corrections[:, pulse, layer, :]
-            finite = np.isfinite(plane)
-            abs_vals = np.where(finite, np.abs(plane), 0.0)
-            counts += finite.sum(axis=-1)
-            totals = totals + abs_vals.sum(axis=-1)
-            max_abs = np.maximum(max_abs, abs_vals.max(axis=-1, initial=0.0))
+            plane_counts, plane_totals, plane_max = _correction_plane(
+                corrections[:, pulse, layer, :]
+            )
+            counts += plane_counts
+            totals = totals + plane_totals
+            max_abs = np.maximum(max_abs, plane_max)
     return {
         "max_abs": max_abs,
         "mean_abs": np.where(

@@ -660,16 +660,6 @@ class FastResult:
         v, layer = node
         return float(self.times[pulse, layer, v])
 
-    def _streamed_reducer(self, name: str):
-        """The named streamed reducer, or raise when it is unavailable."""
-        if self.streamed is None or name not in self.streamed:
-            raise ValueError(
-                "result holds no pulse-time matrices and no streamed "
-                f"{name!r} reducer; run with store_times=True or include "
-                "the reducer"
-            )
-        return self.streamed[name]
-
     # Convenience delegates into the analysis package (lazy import to keep
     # the dependency direction core <- analysis).  Streamed results (no
     # materialized ``times``) serve the same numbers -- bitwise, see
@@ -677,8 +667,10 @@ class FastResult:
     def local_skew(self, layer: int) -> float:
         """Measured ``L_layer`` over all recorded pulses."""
         if self.times is None:
-            values = self._streamed_reducer("local").trial_values(
-                self.streamed_row
+            from repro.analysis.streaming import StreamedStats
+
+            values = StreamedStats.of(self).trial_values(
+                "local", self.streamed_row
             )
             return float(values[layer])
         from repro.analysis.skew import local_skew_per_layer
@@ -688,8 +680,10 @@ class FastResult:
     def max_local_skew(self) -> float:
         """Measured ``sup_l L_l``."""
         if self.times is None:
-            values = self._streamed_reducer("local").trial_values(
-                self.streamed_row
+            from repro.analysis.streaming import StreamedStats
+
+            values = StreamedStats.of(self).trial_values(
+                "local", self.streamed_row
             )
             return float(np.max(values))
         from repro.analysis.skew import max_local_skew
@@ -699,8 +693,10 @@ class FastResult:
     def global_skew(self) -> float:
         """Measured global skew ``max_l Psi^0``-style same-layer spread."""
         if self.times is None:
-            values = self._streamed_reducer("global").trial_values(
-                self.streamed_row
+            from repro.analysis.streaming import StreamedStats
+
+            values = StreamedStats.of(self).trial_values(
+                "global", self.streamed_row
             )
             return float(np.max(values))
         from repro.analysis.skew import global_skew
@@ -827,20 +823,18 @@ class FastSimulation:
     def run(
         self,
         num_pulses: int,
-        reducers: Optional[list] = None,
         store_times: bool = True,
     ) -> FastResult:
         """Simulate ``num_pulses`` pulses through all layers.
 
-        ``reducers`` (a list of
-        :class:`~repro.analysis.streaming.StreamingReducer`) folds
-        statistics online, one layer plane at a time.  With
-        ``store_times=False`` the run keeps only a rolling *one-pulse*
-        window of the result matrices -- memory O(L, W) instead of
-        O(K, L, W) -- and releases even that at the end: the returned
-        result serves its skew accessors from ``result.streamed``
-        (bitwise identical to the materialized reducers; ``reducers``
-        defaults to :func:`~repro.analysis.streaming.default_reducers`).
+        With ``store_times=False`` the run folds its statistics online,
+        one layer plane at a time, into a
+        :class:`~repro.analysis.streaming.StreamedStats`, and keeps only
+        a rolling *one-pulse* window of the result matrices -- memory
+        O(L, W) instead of O(K, L, W) -- releasing even that at the end:
+        the returned result serves its skew accessors from
+        ``result.streamed`` (bitwise identical to the materialized
+        reducers).
 
         The vectorized run is a :class:`~repro.core.fast_batch.TrialStack`
         of one, so its result is a frozen snapshot like every stacked
@@ -852,20 +846,12 @@ class FastSimulation:
             # Local import: fast_batch builds on this module.
             from repro.core.fast_batch import TrialStack
 
-            return TrialStack([self]).run(num_pulses, reducers, store_times)[0]
+            return TrialStack([self]).run(num_pulses, store_times)[0]
         stream = None
-        if reducers is not None or not store_times:
-            from repro.analysis.streaming import (
-                StreamLayout,
-                StreamedStats,
-                default_reducers,
-            )
+        if not store_times:
+            from repro.analysis.streaming import StreamLayout, StreamedStats
 
-            if reducers is None:
-                reducers = default_reducers()
-            stream = StreamedStats(
-                StreamLayout.from_sims([self], num_pulses), reducers
-            )
+            stream = StreamedStats(StreamLayout.from_sims([self], num_pulses))
         schedule = (
             None
             if self.campaign is None

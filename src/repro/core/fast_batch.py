@@ -162,7 +162,7 @@ from repro.core.layer0 import stacked_pulse_row, stacked_pulse_times
 __all__ = ["TrialStack", "stack_compatibility"]
 
 #: Rows hint for layer steps the compacted loop skipped outright: the
-#: streaming reducers still need the update (the inter-layer reducer
+#: streamed statistics still need the update (the inter-layer fold
 #: retires its previous-pulse plane), just with no active trial.
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
@@ -532,17 +532,15 @@ class TrialStack:
     def run(
         self,
         num_pulses: int,
-        reducers: Optional[list] = None,
         store_times: bool = True,
     ) -> List[FastResult]:
         """Simulate ``num_pulses`` pulses for every trial; per-trial results.
 
-        ``reducers`` (a list of
-        :class:`~repro.analysis.streaming.StreamingReducer`) folds
-        statistics online as the kernel writes each ``(S, W)`` plane.
-        With ``store_times=False`` the shared matrices shrink to a
-        rolling *one-pulse* window -- memory O(S, L, W) instead of
-        O(S, K, L, W), and the layer-0 schedule is gathered one
+        With ``store_times=False`` the run folds its statistics online
+        into a :class:`~repro.analysis.streaming.StreamedStats` as the
+        kernel writes each ``(S, W)`` plane, and the shared matrices
+        shrink to a rolling *one-pulse* window -- memory O(S, L, W)
+        instead of O(S, K, L, W), and the layer-0 schedule is gathered one
         ``(S, W)`` row per pulse instead of the whole ``(S, K, W)``
         block -- and the returned results carry only the streamed
         accumulators (``result.streamed`` / ``streamed_row``; the
@@ -576,18 +574,10 @@ class TrialStack:
         )
 
         stream = None
-        if reducers is not None or not store_times:
-            from repro.analysis.streaming import (
-                StreamLayout,
-                StreamedStats,
-                default_reducers,
-            )
+        if not store_times:
+            from repro.analysis.streaming import StreamLayout, StreamedStats
 
-            if reducers is None:
-                reducers = default_reducers()
-            stream = StreamedStats(
-                StreamLayout.from_sims(sims, num_pulses), reducers
-            )
+            stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
 
         if store_times:
             # One (S, P, W_max) layer-0 gather for the whole stack; each
@@ -858,7 +848,7 @@ class TrialStack:
                         )
                     if stream is not None:
                         # Skipped steps still update with an empty rows hint so
-                        # the inter-layer reducer retires its buffer plane.
+                        # the inter-layer fold retires its buffer plane.
                         stream.update(
                             k,
                             layer,

@@ -72,7 +72,7 @@ from repro.analysis.skew import (
     masked_max,
     overall_skew_layers,
 )
-from repro.analysis.streaming import default_reducers, fold_correction_planes
+from repro.analysis.streaming import StreamedStats, fold_correction_planes
 
 __all__ = ["BatchTrial", "BatchResult", "BatchRunner", "CONFIG_RATES"]
 
@@ -324,8 +324,7 @@ class BatchResult:
             if missing:
                 raise ValueError(
                     f"trials {missing} hold neither pulse-time matrices nor "
-                    "streamed reducers; run them with reducers or "
-                    "store_times=True"
+                    "streamed statistics; run them with store_times=True"
                 )
             num_layers = max(r.graph.num_layers for r in results)
             width = max(r.graph.width for r in results)
@@ -419,18 +418,6 @@ class BatchResult:
             out[np.asarray(indices)[:, None], np.arange(values.shape[-1])] = values
         return out
 
-    @staticmethod
-    def _streamed_reducer(result: FastResult, name: str):
-        """The named streaming reducer bound to ``result``, or raise."""
-        streamed = result.streamed
-        if streamed is None or name not in streamed:
-            raise ValueError(
-                f"streamed batch carries no {name!r} reducer; request it via "
-                "BatchRunner (sketch_rank / potential_levels) or re-run with "
-                "store_times=True"
-            )
-        return streamed[name]
-
     def _streamed_layer_stat(
         self, name: str, columns: int, empty: float
     ) -> np.ndarray:
@@ -442,8 +429,8 @@ class BatchResult:
         """
         out = np.full((len(self), columns), np.nan)
         for s, r in enumerate(self.results):
-            values = self._streamed_reducer(r, name).trial_values(
-                r.streamed_row, empty=empty
+            values = StreamedStats.of(r).trial_values(
+                name, r.streamed_row, empty=empty
             )
             out[s, : values.shape[-1]] = values
         return out
@@ -520,47 +507,6 @@ class BatchResult:
             )
         return _rows_max(global_skew_layers(self.times, empty=np.nan))
 
-    def potentials(self, s: int, empty: float = np.nan) -> np.ndarray:
-        """Per-trial, per-layer potential ``Psi_s``; shape ``(S, L_max)``.
-
-        Streamed batches serve the fold of a ``PotentialStream(s)``
-        reducer (request it via ``BatchRunner(potential_levels=...)``);
-        materialized batches reduce :func:`potential_layers` per trial
-        with that trial's own ``kappa``.
-        """
-        if self.streaming:
-            return self._streamed_layer_stat(
-                f"potential_s{int(s)}", self._stream_layers, empty
-            )
-        from repro.analysis.potentials import potential_layers
-
-        out = np.full((len(self), self.times.shape[-2]), np.nan)
-        for graph, indices in self._geometry_groups():
-            depth, width = graph.num_layers, graph.width
-            for i in indices:
-                coefficient = 4.0 * s * self.results[i].params.kappa
-                out[i, :depth] = potential_layers(
-                    self.times[i, :, :depth, :width],
-                    graph,
-                    coefficient,
-                    empty=empty,
-                )
-        return out
-
-    def sketches(self) -> List:
-        """The distinct :class:`IncrementalSketch` reducers, in trial order.
-
-        One entry per underlying stream (a stacked group shares one
-        sketch; per-trial runs carry one each).  Raises when the batch
-        was not run with ``sketch_rank``.
-        """
-        seen: List = []
-        for r in self.results:
-            sketch = self._streamed_reducer(r, "sketch")
-            if not any(sketch is other for other in seen):
-                seen.append(sketch)
-        return seen
-
     # ------------------------------------------------------------------
     # Correction statistics
     # ------------------------------------------------------------------
@@ -571,16 +517,14 @@ class BatchResult:
         (layer 0 and via-``H_max`` iterations are NaN).  Both paths fold
         plane by plane in pulse-major order over each trial's *own*
         ``(L_s, W_s)`` window -- :func:`fold_correction_planes` on the
-        materialized per-trial matrices, the ``CorrectionStatsStream``
+        materialized per-trial matrices, the :class:`StreamedStats`
         accumulators otherwise -- so streamed and materialized runs agree
         bitwise (folding the padded ``W_max`` block instead would change
         the pairwise-sum association of the mean).
         """
         if self.streaming:
             rows = [
-                self._streamed_reducer(r, "corrections").trial_stats(
-                    r.streamed_row
-                )
+                StreamedStats.of(r).trial_stats(r.streamed_row)
                 for r in self.results
             ]
             return {
@@ -626,8 +570,6 @@ def _run_shard(
     trials: List[BatchTrial],
     num_pulses: int,
     store_times: bool,
-    sketch_rank: Optional[int],
-    potential_levels: Tuple[int, ...],
 ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
     """Process-executor worker: run one contiguous shard serially.
 
@@ -638,12 +580,7 @@ def _run_shard(
     Streamed shards ship their accumulators back through the results'
     ``streamed`` attribute (``FastResult.__getstate__`` keeps it).
     """
-    runner = BatchRunner(
-        num_pulses=num_pulses,
-        store_times=store_times,
-        sketch_rank=sketch_rank,
-        potential_levels=potential_levels,
-    )
+    runner = BatchRunner(num_pulses=num_pulses, store_times=store_times)
     return runner._run_serial(trials)
 
 
@@ -688,14 +625,6 @@ class BatchRunner:
         a time, and the result never allocates the block -- memory drops
         from ``O(S * K * L * W)`` to ``O(S * L * W)``.  The streamed
         statistics are bit-identical to the materialized reducers.
-    sketch_rank:
-        Optional rank for an :class:`IncrementalSketch` reducer riding
-        the stream (``BatchResult.sketches()``); implies streaming
-        reducers even when ``store_times=True``.
-    potential_levels:
-        Potential levels ``s`` to fold online as ``PotentialStream``
-        reducers (served by ``BatchResult.potentials(s)`` on streamed
-        batches).
     """
 
     def __init__(
@@ -704,8 +633,6 @@ class BatchRunner:
         executor: str = "serial",
         shards: Optional[int] = None,
         store_times: bool = True,
-        sketch_rank: Optional[int] = None,
-        potential_levels: Sequence[int] = (),
     ) -> None:
         if num_pulses < 1:
             raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
@@ -719,25 +646,6 @@ class BatchRunner:
         self.executor = executor
         self.shards = shards
         self.store_times = store_times
-        self.sketch_rank = sketch_rank
-        self.potential_levels = tuple(potential_levels)
-
-    def _reducers(self):
-        """A fresh reducer list per run call, or None when nothing streams.
-
-        Fresh each call because reducers bind to one stream layout; a
-        stacked group and a fallback trial cannot share accumulators.
-        """
-        if (
-            self.store_times
-            and self.sketch_rank is None
-            and not self.potential_levels
-        ):
-            return None
-        return default_reducers(
-            sketch_rank=self.sketch_rank,
-            potential_levels=self.potential_levels,
-        )
 
     def run(
         self,
@@ -805,11 +713,7 @@ class BatchRunner:
             groups.setdefault(_stack_key(trial), []).append(i)
         for indices in groups.values():
             stack = TrialStack([trials[i].simulation() for i in indices])
-            stacked = stack.run(
-                self.num_pulses,
-                reducers=self._reducers(),
-                store_times=self.store_times,
-            )
+            stacked = stack.run(self.num_pulses, store_times=self.store_times)
             for i, result in zip(indices, stacked):
                 results[i] = result
             stack_groups.append(list(indices))
@@ -838,12 +742,7 @@ class BatchRunner:
 
     def _shard_args(self) -> Tuple:
         """The :func:`_run_shard` knob tuple after the trial chunk."""
-        return (
-            self.num_pulses,
-            self.store_times,
-            self.sketch_rank,
-            self.potential_levels,
-        )
+        return (self.num_pulses, self.store_times)
 
     def _submit(
         self,

@@ -12,9 +12,8 @@ cache hit.
 Deliberately *excluded* from the key: ``executor`` and ``shards``.  The
 test suite pins that results are bitwise identical for every sharding,
 so a grid first run serially and resubmitted with
-``executor="process"`` is still a hit.  Keyed: ``store_times``,
-``sketch_rank`` and ``potential_levels`` (the last two change the
-payload).
+``executor="process"`` is still a hit.  Keyed: ``store_times`` (the
+pulse budget enters the key on its own).
 
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
@@ -37,16 +36,15 @@ __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 #: Bumped whenever the key layout or payload schema changes, so stores
 #: persisted to disk never serve a stale schema.  Version 2 dropped the
 #: retired stacking, compaction and backend knobs from the key; version 3
-#: dropped ``vectorize``.
-CACHE_VERSION = 3
+#: dropped ``vectorize``; version 4 dropped ``sketch_rank`` and
+#: ``potential_levels``.
+CACHE_VERSION = 4
 
 #: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
 #: grid key, with their defaults.  ``executor``/``shards`` are absent by
 #: design (see the module docstring).
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
     "store_times": True,
-    "sketch_rank": None,
-    "potential_levels": (),
 }
 
 
@@ -101,9 +99,7 @@ def grid_key(
     knobs = dict(KEYED_RUNNER_KNOBS)
     for name, value in (runner_knobs or {}).items():
         if name in knobs:
-            knobs[name] = (
-                tuple(value) if name == "potential_levels" else value
-            )
+            knobs[name] = value
     identity = (
         CACHE_VERSION,
         int(num_pulses),

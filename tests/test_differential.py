@@ -19,7 +19,7 @@ run through every path, asserting
 * **bitwise agreement of the streaming reducers** (``store_times=False``
   runs that never materialize the pulse-time block): every scenario also
   replays through the streamed per-trial, scalar, padded, and compacted
-  paths, and the online skew/potential/correction folds must equal the
+  paths, and the online skew and correction folds must equal the
   array reducers applied to the materialized reference exactly, and
 * **bitwise agreement across neighbor backends**: hub-skewed sparse
   scenarios replay through the CSR edge-segment kernel (per-trial and
@@ -50,14 +50,13 @@ from hypothesis import strategies as st
 
 import repro.core.fast as fast_mod
 import repro.core.fast_batch as fast_batch_mod
-from repro.analysis.potentials import potential_layers
 from repro.analysis.skew import (
     global_skew_layers,
     inter_layer_skew_layers,
     local_skew_layers,
     times_from_trace,
 )
-from repro.analysis.streaming import default_reducers, fold_correction_planes
+from repro.analysis.streaming import fold_correction_planes
 from repro.clocks import uniform_random_rates
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import FastSimulation
@@ -410,15 +409,6 @@ def run_fast_family(scenario, algorithm="full"):
     return family
 
 
-#: Potential level folded by the streaming legs (PotentialStream(1)).
-STREAM_POTENTIAL_S = 1
-
-
-def _stream_reducers():
-    """A fresh reducer list per leg (reducers bind to one stream)."""
-    return default_reducers(potential_levels=(STREAM_POTENTIAL_S,))
-
-
 def run_streaming_family(scenario, algorithm="full"):
     """Streamed (``store_times=False``) twins of every fast path.
 
@@ -430,23 +420,23 @@ def run_streaming_family(scenario, algorithm="full"):
     kwargs = dict(store_times=False)
     family = {
         "per_trial": fast_simulation(scenario, algorithm).run(
-            NUM_PULSES, reducers=_stream_reducers(), **kwargs
+            NUM_PULSES, **kwargs
         )
     }
     depth = scenario["graph"].num_layers
     with uncompacted():
         family["padded_stack"] = TrialStack(
             [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 2, algorithm)],
-        ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
+        ).run(NUM_PULSES, **kwargs)[0]
     family["compacted_stack_deep_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 3, algorithm)],
-    ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
+    ).run(NUM_PULSES, **kwargs)[0]
     family["compacted_stack_shallow_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-    ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
+    ).run(NUM_PULSES, **kwargs)[0]
     family["scalar"] = fast_simulation(
         scenario, algorithm, vectorize=False
-    ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)
+    ).run(NUM_PULSES, **kwargs)
     return family
 
 
@@ -512,28 +502,22 @@ def assert_streamed_matches_materialized(streamed, reference, scenario, label=""
     row = streamed.streamed_row
     stats = streamed.streamed
     np.testing.assert_array_equal(
-        stats["local"].trial_values(row),
+        stats.trial_values("local", row),
         local_skew_layers(reference.times, graph),
         err_msg=f"{label}: local skew",
     )
     np.testing.assert_array_equal(
-        stats["inter_layer"].trial_values(row),
+        stats.trial_values("inter_layer", row),
         inter_layer_skew_layers(reference.times, graph),
         err_msg=f"{label}: inter-layer skew",
     )
     np.testing.assert_array_equal(
-        stats["global"].trial_values(row, empty=np.nan),
+        stats.trial_values("global", row, empty=np.nan),
         global_skew_layers(reference.times, empty=np.nan),
         err_msg=f"{label}: global skew",
     )
-    coefficient = 4.0 * STREAM_POTENTIAL_S * scenario["params"].kappa
-    np.testing.assert_array_equal(
-        stats[f"potential_s{STREAM_POTENTIAL_S}"].trial_values(row),
-        potential_layers(reference.times, graph, coefficient),
-        err_msg=f"{label}: potential",
-    )
     want = fold_correction_planes(reference.corrections[None])
-    got = stats["corrections"].trial_stats(row)
+    got = stats.trial_stats(row)
     for key, values in want.items():
         np.testing.assert_array_equal(
             got[key], values[0], err_msg=f"{label}: corrections {key}"
@@ -829,7 +813,7 @@ class TestStackWideFallbackDifferential:
             stack = TrialStack([build() for build in builders])
             stacked = stack.run(CAMPAIGN_PULSES)
             streamed = TrialStack([build() for build in builders]).run(
-                CAMPAIGN_PULSES, reducers=_stream_reducers(), store_times=False
+                CAMPAIGN_PULSES, store_times=False
             )
             alone = [build().run(CAMPAIGN_PULSES) for build in builders]
 
@@ -903,20 +887,20 @@ class TestEngineDifferential:
         from the independent event-queue execution.
         """
         streamed = fast_simulation(scenario).run(
-            NUM_PULSES, reducers=_stream_reducers(), store_times=False
+            NUM_PULSES, store_times=False
         )
         event = self._engine_times(scenario)
         graph = scenario["graph"]
         row = streamed.streamed_row
         stats = streamed.streamed
         np.testing.assert_allclose(
-            stats["local"].trial_values(row),
+            stats.trial_values("local", row),
             local_skew_layers(event, graph),
             rtol=0.0, atol=1e-9, equal_nan=True,
             err_msg="engine vs streamed local skew",
         )
         np.testing.assert_allclose(
-            stats["global"].trial_values(row, empty=np.nan),
+            stats.trial_values("global", row, empty=np.nan),
             global_skew_layers(event, empty=np.nan),
             rtol=0.0, atol=1e-9, equal_nan=True,
             err_msg="engine vs streamed global skew",
@@ -1007,7 +991,7 @@ class TestCampaignDifferential:
         # The streamed twin folds the same planes the materialized run
         # stored, epoch swaps and all, over the seed edge layout.
         streamed = campaign_simulation(scenario, campaign).run(
-            CAMPAIGN_PULSES, reducers=_stream_reducers(), store_times=False
+            CAMPAIGN_PULSES, store_times=False
         )
         assert_streamed_matches_materialized(
             streamed, reference, scenario, label="streamed campaign"

@@ -4,13 +4,15 @@ Every relative link in ``README.md`` and ``docs/*.md`` must point at a
 file that exists in the repo, and every ``#anchor`` fragment must match a
 heading in the target file (GitHub slug rules).  External ``http(s)``
 links and GitHub-web-UI paths that escape the repo root (the CI badge)
-are skipped -- this is an offline check.
+are skipped -- this is an offline check.  Every ``examples/*.py``
+script must also import cleanly against the current library API.
 
 This module runs in tier-1 and again in the CI docs job next to
 ``pytest --doctest-modules``.
 """
 
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,17 @@ def test_readme_layout_section_is_gone():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "## Layout" not in readme
     assert "docs/ARCHITECTURE.md" in readme
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((REPO_ROOT / "examples").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_example_imports(path):
+    """Every example imports cleanly: no stale name of the library API.
+
+    ``run_name`` is not ``"__main__"``, so the scripts' ``main()`` guards
+    stay shut and only the module bodies (imports, constants) run.
+    """
+    runpy.run_path(str(path), run_name="__example__")

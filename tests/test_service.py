@@ -135,30 +135,22 @@ class TestGridKey:
             trials, NUM_PULSES, {"executor": "process", "shards": 4}
         )
 
-    def test_keyed_knobs_are_the_three_survivors(self):
-        # The retired stacking/compaction/backend knobs and then
-        # ``vectorize`` left the key, so the layout changed twice and
-        # CACHE_VERSION moved to 3.
-        assert set(KEYED_RUNNER_KNOBS) == {
-            "store_times",
-            "sketch_rank",
-            "potential_levels",
-        }
-        assert CACHE_VERSION == 3
+    def test_keyed_knob_is_store_times_alone(self):
+        # The retired stacking/compaction/backend knobs, then
+        # ``vectorize``, then ``sketch_rank`` and ``potential_levels``
+        # left the key, so the layout changed three times and
+        # CACHE_VERSION moved to 4.
+        assert set(KEYED_RUNNER_KNOBS) == {"store_times"}
+        assert CACHE_VERSION == 4
         trials = build_trials(SMALL_GRID)
-        for knob, value in (
-            ("store_times", False),
-            ("sketch_rank", 2),
-            ("potential_levels", (1,)),
-        ):
-            assert grid_key(trials, NUM_PULSES) != grid_key(
-                trials, NUM_PULSES, {knob: value}
-            ), knob
+        assert grid_key(trials, NUM_PULSES) != grid_key(
+            trials, NUM_PULSES, {"store_times": False}
+        )
 
     def test_explicit_default_hashes_like_omitted(self):
         trials = build_trials(SMALL_GRID)
         assert grid_key(trials, NUM_PULSES) == grid_key(
-            trials, NUM_PULSES, {"store_times": True, "sketch_rank": None}
+            trials, NUM_PULSES, {"store_times": True}
         )
 
     def test_unpicklable_grid_is_uncacheable(self):
@@ -331,7 +323,12 @@ class TestJobRunner:
 
     def test_retired_runner_knob_fails_the_submit_call(self, runner):
         # BatchRunner no longer takes the knobs, so validation names them.
-        for knob, value in (("kernel_backend", "numpy"), ("vectorize", False)):
+        for knob, value in (
+            ("kernel_backend", "numpy"),
+            ("vectorize", False),
+            ("sketch_rank", 2),
+            ("potential_levels", [1]),
+        ):
             with pytest.raises(TypeError, match=knob):
                 runner.submit({"grid": SMALL_GRID, "runner": {knob: value}})
         assert runner.jobs() == []
@@ -502,7 +499,12 @@ class TestServiceHTTP:
             client.submit({"kind": "thm99"})
 
     def test_retired_runner_knob_is_a_400_naming_it(self, client):
-        for knob, value in (("kernel_backend", "numpy"), ("vectorize", False)):
+        for knob, value in (
+            ("kernel_backend", "numpy"),
+            ("vectorize", False),
+            ("sketch_rank", 2),
+            ("potential_levels", [1]),
+        ):
             with pytest.raises(RuntimeError, match=f"HTTP 400.*{knob}"):
                 client.submit(SMALL_GRID, runner={knob: value})
 

@@ -1,4 +1,4 @@
-"""Streaming reducers: memory contract, shard merging, pickling, sketch.
+"""Streamed statistics: memory contract, shard merging, pickling.
 
 The bitwise agreement of streamed statistics with the materialized array
 reducers across every execution path lives in ``test_differential.py``;
@@ -8,13 +8,10 @@ this module pins everything else the streaming pipeline promises:
   block (asserted with :mod:`tracemalloc`, not by inspection),
 * streamed accumulators survive process-executor pickling, shard merges
   reproduce the serial run bitwise, and one stack group's results share
-  one :class:`StreamedStats` even after a pickle round-trip,
-* the incremental low-rank sketch reconstructs the block exactly while
-  the data rank fits, stays bounded when it does not, and merges across
-  shards, and
+  one :class:`StreamedStats` even after a pickle round-trip, and
 * the failure modes raise instead of silently serving garbage (mixed
-  streamed/materialized batches, missing reducers, block-less results
-  without accumulators).
+  streamed/materialized batches, block-less results without
+  accumulators).
 """
 
 import pickle
@@ -24,11 +21,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.skew import local_skew_layers
-from repro.analysis.streaming import (
-    IncrementalSketch,
-    StreamLayout,
-    default_reducers,
-)
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.experiments.batch import BatchRunner, BatchTrial
@@ -174,8 +166,8 @@ class TestShardsAndPickling:
         assert clone.max_local_skew() == result.max_local_skew()
         assert clone.global_skew() == result.global_skew()
         np.testing.assert_array_equal(
-            clone.streamed["local"].trial_values(clone.streamed_row),
-            result.streamed["local"].trial_values(result.streamed_row),
+            clone.streamed.trial_values("local", clone.streamed_row),
+            result.streamed.trial_values("local", result.streamed_row),
         )
 
     def test_stack_group_shares_one_stream_through_pickle(self):
@@ -241,17 +233,15 @@ class TestShardsAndPickling:
         )
         for row in range(forward.layout.num_trials):
             np.testing.assert_array_equal(
-                forward["local"].trial_values(row),
-                backward["local"].trial_values(row),
+                forward.trial_values("local", row),
+                backward.trial_values("local", row),
             )
-            assert forward["corrections"].trial_stats(row) == backward[
-                "corrections"
-            ].trial_stats(row)
+            assert forward.trial_stats(row) == backward.trial_stats(row)
         # Row 0 of the merged stream is the batch's first trial either
         # way (the lower-offset shard leads).
         np.testing.assert_array_equal(
-            backward["local"].trial_values(0),
-            a["local"].trial_values(0),
+            backward.trial_values("local", 0),
+            a.trial_values("local", 0),
         )
 
     def test_streamed_stats_merge_concatenates_trials(self):
@@ -260,86 +250,20 @@ class TestShardsAndPickling:
         merged = a.streamed.merge(b.streamed)
         assert merged.layout.num_trials == 2
         np.testing.assert_array_equal(
-            merged["local"].trial_values(0),
-            a.streamed["local"].trial_values(a.streamed_row),
+            merged.trial_values("local", 0),
+            a.streamed.trial_values("local", a.streamed_row),
         )
         np.testing.assert_array_equal(
-            merged["local"].trial_values(1),
-            b.streamed["local"].trial_values(b.streamed_row),
+            merged.trial_values("local", 1),
+            b.streamed.trial_values("local", b.streamed_row),
         )
         for row, source in ((0, a), (1, b)):
             assert (
-                merged["corrections"].trial_stats(row)
-                == source.streamed["corrections"].trial_stats(
+                merged.trial_stats(row)
+                == source.streamed.trial_stats(
                     source.streamed_row
                 )
             )
-
-
-# ----------------------------------------------------------------------
-# Incremental sketch
-# ----------------------------------------------------------------------
-class TestIncrementalSketch:
-    def _run_with_sketch(self, rank, diameter=6, seed=0):
-        sim = _simulation(diameter, seed=seed)
-        reducers = default_reducers(sketch_rank=rank)
-        streamed = sim.run(NUM_PULSES, reducers=reducers, store_times=True)
-        return streamed, streamed.streamed["sketch"]
-
-    def test_exact_reconstruction_at_full_rank(self):
-        graph = standard_config(6).graph
-        planes = NUM_PULSES * graph.num_layers
-        result, sketch = self._run_with_sketch(rank=planes)
-        assert sketch.num_columns == planes
-        want = np.where(np.isnan(result.times), 0.0, result.times)[None]
-        np.testing.assert_allclose(
-            sketch.reconstruct(), want, rtol=0.0, atol=1e-8
-        )
-
-    def test_rank_stays_bounded(self):
-        rank = 3
-        _, sketch = self._run_with_sketch(rank=rank)
-        assert sketch._sv.size <= rank
-        assert sketch._u.shape[1] <= rank
-        assert sketch._vt.shape[0] <= rank
-        # Still a sensible approximation: the dominant singular direction
-        # of pulse-time planes is huge (times grow ~linearly per pulse).
-        result, _ = self._run_with_sketch(rank=rank)
-        want = np.where(np.isnan(result.times), 0.0, result.times)[None]
-        got = sketch.reconstruct()
-        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel < 0.05
-
-    def test_merged_sketch_covers_both_shards(self):
-        planes = NUM_PULSES * standard_config(6).graph.num_layers
-        result_a, sketch_a = self._run_with_sketch(rank=planes, seed=0)
-        result_b, sketch_b = self._run_with_sketch(rank=planes, seed=1)
-        layout = StreamLayout(
-            [result_a.graph, result_b.graph],
-            [result_a.params.kappa, result_b.params.kappa],
-            NUM_PULSES,
-        )
-        merged = sketch_a.merged(sketch_b, layout)
-        stacked = np.concatenate(
-            [
-                np.where(np.isnan(r.times), 0.0, r.times)[None]
-                for r in (result_a, result_b)
-            ]
-        )
-        np.testing.assert_allclose(
-            merged.reconstruct(), stacked, rtol=0.0, atol=1e-8
-        )
-
-    def test_invalid_rank_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
-            IncrementalSketch(0)
-
-    def test_batch_carries_the_sketch(self):
-        batch = BatchRunner(
-            num_pulses=3, store_times=False, sketch_rank=2
-        ).run(_trials(4, faults=False))
-        sketches = batch.sketches()
-        assert sketches and all(s._sv.size <= 2 for s in sketches)
 
 
 # ----------------------------------------------------------------------
@@ -354,13 +278,6 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="mix"):
             BatchResult(_trials(2), [streamed, materialized])
 
-    def test_missing_reducer_raises_on_access(self):
-        batch = BatchRunner(num_pulses=3, store_times=False).run(_trials(2))
-        with pytest.raises(ValueError, match="potential_s2"):
-            batch.potentials(2)
-        with pytest.raises(ValueError, match="sketch"):
-            batch.sketches()
-
     def test_blockless_result_without_stream_raises(self):
         result = _simulation().run(NUM_PULSES, store_times=False)
         result.streamed = None
@@ -371,7 +288,7 @@ class TestFailureModes:
         streamed = _simulation(seed=3).run(NUM_PULSES, store_times=False)
         materialized = _simulation(seed=3).run(NUM_PULSES)
         np.testing.assert_array_equal(
-            streamed.streamed["local"].trial_values(streamed.streamed_row),
+            streamed.streamed.trial_values("local", streamed.streamed_row),
             local_skew_layers(materialized.times, materialized.graph),
         )
         assert streamed.max_local_skew() == materialized.max_local_skew()
