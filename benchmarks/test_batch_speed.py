@@ -2,14 +2,14 @@
 
 Four micro-benchmarks track the performance trajectory across PRs:
 
-* ``test_vectorized_kernel_speedup`` (marked ``slow``): scalar per-node
-  replay vs the whole-layer array kernel on the PR-1 acceptance grid
-  (fault-free, D = 64, 64 layers), asserting the >= 10x floor.
+* ``test_vectorized_kernel_speedup`` (marked ``slow``): the scalar
+  per-cell reference vs the whole-layer array kernel on the acceptance
+  grid (fault-free, D = 64, 64 layers), asserting the >= 10x floor.
 * ``test_trial_stacked_speedup``: per-trial loop (each run a trial
   stack of one) vs the trial-stacked ``(S, W)`` kernel on a fault-free
   S = 64, D = 32 batch, asserting the >= 3x floor.
-* ``test_simplified_stacked_speedup``: the vectorized + trial-stacked
-  simplified (Algorithm 1) path vs its scalar replay at D = 64,
+* ``test_simplified_stacked_speedup``: the trial-stacked simplified
+  (Algorithm 1) kernel vs its scalar per-cell reference at D = 64,
   asserting the >= 5x floor and bit-identical times.
 * ``test_heterogeneous_stacked_speedup``: a thm11-style mixed-width
   sweep (S = 16 over D in {16, 32, 64}) through the padded
@@ -177,15 +177,24 @@ def per_trial_loop(trials, num_pulses):
     )
 
 
-def scalar_loop(trials, num_pulses):
-    """The scalar reference replay of every trial, one run per trial."""
-    return BatchResult(
-        trials,
-        [
-            trial.simulation(vectorize=False).run(num_pulses)
-            for trial in trials
-        ],
+def scalar_reference():
+    """The scalar reference: every cell through the per-cell scalar rule.
+
+    The kernel accepts no cell, so the stack-wide fallback resolves every
+    active cell, and it does so with ``repro.core.fast._scalar_replay``
+    instead of the batched replay.
+    """
+    return mock.patch.multiple(
+        fast_batch_mod,
+        _kernel_cells=np.zeros_like,
+        _fallback_replay=fast_mod._scalar_replay,
     )
+
+
+def scalar_loop(trials, num_pulses):
+    """The scalar reference of every trial, one run per trial."""
+    with scalar_reference():
+        return per_trial_loop(trials, num_pulses)
 
 
 def geometry_grouped_batch(trials, num_pulses):
@@ -271,24 +280,20 @@ def timed(fn, repeats=3):
 @pytest.mark.slow
 def test_vectorized_kernel_speedup():
     graph, delays, rates = acceptance_grid()
-    vectorized = FastSimulation(
-        graph, PARAMS, delay_model=delays, clock_rates=rates, vectorize=True
-    )
-    scalar = FastSimulation(
-        graph, PARAMS, delay_model=delays, clock_rates=rates, vectorize=False
-    )
-    # Warm the shared per-edge delay cache and the per-layer array caches
-    # so the measured ratio reflects the kernels, not one-time RNG setup.
-    vectorized.run(1)
+    sim = FastSimulation(graph, PARAMS, delay_model=delays, clock_rates=rates)
+    # Warm the per-layer delay-array caches so the measured ratio
+    # reflects the per-cell rules, not one-time RNG setup.
+    sim.run(1)
     # Both paths get the same best-of-N treatment (an asymmetric protocol
     # would bias the recorded trajectory); escalate once on a noisy host
     # before failing the floor.
     for repeats in (3, 5):
-        scalar_time, scalar_result = timed(
-            lambda: scalar.run(NUM_PULSES), repeats=repeats
-        )
+        with scalar_reference():
+            scalar_time, scalar_result = timed(
+                lambda: sim.run(NUM_PULSES), repeats=repeats
+            )
         vector_time, vector_result = timed(
-            lambda: vectorized.run(NUM_PULSES), repeats=repeats
+            lambda: sim.run(NUM_PULSES), repeats=repeats
         )
         if scalar_time / vector_time >= 10.0:
             break
@@ -430,10 +435,10 @@ def test_trial_stacked_speedup():
 
 
 def test_simplified_stacked_speedup():
-    """Vectorized + stacked Algorithm 1 >= 5x over its scalar replay at D=64.
+    """Stacked Algorithm 1 >= 5x over its scalar per-cell reference at D=64.
 
     The simplified path used to be replayed scalar-only; this bench pins
-    the vectorized/trial-stacked kernel's throughput on the ``fig5_jump``/
+    the trial-stacked kernel's throughput on the ``fig5_jump``/
     ``ablations``-scale cell and records it under the ``"simplified"``
     section of ``BENCH_batch.json``.
     """
@@ -454,7 +459,7 @@ def test_simplified_stacked_speedup():
         repeats=1,
     )
 
-    # Acceptance: the stacked kernel is bit-identical to the scalar replay.
+    # Acceptance: the stacked kernel is bit-identical to the scalar reference.
     np.testing.assert_array_equal(
         stacked_batch.times[:SIMPLIFIED_SCALAR_TRIALS], scalar_batch.times
     )
@@ -512,7 +517,7 @@ def test_simplified_stacked_speedup():
     )
     assert speedup >= 5.0, (
         f"stacked simplified kernel only {speedup:.1f}x faster than the "
-        f"scalar replay ({stacked_time:.4f}s vs {scalar_time:.4f}s)"
+        f"scalar reference ({stacked_time:.4f}s vs {scalar_time:.4f}s)"
     )
 
 

@@ -11,8 +11,9 @@ distributions.  The closing section demonstrates the executor knobs:
 * ``BatchRunner(executor="process", shards=N)`` -- shard trials across
   worker processes (fault-heavy sweeps; trials must be picklable)
 
-(The scalar reference replay is per simulation --
-``trial.simulation(vectorize=False).run(...)`` -- not a runner mode.)
+(The scalar reference is not a runner mode: tests and benches swap the
+per-cell rule ``repro.core.fast._scalar_replay`` in behind the fallback
+seam of ``repro.core.fast_batch``.)
 
 All strategies produce bit-identical results; only the wall clock moves.
 

@@ -9,7 +9,7 @@ via-``H_max`` branch) without an event queue.  The event-driven simulator
 (:mod:`repro.core.network_sim`) is cross-validated against this one in the
 test suite.
 
-The per-node, per-pulse logic mirrors Algorithm 3:
+The per-cell, per-pulse logic mirrors Algorithm 3:
 
 1. Compute the reception time of each predecessor's pulse (send time plus
    edge delay); faulty predecessors' send times come from their
@@ -34,15 +34,16 @@ Faulty nodes also run the protocol (their "correct time" anchors the fault
 behaviours, as in Lemma 4.30's coupled executions) but broadcast whatever
 their behaviour dictates, per successor.
 
-Vectorized/scalar split
------------------------
+Kernel, batched fallback, scalar reference
+------------------------------------------
 :meth:`FastSimulation.run` is a :class:`~repro.core.fast_batch.TrialStack`
-of one: the stack advances one pulse of one layer for **all** base
-vertices of all its trials at once with NumPy array operations
-(reception times, do-until exit, correction, pulse time), which is what
-makes large parameter sweeps tractable.  The arithmetic lives in the
-shape-generic :func:`_layer_step_kernel` (and its CSR twin); both
-algorithms run through it:
+of one, and the stack is the only driver of the recurrence: it advances
+one pulse of one layer for **all** base vertices of all its trials at
+once with NumPy array operations (reception times, do-until exit,
+correction, pulse time), which is what makes large parameter sweeps
+tractable.  The arithmetic lives in the shape-generic
+:func:`_layer_step_kernel` (and its CSR twin); both algorithms run
+through it:
 
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
@@ -63,17 +64,22 @@ algorithms run through it:
   batched fallback.
 
 The eligibility tests are exact (ties fall back conservatively), and the
-kernel and the batched fallback mirror the scalar per-node replay
-(:meth:`FastSimulation._run_node`) operation for operation.
-``vectorize=False`` runs that scalar replay for every cell: it is the
-per-simulation reference the test suite cross-validates the kernel
-against over random rates, delays, and fault plans.
+kernel and the batched fallback mirror the per-cell scalar rule
+(:func:`_scalar_replay`) operation for operation.  That rule is the
+reference the test suite cross-validates the kernel against over random
+rates, delays, and fault plans -- the event engine runs Algorithm 3
+only, so it is the one independent reference for Algorithm 1 under
+faults.  It has :func:`_fallback_replay`'s signature and sits behind
+the fallback seam: patching ``fast_batch._kernel_cells`` to
+:func:`numpy.zeros_like` and ``fast_batch._fallback_replay`` to
+:func:`_scalar_replay` sends every cell of a normal run through it, so
+streaming, campaign epochs and the fault overlay run the production path
+in every reference run and only the per-cell rule differs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -89,7 +95,7 @@ from repro.faults.model import FaultContext
 from repro.params import Parameters
 from repro.topology.layered import LayeredGraph, NodeId
 
-__all__ = ["FastSimulation", "FastResult", "NodeOutcome", "BRANCH_CODES"]
+__all__ = ["FastSimulation", "FastResult", "BRANCH_CODES"]
 
 #: Encoding of the branch that produced each pulse (see :class:`FastResult`).
 BRANCH_CODES = {
@@ -273,7 +279,7 @@ def _layer_step_kernel(
     operation broadcasts over the leading axes, so a row of the stack
     evaluates *the same* NumPy expressions as a ``(W,)`` call and
     eligible cells produce bit-identical floats.  Formulae mirror the
-    scalar replay operation-for-operation.
+    scalar replay (:func:`_scalar_replay`) operation-for-operation.
 
     ``prev`` holds the previous layer's send times (NaN = missing);
     ``static_eligible`` is the precomputed fault-structure part of the
@@ -303,7 +309,7 @@ def _layer_step_kernel(
     under the full Algorithm 3 semantics -- the loop provably exits at the
     last arrival: no own-copy timeout, no last-neighbor timeout;
     non-strict bounds are exit-free ties.  The two comparisons mirror the
-    scalar ``_exit_requirement`` thresholds operation-for-operation.
+    scalar exit thresholds (:func:`_replay_full`) operation-for-operation.
     Algorithm 1 (``simplified=True``) has no timeouts -- the node waits
     for every arrival unconditionally -- so the two comparisons drop out
     and every received cell is eligible.
@@ -407,14 +413,16 @@ def _fallback_replay(
     are scalars or one value per cell.  The events are sorted along the
     event axis and the replay advances event **positions**: at most
     ``max_deg + 1`` vectorized steps, however many cells there are.
-    Register updates, the exit test (:meth:`FastSimulation._exit_requirement`)
-    and the correction (:func:`_correction_step`) mirror the scalar
-    replay operation for operation, and every operation is per cell, so a
-    cell's outcome does not depend on which other cells share the pass.
+    Register updates, the exit test and the correction
+    (:func:`_correction_step`) mirror the per-cell scalar rule
+    (:func:`_scalar_replay`) operation for operation, and every operation
+    is per cell, so a cell's outcome does not depend on which other cells
+    share the pass.
 
     Returns ``(pulses, correction, branches, pulse_time, effective,
-    h_own)``: ``pulses`` marks cells that pulse, and the rest of the
-    arrays are meaningful where the scalar replay would record them.
+    h_own)``: ``pulses`` marks cells that pulse; ``pulse_time`` is NaN
+    elsewhere, and ``effective`` is meaningful where a cell pulses with a
+    finite ``h_own``.
     """
     n, n_ev = ev_time.shape
     ev_own = np.zeros(ev_time.shape, dtype=bool)
@@ -466,8 +474,8 @@ def _fallback_replay(
                 received = received + upd_nb
                 h_min = np.where(upd_nb & (received == 1), t, h_min)
                 h_max = np.where(upd_nb & (received == num_nb), t, h_max)
-                # _exit_requirement, vectorized: the earliest local
-                # exit time given the registers known after event j.
+                # The earliest local exit time given the registers
+                # known after event j (see _replay_full).
                 own_inf = np.isinf(h_own)
                 max_inf = np.isinf(h_max)
                 req_own = np.where(
@@ -518,17 +526,155 @@ def _fallback_replay(
     return pulses, correction, branch_codes, pulse_time, effective, h_own
 
 
-@dataclass
-class NodeOutcome:
-    """Outcome of one node's loop iteration (used internally and by tests)."""
+def _scalar_replay(
+    ev_time: np.ndarray,
+    num_nb: np.ndarray,
+    rates: np.ndarray,
+    params: Parameters,
+    policy: CorrectionPolicy,
+    simplified: bool,
+) -> Tuple[np.ndarray, ...]:
+    """Per-cell scalar reference of :func:`_fallback_replay`.
 
-    pulse_time: Optional[float]
-    correction: float
-    branch: str
-    exit_local: Optional[float]
-    h_own: float
-    h_min: float
-    h_max: float
+    Same arguments and return tuple, but each cell's loop runs on its
+    own in plain Python floats, with
+    :func:`~repro.core.correction.compute_correction` as the correction
+    rule: the independent reference the tests and benchmarks compare the
+    kernel and the batched replay against.  Tests reach it through one seam: patch
+    ``repro.core.fast_batch._kernel_cells`` to :func:`numpy.zeros_like`
+    and ``repro.core.fast_batch._fallback_replay`` to this function, so
+    every cell of a normal run goes through it.  Numeric fields of
+    ``params``/``policy`` may be one value per cell.
+    """
+    n = ev_time.shape[0]
+    pulses = np.zeros(n, dtype=bool)
+    correction = np.full(n, np.nan)
+    branch_codes = np.full(n, BRANCH_CODES["none"], dtype=np.int8)
+    pulse_time = np.full(n, np.nan)
+    effective = np.full(n, np.nan)
+    h_own_out = np.full(n, np.inf)
+
+    def at(value, i):
+        return float(value[i]) if np.ndim(value) else value
+
+    replay = _replay_simplified if simplified else _replay_full
+    for i in range(n):
+        kappa = at(params.kappa, i)
+        vartheta = at(params.vartheta, i)
+        lam = at(params.Lambda, i)
+        d = at(params.d, i)
+        rate = float(rates[i])
+        cell_policy = (
+            policy
+            if isinstance(policy, CorrectionPolicy)
+            else CorrectionPolicy(
+                policy.discretize, at(policy.jump_slack, i), policy.stick_to_median
+            )
+        )
+        own = float(ev_time[i, 0])
+        own_arrival = own if math.isfinite(own) else None
+        neighbor_arrivals = sorted(
+            float(t) for t in ev_time[i, 1:] if math.isfinite(t)
+        )
+        exit_local, corr, branch, h_own, h_max = replay(
+            own_arrival, neighbor_arrivals, int(num_nb[i]), rate,
+            kappa, vartheta, cell_policy,
+        )
+        h_own_out[i] = h_own
+        if exit_local is None:
+            continue
+        correction[i] = corr
+        branch_codes[i] = BRANCH_CODES[branch]
+        if branch == "via_max":
+            # Algorithm 3's "H(t) = H_max + k/2 + vt*k" branch: the own
+            # copy's message did not arrive in time; anchor on H_max.
+            pulse_local = max(h_max + 1.5 * kappa + lam - d, exit_local)
+        else:
+            pulse_local = max(h_own + lam - d - corr, exit_local)
+        pulses[i] = True
+        pulse_time[i] = pulse_local / rate
+        effective[i] = h_own + lam - d - rate * pulse_time[i]
+    return pulses, correction, branch_codes, pulse_time, effective, h_own_out
+
+
+def _replay_simplified(
+    own_arrival, neighbor_arrivals, num_neighbors, rate, kappa, vartheta, policy
+):
+    """Algorithm 1: wait for own + first + last neighbor, then correct.
+
+    Returns ``(exit_local, correction, branch, h_own, h_max)``;
+    ``exit_local`` is None when the node deadlocks (a missing message,
+    or no neighbor predecessor at all).
+    """
+    h_own = math.inf if own_arrival is None else rate * own_arrival
+    if (
+        own_arrival is None
+        or num_neighbors == 0
+        or len(neighbor_arrivals) < num_neighbors
+    ):
+        return None, math.nan, "none", h_own, math.inf
+    h_min = rate * neighbor_arrivals[0]
+    h_max = rate * neighbor_arrivals[-1]
+    outcome = compute_correction(h_own, h_min, h_max, kappa, vartheta, policy)
+    return max(h_own, h_max), outcome.correction, outcome.branch, h_own, h_max
+
+
+def _replay_full(
+    own_arrival, neighbor_arrivals, num_neighbors, rate, kappa, vartheta, policy
+):
+    """Algorithm 3: replay the do-until loop and branch on exit cause.
+
+    Returns like :func:`_replay_simplified`; ``branch`` is ``"via_max"``
+    when the own copy was still missing at exit.
+    """
+    # The chronological arrival events in *local* time; neighbors before
+    # own on ties, like the batched replay.  The order inside a tie never
+    # changes the outcome: the loop cannot exit before a next event at
+    # the same time (``required < next_arrival`` is strict).
+    events: List[Tuple[float, str]] = []
+    if own_arrival is not None:
+        events.append((rate * own_arrival, "own"))
+    for arrival in neighbor_arrivals:
+        events.append((rate * arrival, "neighbor"))
+    events.sort(key=lambda e: (e[0], e[1] != "neighbor"))
+
+    h_own = math.inf
+    h_min = math.inf
+    h_max = math.inf
+    received = 0
+    for i, (h_arrival, kind) in enumerate(events):
+        if kind == "own":
+            h_own = min(h_own, h_arrival)
+        else:
+            received += 1
+            if received == 1:
+                h_min = h_arrival
+            if received == num_neighbors:
+                h_max = h_arrival
+        # The earliest local exit time given the receptions known now;
+        # none while no neighbor message arrived, or while the own copy
+        # and the last neighbor are both missing.
+        if math.isinf(h_min) or (math.isinf(h_own) and math.isinf(h_max)):
+            continue
+        required = h_arrival
+        if math.isinf(h_own):
+            required = max(required, h_max + kappa / 2.0 + vartheta * kappa)
+        if math.isinf(h_max):
+            required = max(required, 2.0 * h_own - h_min + 2.0 * kappa)
+        next_arrival = events[i + 1][0] if i + 1 < len(events) else math.inf
+        if required < next_arrival:
+            if math.isinf(h_own):
+                return required, math.nan, "via_max", h_own, h_max
+            # H_max may be +inf (last neighbor missing), which drives
+            # the correction negative.
+            outcome = compute_correction(
+                h_own, h_min, h_max, kappa, vartheta, policy
+            )
+            return required, outcome.correction, outcome.branch, h_own, h_max
+    # No neighbor message, or own copy and last neighbor both missing:
+    # the loop never exits.  Only possible with >= 2 silent predecessors
+    # (outside the fault model).
+    return None, math.nan, "none", h_own, h_max
 
 
 class FastResult:
@@ -585,11 +731,8 @@ class FastResult:
         fault_plan: FaultPlan,
         num_pulses: int,
         allocate: bool = True,
-        storage_pulses: Optional[int] = None,
     ) -> None:
-        if storage_pulses is None:
-            storage_pulses = num_pulses
-        shape = (storage_pulses, graph.num_layers, graph.width)
+        shape = (num_pulses, graph.num_layers, graph.width)
         self.graph = graph
         self.params = params
         self.fault_plan = fault_plan
@@ -603,8 +746,8 @@ class FastResult:
                 shape, BRANCH_CODES["none"], dtype=np.int8
             )
         else:
-            # The caller (the trial stack, or a streaming run) attaches
-            # its own windows/rolling planes before the first layer step.
+            # The trial stack attaches its own windows (or rolling
+            # one-pulse planes) before the first layer step.
             self.times = None
             self.protocol_times = None
             self.corrections = None
@@ -729,12 +872,6 @@ class FastSimulation:
         ``"full"`` (Algorithm 3) or ``"simplified"`` (Algorithm 1: waits for
         all predecessors; deadlocks on crashed predecessors exactly as the
         paper warns).
-    vectorize:
-        ``True`` (default) runs as a one-trial
-        :class:`~repro.core.fast_batch.TrialStack`; see the module
-        docstring.  ``False`` replays every cell through the scalar
-        per-node loop instead -- the reference the tests compare the
-        stacked kernel against.
     campaign:
         Optional :class:`~repro.faults.campaign.ChaosCampaign` over the
         same base graph: the run compiles it into per-epoch adjacency +
@@ -764,7 +901,6 @@ class FastSimulation:
         layer0: Optional[Layer0Schedule] = None,
         policy: CorrectionPolicy = PAPER_POLICY,
         algorithm: str = "full",
-        vectorize: bool = True,
         campaign: Optional["ChaosCampaign"] = None,
     ) -> None:
         if algorithm not in ("full", "simplified"):
@@ -789,10 +925,9 @@ class FastSimulation:
         self.layer0 = layer0 or PerfectLayer0(params.Lambda)
         self.policy = policy
         self.algorithm = algorithm
-        self.vectorize = vectorize
         self.campaign = campaign
         self._rates = clock_rates
-        # (L, W) rate plane of a static rate provider for the vectorized
+        # (L, W) rate plane of a static rate provider for the stacked
         # sweep, rebuilt every run so in-place edits of a rates dict
         # between runs are honored.  The per-layer *delay* arrays are
         # cached on the delay model itself (see
@@ -801,21 +936,6 @@ class FastSimulation:
         # FastSimulation per trial per run gathers a trial's delays once
         # per model, all its layers in one call.
         self._rate_plane: Optional[np.ndarray] = None
-        # (num_pulses, W) layer-0 schedule, gathered once per run in
-        # :meth:`_begin_run`; consumed row by row in :meth:`_run_layer0`.
-        self._layer0_times: Optional[np.ndarray] = None
-        self._layer0_has_fault = False
-
-    # ------------------------------------------------------------------
-    # Clock rates
-    # ------------------------------------------------------------------
-    def rate(self, node: NodeId, pulse: int) -> float:
-        """Hardware clock rate of ``node`` during iteration ``pulse``."""
-        if self._rates is None:
-            return 1.0
-        if callable(self._rates):
-            return float(self._rates(node, pulse))
-        return float(self._rates.get(node, 1.0))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -827,147 +947,44 @@ class FastSimulation:
     ) -> FastResult:
         """Simulate ``num_pulses`` pulses through all layers.
 
-        With ``store_times=False`` the run folds its statistics online,
-        one layer plane at a time, into a
+        The run is a :class:`~repro.core.fast_batch.TrialStack` of one,
+        so its result is a frozen snapshot like every stacked result
+        (read-only matrices, ``stack_row == 0``).  With
+        ``store_times=False`` the run folds its statistics online, one
+        layer plane at a time, into a
         :class:`~repro.analysis.streaming.StreamedStats`, and keeps only
         a rolling *one-pulse* window of the result matrices -- memory
         O(L, W) instead of O(K, L, W) -- releasing even that at the end:
         the returned result serves its skew accessors from
         ``result.streamed`` (bitwise identical to the materialized
         reducers).
-
-        The vectorized run is a :class:`~repro.core.fast_batch.TrialStack`
-        of one, so its result is a frozen snapshot like every stacked
-        result (read-only matrices, ``stack_row == 0``).  With
-        ``vectorize=False`` the loop below replays every cell through the
-        scalar per-node path.
         """
-        if self.vectorize:
-            # Local import: fast_batch builds on this module.
-            from repro.core.fast_batch import TrialStack
+        # Local import: fast_batch builds on this module.
+        from repro.core.fast_batch import TrialStack
 
-            return TrialStack([self]).run(num_pulses, store_times)[0]
-        stream = None
-        if not store_times:
-            from repro.analysis.streaming import StreamLayout, StreamedStats
+        return TrialStack([self]).run(num_pulses, store_times)[0]
 
-            stream = StreamedStats(StreamLayout.from_sims([self], num_pulses))
-        schedule = (
-            None
-            if self.campaign is None
-            else self.campaign.compile(num_pulses, base_plan=self.fault_plan)
-        )
-        result = self._begin_run(
-            num_pulses, storage_pulses=num_pulses if store_times else 1
-        )
-        num_layers = self.graph.num_layers
-        seed_state = (self.graph, self.fault_plan, self._layer0_has_fault)
-        epoch_index = -1
-        try:
-            for k in range(num_pulses):
-                if schedule is not None:
-                    index = schedule.epoch_index(k)
-                    if index != epoch_index:
-                        epoch_index = index
-                        self._enter_epoch(schedule.epochs[index])
-                rk = k if store_times else 0
-                if not store_times and k > 0:
-                    # Recycle the rolling one-pulse window for this iteration.
-                    result.times[0] = np.nan
-                    result.protocol_times[0] = np.nan
-                    result.corrections[0] = np.nan
-                    result.effective_corrections[0] = np.nan
-                    result.branches[0] = BRANCH_CODES["none"]
-                self._run_layer0(result, k, rk)
-                if stream is not None:
-                    stream.update(
-                        k, 0, result.times[rk, 0][None],
-                        result.corrections[rk, 0][None],
-                    )
-                for layer in range(1, num_layers):
-                    self._run_layer(result, k, layer, rk)
-                    if stream is not None:
-                        stream.update(
-                            k, layer, result.times[rk, layer][None],
-                            result.corrections[rk, layer][None],
-                        )
-        finally:
-            if schedule is not None:
-                # Restore the seed state so the simulation can be rerun
-                # (and so callers inspecting ``sim.graph`` after the run
-                # see the topology they constructed it with).
-                self.graph, self.fault_plan, self._layer0_has_fault = seed_state
-        if schedule is not None:
-            result.campaign = self.campaign
-            result.churn_stats = schedule.summary()
-        if stream is not None:
-            stream.finalize()
-            result.streamed = stream
-            result.streamed_row = 0
-        if not store_times:
-            result.times = None
-            result.protocol_times = None
-            result.corrections = None
-            result.effective_corrections = None
-            result.branches = None
-        return result
+    def _begin_run(self, num_pulses: int) -> FastResult:
+        """Validate, reset the per-run caches, and start an empty result.
 
-    def _begin_run(
-        self,
-        num_pulses: int,
-        layer0_times: Optional[np.ndarray] = None,
-        storage_pulses: Optional[int] = None,
-        allocate: bool = True,
-        gather_layer0: bool = True,
-    ) -> FastResult:
-        """Validate, reset the per-run caches, and allocate the result.
-
-        Shared by the scalar :meth:`run` and the trial-stacked runner
-        (:class:`repro.core.fast_batch.TrialStack`), which drives many
-        simulations through the same pulse/layer recurrence in lock-step.
-        Also gathers the whole ``(num_pulses, W)`` layer-0 schedule once
-        (:meth:`Layer0Schedule.pulse_times_array`), replacing the old
-        per-node/per-pulse ``pulse_time`` loop on every path -- including
-        the scalar one, where the array rows hold bit-identical values.
-        ``layer0_times`` injects a pre-gathered ``(num_pulses, W)`` block
-        instead -- the trial stack slices each trial's rows out of one
-        stacked :func:`~repro.core.layer0.stacked_pulse_times` fill --
-        and ``gather_layer0=False`` skips the gather entirely (streamed
-        stacks refill one ``(S, W)`` row per pulse instead).
-        ``storage_pulses``/``allocate`` shape the result matrices:
-        streamed runs keep a one-pulse rolling window, and the trial
-        stack attaches window views of its own shared block
-        (``allocate=False`` avoids allocating per-trial matrices that
-        would be thrown away immediately).
+        Called by the trial stack (:class:`repro.core.fast_batch.TrialStack`)
+        for each of its simulations; the stack attaches window views of
+        its own shared block as the result matrices.
         """
         if num_pulses < 1:
             raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
-        result = FastResult(
-            self.graph,
-            self.params,
-            self.fault_plan,
-            num_pulses,
-            allocate=allocate,
-            storage_pulses=storage_pulses,
-        )
         self._rate_plane = None
-        if layer0_times is None and gather_layer0:
-            layer0_times = self.layer0.pulse_times_array(
-                self.graph.base, num_pulses
-            )
-        self._layer0_times = layer0_times
-        self._layer0_has_fault = any(
-            layer == 0 for _, layer in self.fault_plan
+        return FastResult(
+            self.graph, self.params, self.fault_plan, num_pulses, allocate=False
         )
-        return result
 
     def _enter_epoch(self, epoch: CampaignEpoch) -> None:
         """Swap in a campaign epoch's graph and fault state.
 
         Called at epoch boundaries only; between boundaries every pulse
         runs exactly the static machinery on the swapped state.  The
-        layer-0 *schedule* (gathered once from the seed base in
-        :meth:`_begin_run`) is left alone -- an absent vertex's column is
+        layer-0 *schedule* (gathered by the trial stack from the seed
+        base) is left alone -- an absent vertex's column is
         silenced by the epoch plan's crash mask, not by rewriting the
         schedule.  Rate caches survive (rates are keyed by node id, and
         the vertex set never changes); delay-array caches live on the
@@ -977,73 +994,6 @@ class FastSimulation:
         """
         self.graph = epoch.graph
         self.fault_plan = epoch.fault_plan
-        self._layer0_has_fault = any(
-            layer == 0 for _, layer in self.fault_plan
-        )
-
-    def _run_layer0(
-        self, result: FastResult, k: int, row_index: Optional[int] = None
-    ) -> None:
-        rk = k if row_index is None else row_index
-        row = self._layer0_times[k]
-        result.protocol_times[rk, 0, :] = row
-        result.branches[rk, 0, :] = BRANCH_CODES["layer0"]
-        if not self._layer0_has_fault:
-            result.times[rk, 0, :] = row
-            return
-        for v in self.graph.base.nodes():
-            node = (v, 0)
-            t = float(row[v])
-            if self.fault_plan.is_faulty(node):
-                self._record_fault_sends(result, node, k, t)
-            else:
-                result.times[rk, 0, v] = t
-
-    def _run_layer(
-        self,
-        result: FastResult,
-        k: int,
-        layer: int,
-        row_index: Optional[int] = None,
-    ) -> None:
-        for v in self.graph.base.nodes():
-            self._run_node_and_record(result, (v, layer), k, row_index)
-
-    def _run_node_and_record(
-        self,
-        result: FastResult,
-        node: NodeId,
-        k: int,
-        row_index: Optional[int] = None,
-    ) -> None:
-        """Scalar path: replay one node's loop and record the outcome.
-
-        ``row_index`` is the storage row the result matrices keep pulse
-        ``k`` in -- ``k`` itself for fully materialized runs (the
-        default), ``0`` for streamed runs whose matrices are a rolling
-        one-pulse window.  The *logical* pulse ``k`` still keys every
-        rate/delay/fault-behavior query.
-        """
-        rk = k if row_index is None else row_index
-        v, layer = node
-        outcome = self._run_node(result, node, k, row_index)
-        result.corrections[rk, layer, v] = outcome.correction
-        result.branches[rk, layer, v] = BRANCH_CODES[outcome.branch]
-        if outcome.pulse_time is None:
-            return
-        if math.isfinite(outcome.h_own):
-            rate = self.rate(node, k)
-            result.effective_corrections[rk, layer, v] = (
-                outcome.h_own
-                + self.params.Lambda
-                - self.params.d
-                - rate * outcome.pulse_time
-            )
-        result.protocol_times[rk, layer, v] = outcome.pulse_time
-        if self.fault_plan.is_faulty(node):
-            self._record_fault_sends(result, node, k, outcome.pulse_time)
-        else:
-            result.times[rk, layer, v] = outcome.pulse_time
 
     def _record_fault_sends(
         self, result: FastResult, node: NodeId, k: int, correct_time: float
@@ -1066,221 +1016,6 @@ class FastSimulation:
             sends.append(send)
         return sends
 
-    # ------------------------------------------------------------------
-    # Reception times
-    # ------------------------------------------------------------------
-    def _send_time(
-        self,
-        result: FastResult,
-        pred: NodeId,
-        node: NodeId,
-        k: int,
-        row_index: Optional[int] = None,
-    ) -> Optional[float]:
-        """Time ``pred``'s pulse-``k`` message toward ``node`` leaves."""
-        pv, pl = pred
-        if self.fault_plan.is_faulty(pred):
-            return result.fault_sends.get((pred, node), {}).get(k)
-        t = result.times[k if row_index is None else row_index, pl, pv]
-        if math.isnan(t):
-            return None
-        return float(t)
-
-    def _arrivals(
-        self,
-        result: FastResult,
-        node: NodeId,
-        k: int,
-        row_index: Optional[int] = None,
-    ) -> Tuple[Optional[float], List[float]]:
-        """Real reception times: (own arrival, sorted neighbor arrivals)."""
-        own_pred = (node[0], node[1] - 1)
-        own_send = self._send_time(result, own_pred, node, k, row_index)
-        own_arrival = None
-        if own_send is not None:
-            own_arrival = own_send + self.delay_model.delay((own_pred, node), k)
-        neighbor_arrivals = []
-        for pred in self.graph.neighbor_predecessors(node):
-            send = self._send_time(result, pred, node, k, row_index)
-            if send is None:
-                continue
-            neighbor_arrivals.append(
-                send + self.delay_model.delay((pred, node), k)
-            )
-        neighbor_arrivals.sort()
-        return own_arrival, neighbor_arrivals
-
-    # ------------------------------------------------------------------
-    # Algorithm 3 loop replay
-    # ------------------------------------------------------------------
-    def _run_node(
-        self,
-        result: FastResult,
-        node: NodeId,
-        k: int,
-        row_index: Optional[int] = None,
-    ) -> NodeOutcome:
-        own_arrival, neighbor_arrivals = self._arrivals(
-            result, node, k, row_index
-        )
-        rate = self.rate(node, k)
-        num_neighbors = len(self.graph.neighbor_predecessors(node))
-        if self.algorithm == "simplified":
-            return self._run_node_simplified(
-                own_arrival, neighbor_arrivals, num_neighbors, rate
-            )
-        return self._run_node_full(
-            own_arrival, neighbor_arrivals, num_neighbors, rate
-        )
-
-    def _run_node_simplified(
-        self,
-        own_arrival: Optional[float],
-        neighbor_arrivals: List[float],
-        num_neighbors: int,
-        rate: float,
-    ) -> NodeOutcome:
-        """Algorithm 1: wait for own + first + last neighbor, then correct."""
-        if own_arrival is None or len(neighbor_arrivals) < num_neighbors:
-            return NodeOutcome(None, math.nan, "none", None, math.inf, math.inf, math.inf)
-        h_own = rate * own_arrival
-        h_min = rate * neighbor_arrivals[0]
-        h_max = rate * neighbor_arrivals[-1]
-        outcome = compute_correction(
-            h_own,
-            h_min,
-            h_max,
-            self.params.kappa,
-            self.params.vartheta,
-            self.policy,
-        )
-        target = h_own + self.params.Lambda - self.params.d - outcome.correction
-        ready = max(h_own, h_max)
-        pulse_local = max(target, ready)
-        return NodeOutcome(
-            pulse_time=pulse_local / rate,
-            correction=outcome.correction,
-            branch=outcome.branch,
-            exit_local=ready,
-            h_own=h_own,
-            h_min=h_min,
-            h_max=h_max,
-        )
-
-    @staticmethod
-    def _exit_requirement(
-        h_own: float,
-        h_min: float,
-        h_max: float,
-        now: float,
-        kappa: float,
-        vartheta: float,
-    ) -> Optional[float]:
-        """Earliest local exit time given the receptions known at ``now``.
-
-        None when the loop cannot exit yet by waiting (no neighbor message,
-        or both the own copy and the last neighbor are missing).
-        """
-        if math.isinf(h_min):
-            return None
-        required = now
-        if math.isinf(h_own):
-            if math.isinf(h_max):
-                return None
-            required = max(required, h_max + kappa / 2.0 + vartheta * kappa)
-        if math.isinf(h_max):
-            required = max(required, 2.0 * h_own - h_min + 2.0 * kappa)
-        return required
-
-    def _run_node_full(
-        self,
-        own_arrival: Optional[float],
-        neighbor_arrivals: List[float],
-        num_neighbors: int,
-        rate: float,
-    ) -> NodeOutcome:
-        """Algorithm 3: replay the do-until loop and branch on exit cause."""
-        params = self.params
-        kappa = params.kappa
-        vartheta = params.vartheta
-
-        # Build the chronological arrival event list in *local* time.
-        events: List[Tuple[float, str]] = []
-        if own_arrival is not None:
-            events.append((rate * own_arrival, "own"))
-        for arrival in neighbor_arrivals:
-            events.append((rate * arrival, "neighbor"))
-        events.sort(key=lambda e: (e[0], e[1] != "neighbor"))
-        # Ties: neighbors before own, matching the pseudocode's statement
-        # order being irrelevant (any deterministic rule works; tests pin it).
-
-        h_own = math.inf
-        h_min = math.inf
-        h_max = math.inf
-        received = 0
-        exit_tau: Optional[float] = None
-        own_missing_at_exit = False
-
-        for i, (h_arrival, kind) in enumerate(events):
-            if kind == "own":
-                h_own = min(h_own, h_arrival)
-            else:
-                received += 1
-                if received == 1:
-                    h_min = h_arrival
-                if received == num_neighbors:
-                    h_max = h_arrival
-            required = self._exit_requirement(
-                h_own, h_min, h_max, h_arrival, kappa, vartheta
-            )
-            if required is None:
-                continue
-            next_arrival = events[i + 1][0] if i + 1 < len(events) else math.inf
-            if required < next_arrival:
-                exit_tau = required
-                own_missing_at_exit = math.isinf(h_own)
-                break
-
-        if exit_tau is None:
-            # No neighbor message, or own copy and last neighbor both
-            # missing: the loop never exits.  Only possible with >= 2
-            # silent predecessors (outside the fault model).
-            return NodeOutcome(
-                None, math.nan, "none", None, h_own, h_min, h_max
-            )
-
-        if own_missing_at_exit:
-            # Algorithm 3's "H(t) = H_max + k/2 + vt*k" branch: the own
-            # copy's message did not arrive in time; anchor on H_max.
-            pulse_local = h_max + 1.5 * kappa + params.Lambda - params.d
-            pulse_local = max(pulse_local, exit_tau)
-            return NodeOutcome(
-                pulse_time=pulse_local / rate,
-                correction=math.nan,
-                branch="via_max",
-                exit_local=exit_tau,
-                h_own=h_own,
-                h_min=h_min,
-                h_max=h_max,
-            )
-
-        # Else branch: H_own and H_min are finite here; H_max may be +inf
-        # (last neighbor missing), which drives the correction negative.
-        outcome = compute_correction(
-            h_own, h_min, h_max, kappa, vartheta, self.policy
-        )
-        target = h_own + params.Lambda - params.d - outcome.correction
-        pulse_local = max(target, exit_tau)
-        return NodeOutcome(
-            pulse_time=pulse_local / rate,
-            correction=outcome.correction,
-            branch=outcome.branch,
-            exit_local=exit_tau,
-            h_own=h_own,
-            h_min=h_min,
-            h_max=h_max,
-        )
-
 
 class _VectorSweep:
     """One trial's index/mask structures for the stacked layer step.
@@ -1294,7 +1029,7 @@ class _VectorSweep:
     reconstruction and are never re-gathered for the same model.  Block
     gathers pass int64 vertex arrays and per-edge gathers plain ``int``
     vertices, so delay models keyed or seeded by edge identity see
-    exactly the scalar path's edges.
+    exactly the edges of a per-edge ``delay`` query.
     """
 
     def __init__(self, sim: FastSimulation, backend: str) -> None:

@@ -8,9 +8,10 @@ trials can advance through it in lock-step, with every per-layer array
 op over the ``(S, W)`` plane.  That is what :class:`TrialStack` does:
 reception times, do-until exit test, correction, and pulse time are
 computed for the whole plane at once, so the Python-loop overhead per
-layer step is paid once per *batch* instead of once per *trial*.  A
-vectorized :meth:`FastSimulation.run <repro.core.fast.FastSimulation.run>`
-is a stack of one.
+layer step is paid once per *batch* instead of once per *trial*.  The
+stack is the only driver of the recurrence:
+:meth:`FastSimulation.run <repro.core.fast.FastSimulation.run>` is a
+stack of one.
 
 Heterogeneous geometries (padded stacking)
 ------------------------------------------
@@ -106,9 +107,9 @@ Stacking requirements (checked by :func:`stack_compatibility`)
 All stacked simulations must share
 
 * the algorithm semantics -- either all ``"full"`` (Algorithm 3) or all
-  ``"simplified"`` (Algorithm 1) -- with the vectorized kernel enabled
-  (the two algorithms differ only in the eligibility mask of the shared
-  :func:`~repro.core.fast._layer_step_kernel`, so both stack), and
+  ``"simplified"`` (Algorithm 1); the two differ only in the eligibility
+  mask of the shared :func:`~repro.core.fast._layer_step_kernel`, so
+  both stack -- and
 * the *structural* correction-policy switches ``discretize`` and
   ``stick_to_median``, which select Python-level branches of the kernel
   (``jump_slack``, a numeric knob, may differ per trial).
@@ -128,17 +129,21 @@ eligible cells produce bit-identical floats whatever stack it runs in
 operation).  The exact eligibility test is applied cell by cell:
 fault-adjacent, via-``H_max``, and missing-message cells drop out of the
 array path and are resolved by one stack-wide batched fallback pass per
-layer step (:meth:`TrialStack._run_fallback`), which mirrors the scalar
-per-node replay operation for operation.  The pass gathers every
+layer step (:meth:`TrialStack._run_fallback`), which mirrors the
+per-cell scalar rule (:func:`~repro.core.fast._scalar_replay`) operation
+for operation.  The pass gathers every
 rejected cell's arrivals from arrays: send times from the stacked
 ``times`` plane or, for faulty predecessors, from a per-layer overlay of
 their recorded sends, plus the layer's delay and rate planes and the
 cells' own parameter values.  Every operation of the replay is per cell,
 so a cell's outcome does not depend on which stack it ran in.  The test
 suite asserts equality against both per-trial runs (stacks of one) and
-the scalar reference (``vectorize=False``), for both algorithms, over
-randomized mixed-geometry stacks.  :func:`_kernel_cells` is the test
-seam that sends every cell through the fallback instead.
+the scalar reference, for both algorithms, over randomized
+mixed-geometry stacks.  The reference is a seam, not a second driver:
+patching :func:`_kernel_cells` to :func:`numpy.zeros_like` sends every
+cell through the fallback, and patching :func:`_fallback_replay` to
+:func:`~repro.core.fast._scalar_replay` as well resolves each of them
+with the per-cell scalar rule.
 """
 
 from __future__ import annotations
@@ -211,8 +216,6 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
     if not sims:
         return "need at least one simulation"
     first = sims[0]
-    if not first.vectorize:
-        return "vectorize=False selects the scalar reference replay"
     structure = (first.policy.discretize, first.policy.stick_to_median)
     for i, sim in enumerate(sims[1:], start=1):
         if sim.algorithm != first.algorithm:
@@ -220,8 +223,6 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
                 f"trial {i}: algorithm {sim.algorithm!r} differs from "
                 f"trial 0's {first.algorithm!r}"
             )
-        if not sim.vectorize:
-            return f"trial {i}: vectorize=False selects the scalar replay"
         if (sim.policy.discretize, sim.policy.stick_to_median) != structure:
             return (
                 f"trial {i}: correction-policy structure "
@@ -285,8 +286,10 @@ def _kernel_cells(eligible: np.ndarray) -> np.ndarray:
     These are the ``eligible`` cells themselves; every other active cell
     goes through the stack-wide fallback.  A test seam like
     :func:`_select_cells`, not an option: patching it to return an
-    all-False mask replays every cell through the fallback, the
-    same-arithmetic vectorized reference of the scalar replay.
+    all-False mask replays every cell through the fallback -- the
+    batched replay, or the per-cell scalar reference when
+    :func:`_fallback_replay` is patched to
+    :func:`~repro.core.fast._scalar_replay` too.
     """
     return eligible
 
@@ -352,7 +355,7 @@ class TrialStack:
     ----------
     sims:
         The per-trial :class:`FastSimulation` objects.  They must satisfy
-        :func:`stack_compatibility` (same algorithm, vectorized, same
+        :func:`stack_compatibility` (same algorithm, same
         structural policy switches); a :class:`ValueError` names the first
         violation otherwise.  Geometries may differ -- narrower/shallower
         trials are padded with inert cells.
@@ -579,34 +582,19 @@ class TrialStack:
 
             stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
 
+        results = [sim._begin_run(num_pulses) for sim in sims]
         if store_times:
-            # One (S, P, W_max) layer-0 gather for the whole stack; each
-            # trial's _begin_run receives its own (P, W_s) window as a view.
-            layer0_block = stacked_pulse_times(
+            # One (S, P, W_max) layer-0 gather for the whole stack.
+            self._layer0_block = stacked_pulse_times(
                 [sim.layer0 for sim in sims],
                 [sim.graph.base for sim in sims],
                 num_pulses,
             )
-            results = [
-                sim._begin_run(
-                    num_pulses,
-                    layer0_times=layer0_block[s, :, : widths[s]],
-                    allocate=False,
-                )
-                for s, sim in enumerate(sims)
-            ]
-            self._layer0_block = layer0_block
             self._l0_row_buffer = None
         else:
             # Streaming: no (S, P, W_max) block -- one reusable (S, W_max)
             # row refilled per pulse by stacked_pulse_row (bit-identical
             # entries; see layer0.py).
-            results = [
-                sim._begin_run(
-                    num_pulses, allocate=False, gather_layer0=False
-                )
-                for sim in sims
-            ]
             self._layer0_block = None
             self._l0_row_buffer = np.full((num_trials, width), np.nan)
             self._l0_schedules = [sim.layer0 for sim in sims]
@@ -753,9 +741,7 @@ class TrialStack:
         # after the run even on error.
         epoch_cursor = [-1] * num_trials
         sweep_caches: List[Dict[Tuple, _VectorSweep]] = [{} for _ in sims]
-        seed_states = [
-            (sim.graph, sim.fault_plan, sim._layer0_has_fault) for sim in sims
-        ]
+        seed_states = [(sim.graph, sim.fault_plan) for sim in sims]
 
         # Fault-send overlays of the current pulse, keyed by the layer that
         # receives the sends (see _record_fault_sends), and the count of
@@ -859,7 +845,7 @@ class TrialStack:
         finally:
             if has_campaign:
                 for sim, state in zip(sims, seed_states):
-                    sim.graph, sim.fault_plan, sim._layer0_has_fault = state
+                    sim.graph, sim.fault_plan = state
 
         for s, schedule in enumerate(schedules):
             if schedule is not None:
@@ -1013,8 +999,7 @@ class TrialStack:
     ) -> None:
         """Write layer 0's pulse-``k`` plane for every trial at once.
 
-        Mirrors :meth:`FastSimulation._run_layer0` with a leading trial
-        axis over the stacked ``(S, P, W_max)`` schedule block -- or, on
+        Reads the stacked ``(S, P, W_max)`` schedule block -- or, on
         streamed runs, over one reusable ``(S, W_max)`` row refilled per
         pulse by :func:`~repro.core.layer0.stacked_pulse_row`
         (bit-identical entries).  ``rk`` is the block's storage row for

@@ -151,8 +151,8 @@ class Layer0Schedule(ABC):
         gather per run instead of a per-node/per-pulse ``pulse_time``
         loop.  Entries are bit-identical to :meth:`pulse_time` -- the
         vectorized overrides replicate its arithmetic association
-        elementwise, and this generic fallback simply loops it -- so the
-        scalar and vectorized simulator paths see the same floats.
+        elementwise, and this generic fallback simply loops it -- so
+        per-node queries and the stacked simulator see the same floats.
         """
         if pulses < 0:
             raise ValueError(f"pulses must be >= 0, got {pulses}")

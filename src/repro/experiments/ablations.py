@@ -119,9 +119,9 @@ def run_median_ablation(
     # Algorithm 1 semantics: the node waits for the late message, so the
     # correction rule alone must contain it (Algorithm 3's missing-message
     # fallback would otherwise mask the ablation for late own-copies).
-    # Simplified trials run through the vectorized (and, per policy group,
-    # trial-stacked) Algorithm 1 kernel; only the fault-adjacent column
-    # replays the exact scalar path.
+    # Simplified trials run through the trial-stacked (per policy group)
+    # Algorithm 1 kernel; only the fault-adjacent column goes through the
+    # exact batched fallback.
     batch = BatchRunner(num_pulses=num_pulses).run(
         [
             BatchTrial(

@@ -116,12 +116,8 @@ class BatchTrial:
     campaign: Optional[ChaosCampaign] = None
     label: str = ""
 
-    def simulation(self, vectorize: bool = True) -> FastSimulation:
-        """The :class:`FastSimulation` realizing this trial.
-
-        ``vectorize=False`` builds the scalar reference replay (see
-        :class:`FastSimulation`); the runner never does.
-        """
+    def simulation(self) -> FastSimulation:
+        """The :class:`FastSimulation` realizing this trial."""
         rates = (
             self.config.clock_rates
             if self.clock_rates is CONFIG_RATES
@@ -136,7 +132,6 @@ class BatchTrial:
             layer0=self.layer0,
             policy=self.policy,
             algorithm=self.algorithm,
-            vectorize=vectorize,
             campaign=self.campaign,
         )
 

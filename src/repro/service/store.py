@@ -151,30 +151,40 @@ class ResultStore:
         with self._lock:
             return key in self._blobs
 
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        """The pickled payload for ``key`` (counting hit/miss), or None."""
-        with self._lock:
-            blob = self._blobs.get(key)
-            if blob is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-            return blob
-
     def peek_bytes(self, key: str) -> Optional[bytes]:
-        """Like :meth:`get_bytes` but without touching the hit/miss stats.
+        """The pickled payload for ``key``, or None; counts nothing.
 
         The result-fetch endpoints use this, so ``stats`` counts *dedup*
-        decisions only -- one get per executed or deduplicated job --
-        not how often clients download a finished payload.
+        decisions only -- one :meth:`get` per executed or deduplicated
+        job -- not how often clients download a finished payload.
         """
         with self._lock:
             return self._blobs.get(key)
 
     def get(self, key: str):
-        """Unpickle a fresh copy of the payload under ``key``, or None."""
-        blob = self.get_bytes(key)
-        return None if blob is None else pickle.loads(blob)
+        """Unpickle a fresh copy of the payload under ``key``, or None.
+
+        Counts a hit or a miss.  An entry that does not unpickle (a
+        truncated or corrupt ``<key>.pkl`` of a directory-backed store)
+        is dropped and counted as a miss, so the caller recomputes it
+        and :meth:`put` replaces it.
+        """
+        with self._lock:
+            blob = self._blobs.get(key)
+        payload, found = None, blob is not None
+        if found:
+            try:
+                payload = pickle.loads(blob)
+            except (pickle.UnpicklingError, EOFError):
+                found = False
+        with self._lock:
+            if found:
+                self._hits += 1
+            else:
+                self._misses += 1
+                if blob is not None and self._blobs.get(key) is blob:
+                    del self._blobs[key]
+        return payload
 
     def put(self, key: str, payload) -> None:
         """Pickle ``payload`` under ``key`` (idempotent for equal keys)."""

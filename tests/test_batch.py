@@ -30,6 +30,7 @@ from repro.experiments.batch import (
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import CrashFault, FaultPlan
+from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
 
@@ -81,13 +82,11 @@ class TestEquivalenceWithLoop:
             6, (0, 1), num_pulses=NUM_PULSES, fault_plan_factory=plans
         )
         fast = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        slow = BatchResult(
-            trials,
-            [
-                trial.simulation(vectorize=False).run(NUM_PULSES)
-                for trial in trials
-            ],
-        )
+        with scalar_reference():
+            slow = BatchResult(
+                trials,
+                [trial.simulation().run(NUM_PULSES) for trial in trials],
+            )
         np.testing.assert_allclose(
             fast.times, slow.times, rtol=0.0, atol=1e-9, equal_nan=True
         )

@@ -13,6 +13,7 @@ merging, accounting -- and the churn corners called out in the issue:
   tail must be bit-identical to the plain static run).
 """
 
+import contextlib
 import pickle
 
 import numpy as np
@@ -40,12 +41,13 @@ from repro.faults.model import CrashFault, FixedOffsetFault
 from repro.params import Parameters
 from repro.topology.base_graph import cycle_graph, replicated_line
 from repro.topology.layered import LayeredGraph
+from tests.test_fast_sim import scalar_reference
 
 PARAMS = Parameters(d=1.0, u=0.01, vartheta=1.001, Lambda=2.0)
 
 
 def make_sim(base, num_layers, campaign=None, seed=0, fault_plan=None,
-             vectorize=True, layer0=None):
+             layer0=None):
     graph = LayeredGraph(base, num_layers)
     clocks = uniform_random_rates(
         list(graph.nodes()), PARAMS.vartheta, rng_or_seed=seed
@@ -58,7 +60,6 @@ def make_sim(base, num_layers, campaign=None, seed=0, fault_plan=None,
         fault_plan=fault_plan,
         layer0=layer0 or PerfectLayer0(PARAMS.Lambda),
         campaign=campaign,
-        vectorize=vectorize,
     )
 
 
@@ -280,12 +281,12 @@ class TestChurnEdgeCases:
         tail = schedule.epochs[-1].start
 
         static = make_sim(base, 3, seed=4).run(7)
-        for label, sim in (
-            ("vectorized", make_sim(base, 3, campaign=campaign, seed=4)),
-            ("scalar", make_sim(base, 3, campaign=campaign, seed=4,
-                                vectorize=False)),
+        for label, context in (
+            ("vectorized", contextlib.nullcontext()),
+            ("scalar", scalar_reference()),
         ):
-            churn = sim.run(7)
+            with context:
+                churn = make_sim(base, 3, campaign=campaign, seed=4).run(7)
             np.testing.assert_array_equal(
                 churn.times[tail:], static.times[tail:],
                 err_msg=f"{label}: restored tail differs from static",

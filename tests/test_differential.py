@@ -1,10 +1,11 @@
 """Differential harness: every execution path against every other.
 
-The fast family has grown many layers -- per-trial vectorized kernel,
-scalar replay, homogeneous trial stack, padded heterogeneous stack, and
-now the depth-compacted stack -- each promising bit-identical output to
-the previous one, with the slow event-driven ``engine/`` simulator as the
-independent ground truth underneath all of them.  This module pins the
+The fast family has grown many layers -- per-trial runs (stacks of one),
+homogeneous trial stack, padded heterogeneous stack, and the
+depth-compacted stack -- each promising bit-identical output to the
+previous one, with the per-cell scalar reference and the slow
+event-driven ``engine/`` simulator as independent checks underneath all
+of them.  This module pins the
 whole tower with one shared helper: a hypothesis-drawn scenario
 (topology, depth, delays, clock rates, layer-0 schedule, fault plan) is
 run through every path, asserting
@@ -12,8 +13,10 @@ run through every path, asserting
 * **bitwise agreement within the vectorized fast family** (per-trial ==
   homogeneous stack == padded heterogeneous stack == compacted stack --
   they evaluate the same NumPy expressions, so any drift is a bug),
-* **1e-9 agreement with the scalar replay** (same arithmetic, different
-  association), and
+* **1e-9 agreement with the scalar reference** (every cell resolved by
+  the per-cell scalar rule behind the fallback seam,
+  :func:`~tests.test_fast_sim.scalar_reference`: same arithmetic,
+  different association), and
 * **1e-9 agreement with the event-driven engine** (independent
   event-queue execution; Lemma B.1 guarantees the pulse alignment), and
 * **bitwise agreement of the streaming reducers** (``store_times=False``
@@ -41,6 +44,7 @@ The stacking decoys deliberately disagree with the scenario in width
 example, never just the degenerate all-uniform case.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -58,9 +62,19 @@ from repro.analysis.skew import (
 )
 from repro.analysis.streaming import fold_correction_planes
 from repro.clocks import uniform_random_rates
-from repro.core.correction import CorrectionPolicy
-from repro.core.fast import FastSimulation
-from repro.core.fast_batch import TrialStack, stack_compatibility
+from repro.core.correction import PAPER_POLICY, CorrectionPolicy
+from repro.core.fast import (
+    BRANCH_CODES,
+    FastSimulation,
+    _fallback_replay,
+    _scalar_replay,
+)
+from repro.core.fast_batch import (
+    TrialStack,
+    _StackedParams,
+    _StackedPolicy,
+    stack_compatibility,
+)
 from repro.core.layer0 import (
     AlternatingLayer0,
     ChainLayer0,
@@ -93,6 +107,7 @@ from repro.topology.base_graph import (
 )
 from repro.topology.layered import LayeredGraph
 from repro.topology.sparse import sparse_base_graph
+from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
 
@@ -287,7 +302,7 @@ def campaigns(draw, base, num_layers):
     return ChaosCampaign(base, num_layers, events)
 
 
-def fast_simulation(scenario, algorithm="full", vectorize=True):
+def fast_simulation(scenario, algorithm="full"):
     """A fresh FastSimulation realizing ``scenario`` (rebuild per path)."""
     return FastSimulation(
         scenario["graph"],
@@ -297,7 +312,6 @@ def fast_simulation(scenario, algorithm="full", vectorize=True):
         fault_plan=scenario["fault_plan"],
         layer0=scenario["layer0"],
         algorithm=algorithm,
-        vectorize=vectorize,
     )
 
 
@@ -335,8 +349,7 @@ def all_fallback():
     """Patch the kernel's accepted cells to none.
 
     Every active cell of every layer step then goes through the
-    stack-wide fallback: the same-arithmetic vectorized reference of the
-    scalar per-node replay.
+    stack-wide fallback's batched replay.
     """
     return mock.patch.object(fast_batch_mod, "_kernel_cells", np.zeros_like)
 
@@ -361,7 +374,7 @@ def _decoy(scenario, num_layers, algorithm):
 
 
 def run_fast_family(scenario, algorithm="full"):
-    """The scenario's result on every vectorized fast path, plus scalar.
+    """The scenario's result on every fast path, plus the scalar reference.
 
     Returns ``{path_name: FastResult}``; each stack rebuilds its own
     simulations, so no state leaks between paths.
@@ -403,9 +416,8 @@ def run_fast_family(scenario, algorithm="full"):
             [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
         ).run(NUM_PULSES)[0]
 
-    family["scalar"] = fast_simulation(
-        scenario, algorithm, vectorize=False
-    ).run(NUM_PULSES)
+    with scalar_reference():
+        family["scalar"] = fast_simulation(scenario, algorithm).run(NUM_PULSES)
     return family
 
 
@@ -434,13 +446,14 @@ def run_streaming_family(scenario, algorithm="full"):
     family["compacted_stack_shallow_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
     ).run(NUM_PULSES, **kwargs)[0]
-    family["scalar"] = fast_simulation(
-        scenario, algorithm, vectorize=False
-    ).run(NUM_PULSES, **kwargs)
+    with scalar_reference():
+        family["scalar"] = fast_simulation(scenario, algorithm).run(
+            NUM_PULSES, **kwargs
+        )
     return family
 
 
-def campaign_simulation(scenario, campaign, vectorize=True):
+def campaign_simulation(scenario, campaign):
     """A fresh FastSimulation of ``scenario`` running ``campaign``."""
     return FastSimulation(
         scenario["graph"],
@@ -450,7 +463,6 @@ def campaign_simulation(scenario, campaign, vectorize=True):
         fault_plan=scenario["fault_plan"],
         layer0=scenario["layer0"],
         campaign=campaign,
-        vectorize=vectorize,
     )
 
 
@@ -489,9 +501,10 @@ def run_campaign_family(scenario, campaign):
             _decoy(scenario, 1, "full"),
         ],
     ).run(CAMPAIGN_PULSES)[0]
-    family["scalar"] = campaign_simulation(
-        scenario, campaign, vectorize=False
-    ).run(CAMPAIGN_PULSES)
+    with scalar_reference():
+        family["scalar"] = campaign_simulation(scenario, campaign).run(
+            CAMPAIGN_PULSES
+        )
     return family
 
 
@@ -549,7 +562,7 @@ def assert_results_equal(got, want, exact=True, label=""):
 
 
 class TestFastFamilyDifferential:
-    """All vectorized fast paths bitwise equal; scalar within 1e-9."""
+    """All fast paths bitwise equal; the scalar reference within 1e-9."""
 
     @FAMILY_SETTINGS
     @given(data=st.data())
@@ -566,8 +579,8 @@ class TestFastFamilyDifferential:
         # The same scenario with the pulse-time block never materialized:
         # every streamed leg's online folds must equal the array reducers
         # on its materialized twin bitwise (the scalar leg folds the
-        # scalar replay's own values, which differ from the vectorized
-        # reference only in association).
+        # scalar reference's own values, which may differ from the
+        # kernel's only in association).
         streaming = run_streaming_family(scenario, algorithm)
         stream_scalar = streaming.pop("scalar")
         for label, result in streaming.items():
@@ -702,12 +715,14 @@ class TestBatchedFallbackDifferential:
             {(vertex, layer): behavior}
         )
         vectorized = fast_simulation(scenario, algorithm).run(NUM_PULSES)
-        scalar = fast_simulation(scenario, algorithm, vectorize=False).run(
-            NUM_PULSES
-        )
+        with scalar_reference():
+            stack = TrialStack([fast_simulation(scenario, algorithm)])
+            scalar = stack.run(NUM_PULSES)[0]
         assert vectorized.fallback_cells > 0
         assert vectorized.fallback_batches > 0
-        assert scalar.fallback_cells == 0  # scalar path never batches
+        # The scalar reference resolves every active cell itself.
+        stats = stack.compaction_stats
+        assert scalar.fallback_cells == stats["active_lane_steps"], stats
         assert_results_equal(
             vectorized, scalar, exact=False, label="batched fallback"
         )
@@ -1279,3 +1294,129 @@ def test_lane_compacted_fallback_maps_vertex_ids():
     stats = stack.compaction_stats
     assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
     assert stats["fallback_cells"] > 0, stats
+
+
+#: Real arrival times on a 1/256 grid, or ``+inf`` (missing) about one
+#: time in eight: distinct grid points stay distinct after any rate
+#: product (their gap dwarfs an ulp), equal ones tie exactly, and the
+#: spacing is fine enough for every correction branch and timeout.
+ARRIVALS = st.integers(0, 72).map(lambda i: 1.0 + i / 256.0 if i < 64 else np.inf)
+
+#: Per-cell parameter choices, including the kappa == 0 idealization.
+REPLAY_PARAMS = PARAMS_CHOICES + (
+    Parameters(d=1.0, u=0.0, vartheta=1.0, Lambda=2.0),
+)
+
+
+@st.composite
+def event_rows(draw):
+    """Synthetic fallback inputs: one row of reception times per cell.
+
+    Column 0 is the own copy, the next ``num_nb`` columns the neighbor
+    copies, the rest padding; a missing message is ``+inf``.  Parameters
+    and the numeric policy knob are shared or one value per cell.
+    """
+    cells = draw(st.integers(1, 8))
+    max_deg = draw(st.integers(0, 4))
+    ev_time = np.full((cells, 1 + max_deg), np.inf)
+    num_nb = np.zeros(cells, dtype=np.int64)
+    for i in range(cells):
+        num_nb[i] = draw(st.integers(0, max_deg))
+        ev_time[i, 0] = draw(ARRIVALS)
+        for j in range(num_nb[i]):
+            ev_time[i, 1 + j] = draw(ARRIVALS)
+    rates = np.array(
+        [draw(st.sampled_from([1.0, 1.0004, 1.001])) for _ in range(cells)]
+    )
+    discretize = draw(st.booleans())
+    stick = draw(st.booleans())
+    if draw(st.booleans()):
+        params = draw(st.sampled_from(REPLAY_PARAMS))
+        policy = CorrectionPolicy(
+            discretize, draw(st.sampled_from([1.0, 0.0, -1.0])), stick
+        )
+    else:
+        cell_sims = [
+            SimpleNamespace(
+                params=draw(st.sampled_from(REPLAY_PARAMS)),
+                policy=CorrectionPolicy(
+                    discretize, draw(st.sampled_from([1.0, 0.0, -1.0])), stick
+                ),
+            )
+            for _ in range(cells)
+        ]
+        every = np.arange(cells)
+        params = _StackedParams(cell_sims).take(every, flat=True)
+        policy = _StackedPolicy(cell_sims).take(every, flat=True)
+    return ev_time, num_nb, rates, params, policy
+
+
+def assert_replays_equal(ev_time, num_nb, rates, params, policy, simplified):
+    """``_scalar_replay`` == ``_fallback_replay``, output by output, bitwise."""
+    args = (ev_time, num_nb, rates, params, policy, simplified)
+    names = ("pulses", "correction", "branches", "pulse_time", "effective", "h_own")
+    got, want = _scalar_replay(*args), _fallback_replay(*args)
+    for name, got_arr, want_arr in zip(names, got, want):
+        assert got_arr.dtype == want_arr.dtype, name
+        np.testing.assert_array_equal(got_arr, want_arr, err_msg=name)
+    return got
+
+
+class TestScalarReplayDifferential:
+    """The per-cell scalar rule against the batched replay, cell by cell.
+
+    Both resolve the same synthetic event rows -- exact own/neighbor
+    ties, missing own copies (the via-``H_max`` branch), missing last
+    neighbors, cells without neighbor predecessors, all-missing rows and
+    per-cell parameter columns -- with no simulation around them.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=event_rows(), simplified=st.booleans())
+    def test_scalar_matches_batched(self, rows, simplified):
+        assert_replays_equal(*rows, simplified)
+
+    def test_ties_and_exit_branches(self):
+        """Exact ties exit once, after the whole tie; timeouts branch."""
+        params = PARAMS_CHOICES[0]
+        inf = np.inf
+        ev_time = np.array([
+            [1.5, 1.0, 1.5],  # own ties the last neighbor: normal exit
+            [1.0, 1.0, 1.0],  # all three tie
+            [inf, 1.0, 1.01],  # own missing: via H_max
+            [1.0, 1.0, inf],  # last neighbor missing: low branch
+            [1.6, 1.0, 1.01],  # own late past its timeout: via H_max
+            [inf, inf, inf],  # nothing arrives: no pulse
+            [inf, 1.0, inf],  # own and last neighbor missing: no pulse
+        ])
+        num_nb = np.full(len(ev_time), 2)
+        rates = np.ones(len(ev_time))
+        pulses, _, branches, pulse_time, _, _ = assert_replays_equal(
+            ev_time, num_nb, rates, params, PAPER_POLICY, simplified=False
+        )
+        assert pulses.tolist() == [True] * 5 + [False] * 2
+        via_max = BRANCH_CODES["via_max"]
+        assert branches[0] != via_max and branches[1] != via_max
+        assert branches.tolist()[2:] == [
+            via_max, BRANCH_CODES["low"], via_max,
+            BRANCH_CODES["none"], BRANCH_CODES["none"],
+        ]
+        # A tie exits at the tied arrival, with the own copy counted.
+        assert pulse_time[0] >= 1.5 and pulse_time[1] >= 1.0
+
+    def test_algorithm1_deadlock_rules(self):
+        params = PARAMS_CHOICES[0]
+        inf = np.inf
+        ev_time = np.array([
+            [1.0, 1.0, 1.01],  # everything arrived: pulses
+            [inf, 1.0, 1.01],  # own copy missing: deadlock
+            [1.0, 1.0, inf],  # a neighbor missing: deadlock
+            [1.0, inf, inf],  # no neighbor predecessor at all: deadlock
+        ])
+        num_nb = np.array([2, 2, 2, 0])
+        pulses, correction, branches, _, _, _ = assert_replays_equal(
+            ev_time, num_nb, np.ones(4), params, PAPER_POLICY, simplified=True
+        )
+        assert pulses.tolist() == [True, False, False, False]
+        assert np.isnan(correction[1:]).all()
+        assert (branches[1:] == BRANCH_CODES["none"]).all()

@@ -5,7 +5,8 @@ file that exists in the repo, and every ``#anchor`` fragment must match a
 heading in the target file (GitHub slug rules).  External ``http(s)``
 links and GitHub-web-UI paths that escape the repo root (the CI badge)
 are skipped -- this is an offline check.  Every ``examples/*.py``
-script must also import cleanly against the current library API.
+script must also import cleanly against the current library API, and
+``README.md``'s ``python`` blocks must run, in order, in one namespace.
 
 This module runs in tier-1 and again in the CI docs job next to
 ``pytest --doctest-modules``.
@@ -21,6 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+PYTHON_BLOCK_RE = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def doc_files():
@@ -99,3 +101,17 @@ def test_example_imports(path):
     stay shut and only the module bodies (imports, constants) run.
     """
     runpy.run_path(str(path), run_name="__example__")
+
+
+def test_readme_python_blocks_run():
+    """README's ``python`` blocks run in order, sharing one namespace.
+
+    A later block may use names an earlier one defined, as a reader
+    pasting them into one session would; a retired API name in any
+    block fails here.
+    """
+    blocks = PYTHON_BLOCK_RE.findall((REPO_ROOT / "README.md").read_text())
+    assert blocks, "README.md has no python blocks"
+    namespace = {"__name__": "__readme__"}
+    for index, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {index}", "exec"), namespace)

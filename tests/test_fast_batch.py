@@ -1,8 +1,8 @@
 """Tests for repro.core.fast_batch: the trial-stacked (S, W) kernel.
 
-The stacked kernel promises bit-identical results to the per-trial
-vectorized kernel (same NumPy expressions, extra leading axis) and
-1e-9-close results to the scalar reference; these tests pin both over
+The stacked kernel promises bit-identical results to per-trial runs
+(stacks of one: same NumPy expressions, extra leading axis) and
+1e-9-close results to the scalar per-cell reference; these tests pin both over
 random rates, random delays, mixed fault plans, non-pulse-invariant
 delay models, callable rate providers, and heterogeneous batches that
 must fall back group by group.
@@ -25,6 +25,7 @@ from repro.experiments.batch import (
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import AdversarialLateFault, CrashFault, FaultPlan
+from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
 
@@ -45,12 +46,15 @@ def random_fault_trials(seeds=(0, 1, 2, 3), diameter=6, probability=0.08):
     )
 
 
-def reference_results(trials, vectorize=True):
-    """The one-simulation-at-a-time reference for a trial list."""
-    return [
-        trial.simulation(vectorize=vectorize).run(NUM_PULSES)
-        for trial in trials
-    ]
+def reference_results(trials, scalar=False):
+    """The one-simulation-at-a-time reference for a trial list.
+
+    With ``scalar``, every cell goes through the scalar per-cell rule.
+    """
+    if scalar:
+        with scalar_reference():
+            return reference_results(trials)
+    return [trial.simulation().run(NUM_PULSES) for trial in trials]
 
 
 def assert_results_equal(results, references, exact=True):
@@ -100,7 +104,7 @@ class TestStackedEquivalence:
         sims = [t.simulation() for t in trials]
         stacked = TrialStack(sims).run(NUM_PULSES)
         assert_results_equal(
-            stacked, reference_results(trials, vectorize=False), exact=False
+            stacked, reference_results(trials, scalar=True), exact=False
         )
 
     def test_via_max_fallback_cells(self):
@@ -176,9 +180,12 @@ class TestStackCompatibility:
             TrialStack(sims)
 
     def test_scalar_forced_rejected(self):
+        # The stack is the only driver: no knob selects a scalar run.
         config = standard_config(4, num_pulses=NUM_PULSES)
-        sims = [BatchTrial(config=config).simulation(vectorize=False)]
-        assert "vectorize=False" in stack_compatibility(sims)
+        with pytest.raises(TypeError, match="vectorize"):
+            BatchTrial(config=config).simulation(vectorize=False)
+        with pytest.raises(TypeError, match="vectorize"):
+            FastSimulation(config.graph, config.params, vectorize=False)
 
     def test_mismatched_params_stack_bit_identically(self):
         # Parameters used to split stacks; they now broadcast as (S, 1)

@@ -15,13 +15,24 @@ from repro.faults import (
     FaultPlan,
     FixedOffsetFault,
 )
-from tests.test_fast_sim import PARAMS, assert_results_equivalent, noisy_sim
+from tests.test_fast_sim import (
+    PARAMS,
+    assert_results_equivalent,
+    noisy_sim,
+    scalar_reference,
+)
 
 
 def faulty_sim(plan, diameter=8, seed=0, **kwargs):
     sim = noisy_sim(diameter=diameter, seed=seed, **kwargs)
     sim.fault_plan = plan
     return sim
+
+
+def scalar_run(plan, num_pulses, **kwargs):
+    """``faulty_sim(plan, **kwargs)`` run through the scalar reference."""
+    with scalar_reference():
+        return faulty_sim(plan, **kwargs).run(num_pulses)
 
 
 FAULT_NODE = (4, 3)
@@ -177,7 +188,7 @@ class TestMedianContainmentAblation:
 
 
 class TestVectorizedFaultCrossValidation:
-    """Array kernel vs scalar replay under faults (fallback path coverage)."""
+    """Array kernel vs the scalar per-cell rule under faults (fallback coverage)."""
 
     def assert_equivalent(self, vec, scalar):
         assert_results_equivalent(vec, scalar, check_fault_sends=True)
@@ -194,7 +205,7 @@ class TestVectorizedFaultCrossValidation:
     def test_matches_scalar_single_fault(self, behavior):
         plan = FaultPlan.from_nodes({FAULT_NODE: behavior})
         vec = faulty_sim(plan).run(3)
-        scalar = faulty_sim(plan, vectorize=False).run(3)
+        scalar = scalar_run(plan, 3)
         self.assert_equivalent(vec, scalar)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -209,23 +220,23 @@ class TestVectorizedFaultCrossValidation:
             behavior_factory=mixed_behavior_factory,
         )
         vec = faulty_sim(plan, seed=seed).run(3)
-        scalar = faulty_sim(plan, seed=seed, vectorize=False).run(3)
+        scalar = scalar_run(plan, 3, seed=seed)
         self.assert_equivalent(vec, scalar)
 
     def test_matches_scalar_layer0_fault(self):
         plan = FaultPlan.from_nodes({(3, 0): CrashFault()})
         vec = faulty_sim(plan).run(2)
-        scalar = faulty_sim(plan, vectorize=False).run(2)
+        scalar = scalar_run(plan, 2)
         self.assert_equivalent(vec, scalar)
 
     def test_matches_scalar_outside_model(self):
         # Two silent predecessors (1-locality violated): the victim takes
-        # the never-exits branch; the kernel must defer to the scalar path.
+        # the never-exits branch; the kernel must defer to the fallback.
         plan = FaultPlan.from_nodes(
             {(3, 3): CrashFault(), (5, 3): CrashFault()}
         )
         vec = faulty_sim(plan).run(2)
-        scalar = faulty_sim(plan, vectorize=False).run(2)
+        scalar = scalar_run(plan, 2)
         self.assert_equivalent(vec, scalar)
 
 

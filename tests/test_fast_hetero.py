@@ -61,6 +61,7 @@ from repro.topology.base_graph import (
     torus_graph,
 )
 from repro.topology.layered import LayeredGraph
+from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
 
@@ -155,7 +156,7 @@ def simulations(draw, algorithm):
         jump_slack=draw(st.sampled_from([1.0, 0.0, -1.0]))
     )
 
-    def build(vectorize=True):
+    def build():
         return FastSimulation(
             graph,
             params,
@@ -165,7 +166,6 @@ def simulations(draw, algorithm):
             layer0=layer0,
             policy=policy,
             algorithm=algorithm,
-            vectorize=vectorize,
         )
 
     return build
@@ -218,9 +218,9 @@ class TestStackedEquivalenceProperties:
         sims = [build() for build in builders]
         stacked = TrialStack(sims).run(NUM_PULSES)
         for result, build in zip(stacked, builders):
-            assert_same_results(
-                result, build(vectorize=False).run(NUM_PULSES), exact=False
-            )
+            with scalar_reference():
+                scalar = build().run(NUM_PULSES)
+            assert_same_results(result, scalar, exact=False)
 
     @HETERO_SETTINGS
     @given(data=st.data())

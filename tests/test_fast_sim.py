@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro.core.fast as fast_mod
+import repro.core.fast_batch as fast_batch_mod
 
 from repro.analysis.skew import max_inter_layer_skew
 from repro.clocks import uniform_random_rates
@@ -27,8 +28,24 @@ from repro.topology import (
 PARAMS = Parameters(d=1.0, u=0.01, vartheta=1.001, Lambda=2.0)
 
 
-#: FastResult arrays the scalar/vectorized cross-validation compares.
+#: FastResult arrays the kernel/scalar cross-validation compares.
 RESULT_ARRAYS = ("times", "protocol_times", "corrections", "effective_corrections")
+
+
+def scalar_reference():
+    """Resolve every cell of a run with the per-cell scalar rule.
+
+    The one seam to the reference: the kernel accepts no cell, so every
+    active cell goes through the stack-wide fallback, and the fallback
+    replays them through :func:`repro.core.fast._scalar_replay` instead
+    of the batched replay.  Everything else -- gathers, layer 0, the
+    fault overlay, streaming, campaign epochs -- is the production run.
+    """
+    return mock.patch.multiple(
+        fast_batch_mod,
+        _kernel_cells=np.zeros_like,
+        _fallback_replay=fast_mod._scalar_replay,
+    )
 
 
 def assert_results_equivalent(vec, scalar, check_fault_sends=False):
@@ -405,48 +422,54 @@ class TestDelayGather:
 
 
 class TestVectorizedCrossValidation:
-    """The array kernel must match the scalar replay to float precision."""
+    """The array kernel must match the scalar per-cell rule to float precision."""
 
     def assert_equivalent(self, vec, scalar):
         assert_results_equivalent(vec, scalar)
 
+    @staticmethod
+    def both(build):
+        """``build()`` run normally, then through the scalar reference."""
+        vec = build()
+        with scalar_reference():
+            scalar = build()
+        assert scalar.fallback_cells > 0
+        return vec, scalar
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_scalar_on_random_rates_and_delays(self, seed):
-        vec = noisy_sim(diameter=8, seed=seed).run(4)
-        scalar = noisy_sim(diameter=8, seed=seed, vectorize=False).run(4)
-        self.assert_equivalent(vec, scalar)
+        self.assert_equivalent(
+            *self.both(lambda: noisy_sim(diameter=8, seed=seed).run(4))
+        )
 
     def test_matches_scalar_on_cycle_base_graph(self):
-        def build(vectorize):
+        def build():
             graph = LayeredGraph(cycle_graph(10), 10)
             delays = StaticDelayModel(PARAMS.d, PARAMS.u, seed=2)
-            return FastSimulation(
-                graph, PARAMS, delay_model=delays, vectorize=vectorize
-            ).run(3)
+            return FastSimulation(graph, PARAMS, delay_model=delays).run(3)
 
-        self.assert_equivalent(build(True), build(False))
+        self.assert_equivalent(*self.both(build))
 
     def test_matches_scalar_with_jittered_layer0(self):
-        def build(vectorize):
+        def build():
             graph = LayeredGraph(replicated_line(8), 12)
             layer0 = JitteredLayer0(
                 PARAMS.Lambda, graph.width, jitter_bound=3 * PARAMS.kappa, seed=5
             )
             delays = StaticDelayModel(PARAMS.d, PARAMS.u, seed=1)
             return FastSimulation(
-                graph, PARAMS, delay_model=delays, layer0=layer0,
-                vectorize=vectorize,
+                graph, PARAMS, delay_model=delays, layer0=layer0
             ).run(3)
 
-        self.assert_equivalent(build(True), build(False))
+        self.assert_equivalent(*self.both(build))
 
     def test_matches_scalar_with_continuous_policy(self):
         policy = CorrectionPolicy(discretize=False)
-        vec = noisy_sim(diameter=8, seed=1, policy=policy).run(3)
-        scalar = noisy_sim(
-            diameter=8, seed=1, policy=policy, vectorize=False
-        ).run(3)
-        self.assert_equivalent(vec, scalar)
+        self.assert_equivalent(
+            *self.both(
+                lambda: noisy_sim(diameter=8, seed=1, policy=policy).run(3)
+            )
+        )
 
     def test_swapping_delay_model_between_runs_invalidates_caches(self):
         # The sweep caches per-layer delay/rate arrays across runs; swapping
@@ -458,11 +481,11 @@ class TestVectorizedCrossValidation:
         sim.run(2)
         sim.delay_model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=99)
         swapped = sim.run(2)
-        fresh = FastSimulation(
-            graph, PARAMS,
-            delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=99),
-            vectorize=False,
-        ).run(2)
+        with scalar_reference():
+            fresh = FastSimulation(
+                graph, PARAMS,
+                delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=99),
+            ).run(2)
         self.assert_equivalent(swapped, fresh)
 
     def test_mutating_rates_dict_between_runs_is_honored(self):
@@ -475,9 +498,8 @@ class TestVectorizedCrossValidation:
         for node in rates:
             rates[node] = 1.0005
         mutated = sim.run(2)
-        fresh = FastSimulation(
-            graph, PARAMS, clock_rates=dict(rates), vectorize=False
-        ).run(2)
+        with scalar_reference():
+            fresh = FastSimulation(graph, PARAMS, clock_rates=dict(rates)).run(2)
         self.assert_equivalent(mutated, fresh)
 
     def test_matches_scalar_with_callable_rates(self):
@@ -485,15 +507,14 @@ class TestVectorizedCrossValidation:
             v, layer = node
             return 1.0 + 0.0008 * ((v * 31 + layer * 7 + pulse) % 11) / 11.0
 
-        def build(vectorize):
+        def build():
             graph = LayeredGraph(replicated_line(8), 8)
             delays = StaticDelayModel(PARAMS.d, PARAMS.u, seed=0)
             return FastSimulation(
-                graph, PARAMS, delay_model=delays, clock_rates=rates,
-                vectorize=vectorize,
+                graph, PARAMS, delay_model=delays, clock_rates=rates
             ).run(3)
 
-        self.assert_equivalent(build(True), build(False))
+        self.assert_equivalent(*self.both(build))
 
 
 class TestPolicies:

@@ -1,22 +1,19 @@
-"""Tests for the vectorized simplified (Algorithm 1) path.
+"""Tests for the simplified (Algorithm 1) kernel path.
 
 Algorithm 1 waits for every message unconditionally, so the fault-free
 case is a fixed gather -- a pure array op with no do-until replay.  These
 tests pin the promises of the simplified kernel, mirroring the full-path
 coverage of ``tests/test_fast_batch.py``:
 
-* per-trial vectorized results are bit-identical to the scalar replay
-  (fault-free, fault-adjacent fallback, oscillation workloads);
+* per-trial kernel results are bit-identical to the scalar per-cell
+  reference (fault-free, fault-adjacent fallback, oscillation workloads);
 * the trial-stacked ``(S, W)`` branch is bit-identical to both;
 * ``BatchRunner``/``TrialStack`` accept simplified trials (no ``None``
   stack key) and group them separately from full-algorithm trials.
 """
 
-import functools
-
 import numpy as np
 
-import repro.experiments.fig5_jump as fig5_mod
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
@@ -29,6 +26,7 @@ from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import AdversarialLateFault, CrashFault, FaultPlan
 from repro.params import Parameters
 from repro.topology import LayeredGraph, cycle_graph
+from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
 
@@ -57,11 +55,12 @@ def random_fault_plans(config):
     )
 
 
-def reference_results(trials, vectorize=True):
-    return [
-        trial.simulation(vectorize=vectorize).run(NUM_PULSES)
-        for trial in trials
-    ]
+def reference_results(trials, scalar=False):
+    """Per-trial runs; with ``scalar``, through the scalar reference."""
+    if scalar:
+        with scalar_reference():
+            return reference_results(trials)
+    return [trial.simulation().run(NUM_PULSES) for trial in trials]
 
 
 def assert_results_identical(results, references):
@@ -82,12 +81,12 @@ def assert_results_identical(results, references):
 
 
 class TestVectorizedSimplified:
-    """Per-trial vectorized Algorithm 1 vs the scalar replay."""
+    """Per-trial Algorithm 1 kernel vs the scalar per-cell reference."""
 
     def test_fault_free_bit_identical_to_scalar(self):
         trials = simplified_trials()
-        vectorized = reference_results(trials, vectorize=True)
-        scalar = reference_results(trials, vectorize=False)
+        vectorized = reference_results(trials)
+        scalar = reference_results(trials, scalar=True)
         assert_results_identical(vectorized, scalar)
 
     def test_fault_free_uses_correction_branches_everywhere(self):
@@ -108,8 +107,8 @@ class TestVectorizedSimplified:
             BatchTrial(config=config, fault_plan=plan, algorithm="simplified"),
         ]
         assert_results_identical(
-            reference_results(trials, vectorize=True),
-            reference_results(trials, vectorize=False),
+            reference_results(trials),
+            reference_results(trials, scalar=True),
         )
 
     def test_crashed_predecessor_deadlocks_identically(self):
@@ -119,9 +118,9 @@ class TestVectorizedSimplified:
         trials = [
             BatchTrial(config=config, fault_plan=plan, algorithm="simplified"),
         ]
-        vectorized = reference_results(trials, vectorize=True)
+        vectorized = reference_results(trials)
         assert_results_identical(
-            vectorized, reference_results(trials, vectorize=False)
+            vectorized, reference_results(trials, scalar=True)
         )
         # The crash starves its successors of messages they wait on forever.
         assert np.isnan(vectorized[0].times[:, 3:, 1]).all()
@@ -129,7 +128,7 @@ class TestVectorizedSimplified:
     def test_oscillation_workload_bit_identical(self):
         """The Figure 5 setup: zigzag layer 0, adversarial parity delays."""
 
-        def build(vectorize):
+        def build():
             base = cycle_graph(16)
             graph = LayeredGraph(base, 16)
             layer0 = AlternatingLayer0(PARAMS.Lambda, 4.0 * PARAMS.kappa)
@@ -143,33 +142,19 @@ class TestVectorizedSimplified:
                 layer0=layer0,
                 policy=CorrectionPolicy(jump_slack=-1.0),
                 algorithm="simplified",
-                vectorize=vectorize,
             ).run(2)
 
-        vec, scalar = build(True), build(False)
+        vec = build()
+        with scalar_reference():
+            scalar = build()
         np.testing.assert_array_equal(vec.times, scalar.times)
         np.testing.assert_array_equal(vec.corrections, scalar.corrections)
 
-    def test_fig5_driver_matches_scalar(self, monkeypatch):
+    def test_fig5_driver_matches_scalar(self):
         fast = run_fig5(diameter=8, num_pulses=2)
-
-        class PerTrialScalar:
-            """Stand-in stack: each simulation runs on its own."""
-
-            def __init__(self, sims):
-                self.sims = sims
-
-            def run(self, num_pulses):
-                return [sim.run(num_pulses) for sim in self.sims]
-
-        # Re-run the driver with its simulations on the scalar replay.
-        monkeypatch.setattr(
-            fig5_mod,
-            "FastSimulation",
-            functools.partial(FastSimulation, vectorize=False),
-        )
-        monkeypatch.setattr(fig5_mod, "TrialStack", PerTrialScalar)
-        slow = run_fig5(diameter=8, num_pulses=2)
+        # Re-run the driver with every cell on the scalar per-cell rule.
+        with scalar_reference():
+            slow = run_fig5(diameter=8, num_pulses=2)
         assert fast.amplitude_with_jc == slow.amplitude_with_jc
         assert fast.amplitude_without_jc == slow.amplitude_without_jc
 
@@ -184,14 +169,14 @@ class TestStackedSimplified:
         stacked = TrialStack(sims).run(NUM_PULSES)
         assert_results_identical(stacked, reference_results(trials))
         assert_results_identical(
-            stacked, reference_results(trials, vectorize=False)
+            stacked, reference_results(trials, scalar=True)
         )
 
     def test_mixed_fault_plans_match_scalar_reference(self):
         trials = simplified_trials(fault_plan_factory=random_fault_plans)
         stacked = TrialStack([t.simulation() for t in trials]).run(NUM_PULSES)
         assert_results_identical(
-            stacked, reference_results(trials, vectorize=False)
+            stacked, reference_results(trials, scalar=True)
         )
 
     def test_batch_runner_stacks_simplified_groups(self):

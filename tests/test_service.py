@@ -191,6 +191,47 @@ class TestResultStore:
             second.get("cafe")["skews"], np.arange(3.0)
         )
 
+    def test_truncated_entry_is_a_miss_and_recomputed(self, tmp_path):
+        # A half-written <key>.pkl must not fail its key forever: the
+        # job recomputes, put replaces the file, and the resubmission
+        # is served from the repaired entry.
+        spec = {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
+        defaults = {"executor": "serial", "store_times": False}
+        first = JobRunner(
+            store=ResultStore(directory=str(tmp_path)),
+            runner_defaults=defaults,
+        ).start()
+        try:
+            job = first.submit(spec)
+            first.wait(job.id, timeout=120)
+            assert job.status == "done"
+        finally:
+            first.shutdown()
+        path = tmp_path / f"{job.key}.pkl"
+        path.write_bytes(path.read_bytes()[:40])
+
+        store = ResultStore(directory=str(tmp_path))
+        second = JobRunner(store=store, runner_defaults=defaults).start()
+        try:
+            redo = second.submit(spec)
+            second.wait(redo.id, timeout=120)
+            assert redo.status == "done", redo.error
+            assert redo.cache_hit is False
+            assert store.stats == {"entries": 1, "hits": 0, "misses": 1}
+            again = second.submit(spec)
+            second.wait(again.id, timeout=120)
+            assert again.cache_hit is True
+        finally:
+            second.shutdown()
+        want = direct_payload(SMALL_GRID)
+        assert deep_equal(to_jsonable(redo.payload()), want)
+        assert deep_equal(to_jsonable(again.payload()), want)
+        # The file on disk was rewritten whole.
+        assert deep_equal(
+            to_jsonable(ResultStore(directory=str(tmp_path)).get(job.key)),
+            want,
+        )
+
 
 # ----------------------------------------------------------------------
 # Job runner (in-process)
