@@ -12,8 +12,9 @@ test suite.
 The per-cell, per-pulse logic mirrors Algorithm 3:
 
 1. Compute the reception time of each predecessor's pulse (send time plus
-   edge delay); faulty predecessors' send times come from their
-   :class:`~repro.faults.model.FaultBehavior` (``None`` = silent).
+   edge delay); a faulty predecessor sends at its correct time plus its
+   :class:`~repro.faults.model.FaultBehavior`'s offset (``+inf`` =
+   silent).
 2. Replay the do-until loop.  It exits at the first local time ``tau``
    such that ``H_min`` is set and each still-missing reception has timed
    out: a missing own-copy message times out at ``H_max + k/2 + vt*k``
@@ -82,7 +83,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -91,7 +92,7 @@ from repro.core.layer0 import Layer0Schedule, PerfectLayer0
 from repro.delays.models import DelayModel, UniformDelayModel
 from repro.faults.campaign import CampaignEpoch, ChaosCampaign
 from repro.faults.injection import FaultPlan
-from repro.faults.model import FaultContext
+from repro.faults.model import FaultBehavior
 from repro.params import Parameters
 from repro.topology.layered import LayeredGraph, NodeId
 
@@ -704,7 +705,10 @@ class FastResult:
     branches:
         ``int8`` codes per :data:`BRANCH_CODES`.
     fault_sends:
-        ``{(faulty_node, successor): {pulse: send_time_or_None}}``.
+        ``{(faulty_node, successor): {pulse: send_time_or_None}}``.  A
+        lazy view: the trial stack records the sends as arrays, and the
+        dict is built from them on first access (and when the result is
+        pickled).
     fallback_cells:
         How many of this trial's kernel-rejected cells the stack-wide
         batched fallback resolved.  Zero on fault-free runs that never
@@ -753,7 +757,12 @@ class FastResult:
             self.corrections = None
             self.effective_corrections = None
             self.branches = None
-        self.fault_sends: Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]] = {}
+        self._fault_sends: Optional[
+            Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]]
+        ] = {}
+        # Set by the trial stack on runs with faults: the run's recorded
+        # sends and this trial's row in them (see ``fault_sends``).
+        self._fault_log = None
         # Batched-fallback accounting (see the class docstring).
         self.fallback_cells = 0
         self.fallback_batches = 0
@@ -788,7 +797,24 @@ class FastResult:
         state = self.__dict__.copy()
         state["stack_block"] = None
         state["stack_row"] = None
+        # The recorded sends are shared by the whole stack: ship this
+        # trial's dict instead.
+        state["_fault_sends"] = self.fault_sends
+        state["_fault_log"] = None
         return state
+
+    @property
+    def fault_sends(
+        self,
+    ) -> Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]]:
+        """``{(faulty_node, successor): {pulse: send_time_or_None}}``.
+
+        Built on first access from the stack's recorded send arrays.
+        """
+        if self._fault_sends is None:
+            log, row = self._fault_log
+            self._fault_sends = log.sends_of(row)
+        return self._fault_sends
 
     @cached_property
     def faulty_mask(self) -> np.ndarray:
@@ -995,26 +1021,17 @@ class FastSimulation:
         self.graph = epoch.graph
         self.fault_plan = epoch.fault_plan
 
-    def _record_fault_sends(
-        self, result: FastResult, node: NodeId, k: int, correct_time: float
-    ) -> List[Optional[float]]:
-        """Record faulty ``node``'s pulse-``k`` sends in ``fault_sends``.
 
-        Returns the send times (None = silent) in ``graph.successors``
-        order -- own copy first, then the neighbor copies -- so the trial
-        stack can also lay them out as arrays.
-        """
-        behavior = self.fault_plan.behavior(node)
-        assert behavior is not None
-        context = FaultContext(
-            node=node, pulse=k, correct_time=correct_time, kappa=self.params.kappa
-        )
-        sends = []
-        for successor in self.graph.successors(node):
-            send = behavior.send_time(context, successor)
-            result.fault_sends.setdefault((node, successor), {})[k] = send
-            sends.append(send)
-        return sends
+class _FaultRows(NamedTuple):
+    """One trial's faulty senders (see :attr:`_VectorSweep.fault_rows`)."""
+
+    vertices: np.ndarray
+    layers: np.ndarray
+    behaviors: List[FaultBehavior]
+    #: ``(R, D)`` neighbor successor vertices, valid where ``valid``.
+    neighbors: np.ndarray
+    valid: np.ndarray
+    slots: Tuple[np.ndarray, ...]
 
 
 class _VectorSweep:
@@ -1070,6 +1087,7 @@ class _VectorSweep:
             # stacks.
             self.nb_idx, self.nb_valid = base.neighbor_index_arrays()
             self.has_neighbors = self.nb_valid.any(axis=1)
+        self.fault_plan = sim.fault_plan
         faulty = sim.fault_plan.faulty_mask(graph)
         self.faulty = faulty
         # has_faulty_pred[l - 1] flags nodes of layer ``l`` with a faulty
@@ -1093,9 +1111,6 @@ class _VectorSweep:
             ).any(axis=2)
         self.has_faulty_pred = prev | nb_faulty
         self.static_eligible = self.has_neighbors[None, :] & ~self.has_faulty_pred
-        #: ``(indptr, indices, reverse)`` CSR tables of the send slots;
-        #: built on the first fault send.
-        self._reverse: Optional[Tuple[np.ndarray, ...]] = None
 
     @cached_property
     def _edge_ends(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -1109,32 +1124,51 @@ class _VectorSweep:
             targets = np.nonzero(self.nb_valid)[0]
         return np.concatenate((own, sources)), np.concatenate((own, targets))
 
-    def send_slots(self, v: int) -> Tuple[np.ndarray, ...]:
-        """Where vertex ``v``'s neighbor-copy sends land one layer up.
+    @cached_property
+    def fault_rows(self) -> Optional[_FaultRows]:
+        """The trial's faulty senders and where their sends land.
 
-        ``graph.successors((v, l))`` lists the own copy, then ``(w, l + 1)``
-        for each neighbor ``w`` of ``v`` in sorted order; the message to
-        ``(w, l + 1)`` is the copy of ``v`` among ``w``'s neighbors.
-        Returns the index of those slots in the neighbor-delay layout:
-        ``(targets, positions)`` into a ``(W, max_deg)`` plane in dense
-        mode, ``(entries,)`` into the ``(nnz,)`` edge vector in CSR mode.
+        One row per faulty node ``(v, l)`` below the last layer (a
+        last-layer node has no successors), in ``(l, v)`` order.
+        ``graph.successors((v, l))`` lists the own copy, then
+        ``(w, l + 1)`` for each neighbor ``w`` of ``v`` in sorted order;
+        the message to ``(w, l + 1)`` is the copy of ``v`` among ``w``'s
+        neighbors.  ``slots`` index those neighbor copies in the
+        neighbor-delay layout one layer up: ``(targets, positions)``
+        into a ``(W, max_deg)`` plane in dense mode, ``(entries,)`` into
+        the ``(nnz,)`` edge vector in CSR mode.  None without faults.
         """
-        if self._reverse is None:
-            indptr, indices, _ = self.base.neighbor_csr()
-            owner = np.repeat(
-                np.arange(self.width, dtype=np.int64), np.diff(indptr)
-            )
-            # Adjacency is symmetric and sorted, so the entries sorted by
-            # (target, source) list the reverse of CSR entry i at i.
-            reverse = np.lexsort((owner, indices))
-            self._reverse = (indptr, indices, reverse)
-        indptr, indices, reverse = self._reverse
-        segment = slice(indptr[v], indptr[v + 1])
-        entries = reverse[segment]
-        if self.backend == "csr":
-            return (entries,)
-        targets = indices[segment]
-        return targets, entries - indptr[targets]
+        layers, vertices = np.nonzero(self.faulty[:-1])
+        if not vertices.size:
+            return None
+        plan = self.fault_plan
+        indptr, indices, _ = self.base.neighbor_csr()
+        owner = np.repeat(np.arange(self.width, dtype=np.int64), np.diff(indptr))
+        # Adjacency is symmetric and sorted, so the entries sorted by
+        # (target, source) list the reverse of CSR entry i at i.
+        reverse = np.lexsort((owner, indices))
+        start = indptr[vertices]
+        degree = indptr[vertices + 1] - start
+        columns = np.arange(int(degree.max()))
+        valid = columns < degree[:, None]
+        entry = np.minimum(start[:, None] + columns, indices.shape[0] - 1)
+        targets = indices[entry]
+        entries = reverse[entry]
+        return _FaultRows(
+            vertices=vertices,
+            layers=layers,
+            behaviors=[
+                plan.behavior((v, layer))
+                for layer, v in zip(layers.tolist(), vertices.tolist())
+            ],
+            neighbors=targets,
+            valid=valid,
+            slots=(
+                (entries,)
+                if self.backend == "csr"
+                else (targets, entries - indptr[targets])
+            ),
+        )
 
     def delay_arrays(self, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Own-copy ``(W,)`` and neighbor-copy delays for one layer.

@@ -148,6 +148,8 @@ with the per-cell scalar rule.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,6 +165,8 @@ from repro.core.fast import (
     _neighbor_backend,
 )
 from repro.core.layer0 import stacked_pulse_row, stacked_pulse_times
+from repro.faults.model import SendBatch, send_offsets
+from repro.topology.layered import NodeId
 
 __all__ = ["TrialStack", "stack_compatibility"]
 
@@ -346,6 +350,140 @@ class _StackedPolicy:
             self.jump_slack[rows, 0] if flat else self.jump_slack[rows]
         )
         return taken
+
+
+class _FaultTable:
+    """The stack's faulty senders, the slots of their sends, their offsets.
+
+    Concatenates the sweeps' :attr:`~repro.core.fast._VectorSweep.fault_rows`
+    into one padded table: row ``r`` is faulty node ``(vertex[r],
+    layer[r])`` of trial ``trial[r]``, column 0 its own copy and the
+    other columns its neighbor copies (``successors``, valid where
+    ``valid``).  ``own_slot`` / ``nb_slot`` are the flat indices of each
+    send in the overlay of layer ``layer[r] + 1``: the ``(S, W_max)``
+    own-copy plane and the neighbor plane of shape ``nb_shape`` (that
+    layer's neighbor-delay layout).
+
+    Every behaviour sends at ``correct time + offset``.  The offsets of
+    the static behaviours are computed once, here; the dynamic ones once
+    per pulse (:meth:`offsets_at`).  Each is one
+    :func:`~repro.faults.model.send_offsets` call for the whole stack,
+    one behaviour-class call per class.
+    """
+
+    def __init__(
+        self,
+        sims: Sequence[FastSimulation],
+        sweeps: Sequence[_VectorSweep],
+        width: int,
+        nb_shape: Tuple[int, ...],
+    ) -> None:
+        parts = [
+            (s, sweep.fault_rows)
+            for s, sweep in enumerate(sweeps)
+            if sweep.fault_rows is not None
+        ]
+        counts = [len(part.vertices) for _, part in parts]
+        self.trial = np.repeat([s for s, _ in parts], counts).astype(np.int64)
+        self.vertex = np.concatenate([part.vertices for _, part in parts])
+        self.layer = np.concatenate([part.layers for _, part in parts])
+        behaviors = [b for _, part in parts for b in part.behaviors]
+        self.nb_shape = nb_shape
+        size = self.trial.size
+        degree = max(part.neighbors.shape[1] for _, part in parts)
+        self.successors = np.zeros((size, 1 + degree), dtype=np.int64)
+        self.successors[:, 0] = self.vertex
+        self.valid = np.zeros((size, 1 + degree), dtype=bool)
+        self.valid[:, 0] = True
+        slots = np.zeros((len(nb_shape) - 1, size, degree), dtype=np.int64)
+        start = 0
+        for (_, part), count in zip(parts, counts):
+            rows, cols = slice(start, start + count), part.neighbors.shape[1]
+            self.successors[rows, 1 : 1 + cols] = part.neighbors
+            self.valid[rows, 1 : 1 + cols] = part.valid
+            for axis, slot in enumerate(part.slots):
+                slots[axis, rows, :cols] = slot
+            start += count
+        self.own_slot = self.trial * width + self.vertex
+        self.nb_slot = np.ravel_multi_index(
+            (np.broadcast_to(self.trial[:, None], slots.shape[1:]), *slots),
+            nb_shape,
+        )
+        self.layer_rows = {}
+        for layer in np.unique(self.layer).tolist():
+            rows = np.flatnonzero(self.layer == layer)
+            self.layer_rows[layer] = (rows, self.trial[rows], self.vertex[rows])
+
+        rows, cols = np.nonzero(self.valid)
+        kappa = np.array([sim.params.kappa for sim in sims], dtype=float)
+        sends = SendBatch(
+            owner=rows,
+            node=(self.vertex[rows], self.layer[rows]),
+            successor=(self.successors[rows, cols], self.layer[rows] + 1),
+            pulse=np.zeros(rows.size, dtype=np.int64),
+            kappa=kappa[self.trial[rows]],
+        )
+        static = np.array([b.is_static() for b in behaviors])[rows]
+        self.offsets = np.zeros(self.valid.shape)
+        if static.any():
+            at = np.flatnonzero(static)
+            self.offsets[rows[at], cols[at]] = send_offsets(
+                behaviors, sends.take(at)
+            )
+        self._dynamic = None
+        self._pulse = None
+        if not static.all():
+            at = np.flatnonzero(~static)
+            self._dynamic = ((rows[at], cols[at]), behaviors, sends.take(at))
+
+    def offsets_at(self, k: int) -> np.ndarray:
+        """The ``(R, M)`` offsets of every send of pulse ``k``."""
+        if self._dynamic is not None and self._pulse != k:
+            cells, behaviors, sends = self._dynamic
+            self.offsets[cells] = send_offsets(
+                behaviors,
+                replace(sends, pulse=np.full(sends.pulse.shape, k, dtype=np.int64)),
+            )
+            self._pulse = k
+        return self.offsets
+
+
+class _FaultSendLog:
+    """The fault sends one stack run recorded, as array chunks.
+
+    Each chunk is one :meth:`TrialStack._record_fault_sends` call:
+    ``(table, rows, k, sends)`` -- the table rows that sent in pulse
+    ``k`` and their ``(n, M)`` send times (``+inf`` = silent).
+    :meth:`sends_of` builds one trial's ``fault_sends`` dict from them.
+    """
+
+    def __init__(self) -> None:
+        self.chunks: List[Tuple[_FaultTable, np.ndarray, int, np.ndarray]] = []
+
+    def sends_of(
+        self, trial: int
+    ) -> Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]]:
+        """Trial ``trial``'s ``{(node, successor): {pulse: time or None}}``."""
+        out: Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]] = {}
+        for table, rows, k, sends in self.chunks:
+            mine = table.trial[rows] == trial
+            if not mine.any():
+                continue
+            rows = rows[mine]
+            for v, layer, successors, valid, values in zip(
+                table.vertex[rows].tolist(),
+                table.layer[rows].tolist(),
+                table.successors[rows].tolist(),
+                table.valid[rows].tolist(),
+                sends[mine].tolist(),
+            ):
+                node = (v, layer)
+                for successor, ok, send in zip(successors, valid, values):
+                    if ok:
+                        out.setdefault((node, (successor, layer + 1)), {})[k] = (
+                            None if send == math.inf else send
+                        )
+        return out
 
 
 class TrialStack:
@@ -695,9 +833,6 @@ class TrialStack:
         # Stacked layer-0 plane writes (see _run_layer0_stacked);
         # self._layer0_block / self._l0_row_buffer were set above.
         self._l0_faulty = faulty[:, 0, :]
-        self._l0_fault_trials = [
-            s for s in range(num_trials) if bool(self._l0_faulty[s].any())
-        ]
         width_mask = (
             np.ones((num_trials, width), dtype=bool)
             if self._uniform
@@ -743,9 +878,12 @@ class TrialStack:
         sweep_caches: List[Dict[Tuple, _VectorSweep]] = [{} for _ in sims]
         seed_states = [(sim.graph, sim.fault_plan) for sim in sims]
 
-        # Fault-send overlays of the current pulse, keyed by the layer that
-        # receives the sends (see _record_fault_sends), and the count of
-        # stack-wide fallback passes.
+        # The faulty senders (None without faults), the sends they
+        # recorded, the sends' overlays of the current pulse keyed by the
+        # layer that receives them (see _record_fault_sends), and the
+        # count of stack-wide fallback passes.
+        self._fault_log: Optional[_FaultSendLog] = None
+        self._faults = self._fault_table(sweeps, any_fault)
         self._sends: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._fallback_passes = 0
 
@@ -766,11 +904,7 @@ class TrialStack:
                     dead[:] = False
                     delay_cache.clear()
                     self._row_cache = {}
-                    self._l0_fault_trials = [
-                        s
-                        for s in range(num_trials)
-                        if bool(self._l0_faulty[s].any())
-                    ]
+                    self._faults = self._fault_table(sweeps, any_fault)
                 rk = k if store_times else 0
                 if not store_times and k > 0:
                     # Recycle the rolling one-pulse window for this iteration.
@@ -780,9 +914,9 @@ class TrialStack:
                     effective[:, 0] = np.nan
                     branches[:, 0] = BRANCH_CODES["none"]
                 self._sends.clear()
-                self._run_layer0_stacked(
-                    results, times, protocol_times, branches, k, rk
-                )
+                self._run_layer0_stacked(times, protocol_times, branches, k, rk)
+                if self._faults is not None:
+                    self._record_fault_sends(k, 0, protocol_times[:, rk, 0, :])
                 if stream is not None:
                     stream.update(
                         k, 0, times[:, rk, 0, :], corrections[:, rk, 0, :]
@@ -828,10 +962,13 @@ class TrialStack:
                                 sweeps, rate_cache, layer, k, rows, lanes
                             ),
                             layer_has_fault[layer],
-                            k,
                             layer,
                             rk,
                         )
+                        if self._faults is not None:
+                            self._record_fault_sends(
+                                k, layer, protocol_times[:, rk, layer, :]
+                            )
                     if stream is not None:
                         # Skipped steps still update with an empty rows hint so
                         # the inter-layer fold retires its buffer plane.
@@ -884,6 +1021,12 @@ class TrialStack:
             "fallback_passes": self._fallback_passes,
         }
         self._sends = {}
+        self._faults = None
+        if self._fault_log is not None:
+            for s, result in enumerate(results):
+                result._fault_log = (self._fault_log, s)
+                result._fault_sends = None
+            self._fault_log = None
 
         if stream is not None:
             stream.finalize()
@@ -990,7 +1133,6 @@ class TrialStack:
 
     def _run_layer0_stacked(
         self,
-        results: List[FastResult],
         times: np.ndarray,
         protocol_times: np.ndarray,
         branches: np.ndarray,
@@ -1004,8 +1146,8 @@ class TrialStack:
         pulse by :func:`~repro.core.layer0.stacked_pulse_row`
         (bit-identical entries).  ``rk`` is the block's storage row for
         pulse ``k`` (``k`` itself, or 0 on the rolling window).  Faulty
-        layer-0 nodes record their sends one node at a time: each
-        successor's send comes from a Python fault behavior.
+        layer-0 nodes get no ``times``; their protocol times are the
+        correct times their recorded sends are offset from.
         """
         if self._layer0_block is not None:
             row = self._layer0_block[:, k, :]  # (S, W), NaN on padding
@@ -1019,55 +1161,62 @@ class TrialStack:
         protocol_times[:, rk, 0, :] = row
         branches[:, rk, 0, :] = self._l0_branch_row
         times[:, rk, 0, :] = np.where(self._l0_faulty, np.nan, row)
-        for s in self._l0_fault_trials:
-            for v in np.nonzero(self._l0_faulty[s])[0]:
-                self._record_fault_sends(
-                    results, s, int(v), 0, k, float(row[s, v])
-                )
 
-    def _record_fault_sends(
-        self,
-        results: List[FastResult],
-        s: int,
-        v: int,
-        layer: int,
-        k: int,
-        correct_time: float,
-    ) -> None:
-        """Record faulty ``(v, layer)``'s pulse-``k`` sends of trial ``s``.
-
-        The simulation records them in its result's ``fault_sends``
-        (:meth:`FastSimulation._record_fault_sends`); the stack also
-        writes them into the overlay of ``layer + 1``: an ``(own, nb)``
-        pair laid out like that layer's delay arrays -- ``(S, W_max)``
-        own copies plus ``(S, W_max, max_deg)`` neighbor copies, or the
-        ``(S, nnz)`` edge vector on CSR stacks.  A silent send is
-        ``+inf``, and so is every slot no send was recorded for.  The
-        fallback reads a faulty predecessor's send from the overlay at
-        the slot where it reads that edge's delay.
-        """
-        sends = self.sims[s]._record_fault_sends(
-            results[s], (v, layer), k, correct_time
+    def _fault_table(
+        self, sweeps: Sequence[_VectorSweep], any_fault: bool
+    ) -> Optional[_FaultTable]:
+        """The stack's fault table, or None when no trial has a faulty
+        sender; starts the run's send log on the first table."""
+        if not any_fault or all(sweep.fault_rows is None for sweep in sweeps):
+            return None
+        if self._fault_log is None:
+            self._fault_log = _FaultSendLog()
+        nb_shape = (
+            (len(self.sims), self._csr[1].shape[0])
+            if self._csr is not None
+            else (len(self.sims), self._width, self._max_deg)
         )
-        if not sends:
-            return  # last layer: no successors
+        return _FaultTable(self.sims, sweeps, self._width, nb_shape)
+
+    def _record_fault_sends(self, k: int, layer: int, plane: np.ndarray) -> None:
+        """Record the pulse-``k`` sends of ``layer``'s faulty nodes at once.
+
+        ``plane`` is the layer's ``(S, W_max)`` protocol-time plane: a
+        faulty node that pulsed sends at its protocol (correct) time plus
+        its offsets, ``ct[:, None] + offsets[rows]``.  The sends go to
+        the run's send log (the source of every result's
+        ``fault_sends``) and into the overlay of ``layer + 1``: an
+        ``(own, nb)`` pair laid out like that layer's delay arrays --
+        ``(S, W_max)`` own copies plus ``(S, W_max, max_deg)`` neighbor
+        copies, or the ``(S, nnz)`` edge vector on CSR stacks.  A silent
+        send is ``+inf``, and so is every slot no send was recorded for.
+        The fallback reads a faulty predecessor's send from the overlay
+        at the slot where it reads that edge's delay.
+        """
+        table = self._faults
+        at = table.layer_rows.get(layer)
+        if at is None:
+            return
+        rows, trials, vertices = at
+        correct = plane[trials, vertices]
+        pulsed = ~np.isnan(correct)
+        if not pulsed.all():
+            rows, correct = rows[pulsed], correct[pulsed]
+            if not rows.size:
+                return
+        sends = correct[:, None] + table.offsets_at(k)[rows]
         overlay = self._sends.get(layer + 1)
         if overlay is None:
-            num_trials = len(self.sims)
-            nb_shape = (
-                (num_trials, self._csr[1].shape[0])
-                if self._csr is not None
-                else (num_trials, self._width, self._max_deg)
-            )
             overlay = (
-                np.full((num_trials, self._width), np.inf),
-                np.full(nb_shape, np.inf),
+                np.full((len(self.sims), self._width), np.inf),
+                np.full(table.nb_shape, np.inf),
             )
             self._sends[layer + 1] = overlay
         own, nb = overlay
-        values = [np.inf if send is None else send for send in sends]
-        own[s, v] = values[0]
-        nb[(s,) + self._sweeps[s].send_slots(v)] = values[1:]
+        np.put(own, table.own_slot[rows], sends[:, 0])
+        valid = table.valid[rows, 1:]
+        np.put(nb, table.nb_slot[rows][valid], sends[:, 1:][valid])
+        self._fault_log.chunks.append((table, rows, k, sends))
 
     def _row_structs(
         self,
@@ -1159,11 +1308,10 @@ class TrialStack:
         delays: Tuple[np.ndarray, np.ndarray],
         rate: np.ndarray,
         layer_faulty: bool,
-        k: int,
         layer: int,
         rk: int,
     ) -> None:
-        """Advance pulse ``k`` of ``layer`` on the selected plane.
+        """Advance one pulse of ``layer`` on the selected plane.
 
         Delegates to the shape-generic
         :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
@@ -1174,8 +1322,8 @@ class TrialStack:
         full plane is the identity case: its subscripts are
         ``slice(None)``.  ``matrices`` are the shared ``times``,
         ``protocol_times``, ``corrections``, ``effective`` and
-        ``branches`` blocks; ``rk`` is the storage row of pulse ``k``
-        (``k`` itself on materialized runs, 0 on the rolling window).
+        ``branches`` blocks; ``rk`` is the storage row of the pulse
+        (the pulse itself on materialized runs, 0 on the rolling window).
 
         Results scatter back through the plane's subscripts.  Ineligible
         cells are written with the padding values (``NaN``/``"none"``)
@@ -1253,18 +1401,6 @@ class TrialStack:
         times[ri, rk, layer, ci] = np.where(
             eligible & ~faulty_here, pulse_time, np.nan
         )
-        trials = structs["trials"]
-        vertices = structs["vertices"]
-        if layer_faulty:
-            for si, vi in zip(*np.nonzero(eligible & faulty_here)):
-                self._record_fault_sends(
-                    results,
-                    int(trials[si]),
-                    int(vi if vertices is None else vertices[vi]),
-                    layer,
-                    k,
-                    float(pulse_time[si, vi]),
-                )
         active = structs["active"]
         fallback = (
             ~eligible if active is None else active[:, layer, :] & ~eligible
@@ -1272,7 +1408,7 @@ class TrialStack:
         if fallback.any():
             self._run_fallback(
                 results, matrices, structs, prev, delays, rate, sent,
-                np.nonzero(fallback), k, layer, rk,
+                np.nonzero(fallback), layer, rk,
             )
 
     def _run_fallback(
@@ -1285,7 +1421,6 @@ class TrialStack:
         rate: np.ndarray,
         sent: Optional[Tuple[np.ndarray, np.ndarray]],
         cells: Tuple[np.ndarray, np.ndarray],
-        k: int,
         layer: int,
         rk: int,
     ) -> None:
@@ -1303,7 +1438,9 @@ class TrialStack:
         message is ``+inf``.  Parameters are each cell's trial's own.
         :func:`~repro.core.fast._fallback_replay` then replays all cells
         at once, and the outcomes scatter back to the cells' trials and
-        vertices; faulty cells that pulse record their sends.
+        vertices.  A faulty cell that pulses has a protocol time and no
+        ``times`` entry; the run records its sends from the protocol
+        plane after the step (:meth:`_record_fault_sends`).
         """
         times, protocol_times, corrections, effective, branches = matrices
         si, vi = cells
@@ -1373,15 +1510,6 @@ class TrialStack:
         faulty = structs["faulty"][si, layer, vi]
         ok = pulses & ~faulty
         times[trials[ok], rk, layer, vertices[ok]] = pulse_time[ok]
-        for i in np.flatnonzero(pulses & faulty):
-            self._record_fault_sends(
-                results,
-                int(trials[i]),
-                int(vertices[i]),
-                layer,
-                k,
-                float(pulse_time[i]),
-            )
 
         # Per-trial accounting keeps its meaning: a trial's batch is one
         # (pulse, layer) step with any rejected cell of that trial.

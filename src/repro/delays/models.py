@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,8 +64,14 @@ def _hash_consts(init: int, mult: int, count: int) -> List[Tuple[int, int]]:
     return out
 
 
-# Five entropy words: 4 pool fills + 12 cross-mixes + 4 mixes of word 5.
-_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, 20)
+@lru_cache(maxsize=None)
+def _mix_consts(num_words: int) -> Tuple[Tuple[int, int], ...]:
+    """Mixing-hash constants of ``num_words`` entropy words: 4 pool
+    fills, 12 cross-mixes, and 4 mixes of every word past the fourth."""
+    count = 4 + 12 + 4 * max(0, num_words - _POOL_SIZE)
+    return tuple(_hash_consts(_INIT_A, _MULT_A, count))
+
+
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
 
 
@@ -125,19 +132,24 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return (new_hi + inc_hi + carry) & _M64, out_lo
 
 
-def _first_uniform(entropy, low: float, high: float):
+def _first_uniform(entropy, low, high):
     """``default_rng(SeedSequence(entropy)).uniform(low, high)``, bitwise.
 
-    Replays numpy's pipeline on five 32-bit entropy words (the constants
-    above are sized for five): SeedSequence
-    hashmix/mix into a 4-word pool, ``generate_state(4, uint64)``, PCG64
-    seeding, one XSL-RR ``next64`` and the 53-bit double.  Every word is
-    either a Python int (one edge) or a uint64 ndarray (a block of
-    edges): the operations are the same and masked to the word width, so
-    the block and the single edge agree bit for bit.
+    Replays numpy's pipeline on any number of 32-bit entropy words:
+    SeedSequence hashmix/mix into a 4-word pool (hashing zeros past the
+    last word when there are fewer than four), ``generate_state(4,
+    uint64)``, PCG64 seeding, one XSL-RR ``next64`` and the 53-bit
+    double.  Every word is either a Python int (one draw) or a uint64
+    ndarray (a block of draws): the operations are the same and masked
+    to the word width, so the block and the single draw agree bit for
+    bit.  ``low``/``high`` may be floats or arrays broadcasting with the
+    block.
     """
-    mix_consts = iter(_MIX_CONSTS)
-    pool = [_hashmix(word, next(mix_consts)) for word in entropy[:_POOL_SIZE]]
+    mix_consts = iter(_mix_consts(len(entropy)))
+    pool = [
+        _hashmix(entropy[i] if i < len(entropy) else 0, next(mix_consts))
+        for i in range(_POOL_SIZE)
+    ]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:

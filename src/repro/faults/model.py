@@ -1,26 +1,47 @@
 """Fault behaviour implementations.
 
 A :class:`FaultBehavior` decides, per pulse and per successor edge, when (or
-whether) a faulty node's pulse message is sent.  Behaviours receive a
-:class:`FaultContext` carrying the time at which the node *would* have pulsed
-had it been correct -- the same reference point Lemma 4.30 uses when it
-compares the faulty execution to the corresponding correct one.
+whether) a faulty node's pulse message is sent.  The reference point is the
+time at which the node *would* have pulsed had it been correct -- the same
+reference point Lemma 4.30 uses when it compares the faulty execution to
+the corresponding correct one.
 
-``None`` means "no message" (a crash/omission on that edge for that pulse).
+The behaviour contract
+----------------------
+Every behaviour sends at ``correct_time + offset(node, successor, pulse)``,
+and an offset of ``+inf`` means "no message" (a crash/omission on that
+edge for that pulse).  The offset is the one primitive:
+:meth:`FaultBehavior.send_offsets` is array-valued and called once per
+behaviour *class* over a list of instances and a :class:`SendBatch` of
+messages, never once per message.  The module-level :func:`send_offsets`
+splits a batch of mixed behaviours into those per-class calls.  The
+scalar :meth:`FaultBehavior.send_time` (a :class:`FaultContext` and one
+successor in, the send time or ``None`` out) is derived from it in the
+base class, so each behaviour has a single body.
+
+The closed forms are exact rewrites of the per-message arithmetic:
+``correct_time - lead * kappa`` is ``correct_time + (-(lead * kappa))``
+in IEEE arithmetic, and :class:`ByzantineRandomFault` replays its
+per-message ``SeedSequence`` / PCG64 uniform draw in uint64 arrays
+(:func:`repro.delays.models._first_uniform`), bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.delays.models import _M32, _first_uniform
 from repro.topology.layered import NodeId
 
 __all__ = [
     "FaultContext",
+    "SendBatch",
+    "send_offsets",
     "FaultBehavior",
     "CrashFault",
     "SilentFromFault",
@@ -56,14 +77,121 @@ class FaultContext:
     kappa: float
 
 
+@dataclass(frozen=True)
+class SendBatch:
+    """Messages of faulty nodes, one entry per message in every array.
+
+    Attributes
+    ----------
+    owner:
+        Index of each message's behaviour in the list the batch is
+        passed with.
+    node:
+        ``(v, layer)`` int64 arrays of the sending node.
+    successor:
+        ``(v, layer)`` int64 arrays of the receiving node.
+    pulse:
+        Pulse index of each message.
+    kappa:
+        The sending trial's discretization unit, per message.
+    """
+
+    owner: np.ndarray
+    node: Tuple[np.ndarray, np.ndarray]
+    successor: Tuple[np.ndarray, np.ndarray]
+    pulse: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def single(cls, context: FaultContext, successor: NodeId) -> "SendBatch":
+        """The one message of ``context``'s node toward ``successor``."""
+
+        def one(value) -> np.ndarray:
+            return np.array([value], dtype=np.int64)
+
+        (v, layer), (sv, sl) = context.node, successor
+        return cls(
+            owner=one(0),
+            node=(one(v), one(layer)),
+            successor=(one(sv), one(sl)),
+            pulse=one(context.pulse),
+            kappa=np.array([context.kappa], dtype=float),
+        )
+
+    def take(
+        self, index: np.ndarray, owner: Optional[np.ndarray] = None
+    ) -> "SendBatch":
+        """The messages at ``index``; ``owner`` renumbers their owners."""
+        taken = self.owner[index]
+        return SendBatch(
+            owner=taken if owner is None else owner[taken],
+            node=(self.node[0][index], self.node[1][index]),
+            successor=(self.successor[0][index], self.successor[1][index]),
+            pulse=self.pulse[index],
+            kappa=self.kappa[index],
+        )
+
+
+def send_offsets(
+    faults: Sequence["FaultBehavior"], sends: SendBatch
+) -> np.ndarray:
+    """Offsets of a batch of messages of any behaviours; ``+inf`` = silent.
+
+    Groups ``faults`` by class and makes one
+    :meth:`FaultBehavior.send_offsets` call per class, over that class's
+    instances and messages.
+    """
+    classes: Dict[type, List[int]] = {}
+    for i, fault in enumerate(faults):
+        classes.setdefault(type(fault), []).append(i)
+    if len(classes) == 1:
+        (cls,) = classes
+        return cls.send_offsets(faults, sends)
+    kind = np.empty(len(faults), dtype=np.int64)
+    local = np.empty(len(faults), dtype=np.int64)
+    for c, members in enumerate(classes.values()):
+        kind[members] = c
+        local[members] = np.arange(len(members))
+    out = np.empty(sends.owner.shape)
+    message_kind = kind[sends.owner]
+    for c, (cls, members) in enumerate(classes.items()):
+        index = np.flatnonzero(message_kind == c)
+        if index.size:
+            out[index] = cls.send_offsets(
+                [faults[i] for i in members], sends.take(index, local)
+            )
+    return out
+
+
+def _column(faults: Sequence["FaultBehavior"], attr: str, sends: SendBatch):
+    """Per-message values of an attribute of each message's behaviour."""
+    return np.array([getattr(f, attr) for f in faults], dtype=float)[sends.owner]
+
+
 class FaultBehavior(ABC):
     """Per-(pulse, successor) send-time policy of a faulty node."""
 
+    @classmethod
     @abstractmethod
+    def send_offsets(
+        cls, faults: Sequence["FaultBehavior"], sends: SendBatch
+    ) -> np.ndarray:
+        """Offset from the correct time of every message; ``+inf`` = silent.
+
+        ``faults`` are instances of ``cls``; message ``i`` of ``sends``
+        is sent by ``faults[sends.owner[i]]``.
+        """
+
     def send_time(
         self, context: FaultContext, successor: NodeId
     ) -> Optional[float]:
         """Time the pulse message leaves toward ``successor``; None = silent."""
+        offset = float(
+            type(self).send_offsets([self], SendBatch.single(context, successor))[0]
+        )
+        if offset == math.inf:
+            return None
+        return context.correct_time + offset
 
     def is_static(self) -> bool:
         """Whether the timing profile is identical across pulses.
@@ -78,8 +206,9 @@ class FaultBehavior(ABC):
 class CrashFault(FaultBehavior):
     """Never sends anything."""
 
-    def send_time(self, context: FaultContext, successor: NodeId) -> None:
-        return None
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        return np.full(sends.owner.shape, np.inf)
 
     def is_static(self) -> bool:
         return True
@@ -97,12 +226,11 @@ class SilentFromFault(FaultBehavior):
             raise ValueError(f"start_pulse must be >= 0, got {start_pulse}")
         self.start_pulse = start_pulse
 
-    def send_time(
-        self, context: FaultContext, successor: NodeId
-    ) -> Optional[float]:
-        if context.pulse >= self.start_pulse:
-            return None
-        return context.correct_time
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        start = _column(faults, "start_pulse", sends)
+        # -0.0, not 0.0: ``t + -0.0`` is ``t`` bit for bit, even for t = -0.0.
+        return np.where(sends.pulse >= start, np.inf, -0.0)
 
 
 class FixedOffsetFault(FaultBehavior):
@@ -116,8 +244,9 @@ class FixedOffsetFault(FaultBehavior):
     def __init__(self, offset: float) -> None:
         self.offset = offset
 
-    def send_time(self, context: FaultContext, successor: NodeId) -> float:
-        return context.correct_time + self.offset
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        return _column(faults, "offset", sends)
 
     def is_static(self) -> bool:
         return True
@@ -135,13 +264,19 @@ class PerSuccessorOffsetFault(FaultBehavior):
     def __init__(self, offsets: Dict[NodeId, Optional[float]]) -> None:
         self.offsets = dict(offsets)
 
-    def send_time(
-        self, context: FaultContext, successor: NodeId
-    ) -> Optional[float]:
-        offset = self.offsets.get(successor, 0.0)
-        if offset is None:
-            return None
-        return context.correct_time + offset
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        sv, sl = sends.successor
+        offsets = [
+            faults[owner].offsets.get((v, layer), 0.0)
+            for owner, v, layer in zip(
+                sends.owner.tolist(), sv.tolist(), sl.tolist()
+            )
+        ]
+        return np.array(
+            [np.inf if offset is None else offset for offset in offsets],
+            dtype=float,
+        )
 
     def is_static(self) -> bool:
         return True
@@ -152,7 +287,10 @@ class ByzantineRandomFault(FaultBehavior):
 
     The strongest behaviour inside the model when used sparingly: timing
     changes every pulse, so only a constant number of such nodes may be
-    active per pulse (Corollary 1.5(i)).
+    active per pulse (Corollary 1.5(i)).  The offset of the message from
+    ``(v, l)`` to ``(sv, sl)`` in pulse ``k`` is the first
+    ``uniform(-span, span)`` draw of
+    ``default_rng(SeedSequence([seed & 0xFFFFFFFF, v, l, sv, sl, k]))``.
     """
 
     def __init__(self, span: float, seed: int = 0) -> None:
@@ -161,12 +299,15 @@ class ByzantineRandomFault(FaultBehavior):
         self.span = span
         self.seed = seed
 
-    def send_time(self, context: FaultContext, successor: NodeId) -> float:
-        v, layer = context.node
-        sv, sl = successor
-        entropy = [self.seed & 0xFFFFFFFF, v, layer, sv, sl, context.pulse]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        return context.correct_time + float(rng.uniform(-self.span, self.span))
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        seeds = np.array([f.seed & _M32 for f in faults], dtype=np.uint64)
+        span = _column(faults, "span", sends)
+        words = [
+            part.astype(np.uint64) & _M32
+            for part in (*sends.node, *sends.successor, sends.pulse)
+        ]
+        return _first_uniform([seeds[sends.owner], *words], -span, span)
 
 
 class AdversarialEarlyFault(FaultBehavior):
@@ -177,8 +318,9 @@ class AdversarialEarlyFault(FaultBehavior):
             raise ValueError(f"lead_kappas must be >= 0, got {lead_kappas}")
         self.lead_kappas = lead_kappas
 
-    def send_time(self, context: FaultContext, successor: NodeId) -> float:
-        return context.correct_time - self.lead_kappas * context.kappa
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        return -(_column(faults, "lead_kappas", sends) * sends.kappa)
 
     def is_static(self) -> bool:
         return True
@@ -192,8 +334,9 @@ class AdversarialLateFault(FaultBehavior):
             raise ValueError(f"lag_kappas must be >= 0, got {lag_kappas}")
         self.lag_kappas = lag_kappas
 
-    def send_time(self, context: FaultContext, successor: NodeId) -> float:
-        return context.correct_time + self.lag_kappas * context.kappa
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        return _column(faults, "lag_kappas", sends) * sends.kappa
 
     def is_static(self) -> bool:
         return True
@@ -217,19 +360,21 @@ class MutableFault(FaultBehavior):
             raise ValueError("phase start pulses must be strictly increasing")
         self.phases = list(phases)
 
-    def _active(self, pulse: int) -> FaultBehavior:
-        current = self.phases[0][1]
-        for start, behavior in self.phases:
-            if pulse >= start:
-                current = behavior
-            else:
-                break
-        return current
-
-    def send_time(
-        self, context: FaultContext, successor: NodeId
-    ) -> Optional[float]:
-        return self._active(context.pulse).send_time(context, successor)
+    @classmethod
+    def send_offsets(cls, faults, sends):
+        # Every phase of every instance in one list; each message is
+        # answered by its instance's last phase starting at or before
+        # its pulse.
+        phases = [behavior for f in faults for _, behavior in f.phases]
+        counts = [len(f.phases) for f in faults]
+        first = np.cumsum([0] + counts[:-1])
+        starts = np.full((len(faults), max(counts)), np.iinfo(np.int64).max)
+        for i, f in enumerate(faults):
+            starts[i, : counts[i]] = [start for start, _ in f.phases]
+        started = (starts[sends.owner] <= sends.pulse[:, None]).sum(axis=1)
+        return send_offsets(
+            phases, replace(sends, owner=first[sends.owner] + started - 1)
+        )
 
     def changes_at(self, pulse: int) -> bool:
         """Whether this fault switches behaviour exactly at ``pulse``."""

@@ -18,7 +18,10 @@ pulse budget enters the key on its own).
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
 directory), ``get`` unpickles a fresh copy -- so no consumer can mutate
-the cached arrays of another.
+the cached arrays of another.  A ``<key>.pkl`` file holds the SHA-256
+digest of the pickled payload followed by the payload; an entry whose
+file fails the digest when the store reads it is not loaded, so a
+corrupted file is recomputed instead of served.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ CACHE_VERSION = 4
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
     "store_times": True,
 }
+
+#: Bytes of the payload digest at the head of a ``<key>.pkl`` file.
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def trial_cell_key(trial: BatchTrial) -> Tuple:
@@ -141,7 +147,12 @@ class ResultStore:
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
             for path in sorted(self._directory.glob("*.pkl")):
-                self._blobs[path.stem] = path.read_bytes()
+                data = path.read_bytes()
+                digest, blob = data[:_DIGEST_SIZE], data[_DIGEST_SIZE:]
+                # A file that fails its digest is left out: its key
+                # misses, and the recomputed payload's put rewrites it.
+                if hashlib.sha256(blob).digest() == digest:
+                    self._blobs[path.stem] = blob
 
     def __len__(self) -> int:
         with self._lock:
@@ -164,10 +175,11 @@ class ResultStore:
     def get(self, key: str):
         """Unpickle a fresh copy of the payload under ``key``, or None.
 
-        Counts a hit or a miss.  An entry that does not unpickle (a
-        truncated or corrupt ``<key>.pkl`` of a directory-backed store)
-        is dropped and counted as a miss, so the caller recomputes it
-        and :meth:`put` replaces it.
+        Counts a hit or a miss.  An entry that does not unpickle, whatever
+        the exception, is dropped and counted as a miss, so the caller
+        recomputes it and :meth:`put` replaces it.  (A ``<key>.pkl`` whose
+        bytes fail their digest never gets this far: the store does not
+        load it.)
         """
         with self._lock:
             blob = self._blobs.get(key)
@@ -175,7 +187,7 @@ class ResultStore:
         if found:
             try:
                 payload = pickle.loads(blob)
-            except (pickle.UnpicklingError, EOFError):
+            except Exception:
                 found = False
         with self._lock:
             if found:
@@ -193,7 +205,9 @@ class ResultStore:
             self._blobs[key] = blob
         if self._directory is not None:
             tmp = self._directory / f".{key}.tmp"
-            tmp.write_bytes(blob)
+            with tmp.open("wb") as handle:
+                handle.write(hashlib.sha256(blob).digest())
+                handle.write(blob)
             tmp.replace(self._directory / f"{key}.pkl")
 
     @property

@@ -13,6 +13,7 @@ from repro.delays import (
     UniformDelayModel,
     VaryingDelayModel,
 )
+from repro.delays.models import _first_uniform
 
 EDGE = ((0, 0), (1, 1))
 OTHER = ((1, 0), (0, 1))
@@ -154,6 +155,47 @@ class TestArrayEndpoints:
         assert len(edges) == 280
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
             "6554f016280362befd86238a9e10fb4d1686d93f1e204cbcd8a0259d3453d473"
+        )
+
+
+class TestFirstUniform:
+    """``_first_uniform`` replays numpy's seeded draw for any entropy length."""
+
+    @staticmethod
+    def numpy_draw(words, low, high):
+        rng = np.random.default_rng(np.random.SeedSequence(words))
+        return rng.uniform(low, high)
+
+    @given(
+        words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+        low=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 10.0),
+    )
+    def test_scalar_words_match_numpy_bitwise(self, words, low, width):
+        high = low + width
+        assert _first_uniform(words, low, high) == self.numpy_draw(words, low, high)
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_array_words_match_numpy_bitwise(self, count):
+        rng = np.random.default_rng(count)
+        block = rng.integers(0, 2**32, size=(count, 64), dtype=np.uint64)
+        block[:, 0] = 0
+        block[:, 1] = 2**32 - 1
+        block[::2, 2] = 0
+        block[1::2, 2] = 2**32 - 1
+        got = _first_uniform(list(block), -0.5, 1.5)
+        want = [
+            self.numpy_draw(column.tolist(), -0.5, 1.5) for column in block.T
+        ]
+        np.testing.assert_array_equal(got, want)
+        # A scalar word mixed into a block broadcasts like the array.
+        mixed = _first_uniform([7] + list(block[1:]), -0.5, 1.5)
+        np.testing.assert_array_equal(
+            mixed,
+            [
+                self.numpy_draw([7] + column.tolist()[1:], -0.5, 1.5)
+                for column in block.T
+            ],
         )
 
 

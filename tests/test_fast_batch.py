@@ -373,7 +373,8 @@ class TestFallbackAccounting:
         resolve = TrialStack._run_fallback
 
         def spy(stack, *args):
-            k, layer = args[-3], args[-2]
+            # Materialized runs store pulse k in row rk == k.
+            layer, k = args[-2], args[-1]
             steps.append((k, layer))
             return resolve(stack, *args)
 

@@ -232,6 +232,58 @@ class TestResultStore:
             want,
         )
 
+    def test_flipped_float_byte_is_a_miss_and_recomputed(self, tmp_path):
+        # One flipped byte inside a float still unpickles -- to a wrong
+        # statistic.  The file's digest catches it: the key misses, the
+        # job recomputes, and what is served equals a direct run.
+        spec = {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
+        defaults = {"executor": "serial", "store_times": False}
+        first = JobRunner(
+            store=ResultStore(directory=str(tmp_path)),
+            runner_defaults=defaults,
+        ).start()
+        try:
+            job = first.submit(spec)
+            first.wait(job.id, timeout=120)
+            assert job.status == "done"
+        finally:
+            first.shutdown()
+        path = tmp_path / f"{job.key}.pkl"
+        data = bytearray(path.read_bytes())
+        skews = np.asarray(job.payload()["max_local_skews"], dtype=np.float64)
+        at = bytes(data).find(skews.tobytes())
+        assert at >= 0
+        data[at + 3] ^= 0x01  # a mantissa byte of the first skew
+        path.write_bytes(bytes(data))
+        corrupted = pickle.loads(bytes(data[32:]))["max_local_skews"]
+        assert corrupted[0] != skews[0]
+
+        store = ResultStore(directory=str(tmp_path))
+        assert job.key not in store
+        second = JobRunner(store=store, runner_defaults=defaults).start()
+        try:
+            redo = second.submit(spec)
+            second.wait(redo.id, timeout=120)
+            assert redo.status == "done", redo.error
+            assert redo.cache_hit is False
+            assert store.stats == {"entries": 1, "hits": 0, "misses": 1}
+        finally:
+            second.shutdown()
+        want = direct_payload(SMALL_GRID)
+        assert deep_equal(to_jsonable(redo.payload()), want)
+        assert deep_equal(
+            to_jsonable(ResultStore(directory=str(tmp_path)).get(job.key)),
+            want,
+        )
+
+    def test_any_unpickling_exception_is_a_miss(self):
+        store = ResultStore()
+        # Unpickles to a call of a missing module: ImportError, not
+        # UnpicklingError.
+        store._blobs["bad"] = b"cno_such_module\nthing\n)R."
+        assert store.get("bad") is None
+        assert store.stats == {"entries": 0, "hits": 0, "misses": 1}
+
 
 # ----------------------------------------------------------------------
 # Job runner (in-process)
