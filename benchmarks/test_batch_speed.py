@@ -103,6 +103,7 @@ import repro.core.fast as fast_mod
 import repro.core.fast_batch as fast_batch_mod
 import repro.faults.model as fault_model
 from repro.analysis.report import format_table
+from repro.analysis.streaming import StreamedStats
 from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
@@ -797,6 +798,15 @@ STREAM_DIAMETER = 32
 #: Floor on materialized-peak / streaming-peak; the block is ~5 matrices
 #: deep, so anything under this means streaming materialized the block.
 STREAM_MEMORY_FLOOR = 4.0
+#: The same cell when the fold ran once per (pulse, layer) plane: its
+#: ``StreamedStats.update`` calls per run, streamed / materialized wall
+#: time (middle of three runs) and streamed peak, on a 2-core x86-64
+#: box.  Written into the section next to the live numbers.
+PER_PLANE_FOLD = {
+    "update_calls": 1024,
+    "streamed_over_materialized": 1.34,
+    "streamed_peak_bytes": 7394672,
+}
 
 
 def test_streaming_memory_reduction():
@@ -807,7 +817,9 @@ def test_streaming_memory_reduction():
     the S = 64, K = 32 cell, asserts the >= 4x peak-memory floor (CI
     fails if the streaming path ever allocates the full block again),
     checks the streamed statistics still match the materialized reducers
-    bitwise, and records both modes under the ``"streaming"`` section of
+    bitwise and that the fold runs once per pulse, and records both
+    modes, the fold's calls and the streamed / materialized wall ratio
+    (reported, not gated) under the ``"streaming"`` section of
     ``BENCH_batch.json``.
     """
     trials = BatchRunner.seed_sweep(
@@ -824,8 +836,14 @@ def test_streaming_memory_reduction():
 
     # Warm the per-edge delay/rate caches (they live on the shared trial
     # configs and scale with S*L*W, not K) so the traced peaks compare
-    # the result pipelines, not one-time RNG setup.
-    streaming_runner.run(trials)
+    # the result pipelines, not one-time RNG setup.  The warm-up also
+    # counts the fold's calls: one per pulse of the run's one stack.
+    with mock.patch.object(
+        StreamedStats, "update", autospec=True,
+        side_effect=StreamedStats.update,
+    ) as update:
+        streaming_runner.run(trials)
+    assert update.call_count == STREAM_PULSES
 
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -858,6 +876,7 @@ def test_streaming_memory_reduction():
         np.testing.assert_array_equal(want[key], got[key], err_msg=key)
 
     reduction = full_peak / stream_peak
+    wall_ratio = stream_time / full_time
     _merge_bench_json(
         {
             "streaming": {
@@ -881,6 +900,15 @@ def test_streaming_memory_reduction():
                     ),
                 },
                 "memory_reduction": reduction,
+                # Reported, not gated: tracemalloc inflates both sides.
+                "fold": {
+                    "per_plane": PER_PLANE_FOLD,
+                    "per_pulse": {
+                        "update_calls": update.call_count,
+                        "streamed_over_materialized": wall_ratio,
+                        "streamed_peak_bytes": stream_peak,
+                    },
+                },
             }
         }
     )
@@ -897,7 +925,8 @@ def test_streaming_memory_reduction():
             ],
             title=f"Streaming reducers, S={STREAM_TRIALS}, "
             f"D={STREAM_DIAMETER}, {STREAM_PULSES} pulses "
-            f"({reduction:.1f}x less peak memory)",
+            f"({reduction:.1f}x less peak memory, {wall_ratio:.2f}x "
+            f"the materialized wall time)",
         )
     )
     assert stream_peak < block_bytes, (

@@ -6,10 +6,11 @@ full ``(K, L, W)`` pulse-time block stayed in memory so the array
 reducers of :mod:`repro.analysis.skew` could run afterwards -- stacked,
 an ``(S, K, L_max, W_max)`` array that caps sweep size long before the
 kernel does.  This module is the incremental counterpart:
-:class:`StreamedStats` consumes each plane *as the kernel writes it* and
-folds the paper's four statistics -- local, inter-layer and global skew
-plus the correction summary -- into O(S, L) accumulators, so a sweep
-with ``store_times=False`` never allocates the pulse-time block at all.
+:class:`StreamedStats` consumes each pulse's ``(S, L, W)`` window *once
+the kernel has written it* and folds the paper's four statistics --
+local, inter-layer and global skew plus the correction summary -- into
+O(S, L) accumulators, so a sweep with ``store_times=False`` never
+allocates the pulse-time block at all.
 
 Design constraints, all load-bearing:
 
@@ -17,20 +18,23 @@ Design constraints, all load-bearing:
   Max is associative and exact in floating point, so a streamed
   statistic is *bitwise identical* to the corresponding array reducer
   applied to the materialized block (the differential suite pins this).
-  The one non-max statistic -- the correction mean -- folds per-plane
-  partial sums in a fixed ``(pulse, layer)`` order, and
-  :func:`fold_correction_planes` applies the *same* order to materialized
-  blocks so both paths agree bitwise there too.
+  The one non-max statistic -- the correction mean -- left-folds
+  per-``(pulse, layer)`` partial sums in pulse-major, layer-minor
+  order, and :func:`fold_correction_planes` runs the *same* per-pulse
+  helper over materialized blocks so both paths agree bitwise there too.
 * **NaN semantics.**  NaN is the simulator's "never pulsed / faulty /
-  padding" marker; the folds mask it exactly like
-  :func:`repro.analysis.skew.masked_max` (explicit validity masks, no
-  warnings suppressed).  Padding cells of a heterogeneous stack are NaN
+  padding" marker; the folds skip it (``np.fmax`` / ``np.fmin``
+  ignore NaN without warnings) and yield exactly what
+  :func:`repro.analysis.skew.masked_max` yields.  Padding cells of a heterogeneous stack are NaN
   and therefore invisible here, as everywhere else.
-* **Compaction-aware.**  ``update`` takes the stack's ``active_rows``
-  index; accumulators gather/scatter through it like every other
-  row-indexed tensor of the compacted kernel.  A fully skipped layer
-  step still *must* call ``update`` with an empty ``rows`` array so the
-  inter-layer fold can retire its previous-pulse plane.
+* **Unwritten cells are NaN.**  The stack NaN-fills its rolling window
+  at the start of every pulse, so every window cell the pulse did not
+  write -- rows dropped by depth compaction, dead rows, lanes outside
+  the compacted set -- is NaN when :meth:`StreamedStats.update` reads
+  it.  The fold needs no record of what the compacted kernel skipped:
+  a NaN cell leaves every max/valid accumulator untouched and adds
+  count 0 and ``+0.0`` to a non-negative correction total, which leaves
+  it bitwise unchanged.
 * **Picklable + mergeable.**  Accumulators survive the process executor
   (:meth:`StreamedStats.merge` concatenates shards along the trial
   axis), so ``executor="process"`` sweeps stream too.
@@ -83,12 +87,6 @@ class StreamGroup:
         """Base-graph edge endpoints (cached on the base graph)."""
         return self.graph.base.edge_index_arrays()
 
-    def active(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        """Group rows intersected with the kernel's active-row mask."""
-        if mask is None:
-            return self.indices
-        return self.indices[mask[self.indices]]
-
 
 class StreamLayout:
     """Shapes and geometry grouping of one streamed run."""
@@ -124,38 +122,39 @@ class StreamLayout:
         return cls([sim.graph for sim in sims], num_pulses)
 
 
-def _rows_mask(
-    rows: Optional[np.ndarray], num_trials: int
-) -> Optional[np.ndarray]:
-    if rows is None:
-        return None
-    mask = np.zeros(num_trials, dtype=bool)
-    mask[rows] = True
-    return mask
-
-
 def _masked_plane_max(diffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Last-axis max of ``diffs`` under NaN masking: ``(values, any_valid)``.
+    """Last-axis max of non-negative ``diffs``, NaN skipped: ``(values, any_valid)``.
 
-    Same −inf-fill construction as :func:`repro.analysis.skew.masked_max`,
-    so folding these per-plane maxima reproduces the array reducer's
-    joint max bit for bit.
+    ``np.fmax`` ignores NaN and max is exact, so folding these maxima
+    reproduces :func:`repro.analysis.skew.masked_max`'s joint max bit for
+    bit; a row with no valid entry stays ``-inf``, which no valid
+    (non-negative) entry can be.
     """
-    valid = ~np.isnan(diffs)
-    values = np.where(valid, diffs, -np.inf).max(axis=-1, initial=-np.inf)
-    return values, valid.any(axis=-1)
+    values = np.fmax.reduce(diffs, axis=-1, initial=-np.inf)
+    return values, values > -np.inf
 
 
-def _correction_plane(
-    plane: np.ndarray,
+def _fold_corrections(
+    block: np.ndarray,
+    counts: np.ndarray,
+    totals: np.ndarray,
+    max_abs: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise ``(count, sum |C|, max |C|)`` over a plane's finite cells."""
-    finite = np.isfinite(plane)
-    abs_vals = np.where(finite, np.abs(plane), 0.0)
+    """Fold one pulse's ``(n, L, W)`` corrections into ``(count, sum, max)``.
+
+    Sums ``|C|`` over each ``(trial, layer)`` row's finite cells, then
+    left-folds those partials in layer order onto ``totals`` -- the
+    association both :meth:`StreamedStats.update` and
+    :func:`fold_correction_planes` must share for their means to agree
+    bitwise (``np.add.accumulate`` is sequential).
+    """
+    finite = np.isfinite(block)
+    abs_vals = np.where(finite, np.abs(block), 0.0)
+    partials = abs_vals.sum(axis=-1)
     return (
-        finite.sum(axis=-1),
-        abs_vals.sum(axis=-1),
-        abs_vals.max(axis=-1, initial=0.0),
+        counts + finite.sum(axis=(-2, -1)),
+        np.add.accumulate(np.column_stack([totals, partials]), axis=1)[:, -1],
+        np.maximum(max_abs, abs_vals.max(axis=(-2, -1), initial=0.0)),
     )
 
 
@@ -171,10 +170,9 @@ class StreamedStats:
     :func:`~repro.analysis.skew.global_skew_layers`,
     :func:`fold_correction_planes`).
 
-    Lifecycle: :meth:`update` for **every** ``(pulse, layer)`` cell in
-    pulse-major order -- including layer 0 and layer steps the compacted
-    kernel skipped outright (``rows`` is an empty index array there) --
-    then :meth:`finalize` once the run ends.
+    Lifecycle: :meth:`update` once per pulse, in pulse order, with that
+    pulse's whole ``(S, L, W)`` window -- every cell the pulse did not
+    write NaN -- then :meth:`finalize` once the run ends.
 
     Attached to every participating :class:`~repro.core.fast.FastResult`
     as ``result.streamed`` with the trial's row in ``result.streamed_row``
@@ -219,84 +217,71 @@ class StreamedStats:
         return result.streamed
 
     def _fold(
-        self, name: str, idx: np.ndarray, column: int, diffs: np.ndarray
+        self,
+        name: str,
+        idx: np.ndarray,
+        columns: slice,
+        values: np.ndarray,
+        any_valid: np.ndarray,
     ) -> None:
-        values, any_valid = _masked_plane_max(diffs)
         acc = self._max[name]
-        acc[idx, column] = np.maximum(acc[idx, column], values)
-        self._valid[name][idx, column] |= any_valid
+        acc[idx, columns] = np.maximum(acc[idx, columns], values)
+        self._valid[name][idx, columns] |= any_valid
 
     def update(
-        self,
-        pulse: int,
-        layer: int,
-        times: np.ndarray,
-        corrections: np.ndarray,
-        rows: Optional[np.ndarray] = None,
+        self, pulse: int, times: np.ndarray, corrections: np.ndarray
     ) -> None:
-        """Fold one ``(S, W)`` plane of times and corrections.
+        """Fold one pulse's ``(S, L, W)`` window of times and corrections.
 
-        ``times``/``corrections`` are the kernel's live planes (read
-        only); ``rows`` restricts the fold to the active trials.
+        ``times``/``corrections`` are the kernel's live window (read
+        only); every cell the pulse did not write must be NaN.
         """
-        mask = _rows_mask(rows, self.layout.num_trials)
         for group in self.layout.groups:
-            if layer >= group.depth:
-                continue
-            idx = group.active(mask)
-            if idx.size == 0:
-                continue
+            idx = group.indices
+            depth, width = group.depth, group.width
+            layers = slice(None, depth)
             left, right = group.edges()
-            width = group.width
-            plane = times[idx]
+            block = times[idx, :depth]
             self._fold(
-                "local", idx, layer, np.abs(plane[:, left] - plane[:, right])
+                "local",
+                idx,
+                layers,
+                *_masked_plane_max(np.abs(block[..., left] - block[..., right])),
             )
-            if pulse >= 1 and layer <= group.depth - 2:
-                upper = plane[:, :width]  # pulse k,   layer l
-                lower = self._prev[idx, layer + 1, :width]  # k-1, l+1
-                self._fold(
-                    "inter_layer",
-                    idx,
-                    layer,
-                    np.concatenate(
-                        [
-                            np.abs(upper - lower),
-                            np.abs(upper[:, left] - lower[:, right]),
-                            np.abs(upper[:, right] - lower[:, left]),
-                        ],
-                        axis=-1,
-                    ),
-                )
+            if pulse >= 1 and depth >= 2:
+                # Same-vertex and both edge directions fold separately
+                # into one accumulator: max is exact and validity ORs, so
+                # no (n, L, 3W + 2E) concatenated temporary is needed.
+                upper = block[:, :-1, :width]  # pulse k,   layer l
+                lower = self._prev[idx, 1:depth, :width]  # k-1, l+1
+                whole = slice(None)
+                for a, b in ((whole, whole), (left, right), (right, left)):
+                    self._fold(
+                        "inter_layer",
+                        idx,
+                        slice(None, depth - 1),
+                        *_masked_plane_max(np.abs(upper[..., a] - lower[..., b])),
+                    )
             # Global skew is geometry-agnostic: the spread masks NaN, so
-            # the padded lanes of the full-width plane never contribute.
-            valid = ~np.isnan(plane)
-            any_valid = valid.any(axis=-1)
-            maxs = np.where(valid, plane, -np.inf).max(
-                axis=-1, initial=-np.inf
+            # the padded lanes of the full-width block never contribute.
+            maxs = np.fmax.reduce(block, axis=-1, initial=-np.inf)
+            mins = np.fmin.reduce(block, axis=-1, initial=np.inf)
+            any_valid = maxs >= mins
+            self._fold(
+                "global",
+                idx,
+                layers,
+                np.where(any_valid, maxs - mins, -np.inf),
+                any_valid,
             )
-            mins = np.where(valid, plane, np.inf).min(
-                axis=-1, initial=np.inf
-            )
-            spread = np.where(any_valid, maxs - mins, -np.inf)
-            acc = self._max["global"]
-            acc[idx, layer] = np.maximum(acc[idx, layer], spread)
-            self._valid["global"][idx, layer] |= any_valid
             # Slice to the group's true width: summing a padded W_max row
             # changes numpy's pairwise-sum association, so the mean would
             # drift ULPs away from a per-trial fold of the same data.
-            counts, totals, max_abs = _correction_plane(
-                corrections[idx][:, :width]
+            running = self._counts[idx], self._totals[idx], self._max_abs[idx]
+            self._counts[idx], self._totals[idx], self._max_abs[idx] = (
+                _fold_corrections(corrections[idx, :depth, :width], *running)
             )
-            self._counts[idx] += counts
-            self._totals[idx] = self._totals[idx] + totals
-            self._max_abs[idx] = np.maximum(self._max_abs[idx], max_abs)
-        if self._prev is not None:
-            if rows is None:
-                self._prev[:, layer, :] = times
-            else:
-                self._prev[:, layer, :] = np.nan
-                self._prev[rows, layer, :] = times[rows]
+        self._prev[...] = times
 
     def finalize(self) -> None:
         """Release the inter-layer fold's previous-pulse buffer."""
@@ -366,24 +351,20 @@ class StreamedStats:
 def fold_correction_planes(corrections: np.ndarray) -> Dict[str, np.ndarray]:
     """Correction stats of an ``(S, K, L, W)`` block, in *stream order*.
 
-    Reduces plane by plane exactly like :meth:`StreamedStats.update`
-    (same partial-sum association), so materialized and streamed
+    Folds pulse by pulse through the helper :meth:`StreamedStats.update`
+    uses (same partial-sum association), so materialized and streamed
     correction means agree bitwise -- a flat ``.sum()`` over the block
     would not, since float addition is order-sensitive.
     """
     corrections = np.asarray(corrections, dtype=float)
-    trials, pulses, layers, _ = corrections.shape
+    trials = corrections.shape[0]
     counts = np.zeros(trials, dtype=np.int64)
     totals = np.zeros(trials)
     max_abs = np.zeros(trials)
-    for pulse in range(pulses):
-        for layer in range(layers):
-            plane_counts, plane_totals, plane_max = _correction_plane(
-                corrections[:, pulse, layer, :]
-            )
-            counts += plane_counts
-            totals = totals + plane_totals
-            max_abs = np.maximum(max_abs, plane_max)
+    for pulse in range(corrections.shape[1]):
+        counts, totals, max_abs = _fold_corrections(
+            corrections[:, pulse], counts, totals, max_abs
+        )
     return {
         "max_abs": max_abs,
         "mean_abs": np.where(

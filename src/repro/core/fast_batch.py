@@ -170,11 +170,6 @@ from repro.topology.layered import NodeId
 
 __all__ = ["TrialStack", "stack_compatibility"]
 
-#: Rows hint for layer steps the compacted loop skipped outright: the
-#: streamed statistics still need the update (the inter-layer fold
-#: retires its previous-pulse plane), just with no active trial.
-_NO_ROWS = np.zeros(0, dtype=np.int64)
-
 #: Index of a whole axis: the full plane is the identity case of
 #: compaction (see :func:`_select_cells`).
 _ALL = slice(None)
@@ -678,8 +673,8 @@ class TrialStack:
         """Simulate ``num_pulses`` pulses for every trial; per-trial results.
 
         With ``store_times=False`` the run folds its statistics online
-        into a :class:`~repro.analysis.streaming.StreamedStats` as the
-        kernel writes each ``(S, W)`` plane, and the shared matrices
+        into a :class:`~repro.analysis.streaming.StreamedStats`, one fold
+        per pulse of the window the kernel wrote, and the shared matrices
         shrink to a rolling *one-pulse* window -- memory O(S, L, W)
         instead of O(S, K, L, W), and the layer-0 schedule is gathered one
         ``(S, W)`` row per pulse instead of the whole ``(S, K, W)``
@@ -917,10 +912,6 @@ class TrialStack:
                 self._run_layer0_stacked(times, protocol_times, branches, k, rk)
                 if self._faults is not None:
                     self._record_fault_sends(k, 0, protocol_times[:, rk, 0, :])
-                if stream is not None:
-                    stream.update(
-                        k, 0, times[:, rk, 0, :], corrections[:, rk, 0, :]
-                    )
                 if any_fault:
                     dead[:] = False
                 for layer in range(1, num_layers):
@@ -932,53 +923,45 @@ class TrialStack:
                         lane_needed,
                     )
                     if cells is None:
-                        hint = _NO_ROWS
-                    else:
-                        rows, lanes = cells
-                        hint = None if isinstance(rows, slice) else rows
-                        row_count = (
-                            num_trials if isinstance(rows, slice) else rows.size
+                        continue
+                    rows, lanes = cells
+                    row_count = (
+                        num_trials if isinstance(rows, slice) else rows.size
+                    )
+                    active_row_steps += row_count
+                    active_lane_steps += row_count * (
+                        width if isinstance(lanes, slice) else lanes.size
+                    )
+                    self._run_layer_stacked(
+                        results,
+                        matrices,
+                        self._row_structs(
+                            rows,
+                            lanes,
+                            nb_idx,
+                            nb_valid,
+                            static_eligible,
+                            faulty,
+                            active,
+                        ),
+                        self._delay_stack(
+                            sweeps, delay_cache, layer, k, rows, lanes
+                        ),
+                        self._rate_stack(
+                            sweeps, rate_cache, layer, k, rows, lanes
+                        ),
+                        layer_has_fault[layer],
+                        layer,
+                        rk,
+                    )
+                    if self._faults is not None:
+                        self._record_fault_sends(
+                            k, layer, protocol_times[:, rk, layer, :]
                         )
-                        active_row_steps += row_count
-                        active_lane_steps += row_count * (
-                            width if isinstance(lanes, slice) else lanes.size
-                        )
-                        self._run_layer_stacked(
-                            results,
-                            matrices,
-                            self._row_structs(
-                                rows,
-                                lanes,
-                                nb_idx,
-                                nb_valid,
-                                static_eligible,
-                                faulty,
-                                active,
-                            ),
-                            self._delay_stack(
-                                sweeps, delay_cache, layer, k, rows, lanes
-                            ),
-                            self._rate_stack(
-                                sweeps, rate_cache, layer, k, rows, lanes
-                            ),
-                            layer_has_fault[layer],
-                            layer,
-                            rk,
-                        )
-                        if self._faults is not None:
-                            self._record_fault_sends(
-                                k, layer, protocol_times[:, rk, layer, :]
-                            )
-                    if stream is not None:
-                        # Skipped steps still update with an empty rows hint so
-                        # the inter-layer fold retires its buffer plane.
-                        stream.update(
-                            k,
-                            layer,
-                            times[:, rk, layer, :],
-                            corrections[:, rk, layer, :],
-                            hint,
-                        )
+                if stream is not None:
+                    # The window was NaN-filled at the top of the pulse, so
+                    # every cell this pulse did not write is NaN.
+                    stream.update(k, times[:, rk], corrections[:, rk])
         finally:
             if has_campaign:
                 for sim, state in zip(sims, seed_states):

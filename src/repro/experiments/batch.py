@@ -510,7 +510,7 @@ class BatchResult:
 
         Reduces over the finite entries of the ``corrections`` matrices
         (layer 0 and via-``H_max`` iterations are NaN).  Both paths fold
-        plane by plane in pulse-major order over each trial's *own*
+        pulse by pulse, layer partials in order, over each trial's *own*
         ``(L_s, W_s)`` window -- :func:`fold_correction_planes` on the
         materialized per-trial matrices, the :class:`StreamedStats`
         accumulators otherwise -- so streamed and materialized runs agree

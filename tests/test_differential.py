@@ -1249,6 +1249,18 @@ def test_campaign_permanent_leave_frees_lanes():
         )
     stats = stack.compaction_stats
     assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
+    # Streamed, the freed lanes and retired rows are NaN in each pulse's
+    # window, so the per-pulse fold still equals the array reducers.
+    stack = TrialStack(sims())
+    streamed = stack.run(CAMPAIGN_PULSES + 1, store_times=False)
+    assert stack.compaction_stats == stats
+    for index, (got_one, want_one) in enumerate(zip(streamed, want)):
+        assert_streamed_matches_materialized(
+            got_one,
+            want_one,
+            {"graph": want_one.graph},
+            label=f"streamed campaign lanes[{index}]",
+        )
 
 
 def test_lane_compacted_fallback_maps_vertex_ids():

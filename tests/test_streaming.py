@@ -11,7 +11,11 @@ this module pins everything else the streaming pipeline promises:
   one :class:`StreamedStats` even after a pickle round-trip, and
 * the failure modes raise instead of silently serving garbage (mixed
   streamed/materialized batches, block-less results without
-  accumulators).
+  accumulators), and
+* the per-pulse fold relies only on its window invariant -- every cell
+  a pulse did not write is NaN -- so random NaN-laden windows fold to
+  the array reducers bitwise, and so do stacks whose compaction skips
+  rows (depth skew, dead rows).
 """
 
 import pickle
@@ -19,13 +23,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.skew import local_skew_layers
+from repro.analysis.skew import (
+    global_skew_layers,
+    inter_layer_skew_layers,
+    local_skew_layers,
+)
+from repro.analysis.streaming import (
+    StreamedStats,
+    StreamLayout,
+    fold_correction_planes,
+)
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.experiments.batch import BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
+from repro.experiments.thm13_random_faults import thm13_trials
 from repro.faults.injection import FaultPlan
+from repro.faults.model import SilentFromFault
+from repro.topology.base_graph import cycle_graph
+from repro.topology.layered import LayeredGraph
 
 NUM_PULSES = 4
 
@@ -293,3 +312,125 @@ class TestFailureModes:
         )
         assert streamed.max_local_skew() == materialized.max_local_skew()
         assert streamed.global_skew() == materialized.global_skew()
+
+
+# ----------------------------------------------------------------------
+# The per-pulse fold and its NaN-window invariant
+# ----------------------------------------------------------------------
+def assert_stats_match(stats, row, times, corrections, graph):
+    """Row ``row`` of ``stats`` == the array reducers on its own block."""
+    np.testing.assert_array_equal(
+        stats.trial_values("local", row), local_skew_layers(times, graph)
+    )
+    np.testing.assert_array_equal(
+        stats.trial_values("inter_layer", row),
+        inter_layer_skew_layers(times, graph),
+    )
+    np.testing.assert_array_equal(
+        stats.trial_values("global", row, empty=np.nan),
+        global_skew_layers(times, empty=np.nan),
+    )
+    want = fold_correction_planes(corrections[None])
+    got = stats.trial_stats(row)
+    for key, values in want.items():
+        np.testing.assert_array_equal(got[key], values[0], err_msg=key)
+
+
+@st.composite
+def nan_windows(draw):
+    """Trials over two geometries and a NaN-laden ``(S, K, L, W)`` block.
+
+    Cells outside a trial's ``(depth, width)`` are NaN padding; inside,
+    single cells and whole ``(trial, pulse, layer)`` rows go NaN at
+    random -- what a compacted or faulted stack leaves unwritten.
+    """
+    depths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    widths = draw(st.lists(st.integers(3, 7), min_size=2, max_size=2, unique=True))
+    geometries = [LayeredGraph(cycle_graph(w), d) for d, w in zip(depths, widths)]
+    extra = draw(st.lists(st.integers(0, 1), max_size=4))
+    members = draw(st.permutations([0, 1] + extra))
+    graphs = [geometries[m] for m in members]
+    num_pulses = draw(st.integers(1, 4))
+    cell_nan = draw(st.sampled_from([0.0, 0.2, 0.7, 1.0]))
+    row_nan = draw(st.sampled_from([0.0, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    shape = (len(graphs), num_pulses, max(depths), max(widths))
+    blocks = []
+    for scale in (4.0, 0.1):
+        block = rng.normal(0.0, scale, shape)
+        block[rng.random(shape) < cell_nan] = np.nan
+        block[rng.random(shape[:3]) < row_nan] = np.nan
+        for s, graph in enumerate(graphs):
+            block[s, :, graph.num_layers :] = np.nan
+            block[s, :, :, graph.width :] = np.nan
+        blocks.append(block)
+    return graphs, blocks[0], blocks[1]
+
+
+class TestPerPulseFold:
+    @given(nan_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_random_windows_fold_to_array_reducers(self, window):
+        graphs, times, corrections = window
+        stats = StreamedStats(StreamLayout(graphs, times.shape[1]))
+        for pulse in range(times.shape[1]):
+            stats.update(pulse, times[:, pulse], corrections[:, pulse])
+        stats.finalize()
+        for s, graph in enumerate(graphs):
+            own = (slice(None), slice(None, graph.num_layers), slice(None, graph.width))
+            assert_stats_match(
+                stats, s, times[s][own], corrections[s][own], graph
+            )
+
+    @staticmethod
+    def _depth_skewed():
+        """Mixed diameters: rows retire as shallower trials run out."""
+        return [trial.simulation() for trial in _trials(6, faults=False)]
+
+    @staticmethod
+    def _thm13_dead_rows():
+        """A thm13 grid where one trial's layer 2 goes silent at pulse 2.
+
+        Layer 3 then pulses nowhere, so layers 4+ of that trial are dead
+        rows the compacted stack skips on pulses 2 and 3.
+        """
+        trials, _ = thm13_trials(6, [1, 2, 3], num_pulses=NUM_PULSES)
+        trial = trials[2]
+        plan = trial.fault_plan
+        for vertex in range(trial.config.graph.width):
+            plan = plan.with_fault((vertex, 2), SilentFromFault(2))
+        trials[2] = BatchTrial(config=trial.config, fault_plan=plan)
+        return [trial.simulation() for trial in trials]
+
+    @pytest.mark.parametrize("build", ["_depth_skewed", "_thm13_dead_rows"])
+    def test_compacted_stacks_stream_bitwise(self, build):
+        """Rows the compacted kernel skips are NaN in the window, so the
+        per-pulse fold over a compacted stack equals the materialized
+        reducers of every trial."""
+        materialized = TrialStack(getattr(self, build)()).run(NUM_PULSES)
+        stack = TrialStack(getattr(self, build)())
+        streamed = stack.run(NUM_PULSES, store_times=False)
+        stats = stack.compaction_stats
+        assert stats["active_row_steps"] < stats["padded_row_steps"], stats
+        for got, want in zip(streamed, materialized):
+            assert got.times is None
+            assert_stats_match(
+                got.streamed,
+                got.streamed_row,
+                want.times,
+                want.corrections,
+                want.graph,
+            )
+
+    def test_update_runs_once_per_pulse(self, monkeypatch):
+        calls = []
+        update = StreamedStats.update
+
+        def counted(self, pulse, times, corrections):
+            calls.append(pulse)
+            return update(self, pulse, times, corrections)
+
+        monkeypatch.setattr(StreamedStats, "update", counted)
+        TrialStack(self._depth_skewed()).run(NUM_PULSES, store_times=False)
+        assert calls == list(range(NUM_PULSES))
