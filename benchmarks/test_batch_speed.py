@@ -64,6 +64,13 @@ Four micro-benchmarks track the performance trajectory across PRs:
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
   and asserting the >= 4x reduction floor (and that the streamed peak
   stays under a single block -- CI fails if the block ever comes back).
+* ``test_pulse_block_speedup``: warm streamed runs of the
+  ``stream_horizon`` shape (S = 16, D = 32, 64 pulses) with the default
+  pulse blocks vs one pulse per block, asserting bitwise-equal
+  statistics and the >= 1.5x floor; recorded under ``"pulse_blocks"``
+  with the block size, the per-call kernel time with the neighbor
+  min/max folded by columns and by the axis reduction, and both
+  streamed peaks.
 * ``test_fault_fallback_overhead``: warm runs of the 17-trial thm13
   stack (a fault-free reference plus 16 sampled fault plans, D = 32,
   8 pulses) against the same configs run fault-free, asserting the
@@ -81,13 +88,16 @@ The baselines of the retired speed-only knobs are rebuilt from calls
 that still exist: a per-trial ``FastSimulation.run`` loop
 (:func:`per_trial_loop`), one stack per geometry group
 (:func:`geometry_grouped_batch`), the identity row/lane selection
-(:func:`uncompacted`, :func:`lanes_uncompacted`) and a forced density
-verdict (:func:`prefer_csr`).
+(:func:`uncompacted`, :func:`lanes_uncompacted`), one pulse per block
+(:func:`one_pulse_blocks`), the axis-reduced neighbor min/max
+(:func:`axis_reduce_folds`) and a forced density verdict
+(:func:`prefer_csr`).
 
 Select just these with ``pytest benchmarks/test_batch_speed.py -m bench``;
 ``-m 'bench and not slow'`` is the CI smoke selection.
 """
 
+import contextlib
 import itertools
 import json
 import statistics
@@ -937,6 +947,158 @@ def test_streaming_memory_reduction():
         f"streaming only reduced peak memory {reduction:.1f}x "
         f"({stream_peak} vs {full_peak} bytes); floor is "
         f"{STREAM_MEMORY_FLOOR}x"
+    )
+
+
+#: The pulse-block cell: the ``stream_horizon`` shape -- a fault-free
+#: S = 16, D = 32 grid over 64 streamed pulses.
+BLOCK_TRIALS = 16
+BLOCK_DIAMETER = 32
+BLOCK_PULSES = 64
+#: Floor on the one-pulse-block / default-block warm wall-time ratio.
+PULSE_BLOCK_FLOOR = 1.5
+
+
+def one_pulse_blocks():
+    """Baseline of the per-pulse layer step: one pulse per block."""
+    return mock.patch.object(
+        fast_batch_mod,
+        "_pulse_blocks",
+        lambda num_pulses, plane_cells, starts=(): [
+            (k, k + 1) for k in range(num_pulses)
+        ],
+    )
+
+
+def axis_reduce_folds():
+    """Baseline of the kernel's H_min / H_max: the degree-axis reduction."""
+    return mock.patch.object(
+        fast_mod,
+        "_fold_columns",
+        lambda ufunc, values, identity: ufunc.reduce(values, axis=-1),
+    )
+
+
+def kernel_step_us(runner, trials):
+    """Mean microseconds of one dense kernel call over a warm run."""
+    kernel = fast_batch_mod._layer_step_kernel
+    spent = []
+
+    def timed_kernel(*args):
+        start = time.perf_counter()
+        out = kernel(*args)
+        spent.append(time.perf_counter() - start)
+        return out
+
+    with mock.patch.object(fast_batch_mod, "_layer_step_kernel", timed_kernel):
+        runner.run(trials)
+    return 1e6 * statistics.median(spent)
+
+
+def streamed_peak(runner, trials):
+    """``tracemalloc`` peak bytes of one warm streamed run."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    runner.run(trials)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak
+
+
+def test_pulse_block_speedup():
+    """Default pulse blocks >= 1.5x one pulse per block, warm and streamed.
+
+    Each layer step advances a block of pulses on an ``(S, B, W)``
+    plane; the baseline patches the block rule to one pulse per block.
+    Both runs must fold bitwise-equal statistics.  The section records
+    both wall times, the block size the rule picked, the median kernel
+    call with the neighbor min/max folded by columns and by the axis
+    reduction (one-pulse and default blocks), and both streamed peaks.
+    """
+    trials = BatchRunner.seed_sweep(
+        BLOCK_DIAMETER, range(BLOCK_TRIALS), num_pulses=BLOCK_PULSES
+    )
+    runner = BatchRunner(num_pulses=BLOCK_PULSES, store_times=False)
+    runner.run(trials)  # cold fill: every delay and rate cached
+
+    def per_pulse():
+        with one_pulse_blocks():
+            return runner.run(trials)
+
+    (one_time, block_time), (one_batch, batch) = interleaved(
+        per_pulse, lambda: runner.run(trials), pairs=5
+    )
+    for name in ("local_skews", "overall_skews", "global_skews"):
+        np.testing.assert_array_equal(
+            getattr(batch, name)(), getattr(one_batch, name)(), err_msg=name
+        )
+    want, got = one_batch.correction_stats(), batch.correction_stats()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    stats, one_stats = batch.compaction_stats[0], one_batch.compaction_stats[0]
+    for key in ("active_row_steps", "active_lane_steps", "fallback_cells"):
+        assert stats[key] == one_stats[key], key
+
+    kernel_us = {}
+    for label, blocks in (("one_pulse", one_pulse_blocks), ("blocked", None)):
+        kernel_us[label] = {}
+        for fold, patch in (("axis_reduce", axis_reduce_folds), ("column_fold", None)):
+            with blocks() if blocks else contextlib.nullcontext():
+                with patch() if patch else contextlib.nullcontext():
+                    kernel_us[label][fold] = kernel_step_us(runner, trials)
+    with one_pulse_blocks():
+        one_peak = streamed_peak(runner, trials)
+    block_peak = streamed_peak(runner, trials)
+
+    node_pulses = trials[0].config.num_grid_nodes * BLOCK_PULSES
+    speedup = one_time / block_time
+    _merge_bench_json(
+        {
+            "pulse_blocks": {
+                "grid": {
+                    "diameter": BLOCK_DIAMETER,
+                    "num_pulses": BLOCK_PULSES,
+                    "trials": BLOCK_TRIALS,
+                    "faults": 0,
+                },
+                "block_pulses": stats["block_pulses"],
+                "pulse_blocks": stats["pulse_blocks"],
+                "modes": {
+                    "one_pulse_blocks": dict(
+                        _mode_record(BLOCK_TRIALS, one_time, node_pulses),
+                        peak_bytes=one_peak,
+                    ),
+                    "pulse_blocks": dict(
+                        _mode_record(BLOCK_TRIALS, block_time, node_pulses),
+                        peak_bytes=block_peak,
+                    ),
+                },
+                "kernel_us_per_step": kernel_us,
+                "speedup": speedup,
+            }
+        }
+    )
+    print()
+    print(
+        format_table(
+            ["blocks", "seconds", "kernel us (reduce)", "kernel us (columns)",
+             "peak MiB"],
+            [
+                ("one pulse", one_time, kernel_us["one_pulse"]["axis_reduce"],
+                 kernel_us["one_pulse"]["column_fold"], one_peak / 2**20),
+                (f"B = {stats['block_pulses']}", block_time,
+                 kernel_us["blocked"]["axis_reduce"],
+                 kernel_us["blocked"]["column_fold"], block_peak / 2**20),
+            ],
+            title=f"Pulse blocks, S={BLOCK_TRIALS}, D={BLOCK_DIAMETER}, "
+            f"{BLOCK_PULSES} streamed pulses ({speedup:.2f}x one pulse "
+            f"per block)",
+        )
+    )
+    assert stats["block_pulses"] > 1, stats
+    assert speedup >= PULSE_BLOCK_FLOOR, (
+        f"pulse blocks only {speedup:.2f}x one pulse per block; floor is "
+        f"{PULSE_BLOCK_FLOOR}x"
     )
 
 

@@ -1,8 +1,9 @@
 """Streamed statistics: fold the skew and correction statistics online.
 
 The kernels of :mod:`repro.core.fast` / :mod:`repro.core.fast_batch`
-advance one ``(S, W)`` layer plane at a time, but until now every trial's
-full ``(K, L, W)`` pulse-time block stayed in memory so the array
+advance one ``(S, B, W)`` layer plane of a pulse block at a time, but
+until now every trial's full ``(K, L, W)`` pulse-time block stayed in
+memory so the array
 reducers of :mod:`repro.analysis.skew` could run afterwards -- stacked,
 an ``(S, K, L_max, W_max)`` array that caps sweep size long before the
 kernel does.  This module is the incremental counterpart:
@@ -27,11 +28,13 @@ Design constraints, all load-bearing:
   ignore NaN without warnings) and yield exactly what
   :func:`repro.analysis.skew.masked_max` yields.  Padding cells of a heterogeneous stack are NaN
   and therefore invisible here, as everywhere else.
-* **Unwritten cells are NaN.**  The stack NaN-fills its rolling window
-  at the start of every pulse, so every window cell the pulse did not
-  write -- rows dropped by depth compaction, dead rows, lanes outside
-  the compacted set -- is NaN when :meth:`StreamedStats.update` reads
-  it.  The fold needs no record of what the compacted kernel skipped:
+* **Unwritten cells are NaN.**  The stack's rolling window holds one
+  pulse block (``(S, B, L, W)``, see :mod:`repro.core.fast_batch`) and
+  is NaN-filled at the start of every block, so every cell of a pulse's
+  ``(S, L, W)`` slice that the pulse did not write -- rows dropped by
+  depth compaction, dead rows, lanes outside the compacted set -- is
+  NaN when :meth:`StreamedStats.update` reads it, once per pulse, in
+  pulse order.  The fold needs no record of what the compacted kernel skipped:
   a NaN cell leaves every max/valid accumulator untouched and adds
   count 0 and ``+0.0`` to a non-negative correction total, which leaves
   it bitwise unchanged.

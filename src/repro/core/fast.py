@@ -39,12 +39,16 @@ Kernel, batched fallback, scalar reference
 ------------------------------------------
 :meth:`FastSimulation.run` is a :class:`~repro.core.fast_batch.TrialStack`
 of one, and the stack is the only driver of the recurrence: it advances
-one pulse of one layer for **all** base vertices of all its trials at
-once with NumPy array operations (reception times, do-until exit,
-correction, pulse time), which is what makes large parameter sweeps
-tractable.  The arithmetic lives in the shape-generic
-:func:`_layer_step_kernel` (and its CSR twin); both algorithms run
-through it:
+one layer of a *block* of pulses for **all** base vertices of all its
+trials at once with NumPy array operations (reception times, do-until
+exit, correction, pulse time), which is what makes large parameter
+sweeps tractable.  Pulse ``k`` of layer ``l`` depends only on pulse
+``k`` of layer ``l - 1``, so the pulses of a block are as independent as
+the trials of a stack: each layer step runs on an ``(S, B, W)`` plane of
+``B`` pulses (see the "Pulse blocks" section of
+:mod:`repro.core.fast_batch`).  The arithmetic lives in the
+shape-generic :func:`_layer_step_kernel` (and its CSR twin); both
+algorithms run through it:
 
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
@@ -261,6 +265,23 @@ def _registers_step(
     return eligible, correction, branches, pulse_time, effective
 
 
+def _fold_columns(ufunc, values: np.ndarray, identity: float) -> np.ndarray:
+    """``ufunc.reduce(values, axis=-1)`` folded one column at a time.
+
+    Starts from the first column (``identity`` when there is none) and
+    folds in each further column with one elementwise call.  Bitwise
+    equal to the reduction for ``np.minimum`` / ``np.maximum``: both are
+    exact, and NaN propagates through the elementwise ufunc as through
+    the reduce.
+    """
+    if values.shape[-1] == 0:
+        return np.full(values.shape[:-1], identity)
+    folded = values[..., 0]
+    for column in range(1, values.shape[-1]):
+        folded = ufunc(folded, values[..., column])
+    return folded
+
+
 def _layer_step_kernel(
     prev: np.ndarray,
     own_delay: np.ndarray,
@@ -273,14 +294,17 @@ def _layer_step_kernel(
     policy: CorrectionPolicy,
     simplified: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pulse of one layer for every cell of a ``(..., W)`` plane.
+    """One layer step for every cell of a ``(..., W)`` plane.
 
-    The shape-generic arithmetic behind the trial-stacked ``(S, W)``
-    layer step (:class:`repro.core.fast_batch.TrialStack`): every
-    operation broadcasts over the leading axes, so a row of the stack
-    evaluates *the same* NumPy expressions as a ``(W,)`` call and
-    eligible cells produce bit-identical floats.  Formulae mirror the
-    scalar replay (:func:`_scalar_replay`) operation-for-operation.
+    The shape-generic arithmetic behind the trial-stacked ``(S, B, W)``
+    layer step of :class:`repro.core.fast_batch.TrialStack` (``S``
+    trials, a block of ``B`` pulses): every operation broadcasts over
+    the leading axes, so a (trial, pulse) row of the plane evaluates
+    *the same* NumPy expressions as a ``(W,)`` call and eligible cells
+    produce bit-identical floats.  Formulae mirror the scalar replay
+    (:func:`_scalar_replay`) operation-for-operation.  Inputs that do
+    not change with the pulse (static delays and rates) carry a
+    length-1 pulse axis and broadcast.
 
     ``prev`` holds the previous layer's send times (NaN = missing);
     ``static_eligible`` is the precomputed fault-structure part of the
@@ -292,18 +316,26 @@ def _layer_step_kernel(
     Two generalizations serve the heterogeneous trial stack of
     :mod:`repro.core.fast_batch`:
 
-    * ``nb_idx``/``nb_valid`` may carry a leading trial axis (shape
-      ``(S, W, max_deg)``): each trial then gathers through its *own*
-      padded index rows (``prev[s, nb_idx[s, v, j]]``) instead of one
-      shared index table.  Padded lanes are masked by ``nb_valid`` and
-      padded cells stay NaN end-to-end, so they can never turn eligible.
+    * ``nb_idx``/``nb_valid`` may carry leading axes (shape
+      ``(S, 1, W, max_deg)`` for a pulse-blocked plane): each trial then
+      gathers through its *own* padded index rows
+      (``prev[s, b, nb_idx[s, 0, v, j]]``) instead of one shared index
+      table.  Padded lanes are masked by ``nb_valid`` and padded cells
+      stay NaN end-to-end, so they can never turn eligible.
     * the numeric fields of ``params`` (``kappa``, ``vartheta``,
       ``Lambda``, ``d``) and ``policy`` (``jump_slack``) may be
-      per-trial ``(S, 1)`` columns instead of scalars; every use is
+      per-trial ``(S, 1, 1)`` columns instead of scalars; every use is
       elementwise, so lanes compute bit-identical floats to a scalar
       call with their own value.  The *structural* policy switches
       (``discretize``, ``stick_to_median``) select Python-level branches
       and must be plain bools (uniform across the stack).
+
+    ``H_min``/``H_max`` fold the masked degree axis one column at a
+    time (:func:`_fold_columns`), not with an axis reduction: NumPy's
+    reduce over a short last axis pays per output cell, the column fold
+    per column.  Min and max are exact and NaN propagates through
+    ``np.minimum``/``np.maximum`` as through the reduce, so the result
+    is bitwise the reduction's.
 
     Eligibility: all predecessors correct (static part) and received (a
     missing reception turns the summed registers NaN or infinite), and --
@@ -317,20 +349,20 @@ def _layer_step_kernel(
     """
     own_arrival = prev + own_delay
     h_own = rate * own_arrival
-    # Padded gather + delay + rate product + masked min/max.  A 3-D
+    # Padded gather + delay + rate product + masked min/max.  A per-row
     # ``nb_idx`` gathers row ``s`` only from trial ``s``'s plane.
-    if nb_idx.ndim == 3:
+    if nb_idx.ndim > 2:
         gathered = np.take_along_axis(
-            prev, nb_idx.reshape(nb_idx.shape[0], -1), axis=-1
-        ).reshape(nb_idx.shape)
+            prev, nb_idx.reshape(nb_idx.shape[:-2] + (-1,)), axis=-1
+        ).reshape(prev.shape[:-1] + nb_idx.shape[-2:])
     else:
         # ``take`` gathers like ``prev[..., nb_idx]`` with less
         # per-call overhead (this runs once per layer step).
         gathered = prev.take(nb_idx, axis=-1)
     nb_arrival = gathered + nb_delay
     h_nb = rate[..., None] * nb_arrival
-    h_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
-    h_max = np.where(nb_valid, h_nb, -np.inf).max(axis=-1)
+    h_min = _fold_columns(np.minimum, np.where(nb_valid, h_nb, np.inf), np.inf)
+    h_max = _fold_columns(np.maximum, np.where(nb_valid, h_nb, -np.inf), -np.inf)
 
     return _registers_step(
         h_own, h_min, h_max, rate, static_eligible, params, policy, simplified
@@ -720,9 +752,10 @@ class FastResult:
         ``fallback_passes`` in
         :attr:`~repro.core.fast_batch.TrialStack.compaction_stats`.
 
-    Streamed runs (``store_times=False``) keep only a rolling one-pulse
-    window of these matrices while running and release even that at the
-    end: the matrices are then ``None`` and the statistics live in
+    Streamed runs (``store_times=False``) keep only a rolling window of
+    one pulse block of these matrices while running and release even
+    that at the end: the matrices are then ``None`` and the statistics
+    live in
     ``streamed`` (a :class:`~repro.analysis.streaming.StreamedStats`,
     shared across a stack) with this trial's row in ``streamed_row``.
     The skew accessors below transparently serve from it.
@@ -750,8 +783,8 @@ class FastResult:
                 shape, BRANCH_CODES["none"], dtype=np.int8
             )
         else:
-            # The trial stack attaches its own windows (or rolling
-            # one-pulse planes) before the first layer step.
+            # The trial stack attaches its own windows (or a rolling
+            # pulse-block window) before the first layer step.
             self.times = None
             self.protocol_times = None
             self.corrections = None
@@ -975,13 +1008,15 @@ class FastSimulation:
 
         The run is a :class:`~repro.core.fast_batch.TrialStack` of one,
         so its result is a frozen snapshot like every stacked result
-        (read-only matrices, ``stack_row == 0``).  With
-        ``store_times=False`` the run folds its statistics online, one
-        layer plane at a time, into a
+        (read-only matrices, ``stack_row == 0``), and it advances the
+        same pulse blocks as any stack (see
+        :mod:`repro.core.fast_batch`).  With ``store_times=False`` the
+        run folds its statistics online, one pulse at a time, into a
         :class:`~repro.analysis.streaming.StreamedStats`, and keeps only
-        a rolling *one-pulse* window of the result matrices -- memory
-        O(L, W) instead of O(K, L, W) -- releasing even that at the end:
-        the returned result serves its skew accessors from
+        a rolling window of one pulse block of the result matrices --
+        memory O(B, L, W) for a block of ``B`` pulses instead of
+        O(K, L, W), with ``B <= max(1, K // 16)`` -- releasing even that
+        at the end: the returned result serves its skew accessors from
         ``result.streamed`` (bitwise identical to the materialized
         reducers).
         """

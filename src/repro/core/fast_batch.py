@@ -1,4 +1,4 @@
-"""Trial-stacked ``(S, W)`` kernel for the fast simulator.
+"""Trial-stacked, pulse-blocked ``(S, B, W)`` kernel for the fast simulator.
 
 :class:`~repro.core.fast.FastSimulation` walks the pulse/layer recurrence
 (Lemma B.1) one layer step at a time.  Because the recurrence has no
@@ -9,6 +9,8 @@ op over the ``(S, W)`` plane.  That is what :class:`TrialStack` does:
 reception times, do-until exit test, correction, and pulse time are
 computed for the whole plane at once, so the Python-loop overhead per
 layer step is paid once per *batch* instead of once per *trial*.  The
+same argument runs along the pulse axis (see "Pulse blocks" below), so
+each layer step covers a block of ``B`` pulses of every trial.  The
 stack is the only driver of the recurrence:
 :meth:`FastSimulation.run <repro.core.fast.FastSimulation.run>` is a
 stack of one.
@@ -61,6 +63,32 @@ steps its trials actually run (``sum_s L_s``) instead of ``S * L_max``.
 :attr:`TrialStack.compaction_stats` records the padded vs executed
 row-step counts after each :meth:`TrialStack.run`.
 
+Pulse blocks (several pulses per layer step)
+--------------------------------------------
+Pulse ``k`` of layer ``l`` depends only on pulse ``k`` of layer
+``l - 1``, so pulses are as independent as trials.  :meth:`TrialStack.run`
+loops over pulse blocks and, inside each block, over layers; every layer
+step runs on an ``(S, B, W)`` plane of the block's ``B`` pulses.  Inputs
+that do not change with the pulse carry a length-1 pulse axis and
+broadcast -- static delays and rates, parameter columns, static
+eligibility, the neighbor tables -- and are never repeated; inputs that
+do change fill ``(S, B, ...)`` arrays: a pulse-varying delay model's
+delays, callable clock rates, the layer-0 rows and the faulty nodes'
+send overlays.  One private rule, :func:`_pulse_blocks`, picks the
+blocks of every run (streamed or materialized, one trial or many):
+``B = min(ceil(4096 / (S * W)), max(1, K // 16))``.  A plane of about
+4096 cells is where the per-step cost flattens, and the ``K // 16`` cap
+keeps a streamed run's rolling window -- one block of the five result
+matrices -- well under one ``(S, K, L, W)`` matrix; horizons under 32
+pulses step one pulse at a time.  Blocks never span a pulse at which
+some trial enters a campaign epoch, so epoch entries run before a
+block's first pulse.  Compaction keeps its meaning per (trial, pulse):
+a row leaves the plane when its trial is past its depth or dead in every
+pulse of the block, and the cells of a dead pulse inside a surviving
+row are masked out of the fallback like padding.  The fallback resolves
+the rejected ``(row, pulse, vertex)`` cells of a block step in one pass,
+and the fault sends are recorded pulse by pulse.
+
 Width-aware compaction (dropping unused lanes)
 ----------------------------------------------
 The width axis has the mirror problem: one wide trial pads every other
@@ -82,9 +110,9 @@ replay records NaN/"none", the padding values, and no fault sends).
 
 One layer step
 --------------
-The full ``(S, W_max)`` plane is the identity case of compaction: rows
-and lanes index with ``slice(None)``.  :func:`_select_cells` picks the
-rows and lanes of each step, and :meth:`TrialStack._run_layer_stacked`
+The full ``(S, B, W_max)`` plane is the identity case of compaction:
+rows and lanes index with ``slice(None)``.  :func:`_select_cells` picks
+the rows and lanes of each step, and :meth:`TrialStack._run_layer_stacked`
 runs the kernel on whatever plane they select, so the dense/CSR kernel
 call lives in one place.  Tests and benchmarks replace
 :func:`_select_cells` with the identity to measure or pin the
@@ -121,22 +149,25 @@ consumes.
 
 Exactness
 ---------
-Every stack -- one trial or many -- evaluates *the same* NumPy
-expressions of the shape-generic
+Every stack -- one trial or many, one pulse per block or many --
+evaluates *the same* NumPy expressions of the shape-generic
 :func:`~repro.core.fast._layer_step_kernel` elementwise, so a trial's
-eligible cells produce bit-identical floats whatever stack it runs in
-(per-trial parameter columns broadcast elementwise and change no
-operation).  The exact eligibility test is applied cell by cell:
-fault-adjacent, via-``H_max``, and missing-message cells drop out of the
-array path and are resolved by one stack-wide batched fallback pass per
-layer step (:meth:`TrialStack._run_fallback`), which mirrors the
+eligible cells produce bit-identical floats whatever stack and block
+they run in (per-trial parameter columns and pulse-invariant inputs
+broadcast elementwise and change no operation; the neighbor min/max is
+exact in any fold order).  The exact eligibility test is applied cell
+by cell: fault-adjacent, via-``H_max``, and missing-message cells drop
+out of the array path and are resolved by one stack-wide batched
+fallback pass per block step (:meth:`TrialStack._run_fallback`), which
+mirrors the
 per-cell scalar rule (:func:`~repro.core.fast._scalar_replay`) operation
 for operation.  The pass gathers every
 rejected cell's arrivals from arrays: send times from the stacked
 ``times`` plane or, for faulty predecessors, from a per-layer overlay of
 their recorded sends, plus the layer's delay and rate planes and the
-cells' own parameter values.  Every operation of the replay is per cell,
-so a cell's outcome does not depend on which stack it ran in.  The test
+cells' own parameter values, each at the cell's pulse.  Every
+operation of the replay is per cell, so a cell's outcome does not
+depend on which stack or block it ran in.  The test
 suite asserts equality against both per-trial runs (stacks of one) and
 the scalar reference, for both algorithms, over randomized
 mixed-geometry stacks.  The reference is a seam, not a second driver:
@@ -230,6 +261,38 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
     return None
 
 
+#: Plane size, in cells, at which the per-step kernel cost flattens: a
+#: block holds enough pulses to fill a plane of about this many
+#: (trial, pulse, vertex) cells (see :func:`_pulse_blocks`).
+_BLOCK_CELLS = 4096
+
+
+def _pulse_blocks(
+    num_pulses: int, plane_cells: int, starts: Sequence[int] = ()
+) -> List[Tuple[int, int]]:
+    """The run's pulse blocks, as ``[(k0, k1), ...]`` half-open ranges.
+
+    A block holds ``B = min(ceil(4096 / (S * W)), max(1, K // 16))``
+    pulses, ``plane_cells`` being ``S * W``: enough pulses to fill a
+    plane of :data:`_BLOCK_CELLS` cells, where the per-step cost
+    flattens, but at most one sixteenth of the horizon, which bounds a
+    streamed run's rolling window.  ``starts`` are the pulses at which
+    some trial enters a campaign epoch: a block never spans one, so
+    epoch entries run before the first pulse of a block.  The last
+    block of a segment may be shorter.  The one rule for every run, not
+    an option; tests patch it to pin one-pulse and whole-horizon blocks.
+    """
+    size = min(
+        -(-_BLOCK_CELLS // max(plane_cells, 1)), max(1, num_pulses // 16)
+    )
+    cuts = sorted({0, num_pulses, *(k for k in starts if 0 < k < num_pulses)})
+    return [
+        (k0, min(k0 + size, end))
+        for start, end in zip(cuts, cuts[1:])
+        for k0 in range(start, end, size)
+    ]
+
+
 def _select_cells(
     layer: int,
     depths: np.ndarray,
@@ -237,31 +300,32 @@ def _select_cells(
     prev_protocol: np.ndarray,
     lane_needed: Optional[np.ndarray],
 ):
-    """Rows and lanes of the working plane for one layer step.
+    """Rows and lanes of the working plane for one layer step of a block.
 
     Returns ``(rows, lanes)`` -- each :data:`_ALL` (the whole axis) or an
     index array; ``lanes`` is an array only together with ``rows`` -- or
     ``None`` when no cell of the step needs computing.  A row survives
-    while its trial is deeper than ``layer`` and has not gone dead this
-    iteration; ``dead`` (None on fault-free stacks, where no trial can
-    go dead) is updated in place from ``prev_protocol``, the
-    ``(S, W_max)`` protocol plane of layer ``layer - 1``.  A lane
-    survives while some surviving row still needs it (``lane_needed``;
-    None on uniform stacks, which carry no width padding).  See the
-    module docstring for why dropping the rest is exact.
+    while its trial is deeper than ``layer`` and is live in some pulse
+    of the block.  ``dead`` (None on fault-free stacks, where no trial
+    can go dead) is the ``(S, B)`` dead mask of every (trial, pulse),
+    updated in place from ``prev_protocol``, the ``(S, B, W_max)``
+    protocol plane of layer ``layer - 1``.  A lane survives while some
+    surviving row still needs it (``lane_needed``; None on uniform
+    stacks, which carry no width padding).  See the module docstring
+    for why dropping the rest is exact.
     """
     mask = depths > layer
     if dead is not None:
-        # A trial goes dead for the rest of this iteration when *no*
+        # A (trial, pulse) goes dead for the rest of the pulse when *no*
         # node of its previous layer produced a pulse (protocol row
         # all-NaN): correct nodes sent nothing and faulty nodes recorded
         # no sends, so no message can reach this or any deeper layer.
-        candidates = np.flatnonzero(mask & ~dead)
+        candidates = np.flatnonzero(mask & ~dead.all(axis=1))
         if candidates.size:
-            silent = np.isnan(prev_protocol[candidates]).all(axis=1)
+            silent = np.isnan(prev_protocol[candidates]).all(axis=-1)
             if silent.any():
-                dead[candidates[silent]] = True
-        mask &= ~dead
+                dead[candidates] |= silent
+        mask &= ~dead.all(axis=1)
     rows = _ALL
     if not mask.all():
         if not mask.any():
@@ -294,7 +358,7 @@ def _kernel_cells(eligible: np.ndarray) -> np.ndarray:
 
 
 class _StackedParams:
-    """Per-trial ``(S, 1)`` numeric parameter columns for the kernel.
+    """Per-trial ``(S, 1, 1)`` numeric parameter columns for the kernel.
 
     Stands in for a shared :class:`~repro.params.Parameters` when the
     stacked trials' parameters differ: every kernel use of ``kappa``/
@@ -308,7 +372,7 @@ class _StackedParams:
     def __init__(self, sims: Sequence[FastSimulation]) -> None:
         for name in self.__slots__:
             column = np.array([getattr(sim.params, name) for sim in sims])
-            setattr(self, name, column[:, None])
+            setattr(self, name, column[:, None, None])
 
     def take(self, rows: np.ndarray, flat: bool = False) -> "_StackedParams":
         """The columns of the compacted row subset (same broadcast shape).
@@ -319,7 +383,7 @@ class _StackedParams:
         taken = object.__new__(type(self))
         for name in self.__slots__:
             column = getattr(self, name)
-            setattr(taken, name, column[rows, 0] if flat else column[rows])
+            setattr(taken, name, column[rows, 0, 0] if flat else column[rows])
         return taken
 
 
@@ -333,7 +397,7 @@ class _StackedPolicy:
         self.stick_to_median = sims[0].policy.stick_to_median
         self.jump_slack = np.array(
             [sim.policy.jump_slack for sim in sims]
-        )[:, None]
+        )[:, None, None]
 
     def take(self, rows: np.ndarray, flat: bool = False) -> "_StackedPolicy":
         """The policy restricted to the compacted row subset (or, with
@@ -342,7 +406,7 @@ class _StackedPolicy:
         taken.discretize = self.discretize
         taken.stick_to_median = self.stick_to_median
         taken.jump_slack = (
-            self.jump_slack[rows, 0] if flat else self.jump_slack[rows]
+            self.jump_slack[rows, 0, 0] if flat else self.jump_slack[rows]
         )
         return taken
 
@@ -355,9 +419,10 @@ class _FaultTable:
     layer[r])`` of trial ``trial[r]``, column 0 its own copy and the
     other columns its neighbor copies (``successors``, valid where
     ``valid``).  ``own_slot`` / ``nb_slot`` are the flat indices of each
-    send in the overlay of layer ``layer[r] + 1``: the ``(S, W_max)``
-    own-copy plane and the neighbor plane of shape ``nb_shape`` (that
-    layer's neighbor-delay layout).
+    send in one pulse's planes of the overlay of layer ``layer[r] + 1``:
+    the ``(S, W_max)`` own-copy plane and the neighbor plane of shape
+    ``nb_shape`` (that layer's neighbor-delay layout, without the pulse
+    axis).
 
     Every behaviour sends at ``correct time + offset``.  The offsets of
     the static behaviours are computed once, here; the dynamic ones once
@@ -500,8 +565,8 @@ class TrialStack:
     block (each trial seeing its own ``(K, L_s, W_s)`` window), so
     downstream code (skew reducers, ``fault_sends`` drill-in, the batched
     fallback itself) sees exactly the per-trial layout while the kernel
-    reads and writes whole ``(S, W_max)`` planes without gathering.  The
-    block is attached to each result (``stack_block``/``stack_row``) and
+    reads and writes whole ``(S, B, W_max)`` planes of pulse blocks
+    without gathering.  The block is attached to each result (``stack_block``/``stack_row``) and
     frozen once the run completes: stacked results are immutable
     snapshots, so no caller can corrupt the memory every trial of the
     stack shares (``BatchResult`` adopts the block without copying).
@@ -546,36 +611,45 @@ class TrialStack:
         sweeps: Sequence[_VectorSweep],
         cache: Dict[object, Tuple[np.ndarray, np.ndarray]],
         layer: int,
-        k: int,
+        pulses: range,
         rows=_ALL,
         lanes=_ALL,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Own ``(S, W)`` and neighbor ``(S, W, max_deg)`` delay arrays.
+        """Own ``(S, P, W)`` and neighbor ``(S, P, W, max_deg)`` delays.
 
-        Each sweep's per-trial arrays come from (and fill) its simulation's
-        own delay cache; the stacked copies are cached here per layer when
-        every model is pulse-invariant, else per ``(layer, k)``.  On a
-        compacted step, ``rows`` selects the active trials and only their
-        arrays are gathered (the cache key then carries the row set --
-        depth-driven sets are nested, so at most one entry per distinct
-        depth survives), and ``lanes`` slices the active columns out of
-        the row-compacted arrays (cached under the extended key).  On a
-        CSR stack the neighbor array is the flat ``(S, nnz)`` segment
-        vector instead (lane compaction never coexists with CSR: CSR
-        requires a uniform stack, lanes a padded one).  Trials without
-        this layer (padded depth) contribute inert NaN/zero rows and are
-        never queried, so delay models only ever see edges that exist in
-        their own graph.
+        ``P`` is 1 when every model is pulse-invariant -- the arrays
+        broadcast over the block's pulse axis, never repeated -- and the
+        block's pulse count otherwise (one plane per pulse of
+        ``pulses``).  Each sweep's per-trial arrays come from (and fill)
+        its simulation's own delay cache; the stacked copies are cached
+        here per layer when every model is pulse-invariant, else per
+        ``(layer, block)``.  On a compacted step, ``rows`` selects the
+        active trials and only their arrays are gathered (the cache key
+        then carries the row set -- depth-driven sets are nested, so at
+        most one entry per distinct depth survives), and ``lanes``
+        slices the active columns out of the row-compacted arrays
+        (cached under the extended key).  On a CSR stack the neighbor
+        array is the flat ``(S, P, nnz)`` segment vector instead (lane
+        compaction never coexists with CSR: CSR requires a uniform
+        stack, lanes a padded one).  Trials without this layer (padded
+        depth) contribute inert NaN/zero rows and are never queried, so
+        delay models only ever see edges that exist in their own graph.
         """
-        key: object = layer if self._all_pulse_invariant else (layer, k)
+        if self._all_pulse_invariant:
+            key: object = layer
+            pulses = pulses[:1]
+        else:
+            key = (layer, pulses.start, len(pulses))
         if not isinstance(rows, slice):
             key = (key, rows.tobytes())
         if not isinstance(lanes, slice):
-            full_own, full_nb = self._delay_stack(sweeps, cache, layer, k, rows)
+            full_own, full_nb = self._delay_stack(
+                sweeps, cache, layer, pulses, rows
+            )
             key = (key, "lanes", lanes.tobytes())
             cached = cache.get(key)
             if cached is None:
-                cached = (full_own[:, lanes], full_nb[:, lanes, :])
+                cached = (full_own[:, :, lanes], full_nb[:, :, lanes, :])
                 cache[key] = cached
             return cached
         cached = cache.get(key)
@@ -586,23 +660,30 @@ class TrialStack:
                     if isinstance(rows, slice)
                     else [sweeps[s] for s in rows]
                 )
-                per_trial = [sw.delay_arrays(layer, k) for sw in selected]
+                arrays = [
+                    sw.delay_arrays(layer, k) for sw in selected for k in pulses
+                ]
                 # np.array stacks equal-shape rows exactly like np.stack,
                 # at a fraction of its per-call overhead (paid per layer).
+                own = np.array([own for own, _ in arrays])
+                nb = np.array([nb for _, nb in arrays])
+                lead = (len(selected), len(pulses))
                 cached = (
-                    np.array([own for own, _ in per_trial]),
-                    np.array([nb for _, nb in per_trial]),
+                    own.reshape(lead + own.shape[1:]),
+                    nb.reshape(lead + nb.shape[1:]),
                 )
             else:
                 indices = np.arange(len(sweeps))[rows]
-                own = np.full((len(indices), self._width), np.nan)
-                nb = np.zeros((len(indices), self._width, self._max_deg))
+                shape = (len(indices), len(pulses), self._width)
+                own = np.full(shape, np.nan)
+                nb = np.zeros(shape + (self._max_deg,))
                 for i, s in enumerate(indices):
                     if layer >= self._depths[s]:
                         continue
-                    own_s, nb_s = sweeps[s].delay_arrays(layer, k)
-                    own[i, : own_s.shape[0]] = own_s
-                    nb[i, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
+                    for j, k in enumerate(pulses):
+                        own_s, nb_s = sweeps[s].delay_arrays(layer, k)
+                        own[i, j, : own_s.shape[0]] = own_s
+                        nb[i, j, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
                 cached = (own, nb)
             cache[key] = cached
         return cached
@@ -612,25 +693,31 @@ class TrialStack:
         sweeps: Sequence[_VectorSweep],
         cache: Dict[object, np.ndarray],
         layer: int,
-        k: int,
+        pulses: range,
         rows=_ALL,
         lanes=_ALL,
     ) -> np.ndarray:
-        """Clock rates of the (active) trials' nodes during pulse ``k``.
+        """Clock rates of the (active) trials' nodes, ``(S, P, W)``.
 
-        Inert cells get rate 1 (never read through an eligible lane, but
-        a finite value keeps the whole-plane arithmetic NaN-clean).
-        ``lanes`` slices the active columns out of the row-compacted
-        array, mirroring :meth:`_delay_stack`.
+        ``P`` is 1 for static rate providers (broadcast over the block's
+        pulses) and the block's pulse count when some provider is
+        callable: those may depend on the pulse and are queried per
+        pulse, exactly as a per-trial run does.  Inert cells get rate 1
+        (never read through an eligible lane, but a finite value keeps
+        the whole-plane arithmetic NaN-clean).  ``lanes`` slices the
+        active columns out of the row-compacted array, mirroring
+        :meth:`_delay_stack`.
         """
+        if self._rates_static:
+            pulses = pulses[:1]
         if not isinstance(lanes, slice):
-            full = self._rate_stack(sweeps, cache, layer, k, rows)
+            full = self._rate_stack(sweeps, cache, layer, pulses, rows)
             key = (layer, rows.tobytes(), "lanes", lanes.tobytes())
             if self._rates_static:
                 cached = cache.get(key)
                 if cached is not None:
                     return cached
-            sliced = full[:, lanes]
+            sliced = full[:, :, lanes]
             if self._rates_static:
                 cache[key] = sliced
             return sliced
@@ -641,23 +728,24 @@ class TrialStack:
             cached = cache.get(key)
             if cached is not None:
                 return cached
-        # Callable rate providers may depend on the pulse; query per step
-        # exactly as the per-trial kernel does.
         if self._uniform:
             selected = (
                 sweeps
                 if isinstance(rows, slice)
                 else [sweeps[s] for s in rows]
             )
-            stacked = np.array([sw.rate_array(layer, k) for sw in selected])
+            stacked = np.array(
+                [sw.rate_array(layer, k) for sw in selected for k in pulses]
+            ).reshape(len(selected), len(pulses), self._width)
         else:
             indices = np.arange(len(sweeps))[rows]
-            stacked = np.ones((len(indices), self._width))
+            stacked = np.ones((len(indices), len(pulses), self._width))
             for i, s in enumerate(indices):
                 if layer >= self._depths[s]:
                     continue
-                row = sweeps[s].rate_array(layer, k)
-                stacked[i, : row.shape[0]] = row
+                for j, k in enumerate(pulses):
+                    row = sweeps[s].rate_array(layer, k)
+                    stacked[i, j, : row.shape[0]] = row
         if self._rates_static:
             cache[key] = stacked
         return stacked
@@ -672,12 +760,14 @@ class TrialStack:
     ) -> List[FastResult]:
         """Simulate ``num_pulses`` pulses for every trial; per-trial results.
 
-        With ``store_times=False`` the run folds its statistics online
-        into a :class:`~repro.analysis.streaming.StreamedStats`, one fold
-        per pulse of the window the kernel wrote, and the shared matrices
-        shrink to a rolling *one-pulse* window -- memory O(S, L, W)
-        instead of O(S, K, L, W), and the layer-0 schedule is gathered one
-        ``(S, W)`` row per pulse instead of the whole ``(S, K, W)``
+        The run advances pulse blocks (:func:`_pulse_blocks`): every
+        layer step covers the ``B`` pulses of one block at once.  With
+        ``store_times=False`` the run folds its statistics online into a
+        :class:`~repro.analysis.streaming.StreamedStats`, one fold per
+        pulse of the window the kernel wrote, and the shared matrices
+        shrink to a rolling window of one block -- memory O(S, B, L, W)
+        instead of O(S, K, L, W), and the layer-0 schedule is gathered
+        one ``(S, W)`` row per pulse instead of the whole ``(S, K, W)``
         block -- and the returned results carry only the streamed
         accumulators (``result.streamed`` / ``streamed_row``; the
         matrices are ``None``).  Streamed statistics are bitwise
@@ -716,6 +806,17 @@ class TrialStack:
             stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
 
         results = [sim._begin_run(num_pulses) for sim in sims]
+        blocks = _pulse_blocks(
+            num_pulses,
+            num_trials * width,
+            [
+                epoch.start
+                for schedule in schedules
+                if schedule is not None
+                for epoch in schedule.epochs
+            ],
+        )
+        block_pulses = max(k1 - k0 for k0, k1 in blocks)
         if store_times:
             # One (S, P, W_max) layer-0 gather for the whole stack.
             self._layer0_block = stacked_pulse_times(
@@ -723,16 +824,14 @@ class TrialStack:
                 [sim.graph.base for sim in sims],
                 num_pulses,
             )
-            self._l0_row_buffer = None
         else:
-            # Streaming: no (S, P, W_max) block -- one reusable (S, W_max)
-            # row refilled per pulse by stacked_pulse_row (bit-identical
-            # entries; see layer0.py).
+            # Streaming: no (S, P, W_max) block -- stacked_pulse_row
+            # fills the window's layer-0 rows one pulse at a time
+            # (bit-identical entries; see layer0.py).
             self._layer0_block = None
-            self._l0_row_buffer = np.full((num_trials, width), np.nan)
             self._l0_schedules = [sim.layer0 for sim in sims]
             self._l0_bases = [sim.graph.base for sim in sims]
-        store_pulses = num_pulses if store_times else 1
+        store_pulses = num_pulses if store_times else block_pulses
         shape = (num_trials, store_pulses, num_layers, width)
 
         # One shared block per matrix; each FastResult holds the trial-s
@@ -767,7 +866,7 @@ class TrialStack:
         )
         self._rates_static = all(not callable(sim._rates) for sim in sims)
         delay_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
-        rate_cache: Dict[int, np.ndarray] = {}
+        rate_cache: Dict[object, np.ndarray] = {}
 
         # Padded (S, ...) fault/eligibility structure.  ``active`` marks the
         # real (non-padding) cells; None on uniform stacks (all real).
@@ -826,7 +925,7 @@ class TrialStack:
         )
 
         # Stacked layer-0 plane writes (see _run_layer0_stacked);
-        # self._layer0_block / self._l0_row_buffer were set above.
+        # self._layer0_block was set above.
         self._l0_faulty = faulty[:, 0, :]
         width_mask = (
             np.ones((num_trials, width), dtype=bool)
@@ -848,20 +947,20 @@ class TrialStack:
         lane_needed = None if active is None else self._lane_needed
 
         # Depth-aware compaction bookkeeping (see the module docstring):
-        # at layer ``l`` only trials with ``depth > l`` that have not gone
-        # dead this iteration keep a row in the working plane.  ``dead``
-        # can only ever trigger with faults -- a fault-free trial's layers
-        # always pulse -- so the all-NaN probe is skipped entirely on
-        # fault-free stacks.
+        # at layer ``l`` only trials with ``depth > l`` that are live in
+        # some pulse of the block keep a row in the working plane.
+        # ``dead`` can only ever trigger with faults -- a fault-free
+        # trial's layers always pulse -- so the all-NaN probe is skipped
+        # entirely on fault-free stacks.
         depths_arr = np.array(depths)
         any_fault = bool(faulty.any())
-        dead = np.zeros(num_trials, dtype=bool)
         self._row_cache: Dict[Tuple, Dict[str, object]] = {}
         padded_row_steps = num_pulses * max(num_layers - 1, 0) * num_trials
+        # Row and lane steps count live (trial, pulse) rows: padded cost
+        # is every row step times the full padded width; the active
+        # counts sum the steps' live rows and rows x lanes, each pulse's
+        # lanes being those its live rows need.
         active_row_steps = 0
-        # Lane-step (cell) accounting: padded cost is every row step times
-        # the full padded width; the active count sums rows x lanes over
-        # the steps actually executed.
         padded_lane_steps = padded_row_steps * width
         active_lane_steps = 0
 
@@ -874,7 +973,7 @@ class TrialStack:
         seed_states = [(sim.graph, sim.fault_plan) for sim in sims]
 
         # The faulty senders (None without faults), the sends they
-        # recorded, the sends' overlays of the current pulse keyed by the
+        # recorded, the sends' overlays of the current block keyed by the
         # layer that receives them (see _record_fault_sends), and the
         # count of stack-wide fallback passes.
         self._fault_log: Optional[_FaultSendLog] = None
@@ -884,9 +983,9 @@ class TrialStack:
 
         matrices = (times, protocol_times, corrections, effective, branches)
         try:
-            for k in range(num_pulses):
+            for k0, k1 in blocks:
                 if has_campaign and self._enter_stack_epochs(
-                    k, schedules, epoch_cursor, sweep_caches, sweeps,
+                    k0, schedules, epoch_cursor, sweep_caches, sweeps,
                     nb_idx, nb_valid, static_eligible, faulty,
                 ):
                     # Rows of the stacked tensors changed in place: refresh
@@ -896,42 +995,52 @@ class TrialStack:
                     # node id and the vertex set never changes).
                     layer_has_fault = faulty.any(axis=(0, 2)).tolist()
                     any_fault = bool(faulty.any())
-                    dead[:] = False
                     delay_cache.clear()
                     self._row_cache = {}
                     self._faults = self._fault_table(sweeps, any_fault)
-                rk = k if store_times else 0
-                if not store_times and k > 0:
-                    # Recycle the rolling one-pulse window for this iteration.
-                    times[:, 0] = np.nan
-                    protocol_times[:, 0] = np.nan
-                    corrections[:, 0] = np.nan
-                    effective[:, 0] = np.nan
-                    branches[:, 0] = BRANCH_CODES["none"]
+                pulses = range(k0, k1)
+                # The block's storage rows: its own pulses, or the head
+                # of the rolling window.
+                r0 = k0 if store_times else 0
+                window = slice(r0, r0 + len(pulses))
+                if not store_times and k0 > 0:
+                    # Recycle the rolling window for this block.
+                    for matrix in matrices:
+                        matrix[:, window] = (
+                            BRANCH_CODES["none"] if matrix is branches else np.nan
+                        )
+                self._block = pulses  # the overlays' pulse axis
                 self._sends.clear()
-                self._run_layer0_stacked(times, protocol_times, branches, k, rk)
+                self._run_layer0_stacked(times, protocol_times, branches, pulses, r0)
                 if self._faults is not None:
-                    self._record_fault_sends(k, 0, protocol_times[:, rk, 0, :])
-                if any_fault:
-                    dead[:] = False
+                    for j, k in enumerate(pulses):
+                        self._record_fault_sends(
+                            k, 0, protocol_times[:, r0 + j, 0, :]
+                        )
+                dead = (
+                    np.zeros((num_trials, len(pulses)), dtype=bool)
+                    if any_fault
+                    else None
+                )
                 for layer in range(1, num_layers):
                     cells = _select_cells(
                         layer,
                         depths_arr,
-                        dead if any_fault else None,
-                        protocol_times[:, rk, layer - 1, :],
+                        dead,
+                        protocol_times[:, window, layer - 1, :],
                         lane_needed,
                     )
                     if cells is None:
                         continue
                     rows, lanes = cells
-                    row_count = (
-                        num_trials if isinstance(rows, slice) else rows.size
+                    live = None if dead is None else ~dead[rows]
+                    if live is not None and live.all():
+                        live = None
+                    row_steps, lane_steps = self._step_counts(
+                        rows, lanes, live, len(pulses), lane_needed
                     )
-                    active_row_steps += row_count
-                    active_lane_steps += row_count * (
-                        width if isinstance(lanes, slice) else lanes.size
-                    )
+                    active_row_steps += row_steps
+                    active_lane_steps += lane_steps
                     self._run_layer_stacked(
                         results,
                         matrices,
@@ -945,23 +1054,26 @@ class TrialStack:
                             active,
                         ),
                         self._delay_stack(
-                            sweeps, delay_cache, layer, k, rows, lanes
+                            sweeps, delay_cache, layer, pulses, rows, lanes
                         ),
                         self._rate_stack(
-                            sweeps, rate_cache, layer, k, rows, lanes
+                            sweeps, rate_cache, layer, pulses, rows, lanes
                         ),
                         layer_has_fault[layer],
                         layer,
-                        rk,
+                        window,
+                        live,
                     )
                     if self._faults is not None:
-                        self._record_fault_sends(
-                            k, layer, protocol_times[:, rk, layer, :]
-                        )
+                        for j, k in enumerate(pulses):
+                            self._record_fault_sends(
+                                k, layer, protocol_times[:, r0 + j, layer, :]
+                            )
                 if stream is not None:
-                    # The window was NaN-filled at the top of the pulse, so
-                    # every cell this pulse did not write is NaN.
-                    stream.update(k, times[:, rk], corrections[:, rk])
+                    # The window was NaN-filled at the top of the block,
+                    # so every cell the block did not write is NaN.
+                    for j, k in enumerate(pulses):
+                        stream.update(k, times[:, j], corrections[:, j])
         finally:
             if has_campaign:
                 for sim, state in zip(sims, seed_states):
@@ -994,10 +1106,14 @@ class TrialStack:
                 else 0.0
             ),
             "neighbor_backend": backend,
+            # Pulse blocking (see _pulse_blocks): how many blocks the run
+            # advanced and the most pulses one block held.
+            "pulse_blocks": len(blocks),
+            "block_pulses": block_pulses,
             # Batched-fallback accounting: total kernel-rejected cells
             # resolved by the replay, their per-trial (pulse, layer)
             # batches, and the stack-wide resolver passes -- one per
-            # (pulse, layer) step with any such cell, so never more than
+            # (block, layer) step with any such cell, so never more than
             # the batches.  Zero on fault-free stacks.
             "fallback_cells": sum(r.fallback_cells for r in results),
             "fallback_batches": sum(r.fallback_batches for r in results),
@@ -1017,7 +1133,7 @@ class TrialStack:
                 result.streamed = stream
                 result.streamed_row = s
         if not store_times:
-            # The rolling window holds only the last pulse -- meaningless
+            # The rolling window holds only the last block -- meaningless
             # as a result matrix.  Drop every matrix reference so the
             # memory goes with it; the statistics live in ``streamed``.
             for result in results:
@@ -1026,7 +1142,6 @@ class TrialStack:
                 result.corrections = None
                 result.effective_corrections = None
                 result.branches = None
-            self._l0_row_buffer = None
             return results
 
         # Freeze the shared block and hand it to every result: stacked
@@ -1119,31 +1234,62 @@ class TrialStack:
         times: np.ndarray,
         protocol_times: np.ndarray,
         branches: np.ndarray,
-        k: int,
-        rk: int,
+        pulses: range,
+        r0: int,
     ) -> None:
-        """Write layer 0's pulse-``k`` plane for every trial at once.
+        """Write layer 0's planes of the block's ``pulses`` for every trial.
 
         Reads the stacked ``(S, P, W_max)`` schedule block -- or, on
-        streamed runs, over one reusable ``(S, W_max)`` row refilled per
-        pulse by :func:`~repro.core.layer0.stacked_pulse_row`
-        (bit-identical entries).  ``rk`` is the block's storage row for
-        pulse ``k`` (``k`` itself, or 0 on the rolling window).  Faulty
-        layer-0 nodes get no ``times``; their protocol times are the
-        correct times their recorded sends are offset from.
+        streamed runs, fills the window's layer-0 rows one pulse at a
+        time with :func:`~repro.core.layer0.stacked_pulse_row`
+        (bit-identical entries).  ``r0`` is the storage row of the
+        block's first pulse (the pulse itself, or 0 on the rolling
+        window).  Faulty layer-0 nodes get no ``times``; their protocol
+        times are the correct times their recorded sends are offset from.
         """
+        window = slice(r0, r0 + len(pulses))
         if self._layer0_block is not None:
-            row = self._layer0_block[:, k, :]  # (S, W), NaN on padding
+            rows = self._layer0_block[:, pulses.start : pulses.stop, :]
+            protocol_times[:, window, 0, :] = rows
         else:
-            row = stacked_pulse_row(
-                self._l0_schedules,
-                self._l0_bases,
-                k,
-                out=self._l0_row_buffer,
+            for j, k in enumerate(pulses):
+                stacked_pulse_row(
+                    self._l0_schedules,
+                    self._l0_bases,
+                    k,
+                    out=protocol_times[:, r0 + j, 0, :],
+                )
+            rows = protocol_times[:, window, 0, :]
+        branches[:, window, 0, :] = self._l0_branch_row[:, None, :]
+        times[:, window, 0, :] = np.where(self._l0_faulty[:, None, :], np.nan, rows)
+
+    def _step_counts(
+        self,
+        rows,
+        lanes,
+        live: Optional[np.ndarray],
+        count: int,
+        lane_needed: Optional[np.ndarray],
+    ) -> Tuple[int, int]:
+        """Live (trial, pulse) rows of one block step, and their cells.
+
+        ``live`` is the ``(rows, B)`` mask of the (trial, pulse) rows not
+        gone dead (None: all live).  A pulse's cells are its live rows
+        times the lanes those rows need -- what a one-pulse step would
+        have run -- so both counts are independent of the block size.
+        """
+        if live is None:
+            row_steps = count * (
+                len(self.sims) if isinstance(rows, slice) else rows.size
             )
-        protocol_times[:, rk, 0, :] = row
-        branches[:, rk, 0, :] = self._l0_branch_row
-        times[:, rk, 0, :] = np.where(self._l0_faulty, np.nan, row)
+        else:
+            row_steps = int(live.sum())
+        if lane_needed is None or live is None:
+            # Every pulse's live rows need exactly the step's lanes.
+            width = self._width if isinstance(lanes, slice) else lanes.size
+            return row_steps, row_steps * width
+        used = (lane_needed[rows][:, None, :] & live[:, :, None]).any(axis=0)
+        return row_steps, int(used.sum(axis=1) @ live.sum(axis=0))
 
     def _fault_table(
         self, sweeps: Sequence[_VectorSweep], any_fault: bool
@@ -1164,17 +1310,18 @@ class TrialStack:
     def _record_fault_sends(self, k: int, layer: int, plane: np.ndarray) -> None:
         """Record the pulse-``k`` sends of ``layer``'s faulty nodes at once.
 
-        ``plane`` is the layer's ``(S, W_max)`` protocol-time plane: a
-        faulty node that pulsed sends at its protocol (correct) time plus
-        its offsets, ``ct[:, None] + offsets[rows]``.  The sends go to
-        the run's send log (the source of every result's
+        ``plane`` is the layer's ``(S, W_max)`` protocol-time plane of
+        pulse ``k``: a faulty node that pulsed sends at its protocol
+        (correct) time plus its offsets, ``ct[:, None] + offsets[rows]``.
+        The sends go to the run's send log (the source of every result's
         ``fault_sends``) and into the overlay of ``layer + 1``: an
-        ``(own, nb)`` pair laid out like that layer's delay arrays --
-        ``(S, W_max)`` own copies plus ``(S, W_max, max_deg)`` neighbor
-        copies, or the ``(S, nnz)`` edge vector on CSR stacks.  A silent
-        send is ``+inf``, and so is every slot no send was recorded for.
-        The fallback reads a faulty predecessor's send from the overlay
-        at the slot where it reads that edge's delay.
+        ``(own, nb)`` pair with one plane per pulse of the block, each
+        laid out like that layer's delay arrays -- ``(B, S, W_max)`` own
+        copies plus ``(B, S, W_max, max_deg)`` neighbor copies, or the
+        ``(B, S, nnz)`` edge vector on CSR stacks.  A silent send is
+        ``+inf``, and so is every slot no send was recorded for.  The
+        fallback reads a faulty predecessor's send from the overlay at
+        the cell's pulse and the slot where it reads that edge's delay.
         """
         table = self._faults
         at = table.layer_rows.get(layer)
@@ -1190,12 +1337,14 @@ class TrialStack:
         sends = correct[:, None] + table.offsets_at(k)[rows]
         overlay = self._sends.get(layer + 1)
         if overlay is None:
+            count = len(self._block)
             overlay = (
-                np.full((len(self.sims), self._width), np.inf),
-                np.full(table.nb_shape, np.inf),
+                np.full((count, len(self.sims), self._width), np.inf),
+                np.full((count,) + table.nb_shape, np.inf),
             )
             self._sends[layer + 1] = overlay
-        own, nb = overlay
+        j = k - self._block.start
+        own, nb = overlay[0][j], overlay[1][j]
         np.put(own, table.own_slot[rows], sends[:, 0])
         valid = table.valid[rows, 1:]
         np.put(nb, table.nb_slot[rows][valid], sends[:, 1:][valid])
@@ -1213,6 +1362,11 @@ class TrialStack:
     ) -> Dict[str, object]:
         """Kernel inputs of the ``rows x lanes`` plane, cached by both sets.
 
+        Nothing here changes with the pulse: per-trial gather tables get
+        a length-1 pulse axis (``(S, 1, W, max_deg)``) and broadcast over
+        the block's pulses; eligibility and fault masks are indexed per
+        layer and broadcast the same way.
+
         Depth-driven active sets are nested (they only shrink as the
         layer index grows), so at most one entry per distinct depth is
         ever built; dead-trial sets add at most a handful more, and lane
@@ -1229,9 +1383,10 @@ class TrialStack:
         lane) collapse to column 0 harmlessly.
 
         Besides the kernel inputs, an entry carries ``index`` (the
-        ``(rows, lanes)`` subscripts into the shared ``(S, W_max)``
-        planes) and the original ``trials`` / ``vertices`` ids of its
-        rows and columns (``vertices`` is None on the full width).
+        ``(rows, lanes)`` subscripts of the shared blocks; the caller
+        adds the pulse and layer subscripts) and the
+        original ``trials`` / ``vertices`` ids of its rows and columns
+        (``vertices`` is None on the full width).
         """
         key = (
             None if isinstance(rows, slice) else rows.tobytes(),
@@ -1258,8 +1413,11 @@ class TrialStack:
                 sub_eligible = sub_eligible[:, :, lanes]
                 sub_faulty = sub_faulty[:, :, lanes]
                 sub_active = sub_active[:, :, lanes]
-                index = (rows[:, None], lanes[None, :])
+                index = (rows[:, None, None], lanes[None, None, :])
                 vertices = lanes
+            if sub_idx is not None and sub_idx.ndim == 3:
+                sub_idx = sub_idx[:, None]
+                sub_valid = sub_valid[:, None]
             cached = {
                 "nb_idx": sub_idx,
                 "nb_valid": sub_valid,
@@ -1292,21 +1450,26 @@ class TrialStack:
         rate: np.ndarray,
         layer_faulty: bool,
         layer: int,
-        rk: int,
+        window: slice,
+        live: Optional[np.ndarray],
     ) -> None:
-        """Advance one pulse of ``layer`` on the selected plane.
+        """Advance ``layer`` for every pulse of the block on the selected plane.
 
         Delegates to the shape-generic
         :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
-        ``csr`` stacks); see the module docstring for the exactness
-        argument.  ``structs`` (from :meth:`_row_structs`) holds the
-        kernel inputs of the plane :func:`_select_cells` picked, and
-        ``delays``/``rate`` are already compacted the same way.  The
-        full plane is the identity case: its subscripts are
-        ``slice(None)``.  ``matrices`` are the shared ``times``,
-        ``protocol_times``, ``corrections``, ``effective`` and
-        ``branches`` blocks; ``rk`` is the storage row of the pulse
-        (the pulse itself on materialized runs, 0 on the rolling window).
+        ``csr`` stacks) over an ``(S, B, W)`` plane; see the module
+        docstring for the exactness argument.  ``structs`` (from
+        :meth:`_row_structs`) holds the kernel inputs of the plane
+        :func:`_select_cells` picked, and ``delays``/``rate`` are already
+        compacted the same way (with a length-1 pulse axis when they do
+        not change with the pulse).  The full plane is the identity
+        case: its subscripts are ``slice(None)``.  ``matrices`` are the
+        shared ``times``, ``protocol_times``, ``corrections``,
+        ``effective`` and ``branches`` blocks; ``window`` is the block's
+        storage rows (its pulses on materialized runs, the head of the
+        rolling window on streamed ones).  ``live`` is the ``(rows, B)``
+        mask of the (trial, pulse) rows not gone dead, or None when all
+        are live.
 
         Results scatter back through the plane's subscripts.  Ineligible
         cells are written with the padding values (``NaN``/``"none"``)
@@ -1316,16 +1479,26 @@ class TrialStack:
         produces for them (inert, silent and horizon-absent cells are
         never eligible, and their fallback replays record nothing).
         ``structs["active"]`` (None on uniform stacks) masks the padding
-        inside the plane, so inert cells are never replayed by the
-        batched fallback.  Every other rejected cell of the plane is
-        resolved by one :meth:`_run_fallback` pass.
+        inside the plane, and ``live`` the dead (trial, pulse) rows, so
+        neither is ever replayed by the batched fallback.  Every other
+        rejected cell of the plane is resolved by one
+        :meth:`_run_fallback` pass.
         """
         times, protocol_times, corrections, effective, branches_out = matrices
         sims = self.sims
         sent = self._sends.pop(layer, None)
+        # One subscript of the 4-D blocks per layer: with an index array
+        # on the rows, the rows axis leads, then the pulses and lanes.
         ri, ci = structs["index"]
-        prev = times[ri, rk, layer - 1, ci]  # NaN = missing
+        pi = (
+            window
+            if isinstance(ci, slice)
+            else np.arange(window.start, window.stop)[None, :, None]
+        )
+        index = (ri, pi, layer, ci)
+        prev = times[ri, pi, layer - 1, ci]  # NaN = missing
         own_delay, nb_delay = delays
+        static_eligible = structs["static_eligible"][:, layer - 1, None, :]
         simplified = sims[0].algorithm == "simplified"
         if self._csr is not None:
             indptr, indices, owner, has_neighbors = self._csr
@@ -1339,7 +1512,7 @@ class TrialStack:
                     indices,
                     owner,
                     has_neighbors,
-                    structs["static_eligible"][:, layer - 1, :],
+                    static_eligible,
                     structs["params"],
                     structs["policy"],
                     simplified,
@@ -1354,7 +1527,7 @@ class TrialStack:
                     rate,
                     structs["nb_idx"],
                     structs["nb_valid"],
-                    structs["static_eligible"][:, layer - 1, :],
+                    static_eligible,
                     structs["params"],
                     structs["policy"],
                     simplified,
@@ -1365,33 +1538,29 @@ class TrialStack:
         if not layer_faulty and eligible.all():
             # Common case (no trial has a fault on this layer, every cell
             # on the fast path): plain assignments, no selects.
-            corrections[ri, rk, layer, ci] = correction
-            branches_out[ri, rk, layer, ci] = branches
-            effective[ri, rk, layer, ci] = eff
-            protocol_times[ri, rk, layer, ci] = pulse_time
-            times[ri, rk, layer, ci] = pulse_time
+            corrections[index] = correction
+            branches_out[index] = branches
+            effective[index] = eff
+            protocol_times[index] = pulse_time
+            times[index] = pulse_time
             return
 
-        faulty_here = structs["faulty"][:, layer, :]
-        corrections[ri, rk, layer, ci] = np.where(eligible, correction, np.nan)
-        branches_out[ri, rk, layer, ci] = np.where(
-            eligible, branches, BRANCH_CODES["none"]
-        )
-        effective[ri, rk, layer, ci] = np.where(eligible, eff, np.nan)
-        protocol_times[ri, rk, layer, ci] = np.where(
-            eligible, pulse_time, np.nan
-        )
-        times[ri, rk, layer, ci] = np.where(
-            eligible & ~faulty_here, pulse_time, np.nan
-        )
+        faulty_here = structs["faulty"][:, layer, None, :]
+        corrections[index] = np.where(eligible, correction, np.nan)
+        branches_out[index] = np.where(eligible, branches, BRANCH_CODES["none"])
+        effective[index] = np.where(eligible, eff, np.nan)
+        protocol_times[index] = np.where(eligible, pulse_time, np.nan)
+        times[index] = np.where(eligible & ~faulty_here, pulse_time, np.nan)
+        fallback = ~eligible
         active = structs["active"]
-        fallback = (
-            ~eligible if active is None else active[:, layer, :] & ~eligible
-        )
+        if active is not None:
+            fallback &= active[:, layer, None, :]
+        if live is not None:
+            fallback &= live[:, :, None]
         if fallback.any():
             self._run_fallback(
                 results, matrices, structs, prev, delays, rate, sent,
-                np.nonzero(fallback), layer, rk,
+                np.nonzero(fallback), layer, window.start,
             )
 
     def _run_fallback(
@@ -1403,45 +1572,55 @@ class TrialStack:
         delays: Tuple[np.ndarray, np.ndarray],
         rate: np.ndarray,
         sent: Optional[Tuple[np.ndarray, np.ndarray]],
-        cells: Tuple[np.ndarray, np.ndarray],
+        cells: Tuple[np.ndarray, np.ndarray, np.ndarray],
         layer: int,
         rk: int,
     ) -> None:
-        """Resolve every kernel-rejected cell of one layer step in one pass.
+        """Resolve every kernel-rejected cell of one block step in one pass.
 
-        ``cells`` are the ``(row, column)`` positions of the rejected
-        cells in the plane :meth:`_run_layer_stacked` ran on, whose
-        ``prev`` send times, ``delays`` and ``rate`` it passes on.  Each
-        cell's arrival events are gathered from those arrays: the own
-        copy at the cell's own column, the neighbor copies through the
-        plane's neighbor table (or the shared CSR segments).  A faulty
-        predecessor's send comes from ``sent``, the overlay its
-        recorded sends were written to (:meth:`_record_fault_sends`;
-        None when no faulty predecessor sent anything), and a missing
-        message is ``+inf``.  Parameters are each cell's trial's own.
+        ``cells`` are the ``(row, pulse, column)`` positions of the
+        rejected cells in the ``(S, B, W)`` plane
+        :meth:`_run_layer_stacked` ran on, whose ``prev`` send times,
+        ``delays`` and ``rate`` it passes on; ``rk`` is the storage row
+        of the block's first pulse.  Each cell's arrival events are
+        gathered from those arrays at the cell's pulse (pulse 0 of an
+        array whose pulse axis has length 1): the own copy at the cell's
+        own column, the neighbor copies through the plane's neighbor
+        table (or the shared CSR segments).  A faulty predecessor's send
+        comes from ``sent``, the overlay its recorded sends were written
+        to (:meth:`_record_fault_sends`; None when no faulty predecessor
+        sent anything), and a missing message is ``+inf``.  Parameters
+        are each cell's trial's own.
         :func:`~repro.core.fast._fallback_replay` then replays all cells
-        at once, and the outcomes scatter back to the cells' trials and
-        vertices.  A faulty cell that pulses has a protocol time and no
-        ``times`` entry; the run records its sends from the protocol
-        plane after the step (:meth:`_record_fault_sends`).
+        at once, and the outcomes scatter back to the cells' trials,
+        pulses and vertices.  A faulty cell that pulses has a protocol
+        time and no ``times`` entry; the run records its sends from the
+        protocol plane after the step (:meth:`_record_fault_sends`).
         """
         times, protocol_times, corrections, effective, branches = matrices
-        si, vi = cells
+        si, bi, vi = cells
         trials = structs["trials"][si]
         vertices = vi if structs["vertices"] is None else structs["vertices"][vi]
         own_delay, nb_delay = delays
+
+        def at_pulse(array: np.ndarray):
+            # The cells' pulses in ``array``, which broadcasts a length-1
+            # pulse axis over the block.
+            return bi if array.shape[1] > 1 else 0
+
         prev_faulty = structs["faulty"][:, layer - 1, :]
 
         # Neighbor slots of each cell: source column in the plane,
         # validity, delay, and overlay index.
+        pulse = bi[:, None]
         if self._csr is None:
             nb_idx, nb_valid = structs["nb_idx"], structs["nb_valid"]
-            if nb_idx.ndim == 3:
-                source, valid = nb_idx[si, vi], nb_valid[si, vi]
+            if nb_idx.ndim > 2:
+                source, valid = nb_idx[si, 0, vi], nb_valid[si, 0, vi]
             else:
                 source, valid = nb_idx[vi], nb_valid[vi]
-            nb_d = nb_delay[si, vi]
-            slot = (trials, vertices)
+            nb_d = nb_delay[si, at_pulse(nb_delay), vi]
+            slot = (bi, trials, vertices)
         else:
             indptr, indices = self._csr[0], self._csr[1]
             start = indptr[vi]
@@ -1450,18 +1629,21 @@ class TrialStack:
             valid = offsets < degree[:, None]
             entry = np.minimum(start[:, None] + offsets, indices.shape[0] - 1)
             source = indices[entry]
-            nb_d = nb_delay[si[:, None], entry]
-            slot = (trials[:, None], entry)
+            nb_pulse = pulse if nb_delay.shape[1] > 1 else 0
+            nb_d = nb_delay[si[:, None], nb_pulse, entry]
+            slot = (pulse, trials[:, None], entry)
         row = si[:, None]
         own_sent = nb_sent = np.inf  # no faulty predecessor sent anything
         if sent is not None:
-            own_sent = sent[0][trials, vertices]
+            own_sent = sent[0][bi, trials, vertices]
             nb_sent = sent[1][slot]
-        own_send = np.where(prev_faulty[si, vi], own_sent, prev[si, vi])
-        nb_send = np.where(prev_faulty[row, source], nb_sent, prev[row, source])
+        own_send = np.where(prev_faulty[si, vi], own_sent, prev[si, bi, vi])
+        nb_send = np.where(
+            prev_faulty[row, source], nb_sent, prev[row, pulse, source]
+        )
 
         ev_time = np.empty((si.size, 1 + valid.shape[1]))
-        ev_time[:, 0] = own_send + own_delay[si, vi]
+        ev_time[:, 0] = own_send + own_delay[si, at_pulse(own_delay), vi]
         ev_time[:, 1:] = np.where(valid, nb_send + nb_d, np.inf)
         # A correct predecessor that never pulsed sent nothing.
         ev_time[np.isnan(ev_time)] = np.inf
@@ -1471,7 +1653,7 @@ class TrialStack:
             params = params.take(trials, flat=True)
         if isinstance(policy, _StackedPolicy):
             policy = policy.take(trials, flat=True)
-        rates = rate[si, vi]
+        rates = rate[si, at_pulse(rate), vi]
         pulses, correction, branch_codes, pulse_time, eff, h_own = (
             _fallback_replay(
                 ev_time,
@@ -1483,21 +1665,27 @@ class TrialStack:
             )
         )
 
-        corrections[trials, rk, layer, vertices] = correction
-        branches[trials, rk, layer, vertices] = branch_codes
+        rows = rk + bi
+        corrections[trials, rows, layer, vertices] = correction
+        branches[trials, rows, layer, vertices] = branch_codes
         eff_ok = pulses & np.isfinite(h_own)
-        effective[trials[eff_ok], rk, layer, vertices[eff_ok]] = eff[eff_ok]
-        protocol_times[trials[pulses], rk, layer, vertices[pulses]] = (
-            pulse_time[pulses]
+        effective[trials[eff_ok], rows[eff_ok], layer, vertices[eff_ok]] = (
+            eff[eff_ok]
         )
+        protocol_times[
+            trials[pulses], rows[pulses], layer, vertices[pulses]
+        ] = pulse_time[pulses]
         faulty = structs["faulty"][si, layer, vi]
         ok = pulses & ~faulty
-        times[trials[ok], rk, layer, vertices[ok]] = pulse_time[ok]
+        times[trials[ok], rows[ok], layer, vertices[ok]] = pulse_time[ok]
 
         # Per-trial accounting keeps its meaning: a trial's batch is one
         # (pulse, layer) step with any rejected cell of that trial.
         self._fallback_passes += 1
+        steps = np.zeros((len(self.sims), prev.shape[1]), dtype=bool)
+        steps[trials, bi] = True
+        batches = steps.sum(axis=1)
         counts = np.bincount(trials)
         for s in np.flatnonzero(counts):
-            results[s].fallback_batches += 1
+            results[s].fallback_batches += int(batches[s])
             results[s].fallback_cells += int(counts[s])

@@ -5,9 +5,10 @@ time and reduce skews with per-result helpers in a Python loop.  This
 module sweeps many trials in one call instead:
 
 * compatible trials advance through the pulse/layer recurrence *together*
-  via the trial-stacked ``(S, W)`` kernel of
+  via the trial-stacked ``(S, B, W)`` kernel of
   :class:`~repro.core.fast_batch.TrialStack` -- one array op per layer
-  step for the whole batch instead of one per trial.  Trials with
+  step for the whole batch and a block of ``B`` pulses instead of one
+  per trial and pulse.  Trials with
   *different* geometries, parameters, and numeric policy knobs stack too
   (padded to ``(S, W_max)`` with inert cells; see the ``fast_batch``
   module docstring): grouping is by algorithm variant and the structural
@@ -241,8 +242,10 @@ class BatchResult:
         never by per-cell Python loops), ``fallback_batches`` (summed
         over trials: the (pulse, layer) steps each trial had such cells
         in) and ``fallback_passes`` (the stack's resolver calls, one per
-        (pulse, layer) step with any such cell, so at most
-        ``fallback_batches``) -- so "how much padding did
+        (pulse block, layer) step with any such cell, so at most
+        ``fallback_batches``), and ``pulse_blocks`` / ``block_pulses``
+        (the run's pulse blocks and the most pulses one held) -- so
+        "how much padding did
         compaction reclaim?" is on record next to "which trials
         stacked".
     fallback_reasons:
@@ -616,9 +619,10 @@ class BatchRunner:
     store_times:
         ``True`` (default) materializes the stacked ``(S, K, L, W)``
         pulse-time block as before.  ``False`` streams instead: skew and
-        correction statistics fold online, one ``(S, W)`` layer plane at
-        a time, and the result never allocates the block -- memory drops
-        from ``O(S * K * L * W)`` to ``O(S * L * W)``.  The streamed
+        correction statistics fold online, one pulse at a time, and the
+        result never allocates the block -- memory drops from
+        ``O(S * K * L * W)`` to a rolling window of one pulse block,
+        ``O(S * B * L * W)``.  The streamed
         statistics are bit-identical to the materialized reducers.
     """
 

@@ -29,6 +29,10 @@ run through every path, asserting
   stacked) against the dense padded kernel, and through the width-axis
   lane compaction against the lane-padded stack -- both new execution
   columns must reproduce the dense reference exactly, and
+* **bitwise agreement across pulse blocks**: the stack advances several
+  pulses per layer step; one pulse per block, the default blocks and
+  the whole horizon in one block (split only at campaign epoch entries)
+  must agree exactly, with equal row, lane and fallback counters, and
 * **dynamic adjacency** (:class:`~repro.faults.campaign.ChaosCampaign`):
   every scenario is additionally run under a hypothesis-drawn churn
   campaign -- leaves, joins, edge flaps, crashes, regional outages --
@@ -82,7 +86,11 @@ from repro.core.layer0 import (
     PerfectLayer0,
 )
 from repro.core.network_sim import GridSimulation
-from repro.delays.models import StaticDelayModel, UniformDelayModel
+from repro.delays.models import (
+    StaticDelayModel,
+    UniformDelayModel,
+    VaryingDelayModel,
+)
 from repro.faults.campaign import (
     ChaosCampaign,
     EdgeDown,
@@ -98,6 +106,7 @@ from repro.faults.model import (
     AdversarialLateFault,
     CrashFault,
     FixedOffsetFault,
+    SilentFromFault,
 )
 from repro.params import Parameters
 from repro.topology.base_graph import (
@@ -354,6 +363,36 @@ def all_fallback():
     return mock.patch.object(fast_batch_mod, "_kernel_cells", np.zeros_like)
 
 
+def one_pulse_blocks():
+    """Patch the pulse-block rule to one pulse per block.
+
+    The stack picks its pulse blocks with one private rule; one pulse
+    per block is the test seam that recovers the per-pulse layer step
+    for a differential leg.
+    """
+    return mock.patch.object(
+        fast_batch_mod,
+        "_pulse_blocks",
+        lambda num_pulses, plane_cells, starts=(): [
+            (k, k + 1) for k in range(num_pulses)
+        ],
+    )
+
+
+def whole_horizon_blocks():
+    """Patch the pulse-block rule to one block per campaign epoch span.
+
+    Static runs then advance the whole horizon in one block; campaign
+    runs still split their blocks where some trial enters an epoch.
+    """
+
+    def blocks(num_pulses, plane_cells, starts=()):
+        cuts = sorted({0, num_pulses, *(k for k in starts if 0 < k < num_pulses)})
+        return list(zip(cuts, cuts[1:]))
+
+    return mock.patch.object(fast_batch_mod, "_pulse_blocks", blocks)
+
+
 def _decoy(scenario, num_layers, algorithm):
     """A stack mate with different width *and* depth than the scenario.
 
@@ -416,6 +455,21 @@ def run_fast_family(scenario, algorithm="full"):
             [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
         ).run(NUM_PULSES)[0]
 
+    # Pulse blocks: one pulse per block and the whole horizon in one
+    # block, alone and next to a shallower, wider mate (rows and lanes
+    # compacted across the block's pulses).
+    with one_pulse_blocks():
+        family["one_pulse_blocks"] = fast_simulation(scenario, algorithm).run(
+            NUM_PULSES
+        )
+    with whole_horizon_blocks():
+        family["whole_horizon_block"] = fast_simulation(
+            scenario, algorithm
+        ).run(NUM_PULSES)
+        family["whole_horizon_shallow_mate"] = TrialStack(
+            [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
+        ).run(NUM_PULSES)[0]
+
     with scalar_reference():
         family["scalar"] = fast_simulation(scenario, algorithm).run(NUM_PULSES)
     return family
@@ -446,6 +500,10 @@ def run_streaming_family(scenario, algorithm="full"):
     family["compacted_stack_shallow_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
     ).run(NUM_PULSES, **kwargs)[0]
+    with whole_horizon_blocks():
+        family["whole_horizon_block"] = fast_simulation(
+            scenario, algorithm
+        ).run(NUM_PULSES, **kwargs)
     with scalar_reference():
         family["scalar"] = fast_simulation(scenario, algorithm).run(
             NUM_PULSES, **kwargs
@@ -501,6 +559,18 @@ def run_campaign_family(scenario, campaign):
             _decoy(scenario, 1, "full"),
         ],
     ).run(CAMPAIGN_PULSES)[0]
+    # One block per epoch span: the campaign's mid-horizon epoch entries
+    # split the blocks, and each block runs on one epoch's tensors.
+    with whole_horizon_blocks():
+        stack = TrialStack(
+            [
+                campaign_simulation(scenario, campaign),
+                _decoy(scenario, depth + 3, "full"),
+            ],
+        )
+        family["epoch_blocks_deep_mate"] = stack.run(CAMPAIGN_PULSES)[0]
+    boundaries = family["per_trial"].churn_stats["boundaries"]
+    assert stack.compaction_stats["pulse_blocks"] == len(boundaries) + 1
     with scalar_reference():
         family["scalar"] = campaign_simulation(scenario, campaign).run(
             CAMPAIGN_PULSES
@@ -1131,6 +1201,243 @@ def test_deterministic_campaign_smoke():
         reference.times[4:], static.times[4:],
         err_msg="restored-seed pulses differ from the static run",
     )
+
+
+#: Horizon of the pulse-block legs below: long enough that the default
+#: rule picks blocks of more than one pulse (``K // 16 >= 2``).
+BLOCK_PULSES = 35
+
+
+#: Counters that count (trial, pulse) work and so must not depend on
+#: how the pulses were blocked.
+BLOCK_INVARIANT_COUNTS = (
+    "active_row_steps",
+    "active_lane_steps",
+    "fallback_cells",
+    "fallback_batches",
+)
+
+
+def _block_legs(run):
+    """``run()`` under the default blocks, one-pulse and whole-horizon ones.
+
+    ``run`` builds fresh simulations and returns ``(stack, results)``;
+    the default leg must actually block several pulses, and every leg
+    must count the same row steps, cells and fallback work.
+    """
+    stack, default = run()
+    stats = stack.compaction_stats
+    assert stats["block_pulses"] > 1, stats
+    with one_pulse_blocks():
+        one_stack, one_pulse = run()
+    assert one_stack.compaction_stats["block_pulses"] == 1
+    with whole_horizon_blocks():
+        whole_stack, whole = run()
+    for other in (one_stack, whole_stack):
+        for key in BLOCK_INVARIANT_COUNTS:
+            assert other.compaction_stats[key] == stats[key], key
+    return default, {"one_pulse_blocks": one_pulse, "whole_horizon": whole}
+
+
+class TestPulseBlockDifferential:
+    """Default pulse blocks against one-pulse and whole-horizon blocks.
+
+    Every cell's arithmetic is elementwise, so the block a pulse runs in
+    changes no value: results, fault sends, fallback accounting and the
+    streamed folds are bitwise equal across block sizes.
+    """
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_byzantine_fault_sends_match(self, csr):
+        from repro.experiments.thm13_random_faults import thm13_trials
+
+        trials, _ = thm13_trials(6, [1, 2, 3, 4], num_pulses=32)
+
+        def run():
+            with prefer_csr(csr):
+                stack = TrialStack([trial.simulation() for trial in trials])
+                results = stack.run(32)
+            backend = stack.compaction_stats["neighbor_backend"]
+            assert backend == ("csr" if csr else "dense")
+            return stack, results
+
+        default, legs = _block_legs(run)
+        behaviours = {
+            type(plan.behavior(node)).__name__
+            for plan in (trial.simulation().fault_plan for trial in trials)
+            for node in plan
+        }
+        assert "ByzantineRandomFault" in behaviours, behaviours
+        assert any(result.fault_sends for result in default)
+        for label, results in legs.items():
+            for index, (got, want) in enumerate(zip(results, default)):
+                assert_results_equal(got, want, label=f"{label}[{index}]")
+                assert got.fallback_cells == want.fallback_cells, label
+                assert got.fallback_batches == want.fallback_batches, label
+
+    def test_ragged_last_block_streams_bitwise(self):
+        params = PARAMS_CHOICES[1]
+        graph = LayeredGraph(cycle_graph(6), 4)
+        scenario = {"graph": graph}
+
+        def sims():
+            return [
+                FastSimulation(
+                    graph,
+                    params,
+                    delay_model=StaticDelayModel(params.d, params.u, seed=seed),
+                    clock_rates={
+                        node: clock.rate
+                        for node, clock in uniform_random_rates(
+                            list(graph.nodes()), params.vartheta, rng_or_seed=seed
+                        ).items()
+                    },
+                    layer0=JitteredLayer0(
+                        params.Lambda, graph.width, params.kappa, seed=seed
+                    ),
+                )
+                for seed in (3, 4)
+            ]
+
+        def run(**kwargs):
+            stack = TrialStack(sims())
+            return stack, stack.run(BLOCK_PULSES, **kwargs)
+
+        default, legs = _block_legs(run)
+        stack, streamed = run(store_times=False)
+        stats = stack.compaction_stats
+        # 35 pulses in blocks of 2: the last block holds one pulse.
+        assert (stats["block_pulses"], stats["pulse_blocks"]) == (2, 18)
+        for label, results in legs.items():
+            for got, want in zip(results, default):
+                assert_results_equal(got, want, label=label)
+        for got, want in zip(streamed, default):
+            assert_streamed_matches_materialized(
+                got, want, scenario, label="ragged streamed"
+            )
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_varying_delays_and_callable_rates(self, csr):
+        params = PARAMS_CHOICES[0]
+        graph = LayeredGraph(cycle_graph(5), 3)
+        scenario = {"graph": graph}
+
+        def rates(node, pulse):
+            v, layer = node
+            return 1.0 + params.u * ((3 * v + 5 * layer + 7 * pulse) % 11) / 1e3
+
+        def run(**kwargs):
+            with prefer_csr(csr):
+                return _run(**kwargs)
+
+        def _run(**kwargs):
+            stack = TrialStack(
+                [
+                    FastSimulation(
+                        graph,
+                        params,
+                        delay_model=VaryingDelayModel(
+                            params.d, params.u, max_step=0.002, seed=seed
+                        ),
+                        clock_rates=rates,
+                        fault_plan=FaultPlan.from_nodes(
+                            {(seed, 1): FixedOffsetFault(0.1)}
+                        ),
+                    )
+                    for seed in (1, 2)
+                ]
+            )
+            results = stack.run(BLOCK_PULSES, **kwargs)
+            backend = stack.compaction_stats["neighbor_backend"]
+            assert backend == ("csr" if csr else "dense")
+            return stack, results
+
+        default, legs = _block_legs(run)
+        for label, results in legs.items():
+            for got, want in zip(results, default):
+                assert_results_equal(got, want, label=label)
+        _, streamed = run(store_times=False)
+        for got, want in zip(streamed, default):
+            assert_streamed_matches_materialized(
+                got, want, scenario, label="varying streamed"
+            )
+
+    def test_dead_pulses_inside_a_live_row(self):
+        """A trial dead in some pulses of a block keeps its row alive.
+
+        Layer 1 of the wide trial falls silent from pulse 11 on, so its
+        layer 2 never pulses from then and the trial is dead at layer 3
+        in the second pulse of block ``(10, 12)`` only.  Its dead cells
+        must record nothing and stay out of the fallback, and that
+        pulse's cells count only the lanes of the narrower live mate.
+        """
+        params = PARAMS_CHOICES[0]
+        wide = LayeredGraph(cycle_graph(7), 5)
+        silent = FaultPlan.from_nodes(
+            {(v, 1): SilentFromFault(11) for v in range(wide.width)}
+        )
+
+        def run():
+            stack = TrialStack(
+                [
+                    FastSimulation(
+                        wide,
+                        params,
+                        delay_model=StaticDelayModel(params.d, params.u, seed=9),
+                        fault_plan=silent,
+                    ),
+                    FastSimulation(
+                        LayeredGraph(cycle_graph(5), 5),
+                        params,
+                        delay_model=StaticDelayModel(params.d, params.u, seed=8),
+                    ),
+                ]
+            )
+            return stack, stack.run(BLOCK_PULSES)
+
+        default, legs = _block_legs(run)
+        times = default[0].times
+        assert not np.isnan(times[10, 3]).any()
+        assert np.isnan(times[11:, 2:]).all()
+        for label, results in legs.items():
+            for got, want in zip(results, default):
+                assert_results_equal(got, want, label=label)
+
+    def test_default_blocks_split_at_mid_horizon_epochs(self):
+        params = PARAMS_CHOICES[0]
+        base = cycle_graph(6)
+        graph = LayeredGraph(base, 3)
+        campaign = ChaosCampaign(
+            base,
+            graph.num_layers,
+            events=[
+                NodeCrash(pulse=13, node=(1, 1)),
+                NodeRecover(pulse=20, node=(1, 1)),
+                EdgeFlap(pulse=27, edge=(2, 3), down_pulses=3),
+            ],
+        )
+        scenario = {
+            "graph": graph,
+            "params": params,
+            "delay_model": StaticDelayModel(params.d, params.u, seed=5),
+            "layer0": PerfectLayer0(params.Lambda),
+            "rates": None,
+            "fault_plan": FaultPlan.from_nodes({(4, 0): FixedOffsetFault(0.2)}),
+        }
+
+        def run():
+            stack = TrialStack([campaign_simulation(scenario, campaign)])
+            return stack, stack.run(BLOCK_PULSES)
+
+        stack, _ = run()
+        boundaries = [13, 20, 27, 30]
+        assert stack.run(BLOCK_PULSES)[0].churn_stats["boundaries"] == boundaries
+        blocks = fast_batch_mod._pulse_blocks(BLOCK_PULSES, graph.width, boundaries)
+        assert {k0 for k0, _ in blocks} >= set(boundaries)
+        assert stack.compaction_stats["pulse_blocks"] == len(blocks)
+        default, legs = _block_legs(run)
+        for label, results in legs.items():
+            assert_results_equal(results[0], default[0], label=label)
 
 
 def test_deterministic_scenario_smoke():

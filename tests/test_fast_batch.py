@@ -1,4 +1,4 @@
-"""Tests for repro.core.fast_batch: the trial-stacked (S, W) kernel.
+"""Tests for repro.core.fast_batch: the trial-stacked (S, B, W) kernel.
 
 The stacked kernel promises bit-identical results to per-trial runs
 (stacks of one: same NumPy expressions, extra leading axis) and
@@ -12,10 +12,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.correction import CorrectionPolicy
-from repro.core.fast import BRANCH_CODES, FastSimulation
-from repro.core.fast_batch import TrialStack, stack_compatibility
+from repro.core.fast import BRANCH_CODES, FastSimulation, _fold_columns
+from repro.core.fast_batch import TrialStack, _pulse_blocks, stack_compatibility
 from repro.delays.models import StaticDelayModel, VaryingDelayModel
 from repro.experiments.batch import (
     BatchRunner,
@@ -432,3 +434,98 @@ class TestFallbackAccounting:
         result = sim.run(NUM_PULSES)
         assert result.fallback_cells > 0
         assert result.fallback_batches > 0
+
+
+@st.composite
+def masked_planes(draw):
+    """A ``(..., W, deg)`` neighbor plane, its validity mask, the identity.
+
+    Values mix finite floats with NaN and +-inf; some rows are entirely
+    invalid.  The leading axes are ``(S, W)`` or ``(S, B, W)``.
+    """
+    deg = draw(st.integers(1, 6))
+    lead = (draw(st.integers(1, 3)),)
+    if draw(st.booleans()):
+        lead += (draw(st.integers(1, 4)),)
+    lead += (draw(st.integers(1, 5)),)
+    size = int(np.prod(lead)) * deg
+    element = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    values = np.array(draw(st.lists(element, min_size=size, max_size=size)))
+    valid = np.array(
+        draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    ).reshape(lead + (deg,))
+    valid.reshape(-1, deg)[0] = False  # one all-invalid row
+    return values.reshape(lead + (deg,)), valid
+
+
+class TestColumnFold:
+    """The kernel's column-fold H_min / H_max against the axis reduction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(plane=masked_planes())
+    def test_column_fold_is_the_reduction_bitwise(self, plane):
+        values, valid = plane
+        for ufunc, identity in ((np.minimum, np.inf), (np.maximum, -np.inf)):
+            masked = np.where(valid, values, identity)
+            got = _fold_columns(ufunc, masked, identity)
+            want = ufunc.reduce(masked, axis=-1)
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(
+                got.view(np.uint64), want.view(np.uint64), err_msg=str(ufunc)
+            )
+
+    def test_no_columns_is_the_identity(self):
+        empty = np.empty((2, 3, 0))
+        np.testing.assert_array_equal(
+            _fold_columns(np.minimum, empty, np.inf), np.full((2, 3), np.inf)
+        )
+
+
+class TestPulseBlocks:
+    """The one block rule: B = min(ceil(4096 / (S W)), max(1, K // 16))."""
+
+    @pytest.mark.parametrize(
+        "num_pulses, plane_cells, size",
+        [
+            (64, 16 * 35, 4),  # the 16-trial, D = 32 streamed horizon
+            (32, 64 * 35, 2),  # the S = 64, K = 32 streaming bench
+            (48, 24 * 11, 3),  # the streamed memory contract
+            (8, 16 * 35, 1),  # short horizons step one pulse at a time
+            (8, 1, 1),
+            (1000, 4096, 1),  # a plane of 4096 cells needs no blocking
+            (1000, 8192, 1),
+            (1000, 1000, 5),
+        ],
+    )
+    def test_block_size(self, num_pulses, plane_cells, size):
+        blocks = _pulse_blocks(num_pulses, plane_cells)
+        assert {k1 - k0 for k0, k1 in blocks[:-1]} <= {size}
+        assert 0 < blocks[-1][1] - blocks[-1][0] <= size
+        assert [k0 for k0, _ in blocks] == list(range(0, num_pulses, size))
+        assert blocks[-1][1] == num_pulses
+
+    def test_blocks_never_span_an_epoch_entry(self):
+        starts = [0, 5, 6, 13, 40, 64, 99]
+        blocks = _pulse_blocks(64, 16, starts)
+        assert blocks[0][0] == 0 and blocks[-1][1] == 64
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(0 < k1 - k0 <= 4 for k0, k1 in blocks)
+        firsts = {k0 for k0, _ in blocks}
+        assert {5, 6, 13, 40} <= firsts
+        for k0, k1 in blocks:
+            assert not any(k0 < k < k1 for k in starts)
+
+    def test_compaction_stats_report_the_blocks(self):
+        config = standard_config(4, seed=1)
+        sim = FastSimulation(config.graph, config.params)
+        stack = TrialStack([sim])
+        stack.run(40, store_times=False)
+        stats = stack.compaction_stats
+        assert (stats["block_pulses"], stats["pulse_blocks"]) == (2, 20)
+        stack.run(NUM_PULSES)
+        stats = stack.compaction_stats
+        assert (stats["block_pulses"], stats["pulse_blocks"]) == (1, NUM_PULSES)
