@@ -71,6 +71,12 @@ Four micro-benchmarks track the performance trajectory across PRs:
   with the block size, the per-call kernel time with the neighbor
   min/max folded by columns and by the axis reduction, and both
   streamed peaks.
+* ``test_short_horizon_block_speedup``: the same comparison on the
+  ``fault_horizon`` shape (the 17-trial thm13 stack, D = 32, 8 streamed
+  pulses), asserting the >= 1.5x floor and one ``send_offsets`` call
+  per pulse block; recorded under ``"short_horizon_blocks"`` with the
+  block size, fallback passes, streamed peaks and ``send_offsets``
+  calls of both runs.
 * ``test_fault_fallback_overhead``: warm runs of the 17-trial thm13
   stack (a fault-free reference plus 16 sampled fault plans, D = 32,
   8 pulses) against the same configs run fault-free, asserting the
@@ -89,7 +95,8 @@ that still exist: a per-trial ``FastSimulation.run`` loop
 (:func:`per_trial_loop`), one stack per geometry group
 (:func:`geometry_grouped_batch`), the identity row/lane selection
 (:func:`uncompacted`, :func:`lanes_uncompacted`), one pulse per block
-(:func:`one_pulse_blocks`), the axis-reduced neighbor min/max
+(:func:`one_pulse_blocks`; it also sets the short-horizon baseline of
+:func:`test_short_horizon_block_speedup`), the axis-reduced neighbor min/max
 (:func:`axis_reduce_folds`) and a forced density verdict
 (:func:`prefer_csr`).
 
@@ -817,6 +824,13 @@ PER_PLANE_FOLD = {
     "streamed_over_materialized": 1.34,
     "streamed_peak_bytes": 7394672,
 }
+#: The same cell when the fold ran once per pulse over a rolling
+#: ``(S, B, L, W)`` window of 2-pulse blocks, on the same box.
+PER_PULSE_FOLD = {
+    "update_calls": 32,
+    "streamed_over_materialized": 0.97,
+    "streamed_peak_bytes": 12275504,
+}
 
 
 def test_streaming_memory_reduction():
@@ -827,10 +841,10 @@ def test_streaming_memory_reduction():
     the S = 64, K = 32 cell, asserts the >= 4x peak-memory floor (CI
     fails if the streaming path ever allocates the full block again),
     checks the streamed statistics still match the materialized reducers
-    bitwise and that the fold runs once per pulse, and records both
-    modes, the fold's calls and the streamed / materialized wall ratio
-    (reported, not gated) under the ``"streaming"`` section of
-    ``BENCH_batch.json``.
+    bitwise and that the fold runs once per (pulse block, layer) step,
+    and records both modes, the fold's calls and the streamed /
+    materialized wall ratio (reported, not gated) under the
+    ``"streaming"`` section of ``BENCH_batch.json``.
     """
     trials = BatchRunner.seed_sweep(
         STREAM_DIAMETER, range(STREAM_TRIALS), num_pulses=STREAM_PULSES
@@ -847,13 +861,17 @@ def test_streaming_memory_reduction():
     # Warm the per-edge delay/rate caches (they live on the shared trial
     # configs and scale with S*L*W, not K) so the traced peaks compare
     # the result pipelines, not one-time RNG setup.  The warm-up also
-    # counts the fold's calls: one per pulse of the run's one stack.
+    # counts the fold's calls: one per (block, layer) step of the run's
+    # one stack.
     with mock.patch.object(
         StreamedStats, "update", autospec=True,
         side_effect=StreamedStats.update,
     ) as update:
-        streaming_runner.run(trials)
-    assert update.call_count == STREAM_PULSES
+        warm = streaming_runner.run(trials)
+    (warm_stats,) = warm.compaction_stats
+    assert update.call_count == (
+        warm_stats["pulse_blocks"] * warm_stats["num_layers"]
+    )
 
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -913,7 +931,9 @@ def test_streaming_memory_reduction():
                 # Reported, not gated: tracemalloc inflates both sides.
                 "fold": {
                     "per_plane": PER_PLANE_FOLD,
-                    "per_pulse": {
+                    "per_pulse": PER_PULSE_FOLD,
+                    "per_block_step": {
+                        "block_pulses": warm_stats["block_pulses"],
                         "update_calls": update.call_count,
                         "streamed_over_materialized": wall_ratio,
                         "streamed_peak_bytes": stream_peak,
@@ -964,7 +984,7 @@ def one_pulse_blocks():
     return mock.patch.object(
         fast_batch_mod,
         "_pulse_blocks",
-        lambda num_pulses, plane_cells, starts=(): [
+        lambda num_pulses, num_layers, plane_cells, starts=(): [
             (k, k + 1) for k in range(num_pulses)
         ],
     )
@@ -1099,6 +1119,134 @@ def test_pulse_block_speedup():
     assert speedup >= PULSE_BLOCK_FLOOR, (
         f"pulse blocks only {speedup:.2f}x one pulse per block; floor is "
         f"{PULSE_BLOCK_FLOOR}x"
+    )
+
+
+#: The short-horizon cell: the ``fault_horizon`` shape -- a thm13 grid
+#: (the fault-free reference plus 16 sampled fault plans) at D = 32,
+#: streamed over 8 pulses, where a one-pulse cap on the blocks would
+#: leave every pulse its own layer steps and fallback passes.
+SHORT_DIAMETER = 32
+SHORT_SEEDS = list(range(1, 17))
+SHORT_PULSES = 8
+#: Floor on the one-pulse-block / default-block warm wall-time ratio.
+SHORT_HORIZON_FLOOR = 1.5
+
+
+def send_offsets_calls(runner, trials):
+    """The stack's ``send_offsets`` calls in one warm run."""
+    calls = [0]
+
+    def counting(faults, sends):
+        calls[0] += 1
+        return fault_model.send_offsets(faults, sends)
+
+    with mock.patch.object(fast_batch_mod, "send_offsets", counting):
+        runner.run(trials)
+    return calls[0]
+
+
+def test_short_horizon_block_speedup():
+    """Default pulse blocks >= 1.5x one pulse per block on 8 faulted pulses.
+
+    A streamed run keeps a two-layer ring of ``(S, B, W)`` planes and
+    folds each (block, layer) step, so short horizons block as well: the
+    thm13 grid advances 4-pulse blocks, with one fallback pass and one
+    ``send_offsets`` call per block instead of per pulse.  Both runs
+    must fold bitwise-equal statistics and count the same (trial, pulse)
+    work.  The section records both wall times, the block size the rule
+    picked, the fallback passes, the streamed peaks and the
+    ``send_offsets`` calls.
+    """
+    trials, _ = thm13_trials(SHORT_DIAMETER, SHORT_SEEDS, num_pulses=SHORT_PULSES)
+    runner = BatchRunner(num_pulses=SHORT_PULSES, store_times=False)
+    runner.run(trials)  # cold fill: every delay and rate cached
+
+    def per_pulse():
+        with one_pulse_blocks():
+            return runner.run(trials)
+
+    (one_time, block_time), (one_batch, batch) = interleaved(
+        per_pulse, lambda: runner.run(trials), pairs=5
+    )
+    for name in ("local_skews", "overall_skews", "global_skews"):
+        np.testing.assert_array_equal(
+            getattr(batch, name)(), getattr(one_batch, name)(), err_msg=name
+        )
+    want, got = one_batch.correction_stats(), batch.correction_stats()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    (stats,), (one_stats,) = batch.compaction_stats, one_batch.compaction_stats
+    for key in (
+        "active_row_steps",
+        "active_lane_steps",
+        "fallback_cells",
+        "fallback_batches",
+    ):
+        assert stats[key] == one_stats[key], key
+
+    with one_pulse_blocks():
+        one_peak = streamed_peak(runner, trials)
+        one_offsets = send_offsets_calls(runner, trials)
+    block_peak = streamed_peak(runner, trials)
+    block_offsets = send_offsets_calls(runner, trials)
+    # The grid mixes static (crash, early, late) and Byzantine faults:
+    # one call for the static offsets, then one per block.
+    assert block_offsets == 1 + stats["pulse_blocks"], block_offsets
+    assert one_offsets == 1 + SHORT_PULSES, one_offsets
+
+    node_pulses = trials[0].config.num_grid_nodes * SHORT_PULSES
+    speedup = one_time / block_time
+    modes = {}
+    for label, seconds, run_stats, peak, offsets in (
+        ("one_pulse_blocks", one_time, one_stats, one_peak, one_offsets),
+        ("pulse_blocks", block_time, stats, block_peak, block_offsets),
+    ):
+        modes[label] = _mode_record(
+            len(trials),
+            seconds,
+            node_pulses,
+            block_pulses=run_stats["block_pulses"],
+            fallback_passes=run_stats["fallback_passes"],
+            peak_bytes=peak,
+            send_offsets_calls=offsets,
+        )
+    _merge_bench_json(
+        {
+            "short_horizon_blocks": {
+                "grid": {
+                    "diameter": SHORT_DIAMETER,
+                    "num_pulses": SHORT_PULSES,
+                    "trials": len(trials),
+                    "faults": int(sum(t.num_faults for t in trials)),
+                },
+                "block_pulses": stats["block_pulses"],
+                "pulse_blocks": stats["pulse_blocks"],
+                "modes": modes,
+                "speedup": speedup,
+            }
+        }
+    )
+    print()
+    print(
+        format_table(
+            ["blocks", "seconds", "fallback passes", "send_offsets calls",
+             "peak MiB"],
+            [
+                ("one pulse", one_time, one_stats["fallback_passes"],
+                 one_offsets, one_peak / 2**20),
+                (f"B = {stats['block_pulses']}", block_time,
+                 stats["fallback_passes"], block_offsets, block_peak / 2**20),
+            ],
+            title=f"Short-horizon blocks, thm13 S={len(trials)}, "
+            f"D={SHORT_DIAMETER}, {SHORT_PULSES} streamed pulses "
+            f"({speedup:.2f}x one pulse per block)",
+        )
+    )
+    assert stats["block_pulses"] > 1, stats
+    assert speedup >= SHORT_HORIZON_FLOOR, (
+        f"short-horizon blocks only {speedup:.2f}x one pulse per block; "
+        f"floor is {SHORT_HORIZON_FLOOR}x"
     )
 
 
@@ -1888,8 +2036,8 @@ def test_fault_fallback_overhead():
         faulted.trials,
     )
     assert sends["messages"] == PER_MESSAGE_RECORDING["messages"]
-    # One call per behaviour class per table and per pulse, however
-    # many messages: far fewer calls than messages.
+    # One call per behaviour class per table and per pulse block,
+    # however many messages: far fewer calls than messages.
     assert sends["behavior_class_calls"] < sends["messages"] / 20
     _merge_bench_json(
         {

@@ -7,11 +7,11 @@ memory so the array
 reducers of :mod:`repro.analysis.skew` could run afterwards -- stacked,
 an ``(S, K, L_max, W_max)`` array that caps sweep size long before the
 kernel does.  This module is the incremental counterpart:
-:class:`StreamedStats` consumes each pulse's ``(S, L, W)`` window *once
-the kernel has written it* and folds the paper's four statistics --
-local, inter-layer and global skew plus the correction summary -- into
-O(S, L) accumulators, so a sweep with ``store_times=False`` never
-allocates the pulse-time block at all.
+:class:`StreamedStats` consumes each layer step's ``(S, B, W)`` planes
+*once the kernel has written them* and folds the paper's four
+statistics -- local, inter-layer and global skew plus the correction
+summary -- into O(S, L) accumulators, so a sweep with
+``store_times=False`` never allocates the pulse-time block at all.
 
 Design constraints, all load-bearing:
 
@@ -21,31 +21,37 @@ Design constraints, all load-bearing:
   applied to the materialized block (the differential suite pins this).
   The one non-max statistic -- the correction mean -- left-folds
   per-``(pulse, layer)`` partial sums in pulse-major, layer-minor
-  order, and :func:`fold_correction_planes` runs the *same* per-pulse
-  helper over materialized blocks so both paths agree bitwise there too.
+  order: the fold keeps a block's partials in an ``(S, B, L)`` buffer
+  and adds them in that order once the block's last layer is folded,
+  and :func:`fold_correction_planes` adds the same partials of
+  materialized blocks in the same order, so both paths agree bitwise
+  there too.
 * **NaN semantics.**  NaN is the simulator's "never pulsed / faulty /
   padding" marker; the folds skip it (``np.fmax`` / ``np.fmin``
   ignore NaN without warnings) and yield exactly what
   :func:`repro.analysis.skew.masked_max` yields.  Padding cells of a heterogeneous stack are NaN
   and therefore invisible here, as everywhere else.
-* **Unwritten cells are NaN.**  The stack's rolling window holds one
-  pulse block (``(S, B, L, W)``, see :mod:`repro.core.fast_batch`) and
-  is NaN-filled at the start of every block, so every cell of a pulse's
-  ``(S, L, W)`` slice that the pulse did not write -- rows dropped by
-  depth compaction, dead rows, lanes outside the compacted set -- is
-  NaN when :meth:`StreamedStats.update` reads it, once per pulse, in
-  pulse order.  The fold needs no record of what the compacted kernel skipped:
-  a NaN cell leaves every max/valid accumulator untouched and adds
-  count 0 and ``+0.0`` to a non-negative correction total, which leaves
-  it bitwise unchanged.
+* **Unwritten cells are NaN.**  A streamed stack keeps each result
+  matrix as a two-layer ring of ``(S, B, W)`` planes -- the previous
+  and the current layer of one pulse block, see
+  :mod:`repro.core.fast_batch` -- and NaN-fills a layer's slot before
+  a step that writes only part of it, so every cell of the planes
+  :meth:`StreamedStats.update` reads that the step did not write --
+  rows dropped by depth compaction, dead rows, lanes outside the
+  compacted set -- is NaN.  The fold needs no record of what the
+  compacted kernel skipped: a NaN cell leaves every max accumulator
+  untouched and adds count 0 and ``+0.0`` to a
+  non-negative correction total, which leaves it bitwise unchanged.
 * **Picklable + mergeable.**  Accumulators survive the process executor
   (:meth:`StreamedStats.merge` concatenates shards along the trial
   axis), so ``executor="process"`` sweeps stream too.
 
-The inter-layer skew compares pulse ``k+1`` on layer ``l`` against pulse
-``k`` on layer ``l+1`` -- a *cross-pulse* comparison -- so the fold
-keeps one ``(S, L, W)`` previous-pulse buffer, the O(S, W)-per-layer
-memory floor of the statistic itself; ``finalize`` releases it.
+The inter-layer skew compares pulse ``k`` on layer ``l`` against pulse
+``k - 1`` on layer ``l + 1`` -- a *cross-pulse* comparison.  Inside a
+block the fold reads pulse ``k - 1`` from the same plane, one pulse
+back; for the block's first pulse it reads the previous block's last
+pulse from one ``(S, L, W)`` buffer, the O(S, W)-per-layer memory floor
+of the statistic itself.  ``finalize`` releases it.
 """
 
 from __future__ import annotations
@@ -72,11 +78,17 @@ class StreamGroup:
     the ``(num_layers, adjacency)`` geometry.
     """
 
-    __slots__ = ("graph", "indices")
+    __slots__ = ("graph", "indices", "rows", "_pairs")
 
-    def __init__(self, graph: LayeredGraph, indices: np.ndarray) -> None:
+    def __init__(
+        self, graph: LayeredGraph, indices: np.ndarray, whole: bool = False
+    ) -> None:
         self.graph = graph
         self.indices = np.asarray(indices, dtype=np.int64)
+        #: The group's subscript of the trial axis: the whole axis when
+        #: the group holds every trial (no gather), else ``indices``.
+        self.rows = slice(None) if whole else self.indices
+        self._pairs = None
 
     @property
     def depth(self) -> int:
@@ -89,6 +101,18 @@ class StreamGroup:
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Base-graph edge endpoints (cached on the base graph)."""
         return self.graph.base.edge_index_arrays()
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Vertex pairs of the inter-layer skew: each vertex with itself,
+        then every edge in both directions."""
+        if self._pairs is None:
+            left, right = self.edges()
+            vertices = np.arange(self.width)
+            self._pairs = (
+                np.concatenate([vertices, left, right]),
+                np.concatenate([vertices, right, left]),
+            )
+        return self._pairs
 
 
 class StreamLayout:
@@ -115,7 +139,7 @@ class StreamLayout:
             grouped.setdefault(key, []).append(i)
             group_graphs.setdefault(key, graph)
         self.groups = [
-            StreamGroup(group_graphs[key], indices)
+            StreamGroup(group_graphs[key], indices, whole=len(grouped) == 1)
             for key, indices in grouped.items()
         ]
 
@@ -125,40 +149,31 @@ class StreamLayout:
         return cls([sim.graph for sim in sims], num_pulses)
 
 
-def _masked_plane_max(diffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Last-axis max of non-negative ``diffs``, NaN skipped: ``(values, any_valid)``.
+def _correction_rows(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``|C|`` row sums of a corrections block, plus per-trial count and max.
 
-    ``np.fmax`` ignores NaN and max is exact, so folding these maxima
-    reproduces :func:`repro.analysis.skew.masked_max`'s joint max bit for
-    bit; a row with no valid entry stays ``-inf``, which no valid
-    (non-negative) entry can be.
-    """
-    values = np.fmax.reduce(diffs, axis=-1, initial=-np.inf)
-    return values, values > -np.inf
-
-
-def _fold_corrections(
-    block: np.ndarray,
-    counts: np.ndarray,
-    totals: np.ndarray,
-    max_abs: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold one pulse's ``(n, L, W)`` corrections into ``(count, sum, max)``.
-
-    Sums ``|C|`` over each ``(trial, layer)`` row's finite cells, then
-    left-folds those partials in layer order onto ``totals`` -- the
-    association both :meth:`StreamedStats.update` and
-    :func:`fold_correction_planes` must share for their means to agree
-    bitwise (``np.add.accumulate`` is sequential).
+    The row sums run over the last (vertex) axis of ``block``, one per
+    finite-or-not row; the count of finite cells and the largest ``|C|``
+    are taken per leading (trial) index.  Both
+    :meth:`StreamedStats.update` and :func:`fold_correction_planes` take
+    their row sums here, so each row is summed with the same (pairwise)
+    association.
     """
     finite = np.isfinite(block)
-    abs_vals = np.where(finite, np.abs(block), 0.0)
-    partials = abs_vals.sum(axis=-1)
+    magnitudes = np.where(finite, np.abs(block), 0.0)
+    trials = len(block)
     return (
-        counts + finite.sum(axis=(-2, -1)),
-        np.add.accumulate(np.column_stack([totals, partials]), axis=1)[:, -1],
-        np.maximum(max_abs, abs_vals.max(axis=(-2, -1), initial=0.0)),
+        magnitudes.sum(axis=-1),
+        finite.reshape(trials, -1).sum(axis=-1),
+        magnitudes.reshape(trials, -1).max(axis=-1, initial=0.0),
     )
+
+
+def _left_fold(totals: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """``totals`` plus each trial's ``partials`` row, added left to right
+    (``np.add.accumulate`` is sequential) -- the one association of the
+    correction totals."""
+    return np.add.accumulate(np.column_stack([totals, partials]), axis=1)[:, -1]
 
 
 class StreamedStats:
@@ -173,9 +188,10 @@ class StreamedStats:
     :func:`~repro.analysis.skew.global_skew_layers`,
     :func:`fold_correction_planes`).
 
-    Lifecycle: :meth:`update` once per pulse, in pulse order, with that
-    pulse's whole ``(S, L, W)`` window -- every cell the pulse did not
-    write NaN -- then :meth:`finalize` once the run ends.
+    Lifecycle: :meth:`update` once per (pulse block, layer) step --
+    blocks in pulse order, layers ``0 .. L - 1`` in order inside a block
+    -- with the layer's ``(S, B, W)`` planes, every cell the step did not
+    write NaN; then :meth:`finalize` once the run ends.
 
     Attached to every participating :class:`~repro.core.fast.FastResult`
     as ``result.streamed`` with the trial's row in ``result.streamed_row``
@@ -198,16 +214,16 @@ class StreamedStats:
             "inter_layer": np.full((trials, max(layers - 1, 0)), -np.inf),
             "global": np.full((trials, layers), -np.inf),
         }
-        self._valid = {
-            name: np.zeros(acc.shape, dtype=bool)
-            for name, acc in self._max.items()
-        }
         self._counts = np.zeros(trials, dtype=np.int64)
         self._totals = np.zeros(trials)
         self._max_abs = np.zeros(trials)
+        # The last pulse of the previous block, per layer (inter-layer
+        # pairs of a block's first pulse), and the (S, B, L) correction
+        # partials of the current block (see update).
         self._prev: Optional[np.ndarray] = np.full(
             (trials, layers, layout.width), np.nan
         )
+        self._partials: Optional[np.ndarray] = np.zeros((trials, 1, layers))
 
     @staticmethod
     def of(result) -> "StreamedStats":
@@ -219,76 +235,92 @@ class StreamedStats:
             )
         return result.streamed
 
-    def _fold(
-        self,
-        name: str,
-        idx: np.ndarray,
-        columns: slice,
-        values: np.ndarray,
-        any_valid: np.ndarray,
-    ) -> None:
+    def _fold(self, name: str, rows, column: int, diffs: np.ndarray) -> None:
+        """Fold the per-trial max of non-negative ``diffs`` (NaN skipped)
+        into one accumulator column.
+
+        Reduces every axis but the leading (trial) one, as one flat last
+        axis (a multi-axis reduce is several times slower).  ``np.fmax``
+        ignores NaN and max is exact, so the folded maxima reproduce
+        :func:`repro.analysis.skew.masked_max`'s joint max bit for bit; a
+        trial with no valid entry stays ``-inf``, which no valid
+        (non-negative) entry can be -- so ``> -inf`` is the validity mask.
+        """
+        largest = np.fmax.reduce(
+            diffs.reshape(len(diffs), -1), axis=-1, initial=-np.inf
+        )
         acc = self._max[name]
-        acc[idx, columns] = np.maximum(acc[idx, columns], values)
-        self._valid[name][idx, columns] |= any_valid
+        acc[rows, column] = np.maximum(acc[rows, column], largest)
 
     def update(
-        self, pulse: int, times: np.ndarray, corrections: np.ndarray
+        self,
+        pulse: int,
+        layer: int,
+        times: np.ndarray,
+        corrections: np.ndarray,
+        upper: Optional[np.ndarray] = None,
     ) -> None:
-        """Fold one pulse's ``(S, L, W)`` window of times and corrections.
+        """Fold one block step: ``layer`` of the pulses from ``pulse`` on.
 
-        ``times``/``corrections`` are the kernel's live window (read
-        only); every cell the pulse did not write must be NaN.
+        ``times``/``corrections`` are the layer's ``(S, B, W)`` planes of
+        a block of ``B`` pulses starting at ``pulse``, and ``upper`` is
+        the block's ``(S, B, W)`` times plane of layer ``layer - 1``
+        (unused at layer 0).  They are the kernel's live ring slots, read
+        only; every cell the step did not write must be NaN.  The call
+        for the last layer closes the block: its correction partials are
+        added to the totals, pulse by pulse.
         """
-        for group in self.layout.groups:
-            idx = group.indices
-            depth, width = group.depth, group.width
-            layers = slice(None, depth)
-            left, right = group.edges()
-            block = times[idx, :depth]
-            self._fold(
-                "local",
-                idx,
-                layers,
-                *_masked_plane_max(np.abs(block[..., left] - block[..., right])),
+        count = times.shape[1]
+        if self._partials.shape[1] < count:
+            self._partials = np.zeros(
+                (self.layout.num_trials, count, self.layout.num_layers)
             )
-            if pulse >= 1 and depth >= 2:
-                # Same-vertex and both edge directions fold separately
-                # into one accumulator: max is exact and validity ORs, so
-                # no (n, L, 3W + 2E) concatenated temporary is needed.
-                upper = block[:, :-1, :width]  # pulse k,   layer l
-                lower = self._prev[idx, 1:depth, :width]  # k-1, l+1
-                whole = slice(None)
-                for a, b in ((whole, whole), (left, right), (right, left)):
-                    self._fold(
-                        "inter_layer",
-                        idx,
-                        slice(None, depth - 1),
-                        *_masked_plane_max(np.abs(upper[..., a] - lower[..., b])),
-                    )
-            # Global skew is geometry-agnostic: the spread masks NaN, so
-            # the padded lanes of the full-width block never contribute.
-            maxs = np.fmax.reduce(block, axis=-1, initial=-np.inf)
-            mins = np.fmin.reduce(block, axis=-1, initial=np.inf)
-            any_valid = maxs >= mins
+        for group in self.layout.groups:
+            if layer >= group.depth:
+                continue
+            rows, width = group.rows, group.width
+            plane = times[rows, :, :width]
+            left, right = group.edges()
+            diffs = plane[..., left] - plane[..., right]
+            self._fold("local", rows, layer, np.abs(diffs, out=diffs))
+            if layer >= 1:
+                # Pulse k of layer l - 1 against pulse k - 1 of layer l:
+                # one pulse back in this plane or, for the block's first
+                # pulse, the previous block's last (NaN before pulse 0).
+                lower = np.concatenate(
+                    (self._prev[rows, layer, None, :width], plane[:, :-1]),
+                    axis=1,
+                )
+                above, below = group.pairs()
+                diffs = upper[rows, :, :width][..., above] - lower[..., below]
+                self._fold("inter_layer", rows, layer - 1, np.abs(diffs, out=diffs))
+            # A pulse with no valid cell spreads -inf - inf = -inf.
             self._fold(
                 "global",
-                idx,
-                layers,
-                np.where(any_valid, maxs - mins, -np.inf),
-                any_valid,
+                rows,
+                layer,
+                np.fmax.reduce(plane, axis=-1, initial=-np.inf)
+                - np.fmin.reduce(plane, axis=-1, initial=np.inf),
             )
             # Slice to the group's true width: summing a padded W_max row
             # changes numpy's pairwise-sum association, so the mean would
             # drift ULPs away from a per-trial fold of the same data.
-            running = self._counts[idx], self._totals[idx], self._max_abs[idx]
-            self._counts[idx], self._totals[idx], self._max_abs[idx] = (
-                _fold_corrections(corrections[idx, :depth, :width], *running)
+            sums, counts, max_abs = _correction_rows(corrections[rows, :, :width])
+            self._partials[rows, :count, layer] = sums
+            self._counts[rows] += counts
+            self._max_abs[rows] = np.maximum(self._max_abs[rows], max_abs)
+        self._prev[:, layer] = times[:, -1]
+        if layer == self.layout.num_layers - 1:
+            partials = self._partials[:, :count]
+            self._totals = _left_fold(
+                self._totals, partials.reshape(len(partials), -1)
             )
-        self._prev[...] = times
+            partials[...] = 0.0
 
     def finalize(self) -> None:
-        """Release the inter-layer fold's previous-pulse buffer."""
+        """Release the fold's previous-pulse and partials buffers."""
         self._prev = None
+        self._partials = None
 
     def trial_values(
         self, name: str, row: int, empty: float = 0.0
@@ -301,11 +333,8 @@ class StreamedStats:
         columns = int(self.layout.depths[row])
         if name == "inter_layer":
             columns = max(columns - 1, 0)
-        return np.where(
-            self._valid[name][row, :columns],
-            self._max[name][row, :columns],
-            empty,
-        )
+        values = self._max[name][row, :columns]
+        return np.where(values > -np.inf, values, empty)
 
     def trial_stats(self, row: int) -> Dict[str, float]:
         """One trial's correction count / mean ``|C|`` / max ``|C|``."""
@@ -344,7 +373,6 @@ class StreamedStats:
         for part, rows in ((first, slice(None, split)), (second, slice(split, None))):
             for name, acc in part._max.items():
                 merged._max[name][rows, : acc.shape[1]] = acc
-                merged._valid[name][rows, : acc.shape[1]] = part._valid[name]
         merged._counts = np.concatenate([first._counts, second._counts])
         merged._totals = np.concatenate([first._totals, second._totals])
         merged._max_abs = np.concatenate([first._max_abs, second._max_abs])
@@ -354,8 +382,9 @@ class StreamedStats:
 def fold_correction_planes(corrections: np.ndarray) -> Dict[str, np.ndarray]:
     """Correction stats of an ``(S, K, L, W)`` block, in *stream order*.
 
-    Folds pulse by pulse through the helper :meth:`StreamedStats.update`
-    uses (same partial-sum association), so materialized and streamed
+    Adds the per-``(pulse, layer)`` row sums pulse by pulse, layer by
+    layer, through the helpers :meth:`StreamedStats.update` uses (same
+    row sums, same association), so materialized and streamed
     correction means agree bitwise -- a flat ``.sum()`` over the block
     would not, since float addition is order-sensitive.
     """
@@ -365,9 +394,10 @@ def fold_correction_planes(corrections: np.ndarray) -> Dict[str, np.ndarray]:
     totals = np.zeros(trials)
     max_abs = np.zeros(trials)
     for pulse in range(corrections.shape[1]):
-        counts, totals, max_abs = _fold_corrections(
-            corrections[:, pulse], counts, totals, max_abs
-        )
+        sums, count, largest = _correction_rows(corrections[:, pulse])
+        counts = counts + count
+        totals = _left_fold(totals, sums)
+        max_abs = np.maximum(max_abs, largest)
     return {
         "max_abs": max_abs,
         "mean_abs": np.where(

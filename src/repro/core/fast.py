@@ -752,9 +752,9 @@ class FastResult:
         ``fallback_passes`` in
         :attr:`~repro.core.fast_batch.TrialStack.compaction_stats`.
 
-    Streamed runs (``store_times=False``) keep only a rolling window of
-    one pulse block of these matrices while running and release even
-    that at the end: the matrices are then ``None`` and the statistics
+    Streamed runs (``store_times=False``) keep only a two-layer ring of
+    one pulse block of these matrices while running and never hand it
+    to the result: the matrices are then ``None`` and the statistics
     live in
     ``streamed`` (a :class:`~repro.analysis.streaming.StreamedStats`,
     shared across a stack) with this trial's row in ``streamed_row``.
@@ -783,8 +783,8 @@ class FastResult:
                 shape, BRANCH_CODES["none"], dtype=np.int8
             )
         else:
-            # The trial stack attaches its own windows (or a rolling
-            # pulse-block window) before the first layer step.
+            # The trial stack attaches its own windows before the first
+            # layer step (streamed runs attach none).
             self.times = None
             self.protocol_times = None
             self.corrections = None
@@ -1011,14 +1011,13 @@ class FastSimulation:
         (read-only matrices, ``stack_row == 0``), and it advances the
         same pulse blocks as any stack (see
         :mod:`repro.core.fast_batch`).  With ``store_times=False`` the
-        run folds its statistics online, one pulse at a time, into a
-        :class:`~repro.analysis.streaming.StreamedStats`, and keeps only
-        a rolling window of one pulse block of the result matrices --
-        memory O(B, L, W) for a block of ``B`` pulses instead of
-        O(K, L, W), with ``B <= max(1, K // 16)`` -- releasing even that
-        at the end: the returned result serves its skew accessors from
-        ``result.streamed`` (bitwise identical to the materialized
-        reducers).
+        run folds its statistics online, one (block, layer) step at a
+        time, into a :class:`~repro.analysis.streaming.StreamedStats`,
+        and keeps only a two-layer ring of one pulse block of the result
+        matrices -- memory O(B, W) for a block of ``B`` pulses instead
+        of O(K, L, W) -- releasing even that at the end: the returned
+        result serves its skew accessors from ``result.streamed``
+        (bitwise identical to the materialized reducers).
         """
         # Local import: fast_batch builds on this module.
         from repro.core.fast_batch import TrialStack

@@ -76,13 +76,26 @@ do change fill ``(S, B, ...)`` arrays: a pulse-varying delay model's
 delays, callable clock rates, the layer-0 rows and the faulty nodes'
 send overlays.  One private rule, :func:`_pulse_blocks`, picks the
 blocks of every run (streamed or materialized, one trial or many):
-``B = min(ceil(4096 / (S * W)), max(1, K // 16))``.  A plane of about
-4096 cells is where the per-step cost flattens, and the ``K // 16`` cap
-keeps a streamed run's rolling window -- one block of the five result
-matrices -- well under one ``(S, K, L, W)`` matrix; horizons under 32
-pulses step one pulse at a time.  Blocks never span a pulse at which
-some trial enters a campaign epoch, so epoch entries run before a
-block's first pulse.  Compaction keeps its meaning per (trial, pulse):
+``B = min(K, ceil(4096 / (S * W)), max(1, K * L // 64, 512 // (S * W)))``.
+A plane of about 4096 cells is where the per-step cost flattens; the
+``K * L // 64`` cap keeps a streamed run's working planes -- its ring
+plus the kernel's temporaries, about 34 ``(S, B, W)`` planes -- under
+half of one ``(S, K, L, W)`` matrix, and planes under 512 cells may
+always fill that many, since there the run's fixed costs outweigh one
+matrix anyway.  Blocks never span a pulse at which some trial enters a
+campaign epoch, so epoch entries run before a block's first pulse.
+
+A streamed run (``store_times=False``) stores each result matrix as a
+two-layer ring, ``(S, B, 2, W)``: the previous and the current layer of
+the block.  Every layer subscript of the step, the fallback and the
+fault-send records goes through :func:`_slot` (``layer`` on a
+materialized run, ``layer % 2`` in the ring), and after each (block,
+layer) step the run folds that layer's planes into its
+:class:`~repro.analysis.streaming.StreamedStats`.  A step that writes
+only part of its slot (compacted rows or lanes, a skipped step) resets
+the slot to padding first, so every cell it did not write reads NaN.
+The streamed working set is O(S * B * W), whatever the depth and the
+horizon.  Compaction keeps its meaning per (trial, pulse):
 a row leaves the plane when its trial is past its depth or dead in every
 pulse of the block, and the cells of a dead pulse inside a surviving
 row are masked out of the fallback like padding.  The fallback resolves
@@ -265,25 +278,41 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
 #: block holds enough pulses to fill a plane of about this many
 #: (trial, pulse, vertex) cells (see :func:`_pulse_blocks`).
 _BLOCK_CELLS = 4096
+#: A streamed block step keeps about 34 ``(S, B, W)`` planes alive (the
+#: two-layer ring of five matrices plus the kernel's temporaries), so
+#: blocks of at most ``K * L / 64`` pulses keep them under half of one
+#: ``(S, K, L, W)`` matrix.
+_RING_PLANES = 64
+#: Plane size, in cells, a block may always fill, whatever the horizon:
+#: below it the run's fixed costs outweigh one matrix anyway.
+_MIN_BLOCK_CELLS = 512
 
 
 def _pulse_blocks(
-    num_pulses: int, plane_cells: int, starts: Sequence[int] = ()
+    num_pulses: int,
+    num_layers: int,
+    plane_cells: int,
+    starts: Sequence[int] = (),
 ) -> List[Tuple[int, int]]:
     """The run's pulse blocks, as ``[(k0, k1), ...]`` half-open ranges.
 
-    A block holds ``B = min(ceil(4096 / (S * W)), max(1, K // 16))``
-    pulses, ``plane_cells`` being ``S * W``: enough pulses to fill a
-    plane of :data:`_BLOCK_CELLS` cells, where the per-step cost
-    flattens, but at most one sixteenth of the horizon, which bounds a
-    streamed run's rolling window.  ``starts`` are the pulses at which
+    A block holds ``B = min(K, ceil(4096 / (S * W)), max(1, K * L // 64,
+    512 // (S * W)))`` pulses, ``plane_cells`` being ``S * W``: enough
+    pulses to fill a plane of :data:`_BLOCK_CELLS` cells, where the
+    per-step cost flattens, but no more than keeps a streamed run's
+    working planes under half of one result matrix
+    (:data:`_RING_PLANES`) -- unless the plane is smaller than
+    :data:`_MIN_BLOCK_CELLS` cells.  ``starts`` are the pulses at which
     some trial enters a campaign epoch: a block never spans one, so
     epoch entries run before the first pulse of a block.  The last
     block of a segment may be shorter.  The one rule for every run, not
     an option; tests patch it to pin one-pulse and whole-horizon blocks.
     """
+    cells = max(plane_cells, 1)
     size = min(
-        -(-_BLOCK_CELLS // max(plane_cells, 1)), max(1, num_pulses // 16)
+        num_pulses,
+        -(-_BLOCK_CELLS // cells),
+        max(1, num_pulses * num_layers // _RING_PLANES, _MIN_BLOCK_CELLS // cells),
     )
     cuts = sorted({0, num_pulses, *(k for k in starts if 0 < k < num_pulses)})
     return [
@@ -291,6 +320,16 @@ def _pulse_blocks(
         for start, end in zip(cuts, cuts[1:])
         for k0 in range(start, end, size)
     ]
+
+
+def _slot(matrix: np.ndarray, layer: int) -> int:
+    """The storage slot of ``layer`` in a result matrix of a run.
+
+    The layer itself on a materialized run; ``layer % 2`` in a streamed
+    run's two-layer ring (``layer % L`` is ``layer`` when the matrix has
+    a slot per layer, so one expression serves both).
+    """
+    return layer % matrix.shape[2]
 
 
 def _select_cells(
@@ -341,6 +380,15 @@ def _select_cells(
     if isinstance(rows, slice):
         rows = np.arange(mask.size, dtype=np.int64)
     return rows, np.flatnonzero(used)
+
+
+def _clear_slot(matrices: Sequence[np.ndarray], window: slice, slot: int) -> None:
+    """Reset one ring slot of a block's storage rows to the padding values
+    (``NaN``, or ``"none"`` for the branch codes)."""
+    for matrix in matrices:
+        matrix[:, window, slot] = (
+            BRANCH_CODES["none"] if matrix.dtype == np.int8 else np.nan
+        )
 
 
 def _kernel_cells(eligible: np.ndarray) -> np.ndarray:
@@ -426,9 +474,9 @@ class _FaultTable:
 
     Every behaviour sends at ``correct time + offset``.  The offsets of
     the static behaviours are computed once, here; the dynamic ones once
-    per pulse (:meth:`offsets_at`).  Each is one
-    :func:`~repro.faults.model.send_offsets` call for the whole stack,
-    one behaviour-class call per class.
+    per pulse block, for all of its pulses (:meth:`start_block`).  Each
+    is one :func:`~repro.faults.model.send_offsets` call for the whole
+    stack, one behaviour-class call per class.
     """
 
     def __init__(
@@ -491,21 +539,38 @@ class _FaultTable:
                 behaviors, sends.take(at)
             )
         self._dynamic = None
-        self._pulse = None
+        self._block: Optional[Tuple[int, np.ndarray]] = None
         if not static.all():
             at = np.flatnonzero(~static)
             self._dynamic = ((rows[at], cols[at]), behaviors, sends.take(at))
 
+    def start_block(self, pulses: range) -> None:
+        """Compute the dynamic offsets of every pulse of a block at once.
+
+        One :func:`~repro.faults.model.send_offsets` call over the
+        dynamic sends of all of the block's pulses (pulse-major); the
+        ``(B, R, M)`` table lives until the next block.  A no-op when
+        every behaviour is static.
+        """
+        if self._dynamic is None:
+            return
+        (rows, cols), behaviors, sends = self._dynamic
+        size = sends.pulse.size
+        repeated = sends.take(np.tile(np.arange(size), len(pulses)))
+        offsets = np.repeat(self.offsets[None], len(pulses), axis=0)
+        offsets[:, rows, cols] = send_offsets(
+            behaviors,
+            replace(repeated, pulse=np.repeat(np.arange(pulses.start, pulses.stop), size)),
+        ).reshape(len(pulses), size)
+        self._block = (pulses.start, offsets)
+
     def offsets_at(self, k: int) -> np.ndarray:
-        """The ``(R, M)`` offsets of every send of pulse ``k``."""
-        if self._dynamic is not None and self._pulse != k:
-            cells, behaviors, sends = self._dynamic
-            self.offsets[cells] = send_offsets(
-                behaviors,
-                replace(sends, pulse=np.full(sends.pulse.shape, k, dtype=np.int64)),
-            )
-            self._pulse = k
-        return self.offsets
+        """The ``(R, M)`` offsets of every send of pulse ``k`` of the
+        block :meth:`start_block` last computed."""
+        if self._dynamic is None:
+            return self.offsets
+        start, offsets = self._block
+        return offsets[k - start]
 
 
 class _FaultSendLog:
@@ -764,15 +829,16 @@ class TrialStack:
         layer step covers the ``B`` pulses of one block at once.  With
         ``store_times=False`` the run folds its statistics online into a
         :class:`~repro.analysis.streaming.StreamedStats`, one fold per
-        pulse of the window the kernel wrote, and the shared matrices
-        shrink to a rolling window of one block -- memory O(S, B, L, W)
-        instead of O(S, K, L, W), and the layer-0 schedule is gathered
-        one ``(S, W)`` row per pulse instead of the whole ``(S, K, W)``
-        block -- and the returned results carry only the streamed
-        accumulators (``result.streamed`` / ``streamed_row``; the
-        matrices are ``None``).  Streamed statistics are bitwise
-        identical to the materialized reducers (see
-        :mod:`repro.analysis.streaming`).
+        (block, layer) step over the planes the kernel just wrote, and
+        the shared matrices shrink to a two-layer ring of ``(S, B, W)``
+        planes (the previous and the current layer of the block; see
+        :func:`_slot`) -- memory O(S, B, W) instead of O(S, K, L, W), and
+        the layer-0 schedule is gathered one ``(S, W)`` row per pulse
+        instead of the whole ``(S, K, W)`` block -- and the returned
+        results carry only the streamed accumulators
+        (``result.streamed`` / ``streamed_row``; the matrices are
+        ``None``).  Streamed statistics are bitwise identical to the
+        materialized reducers (see :mod:`repro.analysis.streaming`).
         """
         sims = self.sims
         num_trials = len(sims)
@@ -808,6 +874,7 @@ class TrialStack:
         results = [sim._begin_run(num_pulses) for sim in sims]
         blocks = _pulse_blocks(
             num_pulses,
+            num_layers,
             num_trials * width,
             [
                 epoch.start
@@ -831,25 +898,30 @@ class TrialStack:
             self._layer0_block = None
             self._l0_schedules = [sim.layer0 for sim in sims]
             self._l0_bases = [sim.graph.base for sim in sims]
-        store_pulses = num_pulses if store_times else block_pulses
-        shape = (num_trials, store_pulses, num_layers, width)
-
-        # One shared block per matrix; each FastResult holds the trial-s
-        # window view, so batched fallbacks and analysis code read/write
-        # through it.  Cells outside a trial's window stay NaN (padding
-        # never turns eligible; the whole-plane fast path only runs on
-        # uniform stacks).
+        # One shared block per matrix: every pulse and layer, or on a
+        # streamed run a two-layer ring of one pulse block (_slot maps a
+        # layer to its slot).  Cells outside a trial's window stay NaN
+        # (padding never turns eligible; the whole-plane fast path only
+        # runs on uniform stacks).
+        shape = (
+            (num_trials, num_pulses, num_layers, width)
+            if store_times
+            else (num_trials, block_pulses, min(num_layers, 2), width)
+        )
         times = np.full(shape, np.nan)
         protocol_times = np.full(shape, np.nan)
         corrections = np.full(shape, np.nan)
         effective = np.full(shape, np.nan)
         branches = np.full(shape, BRANCH_CODES["none"], dtype=np.int8)
-        for s, result in enumerate(results):
-            result.times = times[s, :, : depths[s], : widths[s]]
-            result.protocol_times = protocol_times[s, :, : depths[s], : widths[s]]
-            result.corrections = corrections[s, :, : depths[s], : widths[s]]
-            result.effective_corrections = effective[s, :, : depths[s], : widths[s]]
-            result.branches = branches[s, :, : depths[s], : widths[s]]
+        if store_times:
+            # Each FastResult holds the trial-s window view, so analysis
+            # code reads through it.
+            for s, result in enumerate(results):
+                result.times = times[s, :, : depths[s], : widths[s]]
+                result.protocol_times = protocol_times[s, :, : depths[s], : widths[s]]
+                result.corrections = corrections[s, :, : depths[s], : widths[s]]
+                result.effective_corrections = effective[s, :, : depths[s], : widths[s]]
+                result.branches = branches[s, :, : depths[s], : widths[s]]
 
         # One neighbor representation for the whole stack.  CSR needs one
         # shared adjacency (the segment structure is per-graph), so only
@@ -1000,37 +1072,48 @@ class TrialStack:
                     self._faults = self._fault_table(sweeps, any_fault)
                 pulses = range(k0, k1)
                 # The block's storage rows: its own pulses, or the head
-                # of the rolling window.
+                # of the ring.
                 r0 = k0 if store_times else 0
                 window = slice(r0, r0 + len(pulses))
-                if not store_times and k0 > 0:
-                    # Recycle the rolling window for this block.
-                    for matrix in matrices:
-                        matrix[:, window] = (
-                            BRANCH_CODES["none"] if matrix is branches else np.nan
-                        )
                 self._block = pulses  # the overlays' pulse axis
                 self._sends.clear()
+                if self._faults is not None:
+                    self._faults.start_block(pulses)
+                if stream is not None:
+                    _clear_slot(matrices, window, 0)
                 self._run_layer0_stacked(times, protocol_times, branches, pulses, r0)
                 if self._faults is not None:
                     for j, k in enumerate(pulses):
                         self._record_fault_sends(
                             k, 0, protocol_times[:, r0 + j, 0, :]
                         )
+                if stream is not None:
+                    self._fold_step(stream, matrices, k0, window, 0)
                 dead = (
                     np.zeros((num_trials, len(pulses)), dtype=bool)
                     if any_fault
                     else None
                 )
                 for layer in range(1, num_layers):
+                    slot = _slot(times, layer)
                     cells = _select_cells(
                         layer,
                         depths_arr,
                         dead,
-                        protocol_times[:, window, layer - 1, :],
+                        protocol_times[:, window, _slot(times, layer - 1), :],
                         lane_needed,
                     )
+                    if stream is not None and (
+                        cells is None
+                        or not isinstance(cells[0], slice)
+                        or not isinstance(cells[1], slice)
+                    ):
+                        # The step writes only part of the slot: every
+                        # other cell must read NaN, not an older layer.
+                        _clear_slot(matrices, window, slot)
                     if cells is None:
+                        if stream is not None:
+                            self._fold_step(stream, matrices, k0, window, layer)
                         continue
                     rows, lanes = cells
                     live = None if dead is None else ~dead[rows]
@@ -1067,13 +1150,10 @@ class TrialStack:
                     if self._faults is not None:
                         for j, k in enumerate(pulses):
                             self._record_fault_sends(
-                                k, layer, protocol_times[:, r0 + j, layer, :]
+                                k, layer, protocol_times[:, r0 + j, slot, :]
                             )
-                if stream is not None:
-                    # The window was NaN-filled at the top of the block,
-                    # so every cell the block did not write is NaN.
-                    for j, k in enumerate(pulses):
-                        stream.update(k, times[:, j], corrections[:, j])
+                    if stream is not None:
+                        self._fold_step(stream, matrices, k0, window, layer)
         finally:
             if has_campaign:
                 for sim, state in zip(sims, seed_states):
@@ -1133,15 +1213,9 @@ class TrialStack:
                 result.streamed = stream
                 result.streamed_row = s
         if not store_times:
-            # The rolling window holds only the last block -- meaningless
-            # as a result matrix.  Drop every matrix reference so the
-            # memory goes with it; the statistics live in ``streamed``.
-            for result in results:
-                result.times = None
-                result.protocol_times = None
-                result.corrections = None
-                result.effective_corrections = None
-                result.branches = None
+            # The ring holds only the last block's last two layers --
+            # meaningless as a result matrix, and never handed to the
+            # results; the statistics live in ``streamed``.
             return results
 
         # Freeze the shared block and hand it to every result: stacked
@@ -1160,6 +1234,22 @@ class TrialStack:
             result.stack_block = block
             result.stack_row = s
         return results
+
+    @staticmethod
+    def _fold_step(stream, matrices, k0: int, window: slice, layer: int) -> None:
+        """Fold ``layer`` of the block starting at pulse ``k0`` into
+        ``stream``: its ring slot's times and corrections, plus the
+        times of layer ``layer - 1`` (see
+        :meth:`~repro.analysis.streaming.StreamedStats.update`)."""
+        times, _, corrections, _, _ = matrices
+        slot = _slot(times, layer)
+        stream.update(
+            k0,
+            layer,
+            times[:, window, slot],
+            corrections[:, window, slot],
+            times[:, window, _slot(times, layer - 1)] if layer else None,
+        )
 
     def _enter_stack_epochs(
         self,
@@ -1243,8 +1333,8 @@ class TrialStack:
         streamed runs, fills the window's layer-0 rows one pulse at a
         time with :func:`~repro.core.layer0.stacked_pulse_row`
         (bit-identical entries).  ``r0`` is the storage row of the
-        block's first pulse (the pulse itself, or 0 on the rolling
-        window).  Faulty layer-0 nodes get no ``times``; their protocol
+        block's first pulse (the pulse itself, or 0 in a streamed run's
+        ring).  Faulty layer-0 nodes get no ``times``; their protocol
         times are the correct times their recorded sends are offset from.
         """
         window = slice(r0, r0 + len(pulses))
@@ -1465,9 +1555,10 @@ class TrialStack:
         not change with the pulse).  The full plane is the identity
         case: its subscripts are ``slice(None)``.  ``matrices`` are the
         shared ``times``, ``protocol_times``, ``corrections``,
-        ``effective`` and ``branches`` blocks; ``window`` is the block's
-        storage rows (its pulses on materialized runs, the head of the
-        rolling window on streamed ones).  ``live`` is the ``(rows, B)``
+        ``effective`` and ``branches`` blocks (the layers' slots map
+        through :func:`_slot`); ``window`` is the block's storage rows
+        (its pulses on materialized runs, the head of the ring on
+        streamed ones).  ``live`` is the ``(rows, B)``
         mask of the (trial, pulse) rows not gone dead, or None when all
         are live.
 
@@ -1495,8 +1586,8 @@ class TrialStack:
             if isinstance(ci, slice)
             else np.arange(window.start, window.stop)[None, :, None]
         )
-        index = (ri, pi, layer, ci)
-        prev = times[ri, pi, layer - 1, ci]  # NaN = missing
+        index = (ri, pi, _slot(times, layer), ci)
+        prev = times[ri, pi, _slot(times, layer - 1), ci]  # NaN = missing
         own_delay, nb_delay = delays
         static_eligible = structs["static_eligible"][:, layer - 1, None, :]
         simplified = sims[0].algorithm == "simplified"
@@ -1665,19 +1756,19 @@ class TrialStack:
             )
         )
 
-        rows = rk + bi
-        corrections[trials, rows, layer, vertices] = correction
-        branches[trials, rows, layer, vertices] = branch_codes
+        rows, slot = rk + bi, _slot(times, layer)
+        corrections[trials, rows, slot, vertices] = correction
+        branches[trials, rows, slot, vertices] = branch_codes
         eff_ok = pulses & np.isfinite(h_own)
-        effective[trials[eff_ok], rows[eff_ok], layer, vertices[eff_ok]] = (
+        effective[trials[eff_ok], rows[eff_ok], slot, vertices[eff_ok]] = (
             eff[eff_ok]
         )
         protocol_times[
-            trials[pulses], rows[pulses], layer, vertices[pulses]
+            trials[pulses], rows[pulses], slot, vertices[pulses]
         ] = pulse_time[pulses]
         faulty = structs["faulty"][si, layer, vi]
         ok = pulses & ~faulty
-        times[trials[ok], rows[ok], layer, vertices[ok]] = pulse_time[ok]
+        times[trials[ok], rows[ok], slot, vertices[ok]] = pulse_time[ok]
 
         # Per-trial accounting keeps its meaning: a trial's batch is one
         # (pulse, layer) step with any rejected cell of that trial.

@@ -619,10 +619,10 @@ class BatchRunner:
     store_times:
         ``True`` (default) materializes the stacked ``(S, K, L, W)``
         pulse-time block as before.  ``False`` streams instead: skew and
-        correction statistics fold online, one pulse at a time, and the
-        result never allocates the block -- memory drops from
-        ``O(S * K * L * W)`` to a rolling window of one pulse block,
-        ``O(S * B * L * W)``.  The streamed
+        correction statistics fold online, one (pulse block, layer) step
+        at a time, and the result never allocates the block -- memory
+        drops from ``O(S * K * L * W)`` to a two-layer ring of one pulse
+        block, ``O(S * B * W)``.  The streamed
         statistics are bit-identical to the materialized reducers.
     """
 

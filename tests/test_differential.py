@@ -49,6 +49,7 @@ example, never just the degenerate all-uniform case.
 """
 
 from types import SimpleNamespace
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -373,7 +374,7 @@ def one_pulse_blocks():
     return mock.patch.object(
         fast_batch_mod,
         "_pulse_blocks",
-        lambda num_pulses, plane_cells, starts=(): [
+        lambda num_pulses, num_layers, plane_cells, starts=(): [
             (k, k + 1) for k in range(num_pulses)
         ],
     )
@@ -386,7 +387,7 @@ def whole_horizon_blocks():
     runs still split their blocks where some trial enters an epoch.
     """
 
-    def blocks(num_pulses, plane_cells, starts=()):
+    def blocks(num_pulses, num_layers, plane_cells, starts=()):
         cuts = sorted({0, num_pulses, *(k for k in starts if 0 < k < num_pulses)})
         return list(zip(cuts, cuts[1:]))
 
@@ -500,6 +501,10 @@ def run_streaming_family(scenario, algorithm="full"):
     family["compacted_stack_shallow_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
     ).run(NUM_PULSES, **kwargs)[0]
+    with one_pulse_blocks():
+        family["one_pulse_blocks"] = fast_simulation(
+            scenario, algorithm
+        ).run(NUM_PULSES, **kwargs)
     with whole_horizon_blocks():
         family["whole_horizon_block"] = fast_simulation(
             scenario, algorithm
@@ -1003,12 +1008,18 @@ class TestAllFallbackSeam:
     """
 
     def _replay(self, scenario, algorithm):
-        with all_fallback():
+        step = TrialStack._run_layer_stacked
+        with all_fallback(), mock.patch.object(
+            TrialStack, "_run_layer_stacked", autospec=True, side_effect=step
+        ) as steps:
             stack = TrialStack([fast_simulation(scenario, algorithm)])
             replayed = stack.run(NUM_PULSES)[0]
         stats = stack.compaction_stats
+        # Every cell of every live (pulse, layer) row is replayed, in one
+        # pass per executed (block, layer) step.
         assert stats["fallback_cells"] == stats["active_lane_steps"], stats
-        assert stats["fallback_passes"] == stats["active_row_steps"], stats
+        assert stats["fallback_batches"] == stats["active_row_steps"], stats
+        assert stats["fallback_passes"] == steps.call_count, stats
         normal = fast_simulation(scenario, algorithm).run(NUM_PULSES)
         assert_results_equal(replayed, normal, exact=True, label="all-fallback")
         event = TestEngineDifferential()._engine_times(scenario)
@@ -1204,7 +1215,7 @@ def test_deterministic_campaign_smoke():
 
 
 #: Horizon of the pulse-block legs below: long enough that the default
-#: rule picks blocks of more than one pulse (``K // 16 >= 2``).
+#: rule picks blocks of more than one pulse on every stack here.
 BLOCK_PULSES = 35
 
 
@@ -1277,7 +1288,7 @@ class TestPulseBlockDifferential:
 
     def test_ragged_last_block_streams_bitwise(self):
         params = PARAMS_CHOICES[1]
-        graph = LayeredGraph(cycle_graph(6), 4)
+        graph = LayeredGraph(cycle_graph(40), 4)
         scenario = {"graph": graph}
 
         def sims():
@@ -1306,8 +1317,9 @@ class TestPulseBlockDifferential:
         default, legs = _block_legs(run)
         stack, streamed = run(store_times=False)
         stats = stack.compaction_stats
-        # 35 pulses in blocks of 2: the last block holds one pulse.
-        assert (stats["block_pulses"], stats["pulse_blocks"]) == (2, 18)
+        # 35 pulses in blocks of 512 // (2 * 40) = 6: the last block
+        # holds five pulses.
+        assert (stats["block_pulses"], stats["pulse_blocks"]) == (6, 6)
         for label, results in legs.items():
             for got, want in zip(results, default):
                 assert_results_equal(got, want, label=label)
@@ -1367,9 +1379,11 @@ class TestPulseBlockDifferential:
 
         Layer 1 of the wide trial falls silent from pulse 11 on, so its
         layer 2 never pulses from then and the trial is dead at layer 3
-        in the second pulse of block ``(10, 12)`` only.  Its dead cells
-        must record nothing and stay out of the fallback, and that
-        pulse's cells count only the lanes of the narrower live mate.
+        from pulse 11 on, inside the one block the small plane's
+        ``512 // (S * W)`` floor puts the whole horizon in (and in block
+        ``(11, 12)`` on its own under one-pulse blocks).  Its dead cells
+        must record nothing and stay out of the fallback, and those
+        pulses' cells count only the lanes of the narrower live mate.
         """
         params = PARAMS_CHOICES[0]
         wide = LayeredGraph(cycle_graph(7), 5)
@@ -1432,12 +1446,141 @@ class TestPulseBlockDifferential:
         stack, _ = run()
         boundaries = [13, 20, 27, 30]
         assert stack.run(BLOCK_PULSES)[0].churn_stats["boundaries"] == boundaries
-        blocks = fast_batch_mod._pulse_blocks(BLOCK_PULSES, graph.width, boundaries)
+        blocks = fast_batch_mod._pulse_blocks(
+            BLOCK_PULSES, graph.num_layers, graph.width, boundaries
+        )
         assert {k0 for k0, _ in blocks} >= set(boundaries)
         assert stack.compaction_stats["pulse_blocks"] == len(blocks)
         default, legs = _block_legs(run)
         for label, results in legs.items():
             assert_results_equal(results[0], default[0], label=label)
+
+
+class TestRingDifferential:
+    """Streamed two-layer rings against materialized runs, bitwise.
+
+    A streamed stack keeps only the previous and the current layer of a
+    pulse block and folds each (block, layer) step as it is written; the
+    fold must equal the array reducers on the materialized run under
+    one-pulse, default and whole-horizon blocks.  The default leg of
+    each stack here holds several blocks of several pulses, so
+    inter-layer pairs cross block boundaries inside the fold.
+    """
+
+    @staticmethod
+    def _legs(build, num_pulses=BLOCK_PULSES, blocks=None):
+        """Materialized default run vs streamed runs under every seam.
+
+        ``blocks`` is the ``(block_pulses, pulse_blocks)`` the default
+        streamed leg must report.
+        """
+        materialized = TrialStack(build()).run(num_pulses)
+        for label, seam in (
+            ("default", contextlib.nullcontext),
+            ("one_pulse_blocks", one_pulse_blocks),
+            ("whole_horizon", whole_horizon_blocks),
+        ):
+            with seam():
+                stack = TrialStack(build())
+                streamed = stack.run(num_pulses, store_times=False)
+            stats = stack.compaction_stats
+            if label == "default":
+                assert stats["block_pulses"] > 1, stats
+                assert stats["pulse_blocks"] > 1, stats
+                if blocks is not None:
+                    assert (stats["block_pulses"], stats["pulse_blocks"]) == blocks
+            for index, (got, want) in enumerate(zip(streamed, materialized)):
+                assert_streamed_matches_materialized(
+                    got, want, {"graph": want.graph}, label=f"{label}[{index}]"
+                )
+        return materialized
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_ragged_last_block_dense_and_csr(self, csr):
+        """Blocks of 6 over 35 pulses; the last holds five."""
+        params = PARAMS_CHOICES[1]
+        graph = LayeredGraph(cycle_graph(40), 4)
+
+        def build():
+            with prefer_csr(csr):
+                return [
+                    FastSimulation(
+                        graph,
+                        params,
+                        delay_model=StaticDelayModel(params.d, params.u, seed=seed),
+                        layer0=JitteredLayer0(
+                            params.Lambda, graph.width, params.kappa, seed=seed
+                        ),
+                        fault_plan=FaultPlan.from_nodes(
+                            {(seed, 1): FixedOffsetFault(0.3)}
+                        ),
+                    )
+                    for seed in (5, 6)
+                ]
+
+        with prefer_csr(csr):
+            self._legs(build, blocks=(6, 6))
+
+    def test_depth_skewed_stack(self):
+        """Rows retire as the shallower trials run out of layers."""
+        from repro.experiments.common import standard_config
+
+        def build():
+            sims = []
+            for s, diameter in enumerate([6, 8, 10, 6, 8, 10]):
+                config = standard_config(diameter, seed=s)
+                sims.append(
+                    FastSimulation(
+                        config.graph,
+                        config.params,
+                        delay_model=config.delay_model,
+                        clock_rates=config.clock_rates,
+                    )
+                )
+            return sims
+
+        self._legs(build)
+
+    def test_thm13_dead_rows(self):
+        """One trial's layer 2 falls silent from pulse 2: its deeper rows
+        go dead, and the compacted steps skip them."""
+        from repro.experiments.batch import BatchTrial
+        from repro.experiments.thm13_random_faults import thm13_trials
+
+        trials, _ = thm13_trials(6, [1, 2, 3], num_pulses=BLOCK_PULSES)
+        plan = trials[2].fault_plan
+        for vertex in range(trials[2].config.graph.width):
+            plan = plan.with_fault((vertex, 2), SilentFromFault(2))
+        trials[2] = BatchTrial(config=trials[2].config, fault_plan=plan)
+        materialized = self._legs(lambda: [t.simulation() for t in trials])
+        assert np.isnan(materialized[2].times[2:, 3:]).all()
+
+    def test_campaign_epochs_cut_blocks(self):
+        params = PARAMS_CHOICES[0]
+        base = cycle_graph(6)
+        graph = LayeredGraph(base, 3)
+        campaign = ChaosCampaign(
+            base,
+            graph.num_layers,
+            events=[
+                NodeCrash(pulse=13, node=(1, 1)),
+                NodeRecover(pulse=20, node=(1, 1)),
+                EdgeFlap(pulse=27, edge=(2, 3), down_pulses=3),
+            ],
+        )
+        scenario = {
+            "graph": graph,
+            "params": params,
+            "delay_model": StaticDelayModel(params.d, params.u, seed=5),
+            "layer0": PerfectLayer0(params.Lambda),
+            "rates": None,
+            "fault_plan": FaultPlan.from_nodes({(4, 0): FixedOffsetFault(0.2)}),
+        }
+        # Epoch entries at 13, 20, 27 and 30 cut the horizon into five
+        # blocks.
+        self._legs(
+            lambda: [campaign_simulation(scenario, campaign)], blocks=(13, 5)
+        )
 
 
 def test_deterministic_scenario_smoke():
@@ -1556,8 +1699,8 @@ def test_campaign_permanent_leave_frees_lanes():
         )
     stats = stack.compaction_stats
     assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
-    # Streamed, the freed lanes and retired rows are NaN in each pulse's
-    # window, so the per-pulse fold still equals the array reducers.
+    # Streamed, the freed lanes and retired rows are NaN in each step's
+    # ring slot, so the per-step fold still equals the array reducers.
     stack = TrialStack(sims())
     streamed = stack.run(CAMPAIGN_PULSES + 1, store_times=False)
     assert stack.compaction_stats == stats

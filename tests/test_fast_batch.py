@@ -364,37 +364,45 @@ class TestFallbackAccounting:
         assert stats["fallback_passes"] == 0
 
     def test_one_pass_per_layer_step_with_fallback_cells(self, monkeypatch):
-        """``fallback_passes`` counts distinct (pulse, layer) steps.
+        """``fallback_passes`` counts distinct (block, layer) steps.
 
-        A spy records the step of every resolver call.  The stack makes
-        one call per step, and its steps are exactly the steps in which
+        A spy records the step of every resolver call and the (pulse,
+        layer) steps of its cells.  The stack makes one call per block
+        step, and its (pulse, layer) steps are exactly those in which
         some trial, run alone, has a fallback cell; alone, a trial's
-        calls are its ``fallback_batches``.
+        (pulse, layer) steps are its ``fallback_batches``.
         """
-        steps = []
+        steps, pulse_steps = [], []
         resolve = TrialStack._run_fallback
 
         def spy(stack, *args):
-            # Materialized runs store pulse k in row rk == k.
-            layer, k = args[-2], args[-1]
-            steps.append((k, layer))
+            # Materialized runs store pulse k in row k, so the block's
+            # first row rk is its first pulse; ``cells`` carry each
+            # rejected cell's pulse within the block.
+            (_, pulses, _), layer, rk = args[-3:]
+            steps.append((rk, layer))
+            pulse_steps.append({(rk + int(j), layer) for j in np.unique(pulses)})
             return resolve(stack, *args)
 
         monkeypatch.setattr(TrialStack, "_run_fallback", spy)
         trials = _faulted_trials()
         batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         stats = batch.compaction_stats[0]
+        assert stats["block_pulses"] > 1, stats
         stack_steps = list(steps)
+        stack_pulse_steps = set().union(*pulse_steps)
         assert len(stack_steps) == len(set(stack_steps))
         assert stats["fallback_passes"] == len(stack_steps)
-        assert 0 < stats["fallback_passes"] <= stats["fallback_batches"]
+        assert 0 < stats["fallback_passes"] < stats["fallback_batches"]
         union = set()
         for trial in trials:
             steps.clear()
+            pulse_steps.clear()
             result = trial.simulation().run(NUM_PULSES)
-            assert len(steps) == result.fallback_batches
-            union.update(steps)
-        assert set(stack_steps) == union
+            alone = set().union(*pulse_steps)
+            assert len(alone) == result.fallback_batches
+            union.update(alone)
+        assert stack_pulse_steps == union
 
     def test_gather_is_one_call_per_trial_and_warm_runs_query_nothing(
         self, monkeypatch
@@ -486,31 +494,61 @@ class TestColumnFold:
 
 
 class TestPulseBlocks:
-    """The one block rule: B = min(ceil(4096 / (S W)), max(1, K // 16))."""
+    """The one block rule: B = min(K, ceil(4096 / (S W)),
+    max(1, K L // 64, 512 // (S W)))."""
+
+    @staticmethod
+    def assert_blocks(blocks, num_pulses, size):
+        assert {k1 - k0 for k0, k1 in blocks[:-1]} <= {size}
+        assert 0 < blocks[-1][1] - blocks[-1][0] <= size
+        assert [k0 for k0, _ in blocks] == list(range(0, num_pulses, size))
+        assert blocks[-1][1] == num_pulses
 
     @pytest.mark.parametrize(
         "num_pulses, plane_cells, size",
         [
-            (64, 16 * 35, 4),  # the 16-trial, D = 32 streamed horizon
-            (32, 64 * 35, 2),  # the S = 64, K = 32 streaming bench
-            (48, 24 * 11, 3),  # the streamed memory contract
-            (8, 16 * 35, 1),  # short horizons step one pulse at a time
-            (8, 1, 1),
+            (64, 16 * 35, 4),  # K L // 64 = 4 caps the 8 of the plane
+            (32, 64 * 35, 2),  # ceil(4096 / 2240) = 2
+            (48, 24 * 11, 3),  # K L // 64 = 3
+            (8, 16 * 35, 1),  # K L // 64 = 0: one pulse per block
+            (8, 1, 8),  # the 512-cell floor, capped by the horizon
             (1000, 4096, 1),  # a plane of 4096 cells needs no blocking
             (1000, 8192, 1),
             (1000, 1000, 5),
         ],
     )
     def test_block_size(self, num_pulses, plane_cells, size):
-        blocks = _pulse_blocks(num_pulses, plane_cells)
-        assert {k1 - k0 for k0, k1 in blocks[:-1]} <= {size}
-        assert 0 < blocks[-1][1] - blocks[-1][0] <= size
-        assert [k0 for k0, _ in blocks] == list(range(0, num_pulses, size))
-        assert blocks[-1][1] == num_pulses
+        """The rule on a four-layer stack."""
+        self.assert_blocks(
+            _pulse_blocks(num_pulses, 4, plane_cells), num_pulses, size
+        )
+
+    @pytest.mark.parametrize(
+        "num_pulses, num_layers, plane_cells, size",
+        [
+            (64, 32, 16 * 35, 8),  # stream_horizon: 16 trials, D = 32
+            (8, 32, 17 * 35, 4),  # fault_horizon: thm13, 17 trials, D = 32
+            (4, 32, 8 * 35, 2),  # cold_sweep: 8 fresh trials, D = 32
+            (4, 16, 2 * 19, 4),  # service_mix: D = 16 shards of 2 ...
+            (4, 16, 4 * 19, 4),  # ... or of 4 trials
+            (48, 8, 24 * 11, 6),  # the streamed memory contract
+            (32, 32, 64 * 35, 2),  # the S = 64, K = 32 streaming bench
+            (8, 32, 64 * 35, 2),  # K L // 64 once the plane passes 512
+            (3, 4, 24 * 11, 1),
+            (1000, 4, 100, 41),  # ceil(4096 / 100)
+            (40, 2, 100, 5),  # the 512-cell floor beats K L // 64 = 1
+        ],
+    )
+    def test_block_size_of_the_workloads(
+        self, num_pulses, num_layers, plane_cells, size
+    ):
+        self.assert_blocks(
+            _pulse_blocks(num_pulses, num_layers, plane_cells), num_pulses, size
+        )
 
     def test_blocks_never_span_an_epoch_entry(self):
         starts = [0, 5, 6, 13, 40, 64, 99]
-        blocks = _pulse_blocks(64, 16, starts)
+        blocks = _pulse_blocks(64, 1, 128, starts)
         assert blocks[0][0] == 0 and blocks[-1][1] == 64
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         assert all(0 < k1 - k0 <= 4 for k0, k1 in blocks)
@@ -520,12 +558,19 @@ class TestPulseBlocks:
             assert not any(k0 < k < k1 for k in starts)
 
     def test_compaction_stats_report_the_blocks(self):
-        config = standard_config(4, seed=1)
-        sim = FastSimulation(config.graph, config.params)
-        stack = TrialStack([sim])
-        stack.run(40, store_times=False)
-        stats = stack.compaction_stats
-        assert (stats["block_pulses"], stats["pulse_blocks"]) == (2, 20)
-        stack.run(NUM_PULSES)
-        stats = stack.compaction_stats
-        assert (stats["block_pulses"], stats["pulse_blocks"]) == (1, NUM_PULSES)
+        for diameter, trials, num_pulses, blocks in (
+            (4, 1, 40, (40, 1)),  # a 7-cell plane: the 512-cell floor
+            (4, 1, NUM_PULSES, (NUM_PULSES, 1)),
+            (32, 17, 8, (4, 2)),  # the fault_horizon shape
+            (32, 8, 4, (2, 2)),  # the cold_sweep shape
+            (8, 24, 48, (6, 8)),  # the streamed memory contract
+        ):
+            sims = []
+            for seed in range(trials):
+                config = standard_config(diameter, seed=seed)
+                sims.append(FastSimulation(config.graph, config.params))
+            for store_times in (False, True):
+                stack = TrialStack(sims)
+                stack.run(num_pulses, store_times=store_times)
+                stats = stack.compaction_stats
+                assert (stats["block_pulses"], stats["pulse_blocks"]) == blocks

@@ -20,7 +20,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import fault_sends_grids
+import repro.core.fast_batch as fast_batch_mod
 from repro.core.fast_batch import TrialStack
+from repro.experiments.thm13_random_faults import thm13_trials
 from repro.faults import (
     AdversarialEarlyFault,
     AdversarialLateFault,
@@ -261,3 +263,65 @@ class TestRecordedFaultSends:
         fault_sends_grids.thm13_results()
         assert steps
         assert len(steps) == len(set(steps))
+
+    @staticmethod
+    def count_offset_calls(monkeypatch):
+        """Count the stack's ``send_offsets`` calls (one per offset table)."""
+        calls = []
+
+        def counting(faults, sends):
+            calls.append(sends.pulse.size)
+            return send_offsets(faults, sends)
+
+        monkeypatch.setattr(fast_batch_mod, "send_offsets", counting)
+        return calls
+
+    def test_dynamic_offsets_once_per_block(self, monkeypatch):
+        """One call for the static offsets, then one per pulse block.
+
+        Blocked steps record the sends pulse by pulse inside each layer,
+        so offsets cached for one pulse at a time were recomputed at
+        nearly every record; the block's table serves all of them.
+        """
+        calls = self.count_offset_calls(monkeypatch)
+        trials, _ = thm13_trials(
+            fault_sends_grids.THM13_DIAMETER,
+            fault_sends_grids.THM13_SEEDS,
+            num_pulses=fault_sends_grids.THM13_PULSES,
+        )
+        stack = TrialStack([trial.simulation() for trial in trials])
+        stack_results = stack.run(fault_sends_grids.THM13_PULSES)
+        stats = stack.compaction_stats
+        assert stats["block_pulses"] > 1, stats
+        assert len(calls) == 1 + stats["pulse_blocks"], calls
+        assert [
+            fault_sends_grids.encode(r.fault_sends) for r in stack_results
+        ] == self.fixture("thm13")
+
+    def test_dynamic_offsets_once_per_block_over_several_blocks(
+        self, monkeypatch
+    ):
+        calls = self.count_offset_calls(monkeypatch)
+        num_pulses = 16
+        trials, _ = thm13_trials(
+            fault_sends_grids.THM13_DIAMETER,
+            fault_sends_grids.THM13_SEEDS,
+            num_pulses=num_pulses,
+        )
+        stack = TrialStack([trial.simulation() for trial in trials])
+        blocked = stack.run(num_pulses)
+        stats = stack.compaction_stats
+        assert stats["pulse_blocks"] > 1 and stats["block_pulses"] > 1, stats
+        assert len(calls) == 1 + stats["pulse_blocks"], calls
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                fast_batch_mod,
+                "_pulse_blocks",
+                lambda num_pulses, num_layers, plane_cells, starts=(): [
+                    (k, k + 1) for k in range(num_pulses)
+                ],
+            )
+            one_pulse = TrialStack([trial.simulation() for trial in trials]).run(
+                num_pulses
+            )
+        assert [r.fault_sends for r in blocked] == [r.fault_sends for r in one_pulse]

@@ -12,10 +12,10 @@ this module pins everything else the streaming pipeline promises:
 * the failure modes raise instead of silently serving garbage (mixed
   streamed/materialized batches, block-less results without
   accumulators), and
-* the per-pulse fold relies only on its window invariant -- every cell
-  a pulse did not write is NaN -- so random NaN-laden windows fold to
-  the array reducers bitwise, and so do stacks whose compaction skips
-  rows (depth skew, dead rows).
+* the per-(block, layer) fold relies only on its plane invariant --
+  every cell a step did not write is NaN -- so random NaN-laden planes
+  fold to the array reducers bitwise under any pulse blocks, and so do
+  stacks whose compaction skips rows (depth skew, dead rows).
 """
 
 import pickle
@@ -37,7 +37,7 @@ from repro.analysis.streaming import (
     fold_correction_planes,
 )
 from repro.core.fast import FastSimulation
-from repro.core.fast_batch import TrialStack
+from repro.core.fast_batch import TrialStack, _pulse_blocks
 from repro.experiments.batch import BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import thm13_trials
@@ -121,6 +121,32 @@ class TestMemoryContract:
         assert full_peak > 2 * block_bytes
         np.testing.assert_array_equal(
             streamed.max_local_skews(), materialized.max_local_skews()
+        )
+
+    def test_short_horizon_blocks_stay_under_one_block(self):
+        """A 16-pulse horizon blocks 4 pulses and still streams under
+        ONE (S, K, L, W) matrix: the two-layer ring does not grow with
+        the depth, so short horizons need no one-pulse cap."""
+        num_pulses = 16
+        trials = [
+            BatchTrial(config=standard_config(32, seed=s)) for s in range(32)
+        ]
+        graph = trials[0].config.graph
+        block_bytes = (
+            len(trials) * num_pulses * graph.num_layers * graph.width * 8
+        )
+        runner = BatchRunner(num_pulses=num_pulses, store_times=False)
+        runner.run(trials)  # warm the delay/rate caches, as above
+
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        streamed = runner.run(trials)
+        _, stream_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert streamed.compaction_stats[0]["block_pulses"] >= 4
+        assert stream_peak < block_bytes, (
+            f"streaming peak {stream_peak} exceeds one pulse-time block "
+            f"({block_bytes} bytes) at {num_pulses} pulses"
         )
 
     def test_streamed_results_hold_no_matrices(self):
@@ -315,7 +341,7 @@ class TestFailureModes:
 
 
 # ----------------------------------------------------------------------
-# The per-pulse fold and its NaN-window invariant
+# The per-(block, layer) fold and its NaN-plane invariant
 # ----------------------------------------------------------------------
 def assert_stats_match(stats, row, times, corrections, graph):
     """Row ``row`` of ``stats`` == the array reducers on its own block."""
@@ -368,14 +394,35 @@ def nan_windows(draw):
     return graphs, blocks[0], blocks[1]
 
 
+def fold_in_blocks(stats, times, corrections, cuts):
+    """Fold ``(S, K, L, W)`` blocks the way a streamed stack does: block
+    by block (split at ``cuts``), layer by layer, over ``(S, B, W)``
+    planes."""
+    num_pulses, num_layers = times.shape[1], times.shape[2]
+    bounds = sorted({0, num_pulses, *cuts})
+    for k0, k1 in zip(bounds, bounds[1:]):
+        block = slice(k0, k1)
+        for layer in range(num_layers):
+            stats.update(
+                k0,
+                layer,
+                times[:, block, layer],
+                corrections[:, block, layer],
+                times[:, block, layer - 1] if layer else None,
+            )
+
+
 class TestPerPulseFold:
-    @given(nan_windows())
+    @given(nan_windows(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_windows_fold_to_array_reducers(self, window):
+    def test_random_windows_fold_to_array_reducers(self, window, data):
+        """Any pulse blocks -- one pulse each, ragged, the whole horizon
+        -- fold per-layer planes to the array reducers bitwise."""
         graphs, times, corrections = window
-        stats = StreamedStats(StreamLayout(graphs, times.shape[1]))
-        for pulse in range(times.shape[1]):
-            stats.update(pulse, times[:, pulse], corrections[:, pulse])
+        num_pulses = times.shape[1]
+        cuts = data.draw(st.sets(st.integers(1, max(num_pulses - 1, 1))))
+        stats = StreamedStats(StreamLayout(graphs, num_pulses))
+        fold_in_blocks(stats, times, corrections, cuts)
         stats.finalize()
         for s, graph in enumerate(graphs):
             own = (slice(None), slice(None, graph.num_layers), slice(None, graph.width))
@@ -405,8 +452,8 @@ class TestPerPulseFold:
 
     @pytest.mark.parametrize("build", ["_depth_skewed", "_thm13_dead_rows"])
     def test_compacted_stacks_stream_bitwise(self, build):
-        """Rows the compacted kernel skips are NaN in the window, so the
-        per-pulse fold over a compacted stack equals the materialized
+        """Rows the compacted kernel skips are NaN in the ring, so the
+        per-step fold over a compacted stack equals the materialized
         reducers of every trial."""
         materialized = TrialStack(getattr(self, build)()).run(NUM_PULSES)
         stack = TrialStack(getattr(self, build)())
@@ -423,14 +470,28 @@ class TestPerPulseFold:
                 want.graph,
             )
 
-    def test_update_runs_once_per_pulse(self, monkeypatch):
+    def test_update_runs_once_per_block_step(self, monkeypatch):
+        """One fold per executed (block, layer) step -- layer 0 included
+        -- blocks in pulse order and layers in order inside a block."""
         calls = []
         update = StreamedStats.update
 
-        def counted(self, pulse, times, corrections):
-            calls.append(pulse)
-            return update(self, pulse, times, corrections)
+        def counted(self, pulse, layer, *planes):
+            calls.append((pulse, layer))
+            return update(self, pulse, layer, *planes)
 
         monkeypatch.setattr(StreamedStats, "update", counted)
-        TrialStack(self._depth_skewed()).run(NUM_PULSES, store_times=False)
-        assert calls == list(range(NUM_PULSES))
+        num_pulses = 16
+        sims = self._depth_skewed()
+        stack = TrialStack(sims)
+        stack.run(num_pulses, store_times=False)
+        stats = stack.compaction_stats
+        assert stats["block_pulses"] > 1 and stats["pulse_blocks"] > 1, stats
+        num_layers = stats["num_layers"]
+        blocks = _pulse_blocks(
+            num_pulses, num_layers, len(sims) * stats["max_width"]
+        )
+        assert len(blocks) == stats["pulse_blocks"]
+        assert calls == [
+            (k0, layer) for k0, _ in blocks for layer in range(num_layers)
+        ]
