@@ -52,8 +52,9 @@ Four micro-benchmarks track the performance trajectory across PRs:
   ``"cold_gather"``.
 * ``test_cold_vs_warm``: a fresh S = 64, D = 32 streamed sweep's
   first run vs its warm rerun (every delay and rate cached), asserting
-  the first run takes at most 3x as long; recorded under
-  ``"cold_vs_warm"``.
+  the first run takes at most 3x as long, and that building the sweep's
+  64 configs from an empty shared-structure cache runs one BFS; recorded
+  under ``"cold_vs_warm"`` with the config time per trial.
 * ``test_warm_transport``: the service's two per-job set-up costs.  A
   fresh S = 4, D = 16 grid (the ``service_mix`` miss) through a warm
   process pool vs the same grid run serially, asserting <= 1.5x; and
@@ -119,6 +120,7 @@ import pytest
 import repro.core.fast as fast_mod
 import repro.core.fast_batch as fast_batch_mod
 import repro.faults.model as fault_model
+import repro.topology.base_graph as base_graph_mod
 from repro.analysis.report import format_table
 from repro.analysis.streaming import StreamedStats
 from repro.clocks import uniform_random_rates
@@ -1803,6 +1805,30 @@ PER_LAYER_REPLAY = {
 }
 
 
+#: Config construction per trial of the same cell when every config ran
+#: its own base-graph BFS and built one clock object and one dict entry
+#: per node, best of 3 on a 2-core x86-64 box.  Written into the section
+#: next to the live ``config_s_per_trial``.
+PER_CONFIG_STRUCTURE = {"config_s_per_trial": 0.00066}
+
+
+def fresh_sweep_bfs_runs():
+    """BFS runs while building one fresh 64-trial sweep's configs.
+
+    The shared base-graph structure cache starts empty, so the count is
+    what a new process pays: one BFS for the one base-graph shape.
+    """
+    with mock.patch.object(
+        base_graph_mod, "_structures", type(base_graph_mod._structures)()
+    ), mock.patch.object(
+        base_graph_mod, "_bfs", wraps=base_graph_mod._bfs
+    ) as bfs:
+        BatchRunner.seed_sweep(
+            BATCH_DIAMETER, range(COLD_WARM_TRIALS), num_pulses=NUM_PULSES
+        )
+    return bfs.call_count
+
+
 def cold_vs_warm_timings(rounds=3):
     """Best-of first-run and warm-rerun seconds of fresh 64-trial sweeps.
 
@@ -1825,6 +1851,7 @@ def cold_vs_warm_timings(rounds=3):
         warm_s = min(warm_s, seconds)
     record = {
         "config_s": config_s,
+        "config_s_per_trial": config_s / COLD_WARM_TRIALS,
         "first_run_s": first_s,
         "warm_rerun_s": warm_s,
         "first_over_warm": first_s / warm_s,
@@ -1839,9 +1866,13 @@ def test_cold_vs_warm():
     trial) and rate plane; the rerun finds them cached.  With one replay
     per trial and layer the first run took ~6-8x the rerun; the section
     records those timings (:data:`PER_LAYER_REPLAY`) next to the live
-    ``per_trial_replay`` ones.
+    ``per_trial_replay`` ones.  Fresh configs of one shape share their
+    base graph's BFS: building the 64 configs from an empty cache runs
+    exactly one (:data:`PER_CONFIG_STRUCTURE` keeps the config time from
+    when each ran its own).
     """
     record, batch = cold_vs_warm_timings()
+    record["bfs_runs"] = fresh_sweep_bfs_runs()
     config = batch.trials[0].config
     _merge_bench_json(
         {
@@ -1856,6 +1887,7 @@ def test_cold_vs_warm():
                     "streamed": True,
                 },
                 "per_layer_replay": PER_LAYER_REPLAY,
+                "per_config_structure": PER_CONFIG_STRUCTURE,
                 "per_trial_replay": record,
             }
         }
@@ -1867,6 +1899,11 @@ def test_cold_vs_warm():
             ["stage", "seconds"],
             [
                 ("config construction", record["config_s"]),
+                ("  per trial", record["config_s_per_trial"]),
+                (
+                    "  per trial, per-config structure",
+                    PER_CONFIG_STRUCTURE["config_s_per_trial"],
+                ),
                 ("first run", record["first_run_s"]),
                 ("warm rerun", record["warm_rerun_s"]),
             ],
@@ -1877,6 +1914,10 @@ def test_cold_vs_warm():
     assert ratio <= COLD_WARM_CEILING, (
         f"first run {ratio:.1f}x the warm rerun; ceiling is "
         f"{COLD_WARM_CEILING}x"
+    )
+    assert record["bfs_runs"] == 1, (
+        f"a fresh {COLD_WARM_TRIALS}-trial sweep ran {record['bfs_runs']} "
+        "BFS; configs of one shape must share one"
     )
 
 

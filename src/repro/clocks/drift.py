@@ -6,19 +6,60 @@ seed), which keeps every experiment reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
 from repro.clocks.hardware import AffineClock, PiecewiseRateClock
 
-__all__ = ["constant_rates", "uniform_random_rates", "slowly_varying_clock"]
+__all__ = [
+    "DrawnClocks",
+    "constant_rates",
+    "uniform_random_rates",
+    "slowly_varying_clock",
+]
 
 
 def _as_rng(rng_or_seed) -> np.random.Generator:
     if isinstance(rng_or_seed, np.random.Generator):
         return rng_or_seed
     return np.random.default_rng(rng_or_seed)
+
+
+class DrawnClocks(Mapping[Hashable, AffineClock]):
+    """Read-only ``node -> AffineClock`` mapping over drawn arrays.
+
+    ``rates`` and ``offsets`` are read-only float arrays in the order of
+    ``nodes``; each :class:`~repro.clocks.hardware.AffineClock` is built
+    only when looked up, so bulk consumers (experiment configs) read the
+    arrays and never build one object per node.
+    """
+
+    __slots__ = ("nodes", "rates", "offsets", "_index")
+
+    def __init__(
+        self, nodes: tuple, rates: np.ndarray, offsets: np.ndarray
+    ) -> None:
+        for arr in (rates, offsets):
+            arr.setflags(write=False)
+        self.nodes = nodes
+        self.rates = rates
+        self.offsets = offsets
+        self._index: Optional[Dict[Hashable, int]] = None
+
+    def __getitem__(self, node: Hashable) -> AffineClock:
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.nodes)}
+        i = self._index[node]
+        return AffineClock(
+            rate=float(self.rates[i]), offset=float(self.offsets[i])
+        )
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
 
 
 def constant_rates(
@@ -33,7 +74,7 @@ def uniform_random_rates(
     vartheta: float,
     rng_or_seed=0,
     offset_span: float = 0.0,
-) -> Dict[Hashable, AffineClock]:
+) -> DrawnClocks:
     """Independent rates uniform in ``[1, vartheta]``; optional random offsets.
 
     The paper assumes no known phase relation between hardware clocks, so
@@ -41,12 +82,14 @@ def uniform_random_rates(
 
     Draws are taken in bulk but in the order of one ``uniform`` call per
     rate (then per offset) node by node, so the values are bitwise those
-    of the sequential scalar draws.
+    of the sequential scalar draws.  The result is a read-only
+    :class:`DrawnClocks` mapping: its ``rates`` / ``offsets`` arrays hold
+    the draws in node order, and a node's clock is built on lookup.
     """
     if vartheta < 1:
         raise ValueError(f"vartheta must be >= 1, got {vartheta}")
     rng = _as_rng(rng_or_seed)
-    nodes = list(nodes)
+    nodes = tuple(nodes)
     n = len(nodes)
     if offset_span > 0:
         # Rate and offset draws interleave: even doubles are rates, odd
@@ -57,10 +100,7 @@ def uniform_random_rates(
     else:
         rates = rng.uniform(1.0, vartheta, size=n)
         offsets = np.zeros(n)
-    return {
-        node: AffineClock(rate=rate, offset=offset)
-        for node, rate, offset in zip(nodes, rates.tolist(), offsets.tolist())
-    }
+    return DrawnClocks(nodes, rates, offsets)
 
 
 def slowly_varying_clock(

@@ -86,8 +86,18 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from itertools import repeat
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -98,9 +108,9 @@ from repro.faults.campaign import CampaignEpoch, ChaosCampaign
 from repro.faults.injection import FaultPlan
 from repro.faults.model import FaultBehavior
 from repro.params import Parameters
-from repro.topology.layered import LayeredGraph, NodeId
+from repro.topology.layered import LayeredGraph, NodeId, layer_major_nodes
 
-__all__ = ["FastSimulation", "FastResult", "BRANCH_CODES"]
+__all__ = ["FastSimulation", "FastResult", "RatePlane", "BRANCH_CODES"]
 
 #: Encoding of the branch that produced each pulse (see :class:`FastResult`).
 BRANCH_CODES = {
@@ -112,7 +122,56 @@ BRANCH_CODES = {
     "layer0": 5,
 }
 
-RateProvider = Union[None, Dict[NodeId, float], Callable[[NodeId, int], float]]
+
+
+class RatePlane(Mapping[NodeId, float]):
+    """Read-only ``NodeId -> rate`` mapping over an ``(L, W)`` rate plane.
+
+    ``plane[layer, v]`` is the rate of node ``(v, layer)``; iteration visits
+    the nodes layer by layer, like
+    :meth:`~repro.topology.layered.LayeredGraph.nodes`.  The plane is
+    read-only (a writeable one is copied first), so the stacked kernel
+    reads it as-is on every run.
+    """
+
+    __slots__ = ("plane",)
+
+    def __init__(self, plane: np.ndarray) -> None:
+        plane = np.asarray(plane, dtype=float)
+        if plane.ndim != 2:
+            raise ValueError(f"rate plane must be (L, W), got {plane.shape}")
+        if plane.flags.writeable:
+            plane = plane.copy()
+            plane.setflags(write=False)
+        self.plane = plane
+
+    def __getitem__(self, node: NodeId) -> float:
+        layers, width = self.plane.shape
+        try:
+            v, layer = node
+            if 0 <= v < width and 0 <= layer < layers:
+                return float(self.plane[layer, v])
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(node)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        layers, width = self.plane.shape
+        return layer_major_nodes(width, layers)
+
+    def __len__(self) -> int:
+        return self.plane.size
+
+    def __reduce__(self):
+        return (RatePlane, (self.plane,))
+
+
+#: Per-node clock rates: none (rate 1), a ``NodeId``-keyed mapping (a
+#: plain dict, re-read every run, or a :class:`RatePlane`, read as-is),
+#: or a callable ``(node, pulse) -> rate``.
+RateProvider = Union[
+    None, Mapping[NodeId, float], Callable[[NodeId, int], float]
+]
 
 #: Most edges one array-valued ``delay`` call gathers: a delay-cache miss
 #: covers whole layers up to this many edges, so a D = 32 trial (~3.3k
@@ -918,9 +977,11 @@ class FastSimulation:
     delay_model:
         Edge delays; default uniform midpoint ``d - u/2``.
     clock_rates:
-        Per-node hardware clock rates in ``[1, vartheta]``: a dict keyed by
-        node, a callable ``(node, pulse) -> rate`` (rates may change between
-        pulses for Corollary 1.5 runs), or None for rate 1 everywhere.
+        Per-node hardware clock rates in ``[1, vartheta]``: a mapping keyed
+        by node (a dict, or a :class:`RatePlane` the kernel reads without
+        a per-node loop), a callable ``(node, pulse) -> rate`` (rates may
+        change between pulses for Corollary 1.5 runs), or None for rate 1
+        everywhere.
     fault_plan:
         The faulty set and behaviours.
     layer0:
@@ -987,8 +1048,9 @@ class FastSimulation:
         self.campaign = campaign
         self._rates = clock_rates
         # (L, W) rate plane of a static rate provider for the stacked
-        # sweep, rebuilt every run so in-place edits of a rates dict
-        # between runs are honored.  The per-layer *delay* arrays are
+        # sweep: a RatePlane's own plane, or a plain mapping re-read every
+        # run so in-place edits of a rates dict between runs are
+        # honored.  The per-layer *delay* arrays are
         # cached on the delay model itself (see
         # :class:`~repro.delays.models.DelayModel`), so they survive
         # simulation reconstruction -- a batch sweep rebuilding one
@@ -1075,7 +1137,8 @@ class _VectorSweep:
     and run (the fault plan may change between runs) and once per
     campaign epoch state, with the neighbor ``backend`` (``"dense"`` or
     ``"csr"``) the stack chose.  The rate plane is cached on the
-    simulation per run; delay arrays are cached on the *delay model*
+    simulation per run (a :class:`RatePlane` provider's own plane, so
+    nothing is rebuilt); delay arrays are cached on the *delay model*
     (keyed by edge structure and layer/pulse), so they survive simulation
     reconstruction and are never re-gathered for the same model.  Block
     gathers pass int64 vertex arrays and per-edge gathers plain ``int``
@@ -1291,31 +1354,37 @@ class _VectorSweep:
     def rate_array(self, layer: int, k: int) -> np.ndarray:
         """Hardware clock rates of the layer's nodes during pulse ``k``.
 
-        Static providers (none, or a ``NodeId``-keyed mapping) are read
-        once per run into the simulation's ``(L, W)`` rate plane, so
-        in-place edits of a rates dict between runs are honored; callable
+        Static providers read a row of :meth:`rate_plane`: a plain dict is
+        re-read into it each run, a :class:`RatePlane` is not.  Callable
         providers are queried per layer and pulse.
         """
-        sim = self.sim
-        rates = sim._rates
+        rates = self.sim._rates
         if callable(rates):
             return np.array(
                 [float(rates((v, layer), k)) for v in range(self.width)]
             )
+        return self.rate_plane()[layer]
+
+    def rate_plane(self) -> np.ndarray:
+        """The ``(L, W)`` rates of a static provider (none or a mapping).
+
+        A :class:`RatePlane` of the graph's shape is used as-is: it is
+        immutable, so no run rebuilds it.  Plain mappings are re-read into
+        a fresh plane once per run, so in-place edits of a rates dict
+        between runs are honored; a missing node runs at rate 1.
+        """
+        sim = self.sim
         if sim._rate_plane is None:
-            layers, width = self.num_layers, self.width
+            rates = sim._rates
+            shape = (self.num_layers, self.width)
             if rates is None:
-                sim._rate_plane = np.ones((layers, width))
+                sim._rate_plane = np.ones(shape)
+            elif isinstance(rates, RatePlane) and rates.plane.shape == shape:
+                sim._rate_plane = rates.plane
             else:
-                # Every (v, layer) node id, layer by layer, built and
-                # looked up without a Python-level loop.
-                nodes = zip(
-                    chain.from_iterable(repeat(range(width), layers)),
-                    chain.from_iterable(map(repeat, range(layers), repeat(width))),
-                )
                 sim._rate_plane = np.fromiter(
-                    map(rates.get, nodes, repeat(1.0)),
+                    map(rates.get, sim.graph.nodes(), repeat(1.0)),
                     dtype=float,
-                    count=layers * width,
-                ).reshape(layers, width)
-        return sim._rate_plane[layer]
+                    count=shape[0] * shape[1],
+                ).reshape(shape)
+        return sim._rate_plane

@@ -756,7 +756,6 @@ class TrialStack:
     def _rate_stack(
         self,
         sweeps: Sequence[_VectorSweep],
-        cache: Dict[object, np.ndarray],
         layer: int,
         pulses: range,
         rows=_ALL,
@@ -764,56 +763,27 @@ class TrialStack:
     ) -> np.ndarray:
         """Clock rates of the (active) trials' nodes, ``(S, P, W)``.
 
-        ``P`` is 1 for static rate providers (broadcast over the block's
-        pulses) and the block's pulse count when some provider is
-        callable: those may depend on the pulse and are queried per
-        pulse, exactly as a per-trial run does.  Inert cells get rate 1
-        (never read through an eligible lane, but a finite value keeps
-        the whole-plane arithmetic NaN-clean).  ``lanes`` slices the
-        active columns out of the row-compacted array, mirroring
-        :meth:`_delay_stack`.
+        Static rate providers read the run's ``(S, L, W)`` plane
+        (:attr:`_rate_planes`) with ``P = 1`` (broadcast over the block's
+        pulses): a view of one layer, or a gather of the compacted rows.
+        When some provider is callable, ``P`` is the block's pulse count
+        and every trial is queried per pulse, exactly as a per-trial run
+        does.  Inert cells get rate 1 (never read through an eligible
+        lane, but a finite value keeps the whole-plane arithmetic
+        NaN-clean).  ``lanes`` slices the active columns out of the
+        row-compacted array, mirroring :meth:`_delay_stack`.
         """
-        if self._rates_static:
-            pulses = pulses[:1]
-        if not isinstance(lanes, slice):
-            full = self._rate_stack(sweeps, cache, layer, pulses, rows)
-            key = (layer, rows.tobytes(), "lanes", lanes.tobytes())
-            if self._rates_static:
-                cached = cache.get(key)
-                if cached is not None:
-                    return cached
-            sliced = full[:, :, lanes]
-            if self._rates_static:
-                cache[key] = sliced
-            return sliced
-        key: object = (
-            layer if isinstance(rows, slice) else (layer, rows.tobytes())
-        )
-        if self._rates_static:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        if self._uniform:
-            selected = (
-                sweeps
-                if isinstance(rows, slice)
-                else [sweeps[s] for s in rows]
-            )
-            stacked = np.array(
-                [sw.rate_array(layer, k) for sw in selected for k in pulses]
-            ).reshape(len(selected), len(pulses), self._width)
-        else:
-            indices = np.arange(len(sweeps))[rows]
-            stacked = np.ones((len(indices), len(pulses), self._width))
-            for i, s in enumerate(indices):
-                if layer >= self._depths[s]:
-                    continue
-                for j, k in enumerate(pulses):
-                    row = sweeps[s].rate_array(layer, k)
-                    stacked[i, j, : row.shape[0]] = row
-        if self._rates_static:
-            cache[key] = stacked
-        return stacked
+        if self._rate_planes is not None:
+            return self._rate_planes[rows, layer, None][:, :, lanes]
+        indices = np.arange(len(sweeps))[rows]
+        stacked = np.ones((len(indices), len(pulses), self._width))
+        for i, s in enumerate(indices):
+            if layer >= self._depths[s]:
+                continue
+            for j, k in enumerate(pulses):
+                row = sweeps[s].rate_array(layer, k)
+                stacked[i, j, : row.shape[0]] = row
+        return stacked[:, :, lanes]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -936,9 +906,17 @@ class TrialStack:
         self._all_pulse_invariant = all(
             getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
         )
-        self._rates_static = all(not callable(sim._rates) for sim in sims)
+        # One read-only (S, L, W) rate plane per run when every provider
+        # is static; a layer step takes a view of it.
+        self._rate_planes: Optional[np.ndarray] = None
+        if all(not callable(sim._rates) for sim in sims):
+            planes = np.ones((num_trials, num_layers, width))
+            for s, sweep in enumerate(sweeps):
+                plane = sweep.rate_plane()
+                planes[s, : plane.shape[0], : plane.shape[1]] = plane
+            planes.setflags(write=False)
+            self._rate_planes = planes
         delay_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
-        rate_cache: Dict[object, np.ndarray] = {}
 
         # Padded (S, ...) fault/eligibility structure.  ``active`` marks the
         # real (non-padding) cells; None on uniform stacks (all real).
@@ -1063,7 +1041,7 @@ class TrialStack:
                     # Rows of the stacked tensors changed in place: refresh
                     # every structure derived from them.  The stack-level
                     # delay cache and the compacted row gathers hold stale
-                    # copies; the rate caches survive (rates are keyed by
+                    # copies; the rate plane survives (rates are keyed by
                     # node id and the vertex set never changes).
                     layer_has_fault = faulty.any(axis=(0, 2)).tolist()
                     any_fault = bool(faulty.any())
@@ -1139,9 +1117,7 @@ class TrialStack:
                         self._delay_stack(
                             sweeps, delay_cache, layer, pulses, rows, lanes
                         ),
-                        self._rate_stack(
-                            sweeps, rate_cache, layer, pulses, rows, lanes
-                        ),
+                        self._rate_stack(sweeps, layer, pulses, rows, lanes),
                         layer_has_fault[layer],
                         layer,
                         window,

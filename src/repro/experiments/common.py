@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from repro.clocks.drift import uniform_random_rates
-from repro.core.fast import FastSimulation
+from repro.core.fast import FastSimulation, RatePlane
 from repro.core.layer0 import Layer0Schedule
 from repro.delays.models import DelayModel, StaticDelayModel
 from repro.faults.injection import FaultPlan
@@ -34,6 +34,13 @@ class ExperimentConfig:
     The default geometry follows the paper: the base graph is the
     replicated line of Figure 2 sized to diameter ``D`` and the grid has
     on the order of ``D`` layers (a square chip).
+
+    ``clock_rates`` is a read-only :class:`~repro.core.fast.RatePlane`
+    over the :func:`~repro.clocks.drift.uniform_random_rates` draws
+    reshaped to ``(L, W)`` (the graph's node order is layer-major), so
+    the stacked kernel reads it without a per-node loop.  Fresh configs
+    of one diameter share their base graph's BFS and index arrays
+    (:mod:`repro.topology.base_graph`).
     """
 
     diameter: int
@@ -44,7 +51,7 @@ class ExperimentConfig:
 
     graph: LayeredGraph = field(init=False)
     delay_model: DelayModel = field(init=False)
-    clock_rates: Dict[NodeId, float] = field(init=False)
+    clock_rates: Mapping[NodeId, float] = field(init=False)
 
     def __post_init__(self) -> None:
         base = replicated_line(self.diameter + 1)
@@ -67,7 +74,9 @@ class ExperimentConfig:
                 np.random.SeedSequence([self.seed, _CLOCK_SALT])
             ),
         )
-        self.clock_rates = {node: clock.rate for node, clock in clocks.items()}
+        self.clock_rates = RatePlane(
+            clocks.rates.reshape(self.num_layers, base.num_nodes)
+        )
 
     @property
     def num_grid_nodes(self) -> int:

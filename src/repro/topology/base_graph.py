@@ -7,11 +7,17 @@ Alternative base graphs (cycle, complete, torus) are provided because the
 analysis is stated for arbitrary minimum-degree-2 base graphs.
 
 Nodes are integers ``0 .. n-1``; the adjacency structure is immutable after
-construction.
+construction.  Everything derived from it alone -- BFS distances and the
+neighbor/edge index arrays -- lives in one :class:`_Structure` per
+adjacency, shared by every graph of that shape through a small LRU: a
+seed sweep builds a fresh ``replicated_line`` per trial, and all of them
+read one BFS and one set of read-only arrays.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +31,78 @@ __all__ = [
     "star_graph",
     "torus_graph",
 ]
+
+
+#: Distinct adjacencies whose derived structure stays shared.  A sweep
+#: uses one or two base-graph shapes at a time; a chaos campaign adds one
+#: per distinct epoch topology.  Past this many, the least recently built
+#: shape is dropped (graphs holding it keep their copy).
+_SHARED_STRUCTURES = 16
+
+Adjacency = Tuple[Tuple[int, ...], ...]
+
+
+class _Structure:
+    """Derived, read-only data of one adjacency, filled on demand.
+
+    Every field is a function of the adjacency alone, so graphs with equal
+    adjacency share one instance (:func:`_shared_structure`).  All arrays
+    are read-only.
+    """
+
+    __slots__ = ("distances", "edge_index", "neighbor_index", "csr")
+
+    def __init__(self) -> None:
+        self.distances: Dict[int, np.ndarray] = {}
+        self.edge_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.neighbor_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+
+_structures: "OrderedDict[Adjacency, _Structure]" = OrderedDict()
+_structures_lock = threading.Lock()
+
+
+def _shared_structure(adjacency: Adjacency) -> _Structure:
+    """The one :class:`_Structure` of ``adjacency`` (LRU, bounded)."""
+    with _structures_lock:
+        entry = _structures.get(adjacency)
+        if entry is None:
+            entry = _structures[adjacency] = _Structure()
+            if len(_structures) > _SHARED_STRUCTURES:
+                _structures.popitem(last=False)
+        else:
+            _structures.move_to_end(adjacency)
+        return entry
+
+
+def _bfs(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
+    """Frontier-at-a-time BFS distances over CSR arrays; ``-1`` unreached.
+
+    Each level expands every frontier vertex's CSR segment in one
+    vectorized gather instead of a Python loop per edge.
+    """
+    dist = np.full(indptr.shape[0] - 1, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        gather = np.repeat(starts - shift, counts) + np.arange(total)
+        nbrs = indices[gather]
+        fresh = np.unique(nbrs[dist[nbrs] < 0])
+        if fresh.size == 0:
+            break
+        depth += 1
+        dist[fresh] = depth
+        frontier = fresh
+    dist.setflags(write=False)
+    return dist
 
 
 class BaseGraph:
@@ -79,13 +157,8 @@ class BaseGraph:
         )
         self._edges: Tuple[Tuple[int, int], ...] = tuple(sorted(seen))
         self.name = name
-        self._distances: Dict[int, np.ndarray] = {}
         self._diameter: int | None = None
-        self._edge_index_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._neighbor_index_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._neighbor_csr: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
+        self._shared = _shared_structure(self._adjacency)
         if require_connected and not self._is_connected():
             raise ValueError("base graph must be connected")
         if require_min_degree_2 and num_nodes > 1:
@@ -97,8 +170,19 @@ class BaseGraph:
 
     def _is_connected(self) -> bool:
         # The vectorized BFS doubles as the connectivity probe and warms
-        # the distance cache for vertex 0.
+        # the distance cache for vertex 0 (shared by equal adjacencies).
         return bool((self.distances_from(0) >= 0).all())
+
+    def __getstate__(self) -> dict:
+        # The shared structure is rebuilt from the adjacency on unpickling,
+        # so a worker process joins its own LRU with read-only arrays.
+        state = self.__dict__.copy()
+        del state["_shared"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._shared = _shared_structure(self._adjacency)
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -127,18 +211,19 @@ class BaseGraph:
     def edge_index_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(left, right)`` int64 endpoint arrays over :attr:`edges`.
 
-        Cached on the graph (adjacency is immutable), following the same
+        Shared by every graph with this adjacency, following the same
         pattern as ``DelayModel._edge_array_cache``: array consumers (skew
         reducers, layer-0 schedules) gather the Python edge tuples once
-        per graph instead of once per call.
+        per shape instead of once per call.
         """
-        if self._edge_index_arrays is None:
+        shared = self._shared
+        if shared.edge_index is None:
             left = np.array([e[0] for e in self._edges], dtype=np.int64)
             right = np.array([e[1] for e in self._edges], dtype=np.int64)
             for arr in (left, right):
                 arr.setflags(write=False)
-            self._edge_index_arrays = (left, right)
-        return self._edge_index_arrays
+            shared.edge_index = (left, right)
+        return shared.edge_index
 
     def neighbor_index_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Padded ``(W, max_deg)`` neighbor gather indices and validity mask.
@@ -146,11 +231,12 @@ class BaseGraph:
         ``idx[v, j]`` is the ``j``-th (sorted) neighbor of ``v`` where
         ``valid[v, j]`` is True, and 0 (an inert placeholder never read
         through an unmasked lane) elsewhere.  ``max_deg`` is at least 1 so
-        downstream gathers always have a last axis.  Cached on the graph
-        (adjacency is immutable): the vectorized simulator kernels used to
+        downstream gathers always have a last axis.  Shared by every graph
+        with this adjacency: the vectorized simulator kernels used to
         rebuild these per run per trial with a Python double loop.
         """
-        if self._neighbor_index_arrays is None:
+        shared = self._shared
+        if shared.neighbor_index is None:
             cols = max(self.max_degree(), 1)
             idx = np.zeros((self._num_nodes, cols), dtype=np.int64)
             valid = np.zeros((self._num_nodes, cols), dtype=bool)
@@ -159,11 +245,11 @@ class BaseGraph:
                 valid[v, : len(nbs)] = True
             for arr in (idx, valid):
                 arr.setflags(write=False)
-            self._neighbor_index_arrays = (idx, valid)
-        return self._neighbor_index_arrays
+            shared.neighbor_index = (idx, valid)
+        return shared.neighbor_index
 
     def neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, edge_slot)`` CSR neighbor arrays (cached).
+        """``(indptr, indices, edge_slot)`` CSR neighbor arrays (shared).
 
         The compressed-sparse-row mirror of :meth:`neighbor_index_arrays`:
         the (sorted) neighbors of vertex ``v`` are
@@ -175,7 +261,8 @@ class BaseGraph:
         what makes hub-skewed sparse graphs viable: a single high-degree
         vertex no longer widens every row of the dense tensors.
         """
-        if self._neighbor_csr is None:
+        shared = self._shared
+        if shared.csr is None:
             degrees = np.fromiter(
                 (len(nbs) for nbs in self._adjacency),
                 dtype=np.int64,
@@ -196,8 +283,8 @@ class BaseGraph:
             )
             for arr in (indptr, indices, edge_slot):
                 arr.setflags(write=False)
-            self._neighbor_csr = (indptr, indices, edge_slot)
-        return self._neighbor_csr
+            shared.csr = (indptr, indices, edge_slot)
+        return shared.csr
 
     def nodes(self) -> range:
         """Iterable over vertices."""
@@ -227,40 +314,20 @@ class BaseGraph:
     # Distances
     # ------------------------------------------------------------------
     def distances_from(self, source: int) -> np.ndarray:
-        """BFS distances from ``source`` as an int64 array (cached).
+        """BFS distances from ``source`` as a read-only int64 array.
 
-        Runs a frontier-at-a-time BFS over the :meth:`neighbor_csr`
-        arrays: each level expands every frontier vertex's CSR segment in
-        one vectorized gather instead of a Python loop per edge, so
-        regional-outage compilation (which calls :meth:`ball` per event)
-        stays cheap on 10^5+-node graphs.  Unreached vertices hold ``-1``.
+        Runs :func:`_bfs` over the :meth:`neighbor_csr` arrays once per
+        adjacency and source: graphs of equal adjacency share the result,
+        so a sweep's fresh base graphs (and regional-outage compilation,
+        which calls :meth:`ball` per event) stay cheap.  Unreached
+        vertices hold ``-1``.
         """
-        cached = self._distances.get(source)
-        if cached is not None:
-            return cached
-        indptr, indices, _ = self.neighbor_csr()
-        dist = np.full(self._num_nodes, -1, dtype=np.int64)
-        dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            gather = np.repeat(starts - shift, counts) + np.arange(total)
-            nbrs = indices[gather]
-            fresh = np.unique(nbrs[dist[nbrs] < 0])
-            if fresh.size == 0:
-                break
-            depth += 1
-            dist[fresh] = depth
-            frontier = fresh
-        dist.setflags(write=False)
-        self._distances[source] = dist
-        return dist
+        distances = self._shared.distances
+        cached = distances.get(source)
+        if cached is None:
+            indptr, indices, _ = self.neighbor_csr()
+            cached = distances[source] = _bfs(indptr, indices, source)
+        return cached
 
     def distance(self, v: int, w: int) -> int:
         """Hop distance ``d(v, w)`` in ``H``."""

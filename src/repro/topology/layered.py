@@ -10,14 +10,23 @@ chip); here it is a free constructor argument.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterator, List, Set, Tuple
 
 from repro.topology.base_graph import BaseGraph
 
-__all__ = ["NodeId", "LayeredGraph"]
+__all__ = ["NodeId", "LayeredGraph", "layer_major_nodes"]
 
 #: A node of ``G``: ``(base_vertex, layer)``.
 NodeId = Tuple[int, int]
+
+
+def layer_major_nodes(width: int, num_layers: int) -> Iterator[NodeId]:
+    """Every ``(v, layer)`` id, layer by layer, without a Python-level loop."""
+    return zip(
+        chain.from_iterable(repeat(range(width), num_layers)),
+        chain.from_iterable(map(repeat, range(num_layers), repeat(width))),
+    )
 
 
 class LayeredGraph:
@@ -80,9 +89,7 @@ class LayeredGraph:
     # ------------------------------------------------------------------
     def nodes(self) -> Iterator[NodeId]:
         """All nodes, layer by layer."""
-        for layer in range(self.num_layers):
-            for v in self.base.nodes():
-                yield (v, layer)
+        return layer_major_nodes(self.base.num_nodes, self.num_layers)
 
     def layer_nodes(self, layer: int) -> List[NodeId]:
         """Nodes of a given layer."""

@@ -208,6 +208,30 @@ class TestNoCopySingleStack:
         )
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
 
+    def test_pickled_seed_sweep_streams_like_serial(self):
+        # Configs cross the pickle boundary with their rate planes and
+        # base graphs (which rejoin the worker's shared structure); the
+        # streamed statistics must stay bitwise equal to a serial run.
+        trials = BatchRunner.seed_sweep(6, range(4), num_pulses=NUM_PULSES)
+        serial = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
+            trials
+        )
+        sharded = BatchRunner(
+            num_pulses=NUM_PULSES,
+            store_times=False,
+            executor="process",
+            shards=2,
+        ).run(trials)
+        for name in (
+            "max_local_skews",
+            "max_inter_layer_skews",
+            "global_skews",
+        ):
+            a, b = getattr(serial, name)(), getattr(sharded, name)()
+            assert a.tobytes() == b.tobytes(), name
+        for name, values in serial.correction_stats().items():
+            assert values.tobytes() == sharded.correction_stats()[name].tobytes()
+
     def test_per_trial_batches_remain_writable_copies(self):
         # Per-trial runs are stacks of one each; a batch over several of
         # them re-stacks their windows into a fresh writable block.

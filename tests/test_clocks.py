@@ -121,13 +121,19 @@ class TestDriftSamplers:
         clocks = uniform_random_rates(
             range(300), 1.3, rng_or_seed=8, offset_span=offset_span
         )
+        # Both reads of the lazy mapping: a lookup builds its AffineClock
+        # from the drawn arrays, which bulk readers take as they are.
+        looked_up = [(clocks[n].rate, clocks[n].offset) for n in range(300)]
+        arrays = list(zip(clocks.rates.tolist(), clocks.offsets.tolist()))
+        assert not clocks.rates.flags.writeable
+        assert list(clocks) == list(range(300)) and len(clocks) == 300
         rng = np.random.default_rng(8)
         for node in range(300):
-            assert clocks[node].rate == float(rng.uniform(1.0, 1.3))
+            rate = float(rng.uniform(1.0, 1.3))
             offset = (
                 float(rng.uniform(0.0, offset_span)) if offset_span > 0 else 0.0
             )
-            assert clocks[node].offset == offset
+            assert looked_up[node] == arrays[node] == (rate, offset)
 
     def test_standard_config_rates_golden(self):
         """Digest of the D=8 standard config's rates, recorded from the
@@ -139,6 +145,18 @@ class TestDriftSamplers:
         assert hashlib.sha256(rates.tobytes()).hexdigest() == (
             "25ae35fd66d793e0e18cc19ec009c2afa4c18c45243a18360d921f5b87070961"
         )
+
+    def test_standard_config_rate_view_iterates_in_node_order(self):
+        from repro.experiments.common import standard_config
+
+        config = standard_config(5, seed=3)
+        view = config.clock_rates
+        nodes = list(config.graph.nodes())
+        assert list(view) == nodes
+        assert len(view) == config.graph.num_nodes == len(nodes)
+        assert list(view.values()) == [view[n] for n in nodes]
+        assert view.plane.shape == (config.num_layers, config.graph.width)
+        assert not view.plane.flags.writeable
 
     def test_uniform_random_rejects_bad_vartheta(self):
         with pytest.raises(ValueError):

@@ -517,6 +517,77 @@ class TestVectorizedCrossValidation:
         self.assert_equivalent(*self.both(build))
 
 
+class TestRatePlane:
+    """A config's read-only rate view runs exactly like its dict copy."""
+
+    @pytest.mark.parametrize("csr", [False, True])
+    def test_view_matches_dict_bitwise(self, csr):
+        from repro.experiments.common import standard_config
+
+        config = standard_config(6, seed=4)
+        view = config.clock_rates
+        assert isinstance(view, fast_mod.RatePlane)
+
+        def run(rates):
+            stack = TrialStack(
+                [
+                    FastSimulation(
+                        config.graph,
+                        config.params,
+                        delay_model=config.delay_model,
+                        clock_rates=rates,
+                    )
+                ]
+            )
+            (result,) = stack.run(3)
+            assert stack.compaction_stats["neighbor_backend"] == (
+                "csr" if csr else "dense"
+            )
+            return result
+
+        with mock.patch.object(fast_mod, "_prefer_csr", lambda base: csr):
+            from_view = run(view)
+            from_dict = run(dict(view))
+        for attr in RESULT_ARRAYS:
+            a, b = getattr(from_view, attr), getattr(from_dict, attr)
+            assert np.array_equal(a, b, equal_nan=True), attr
+        assert np.array_equal(from_view.branches, from_dict.branches)
+
+    def test_warm_rerun_reads_the_plane_as_is(self):
+        from repro.experiments.common import standard_config
+
+        config = standard_config(6, seed=1)
+        sim = config.simulation()
+        sim.run(2)
+        first = sim._rate_plane
+        sim.run(2)
+        assert first is config.clock_rates.plane
+        assert sim._rate_plane is first
+        # A plain dict is re-read every run (in-place edits are honored).
+        sim = FastSimulation(
+            config.graph, config.params, clock_rates=dict(config.clock_rates)
+        )
+        sim.run(2)
+        first = sim._rate_plane
+        sim.run(2)
+        assert sim._rate_plane is not first
+        assert np.array_equal(sim._rate_plane, first)
+
+    def test_plane_is_read_only_and_pickles(self):
+        plane = np.array([[1.0, 1.5], [1.25, 1.75]])
+        view = fast_mod.RatePlane(plane)
+        plane[0, 0] = 9.0  # the view copied the writeable input
+        assert view[(0, 0)] == 1.0
+        assert view[(1, 1)] == 1.75
+        assert view.get((2, 0)) is None and view.get((0, 2)) is None
+        assert (0, -1) not in view and "x" not in view
+        with pytest.raises(ValueError):
+            view.plane[0, 0] = 2.0
+        clone = pickle.loads(pickle.dumps(view))
+        assert not clone.plane.flags.writeable
+        assert clone == view and dict(clone) == dict(view)
+
+
 class TestPolicies:
     def test_continuous_policy_still_bounded(self):
         result = noisy_sim(

@@ -147,6 +147,17 @@ class TestGridKey:
             trials, NUM_PULSES, {"store_times": False}
         )
 
+    def test_seed_sweep_key_is_stable(self):
+        # Recorded before configs held their rates as a read-only plane
+        # and shared base-graph structure: config-derived rates key as
+        # the sentinel and the seed, so the key (and CACHE_VERSION) must
+        # not move when their in-memory form does.
+        trials = BatchRunner.seed_sweep(4, [0, 1, 2])
+        assert grid_key(trials, 3) == (
+            "237dfb6b425572de5733c5388bb8225e856b447e676782da3a3d6f3adcc83a46"
+        )
+        assert CACHE_VERSION == 4
+
     def test_explicit_default_hashes_like_omitted(self):
         trials = build_trials(SMALL_GRID)
         assert grid_key(trials, NUM_PULSES) == grid_key(

@@ -1,8 +1,15 @@
 """Tests for repro.topology: base graphs and the layered DAG."""
 
+import pickle
+import sys
+import threading
+from collections import OrderedDict
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.topology.base_graph as base_graph_mod
 from repro.experiments.common import standard_config
 from repro.topology import (
     BaseGraph,
@@ -439,3 +446,150 @@ class TestFrozenGraphCaches:
             np.testing.assert_array_equal(prior[0], snap[0])
             np.testing.assert_array_equal(prior[1], snap[1])
         assert len(by_state) >= 2
+
+
+class TestSharedStructure:
+    """Graphs of equal adjacency share one BFS and one set of arrays."""
+
+    @staticmethod
+    def count_bfs():
+        return mock.patch.object(
+            base_graph_mod, "_bfs", wraps=base_graph_mod._bfs
+        )
+
+    @staticmethod
+    def fresh_cache(monkeypatch):
+        monkeypatch.setattr(base_graph_mod, "_structures", OrderedDict())
+        return base_graph_mod
+
+    def test_equal_adjacency_runs_one_bfs(self, monkeypatch):
+        self.fresh_cache(monkeypatch)
+        with self.count_bfs() as bfs:
+            a = replicated_line(17)
+            b = replicated_line(17)
+        assert bfs.call_count == 1
+        assert a is not b
+        assert a.distances_from(0) is b.distances_from(0)
+        assert a.neighbor_csr() is b.neighbor_csr()
+        assert a.neighbor_index_arrays() is b.neighbor_index_arrays()
+        assert a.edge_index_arrays() is b.edge_index_arrays()
+
+    def test_distinct_adjacencies_do_not_share(self, monkeypatch):
+        self.fresh_cache(monkeypatch)
+        with self.count_bfs() as bfs:
+            a = replicated_line(17)
+            b = replicated_line(18)
+            c = cycle_graph(19)
+        assert bfs.call_count == 3
+        assert a.neighbor_csr()[1] is not b.neighbor_csr()[1]
+        assert len({a.distances_from(0).size, b.distances_from(0).size}) == 2
+        np.testing.assert_array_equal(
+            c.distances_from(0), [min(v, 19 - v) for v in range(19)]
+        )
+
+    def test_cache_evicts_past_its_bound_and_keeps_working(self, monkeypatch):
+        module = self.fresh_cache(monkeypatch)
+        bound = module._SHARED_STRUCTURES
+        first = replicated_line(3)
+        first_dist = first.distances_from(0)
+        for length in range(4, 4 + bound):
+            replicated_line(length)
+        assert len(module._structures) == bound
+        assert first.adjacency not in module._structures
+        # A graph keeps the structure it was built with; a new graph of
+        # the evicted shape gets a fresh entry with equal contents.
+        assert first.distances_from(0) is first_dist
+        with self.count_bfs() as bfs:
+            again = replicated_line(3)
+        assert bfs.call_count == 1
+        assert len(module._structures) == bound
+        np.testing.assert_array_equal(again.distances_from(0), first_dist)
+        assert again.distances_from(0) is not first_dist
+
+    def test_shared_arrays_are_read_only(self):
+        graph = replicated_line(9)
+        arrays = (
+            graph.distances_from(0),
+            graph.distances_from(4),
+            *graph.neighbor_csr(),
+            *graph.neighbor_index_arrays(),
+        )
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_pickled_graph_rejoins_the_shared_structure(self):
+        graph = replicated_line(9)
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone.adjacency == graph.adjacency
+        assert clone.distances_from(0) is graph.distances_from(0)
+        assert not clone.neighbor_csr()[0].flags.writeable
+
+    def test_concurrent_builders_share_and_stay_bounded(self, monkeypatch):
+        # Service jobs build configs on several threads at once; the LRU's
+        # lookup/insert/evict must not lose entries or raise under a
+        # small bound and frequent thread switches.
+        module = self.fresh_cache(monkeypatch)
+        monkeypatch.setattr(module, "_SHARED_STRUCTURES", 3)
+        lengths = range(3, 9)
+        expected = {n: np.array(replicated_line(n).distances_from(0)) for n in lengths}
+        errors = []
+
+        def build():
+            try:
+                for _ in range(100):
+                    for n in lengths:
+                        got = replicated_line(n).distances_from(0)
+                        if not np.array_equal(got, expected[n]):
+                            errors.append(n)
+            except Exception as exc:  # reported through the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(module._structures) <= 3
+
+    def test_campaign_epoch_graph_distances_match_fresh_bfs(self):
+        from repro.faults.campaign import ChaosCampaign, EdgeFlap
+
+        def python_bfs(graph, source):
+            dist = [-1] * graph.num_nodes
+            dist[source] = 0
+            frontier = [source]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for y in graph.adjacency[x]:
+                        if dist[y] < 0:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+            return dist
+
+        config = standard_config(6, seed=0)
+        base = config.graph.base
+        campaign = ChaosCampaign(
+            base,
+            config.graph.num_layers,
+            [EdgeFlap(pulse=1, edge=base.edges[0])],
+        )
+        epochs = campaign.compile(num_pulses=3).epochs
+        churned = [e.graph.base for e in epochs if e.graph.base is not base]
+        assert churned
+        for graph in churned:
+            assert graph.adjacency != base.adjacency
+            for source in graph.nodes():
+                np.testing.assert_array_equal(
+                    graph.distances_from(source), python_bfs(graph, source)
+                )
