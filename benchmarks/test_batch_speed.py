@@ -78,6 +78,13 @@ Four micro-benchmarks track the performance trajectory across PRs:
   per pulse block; recorded under ``"short_horizon_blocks"`` with the
   block size, fallback passes, streamed peaks and ``send_offsets``
   calls of both runs.
+* ``test_block_curve``: the per-step cost curve the block rule is
+  derived from.  Both shapes above run with the blocks patched to B
+  pulses, B in {1, 2, 4, 8, 12, 16, 22, 32, 64}; recorded under
+  ``"block_curve"`` with the wall time per block step and the streamed
+  peak against the plane's ``S * B * W`` cells, the B the default rule
+  picks for each shape's own horizon, and the host (CPU, cores, L2,
+  libc).  Reported, not gated.
 * ``test_fault_fallback_overhead``: warm runs of the 17-trial thm13
   stack (a fault-free reference plus 16 sampled fault plans, D = 32,
   8 pulses) against the same configs run fault-free, asserting the
@@ -108,6 +115,8 @@ Select just these with ``pytest benchmarks/test_batch_speed.py -m bench``;
 import contextlib
 import itertools
 import json
+import os
+import platform
 import statistics
 import time
 import tracemalloc
@@ -981,15 +990,20 @@ BLOCK_PULSES = 64
 PULSE_BLOCK_FLOOR = 1.5
 
 
-def one_pulse_blocks():
-    """Baseline of the per-pulse layer step: one pulse per block."""
+def fixed_blocks(size):
+    """Blocks of ``size`` pulses, the last one possibly shorter."""
     return mock.patch.object(
         fast_batch_mod,
         "_pulse_blocks",
         lambda num_pulses, num_layers, plane_cells, starts=(): [
-            (k, k + 1) for k in range(num_pulses)
+            (k, min(k + size, num_pulses)) for k in range(0, num_pulses, size)
         ],
     )
+
+
+def one_pulse_blocks():
+    """Baseline of the per-pulse layer step: one pulse per block."""
+    return fixed_blocks(1)
 
 
 def axis_reduce_folds():
@@ -1249,6 +1263,129 @@ def test_short_horizon_block_speedup():
     assert speedup >= SHORT_HORIZON_FLOOR, (
         f"short-horizon blocks only {speedup:.2f}x one pulse per block; "
         f"floor is {SHORT_HORIZON_FLOOR}x"
+    )
+
+
+#: Block sizes of the cost curve.  A curve run holds B pulses in one
+#: block, and at least :data:`CURVE_MIN_PULSES` pulses (in blocks of B).
+CURVE_BLOCKS = (1, 2, 4, 8, 12, 16, 22, 32, 64)
+CURVE_MIN_PULSES = 8
+#: Interleaved timing rounds per curve point (the median is recorded).
+CURVE_ROUNDS = 3
+
+
+def host_info():
+    """The CPU, core count, L2 size (where readable) and libc."""
+    cpu = platform.processor() or platform.machine()
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    l2 = None
+    with contextlib.suppress(OSError):
+        for index in sorted(Path("/sys/devices/system/cpu/cpu0/cache").glob("index*")):
+            if (index / "level").read_text().strip() == "2":
+                l2 = (index / "size").read_text().strip()
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "l2": l2,
+        "libc": " ".join(platform.libc_ver()).strip() or None,
+    }
+
+
+def test_block_curve():
+    """Per-step wall time and streamed peak against the plane's cells.
+
+    Two warm streamed stacks -- shaped like ``stream_horizon`` (S = 16,
+    D = 32) and like ``fault_horizon`` (the 17-trial thm13 grid, D =
+    32) -- run with the blocks patched to each B of
+    :data:`CURVE_BLOCKS`, over ``max(B, CURVE_MIN_PULSES)`` pulses; the
+    rounds interleave the block sizes.  A point's step time is the run's
+    wall time over its (block, layer) steps.  The section also records
+    the B the default rule picks for each shape's own horizon and the
+    host, since the curve (cache sizes, the allocator's thresholds) is
+    the host's -- and the process's: glibc raises its thresholds after
+    large frees, so where the curve turns up depends on what the
+    process allocated before.  Reported, not gated.
+    """
+    stacks = {
+        "stream_horizon": (
+            BatchRunner.seed_sweep(
+                BLOCK_DIAMETER, range(BLOCK_TRIALS), num_pulses=BLOCK_PULSES
+            ),
+            BLOCK_DIAMETER,
+            BLOCK_PULSES,
+        ),
+        "fault_horizon": (
+            thm13_trials(SHORT_DIAMETER, SHORT_SEEDS, num_pulses=SHORT_PULSES)[0],
+            SHORT_DIAMETER,
+            SHORT_PULSES,
+        ),
+    }
+    runners = {
+        size: BatchRunner(num_pulses=max(size, CURVE_MIN_PULSES), store_times=False)
+        for size in CURVE_BLOCKS
+    }
+    section = {"host": host_info(), "plane_cells_cap": fast_batch_mod._PLANE_CELLS}
+    rows = []
+    for name, (trials, diameter, horizon) in stacks.items():
+        graph = trials[0].config.graph
+        plane_cells = len(trials) * graph.width
+        BatchRunner(num_pulses=horizon, store_times=False).run(trials)  # cold fill
+        steps = {size: [] for size in CURVE_BLOCKS}
+        for _ in range(CURVE_ROUNDS):
+            for size in CURVE_BLOCKS:
+                with fixed_blocks(size):
+                    start = time.perf_counter()
+                    batch = runners[size].run(trials)
+                    seconds = time.perf_counter() - start
+                stats = batch.compaction_stats[0]
+                steps[size].append(
+                    seconds / (stats["pulse_blocks"] * stats["num_layers"])
+                )
+        points = []
+        for size in CURVE_BLOCKS:
+            with fixed_blocks(size):
+                peak = streamed_peak(runners[size], trials)
+            step_us = 1e6 * statistics.median(steps[size])
+            points.append(
+                {
+                    "block_pulses": size,
+                    "plane_cells": size * plane_cells,
+                    "step_us": step_us,
+                    "step_us_per_pulse": step_us / size,
+                    "peak_bytes": peak,
+                }
+            )
+            rows.append(
+                (name, size, size * plane_cells, step_us, step_us / size,
+                 peak / 2**20)
+            )
+        blocks = fast_batch_mod._pulse_blocks(
+            horizon, graph.num_layers, plane_cells
+        )
+        section[name] = {
+            "trials": len(trials),
+            "diameter": diameter,
+            "num_layers": graph.num_layers,
+            "plane_cells_per_pulse": plane_cells,
+            "num_pulses": horizon,
+            "default_block_pulses": max(k1 - k0 for k0, k1 in blocks),
+            "default_pulse_blocks": len(blocks),
+            "points": points,
+        }
+    _merge_bench_json({"block_curve": section})
+    print()
+    print(
+        format_table(
+            ["stack", "B", "S*B*W cells", "us / step", "us / pulse", "peak MiB"],
+            rows,
+            title="Per-step cost curve of pulse blocks (streamed, warm; "
+            f"default B: stream_horizon {section['stream_horizon']['default_block_pulses']}, "
+            f"fault_horizon {section['fault_horizon']['default_block_pulses']})",
+        )
     )
 
 

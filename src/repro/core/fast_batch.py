@@ -75,15 +75,24 @@ eligibility, the neighbor tables -- and are never repeated; inputs that
 do change fill ``(S, B, ...)`` arrays: a pulse-varying delay model's
 delays, callable clock rates, the layer-0 rows and the faulty nodes'
 send overlays.  One private rule, :func:`_pulse_blocks`, picks the
-blocks of every run (streamed or materialized, one trial or many):
-``B = min(K, ceil(4096 / (S * W)), max(1, K * L // 64, 512 // (S * W)))``.
-A plane of about 4096 cells is where the per-step cost flattens; the
-``K * L // 64`` cap keeps a streamed run's working planes -- its ring
-plus the kernel's temporaries, about 34 ``(S, B, W)`` planes -- under
-half of one ``(S, K, L, W)`` matrix, and planes under 512 cells may
-always fill that many, since there the run's fixed costs outweigh one
-matrix anyway.  Blocks never span a pulse at which some trial enters a
-campaign epoch, so epoch entries run before a block's first pulse.
+blocks of every run (streamed or materialized, one trial or many) from
+a measured per-step cost curve and a measured memory model.  Per pulse,
+a step gets cheaper as its plane grows, up to a cliff near 16,384
+float64 cells (128 KiB), past which glibc hands the step's temporaries
+back to the kernel and every step faults them in again; so a block
+fills its plane toward 14,336 cells and never past them.  A streamed
+run holds about 8.5 values per (trial, vertex, layer) whatever the
+blocks and about 34 per (trial, vertex, pulse) of a block (its ring plus
+the step's temporaries), so ``B`` is also capped by memory: to two
+thirds of what the fixed inputs leave of one ``(S, K, L, W)`` matrix,
+or, where those dominate a short horizon, to ``L / 4`` pulses (a ring no
+larger than the fixed inputs) on planes up to 6,144 cells, where the
+cost curve flattens; planes under 512 cells may always fill that many.
+The blocks of a segment are balanced, ``ceil(K / ceil(K / B))`` pulses
+or one fewer, so the short fault and cold-sweep horizons run in one
+block and a 64-pulse one in three.  Blocks never span a pulse at which
+some trial enters a campaign epoch, so epoch entries run before a
+block's first pulse.
 
 A streamed run (``store_times=False``) stores each result matrix as a
 two-layer ring, ``(S, B, 2, W)``: the previous and the current layer of
@@ -100,7 +109,7 @@ a row leaves the plane when its trial is past its depth or dead in every
 pulse of the block, and the cells of a dead pulse inside a surviving
 row are masked out of the fallback like padding.  The fallback resolves
 the rejected ``(row, pulse, vertex)`` cells of a block step in one pass,
-and the fault sends are recorded pulse by pulse.
+and the fault sends of a block step are recorded in one call.
 
 Width-aware compaction (dropping unused lanes)
 ----------------------------------------------
@@ -274,15 +283,31 @@ def stack_compatibility(sims: Sequence[FastSimulation]) -> Optional[str]:
     return None
 
 
-#: Plane size, in cells, at which the per-step kernel cost flattens: a
-#: block holds enough pulses to fill a plane of about this many
-#: (trial, pulse, vertex) cells (see :func:`_pulse_blocks`).
-_BLOCK_CELLS = 4096
-#: A streamed block step keeps about 34 ``(S, B, W)`` planes alive (the
-#: two-layer ring of five matrices plus the kernel's temporaries), so
-#: blocks of at most ``K * L / 64`` pulses keep them under half of one
-#: ``(S, K, L, W)`` matrix.
-_RING_PLANES = 64
+#: Most cells a multi-pulse block's ``(S, B, W)`` plane may hold.  Per
+#: pulse, a block step gets cheaper as its plane grows, until glibc
+#: starts returning the step's freed temporaries to the kernel, so that
+#: every step page-faults them in afresh.  In a ``stream_horizon``
+#: benchmark process (560 cells a pulse) that cliff sat just under
+#: 16,384 float64 cells (128 KiB): 15,680 cells ran at 42 ms an op,
+#: 16,240 at 65 ms, and with glibc's heap trimming raised the jump was
+#: gone.  glibc moves its thresholds up after large frees, so the
+#: cliff depends on what the process allocated before; the
+#: ``block_curve`` bench section records it in a test process.  An
+#: eighth of headroom below 16,384 keeps blocks clear of it.
+_PLANE_CELLS = 14336
+#: Plane size, in cells, where the cost curve flattens: on both recorded
+#: shapes the per-pulse step cost falls about 4x from one pulse to here
+#: and at most about 1.5x after.  A block the memory model below would
+#: not allow may still fill its plane this far (see :func:`_pulse_blocks`).
+_KNEE_CELLS = 6144
+#: The streamed peak, in float64 values per ``(trial, vertex)`` cell of
+#: the plane (tracemalloc, warm runs): about ``_FIXED_VALUES`` per layer
+#: that the run holds whatever the blocks -- stacked delays, the rate
+#: plane, masks, statistics; 7.0-9.9 measured -- plus ``_RING_VALUES``
+#: per pulse of a block -- the two-layer ring of five matrices and a
+#: step's temporaries; 33.4-34.0 measured, 38 with faults.
+_FIXED_VALUES = 8.5
+_RING_VALUES = 34
 #: Plane size, in cells, a block may always fill, whatever the horizon:
 #: below it the run's fixed costs outweigh one matrix anyway.
 _MIN_BLOCK_CELLS = 512
@@ -296,30 +321,49 @@ def _pulse_blocks(
 ) -> List[Tuple[int, int]]:
     """The run's pulse blocks, as ``[(k0, k1), ...]`` half-open ranges.
 
-    A block holds ``B = min(K, ceil(4096 / (S * W)), max(1, K * L // 64,
-    512 // (S * W)))`` pulses, ``plane_cells`` being ``S * W``: enough
-    pulses to fill a plane of :data:`_BLOCK_CELLS` cells, where the
-    per-step cost flattens, but no more than keeps a streamed run's
-    working planes under half of one result matrix
-    (:data:`_RING_PLANES`) -- unless the plane is smaller than
-    :data:`_MIN_BLOCK_CELLS` cells.  ``starts`` are the pulses at which
-    some trial enters a campaign epoch: a block never spans one, so
-    epoch entries run before the first pulse of a block.  The last
-    block of a segment may be shorter.  The one rule for every run, not
-    an option; tests patch it to pin one-pulse and whole-horizon blocks.
+    ``plane_cells`` is ``S * W``.  A block holds at most ``B`` pulses:
+    as many as fill a plane of :data:`_PLANE_CELLS` cells, where the
+    per-step cost is lowest, but no more than the memory model allows.
+    Per ``(trial, vertex)`` cell the streamed peak is about ``F * L + R
+    * B`` float64 values (:data:`_FIXED_VALUES`, :data:`_RING_VALUES`),
+    against ``K * L`` for one ``(S, K, L, W)`` result matrix.  So a
+    block may hold
+
+    * ``2 (K - F) L / (3 R)`` pulses: the ring takes at most two thirds
+      of what the fixed inputs leave of one matrix, and the peak stays
+      under one matrix whenever the fixed inputs do; or
+    * ``F L / R = L / 4`` pulses -- a ring no larger than the fixed
+      inputs, which dominate short horizons -- while its plane stays
+      within :data:`_KNEE_CELLS` cells, where the cost curve flattens;
+      or
+    * as many as fill :data:`_MIN_BLOCK_CELLS` cells.
+
+    Within each segment the blocks are balanced: ``ceil(n / ceil(n /
+    B))`` pulses or one fewer, so no block is a ragged tail.  ``starts``
+    are the pulses at which some trial enters a campaign epoch: a block
+    never spans one, so epoch entries run before the first pulse of a
+    block.  The one rule for every run, not an option; tests patch it to
+    pin one-pulse and whole-horizon blocks.
     """
     cells = max(plane_cells, 1)
     size = min(
         num_pulses,
-        -(-_BLOCK_CELLS // cells),
-        max(1, num_pulses * num_layers // _RING_PLANES, _MIN_BLOCK_CELLS // cells),
+        max(1, _PLANE_CELLS // cells),
+        max(
+            1,
+            int(2 * (num_pulses - _FIXED_VALUES) * num_layers / (3 * _RING_VALUES)),
+            min(int(_FIXED_VALUES * num_layers / _RING_VALUES), _KNEE_CELLS // cells),
+            _MIN_BLOCK_CELLS // cells,
+        ),
     )
     cuts = sorted({0, num_pulses, *(k for k in starts if 0 < k < num_pulses)})
-    return [
-        (k0, min(k0 + size, end))
-        for start, end in zip(cuts, cuts[1:])
-        for k0 in range(start, end, size)
-    ]
+    blocks = []
+    for start, end in zip(cuts, cuts[1:]):
+        count = -(-(end - start) // size)
+        small, extra = divmod(end - start, count)
+        edges = [start + i * small + min(i, extra) for i in range(count + 1)]
+        blocks.extend(zip(edges, edges[1:]))
+    return blocks
 
 
 def _slot(matrix: np.ndarray, layer: int) -> int:
@@ -539,20 +583,22 @@ class _FaultTable:
                 behaviors, sends.take(at)
             )
         self._dynamic = None
-        self._block: Optional[Tuple[int, np.ndarray]] = None
+        self.block_offsets: Optional[np.ndarray] = None
         if not static.all():
             at = np.flatnonzero(~static)
             self._dynamic = ((rows[at], cols[at]), behaviors, sends.take(at))
 
     def start_block(self, pulses: range) -> None:
-        """Compute the dynamic offsets of every pulse of a block at once.
+        """Compute the offsets of every send of every pulse of a block.
 
-        One :func:`~repro.faults.model.send_offsets` call over the
-        dynamic sends of all of the block's pulses (pulse-major); the
-        ``(B, R, M)`` table lives until the next block.  A no-op when
-        every behaviour is static.
+        :attr:`block_offsets` becomes the block's ``(B, R, M)`` table
+        until the next block: the static offsets broadcast over the
+        block, with the dynamic sends of all of its pulses filled in by
+        one :func:`~repro.faults.model.send_offsets` call (pulse-major).
         """
+        shape = (len(pulses),) + self.offsets.shape
         if self._dynamic is None:
+            self.block_offsets = np.broadcast_to(self.offsets, shape)
             return
         (rows, cols), behaviors, sends = self._dynamic
         size = sends.pulse.size
@@ -562,44 +608,40 @@ class _FaultTable:
             behaviors,
             replace(repeated, pulse=np.repeat(np.arange(pulses.start, pulses.stop), size)),
         ).reshape(len(pulses), size)
-        self._block = (pulses.start, offsets)
-
-    def offsets_at(self, k: int) -> np.ndarray:
-        """The ``(R, M)`` offsets of every send of pulse ``k`` of the
-        block :meth:`start_block` last computed."""
-        if self._dynamic is None:
-            return self.offsets
-        start, offsets = self._block
-        return offsets[k - start]
+        self.block_offsets = offsets
 
 
 class _FaultSendLog:
     """The fault sends one stack run recorded, as array chunks.
 
     Each chunk is one :meth:`TrialStack._record_fault_sends` call:
-    ``(table, rows, k, sends)`` -- the table rows that sent in pulse
-    ``k`` and their ``(n, M)`` send times (``+inf`` = silent).
-    :meth:`sends_of` builds one trial's ``fault_sends`` dict from them.
+    ``(table, rows, pulses, sends)`` -- the table rows that sent in the
+    block, the pulse of each, and their ``(n, M)`` send times (``+inf``
+    = silent), pulse-major.  :meth:`sends_of` builds one trial's
+    ``fault_sends`` dict from them.
     """
 
     def __init__(self) -> None:
-        self.chunks: List[Tuple[_FaultTable, np.ndarray, int, np.ndarray]] = []
+        self.chunks: List[
+            Tuple[_FaultTable, np.ndarray, np.ndarray, np.ndarray]
+        ] = []
 
     def sends_of(
         self, trial: int
     ) -> Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]]:
         """Trial ``trial``'s ``{(node, successor): {pulse: time or None}}``."""
         out: Dict[Tuple[NodeId, NodeId], Dict[int, Optional[float]]] = {}
-        for table, rows, k, sends in self.chunks:
+        for table, rows, pulses, sends in self.chunks:
             mine = table.trial[rows] == trial
             if not mine.any():
                 continue
             rows = rows[mine]
-            for v, layer, successors, valid, values in zip(
+            for v, layer, successors, valid, k, values in zip(
                 table.vertex[rows].tolist(),
                 table.layer[rows].tolist(),
                 table.successors[rows].tolist(),
                 table.valid[rows].tolist(),
+                pulses[mine].tolist(),
                 sends[mine].tolist(),
             ):
                 node = (v, layer)
@@ -1053,7 +1095,6 @@ class TrialStack:
                 # of the ring.
                 r0 = k0 if store_times else 0
                 window = slice(r0, r0 + len(pulses))
-                self._block = pulses  # the overlays' pulse axis
                 self._sends.clear()
                 if self._faults is not None:
                     self._faults.start_block(pulses)
@@ -1061,10 +1102,7 @@ class TrialStack:
                     _clear_slot(matrices, window, 0)
                 self._run_layer0_stacked(times, protocol_times, branches, pulses, r0)
                 if self._faults is not None:
-                    for j, k in enumerate(pulses):
-                        self._record_fault_sends(
-                            k, 0, protocol_times[:, r0 + j, 0, :]
-                        )
+                    self._record_fault_sends(k0, 0, protocol_times[:, window, 0, :])
                 if stream is not None:
                     self._fold_step(stream, matrices, k0, window, 0)
                 dead = (
@@ -1124,10 +1162,9 @@ class TrialStack:
                         live,
                     )
                     if self._faults is not None:
-                        for j, k in enumerate(pulses):
-                            self._record_fault_sends(
-                                k, layer, protocol_times[:, r0 + j, slot, :]
-                            )
+                        self._record_fault_sends(
+                            k0, layer, protocol_times[:, window, slot, :]
+                        )
                     if stream is not None:
                         self._fold_step(stream, matrices, k0, window, layer)
         finally:
@@ -1373,48 +1410,52 @@ class TrialStack:
         )
         return _FaultTable(self.sims, sweeps, self._width, nb_shape)
 
-    def _record_fault_sends(self, k: int, layer: int, plane: np.ndarray) -> None:
-        """Record the pulse-``k`` sends of ``layer``'s faulty nodes at once.
+    def _record_fault_sends(self, k0: int, layer: int, planes: np.ndarray) -> None:
+        """Record the block's sends of ``layer``'s faulty nodes at once.
 
-        ``plane`` is the layer's ``(S, W_max)`` protocol-time plane of
-        pulse ``k``: a faulty node that pulsed sends at its protocol
-        (correct) time plus its offsets, ``ct[:, None] + offsets[rows]``.
-        The sends go to the run's send log (the source of every result's
-        ``fault_sends``) and into the overlay of ``layer + 1``: an
-        ``(own, nb)`` pair with one plane per pulse of the block, each
-        laid out like that layer's delay arrays -- ``(B, S, W_max)`` own
-        copies plus ``(B, S, W_max, max_deg)`` neighbor copies, or the
-        ``(B, S, nnz)`` edge vector on CSR stacks.  A silent send is
-        ``+inf``, and so is every slot no send was recorded for.  The
-        fallback reads a faulty predecessor's send from the overlay at
-        the cell's pulse and the slot where it reads that edge's delay.
+        ``planes`` is the layer's ``(S, B, W_max)`` protocol-time planes
+        of the block starting at pulse ``k0``: a faulty node that pulsed
+        sends at its protocol (correct) time plus its offsets, ``ct +
+        offsets`` for each (pulse, row) of the ``(B, R)`` correct times
+        and the block's ``(B, R, M)`` offsets.  The sends go to the run's
+        send log (the source of every result's ``fault_sends``; one
+        chunk a call) and into the overlay of ``layer + 1``: an ``(own,
+        nb)`` pair with one plane per pulse of the block, each laid out
+        like that layer's delay arrays -- ``(B, S, W_max)`` own copies
+        plus ``(B, S, W_max, max_deg)`` neighbor copies, or the ``(B, S,
+        nnz)`` edge vector on CSR stacks.  A silent send is ``+inf``, and
+        so is every slot no send was recorded for.  The fallback reads a
+        faulty predecessor's send from the overlay at the cell's pulse
+        and the slot where it reads that edge's delay.
         """
         table = self._faults
         at = table.layer_rows.get(layer)
         if at is None:
             return
         rows, trials, vertices = at
-        correct = plane[trials, vertices]
-        pulsed = ~np.isnan(correct)
-        if not pulsed.all():
-            rows, correct = rows[pulsed], correct[pulsed]
-            if not rows.size:
-                return
-        sends = correct[:, None] + table.offsets_at(k)[rows]
+        correct = planes[trials, :, vertices].T
+        pulse, row = np.nonzero(~np.isnan(correct))
+        if not pulse.size:
+            return
+        rows = rows[row]
+        sends = correct[pulse, row, None] + table.block_offsets[pulse, rows]
         overlay = self._sends.get(layer + 1)
         if overlay is None:
-            count = len(self._block)
+            count = planes.shape[1]
             overlay = (
                 np.full((count, len(self.sims), self._width), np.inf),
                 np.full((count,) + table.nb_shape, np.inf),
             )
             self._sends[layer + 1] = overlay
-        j = k - self._block.start
-        own, nb = overlay[0][j], overlay[1][j]
-        np.put(own, table.own_slot[rows], sends[:, 0])
+        own, nb = overlay
+        np.put(own, pulse * own[0].size + table.own_slot[rows], sends[:, 0])
         valid = table.valid[rows, 1:]
-        np.put(nb, table.nb_slot[rows][valid], sends[:, 1:][valid])
-        self._fault_log.chunks.append((table, rows, k, sends))
+        np.put(
+            nb,
+            (pulse[:, None] * nb[0].size + table.nb_slot[rows])[valid],
+            sends[:, 1:][valid],
+        )
+        self._fault_log.chunks.append((table, rows, k0 + pulse, sends))
 
     def _row_structs(
         self,

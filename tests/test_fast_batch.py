@@ -494,27 +494,31 @@ class TestColumnFold:
 
 
 class TestPulseBlocks:
-    """The one block rule: B = min(K, ceil(4096 / (S W)),
-    max(1, K L // 64, 512 // (S W)))."""
+    """The one block rule: B = min(K, 14336 // (S W), max(1, 2 (K - 8.5) L
+    // 102, min(L // 4, 6144 // (S W)), 512 // (S W))), in balanced
+    blocks."""
 
     @staticmethod
     def assert_blocks(blocks, num_pulses, size):
-        assert {k1 - k0 for k0, k1 in blocks[:-1]} <= {size}
-        assert 0 < blocks[-1][1] - blocks[-1][0] <= size
-        assert [k0 for k0, _ in blocks] == list(range(0, num_pulses, size))
-        assert blocks[-1][1] == num_pulses
+        """``blocks`` tile the horizon in ``ceil(K / size)`` balanced
+        blocks of ``size`` pulses or one fewer."""
+        sizes = [k1 - k0 for k0, k1 in blocks]
+        assert max(sizes) == size and min(sizes) >= size - 1, sizes
+        assert len(blocks) == -(-num_pulses // size)
+        assert blocks[0][0] == 0 and blocks[-1][1] == num_pulses
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
     @pytest.mark.parametrize(
         "num_pulses, plane_cells, size",
         [
-            (64, 16 * 35, 4),  # K L // 64 = 4 caps the 8 of the plane
-            (32, 64 * 35, 2),  # ceil(4096 / 2240) = 2
-            (48, 24 * 11, 3),  # K L // 64 = 3
-            (8, 16 * 35, 1),  # K L // 64 = 0: one pulse per block
+            (64, 16 * 35, 4),  # two thirds of what F L leaves of K L: 4
+            (32, 64 * 35, 1),  # 2 (K - F) L / 3 R = 1.8, L // 4 = 1
+            (48, 24 * 11, 3),  # 2 (K - F) L / 3 R = 3.1
+            (8, 16 * 35, 1),  # K < F and L // 4 = 1: one pulse per block
             (8, 1, 8),  # the 512-cell floor, capped by the horizon
-            (1000, 4096, 1),  # a plane of 4096 cells needs no blocking
-            (1000, 8192, 1),
-            (1000, 1000, 5),
+            (1000, 4096, 3),  # the plane cap: 3 x 4096 <= 14336 cells
+            (1000, 8192, 1),  # two pulses would pass the plane cap
+            (1000, 1000, 14),  # 14336 // 1000 = 14, 72 balanced blocks
         ],
     )
     def test_block_size(self, num_pulses, plane_cells, size):
@@ -526,17 +530,18 @@ class TestPulseBlocks:
     @pytest.mark.parametrize(
         "num_pulses, num_layers, plane_cells, size",
         [
-            (64, 32, 16 * 35, 8),  # stream_horizon: 16 trials, D = 32
-            (8, 32, 17 * 35, 4),  # fault_horizon: thm13, 17 trials, D = 32
-            (4, 32, 8 * 35, 2),  # cold_sweep: 8 fresh trials, D = 32
+            (64, 32, 16 * 35, 22),  # stream_horizon: 14336 // 560 = 25, balanced
+            (8, 32, 17 * 35, 8),  # fault_horizon: K <= L // 4, plane under 6144
+            (4, 32, 8 * 35, 4),  # cold_sweep: 8 fresh trials, D = 32
             (4, 16, 2 * 19, 4),  # service_mix: D = 16 shards of 2 ...
             (4, 16, 4 * 19, 4),  # ... or of 4 trials
             (48, 8, 24 * 11, 6),  # the streamed memory contract
-            (32, 32, 64 * 35, 2),  # the S = 64, K = 32 streaming bench
-            (8, 32, 64 * 35, 2),  # K L // 64 once the plane passes 512
+            (16, 32, 32 * 35, 4),  # the short-horizon memory contract
+            (32, 32, 64 * 35, 6),  # the S = 64, K = 32 streaming bench
+            (8, 32, 64 * 35, 2),  # the knee: 6144 // 2240 = 2
             (3, 4, 24 * 11, 1),
-            (1000, 4, 100, 41),  # ceil(4096 / 100)
-            (40, 2, 100, 5),  # the 512-cell floor beats K L // 64 = 1
+            (1000, 4, 100, 77),  # 2 (K - F) L / 3 R = 77.8
+            (40, 2, 100, 5),  # the 512-cell floor
         ],
     )
     def test_block_size_of_the_workloads(
@@ -557,12 +562,38 @@ class TestPulseBlocks:
         for k0, k1 in blocks:
             assert not any(k0 < k < k1 for k in starts)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_pulses=st.integers(1, 300),
+        num_layers=st.integers(1, 200),
+        plane_cells=st.integers(1, 40_000),
+        starts=st.lists(st.integers(-5, 320), max_size=8),
+    )
+    def test_block_properties(self, num_pulses, num_layers, plane_cells, starts):
+        """Over random horizons, depths, planes and epoch entries: the
+        blocks tile the horizon, never span an epoch entry, differ by at
+        most one pulse inside a segment, and a multi-pulse block's plane
+        never passes 16,384 cells."""
+        blocks = _pulse_blocks(num_pulses, num_layers, plane_cells, starts)
+        assert blocks[0][0] == 0 and blocks[-1][1] == num_pulses
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        cuts = sorted({0, num_pulses, *(k for k in starts if 0 < k < num_pulses)})
+        for start, end in zip(cuts, cuts[1:]):
+            sizes = [k1 - k0 for k0, k1 in blocks if start <= k0 < end]
+            assert sum(sizes) == end - start
+            assert max(sizes) - min(sizes) <= 1, sizes
+        for k0, k1 in blocks:
+            assert k1 > k0
+            assert not any(k0 < k < k1 for k in starts)
+            if k1 - k0 > 1:
+                assert (k1 - k0) * plane_cells <= 16_384
+
     def test_compaction_stats_report_the_blocks(self):
         for diameter, trials, num_pulses, blocks in (
             (4, 1, 40, (40, 1)),  # a 7-cell plane: the 512-cell floor
             (4, 1, NUM_PULSES, (NUM_PULSES, 1)),
-            (32, 17, 8, (4, 2)),  # the fault_horizon shape
-            (32, 8, 4, (2, 2)),  # the cold_sweep shape
+            (32, 17, 8, (8, 1)),  # the fault_horizon shape: one block
+            (32, 8, 4, (4, 1)),  # the cold_sweep shape: one block
             (8, 24, 48, (6, 8)),  # the streamed memory contract
         ):
             sims = []
