@@ -60,6 +60,11 @@ Four micro-benchmarks track the performance trajectory across PRs:
   process pool vs the same grid run serially, asserting <= 1.5x; and
   the median ``ServiceClient.health()`` round trip on one keep-alive
   connection, asserting <= 10 ms.  Recorded under ``"warm_transport"``.
+* ``test_service_executor``: the same serial vs warm-pool comparison
+  on fresh grids from 4,864 to ~1.1M cells, the curve the service's
+  ``_SERIAL_CELLS`` (below it a job that names no executor runs
+  serially) is read from; recorded under ``"service_executor"`` with
+  the crossover, the constant and the host.  Reported, not gated.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -129,6 +134,7 @@ import pytest
 import repro.core.fast as fast_mod
 import repro.core.fast_batch as fast_batch_mod
 import repro.faults.model as fault_model
+import repro.service.jobs as jobs_mod
 import repro.topology.base_graph as base_graph_mod
 from repro.analysis.report import format_table
 from repro.analysis.streaming import StreamedStats
@@ -2279,39 +2285,46 @@ PER_CALL_TRANSPORT = {
 }
 
 
-def warm_transport_timings(rounds=TRANSPORT_ROUNDS):
+def warm_transport_timings(
+    rounds=TRANSPORT_ROUNDS,
+    diameter=TRANSPORT_DIAMETER,
+    trials=TRANSPORT_TRIALS,
+    num_pulses=NUM_PULSES,
+    seeds=None,
+):
     """Median process and serial runs of fresh grids, and their ratio.
 
-    Each round builds a fresh grid (seeds never reused, so every run
-    gathers its inputs cold), runs it through the process executor,
-    then serially -- the process run ships pickled copies, so the
-    serial run finds the parent's trials still cold.  The ratio is the
-    median of the per-round ratios: run times differ between grids, and
-    a best-of per side would pair one grid's luck with another's.  One
-    process run before the rounds forks the pool.
+    Each round builds a fresh grid of ``trials`` seeds at ``diameter``
+    (seeds never reused, so every run gathers its inputs cold), runs it
+    through the process executor, then serially -- the process run
+    ships pickled copies, so the serial run finds the parent's trials
+    still cold.  The ratio is the median of the per-round ratios: run
+    times differ between grids, and a best-of per side would pair one
+    grid's luck with another's.  One process run before the rounds
+    forks the pool (or finds it warm).
     """
-    seeds = itertools.count(10_000)
-    serial = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+    seeds = itertools.count(10_000) if seeds is None else seeds
+    serial = BatchRunner(num_pulses=num_pulses, store_times=False)
     process = BatchRunner(
-        num_pulses=NUM_PULSES, executor="process", store_times=False
+        num_pulses=num_pulses, executor="process", store_times=False
     )
 
     def fresh():
         return BatchRunner.seed_sweep(
-            TRANSPORT_DIAMETER,
-            [next(seeds) for _ in range(TRANSPORT_TRIALS)],
-            num_pulses=NUM_PULSES,
+            diameter,
+            [next(seeds) for _ in range(trials)],
+            num_pulses=num_pulses,
         )
 
     process.run(fresh())
     process_s, serial_s = [], []
     for _ in range(rounds):
-        trials = fresh()
+        grid = fresh()
         start = time.perf_counter()
-        by_process = process.run(trials)
+        by_process = process.run(grid)
         process_s.append(time.perf_counter() - start)
         start = time.perf_counter()
-        by_serial = serial.run(trials)
+        by_serial = serial.run(grid)
         serial_s.append(time.perf_counter() - start)
         np.testing.assert_array_equal(
             by_process.local_skews(), by_serial.local_skews()
@@ -2344,8 +2357,10 @@ def health_round_trip():
 def test_warm_transport():
     """Warm pool <= 1.5x serial on a fresh grid; round trip <= 10 ms.
 
-    The service runs every miss through the process executor and makes
-    four HTTP requests per job.  With a pool forked per run and a TCP
+    The service sends a grid this size to the process executor only
+    when the submission asks for it (a job that names no executor runs
+    it serially, see :func:`test_service_executor`), and a served job
+    is three HTTP requests.  With a pool forked per run and a TCP
     connection per request, a fresh service-sized grid took ~2x its
     serial run; the section records those numbers
     (:data:`PER_CALL_TRANSPORT`) next to the live ``warm`` ones.
@@ -2393,4 +2408,84 @@ def test_warm_transport():
     assert record["round_trip_s"] <= ROUND_TRIP_CEILING, (
         f"health() round trip {record['round_trip_s'] * 1e3:.1f} ms; "
         f"ceiling is {ROUND_TRIP_CEILING * 1e3:.0f} ms"
+    )
+
+
+#: The ``service_executor`` curve: fresh streamed grids from the
+#: ``service_mix`` miss (4,864 cells) to ~1.1M cells, as
+#: ``(diameter, trials, pulses)``; cells = pulses x trials x layers x
+#: width, with D layers of D + 3 nodes.
+EXECUTOR_GRIDS = (
+    (16, 4, 4),
+    (16, 6, 4),
+    (16, 8, 4),
+    (16, 10, 4),
+    (16, 12, 4),
+    (16, 16, 4),
+    (32, 8, 4),
+    (32, 8, 8),
+    (32, 16, 8),
+    (64, 16, 4),
+    (64, 16, 8),
+    (64, 16, 16),
+)
+#: Fresh grids timed through each executor per curve point.
+EXECUTOR_ROUNDS = 9
+
+
+def test_service_executor():
+    """Serial vs warm-pool wall time of fresh grids against their cells.
+
+    The curve the service's executor choice is read from: a job that
+    names no executor runs serially in its job thread below
+    ``repro.service.jobs._SERIAL_CELLS`` cells and shards onto the
+    process pool from there.  Each point is
+    :func:`warm_transport_timings` on one grid shape.  The crossover
+    recorded is the fewest cells from which the median pool / serial
+    ratio stays under 1 at every larger point.  Reported, not
+    gated: the curve belongs to the host (cores, the pool's fork), so
+    the section records the host and the constant next to it.
+    """
+    seeds = itertools.count(20_000)
+    points, rows = [], []
+    for diameter, trials, pulses in EXECUTOR_GRIDS:
+        record = warm_transport_timings(
+            EXECUTOR_ROUNDS, diameter, trials, pulses, seeds
+        )
+        one = BatchRunner.seed_sweep(diameter, [0], num_pulses=pulses)
+        cells = trials * jobs_mod.grid_cells(one, pulses)
+        points.append(
+            {
+                "diameter": diameter,
+                "trials": trials,
+                "num_pulses": pulses,
+                "cells": cells,
+                **record,
+            }
+        )
+        rows.append(
+            (cells, diameter, trials, pulses, record["serial_s"],
+             record["process_s"], record["process_over_serial"])
+        )
+    crossover = None
+    for point in reversed(points):
+        if point["process_over_serial"] >= 1.0:
+            break
+        crossover = point["cells"]
+    section = {
+        "host": host_info(),
+        "rounds": EXECUTOR_ROUNDS,
+        "points": points,
+        "crossover_cells": crossover,
+        "serial_cells": jobs_mod._SERIAL_CELLS,
+    }
+    _merge_bench_json({"service_executor": section})
+    print()
+    print(
+        format_table(
+            ["cells", "D", "S", "K", "serial s", "pool s", "pool / serial"],
+            rows,
+            title="Fresh grids, serial vs warm pool (crossover "
+            f"{crossover} cells; _SERIAL_CELLS {jobs_mod._SERIAL_CELLS})",
+        )
     )

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: async job runner, dedup result store, HTTP API.
+"""Simulation-as-a-service: threaded job runner, dedup result store, HTTP API.
 
 The library's :class:`~repro.experiments.batch.BatchRunner` is a one-shot
 in-process call; this package wraps it in a long-lived serving surface:
@@ -8,13 +8,14 @@ in-process call; this package wraps it in a long-lived serving surface:
   + keyed runner knobs, so a resubmitted grid is a recorded cache hit served
   without touching a kernel.
 * :mod:`repro.service.jobs` -- trial-grid specs (the same grids the
-  thm11/thm13/cor15/table1 drivers build) plus an asyncio job runner
-  that queues submissions, executes them through the existing
-  ``executor="process"`` sharding on one worker pool kept across jobs
-  (failure-isolated: a worker killed mid-batch loses no completed
-  shard), and streams per-shard progress.
+  thm11/thm13/cor15/table1 drivers build) plus a thread-pool job runner
+  that queues submissions and streams their progress.  A small grid
+  runs serially in its job thread; a large one (or one that asks for
+  it) goes through the existing ``executor="process"`` sharding on one
+  worker pool kept across jobs (failure-isolated: a worker killed
+  mid-batch loses no completed shard).
 * :mod:`repro.service.api` -- a stdlib HTTP/1.1 keep-alive server over
-  the runner (submit / poll / stream events / fetch results), and
+  the runner (submit / wait / stream events / fetch results), and
   :mod:`repro.service.client` -- the matching keep-alive client.
 
 Boot it with ``python -m repro.service`` (see ``docs/service.md``).

@@ -10,7 +10,9 @@ Endpoints (all JSON unless noted):
 ``GET /store``                  result-store stats (entries/hits/misses)
 ``POST /jobs``                  submit a grid (see :mod:`.jobs`); 202
 ``GET /jobs``                   all jobs, submission order
-``GET /jobs/<id>``              one job's status view
+``GET /jobs/<id>``              one job's status view; ``?wait=S``
+                                holds the request until the job is
+                                done or failed (at most 30 s)
 ``GET /jobs/<id>/events``       progress stream; ``?since=N&wait=S``
                                 long-polls for events past ``N``
 ``GET /jobs/<id>/result``       finished statistics as JSON, or the
@@ -20,9 +22,9 @@ Endpoints (all JSON unless noted):
 The server is a ``ThreadingHTTPServer`` speaking HTTP/1.1 keep-alive:
 one handler thread per client connection, which it serves until the
 client closes it or it idles past :attr:`_Handler.timeout`.  Handler
-threads validate and enqueue, the runner's asyncio loop schedules, and
-the blocking batch work happens on executor threads / worker processes
--- so concurrent submissions and polls never block each other.
+threads validate and enqueue, and the blocking batch work happens on
+the runner's job threads (and, for large grids, the process pool's
+workers) -- so concurrent submissions and polls never block each other.
 FastAPI would be the production face of this (see
 ``docs/service.md``); the stdlib server keeps the dependency budget at
 zero while serving the same contract.
@@ -143,6 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if job is None:
                     return self._error(404, f"unknown job {parts[1]!r}")
                 if len(parts) == 2:
+                    job.wait_done(min(float(query.get("wait", 0.0)), 30.0))
                     return self._send_json(200, job.describe())
                 if parts[2:] == ("events",):
                     since = int(query.get("since", 0))
@@ -205,7 +208,7 @@ class ServiceServer:
     """The bound HTTP server + its runner, with a test-friendly lifecycle.
 
     ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port`).  ``start`` boots the runner's loop thread and a
+    :attr:`port`).  ``start`` starts the runner's job threads and a
     daemon thread for ``serve_forever``; ``stop`` shuts both down.
     """
 

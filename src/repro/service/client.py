@@ -1,10 +1,10 @@
-"""Keep-alive HTTP client for the service API (submit / poll / fetch).
+"""Keep-alive HTTP client for the service API (submit / wait / fetch).
 
 Mirrors the endpoints of :mod:`repro.service.api` one method each; the
 experiment CLI's ``--submit`` path and the test suite both drive the
 server through it.  Each client keeps one persistent
 :class:`http.client.HTTPConnection` per calling thread, so a job's
-submit / poll / fetch round trips share one TCP connection instead of
+submit / wait / fetch round trips share one TCP connection instead of
 opening one each.  JSON floats round-trip ``float.__repr__`` exactly,
 so statistics fetched here compare bitwise against an in-process
 ``BatchRunner.run``.
@@ -121,9 +121,9 @@ class ServiceClient:
         """``GET /jobs`` -> all job status views."""
         return self._request("/jobs")["jobs"]
 
-    def job(self, job_id: str) -> Dict:
-        """``GET /jobs/<id>``."""
-        return self._request(f"/jobs/{job_id}")
+    def job(self, job_id: str, wait: float = 0.0) -> Dict:
+        """``GET /jobs/<id>`` (held until the job ends when ``wait > 0``)."""
+        return self._request(f"/jobs/{job_id}?wait={float(wait)}")
 
     def events(self, job_id: str, since: int = 0, wait: float = 0.0) -> Dict:
         """``GET /jobs/<id>/events`` (long-polls when ``wait > 0``)."""
@@ -132,15 +132,18 @@ class ServiceClient:
         )
 
     def wait(self, job_id: str, timeout: float = 120.0) -> Dict:
-        """Long-poll the event stream until the job reaches a terminal state."""
+        """The job's terminal status view, one held request at a time.
+
+        Each request is held for at most half the socket timeout, so
+        the server answers before the connection gives up on it.
+        """
         deadline = time.monotonic() + timeout
-        since = 0
         while True:
-            view = self.events(job_id, since=since, wait=2.0)
-            since = view["next"]
+            remaining = max(0.0, deadline - time.monotonic())
+            view = self.job(job_id, wait=min(remaining, self.timeout / 2))
             if view["status"] in ("done", "failed"):
-                return self.job(job_id)
-            if time.monotonic() > deadline:
+                return view
+            if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {view['status']!r} after {timeout}s"
                 )

@@ -1,4 +1,4 @@
-"""Trial-grid specs and the asyncio job runner behind the service API.
+"""Trial-grid specs and the threaded job runner behind the service API.
 
 A *submission* is a JSON-able dict::
 
@@ -12,26 +12,27 @@ is the pulse budget, and ``runner`` overrides
 :class:`~repro.experiments.batch.BatchRunner` knobs (validated at
 submit time, defaults in :data:`JobRunner.runner_defaults`).
 
-The :class:`JobRunner` owns an asyncio event loop on a background
-thread: submissions enqueue as :class:`Job` objects, a bounded set of
-worker tasks drains the queue, and each job executes the blocking batch
-run on the loop's thread-pool executor so the loop itself stays free to
-schedule the next submission.  Execution goes through
-``BatchRunner.run(trials, on_shard=...)`` -- the existing
-``executor="process"`` sharding, now failure-isolated -- and every
-executor event lands in the job's ordered progress stream, which HTTP
-clients poll or long-poll.  Results dedup through the
-:class:`~repro.service.store.ResultStore`: a job whose grid key is
-already stored completes instantly as a recorded cache hit.
+The :class:`JobRunner` owns one thread pool of ``concurrency`` job
+threads: submissions become :class:`Job` objects queued on the pool,
+and each job thread runs one blocking batch at a time.  A submission
+that names no ``executor`` (nor ``shards``) picks it from its size:
+a grid of fewer than :data:`_SERIAL_CELLS` cells (pulses x layers x
+width, summed over trials) runs ``executor="serial"`` in the job thread
+itself, a larger one shards onto the process-wide worker pool with
+``executor="process"`` -- failure-isolated, so a worker death loses no
+completed shard.  Every executor event lands in the job's ordered
+progress stream, which HTTP clients poll or long-poll.  Results dedup
+through the :class:`~repro.service.store.ResultStore`: a job whose grid
+key is already stored completes instantly as a recorded cache hit.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -266,6 +267,15 @@ class Job:
                 self._cond.wait(remaining)
             return [dict(e) for e in self.events[since:]]
 
+    def wait_done(self, timeout: float) -> bool:
+        """Block up to ``timeout`` s for a terminal state; True once done.
+
+        The building block of ``GET /jobs/<id>?wait=S``: one request
+        that returns when the job finishes.
+        """
+        with self._cond:
+            return self._cond.wait_for(lambda: self.done, timeout)
+
     def payload(self):
         """The finished statistics payload (None until ``done``)."""
         return self._payload
@@ -287,15 +297,36 @@ class Job:
         }
 
 
+#: Cells (pulses x layers x width, summed over trials) from which a
+#: submission that names no executor shards onto the process pool;
+#: smaller grids run serially in the job thread.  Read from the serial
+#: vs warm-pool curve of fresh grids (``service_executor`` in
+#: ``benchmarks/BENCH_batch.json``): on a 2-core host, over six
+#: processes, the pool's run took a median 1.07-1.20x the serial one up
+#: to 9,728 cells (pickling and hand-off cost more than the second core
+#: saves), 1.03x at 12,160 and 0.86-0.89x from 14,592.  Two small jobs
+#: running at once share one interpreter lock, for at most this many
+#: cells each.
+_SERIAL_CELLS = 12_288
+
+
+def grid_cells(trials: Sequence[BatchTrial], num_pulses: int) -> int:
+    """Simulated cells of a grid: pulses x layers x width, over trials."""
+    return num_pulses * sum(
+        t.config.graph.num_layers * t.config.graph.width for t in trials
+    )
+
+
 class JobRunner:
-    """Asyncio job queue executing trial grids through ``BatchRunner``.
+    """Thread-pool job queue executing trial grids through ``BatchRunner``.
 
     ``concurrency`` bounds how many jobs execute at once (each job's
-    own process-sharding parallelism is a ``runner`` knob).  The runner
-    owns its loop thread; :meth:`start` is idempotent and
-    :meth:`shutdown` stops the loop without interrupting the blocking
-    batch already in flight (jobs are deterministic and cached, so a
-    re-submission after restart is a hit).
+    own process-sharding parallelism is a ``runner`` knob, or follows
+    from its size, see :data:`_SERIAL_CELLS`).  :meth:`start` is
+    idempotent and :meth:`shutdown` stops taking jobs without
+    interrupting the blocking batches already in flight (jobs are
+    deterministic and cached, so a re-submission after restart is a
+    hit).
 
     Example
     -------
@@ -304,20 +335,19 @@ class JobRunner:
     >>> job = runner.submit({
     ...     "grid": {"kind": "thm11", "diameters": [4], "seeds": [0]},
     ...     "num_pulses": 2,
-    ...     "runner": {"executor": "serial"},
     ... })
     >>> runner.wait(job.id, timeout=60).status
     'done'
+    >>> job.runner_kwargs["executor"]
+    'serial'
     >>> runner.shutdown()
     """
 
     #: Default ``BatchRunner`` knobs for submissions that name none.
     #: Streaming (``store_times=False``) keeps service memory bounded;
     #: the folded statistics are bit-identical to the materialized path.
-    runner_defaults: Dict[str, object] = {
-        "executor": "process",
-        "store_times": False,
-    }
+    #: No ``executor``: :meth:`submit` picks it from the grid's size.
+    runner_defaults: Dict[str, object] = {"store_times": False}
 
     def __init__(
         self,
@@ -335,57 +365,24 @@ class JobRunner:
         self._order: List[str] = []
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._queue: Optional[asyncio.Queue] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "JobRunner":
-        """Boot the loop thread and its worker tasks (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._ready.clear()
-        self._thread = threading.Thread(
-            target=self._loop_main, name="repro-service-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
+        """Create the job threads' pool (idempotent)."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                self.concurrency, thread_name_prefix="repro-service-job"
+            )
         return self
 
-    def _loop_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._queue = asyncio.Queue()
-        workers = [
-            loop.create_task(self._worker()) for _ in range(self.concurrency)
-        ]
-        self._loop = loop
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            for task in workers:
-                task.cancel()
-            loop.run_until_complete(
-                asyncio.gather(*workers, return_exceptions=True)
-            )
-            loop.close()
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the loop thread; queued-but-unstarted jobs stay queued."""
-        if self._loop is not None and self._thread is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout)
-        self._loop = None
-        self._thread = None
+    def shutdown(self) -> None:
+        """Stop taking jobs; queued-but-unstarted jobs stay queued."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     # -- submission -----------------------------------------------------
-    def _runner_kwargs(self, overrides: Optional[Dict]) -> Dict:
-        kwargs = dict(self.runner_defaults)
-        kwargs.update(overrides or {})
-        return kwargs
-
     def submit(
         self, submission: Dict, trials: Optional[Sequence[BatchTrial]] = None
     ) -> Job:
@@ -397,15 +394,24 @@ class JobRunner:
         ``submission["grid"]``.  Validation -- grid building and a
         throwaway ``BatchRunner`` construction -- happens here, in the
         caller's thread, so a bad submission fails the request instead
-        of the job.
+        of the job.  An ``executor`` or ``shards`` the submission (or
+        :attr:`runner_defaults`) names is honoured; otherwise the
+        grid's :func:`grid_cells` pick it (see :data:`_SERIAL_CELLS`).
         """
-        if self._loop is None:
+        pool = self._pool
+        if pool is None:
             raise RuntimeError("JobRunner is not started; call start() first")
         num_pulses = int(submission.get("num_pulses", 4))
-        runner_kwargs = self._runner_kwargs(submission.get("runner"))
+        runner_kwargs = dict(self.runner_defaults)
+        runner_kwargs.update(submission.get("runner") or {})
         BatchRunner(num_pulses=num_pulses, **runner_kwargs)  # validate knobs
         if trials is None:
             trials = build_trials(submission.get("grid"))
+        if "executor" not in runner_kwargs:
+            pooled = "shards" in runner_kwargs or (
+                grid_cells(trials, num_pulses) >= _SERIAL_CELLS
+            )
+            runner_kwargs["executor"] = "process" if pooled else "serial"
         key = grid_key(trials, num_pulses, runner_kwargs)
         with self._lock:
             job_id = f"job-{next(self._ids):05d}"
@@ -420,9 +426,7 @@ class JobRunner:
             self._jobs[job_id] = job
             self._order.append(job_id)
         job.emit({"event": "queued", "key": key})
-        asyncio.run_coroutine_threadsafe(
-            self._queue.put(job), self._loop
-        ).result()
+        pool.submit(self._execute, job)
         return job
 
     # -- introspection ----------------------------------------------------
@@ -441,28 +445,13 @@ class JobRunner:
         job = self.job(job_id)
         if job is None:
             raise KeyError(f"unknown job {job_id!r}")
-        deadline = time.monotonic() + timeout
-        seen = 0
-        while not job.done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"job {job_id} still {job.status!r} after {timeout}s"
-                )
-            events = job.events_since(seen, wait=min(remaining, 0.5))
-            seen += len(events)
+        if not job.wait_done(timeout):
+            raise TimeoutError(
+                f"job {job_id} still {job.status!r} after {timeout}s"
+            )
         return job
 
     # -- execution --------------------------------------------------------
-    async def _worker(self) -> None:
-        while True:
-            job = await self._queue.get()
-            try:
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, self._execute, job)
-            finally:
-                self._queue.task_done()
-
     def _execute(self, job: Job) -> None:
         """Run one job to completion (executor-thread context)."""
         job.status = "running"

@@ -31,10 +31,13 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.experiments.batch as batch_mod
+import repro.service.jobs as jobs_mod
 from repro.experiments.batch import BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
 from repro.service import (
@@ -308,6 +311,116 @@ def runner():
     instance.shutdown()
 
 
+@pytest.fixture()
+def default_runner():
+    instance = JobRunner().start()
+    yield instance
+    instance.shutdown()
+
+
+def plan_events(job):
+    return [e for e in job.events if e["event"] == "plan"]
+
+
+class TestExecutorRouting:
+    """A job that names no executor picks one from its cells."""
+
+    def test_small_grid_cells_sit_below_the_threshold(self):
+        cells = jobs_mod.grid_cells(build_trials(SMALL_GRID), NUM_PULSES)
+        assert cells == NUM_PULSES * (4 * 7 + 4 * 7 + 6 * 9 + 6 * 9)
+        assert cells < jobs_mod._SERIAL_CELLS
+
+    @pytest.mark.parametrize(
+        "excess, executor", [(None, "serial"), (1, "serial"), (0, "process")]
+    )
+    def test_default_job_routes_by_cells(
+        self, default_runner, monkeypatch, excess, executor
+    ):
+        # The threshold is the grid's cells plus ``excess``, or the real
+        # one when ``excess`` is None.
+        cells = jobs_mod.grid_cells(build_trials(SMALL_GRID), NUM_PULSES)
+        if excess is not None:
+            monkeypatch.setattr(jobs_mod, "_SERIAL_CELLS", cells + excess)
+        with mock.patch.object(
+            batch_mod, "_worker_pool", wraps=batch_mod._worker_pool
+        ) as pool:
+            job = default_runner.submit(
+                {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
+            )
+            default_runner.wait(job.id, timeout=120)
+        assert job.status == "done", job.error
+        assert job.runner_kwargs["executor"] == executor
+        (plan,) = plan_events(job)
+        served = to_jsonable(job.payload())
+        if executor == "serial":
+            assert plan["shards"] == 1
+            assert not pool.called  # no worker forked or borrowed
+            assert deep_equal(served, direct_payload(SMALL_GRID))
+        else:
+            assert plan["shards"] == min(os.cpu_count() or 1, 4)
+            assert pool.called is (plan["shards"] > 1)
+            assert equal_statistics(served, direct_payload(SMALL_GRID))
+
+    @pytest.mark.parametrize(
+        "knobs", [{"executor": "process", "shards": 2}, {"shards": 2}]
+    )
+    def test_explicit_sharding_is_honoured_on_a_small_grid(
+        self, default_runner, knobs
+    ):
+        job = default_runner.submit(
+            {"grid": SMALL_GRID, "num_pulses": NUM_PULSES, "runner": knobs}
+        )
+        default_runner.wait(job.id, timeout=120)
+        assert job.status == "done", job.error
+        assert job.runner_kwargs["executor"] == "process"
+        assert plan_events(job)[0]["shards"] == 2
+        # Routing never enters the key: the sharded job and a serial
+        # one address the same stored result.
+        again = default_runner.submit(
+            {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
+        )
+        default_runner.wait(again.id, timeout=120)
+        assert again.key == job.key
+        assert again.cache_hit is True
+
+    def test_trial_error_in_a_default_job_fails_only_that_job(
+        self, default_runner
+    ):
+        bad = BatchTrial(
+            config=standard_config(4),
+            clock_rates=lambda node, pulse: (_ for _ in ()).throw(
+                RuntimeError("clock exploded")
+            ),
+        )
+        job = default_runner.submit({"num_pulses": NUM_PULSES}, trials=[bad])
+        default_runner.wait(job.id, timeout=120)
+        assert job.runner_kwargs["executor"] == "serial"  # in the job thread
+        assert job.status == "failed"
+        assert "clock exploded" in job.error
+        # The job thread survives and serves the next default job.
+        ok = default_runner.submit(
+            {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
+        )
+        default_runner.wait(ok.id, timeout=120)
+        assert ok.status == "done"
+        assert ok.runner_kwargs["executor"] == "serial"
+
+    def test_explicit_serial_is_honoured_over_the_threshold(
+        self, default_runner, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_mod, "_SERIAL_CELLS", 1)
+        job = default_runner.submit(
+            {
+                "grid": SMALL_GRID,
+                "num_pulses": NUM_PULSES,
+                "runner": {"executor": "serial"},
+            }
+        )
+        default_runner.wait(job.id, timeout=120)
+        assert job.runner_kwargs["executor"] == "serial"
+        assert plan_events(job)[0]["shards"] == 1
+
+
 class TestJobRunner:
     def test_payload_bitwise_equal_to_direct_run(self, runner):
         job = runner.submit({"grid": SMALL_GRID, "num_pulses": NUM_PULSES})
@@ -517,6 +630,25 @@ class TestJobEvents:
         assert not thread.is_alive()
         assert [e["event"] for e in seen["events"]] == ["queued"]
 
+    def test_wait_done_wakes_on_the_terminal_state_only(self):
+        job = Job("job-x", {}, [], NUM_PULSES, {}, key=None)
+        assert job.wait_done(0.01) is False
+        seen = {}
+
+        def wait():
+            seen["done"] = job.wait_done(10.0)
+
+        thread = threading.Thread(target=wait)
+        thread.start()
+        job.emit({"event": "started"})
+        time.sleep(0.05)
+        assert thread.is_alive()  # progress alone does not end the wait
+        job.status = "done"
+        job.emit({"event": "done"})
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert seen["done"] is True
+
     def test_since_offsets_paginate(self):
         job = Job("job-x", {}, [], NUM_PULSES, {}, key=None)
         for i in range(3):
@@ -577,6 +709,82 @@ class TestServiceHTTP:
             client.result(second["id"]), client.result(first["id"])
         )
 
+    def test_job_wait_returns_the_terminal_view(self, client):
+        accepted = client.submit(self.GRID, num_pulses=NUM_PULSES)
+        view = client.job(accepted["id"], wait=30)
+        assert view["id"] == accepted["id"]
+        assert view["status"] == "done"
+        # A finished job answers at once, with the same view.
+        start = time.perf_counter()
+        assert client.job(accepted["id"], wait=30) == view
+        assert time.perf_counter() - start < 10.0
+
+    def test_job_wait_is_capped_at_thirty_seconds(self, client, monkeypatch):
+        accepted = client.submit(self.GRID, num_pulses=NUM_PULSES)
+        client.wait(accepted["id"])
+        holds = []
+        monkeypatch.setattr(
+            Job, "wait_done", lambda job, timeout: holds.append(timeout)
+        )
+        client.job(accepted["id"], wait=3600)
+        client.job(accepted["id"])
+        assert holds == [30.0, 0.0]
+
+    def test_wait_on_a_finished_job_is_one_round_trip(
+        self, client, monkeypatch
+    ):
+        accepted = client.submit(self.GRID, num_pulses=NUM_PULSES)
+        client.wait(accepted["id"])
+        trips = []
+        real = client._round_trip
+
+        def counted(method, path, data, headers):
+            trips.append(f"{method} {path}")
+            return real(method, path, data, headers)
+
+        monkeypatch.setattr(client, "_round_trip", counted)
+        assert client.wait(accepted["id"])["status"] == "done"
+        assert len(trips) == 1, trips
+
+    def test_a_served_job_takes_three_requests(self, client, monkeypatch):
+        trips = []
+        real = client._round_trip
+
+        def counted(method, path, data, headers):
+            trips.append(f"{method} {path.split('?')[0]}")
+            return real(method, path, data, headers)
+
+        monkeypatch.setattr(client, "_round_trip", counted)
+        grid = {"kind": "seed_sweep", "diameter": 5, "seeds": [901, 902]}
+        accepted = client.submit(grid, num_pulses=NUM_PULSES)
+        assert client.wait(accepted["id"])["cache_hit"] is False
+        assert deep_equal(client.result(accepted["id"]), direct_payload(grid))
+        job = accepted["id"]
+        assert trips == [
+            "POST /jobs", f"GET /jobs/{job}", f"GET /jobs/{job}/result"
+        ]
+
+    def test_wait_times_out_on_a_job_that_never_finishes(self):
+        release = threading.Event()
+        server = ServiceServer(port=0).start()
+        try:
+            stuck = BatchTrial(
+                config=standard_config(4),
+                clock_rates=lambda node, pulse: release.wait(60) and 1.0,
+            )
+            job = server.runner.submit(
+                {"num_pulses": NUM_PULSES}, trials=[stuck]
+            )
+            client = ServiceClient(server.url)
+            with pytest.raises(TimeoutError, match="still"):
+                client.wait(job.id, timeout=0.2)
+            assert not job.done
+        finally:
+            release.set()
+            server.stop()
+        assert server.runner.job(job.id).wait_done(60)
+        assert job.status == "done"
+
     def test_event_stream_pagination(self, client):
         accepted = client.submit(
             self.GRID, num_pulses=NUM_PULSES, runner={"executor": "serial"}
@@ -615,6 +823,10 @@ class TestServiceHTTP:
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(RuntimeError, match="HTTP 404"):
             client.job("job-99999")
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="HTTP 404"):
+            client.job("job-99999", wait=20)
+        assert time.perf_counter() - start < 10.0
         with pytest.raises(RuntimeError, match="HTTP 404"):
             client.result("job-99999")
 
