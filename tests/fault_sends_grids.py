@@ -51,7 +51,12 @@ def thm13_results():
 
 
 def campaign_results():
-    """A stack of crash/recover campaign trials over every behaviour class.
+    """One materialized stack of :func:`campaign_sims`."""
+    return TrialStack(campaign_sims()).run(CAMPAIGN_PULSES)
+
+
+def campaign_sims():
+    """Crash/recover campaign trials over every behaviour class.
 
     Each trial's static plan mixes all shipped behaviours (Byzantine and
     a mutable fault switching into Byzantine and then silence among
@@ -109,7 +114,7 @@ def campaign_results():
                 campaign=campaign,
             )
         )
-    return TrialStack(sims).run(CAMPAIGN_PULSES)
+    return sims
 
 
 def encode(fault_sends):

@@ -1,0 +1,244 @@
+"""The grids whose served statistics are pinned by ``data/stats.json``.
+
+Every :class:`~repro.experiments.batch.BatchResult` statistic of a small
+matrix of grids, one sha256 per (grid, statistic), plus the stacks'
+fallback counters:
+
+* an Algorithm 3 seed sweep, fault-free, and an Algorithm 1 one with
+  an early node per trial and a crash;
+* a thm13 grid (fault-free reference + sampled 1-local plans) and a
+  crash/recover/leave/flap chaos campaign -- the stacks of
+  ``fault_sends_grids.py``;
+* the cycle-9 vs complete-9 pair (same ``(K, L, W)`` shape, different
+  edges) and a padded mixed-depth/width batch with an Algorithm 1 trial
+  in a second stack group;
+* a hub-skewed sparse stack on the CSR neighbor backend, with varying
+  delays and callable clock rates.
+
+Each grid runs streamed (``store_times=False``) and materialized; both
+must match the one recorded entry.  The thm13 grid runs once more under
+``executor="process", shards=2`` as its own entry (its counters are per
+shard stack).
+
+``python tests/stats_grids.py`` (with ``PYTHONPATH=src``) checks the
+fixture and prints the entries that differ; ``--record`` rewrites it.
+Re-record only for a change that is *meant* to change a statistic, and
+say which in the change log.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import fault_sends_grids
+from repro.core.fast import FastSimulation, _prefer_csr
+from repro.core.fast_batch import TrialStack
+from repro.delays import StaticDelayModel, VaryingDelayModel
+from repro.experiments.batch import BatchResult, BatchRunner, BatchTrial
+from repro.experiments.common import standard_config
+from repro.experiments.thm13_random_faults import thm13_trials
+from repro.faults import CrashFault, FaultPlan, FixedOffsetFault
+from repro.params import Parameters
+from repro.topology import LayeredGraph, complete_graph, cycle_graph
+from repro.topology.sparse import sparse_layered
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "stats.json"
+
+NUM_PULSES = 6
+PARAMS = Parameters(d=1.0, u=0.05, vartheta=1.01, Lambda=2.5)
+
+#: The accessors whose arrays are pinned; ``correction_stats`` adds one
+#: entry per key.
+ACCESSORS = (
+    "local_skews",
+    "max_local_skews",
+    "inter_layer_skews",
+    "max_inter_layer_skews",
+    "overall_skews",
+    "global_skews",
+)
+COUNTERS = ("fallback_cells", "fallback_batches", "fallback_passes")
+MODES = ("streamed", "materialized")
+
+
+def _runner_grid(trials, num_pulses, **runner):
+    def run(store_times):
+        return BatchRunner(
+            num_pulses=num_pulses, store_times=store_times, **runner
+        ).run(trials)
+
+    return run
+
+
+def _stack_grid(make_sims, num_pulses):
+    """A grid of bare simulations (no ``ExperimentConfig`` fits them),
+    run as one :class:`TrialStack` and wrapped like the runner does."""
+
+    def run(store_times):
+        sims = make_sims()
+        stack = TrialStack(sims)
+        results = stack.run(num_pulses, store_times=store_times)
+        return BatchResult(
+            sims,
+            results,
+            stack_groups=[list(range(len(sims)))],
+            compaction_stats=[stack.compaction_stats],
+        )
+
+    return run
+
+
+def _offset_plan(config):
+    """One early node per trial, and a crash in the last seed's grid.
+
+    Algorithm 1 and Algorithm 3 agree bitwise on fault-free grids, so
+    the Algorithm 1 sweep carries faults to tell them apart.
+    """
+    v = config.seed % config.graph.width
+    nodes = {(v, 2): FixedOffsetFault(-0.2 * (config.seed + 1))}
+    if config.seed == 3:
+        nodes[(1, 3)] = CrashFault()
+    return FaultPlan.from_nodes(nodes)
+
+
+def _seed_sweep(algorithm, fault_plan_factory=None):
+    trials = BatchRunner.seed_sweep(
+        6, range(4), num_pulses=NUM_PULSES, fault_plan_factory=fault_plan_factory
+    )
+    for trial in trials:
+        trial.algorithm = algorithm
+    return trials
+
+
+def _same_shape_sims():
+    return [
+        FastSimulation(
+            LayeredGraph(base, 4),
+            PARAMS,
+            delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=seed),
+        )
+        for seed, base in enumerate([cycle_graph(9), complete_graph(9)])
+    ]
+
+
+def _mixed_trials():
+    return [
+        BatchTrial(config=standard_config(4, seed=1)),
+        BatchTrial(config=standard_config(6, seed=2, num_layers=3)),
+        BatchTrial(config=standard_config(3, seed=3, num_layers=9)),
+        BatchTrial(config=standard_config(5, seed=4)),
+        BatchTrial(config=standard_config(4, seed=5), algorithm="simplified"),
+    ]
+
+
+def _ramp_rates(node, pulse):
+    v, layer = node
+    return 1.0 + 0.001 * ((7 * v + 3 * layer + pulse) % 10)
+
+
+def _csr_sims():
+    sims = []
+    for seed in range(2):
+        graph = sparse_layered(128, 3, num_hubs=1, hub_degree=40)
+        assert _prefer_csr(graph.base)
+        sims.append(
+            FastSimulation(
+                graph,
+                PARAMS,
+                delay_model=VaryingDelayModel(
+                    PARAMS.d, PARAMS.u, max_step=0.01, seed=seed
+                ),
+                clock_rates=_ramp_rates,
+            )
+        )
+    return sims
+
+
+def grids():
+    """``{name: run(store_times) -> BatchResult}`` of the serial grids."""
+    thm13, _ = thm13_trials(
+        fault_sends_grids.THM13_DIAMETER,
+        fault_sends_grids.THM13_SEEDS,
+        num_pulses=fault_sends_grids.THM13_PULSES,
+    )
+    return {
+        "alg3": _runner_grid(_seed_sweep("full"), NUM_PULSES),
+        "alg1": _runner_grid(
+            _seed_sweep("simplified", _offset_plan), NUM_PULSES
+        ),
+        "thm13": _runner_grid(thm13, fault_sends_grids.THM13_PULSES),
+        "campaign": _stack_grid(
+            fault_sends_grids.campaign_sims, fault_sends_grids.CAMPAIGN_PULSES
+        ),
+        "same_shape": _stack_grid(_same_shape_sims, NUM_PULSES),
+        "mixed": _runner_grid(_mixed_trials(), NUM_PULSES),
+        "csr": _stack_grid(_csr_sims, 4),
+    }
+
+
+def process_batch():
+    """The thm13 grid, materialized, on two process shards."""
+    trials, _ = thm13_trials(
+        fault_sends_grids.THM13_DIAMETER,
+        fault_sends_grids.THM13_SEEDS,
+        num_pulses=fault_sends_grids.THM13_PULSES,
+    )
+    return BatchRunner(
+        num_pulses=fault_sends_grids.THM13_PULSES,
+        executor="process",
+        shards=2,
+    ).run(trials)
+
+
+def digest(values) -> str:
+    """sha256 of an array's dtype, shape and bytes."""
+    values = np.ascontiguousarray(values)
+    h = hashlib.sha256()
+    h.update(f"{values.dtype.str}{values.shape}".encode())
+    h.update(values.tobytes())
+    return h.hexdigest()
+
+
+def summarize(batch) -> dict:
+    """One grid's entry: a digest per statistic plus summed counters."""
+    entry = {name: digest(getattr(batch, name)()) for name in ACCESSORS}
+    for key, values in batch.correction_stats().items():
+        entry[f"correction_stats.{key}"] = digest(values)
+    for name in COUNTERS:
+        entry[name] = int(sum(c[name] for c in batch.compaction_stats))
+    return entry
+
+
+def runs():
+    """Yield ``(grid, mode, entry)`` for every pinned run."""
+    for name, run in grids().items():
+        for mode in MODES:
+            yield name, mode, summarize(run(store_times=mode == "materialized"))
+    yield "thm13_process", "process", summarize(process_batch())
+
+
+def record() -> dict:
+    """The fixture document; raises if two modes of a grid disagree."""
+    doc = {}
+    for name, mode, entry in runs():
+        if doc.setdefault(name, entry) != entry:
+            raise AssertionError(f"{name}: {mode} run differs from the first")
+    return doc
+
+
+if __name__ == "__main__":
+    if "--record" in sys.argv[1:]:
+        FIXTURE.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+        print(f"recorded {FIXTURE}")
+    else:
+        want = json.loads(FIXTURE.read_text())
+        bad = [
+            (name, mode)
+            for name, mode, entry in runs()
+            if want.get(name) != entry
+        ]
+        print("\n".join(f"differs: {n} ({m})" for n, m in bad) or "all equal")
+        sys.exit(1 if bad else 0)
