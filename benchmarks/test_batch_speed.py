@@ -70,6 +70,8 @@ Four micro-benchmarks track the performance trajectory across PRs:
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
   and asserting the >= 4x reduction floor (and that the streamed peak
   stays under a single block -- CI fails if the block ever comes back).
+  Each mode also records the wall time of the five statistic accessors
+  on its finished batch (reported, not gated).
 * ``test_pulse_block_speedup``: warm streamed runs of the
   ``stream_horizon`` shape (S = 16, D = 32, 64 pulses) with the default
   pulse blocks vs one pulse per block, asserting bitwise-equal
@@ -137,7 +139,14 @@ import repro.faults.model as fault_model
 import repro.service.jobs as jobs_mod
 import repro.topology.base_graph as base_graph_mod
 from repro.analysis.report import format_table
-from repro.analysis.streaming import StreamedStats
+from repro.analysis.skew import (
+    global_skew_layers,
+    inter_layer_skew_layers,
+    local_skew_layers,
+    masked_max,
+    overall_skew_layers,
+)
+from repro.analysis.streaming import StreamedStats, fold_correction_planes
 from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
@@ -848,6 +857,22 @@ PER_PULSE_FOLD = {
     "streamed_over_materialized": 0.97,
     "streamed_peak_bytes": 12275504,
 }
+#: The statistic accessors a served sweep reads.
+STAT_ACCESSORS = (
+    "local_skews",
+    "inter_layer_skews",
+    "overall_skews",
+    "global_skews",
+    "correction_stats",
+)
+
+
+def accessor_seconds(batch):
+    """Wall time of the :data:`STAT_ACCESSORS` on a finished batch."""
+    start = time.perf_counter()
+    for name in STAT_ACCESSORS:
+        getattr(batch, name)()
+    return time.perf_counter() - start
 
 
 def test_streaming_memory_reduction():
@@ -857,11 +882,12 @@ def test_streaming_memory_reduction():
     is never allocated; this bench pins that with :mod:`tracemalloc` on
     the S = 64, K = 32 cell, asserts the >= 4x peak-memory floor (CI
     fails if the streaming path ever allocates the full block again),
-    checks the streamed statistics still match the materialized reducers
-    bitwise and that the fold runs once per (pulse block, layer) step,
-    and records both modes, the fold's calls and the streamed /
-    materialized wall ratio (reported, not gated) under the
-    ``"streaming"`` section of ``BENCH_batch.json``.
+    checks the streamed statistics still match the array reducers on
+    the materialized block bitwise and that the fold runs once per
+    (pulse block, layer) step, and records both modes (with the time of
+    the statistic accessors on each finished batch), the fold's calls
+    and the streamed / materialized wall ratio (reported, not gated)
+    under the ``"streaming"`` section of ``BENCH_batch.json``.
     """
     trials = BatchRunner.seed_sweep(
         STREAM_DIAMETER, range(STREAM_TRIALS), num_pulses=STREAM_PULSES
@@ -906,17 +932,27 @@ def test_streaming_memory_reduction():
     _, full_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    # Acceptance: streamed statistics equal the materialized reducers.
+    stream_accessor_time = accessor_seconds(streamed)
+    full_accessor_time = accessor_seconds(materialized)
+
+    # Acceptance: streamed statistics equal the array reducers on the
+    # materialized block (one base graph, so one sweep each).
+    times = materialized.times
     np.testing.assert_array_equal(
-        streamed.local_skews(), materialized.local_skews()
+        streamed.local_skews(), local_skew_layers(times, graph)
     )
     np.testing.assert_array_equal(
-        streamed.overall_skews(), materialized.overall_skews()
+        streamed.inter_layer_skews(), inter_layer_skew_layers(times, graph)
     )
     np.testing.assert_array_equal(
-        streamed.global_skews(), materialized.global_skews()
+        streamed.overall_skews(), overall_skew_layers(times, graph)
     )
-    want, got = materialized.correction_stats(), streamed.correction_stats()
+    np.testing.assert_array_equal(
+        streamed.global_skews(),
+        masked_max(global_skew_layers(times, empty=np.nan), axis=-1),
+    )
+    want = fold_correction_planes(materialized.corrections)
+    got = streamed.correction_stats()
     for key in want:
         np.testing.assert_array_equal(want[key], got[key], err_msg=key)
 
@@ -938,10 +974,12 @@ def test_streaming_memory_reduction():
                     "materialized": dict(
                         _mode_record(STREAM_TRIALS, full_time, node_pulses),
                         peak_bytes=full_peak,
+                        accessor_s=full_accessor_time,
                     ),
                     "streamed": dict(
                         _mode_record(STREAM_TRIALS, stream_time, node_pulses),
                         peak_bytes=stream_peak,
+                        accessor_s=stream_accessor_time,
                     ),
                 },
                 "memory_reduction": reduction,
@@ -963,12 +1001,13 @@ def test_streaming_memory_reduction():
     print()
     print(
         format_table(
-            ["mode", "seconds", "peak MiB", "node-pulses/s"],
+            ["mode", "seconds", "peak MiB", "node-pulses/s", "accessor s"],
             [
                 ("materialized", full_time, full_peak / 2**20,
-                 STREAM_TRIALS * node_pulses / full_time),
+                 STREAM_TRIALS * node_pulses / full_time, full_accessor_time),
                 ("streamed", stream_time, stream_peak / 2**20,
-                 STREAM_TRIALS * node_pulses / stream_time),
+                 STREAM_TRIALS * node_pulses / stream_time,
+                 stream_accessor_time),
             ],
             title=f"Streaming reducers, S={STREAM_TRIALS}, "
             f"D={STREAM_DIAMETER}, {STREAM_PULSES} pulses "
@@ -2342,13 +2381,13 @@ def health_round_trip():
     """Median ``health()`` round trip of one client, seconds."""
     server = ServiceServer(port=0).start()
     try:
-        client = ServiceClient(server.url)
-        client.health()
-        trips = []
-        for _ in range(ROUND_TRIPS):
-            start = time.perf_counter()
+        with ServiceClient(server.url) as client:
             client.health()
-            trips.append(time.perf_counter() - start)
+            trips = []
+            for _ in range(ROUND_TRIPS):
+                start = time.perf_counter()
+                client.health()
+                trips.append(time.perf_counter() - start)
     finally:
         server.stop()
     return statistics.median(trips)

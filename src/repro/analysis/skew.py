@@ -85,9 +85,10 @@ def masked_max(
 
     Warning-free by construction: NaNs are replaced with ``-inf`` under an
     explicit validity mask instead of suppressing ``nanmax`` warnings.
-    Public because NaN-padded consumers outside this module (the batch
-    runner's heterogeneous :class:`~repro.experiments.batch.BatchResult`
-    statistics) reduce over padding with the same semantics.
+    Public because NaN-padded consumers outside this module (the
+    per-trial maxima of :class:`~repro.experiments.batch.BatchResult`
+    over rows padded past a trial's own depth) reduce over padding with
+    the same semantics.
     """
     values = np.asarray(values, dtype=float)
     valid = ~np.isnan(values)
@@ -148,8 +149,9 @@ def overall_skew_layers(
     """The paper's ``L = sup_l max(L_l, L_{l,l+1})`` per batch entry.
 
     Reduces raw times ``(..., K, L, W)`` to shape ``(...,)`` in one sweep
-    -- the whole-sweep form of :func:`overall_skew`, used by
-    :meth:`~repro.experiments.batch.BatchResult.overall_skews`.  Grids
+    -- the whole-sweep form of :func:`overall_skew`, and the reference
+    :meth:`~repro.experiments.batch.BatchResult.overall_skews` is tested
+    against.  Grids
     with a single layer boundary-free report the intra-layer part alone.
     """
     times = np.asarray(times, dtype=float)

@@ -1,17 +1,17 @@
 """Streamed statistics: fold the skew and correction statistics online.
 
 The kernels of :mod:`repro.core.fast` / :mod:`repro.core.fast_batch`
-advance one ``(S, B, W)`` layer plane of a pulse block at a time, but
-until now every trial's full ``(K, L, W)`` pulse-time block stayed in
-memory so the array
-reducers of :mod:`repro.analysis.skew` could run afterwards -- stacked,
-an ``(S, K, L_max, W_max)`` array that caps sweep size long before the
-kernel does.  This module is the incremental counterpart:
-:class:`StreamedStats` consumes each layer step's ``(S, B, W)`` planes
-*once the kernel has written them* and folds the paper's four
-statistics -- local, inter-layer and global skew plus the correction
-summary -- into O(S, L) accumulators, so a sweep with
-``store_times=False`` never allocates the pulse-time block at all.
+advance one ``(S, B, W)`` layer plane of a pulse block at a time.
+:class:`StreamedStats` consumes each layer step's planes *once the
+kernel has written them* and folds the paper's four statistics --
+local, inter-layer and global skew plus the correction summary -- into
+O(S, L) accumulators.  Every :class:`~repro.core.fast_batch.TrialStack`
+run folds, and every :class:`~repro.experiments.batch.BatchResult`
+statistic is read from the folds: a sweep with ``store_times=False``
+never allocates the ``(S, K, L, W)`` pulse-time block at all, and a
+materialized sweep pays for no second reduction.  The array reducers of
+:mod:`repro.analysis.skew` and :func:`fold_correction_planes` stay as
+the independent reference the tests hold the folds to.
 
 Design constraints, all load-bearing:
 
@@ -31,20 +31,21 @@ Design constraints, all load-bearing:
   ignore NaN without warnings) and yield exactly what
   :func:`repro.analysis.skew.masked_max` yields.  Padding cells of a heterogeneous stack are NaN
   and therefore invisible here, as everywhere else.
-* **Unwritten cells are NaN.**  A streamed stack keeps each result
+* **Unwritten cells are NaN.**  A materialized stack's cells start as
+  NaN and each is written once.  A streamed stack keeps each result
   matrix as a two-layer ring of ``(S, B, W)`` planes -- the previous
   and the current layer of one pulse block, see
   :mod:`repro.core.fast_batch` -- and NaN-fills a layer's slot before
-  a step that writes only part of it, so every cell of the planes
+  a step that writes only part of it.  Either way every cell of the planes
   :meth:`StreamedStats.update` reads that the step did not write --
   rows dropped by depth compaction, dead rows, lanes outside the
   compacted set -- is NaN.  The fold needs no record of what the
   compacted kernel skipped: a NaN cell leaves every max accumulator
   untouched and adds count 0 and ``+0.0`` to a
   non-negative correction total, which leaves it bitwise unchanged.
-* **Picklable + mergeable.**  Accumulators survive the process executor
-  (:meth:`StreamedStats.merge` concatenates shards along the trial
-  axis), so ``executor="process"`` sweeps stream too.
+* **Picklable.**  Accumulators survive the process executor: each
+  shard's results carry their own stack group's stream, so
+  ``executor="process"`` sweeps need no merge.
 
 The inter-layer skew compares pulse ``k`` on layer ``l`` against pulse
 ``k - 1`` on layer ``l + 1`` -- a *cross-pulse* comparison.  Inside a
@@ -71,32 +72,44 @@ __all__ = [
 
 
 class StreamGroup:
-    """One geometry group of a streamed batch: a graph plus trial rows.
+    """One base-graph group of a stack: a graph plus trial rows.
 
-    Mirrors :meth:`BatchResult._geometry_groups`: the skew folds gather
-    along base-graph edges, so trials only share a sweep when they share
-    the ``(num_layers, adjacency)`` geometry.
+    The skew folds gather along base-graph edges, so trials only share a
+    sweep when they share the base graph's adjacency; at each layer the
+    sweep covers the group's trials deeper than it.
     """
 
-    __slots__ = ("graph", "indices", "rows", "_pairs")
+    __slots__ = ("graph", "indices", "depths", "rows", "_bounds", "_pairs")
 
     def __init__(
-        self, graph: LayeredGraph, indices: np.ndarray, whole: bool = False
+        self,
+        graph: LayeredGraph,
+        indices: np.ndarray,
+        depths: np.ndarray,
+        whole: bool = False,
     ) -> None:
         self.graph = graph
         self.indices = np.asarray(indices, dtype=np.int64)
+        self.depths = np.asarray(depths, dtype=np.int64)
         #: The group's subscript of the trial axis: the whole axis when
         #: the group holds every trial (no gather), else ``indices``.
         self.rows = slice(None) if whole else self.indices
+        self._bounds = (int(self.depths.min()), int(self.depths.max()))
         self._pairs = None
-
-    @property
-    def depth(self) -> int:
-        return self.graph.num_layers
 
     @property
     def width(self) -> int:
         return self.graph.width
+
+    def rows_at(self, layer: int):
+        """The trial-axis subscript of the group's trials deeper than
+        ``layer``, or None when there are none."""
+        shallowest, deepest = self._bounds
+        if layer < shallowest:
+            return self.rows
+        if layer >= deepest:
+            return None
+        return self.indices[self.depths > layer]
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Base-graph edge endpoints (cached on the base graph)."""
@@ -135,11 +148,16 @@ class StreamLayout:
         grouped: Dict[Tuple, List[int]] = {}
         group_graphs: Dict[Tuple, LayeredGraph] = {}
         for i, graph in enumerate(self.graphs):
-            key = (graph.num_layers, graph.base.adjacency)
+            key = graph.base.adjacency
             grouped.setdefault(key, []).append(i)
             group_graphs.setdefault(key, graph)
         self.groups = [
-            StreamGroup(group_graphs[key], indices, whole=len(grouped) == 1)
+            StreamGroup(
+                group_graphs[key],
+                indices,
+                self.depths[indices],
+                whole=len(grouped) == 1,
+            )
             for key, indices in grouped.items()
         ]
 
@@ -193,8 +211,9 @@ class StreamedStats:
     -- with the layer's ``(S, B, W)`` planes, every cell the step did not
     write NaN; then :meth:`finalize` once the run ends.
 
-    Attached to every participating :class:`~repro.core.fast.FastResult`
-    as ``result.streamed`` with the trial's row in ``result.streamed_row``
+    Attached to every :class:`~repro.core.fast.FastResult` of a trial
+    stack as ``result.streamed`` with the trial's row in
+    ``result.streamed_row``
     -- one shared object per stack group, which pickling deduplicates
     within a shard payload, so the process executor carries it at no
     per-trial cost (unlike the stripped ``_StackBlock``).
@@ -202,12 +221,6 @@ class StreamedStats:
 
     def __init__(self, layout: StreamLayout) -> None:
         self.layout = layout
-        # Position of this stream's first trial in the parent batch.
-        # BatchRunner stamps it after reassembly; merge() orders shards
-        # by it so ``a.merge(b)`` and ``b.merge(a)`` concatenate the
-        # trial axis identically (shard futures may resolve out of
-        # order).  Standalone streams keep 0 (self-first).
-        self.trial_offset = 0
         trials, layers = layout.num_trials, layout.num_layers
         self._max = {
             "local": np.full((trials, layers), -np.inf),
@@ -276,9 +289,10 @@ class StreamedStats:
                 (self.layout.num_trials, count, self.layout.num_layers)
             )
         for group in self.layout.groups:
-            if layer >= group.depth:
+            rows = group.rows_at(layer)
+            if rows is None:
                 continue
-            rows, width = group.rows, group.width
+            width = group.width
             plane = times[rows, :, :width]
             left, right = group.edges()
             diffs = plane[..., left] - plane[..., right]
@@ -345,38 +359,6 @@ class StreamedStats:
             "mean_abs": float(mean),
             "num_corrections": count,
         }
-
-    def merge(self, other: "StreamedStats") -> "StreamedStats":
-        """Concatenate two shards' accumulators along the trial axis.
-
-        The pair is ordered by :attr:`trial_offset` (lowest first, self
-        on ties), not by argument position, so the merged trial axis
-        matches the batch's trial order no matter which shard future
-        resolved first.
-        """
-        if self.layout.num_pulses != other.layout.num_pulses:
-            raise ValueError("cannot merge streams over different pulses")
-        first, second = (
-            (self, other)
-            if self.trial_offset <= other.trial_offset
-            else (other, self)
-        )
-        merged = StreamedStats(
-            StreamLayout(
-                first.layout.graphs + second.layout.graphs,
-                first.layout.num_pulses,
-            )
-        )
-        merged.finalize()
-        merged.trial_offset = first.trial_offset
-        split = first.layout.num_trials
-        for part, rows in ((first, slice(None, split)), (second, slice(split, None))):
-            for name, acc in part._max.items():
-                merged._max[name][rows, : acc.shape[1]] = acc
-        merged._counts = np.concatenate([first._counts, second._counts])
-        merged._totals = np.concatenate([first._totals, second._totals])
-        merged._max_abs = np.concatenate([first._max_abs, second._max_abs])
-        return merged
 
 
 def fold_correction_planes(corrections: np.ndarray) -> Dict[str, np.ndarray]:

@@ -811,13 +811,13 @@ class FastResult:
         ``fallback_passes`` in
         :attr:`~repro.core.fast_batch.TrialStack.compaction_stats`.
 
-    Streamed runs (``store_times=False``) keep only a two-layer ring of
-    one pulse block of these matrices while running and never hand it
-    to the result: the matrices are then ``None`` and the statistics
-    live in
-    ``streamed`` (a :class:`~repro.analysis.streaming.StreamedStats`,
-    shared across a stack) with this trial's row in ``streamed_row``.
-    The skew accessors below transparently serve from it.
+    Every trial-stack run folds its statistics into ``streamed`` (a
+    :class:`~repro.analysis.streaming.StreamedStats`, shared across a
+    stack) with this trial's row in ``streamed_row``.  Streamed runs
+    (``store_times=False``) keep only a two-layer ring of one pulse
+    block of these matrices while running and never hand it to the
+    result: the matrices are then ``None`` and the skew accessors below
+    serve from ``streamed``.
     """
 
     def __init__(
@@ -870,7 +870,7 @@ class FastResult:
         # (single-stack batches); everyone else can ignore them.
         self.stack_block = None
         self.stack_row: Optional[int] = None
-        # Set by streamed runs: the folded statistics of the run (shared
+        # Set by the trial stack: the folded statistics of the run (shared
         # across a stack) and this trial's row in their accumulators.
         self.streamed = None
         self.streamed_row: Optional[int] = None
@@ -1072,14 +1072,16 @@ class FastSimulation:
         so its result is a frozen snapshot like every stacked result
         (read-only matrices, ``stack_row == 0``), and it advances the
         same pulse blocks as any stack (see
-        :mod:`repro.core.fast_batch`).  With ``store_times=False`` the
-        run folds its statistics online, one (block, layer) step at a
-        time, into a :class:`~repro.analysis.streaming.StreamedStats`,
-        and keeps only a two-layer ring of one pulse block of the result
-        matrices -- memory O(B, W) for a block of ``B`` pulses instead
-        of O(K, L, W) -- releasing even that at the end: the returned
-        result serves its skew accessors from ``result.streamed``
-        (bitwise identical to the materialized reducers).
+        :mod:`repro.core.fast_batch`).  The run folds its statistics
+        online, one (block, layer) step at a time, into
+        ``result.streamed`` (a
+        :class:`~repro.analysis.streaming.StreamedStats`).  With
+        ``store_times=False`` it keeps only a two-layer ring of one
+        pulse block of the result matrices -- memory O(B, W) for a block
+        of ``B`` pulses instead of O(K, L, W) -- releasing even that at
+        the end: the returned result serves its skew accessors from
+        ``result.streamed`` (bitwise identical to the materialized
+        reducers).
         """
         # Local import: fast_batch builds on this module.
         from repro.core.fast_batch import TrialStack

@@ -98,11 +98,12 @@ A streamed run (``store_times=False``) stores each result matrix as a
 two-layer ring, ``(S, B, 2, W)``: the previous and the current layer of
 the block.  Every layer subscript of the step, the fallback and the
 fault-send records goes through :func:`_slot` (``layer`` on a
-materialized run, ``layer % 2`` in the ring), and after each (block,
-layer) step the run folds that layer's planes into its
-:class:`~repro.analysis.streaming.StreamedStats`.  A step that writes
-only part of its slot (compacted rows or lanes, a skipped step) resets
-the slot to padding first, so every cell it did not write reads NaN.
+materialized run, ``layer % 2`` in the ring).  After each (block,
+layer) step every run, streamed or not, folds that layer's planes into
+its :class:`~repro.analysis.streaming.StreamedStats`.  A ring step that
+writes only part of its slot (compacted rows or lanes, a skipped step)
+resets the slot to padding first (a materialized slot starts as padding
+and is written once), so every cell it did not write reads NaN.
 The streamed working set is O(S * B * W), whatever the depth and the
 horizon.  Compaction keeps its meaning per (trial, pulse):
 a row leaves the plane when its trial is past its depth or dead in every
@@ -207,6 +208,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.streaming import StreamLayout, StreamedStats
 from repro.core.fast import (
     BRANCH_CODES,
     FastResult,
@@ -838,19 +840,21 @@ class TrialStack:
         """Simulate ``num_pulses`` pulses for every trial; per-trial results.
 
         The run advances pulse blocks (:func:`_pulse_blocks`): every
-        layer step covers the ``B`` pulses of one block at once.  With
-        ``store_times=False`` the run folds its statistics online into a
+        layer step covers the ``B`` pulses of one block at once.  Every
+        run folds its statistics online into one
         :class:`~repro.analysis.streaming.StreamedStats`, one fold per
         (block, layer) step over the planes the kernel just wrote, and
-        the shared matrices shrink to a two-layer ring of ``(S, B, W)``
-        planes (the previous and the current layer of the block; see
-        :func:`_slot`) -- memory O(S, B, W) instead of O(S, K, L, W), and
-        the layer-0 schedule is gathered one ``(S, W)`` row per pulse
-        instead of the whole ``(S, K, W)`` block -- and the returned
-        results carry only the streamed accumulators
-        (``result.streamed`` / ``streamed_row``; the matrices are
-        ``None``).  Streamed statistics are bitwise identical to the
-        materialized reducers (see :mod:`repro.analysis.streaming`).
+        hands it to every result (``result.streamed`` /
+        ``streamed_row``).  ``store_times`` decides only whether the
+        ``(S, K, L, W)`` matrices are kept: with ``False`` they shrink to
+        a two-layer ring of ``(S, B, W)`` planes (the previous and the
+        current layer of the block; see :func:`_slot`) -- memory
+        O(S, B, W) instead of O(S, K, L, W), and the layer-0 schedule is
+        gathered one ``(S, W)`` row per pulse instead of the whole
+        ``(S, K, W)`` block -- and the results' matrices are ``None``.
+        The folded statistics are bitwise identical to the array
+        reducers of :mod:`repro.analysis.skew` on the materialized
+        matrices (see :mod:`repro.analysis.streaming`).
         """
         sims = self.sims
         num_trials = len(sims)
@@ -877,12 +881,7 @@ class TrialStack:
             for depth, sim in zip(depths, sims)
         )
 
-        stream = None
-        if not store_times:
-            from repro.analysis.streaming import StreamLayout, StreamedStats
-
-            stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
-
+        stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
         results = [sim._begin_run(num_pulses) for sim in sims]
         blocks = _pulse_blocks(
             num_pulses,
@@ -1098,13 +1097,12 @@ class TrialStack:
                 self._sends.clear()
                 if self._faults is not None:
                     self._faults.start_block(pulses)
-                if stream is not None:
+                if not store_times:
                     _clear_slot(matrices, window, 0)
                 self._run_layer0_stacked(times, protocol_times, branches, pulses, r0)
                 if self._faults is not None:
                     self._record_fault_sends(k0, 0, protocol_times[:, window, 0, :])
-                if stream is not None:
-                    self._fold_step(stream, matrices, k0, window, 0)
+                self._fold_step(stream, matrices, k0, window, 0)
                 dead = (
                     np.zeros((num_trials, len(pulses)), dtype=bool)
                     if any_fault
@@ -1119,7 +1117,7 @@ class TrialStack:
                         protocol_times[:, window, _slot(times, layer - 1), :],
                         lane_needed,
                     )
-                    if stream is not None and (
+                    if not store_times and (
                         cells is None
                         or not isinstance(cells[0], slice)
                         or not isinstance(cells[1], slice)
@@ -1128,8 +1126,7 @@ class TrialStack:
                         # other cell must read NaN, not an older layer.
                         _clear_slot(matrices, window, slot)
                     if cells is None:
-                        if stream is not None:
-                            self._fold_step(stream, matrices, k0, window, layer)
+                        self._fold_step(stream, matrices, k0, window, layer)
                         continue
                     rows, lanes = cells
                     live = None if dead is None else ~dead[rows]
@@ -1165,8 +1162,7 @@ class TrialStack:
                         self._record_fault_sends(
                             k0, layer, protocol_times[:, window, slot, :]
                         )
-                    if stream is not None:
-                        self._fold_step(stream, matrices, k0, window, layer)
+                    self._fold_step(stream, matrices, k0, window, layer)
         finally:
             if has_campaign:
                 for sim, state in zip(sims, seed_states):
@@ -1220,11 +1216,10 @@ class TrialStack:
                 result._fault_sends = None
             self._fault_log = None
 
-        if stream is not None:
-            stream.finalize()
-            for s, result in enumerate(results):
-                result.streamed = stream
-                result.streamed_row = s
+        stream.finalize()
+        for s, result in enumerate(results):
+            result.streamed = stream
+            result.streamed_row = s
         if not store_times:
             # The ring holds only the last block's last two layers --
             # meaningless as a result matrix, and never handed to the

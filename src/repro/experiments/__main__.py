@@ -84,15 +84,15 @@ def _submit(args: list[str]) -> int:
         grid = dict(SERVICE_GRIDS[spec])
     else:
         grid = json.loads(spec)
-    client = ServiceClient(url)
-    accepted = client.submit(grid, num_pulses=num_pulses)
-    job_id = accepted["id"]
-    print(f"submitted {job_id} (key={accepted['key']})")
-    job = client.wait(job_id)
-    if job["status"] != "done":
-        print(f"job failed: {job['error']}", file=sys.stderr)
-        return 1
-    result = client.result(job_id)
+    with ServiceClient(url) as client:
+        accepted = client.submit(grid, num_pulses=num_pulses)
+        job_id = accepted["id"]
+        print(f"submitted {job_id} (key={accepted['key']})")
+        job = client.wait(job_id)
+        if job["status"] != "done":
+            print(f"job failed: {job['error']}", file=sys.stderr)
+            return 1
+        result = client.result(job_id)
     hit = "hit" if job["cache_hit"] else "miss"
     print(f"done (cache {hit}); max local skews per trial:")
     print(json.dumps(result["max_local_skews"]))

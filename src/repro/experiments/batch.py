@@ -14,12 +14,12 @@ module sweeps many trials in one call instead:
   module docstring): grouping is by algorithm variant and the structural
   policy switches only, so a mixed-width diameter sweep runs as one
   stack, and
-* the per-trial results are stacked along a leading *trial axis* --
-  ``times`` of shape ``(S, K, L_max, W_max)``, NaN-padded when grids
-  differ -- so skew and correction statistics for the whole sweep reduce
-  in array sweeps through the entry points of :mod:`repro.analysis.skew`
-  (one sweep per distinct geometry; padding cells are NaN and therefore
-  invisible to every reducer).
+* every stack folds its skew and correction statistics while it runs
+  (:class:`~repro.analysis.streaming.StreamedStats`), and
+  :class:`BatchResult` serves every statistic from those folds; with
+  ``store_times=True`` (the default) the per-trial matrices are also
+  stacked along a leading *trial axis* -- ``times`` of shape
+  ``(S, K, L_max, W_max)``, NaN-padded when grids differ.
 
 For fault-heavy sweeps whose cells mostly go through the batched fallback,
 ``BatchRunner(executor="process", shards=N)`` splits the trial list into
@@ -66,14 +66,7 @@ from repro.delays.models import DelayModel
 from repro.experiments.common import ExperimentConfig, standard_config
 from repro.faults.campaign import ChaosCampaign
 from repro.faults.injection import FaultPlan
-from repro.analysis.skew import (
-    global_skew_layers,
-    inter_layer_skew_layers,
-    local_skew_layers,
-    masked_max,
-    overall_skew_layers,
-)
-from repro.analysis.streaming import StreamedStats, fold_correction_planes
+from repro.analysis.skew import masked_max
 
 __all__ = ["BatchTrial", "BatchResult", "BatchRunner", "CONFIG_RATES"]
 
@@ -145,6 +138,15 @@ class BatchTrial:
 def _rows_max(values: np.ndarray, empty: float = 0.0) -> np.ndarray:
     """Last-axis max ignoring NaN padding; all-NaN/empty rows -> ``empty``."""
     return masked_max(values, axis=-1, empty=empty)
+
+
+def _padded(arrays: Sequence[np.ndarray], shape: Tuple, fill) -> np.ndarray:
+    """Stack ``arrays`` along a new leading axis into ``shape``, ``fill``
+    past each array's own extent."""
+    out = np.full(shape, fill)
+    for s, array in enumerate(arrays):
+        out[(s, *map(slice, array.shape))] = array
+    return out
 
 
 #: Progress hook: called with one dict per executor event (see
@@ -264,6 +266,14 @@ class BatchResult:
 
     Notes
     -----
+    Every statistic accessor reads the statistics each run folded while
+    it ran (``result.streamed`` / ``streamed_row``; see
+    :class:`~repro.analysis.streaming.StreamedStats`), whether or not
+    the matrices were kept, so a result that carries no fold is rejected
+    here.  The folds are bitwise equal to the array reducers of
+    :mod:`repro.analysis.skew` on each trial's own ``(L_s, W_s)``
+    window, the test suite's independent reference.
+
     When the whole batch ran as **one** stack, the matrices above *are*
     the stack's shared block (no re-copy; ``np.shares_memory`` with every
     per-trial result) and are frozen read-only, as are the per-trial
@@ -274,10 +284,8 @@ class BatchResult:
     When the runner *streamed* (``store_times=False``), ``times``,
     ``corrections``, and ``effective_corrections`` are ``None`` and
     :attr:`streaming` is True: the ``(S, K, L, W)`` block was never
-    allocated, and every skew/correction accessor serves from the
-    per-result streamed accumulators instead -- bit-identical to the
-    materialized reductions.  ``faulty_masks`` is always materialized
-    (it is ``O(S, L, W)``, the streaming memory budget).
+    allocated.  ``faulty_masks`` is always materialized (it is
+    ``O(S, L, W)``, the streaming memory budget).
     """
 
     def __init__(
@@ -294,6 +302,13 @@ class BatchResult:
         self.num_pulses = results[0].num_pulses
         if any(r.num_pulses != self.num_pulses for r in results):
             raise ValueError("trials of one batch must share num_pulses")
+        missing = [s for s, r in enumerate(results) if r.streamed is None]
+        if missing:
+            raise ValueError(
+                f"trials {missing} carry no folded statistics "
+                "(result.streamed); run them through a TrialStack, "
+                "FastSimulation.run or BatchRunner"
+            )
         self.stack_groups = [list(g) for g in (stack_groups or [])]
         self.compaction_stats = [dict(c) for c in (compaction_stats or [])]
         self.fallback_reasons = dict(fallback_reasons or {})
@@ -302,44 +317,19 @@ class BatchResult:
             for s, r in enumerate(results)
             if getattr(r, "churn_stats", None) is not None
         }
-
-        # Geometry (not array shape) decides whether skews must reduce per
-        # group: a cycle-9 and a complete-9 trial share (K, L, 9) matrices
-        # but not an edge set, so reducing both along trial 0's edges would
-        # silently mis-measure.  Equal shapes still stack without padding.
-        geometries = {
-            (r.graph.num_layers, r.graph.base.adjacency) for r in results
-        }
-        self.heterogeneous = len(geometries) > 1
         self.streaming = any(r.times is None for r in results)
-        if self.streaming:
-            if not all(r.times is None for r in results):
-                raise ValueError(
-                    "cannot mix streamed (store_times=False) and "
-                    "materialized results in one batch"
-                )
-            missing = [s for s, r in enumerate(results) if r.streamed is None]
-            if missing:
-                raise ValueError(
-                    f"trials {missing} hold neither pulse-time matrices nor "
-                    "streamed statistics; run them with store_times=True"
-                )
-            num_layers = max(r.graph.num_layers for r in results)
-            width = max(r.graph.width for r in results)
-            self._stream_layers = num_layers
-            self.times = None
-            self.corrections = None
-            self.effective_corrections = None
-            self.faulty_masks = np.zeros(
-                (len(results), num_layers, width), dtype=bool
+        if self.streaming and not all(r.times is None for r in results):
+            raise ValueError(
+                "cannot mix streamed (store_times=False) and "
+                "materialized results in one batch"
             )
-            for s, r in enumerate(results):
-                depth, w = r.graph.num_layers, r.graph.width
-                self.faulty_masks[s, :depth, :w] = r.faulty_mask
-            return
+        num_layers = max(r.graph.num_layers for r in results)
+        width = max(r.graph.width for r in results)
+        self._num_layers = num_layers
         block = getattr(results[0], "stack_block", None)
         if (
-            block is not None
+            not self.streaming
+            and block is not None
             and block.times.shape[0] == len(results)
             and all(
                 getattr(r, "stack_block", None) is block and r.stack_row == s
@@ -348,88 +338,47 @@ class BatchResult:
         ):
             # Single-stack batch: the TrialStack already materialized the
             # padded (S, K, L_max, W_max) block these results window into;
-            # adopt it instead of re-copying (the ROADMAP's known
-            # double-materialization).  The block arrives frozen.
+            # adopt it instead of re-copying.  The block arrives frozen.
             self.times = block.times
             self.corrections = block.corrections
             self.effective_corrections = block.effective_corrections
             self.faulty_masks = block.faulty
-        elif len({r.times.shape for r in results}) == 1:
-            self.times = np.stack([r.times for r in results])
-            self.corrections = np.stack([r.corrections for r in results])
-            self.effective_corrections = np.stack(
-                [r.effective_corrections for r in results]
-            )
-            self.faulty_masks = np.stack([r.faulty_mask for r in results])
-        else:
-            num_layers = max(r.graph.num_layers for r in results)
-            width = max(r.graph.width for r in results)
-            shape = (len(results), self.num_pulses, num_layers, width)
-            self.times = np.full(shape, np.nan)
-            self.corrections = np.full(shape, np.nan)
-            self.effective_corrections = np.full(shape, np.nan)
-            self.faulty_masks = np.zeros(
-                (len(results), num_layers, width), dtype=bool
-            )
-            for s, r in enumerate(results):
-                depth, w = r.graph.num_layers, r.graph.width
-                self.times[s, :, :depth, :w] = r.times
-                self.corrections[s, :, :depth, :w] = r.corrections
-                self.effective_corrections[s, :, :depth, :w] = (
-                    r.effective_corrections
-                )
-                self.faulty_masks[s, :depth, :w] = r.faulty_mask
+            return
+        self.faulty_masks = _padded(
+            [r.faulty_mask for r in results],
+            (len(results), num_layers, width),
+            False,
+        )
+        if self.streaming:
+            self.times = None
+            self.corrections = None
+            self.effective_corrections = None
+            return
+        shape = (len(results), self.num_pulses, num_layers, width)
+        self.times = _padded([r.times for r in results], shape, np.nan)
+        self.corrections = _padded(
+            [r.corrections for r in results], shape, np.nan
+        )
+        self.effective_corrections = _padded(
+            [r.effective_corrections for r in results], shape, np.nan
+        )
 
     def __len__(self) -> int:
         return len(self.trials)
 
     # ------------------------------------------------------------------
-    # Stacked skew statistics (one array sweep per distinct geometry)
+    # Statistics, read from each run's fold
     # ------------------------------------------------------------------
-    def _geometry_groups(self) -> List[Tuple[object, List[int]]]:
-        """Trial indices grouped by grid structure (graph, index list).
+    def _layer_stat(self, name: str, columns: int, empty: float) -> np.ndarray:
+        """Gather a folded per-layer statistic into ``(S, cols)``.
 
-        The skew reducers gather along base-graph edges, so trials with
-        different geometries reduce in separate sweeps; within a group
-        one array sweep covers all its trials, as before.
-        """
-        groups: Dict[Tuple, List[int]] = {}
-        graphs: Dict[Tuple, object] = {}
-        for i, r in enumerate(self.results):
-            key = (r.graph.num_layers, r.graph.base.adjacency)
-            groups.setdefault(key, []).append(i)
-            graphs.setdefault(key, r.graph)
-        return [(graphs[key], indices) for key, indices in groups.items()]
-
-    def _per_layer_stat(self, fn, columns: int, empty: float) -> np.ndarray:
-        """Scatter a per-geometry ``(s, L-ish)`` reducer into ``(S, cols)``.
-
-        Rows are NaN past a trial's own layer count -- those layers do not
-        exist, which is distinct from ``empty`` ("layer exists but has no
-        comparable pulse pair").
-        """
-        out = np.full((len(self), columns), np.nan)
-        for graph, indices in self._geometry_groups():
-            depth, width = graph.num_layers, graph.width
-            sub = self.times[indices][:, :, :depth, :width]
-            values = fn(sub, graph, empty)
-            out[np.asarray(indices)[:, None], np.arange(values.shape[-1])] = values
-        return out
-
-    def _streamed_layer_stat(
-        self, name: str, columns: int, empty: float
-    ) -> np.ndarray:
-        """Gather a streamed per-layer statistic into ``(S, cols)``.
-
-        Same padding contract as :meth:`_per_layer_stat`: NaN past a
-        trial's own layer count, ``empty`` where the layer exists but had
-        nothing to fold.
+        NaN past a trial's own layer count -- those layers do not exist,
+        which is distinct from ``empty`` ("layer exists but had nothing
+        to fold").
         """
         out = np.full((len(self), columns), np.nan)
         for s, r in enumerate(self.results):
-            values = StreamedStats.of(r).trial_values(
-                name, r.streamed_row, empty=empty
-            )
+            values = r.streamed.trial_values(name, r.streamed_row, empty=empty)
             out[s, : values.shape[-1]] = values
         return out
 
@@ -439,15 +388,7 @@ class BatchResult:
         Mixed-geometry batches report NaN for layers a trial does not
         have.
         """
-        if self.streaming:
-            return self._streamed_layer_stat("local", self._stream_layers, empty)
-        if not self.heterogeneous:
-            return local_skew_layers(self.times, self.graph, empty=empty)
-        return self._per_layer_stat(
-            lambda sub, graph, e: local_skew_layers(sub, graph, empty=e),
-            self.times.shape[-2],
-            empty,
-        )
+        return self._layer_stat("local", self._num_layers, empty)
 
     def max_local_skews(self) -> np.ndarray:
         """Per-trial ``sup_l L_l``; shape ``(S,)``."""
@@ -455,16 +396,8 @@ class BatchResult:
 
     def inter_layer_skews(self, empty: float = 0.0) -> np.ndarray:
         """Per-trial, per-boundary ``L_{l,l+1}``; shape ``(S, L_max - 1)``."""
-        if self.streaming:
-            return self._streamed_layer_stat(
-                "inter_layer", max(self._stream_layers - 1, 0), empty
-            )
-        if not self.heterogeneous:
-            return inter_layer_skew_layers(self.times, self.graph, empty=empty)
-        return self._per_layer_stat(
-            lambda sub, graph, e: inter_layer_skew_layers(sub, graph, empty=e),
-            max(self.times.shape[-2] - 1, 0),
-            empty,
+        return self._layer_stat(
+            "inter_layer", max(self._num_layers - 1, 0), empty
         )
 
     def max_inter_layer_skews(self) -> np.ndarray:
@@ -473,73 +406,36 @@ class BatchResult:
 
     def overall_skews(self) -> np.ndarray:
         """Per-trial ``L = sup_l max(L_l, L_{l,l+1})``; shape ``(S,)``."""
-        if self.streaming:
-            # Composed from the two streamed folds; max is exact in FP, so
-            # this matches overall_skew_layers on the materialized block
-            # bitwise.  -inf keeps depth-1 trials (no boundaries at all)
-            # on their local max alone, mirroring the zero-column
-            # short-circuit of inter_layer_skew_layers.
-            local_max = _rows_max(self.local_skews())
-            inter = self.inter_layer_skews()
-            if inter.shape[-1] == 0:
-                return local_max
-            return np.maximum(local_max, _rows_max(inter, empty=-np.inf))
-        if not self.heterogeneous:
-            return overall_skew_layers(self.times, self.graph)
-        out = np.empty(len(self))
-        for graph, indices in self._geometry_groups():
-            depth, width = graph.num_layers, graph.width
-            sub = self.times[indices][:, :, :depth, :width]
-            out[indices] = overall_skew_layers(sub, graph)
-        return out
+        # Max is exact in FP, so composing the two folds matches
+        # overall_skew_layers bitwise.  -inf keeps depth-1 trials (no
+        # boundaries at all) on their local max alone, mirroring the
+        # zero-column short-circuit of inter_layer_skew_layers.
+        local_max = _rows_max(self.local_skews())
+        inter = self.inter_layer_skews()
+        if inter.shape[-1] == 0:
+            return local_max
+        return np.maximum(local_max, _rows_max(inter, empty=-np.inf))
 
     def global_skews(self) -> np.ndarray:
-        """Per-trial global skew; shape ``(S,)``.
+        """Per-trial global skew (largest same-pulse spread); shape ``(S,)``."""
+        return _rows_max(self._layer_stat("global", self._num_layers, np.nan))
 
-        Geometry-agnostic: padded cells are NaN and the per-layer spread
-        masks them, so the one-sweep reduction covers mixed grids too.
-        """
-        if self.streaming:
-            return _rows_max(
-                self._streamed_layer_stat("global", self._stream_layers, np.nan)
-            )
-        return _rows_max(global_skew_layers(self.times, empty=np.nan))
-
-    # ------------------------------------------------------------------
-    # Correction statistics
-    # ------------------------------------------------------------------
     def correction_stats(self) -> Dict[str, np.ndarray]:
         """Per-trial correction summary: max/mean ``|C|`` and count.
 
-        Reduces over the finite entries of the ``corrections`` matrices
-        (layer 0 and via-``H_max`` iterations are NaN).  Both paths fold
-        pulse by pulse, layer partials in order, over each trial's *own*
-        ``(L_s, W_s)`` window -- :func:`fold_correction_planes` on the
-        materialized per-trial matrices, the :class:`StreamedStats`
-        accumulators otherwise -- so streamed and materialized runs agree
-        bitwise (folding the padded ``W_max`` block instead would change
-        the pairwise-sum association of the mean).
+        Over the finite corrections (layer 0 and via-``H_max`` iterations
+        are NaN) of each trial's own ``(L_s, W_s)`` window, folded pulse
+        by pulse, layer partials in order -- bitwise what
+        :func:`~repro.analysis.streaming.fold_correction_planes` gives on
+        the trial's materialized matrices.
         """
-        if self.streaming:
-            rows = [
-                StreamedStats.of(r).trial_stats(r.streamed_row)
-                for r in self.results
-            ]
-            return {
-                "max_abs": np.array([row["max_abs"] for row in rows]),
-                "mean_abs": np.array([row["mean_abs"] for row in rows]),
-                "num_corrections": np.array(
-                    [row["num_corrections"] for row in rows], dtype=np.int64
-                ),
-            }
-        if not self.results:
-            return fold_correction_planes(self.corrections)
-        folds = [
-            fold_correction_planes(r.corrections[None]) for r in self.results
-        ]
+        rows = [r.streamed.trial_stats(r.streamed_row) for r in self.results]
         return {
-            key: np.concatenate([fold[key] for fold in folds])
-            for key in ("max_abs", "mean_abs", "num_corrections")
+            "max_abs": np.array([row["max_abs"] for row in rows]),
+            "mean_abs": np.array([row["mean_abs"] for row in rows]),
+            "num_corrections": np.array(
+                [row["num_corrections"] for row in rows], dtype=np.int64
+            ),
         }
 
     def num_faults(self) -> np.ndarray:
@@ -575,7 +471,7 @@ def _run_shard(
     pickle it under every start method (fork, spawn, forkserver).
     Returns the shard's results plus its shard-local stack-group indices
     and compaction stats (re-offset by the parent).
-    Streamed shards ship their accumulators back through the results'
+    Shards ship their folded statistics back through the results'
     ``streamed`` attribute (``FastResult.__getstate__`` keeps it).
     """
     runner = BatchRunner(num_pulses=num_pulses, store_times=store_times)
@@ -617,13 +513,12 @@ class BatchRunner:
         the trial count.  Shards beyond the pool's workers queue on it.
         Ignored by the serial executor.
     store_times:
-        ``True`` (default) materializes the stacked ``(S, K, L, W)``
-        pulse-time block as before.  ``False`` streams instead: skew and
-        correction statistics fold online, one (pulse block, layer) step
-        at a time, and the result never allocates the block -- memory
-        drops from ``O(S * K * L * W)`` to a two-layer ring of one pulse
-        block, ``O(S * B * W)``.  The streamed
-        statistics are bit-identical to the materialized reducers.
+        Skew and correction statistics fold online either way, one
+        (pulse block, layer) step at a time.  ``True`` (default) also
+        keeps the stacked ``(S, K, L, W)`` pulse-time block.  ``False``
+        streams: the result never allocates the block -- memory drops
+        from ``O(S * K * L * W)`` to a two-layer ring of one pulse
+        block, ``O(S * B * W)`` -- and serves the same statistics.
     """
 
     def __init__(
@@ -675,15 +570,6 @@ class BatchRunner:
             )
         else:
             results, groups, compaction = self._run_single(trials, on_shard)
-        # Stamp each distinct streamed accumulator with the batch index
-        # of its first trial so StreamedStats.merge orders shards by
-        # batch position rather than argument order.
-        seen_streams = set()
-        for i, result in enumerate(results):
-            streamed = getattr(result, "streamed", None)
-            if streamed is not None and id(streamed) not in seen_streams:
-                seen_streams.add(id(streamed))
-                streamed.trial_offset = i
         return BatchResult(
             trials,
             results,

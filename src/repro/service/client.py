@@ -5,7 +5,8 @@ experiment CLI's ``--submit`` path and the test suite both drive the
 server through it.  Each client keeps one persistent
 :class:`http.client.HTTPConnection` per calling thread, so a job's
 submit / wait / fetch round trips share one TCP connection instead of
-opening one each.  JSON floats round-trip ``float.__repr__`` exactly,
+opening one each; :meth:`ServiceClient.close` (or a ``with`` block)
+closes them all.  JSON floats round-trip ``float.__repr__`` exactly,
 so statistics fetched here compare bitwise against an in-process
 ``BatchRunner.run``.
 """
@@ -24,7 +25,11 @@ __all__ = ["ServiceClient"]
 
 
 class ServiceClient:
-    """HTTP client bound to one service base URL."""
+    """HTTP client bound to one service base URL.
+
+    Use it as a context manager, or call :meth:`close`, to close its
+    connections when done.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
@@ -36,24 +41,42 @@ class ServiceClient:
             )
         self._netloc = parts.netloc
         self._prefix = parts.path
-        self._local = threading.local()
+        # Each calling thread's connection, by thread id, so close()
+        # reaches every one of them.
+        self._lock = threading.Lock()
+        self._connections: Dict[int, http.client.HTTPConnection] = {}
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens anew."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- plumbing -------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection (not yet connected when fresh)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self._netloc, timeout=self.timeout
-            )
-            self._local.conn = conn
+        key = threading.get_ident()
+        with self._lock:
+            conn = self._connections.get(key)
+            if conn is None:
+                conn = self._connections[key] = http.client.HTTPConnection(
+                    self._netloc, timeout=self.timeout
+                )
         return conn
 
     def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
+        with self._lock:
+            conn = self._connections.pop(threading.get_ident(), None)
         if conn is not None:
             conn.close()
-            self._local.conn = None
 
     def _round_trip(
         self, method: str, path: str, data: Optional[bytes], headers: Dict

@@ -261,7 +261,10 @@ class TestBatchRunnerValidation:
             BatchTrial(config=standard_config(6)),
         ]
         batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        assert batch.heterogeneous
+        geometries = {
+            (r.graph.num_layers, r.graph.base.adjacency) for r in batch.results
+        }
+        assert len(geometries) == 2
         assert batch.stack_groups == [[0, 1]]
         small = trials[0].config.graph
         assert np.isnan(batch.times[0, :, small.num_layers:, :]).all()

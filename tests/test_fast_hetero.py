@@ -21,10 +21,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.skew import (
     global_skew,
+    inter_layer_skew_layers,
+    local_skew_layers,
     max_inter_layer_skew,
     max_local_skew,
     overall_skew,
+    overall_skew_layers,
 )
+from repro.analysis.streaming import fold_correction_planes
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
@@ -271,8 +275,8 @@ class TestSameShapeDifferentTopology:
 
     Regression: a cycle-9 and a complete-9 trial stack into same-shape
     matrices, but reducing both along trial 0's edge set silently
-    under-reports the complete graph's skew.  BatchResult must group by
-    geometry, not by array shape.
+    under-reports the complete graph's skew.  Every BatchResult
+    statistic must follow each trial's own edges, streamed or not.
     """
 
     def test_reducers_use_each_trials_own_edges(self):
@@ -285,16 +289,36 @@ class TestSameShapeDifferentTopology:
             )
             for seed, base in enumerate([cycle_graph(9), complete_graph(9)])
         ]
+        # Same (K, L, W) shape, different geometry.
+        assert sims[0].graph.width == sims[1].graph.width
+        assert len(
+            {(sim.graph.num_layers, sim.graph.base.adjacency) for sim in sims}
+        ) == 2
         results = TrialStack(sims).run(NUM_PULSES)
-        batch = BatchResult(sims, results)
-        assert batch.heterogeneous  # same shape, different adjacency
-        for i, result in enumerate(results):
-            assert batch.max_local_skews()[i] == pytest.approx(
-                max_local_skew(result), abs=0.0
-            )
-            assert batch.overall_skews()[i] == pytest.approx(
-                overall_skew(result), abs=0.0
-            )
+        streamed = TrialStack(sims).run(NUM_PULSES, store_times=False)
+        for batch in (BatchResult(sims, results), BatchResult(sims, streamed)):
+            stats = batch.correction_stats()
+            for i, result in enumerate(results):
+                # The array reducers on this trial's own window are the
+                # independent reference for every accessor.
+                times, graph = result.times, result.graph
+                local = local_skew_layers(times, graph)
+                inter = inter_layer_skew_layers(times, graph)
+                np.testing.assert_array_equal(batch.local_skews()[i], local)
+                np.testing.assert_array_equal(
+                    batch.inter_layer_skews()[i], inter
+                )
+                assert batch.max_local_skews()[i] == local.max()
+                assert batch.max_inter_layer_skews()[i] == inter.max()
+                assert batch.overall_skews()[i] == overall_skew_layers(
+                    times, graph
+                )
+                assert batch.max_local_skews()[i] == max_local_skew(result)
+                assert batch.overall_skews()[i] == overall_skew(result)
+                assert batch.global_skews()[i] == global_skew(result)
+                want = fold_correction_planes(result.corrections[None])
+                for key, values in want.items():
+                    assert stats[key][i] == values[0], key
 
 
 class TestStackedLayer0Fill:

@@ -669,7 +669,8 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return ServiceClient(server.url)
+    with ServiceClient(server.url) as instance:
+        yield instance
 
 
 class TestServiceHTTP:
@@ -775,9 +776,9 @@ class TestServiceHTTP:
             job = server.runner.submit(
                 {"num_pulses": NUM_PULSES}, trials=[stuck]
             )
-            client = ServiceClient(server.url)
-            with pytest.raises(TimeoutError, match="still"):
-                client.wait(job.id, timeout=0.2)
+            with ServiceClient(server.url) as client:
+                with pytest.raises(TimeoutError, match="still"):
+                    client.wait(job.id, timeout=0.2)
             assert not job.done
         finally:
             release.set()
@@ -857,12 +858,44 @@ class TestServiceHTTP:
         self, server, monkeypatch
     ):
         monkeypatch.setattr(_Handler, "timeout", 0.1)
+        with ServiceClient(server.url) as client:
+            client.health()
+            sock = client._connection().sock
+            time.sleep(0.3)  # the server drops the idle connection
+            assert client.health()["status"] == "ok"
+            assert client._connection().sock is not sock
+
+    def test_close_closes_every_threads_connection(self, server):
+        # More threads than cores, all alive at once and switching often,
+        # so a lost registration would leave a connection untracked.
+        threads = 8
         client = ServiceClient(server.url)
-        client.health()
-        sock = client._connection().sock
-        time.sleep(0.3)  # the server drops the idle connection
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def request():
+            client.health()
+            barrier.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=request) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        connections = list(client._connections.values())
+        assert len(connections) == threads
+        assert all(conn.sock is not None for conn in connections)
+        client.close()
+        assert all(conn.sock is None for conn in connections)
+        assert not client._connections
+        # A closed client still serves: the next request opens anew.
         assert client.health()["status"] == "ok"
-        assert client._connection().sock is not sock
+        client.close()
 
     def test_client_rejects_urls_it_cannot_speak_to(self):
         for url in ("https://127.0.0.1:8631", "127.0.0.1:8631"):
@@ -960,8 +993,8 @@ class TestServiceSmoke:
 
     def test_boot_kill_worker_and_dedup(self):
         proc, url = self._boot()
+        client = ServiceClient(url, timeout=60.0)
         try:
-            client = ServiceClient(url, timeout=60.0)
             assert client.health()["status"] == "ok"
             # The kill is real (SIGKILL on a live PID), so in principle
             # the batch could finish before it lands; one more attempt
@@ -997,16 +1030,18 @@ class TestServiceSmoke:
             assert stats["hits"] >= 1
             assert deep_equal(client.result(again["id"]), served)
         finally:
+            client.close()
             proc.terminate()
             try:
                 proc.wait(10)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
+            proc.stdout.close()
 
     def test_sigterm_joins_the_idle_worker_pool(self):
         proc, url = self._boot()
+        client = ServiceClient(url, timeout=60.0)
         try:
-            client = ServiceClient(url, timeout=60.0)
             accepted = client.submit(
                 SMALL_GRID,
                 num_pulses=NUM_PULSES,
@@ -1016,11 +1051,13 @@ class TestServiceSmoke:
             idle = client.workers()
             assert idle, "the pool should outlive the job"
         finally:
+            client.close()
             proc.terminate()
             try:
                 proc.wait(10)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
+            proc.stdout.close()
         assert proc.returncode == 0
         for pid in idle:
             # Joined and reaped by the exiting service, not orphaned.
@@ -1029,8 +1066,8 @@ class TestServiceSmoke:
 
     def test_pickle_result_round_trips_over_http(self):
         proc, url = self._boot()
+        client = ServiceClient(url, timeout=60.0)
         try:
-            client = ServiceClient(url, timeout=60.0)
             grid = {"kind": "cor15", "diameter": 8, "seed": 0}
             accepted = client.submit(
                 grid, num_pulses=NUM_PULSES, runner={"executor": "serial"}
@@ -1046,8 +1083,10 @@ class TestServiceSmoke:
                 to_jsonable(payload), direct_payload(grid)
             )
         finally:
+            client.close()
             proc.terminate()
             try:
                 proc.wait(10)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
+            proc.stdout.close()

@@ -1,4 +1,4 @@
-"""Streamed statistics: memory contract, shard merging, pickling.
+"""Streamed statistics: memory contract, process shards, pickling.
 
 The bitwise agreement of streamed statistics with the materialized array
 reducers across every execution path lives in ``test_differential.py``;
@@ -6,12 +6,11 @@ this module pins everything else the streaming pipeline promises:
 
 * ``store_times=False`` never allocates the ``(S, K, L, W)`` pulse-time
   block (asserted with :mod:`tracemalloc`, not by inspection),
-* streamed accumulators survive process-executor pickling, shard merges
-  reproduce the serial run bitwise, and one stack group's results share
-  one :class:`StreamedStats` even after a pickle round-trip, and
+* streamed accumulators survive process-executor pickling, sharded
+  runs reproduce the serial run bitwise, and one stack group's results
+  share one :class:`StreamedStats` even after a pickle round-trip, and
 * the failure modes raise instead of silently serving garbage (mixed
-  streamed/materialized batches, block-less results without
-  accumulators), and
+  streamed/materialized batches, results without accumulators), and
 * the per-(block, layer) fold relies only on its plane invariant --
   every cell a step did not write is NaN -- so random NaN-laden planes
   fold to the array reducers bitwise under any pulse blocks, and so do
@@ -247,69 +246,6 @@ class TestShardsAndPickling:
             serial.global_skews(), sharded.global_skews()
         )
 
-    def test_merge_orders_shards_by_trial_offset(self):
-        """Satellite regression: ``merge`` follows batch position, not
-        argument order.
-
-        Shard futures can resolve in any order; a consumer folding
-        ``later.merge(earlier)`` used to concatenate the trial axis
-        backwards, silently misattributing every per-trial statistic.
-        """
-        batch = BatchRunner(
-            num_pulses=NUM_PULSES,
-            store_times=False,
-            executor="process",
-            shards=2,
-        ).run(_trials(6))
-        streams = []
-        for result in batch.results:
-            if not any(result.streamed is s for s in streams):
-                streams.append(result.streamed)
-        assert len(streams) >= 2
-        offsets = [s.trial_offset for s in streams]
-        assert offsets == sorted(offsets) and len(set(offsets)) == len(
-            offsets
-        )
-        a, b = streams[0], streams[1]
-        forward = a.merge(b)
-        backward = b.merge(a)
-        assert forward.trial_offset == backward.trial_offset == min(
-            a.trial_offset, b.trial_offset
-        )
-        for row in range(forward.layout.num_trials):
-            np.testing.assert_array_equal(
-                forward.trial_values("local", row),
-                backward.trial_values("local", row),
-            )
-            assert forward.trial_stats(row) == backward.trial_stats(row)
-        # Row 0 of the merged stream is the batch's first trial either
-        # way (the lower-offset shard leads).
-        np.testing.assert_array_equal(
-            backward.trial_values("local", 0),
-            a.trial_values("local", 0),
-        )
-
-    def test_streamed_stats_merge_concatenates_trials(self):
-        a = _simulation(6, seed=0).run(NUM_PULSES, store_times=False)
-        b = _simulation(8, seed=1).run(NUM_PULSES, store_times=False)
-        merged = a.streamed.merge(b.streamed)
-        assert merged.layout.num_trials == 2
-        np.testing.assert_array_equal(
-            merged.trial_values("local", 0),
-            a.streamed.trial_values("local", a.streamed_row),
-        )
-        np.testing.assert_array_equal(
-            merged.trial_values("local", 1),
-            b.streamed.trial_values("local", b.streamed_row),
-        )
-        for row, source in ((0, a), (1, b)):
-            assert (
-                merged.trial_stats(row)
-                == source.streamed.trial_stats(
-                    source.streamed_row
-                )
-            )
-
 
 # ----------------------------------------------------------------------
 # Failure modes
@@ -322,6 +258,14 @@ class TestFailureModes:
         materialized = _simulation(seed=1).run(NUM_PULSES)
         with pytest.raises(ValueError, match="mix"):
             BatchResult(_trials(2), [streamed, materialized])
+
+    def test_batch_rejects_result_without_stream(self):
+        from repro.experiments.batch import BatchResult
+
+        result = _simulation().run(NUM_PULSES)
+        result.streamed = None
+        with pytest.raises(ValueError, match="no folded statistics"):
+            BatchResult(_trials(1), [result])
 
     def test_blockless_result_without_stream_raises(self):
         result = _simulation().run(NUM_PULSES, store_times=False)
