@@ -1246,7 +1246,7 @@ class TrialStack:
     @staticmethod
     def _fold_step(stream, matrices, k0: int, window: slice, layer: int) -> None:
         """Fold ``layer`` of the block starting at pulse ``k0`` into
-        ``stream``: its ring slot's times and corrections, plus the
+        ``stream``: its slot's times and corrections, plus the
         times of layer ``layer - 1`` (see
         :meth:`~repro.analysis.streaming.StreamedStats.update`)."""
         times, _, corrections, _, _ = matrices
