@@ -13,12 +13,16 @@ fallback counters:
   edges) and a padded mixed-depth/width batch with an Algorithm 1 trial
   in a second stack group;
 * a hub-skewed sparse stack on the CSR neighbor backend, with varying
-  delays and callable clock rates.
+  delays and callable clock rates;
+* two grids that run in several pulse blocks: a fault-free D=8 seed
+  sweep over 64 pulses (six blocks, so a streamed run wraps its ring)
+  and the thm13 grid over 8 pulses (two blocks, so dynamic fault
+  offsets are computed per block).
 
 Each grid runs streamed (``store_times=False``) and materialized; both
 must match the one recorded entry.  The thm13 grid runs once more under
-``executor="process", shards=2`` as its own entry (its counters are per
-shard stack).
+``executor="process", shards=2`` as its own entry (its pass and block
+counts are per shard stack).
 
 ``python tests/stats_grids.py`` (with ``PYTHONPATH=src``) checks the
 fixture and prints the entries that differ; ``--record`` rewrites it.
@@ -48,6 +52,10 @@ from repro.topology.sparse import sparse_layered
 FIXTURE = Path(__file__).resolve().parent / "data" / "stats.json"
 
 NUM_PULSES = 6
+#: Horizons of the multi-block grids: six blocks of 10-11 pulses on the
+#: fault-free D=8 sweep, two of 4 on the thm13 grid.
+BLOCK_PULSES = 64
+THM13_BLOCK_PULSES = 8
 PARAMS = Parameters(d=1.0, u=0.05, vartheta=1.01, Lambda=2.5)
 
 #: The accessors whose arrays are pinned; ``correction_stats`` adds one
@@ -60,7 +68,14 @@ ACCESSORS = (
     "overall_skews",
     "global_skews",
 )
-COUNTERS = ("fallback_cells", "fallback_batches", "fallback_passes")
+COUNTERS = (
+    "fallback_cells",
+    "fallback_batches",
+    "fallback_passes",
+    "active_row_steps",
+    "active_lane_steps",
+    "pulse_blocks",
+)
 MODES = ("streamed", "materialized")
 
 
@@ -164,6 +179,11 @@ def grids():
         fault_sends_grids.THM13_SEEDS,
         num_pulses=fault_sends_grids.THM13_PULSES,
     )
+    thm13_blocks, _ = thm13_trials(
+        fault_sends_grids.THM13_DIAMETER,
+        fault_sends_grids.THM13_SEEDS,
+        num_pulses=THM13_BLOCK_PULSES,
+    )
     return {
         "alg3": _runner_grid(_seed_sweep("full"), NUM_PULSES),
         "alg1": _runner_grid(
@@ -176,6 +196,11 @@ def grids():
         "same_shape": _stack_grid(_same_shape_sims, NUM_PULSES),
         "mixed": _runner_grid(_mixed_trials(), NUM_PULSES),
         "csr": _stack_grid(_csr_sims, 4),
+        "alg3_blocks": _runner_grid(
+            BatchRunner.seed_sweep(8, range(4), num_pulses=BLOCK_PULSES),
+            BLOCK_PULSES,
+        ),
+        "thm13_blocks": _runner_grid(thm13_blocks, THM13_BLOCK_PULSES),
     }
 
 

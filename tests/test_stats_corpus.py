@@ -33,6 +33,11 @@ def test_statistics_match_corpus(grid, mode):
 def test_process_shards_match_corpus():
     entry = stats_grids.summarize(stats_grids.process_batch())
     assert entry == CORPUS["thm13_process"]
-    # The shards change only the stack-level pass count, never a statistic.
-    serial = dict(CORPUS["thm13"], fallback_passes=entry["fallback_passes"])
+    # The shards change only the per-stack pass and block counts, never
+    # a statistic.
+    serial = dict(
+        CORPUS["thm13"],
+        fallback_passes=entry["fallback_passes"],
+        pulse_blocks=entry["pulse_blocks"],
+    )
     assert entry == serial
