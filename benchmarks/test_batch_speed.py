@@ -1868,7 +1868,10 @@ def _gather_all_layers(sims):
     gathered = []
     for sim in sims:
         sweep = fast_mod._VectorSweep(
-            sim, fast_mod._neighbor_backend(sim.graph.base)
+            sim,
+            fast_mod._neighbor_backend(sim.graph.base),
+            sim.graph,
+            sim.fault_plan,
         )
         gathered.extend(
             sweep.delay_arrays(layer, 0)
@@ -2150,7 +2153,7 @@ def fault_send_recording(runner, trials, runs=5):
     """Per warm run: messages recorded, behaviour-class calls, seconds.
 
     The seconds cover the stack's fault table (its static offsets) and
-    every ``_record_fault_sends`` call (dynamic offsets, send times,
+    every ``record_fault_sends`` call (dynamic offsets, send times,
     overlay scatter); they are timed on runs of their own, without the
     class-call counters.
     """
@@ -2166,10 +2169,11 @@ def fault_send_recording(runner, trials, runs=5):
 
         return wrapper
 
+    run = fast_batch_mod._StackRun
     with mock.patch.object(
-        TrialStack, "_fault_table", timed(TrialStack._fault_table)
+        run, "fault_table", timed(run.fault_table)
     ), mock.patch.object(
-        TrialStack, "_record_fault_sends", timed(TrialStack._record_fault_sends)
+        run, "record_fault_sends", timed(run.record_fault_sends)
     ):
         for _ in range(runs):
             batch = runner.run(trials)

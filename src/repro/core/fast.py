@@ -54,7 +54,7 @@ algorithms run through it:
   executions in which the do-until loop exits at the *final* arrival with
   every register filled -- the fault-free/normal-branch path.  A cell is
   resolved by the stack-wide batched fallback
-  (:meth:`~repro.core.fast_batch.TrialStack._run_fallback`, replaying
+  (:meth:`~repro.core.fast_batch._StackRun.fallback`, replaying
   through :func:`_fallback_replay`) instead when any of its
   predecessors is faulty (reception times then come from the faulty
   nodes' recorded sends), a predecessor never pulsed (missing-message regime),
@@ -104,7 +104,7 @@ import numpy as np
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY, compute_correction
 from repro.core.layer0 import Layer0Schedule, PerfectLayer0
 from repro.delays.models import DelayModel, UniformDelayModel
-from repro.faults.campaign import CampaignEpoch, ChaosCampaign
+from repro.faults.campaign import ChaosCampaign
 from repro.faults.injection import FaultPlan
 from repro.faults.model import FaultBehavior
 from repro.params import Parameters
@@ -995,12 +995,13 @@ class FastSimulation:
     campaign:
         Optional :class:`~repro.faults.campaign.ChaosCampaign` over the
         same base graph: the run compiles it into per-epoch adjacency +
-        fault state and swaps graph/plan (re-gathering the stack's
-        neighbor tensors) at epoch boundaries only.  ``fault_plan``
-        stays the *static* plan every epoch merges over.  The layer-0
-        schedule is gathered once from the seed topology; membership
-        changes silence a vertex's column via per-epoch crash masks rather
-        than rewriting history.
+        fault state and, at epoch boundaries only, re-gathers the
+        stack's neighbor tensors from the epoch's own graph and plan
+        (the simulation's ``graph`` and ``fault_plan`` never change).
+        ``fault_plan`` stays the *static* plan every epoch merges over.
+        The layer-0 schedule is gathered once from the seed topology;
+        membership changes silence a vertex's column via per-epoch crash
+        masks rather than rewriting history.
 
     Notes
     -----
@@ -1046,17 +1047,12 @@ class FastSimulation:
         self.policy = policy
         self.algorithm = algorithm
         self.campaign = campaign
+        # The per-layer *delay* arrays are cached on the delay model
+        # itself (see :class:`~repro.delays.models.DelayModel`), so they
+        # survive simulation reconstruction -- a batch sweep rebuilding
+        # one FastSimulation per trial per run gathers a trial's delays
+        # once per model, all its layers in one call.
         self._rates = clock_rates
-        # (L, W) rate plane of a static rate provider for the stacked
-        # sweep: a RatePlane's own plane, or a plain mapping re-read every
-        # run so in-place edits of a rates dict between runs are
-        # honored.  The per-layer *delay* arrays are
-        # cached on the delay model itself (see
-        # :class:`~repro.delays.models.DelayModel`), so they survive
-        # simulation reconstruction -- a batch sweep rebuilding one
-        # FastSimulation per trial per run gathers a trial's delays once
-        # per model, all its layers in one call.
-        self._rate_plane: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Main loop
@@ -1088,37 +1084,6 @@ class FastSimulation:
 
         return TrialStack([self]).run(num_pulses, store_times)[0]
 
-    def _begin_run(self, num_pulses: int) -> FastResult:
-        """Validate, reset the per-run caches, and start an empty result.
-
-        Called by the trial stack (:class:`repro.core.fast_batch.TrialStack`)
-        for each of its simulations; the stack attaches window views of
-        its own shared block as the result matrices.
-        """
-        if num_pulses < 1:
-            raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
-        self._rate_plane = None
-        return FastResult(
-            self.graph, self.params, self.fault_plan, num_pulses, allocate=False
-        )
-
-    def _enter_epoch(self, epoch: CampaignEpoch) -> None:
-        """Swap in a campaign epoch's graph and fault state.
-
-        Called at epoch boundaries only; between boundaries every pulse
-        runs exactly the static machinery on the swapped state.  The
-        layer-0 *schedule* (gathered by the trial stack from the seed
-        base) is left alone -- an absent vertex's column is
-        silenced by the epoch plan's crash mask, not by rewriting the
-        schedule.  Rate caches survive (rates are keyed by node id, and
-        the vertex set never changes); delay-array caches live on the
-        delay model keyed by edge structure, so each distinct epoch
-        topology gathers its arrays once and revisited topologies hit
-        the cache.
-        """
-        self.graph = epoch.graph
-        self.fault_plan = epoch.fault_plan
-
 
 class _FaultRows(NamedTuple):
     """One trial's faulty senders (see :attr:`_VectorSweep.fault_rows`)."""
@@ -1135,12 +1100,15 @@ class _FaultRows(NamedTuple):
 class _VectorSweep:
     """One trial's index/mask structures for the stacked layer step.
 
-    Built by :meth:`repro.core.fast_batch.TrialStack.run` once per trial
-    and run (the fault plan may change between runs) and once per
-    campaign epoch state, with the neighbor ``backend`` (``"dense"`` or
-    ``"csr"``) the stack chose.  The rate plane is cached on the
-    simulation per run (a :class:`RatePlane` provider's own plane, so
-    nothing is rebuilt); delay arrays are cached on the *delay model*
+    Built by every :meth:`repro.core.fast_batch.TrialStack.run` once per
+    trial (the fault plan may change between runs), from the
+    simulation's ``graph`` and ``fault_plan``, and once per campaign
+    epoch state, from the epoch's own graph and plan; ``backend``
+    (``"dense"`` or ``"csr"``) is the neighbor representation the stack
+    chose.  The sweep reads the simulation's delay model and rates and
+    writes nothing to it.  The rate plane is cached on the sweep, so once
+    per run (a :class:`RatePlane` provider's own plane, so nothing is
+    rebuilt); delay arrays are cached on the *delay model*
     (keyed by edge structure and layer/pulse), so they survive simulation
     reconstruction and are never re-gathered for the same model.  Block
     gathers pass int64 vertex arrays and per-edge gathers plain ``int``
@@ -1148,9 +1116,15 @@ class _VectorSweep:
     exactly the edges of a per-edge ``delay`` query.
     """
 
-    def __init__(self, sim: FastSimulation, backend: str) -> None:
+    def __init__(
+        self,
+        sim: FastSimulation,
+        backend: str,
+        graph: LayeredGraph,
+        fault_plan: FaultPlan,
+    ) -> None:
         self.sim = sim
-        graph = sim.graph
+        self.graph = graph
         base = graph.base
         self.base = base
         width = base.num_nodes
@@ -1186,8 +1160,8 @@ class _VectorSweep:
             # stacks.
             self.nb_idx, self.nb_valid = base.neighbor_index_arrays()
             self.has_neighbors = self.nb_valid.any(axis=1)
-        self.fault_plan = sim.fault_plan
-        faulty = sim.fault_plan.faulty_mask(graph)
+        self.fault_plan = fault_plan
+        faulty = fault_plan.faulty_mask(graph)
         self.faulty = faulty
         # has_faulty_pred[l - 1] flags nodes of layer ``l`` with a faulty
         # own-copy or neighbor-copy predecessor on layer ``l - 1``.
@@ -1356,7 +1330,7 @@ class _VectorSweep:
     def rate_array(self, layer: int, k: int) -> np.ndarray:
         """Hardware clock rates of the layer's nodes during pulse ``k``.
 
-        Static providers read a row of :meth:`rate_plane`: a plain dict is
+        Static providers read a row of :attr:`rate_plane`: a plain dict is
         re-read into it each run, a :class:`RatePlane` is not.  Callable
         providers are queried per layer and pulse.
         """
@@ -1365,28 +1339,25 @@ class _VectorSweep:
             return np.array(
                 [float(rates((v, layer), k)) for v in range(self.width)]
             )
-        return self.rate_plane()[layer]
+        return self.rate_plane[layer]
 
+    @cached_property
     def rate_plane(self) -> np.ndarray:
         """The ``(L, W)`` rates of a static provider (none or a mapping).
 
         A :class:`RatePlane` of the graph's shape is used as-is: it is
         immutable, so no run rebuilds it.  Plain mappings are re-read into
-        a fresh plane once per run, so in-place edits of a rates dict
-        between runs are honored; a missing node runs at rate 1.
+        a fresh plane by every run's sweep, so in-place edits of a rates
+        dict between runs are honored; a missing node runs at rate 1.
         """
-        sim = self.sim
-        if sim._rate_plane is None:
-            rates = sim._rates
-            shape = (self.num_layers, self.width)
-            if rates is None:
-                sim._rate_plane = np.ones(shape)
-            elif isinstance(rates, RatePlane) and rates.plane.shape == shape:
-                sim._rate_plane = rates.plane
-            else:
-                sim._rate_plane = np.fromiter(
-                    map(rates.get, sim.graph.nodes(), repeat(1.0)),
-                    dtype=float,
-                    count=shape[0] * shape[1],
-                ).reshape(shape)
-        return sim._rate_plane
+        rates = self.sim._rates
+        shape = (self.num_layers, self.width)
+        if rates is None:
+            return np.ones(shape)
+        if isinstance(rates, RatePlane) and rates.plane.shape == shape:
+            return rates.plane
+        return np.fromiter(
+            map(rates.get, self.graph.nodes(), repeat(1.0)),
+            dtype=float,
+            count=shape[0] * shape[1],
+        ).reshape(shape)

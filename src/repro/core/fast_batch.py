@@ -123,7 +123,7 @@ A lane is needed by trial ``s`` when it is inside the trial's real width
 and, under a chaos campaign, the vertex is present in at least one epoch
 of the remaining horizon: a vertex absent from the current epoch through
 the end of the run can never pulse, receive, or send again, so its lane
-is freed at the epoch boundary (epoch re-gathers re-derive the free-lane
+is freed at the epoch boundary (epoch entries re-derive the free-lane
 set).  Neighbor tables are re-indexed into the compact column space
 (``lane_pos``), the kernel runs on the ``(S_active, C)`` plane, and
 results scatter back through ``rows x lanes`` -- dropped lanes keep
@@ -135,11 +135,27 @@ One layer step
 --------------
 The full ``(S, B, W_max)`` plane is the identity case of compaction:
 rows and lanes index with ``slice(None)``.  :func:`_select_cells` picks
-the rows and lanes of each step, and :meth:`TrialStack._run_layer_stacked`
+the rows and lanes of each step, and :meth:`_StackRun.layer_step`
 runs the kernel on whatever plane they select, so the dense/CSR kernel
 call lives in one place.  Tests and benchmarks replace
 :func:`_select_cells` with the identity to measure or pin the
 uncompacted plane; it is a test seam, not an option.
+
+One run, one state
+------------------
+Every :meth:`TrialStack.run` builds a private :class:`_StackRun` that
+holds all it writes: the shared result matrices, the trials' sweeps,
+the stacked neighbor, eligibility and fault tables, the delay and row
+caches, the fault table and send log, and the step counters.  Its
+methods are the phases of the pipeline: the gathers of a step's
+inputs, layer 0, the layer step, the fallback, the fault-send record,
+the statistics fold and the campaign epoch entry.  A campaign epoch
+builds its trial's sweep from the epoch's own graph and fault plan and
+rewrites the trial's rows of the run's tables; the
+:class:`~repro.core.fast.FastSimulation` itself is never modified.  So
+the stack and its simulations are only read, and two threads may run
+one stack at once (a :class:`~repro.delays.models.VaryingDelayModel`
+shared between them is the exception: its walks advance per query).
 
 CSR neighbor backend (sparse/skewed graphs)
 -------------------------------------------
@@ -181,7 +197,7 @@ broadcast elementwise and change no operation; the neighbor min/max is
 exact in any fold order).  The exact eligibility test is applied cell
 by cell: fault-adjacent, via-``H_max``, and missing-message cells drop
 out of the array path and are resolved by one stack-wide batched
-fallback pass per block step (:meth:`TrialStack._run_fallback`), which
+fallback pass per block step (:meth:`_StackRun.fallback`), which
 mirrors the
 per-cell scalar rule (:func:`~repro.core.fast._scalar_replay`) operation
 for operation.  The pass gathers every
@@ -616,7 +632,7 @@ class _FaultTable:
 class _FaultSendLog:
     """The fault sends one stack run recorded, as array chunks.
 
-    Each chunk is one :meth:`TrialStack._record_fault_sends` call:
+    Each chunk is one :meth:`_StackRun.record_fault_sends` call:
     ``(table, rows, pulses, sends)`` -- the table rows that sent in the
     block, the pulse of each, and their ``(n, M)`` send times (``+inf``
     = silent), pulse-major.  :meth:`sends_of` builds one trial's
@@ -686,6 +702,10 @@ class TrialStack:
     last run, the neighbor representation the density heuristic chose,
     and the batched-fallback counts.
 
+    Each run keeps its state in a :class:`_StackRun` of its own and
+    only reads the simulations, so one stack may run on several threads
+    at once (see "One run, one state" in the module docstring).
+
     Example
     -------
     >>> from repro.core.fast import FastSimulation
@@ -712,126 +732,6 @@ class TrialStack:
         #: module docstring.  ``None`` until the first run completes.
         self.compaction_stats: Optional[Dict[str, object]] = None
 
-    # ------------------------------------------------------------------
-    # Stacked per-layer inputs
-    # ------------------------------------------------------------------
-    def _delay_stack(
-        self,
-        sweeps: Sequence[_VectorSweep],
-        cache: Dict[object, Tuple[np.ndarray, np.ndarray]],
-        layer: int,
-        pulses: range,
-        rows=_ALL,
-        lanes=_ALL,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Own ``(S, P, W)`` and neighbor ``(S, P, W, max_deg)`` delays.
-
-        ``P`` is 1 when every model is pulse-invariant -- the arrays
-        broadcast over the block's pulse axis, never repeated -- and the
-        block's pulse count otherwise (one plane per pulse of
-        ``pulses``).  Each sweep's per-trial arrays come from (and fill)
-        its simulation's own delay cache; the stacked copies are cached
-        here per layer when every model is pulse-invariant, else per
-        ``(layer, block)``.  On a compacted step, ``rows`` selects the
-        active trials and only their arrays are gathered (the cache key
-        then carries the row set -- depth-driven sets are nested, so at
-        most one entry per distinct depth survives), and ``lanes``
-        slices the active columns out of the row-compacted arrays
-        (cached under the extended key).  On a CSR stack the neighbor
-        array is the flat ``(S, P, nnz)`` segment vector instead (lane
-        compaction never coexists with CSR: CSR requires a uniform
-        stack, lanes a padded one).  Trials without this layer (padded
-        depth) contribute inert NaN/zero rows and are never queried, so
-        delay models only ever see edges that exist in their own graph.
-        """
-        if self._all_pulse_invariant:
-            key: object = layer
-            pulses = pulses[:1]
-        else:
-            key = (layer, pulses.start, len(pulses))
-        if not isinstance(rows, slice):
-            key = (key, rows.tobytes())
-        if not isinstance(lanes, slice):
-            full_own, full_nb = self._delay_stack(
-                sweeps, cache, layer, pulses, rows
-            )
-            key = (key, "lanes", lanes.tobytes())
-            cached = cache.get(key)
-            if cached is None:
-                cached = (full_own[:, :, lanes], full_nb[:, :, lanes, :])
-                cache[key] = cached
-            return cached
-        cached = cache.get(key)
-        if cached is None:
-            if self._uniform:
-                selected = (
-                    sweeps
-                    if isinstance(rows, slice)
-                    else [sweeps[s] for s in rows]
-                )
-                arrays = [
-                    sw.delay_arrays(layer, k) for sw in selected for k in pulses
-                ]
-                # np.array stacks equal-shape rows exactly like np.stack,
-                # at a fraction of its per-call overhead (paid per layer).
-                own = np.array([own for own, _ in arrays])
-                nb = np.array([nb for _, nb in arrays])
-                lead = (len(selected), len(pulses))
-                cached = (
-                    own.reshape(lead + own.shape[1:]),
-                    nb.reshape(lead + nb.shape[1:]),
-                )
-            else:
-                indices = np.arange(len(sweeps))[rows]
-                shape = (len(indices), len(pulses), self._width)
-                own = np.full(shape, np.nan)
-                nb = np.zeros(shape + (self._max_deg,))
-                for i, s in enumerate(indices):
-                    if layer >= self._depths[s]:
-                        continue
-                    for j, k in enumerate(pulses):
-                        own_s, nb_s = sweeps[s].delay_arrays(layer, k)
-                        own[i, j, : own_s.shape[0]] = own_s
-                        nb[i, j, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
-                cached = (own, nb)
-            cache[key] = cached
-        return cached
-
-    def _rate_stack(
-        self,
-        sweeps: Sequence[_VectorSweep],
-        layer: int,
-        pulses: range,
-        rows=_ALL,
-        lanes=_ALL,
-    ) -> np.ndarray:
-        """Clock rates of the (active) trials' nodes, ``(S, P, W)``.
-
-        Static rate providers read the run's ``(S, L, W)`` plane
-        (:attr:`_rate_planes`) with ``P = 1`` (broadcast over the block's
-        pulses): a view of one layer, or a gather of the compacted rows.
-        When some provider is callable, ``P`` is the block's pulse count
-        and every trial is queried per pulse, exactly as a per-trial run
-        does.  Inert cells get rate 1 (never read through an eligible
-        lane, but a finite value keeps the whole-plane arithmetic
-        NaN-clean).  ``lanes`` slices the active columns out of the
-        row-compacted array, mirroring :meth:`_delay_stack`.
-        """
-        if self._rate_planes is not None:
-            return self._rate_planes[rows, layer, None][:, :, lanes]
-        indices = np.arange(len(sweeps))[rows]
-        stacked = np.ones((len(indices), len(pulses), self._width))
-        for i, s in enumerate(indices):
-            if layer >= self._depths[s]:
-                continue
-            for j, k in enumerate(pulses):
-                row = sweeps[s].rate_array(layer, k)
-                stacked[i, j, : row.shape[0]] = row
-        return stacked[:, :, lanes]
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
     def run(
         self,
         num_pulses: int,
@@ -856,59 +756,90 @@ class TrialStack:
         reducers of :mod:`repro.analysis.skew` on the materialized
         matrices (see :mod:`repro.analysis.streaming`).
         """
-        sims = self.sims
+        results, self.compaction_stats = _StackRun(
+            self.sims, num_pulses, store_times
+        ).run()
+        return results
+
+
+class _StackRun:
+    """One :meth:`TrialStack.run` call: its state and its pipeline phases.
+
+    Built afresh by every call, it holds everything the run writes: the
+    shared result matrices, the trials' sweeps (swapped at campaign
+    epochs), the stacked neighbor, eligibility and fault tables, the
+    rate plane and the delay and row caches, the fault table and send
+    log, and the step counters.  The simulations are only read.  Its
+    phases are the gathers of a layer step's inputs
+    (:meth:`delay_stack`, :meth:`rate_stack`, :meth:`row_structs`),
+    :meth:`layer0`, :meth:`layer_step`, :meth:`fallback`,
+    :meth:`record_fault_sends`, :meth:`fold` and :meth:`enter_epochs`;
+    :meth:`run` drives them block by block and layer by layer.
+    """
+
+    def __init__(
+        self, sims: List[FastSimulation], num_pulses: int, store_times: bool
+    ) -> None:
+        if num_pulses < 1:
+            raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
+        self.sims = sims
+        self.num_pulses = num_pulses
+        self.store_times = store_times
         num_trials = len(sims)
-        widths = [sim.graph.width for sim in sims]
-        depths = [sim.graph.num_layers for sim in sims]
-        width = max(widths)
-        num_layers = max(depths)
-        self._width = width
-        self._depths = depths
+        self.widths = widths = [sim.graph.width for sim in sims]
+        self.depths = depths = [sim.graph.num_layers for sim in sims]
+        self.depth_array = np.array(depths)
+        self.width = width = max(widths)
+        self.num_layers = num_layers = max(depths)
         # Chaos campaigns compile to per-epoch adjacency + fault state up
         # front; trials under a campaign swap their rows of the stacked
-        # tensors at epoch boundaries (see _enter_stack_epochs), which
-        # needs the per-trial 3-D gather tables of the padded path.
-        schedules = [
+        # tables at epoch boundaries (see enter_epochs), which needs the
+        # per-trial 3-D gather tables of the padded path.
+        self.schedules = [
             None
             if sim.campaign is None
             else sim.campaign.compile(num_pulses, base_plan=sim.fault_plan)
             for sim in sims
         ]
-        has_campaign = any(s is not None for s in schedules)
+        self.epoch_cursor = [-1] * num_trials
+        # Epoch sweeps per trial, keyed by epoch state (a topology that
+        # returns to an earlier state reuses its gather tables).
+        self.epoch_sweeps: List[Dict[Tuple, _VectorSweep]] = [{} for _ in sims]
         adjacency0 = sims[0].graph.base.adjacency
-        self._uniform = not has_campaign and all(
-            depth == num_layers and sim.graph.base.adjacency == adjacency0
-            for depth, sim in zip(depths, sims)
+        self.uniform = all(
+            schedule is None
+            and depth == num_layers
+            and sim.graph.base.adjacency == adjacency0
+            for schedule, depth, sim in zip(self.schedules, depths, sims)
         )
 
-        stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
-        results = [sim._begin_run(num_pulses) for sim in sims]
-        blocks = _pulse_blocks(
+        self.stream = StreamedStats(StreamLayout.from_sims(sims, num_pulses))
+        self.results = [
+            FastResult(sim.graph, sim.params, sim.fault_plan, num_pulses, allocate=False)
+            for sim in sims
+        ]
+        self.blocks = _pulse_blocks(
             num_pulses,
             num_layers,
             num_trials * width,
             [
                 epoch.start
-                for schedule in schedules
+                for schedule in self.schedules
                 if schedule is not None
                 for epoch in schedule.epochs
             ],
         )
-        block_pulses = max(k1 - k0 for k0, k1 in blocks)
-        if store_times:
-            # One (S, P, W_max) layer-0 gather for the whole stack.
-            self._layer0_block = stacked_pulse_times(
-                [sim.layer0 for sim in sims],
-                [sim.graph.base for sim in sims],
-                num_pulses,
-            )
-        else:
-            # Streaming: no (S, P, W_max) block -- stacked_pulse_row
-            # fills the window's layer-0 rows one pulse at a time
-            # (bit-identical entries; see layer0.py).
-            self._layer0_block = None
-            self._l0_schedules = [sim.layer0 for sim in sims]
-            self._l0_bases = [sim.graph.base for sim in sims]
+        # Layer 0: one (S, P, W_max) gather for the whole stack, or on a
+        # streamed run one (S, W_max) row per pulse (see layer0).
+        self.layer0_sources = (
+            [sim.layer0 for sim in sims],
+            [sim.graph.base for sim in sims],
+        )
+        self.layer0_block = (
+            stacked_pulse_times(*self.layer0_sources, num_pulses)
+            if store_times
+            else None
+        )
         # One shared block per matrix: every pulse and layer, or on a
         # streamed run a two-layer ring of one pulse block (_slot maps a
         # layer to its slot).  Cells outside a trial's window stay NaN
@@ -917,310 +848,221 @@ class TrialStack:
         shape = (
             (num_trials, num_pulses, num_layers, width)
             if store_times
-            else (num_trials, block_pulses, min(num_layers, 2), width)
+            else (
+                num_trials,
+                max(k1 - k0 for k0, k1 in self.blocks),
+                min(num_layers, 2),
+                width,
+            )
         )
-        times = np.full(shape, np.nan)
-        protocol_times = np.full(shape, np.nan)
-        corrections = np.full(shape, np.nan)
-        effective = np.full(shape, np.nan)
-        branches = np.full(shape, BRANCH_CODES["none"], dtype=np.int8)
+        self.matrices = tuple(np.full(shape, np.nan) for _ in range(4)) + (
+            np.full(shape, BRANCH_CODES["none"], dtype=np.int8),
+        )
         if store_times:
             # Each FastResult holds the trial-s window view, so analysis
             # code reads through it.
-            for s, result in enumerate(results):
-                result.times = times[s, :, : depths[s], : widths[s]]
-                result.protocol_times = protocol_times[s, :, : depths[s], : widths[s]]
-                result.corrections = corrections[s, :, : depths[s], : widths[s]]
-                result.effective_corrections = effective[s, :, : depths[s], : widths[s]]
-                result.branches = branches[s, :, : depths[s], : widths[s]]
+            for s, result in enumerate(self.results):
+                views = [m[s, :, : depths[s], : widths[s]] for m in self.matrices]
+                (
+                    result.times,
+                    result.protocol_times,
+                    result.corrections,
+                    result.effective_corrections,
+                    result.branches,
+                ) = views
 
         # One neighbor representation for the whole stack.  CSR needs one
         # shared adjacency (the segment structure is per-graph), so only
         # uniform stacks consult the density heuristic; padded stacks run
         # the dense tensors.
-        backend = (
-            _neighbor_backend(sims[0].graph.base) if self._uniform else "dense"
+        self.backend = (
+            _neighbor_backend(sims[0].graph.base) if self.uniform else "dense"
         )
-        sweeps = [_VectorSweep(sim, backend=backend) for sim in sims]
-        # Epoch entries replace a trial's sweep in this list in place.
-        self._sweeps = sweeps
-        self._all_pulse_invariant = all(
+        # Epoch entries replace a trial's sweep in this list.
+        self.sweeps = [
+            _VectorSweep(sim, self.backend, sim.graph, sim.fault_plan)
+            for sim in sims
+        ]
+        self.pulse_invariant = all(
             getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
         )
         # One read-only (S, L, W) rate plane per run when every provider
-        # is static; a layer step takes a view of it.
-        self._rate_planes: Optional[np.ndarray] = None
+        # is static; a layer step takes a view of it.  It survives epoch
+        # entries: rates are keyed by node id and the vertex set never
+        # changes.
+        self.rate_planes: Optional[np.ndarray] = None
         if all(not callable(sim._rates) for sim in sims):
             planes = np.ones((num_trials, num_layers, width))
-            for s, sweep in enumerate(sweeps):
-                plane = sweep.rate_plane()
+            for s, sweep in enumerate(self.sweeps):
+                plane = sweep.rate_plane
                 planes[s, : plane.shape[0], : plane.shape[1]] = plane
             planes.setflags(write=False)
-            self._rate_planes = planes
-        delay_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
+            self.rate_planes = planes
 
         # Padded (S, ...) fault/eligibility structure.  ``active`` marks the
         # real (non-padding) cells; None on uniform stacks (all real).
-        if self._uniform:
-            nb_idx = sweeps[0].nb_idx
-            nb_valid = sweeps[0].nb_valid
-            if backend == "csr":
-                sweep0 = sweeps[0]
-                self._csr = (
+        self.csr = None
+        self.active = None
+        if self.uniform:
+            sweep0 = self.sweeps[0]
+            self.nb_idx, self.nb_valid = sweep0.nb_idx, sweep0.nb_valid
+            if self.backend == "csr":
+                self.csr = (
                     sweep0.indptr,
                     sweep0.indices,
                     sweep0.owner,
                     sweep0.has_neighbors,
                 )
-                self._max_deg = sweep0.max_deg
+                self.max_deg = sweep0.max_deg
             else:
-                self._csr = None
-                self._max_deg = nb_idx.shape[1]
-            static_eligible = np.stack([sweep.static_eligible for sweep in sweeps])
-            faulty = np.stack([sweep.faulty for sweep in sweeps])
-            active = None
+                self.max_deg = self.nb_idx.shape[1]
+            self.static_eligible = np.stack(
+                [sweep.static_eligible for sweep in self.sweeps]
+            )
+            self.faulty = np.stack([sweep.faulty for sweep in self.sweeps])
         else:
-            self._csr = None
-            self._max_deg = max(sweep.nb_idx.shape[1] for sweep in sweeps)
-            nb_idx = np.zeros((num_trials, width, self._max_deg), dtype=np.int64)
-            nb_valid = np.zeros((num_trials, width, self._max_deg), dtype=bool)
-            static_eligible = np.zeros(
+            self.max_deg = max(sweep.nb_idx.shape[1] for sweep in self.sweeps)
+            self.nb_idx = np.zeros((num_trials, width, self.max_deg), dtype=np.int64)
+            self.nb_valid = np.zeros((num_trials, width, self.max_deg), dtype=bool)
+            self.static_eligible = np.zeros(
                 (num_trials, num_layers - 1, width), dtype=bool
             )
-            faulty = np.zeros((num_trials, num_layers, width), dtype=bool)
-            for s, sweep in enumerate(sweeps):
-                w, cols = sweep.nb_idx.shape
-                nb_idx[s, :w, :cols] = sweep.nb_idx
-                nb_valid[s, :w, :cols] = sweep.nb_valid
-                static_eligible[s, : depths[s] - 1, :w] = sweep.static_eligible
-                faulty[s, : depths[s], :w] = sweep.faulty
+            self.faulty = np.zeros((num_trials, num_layers, width), dtype=bool)
+            for s, sweep in enumerate(self.sweeps):
+                self.set_sweep(s, sweep)
             layer_index = np.arange(num_layers)
-            active = (
-                (layer_index[None, :, None] < np.array(depths)[:, None, None])
+            self.active = (
+                (layer_index[None, :, None] < self.depth_array[:, None, None])
                 & (np.arange(width)[None, None, :] < np.array(widths)[:, None, None])
             )
-        layer_has_fault = faulty.any(axis=(0, 2)).tolist()
 
         # Per-trial parameter/policy columns when trials disagree; the
         # shared objects otherwise (scalar broadcasting, old fast path).
         params0, policy0 = sims[0].params, sims[0].policy
-        self._params = (
+        self.params = (
             params0
             if all(sim.params == params0 for sim in sims)
             else _StackedParams(sims)
         )
-        self._policy = (
+        self.policy = (
             policy0
             if all(sim.policy == policy0 for sim in sims)
             else _StackedPolicy(sims)
         )
 
-        # Stacked layer-0 plane writes (see _run_layer0_stacked);
-        # self._layer0_block was set above.
-        self._l0_faulty = faulty[:, 0, :]
         width_mask = (
             np.ones((num_trials, width), dtype=bool)
-            if self._uniform
+            if self.uniform
             else np.arange(width)[None, :] < np.array(widths)[:, None]
         )
-        self._l0_branch_row = np.where(
+        self.layer0_branches = np.where(
             width_mask, BRANCH_CODES["layer0"], BRANCH_CODES["none"]
         ).astype(np.int8)
-
         # Width-aware compaction bookkeeping: lane_needed[s, v] is True
         # while trial s can still use lane v.  Statically that is the
         # trial's width mask; campaign epoch entries clear lanes whose
         # vertex is absent for the whole remaining horizon (see
-        # _enter_stack_epochs).  Uniform stacks have no width padding, so
-        # the lane pass is skipped there outright.
-        self._widths = widths
-        self._lane_needed = width_mask.copy()
-        lane_needed = None if active is None else self._lane_needed
+        # enter_epochs).  Uniform stacks have no width padding, so the
+        # lane pass is skipped there outright (None).
+        self.lane_needed = None if self.uniform else width_mask
 
-        # Depth-aware compaction bookkeeping (see the module docstring):
-        # at layer ``l`` only trials with ``depth > l`` that are live in
-        # some pulse of the block keep a row in the working plane.
-        # ``dead`` can only ever trigger with faults -- a fault-free
-        # trial's layers always pulse -- so the all-NaN probe is skipped
-        # entirely on fault-free stacks.
-        depths_arr = np.array(depths)
-        any_fault = bool(faulty.any())
-        self._row_cache: Dict[Tuple, Dict[str, object]] = {}
-        padded_row_steps = num_pulses * max(num_layers - 1, 0) * num_trials
-        # Row and lane steps count live (trial, pulse) rows: padded cost
-        # is every row step times the full padded width; the active
-        # counts sum the steps' live rows and rows x lanes, each pulse's
-        # lanes being those its live rows need.
-        active_row_steps = 0
-        padded_lane_steps = padded_row_steps * width
-        active_lane_steps = 0
+        # Row and lane steps count live (trial, pulse) rows (see
+        # layer_step); ``dead`` is the current block's (S, B) mask of
+        # (trial, pulse) rows gone dead, None on fault-free stacks.
+        self.row_steps = 0
+        self.lane_steps = 0
+        self.fallback_passes = 0
+        self.dead: Optional[np.ndarray] = None
+        # The faulty senders' send log (None until a fault table exists)
+        # and the overlays of the current block's sends, keyed by the
+        # layer that receives them (see record_fault_sends).
+        self.fault_log: Optional[_FaultSendLog] = None
+        self.sends: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.derive()
 
-        # Campaign bookkeeping: per-trial epoch cursor and per-trial sweep
-        # cache keyed by epoch state (a topology that returns to an earlier
-        # state reuses its gather tensors).  Seed graph/plan are restored
-        # after the run even on error.
-        epoch_cursor = [-1] * num_trials
-        sweep_caches: List[Dict[Tuple, _VectorSweep]] = [{} for _ in sims]
-        seed_states = [(sim.graph, sim.fault_plan) for sim in sims]
+    def derive(self) -> None:
+        """(Re)build what derives from the stacked tables: the per-layer
+        fault flags, the empty delay and row caches, and the fault table.
+        Runs once at the start and after every epoch entry that changed
+        a table."""
+        self.layer_has_fault = self.faulty.any(axis=(0, 2)).tolist()
+        self.any_fault = bool(self.faulty.any())
+        self.delay_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
+        self.row_cache: Dict[Tuple, Dict[str, object]] = {}
+        self.faults = self.fault_table()
 
-        # The faulty senders (None without faults), the sends they
-        # recorded, the sends' overlays of the current block keyed by the
-        # layer that receives them (see _record_fault_sends), and the
-        # count of stack-wide fallback passes.
-        self._fault_log: Optional[_FaultSendLog] = None
-        self._faults = self._fault_table(sweeps, any_fault)
-        self._sends: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._fallback_passes = 0
-
-        matrices = (times, protocol_times, corrections, effective, branches)
-        try:
-            for k0, k1 in blocks:
-                if has_campaign and self._enter_stack_epochs(
-                    k0, schedules, epoch_cursor, sweep_caches, sweeps,
-                    nb_idx, nb_valid, static_eligible, faulty,
-                ):
-                    # Rows of the stacked tensors changed in place: refresh
-                    # every structure derived from them.  The stack-level
-                    # delay cache and the compacted row gathers hold stale
-                    # copies; the rate plane survives (rates are keyed by
-                    # node id and the vertex set never changes).
-                    layer_has_fault = faulty.any(axis=(0, 2)).tolist()
-                    any_fault = bool(faulty.any())
-                    delay_cache.clear()
-                    self._row_cache = {}
-                    self._faults = self._fault_table(sweeps, any_fault)
-                pulses = range(k0, k1)
-                # The block's storage rows: its own pulses, or the head
-                # of the ring.
-                r0 = k0 if store_times else 0
-                window = slice(r0, r0 + len(pulses))
-                self._sends.clear()
-                if self._faults is not None:
-                    self._faults.start_block(pulses)
-                if not store_times:
-                    _clear_slot(matrices, window, 0)
-                self._run_layer0_stacked(times, protocol_times, branches, pulses, r0)
-                if self._faults is not None:
-                    self._record_fault_sends(k0, 0, protocol_times[:, window, 0, :])
-                self._fold_step(stream, matrices, k0, window, 0)
-                dead = (
-                    np.zeros((num_trials, len(pulses)), dtype=bool)
-                    if any_fault
-                    else None
+    # ------------------------------------------------------------------
+    # Main loop
+    # ------------------------------------------------------------------
+    def run(self) -> Tuple[List[FastResult], Dict[str, object]]:
+        """Advance every block; the results and the run's compaction stats."""
+        times, protocol_times = self.matrices[:2]
+        campaign = any(schedule is not None for schedule in self.schedules)
+        for k0, k1 in self.blocks:
+            if campaign:
+                self.enter_epochs(k0)
+            pulses = range(k0, k1)
+            # The block's storage rows: its own pulses, or the head of
+            # the ring.
+            r0 = k0 if self.store_times else 0
+            window = slice(r0, r0 + len(pulses))
+            self.sends.clear()
+            if self.faults is not None:
+                self.faults.start_block(pulses)
+            if not self.store_times:
+                _clear_slot(self.matrices, window, 0)
+            self.layer0(pulses, window)
+            if self.faults is not None:
+                self.record_fault_sends(k0, 0, protocol_times[:, window, 0, :])
+            self.fold(k0, window, 0)
+            # A (trial, pulse) can only go dead with faults -- a
+            # fault-free trial's layers always pulse -- so the all-NaN
+            # probe is skipped entirely on fault-free stacks.
+            self.dead = (
+                np.zeros((len(self.sims), len(pulses)), dtype=bool)
+                if self.any_fault
+                else None
+            )
+            for layer in range(1, self.num_layers):
+                slot = _slot(times, layer)
+                cells = _select_cells(
+                    layer,
+                    self.depth_array,
+                    self.dead,
+                    protocol_times[:, window, _slot(times, layer - 1), :],
+                    self.lane_needed,
                 )
-                for layer in range(1, num_layers):
-                    slot = _slot(times, layer)
-                    cells = _select_cells(
-                        layer,
-                        depths_arr,
-                        dead,
-                        protocol_times[:, window, _slot(times, layer - 1), :],
-                        lane_needed,
-                    )
-                    if not store_times and (
-                        cells is None
-                        or not isinstance(cells[0], slice)
-                        or not isinstance(cells[1], slice)
-                    ):
-                        # The step writes only part of the slot: every
-                        # other cell must read NaN, not an older layer.
-                        _clear_slot(matrices, window, slot)
-                    if cells is None:
-                        self._fold_step(stream, matrices, k0, window, layer)
-                        continue
-                    rows, lanes = cells
-                    live = None if dead is None else ~dead[rows]
-                    if live is not None and live.all():
-                        live = None
-                    row_steps, lane_steps = self._step_counts(
-                        rows, lanes, live, len(pulses), lane_needed
-                    )
-                    active_row_steps += row_steps
-                    active_lane_steps += lane_steps
-                    self._run_layer_stacked(
-                        results,
-                        matrices,
-                        self._row_structs(
-                            rows,
-                            lanes,
-                            nb_idx,
-                            nb_valid,
-                            static_eligible,
-                            faulty,
-                            active,
-                        ),
-                        self._delay_stack(
-                            sweeps, delay_cache, layer, pulses, rows, lanes
-                        ),
-                        self._rate_stack(sweeps, layer, pulses, rows, lanes),
-                        layer_has_fault[layer],
-                        layer,
-                        window,
-                        live,
-                    )
-                    if self._faults is not None:
-                        self._record_fault_sends(
+                if not self.store_times and (
+                    cells is None or not all(isinstance(c, slice) for c in cells)
+                ):
+                    # The step writes only part of the slot: every
+                    # other cell must read NaN, not an older layer.
+                    _clear_slot(self.matrices, window, slot)
+                if cells is not None:
+                    self.layer_step(layer, pulses, window, *cells)
+                    if self.faults is not None:
+                        self.record_fault_sends(
                             k0, layer, protocol_times[:, window, slot, :]
                         )
-                    self._fold_step(stream, matrices, k0, window, layer)
-        finally:
-            if has_campaign:
-                for sim, state in zip(sims, seed_states):
-                    sim.graph, sim.fault_plan = state
+                self.fold(k0, window, layer)
+        return self.finish(), self.compaction_stats()
 
-        for s, schedule in enumerate(schedules):
+    def finish(self) -> List[FastResult]:
+        """Hand the run's campaign accounting, send log, folded statistics
+        and (materialized runs) frozen shared block to its results."""
+        results = self.results
+        for s, schedule in enumerate(self.schedules):
             if schedule is not None:
-                results[s].campaign = sims[s].campaign
+                results[s].campaign = self.sims[s].campaign
                 results[s].churn_stats = schedule.summary()
-
-        self.compaction_stats = {
-            "trials": num_trials,
-            "num_layers": num_layers,
-            "min_depth": int(min(depths)),
-            "max_depth": int(max(depths)),
-            "padded_row_steps": padded_row_steps,
-            "active_row_steps": active_row_steps,
-            "dropped_fraction": (
-                1.0 - active_row_steps / padded_row_steps
-                if padded_row_steps
-                else 0.0
-            ),
-            "min_width": int(min(widths)),
-            "max_width": int(max(widths)),
-            "padded_lane_steps": padded_lane_steps,
-            "active_lane_steps": active_lane_steps,
-            "lane_dropped_fraction": (
-                1.0 - active_lane_steps / padded_lane_steps
-                if padded_lane_steps
-                else 0.0
-            ),
-            "neighbor_backend": backend,
-            # Pulse blocking (see _pulse_blocks): how many blocks the run
-            # advanced and the most pulses one block held.
-            "pulse_blocks": len(blocks),
-            "block_pulses": block_pulses,
-            # Batched-fallback accounting: total kernel-rejected cells
-            # resolved by the replay, their per-trial (pulse, layer)
-            # batches, and the stack-wide resolver passes -- one per
-            # (block, layer) step with any such cell, so never more than
-            # the batches.  Zero on fault-free stacks.
-            "fallback_cells": sum(r.fallback_cells for r in results),
-            "fallback_batches": sum(r.fallback_batches for r in results),
-            "fallback_passes": self._fallback_passes,
-        }
-        self._sends = {}
-        self._faults = None
-        if self._fault_log is not None:
-            for s, result in enumerate(results):
-                result._fault_log = (self._fault_log, s)
-                result._fault_sends = None
-            self._fault_log = None
-
-        stream.finalize()
+        self.stream.finalize()
         for s, result in enumerate(results):
-            result.streamed = stream
+            if self.fault_log is not None:
+                result._fault_log = (self.fault_log, s)
+                result._fault_sends = None
+            result.streamed = self.stream
             result.streamed_row = s
-        if not store_times:
+        if not self.store_times:
             # The ring holds only the last block's last two layers --
             # meaningless as a result matrix, and never handed to the
             # results; the statistics live in ``streamed``.
@@ -1231,9 +1073,9 @@ class TrialStack:
         # would silently corrupt its siblings and any adopting
         # BatchResult), and the attached block is what lets a single-stack
         # BatchResult skip re-materializing (S, K, L_max, W_max) copies.
-        block = _StackBlock(times, corrections, effective, faulty)
-        for array in (times, protocol_times, corrections, effective,
-                      branches, faulty):
+        times, _, corrections, effective, _ = self.matrices
+        block = _StackBlock(times, corrections, effective, self.faulty)
+        for array in self.matrices + (self.faulty,):
             array.flags.writeable = False
         for s, result in enumerate(results):
             for attr in ("times", "protocol_times", "corrections",
@@ -1243,225 +1085,156 @@ class TrialStack:
             result.stack_row = s
         return results
 
-    @staticmethod
-    def _fold_step(stream, matrices, k0: int, window: slice, layer: int) -> None:
-        """Fold ``layer`` of the block starting at pulse ``k0`` into
-        ``stream``: its slot's times and corrections, plus the
-        times of layer ``layer - 1`` (see
-        :meth:`~repro.analysis.streaming.StreamedStats.update`)."""
-        times, _, corrections, _, _ = matrices
-        slot = _slot(times, layer)
-        stream.update(
-            k0,
-            layer,
-            times[:, window, slot],
-            corrections[:, window, slot],
-            times[:, window, _slot(times, layer - 1)] if layer else None,
+    def compaction_stats(self) -> Dict[str, object]:
+        """The run's :attr:`TrialStack.compaction_stats`."""
+        padded_row_steps = (
+            self.num_pulses * max(self.num_layers - 1, 0) * len(self.sims)
         )
+        # Padded cost is every row step times the full padded width.
+        padded_lane_steps = padded_row_steps * self.width
+        return {
+            "trials": len(self.sims),
+            "num_layers": self.num_layers,
+            "min_depth": int(min(self.depths)),
+            "max_depth": int(max(self.depths)),
+            "padded_row_steps": padded_row_steps,
+            "active_row_steps": self.row_steps,
+            "dropped_fraction": (
+                1.0 - self.row_steps / padded_row_steps
+                if padded_row_steps
+                else 0.0
+            ),
+            "min_width": int(min(self.widths)),
+            "max_width": int(max(self.widths)),
+            "padded_lane_steps": padded_lane_steps,
+            "active_lane_steps": self.lane_steps,
+            "lane_dropped_fraction": (
+                1.0 - self.lane_steps / padded_lane_steps
+                if padded_lane_steps
+                else 0.0
+            ),
+            "neighbor_backend": self.backend,
+            # Pulse blocking (see _pulse_blocks): how many blocks the run
+            # advanced and the most pulses one block held.
+            "pulse_blocks": len(self.blocks),
+            "block_pulses": max(k1 - k0 for k0, k1 in self.blocks),
+            # Batched-fallback accounting: total kernel-rejected cells
+            # resolved by the replay, their per-trial (pulse, layer)
+            # batches, and the stack-wide resolver passes -- one per
+            # (block, layer) step with any such cell, so never more than
+            # the batches.  Zero on fault-free stacks.
+            "fallback_cells": sum(r.fallback_cells for r in self.results),
+            "fallback_batches": sum(r.fallback_batches for r in self.results),
+            "fallback_passes": self.fallback_passes,
+        }
 
-    def _enter_stack_epochs(
-        self,
-        k: int,
-        schedules: Sequence[Optional[object]],
-        epoch_cursor: List[int],
-        sweep_caches: List[Dict[Tuple, _VectorSweep]],
-        sweeps: List[_VectorSweep],
-        nb_idx: np.ndarray,
-        nb_valid: np.ndarray,
-        static_eligible: np.ndarray,
-        faulty: np.ndarray,
-    ) -> bool:
-        """Advance campaign trials into pulse ``k``'s epoch; True if any moved.
+    # ------------------------------------------------------------------
+    # Gathers: the stacked inputs of one layer step
+    # ------------------------------------------------------------------
+    def delay_stack(
+        self, layer: int, pulses: range, rows=_ALL, lanes=_ALL
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Own ``(S, P, W)`` and neighbor ``(S, P, W, max_deg)`` delays.
 
-        For each trial whose compiled schedule crosses an epoch boundary at
-        ``k``, swaps the simulation's graph/plan
-        (:meth:`FastSimulation._enter_epoch`), replaces its sweep (cached
-        per epoch state, so revisited topologies rebuild nothing), and
-        rewrites the trial's *rows* of the stacked gather/eligibility/fault
-        tensors in place -- zeroing stale lanes first, since an epoch
-        graph's max degree can shrink.  Unchanged trials (and unchanged
-        pulses) cost one integer comparison each, which is what makes
-        quiet epochs free.  The caller refreshes the derived aggregates
-        (``layer_has_fault``, the delay/row caches) when this returns True.
+        ``P`` is 1 when every model is pulse-invariant -- the arrays
+        broadcast over the block's pulse axis, never repeated -- and the
+        block's pulse count otherwise (one plane per pulse of
+        ``pulses``).  Each sweep's per-trial arrays come from (and fill)
+        its simulation's own delay cache; the stacked copies are cached
+        here per layer when every model is pulse-invariant, else per
+        ``(layer, block)``.  On a compacted step, ``rows`` selects the
+        active trials and only their arrays are gathered (the cache key
+        then carries the row set -- depth-driven sets are nested, so at
+        most one entry per distinct depth survives), and ``lanes``
+        slices the active columns out of the row-compacted arrays
+        (cached under the extended key).  On a CSR stack the neighbor
+        array is the flat ``(S, P, nnz)`` segment vector instead (lane
+        compaction never coexists with CSR: CSR requires a uniform
+        stack, lanes a padded one).  Trials without this layer (padded
+        depth) contribute inert NaN/zero rows and are never queried, so
+        delay models only ever see edges that exist in their own graph.
         """
-        changed = False
-        for s, schedule in enumerate(schedules):
-            if schedule is None:
-                continue
-            index = schedule.epoch_index(k)
-            if index == epoch_cursor[s]:
-                continue
-            epoch_cursor[s] = index
-            epoch = schedule.epochs[index]
-            sim = self.sims[s]
-            sim._enter_epoch(epoch)
-            sweep = sweep_caches[s].get(epoch.state_key)
-            if sweep is None:
-                # Campaign stacks are padded (never uniform), so epoch
-                # sweeps must carry the dense gather tables the stacked
-                # 3-D tensors are rebuilt from.
-                sweep = _VectorSweep(sim, backend="dense")
-                sweep_caches[s][epoch.state_key] = sweep
-            sweeps[s] = sweep
-            # A vertex absent from this epoch through the end of the
-            # horizon can never act again: free its lane.  Absence only
-            # accumulates toward the horizon tail, so freed lanes stay
-            # freed at later boundaries.
-            lane_row = np.arange(self._lane_needed.shape[1]) < self._widths[s]
-            gone = frozenset.intersection(
-                *(ep.absent for ep in schedule.epochs[index:])
-            )
-            if gone:
-                lane_row[np.fromiter(gone, dtype=np.int64)] = False
-            self._lane_needed[s] = lane_row
-            w, cols = sweep.nb_idx.shape
-            depth = self._depths[s]
-            nb_idx[s] = 0
-            nb_valid[s] = False
-            nb_idx[s, :w, :cols] = sweep.nb_idx
-            nb_valid[s, :w, :cols] = sweep.nb_valid
-            static_eligible[s] = False
-            static_eligible[s, : depth - 1, :w] = sweep.static_eligible
-            faulty[s] = False
-            faulty[s, :depth, :w] = sweep.faulty
-            changed = True
-        return changed
-
-    def _run_layer0_stacked(
-        self,
-        times: np.ndarray,
-        protocol_times: np.ndarray,
-        branches: np.ndarray,
-        pulses: range,
-        r0: int,
-    ) -> None:
-        """Write layer 0's planes of the block's ``pulses`` for every trial.
-
-        Reads the stacked ``(S, P, W_max)`` schedule block -- or, on
-        streamed runs, fills the window's layer-0 rows one pulse at a
-        time with :func:`~repro.core.layer0.stacked_pulse_row`
-        (bit-identical entries).  ``r0`` is the storage row of the
-        block's first pulse (the pulse itself, or 0 in a streamed run's
-        ring).  Faulty layer-0 nodes get no ``times``; their protocol
-        times are the correct times their recorded sends are offset from.
-        """
-        window = slice(r0, r0 + len(pulses))
-        if self._layer0_block is not None:
-            rows = self._layer0_block[:, pulses.start : pulses.stop, :]
-            protocol_times[:, window, 0, :] = rows
+        cache = self.delay_cache
+        if self.pulse_invariant:
+            key: object = layer
+            pulses = pulses[:1]
         else:
-            for j, k in enumerate(pulses):
-                stacked_pulse_row(
-                    self._l0_schedules,
-                    self._l0_bases,
-                    k,
-                    out=protocol_times[:, r0 + j, 0, :],
+            key = (layer, pulses.start, len(pulses))
+        if not isinstance(rows, slice):
+            key = (key, rows.tobytes())
+        if not isinstance(lanes, slice):
+            full_own, full_nb = self.delay_stack(layer, pulses, rows)
+            key = (key, "lanes", lanes.tobytes())
+            cached = cache.get(key)
+            if cached is None:
+                cached = (full_own[:, :, lanes], full_nb[:, :, lanes, :])
+                cache[key] = cached
+            return cached
+        cached = cache.get(key)
+        if cached is None:
+            sweeps = self.sweeps
+            if self.uniform:
+                selected = (
+                    sweeps
+                    if isinstance(rows, slice)
+                    else [sweeps[s] for s in rows]
                 )
-            rows = protocol_times[:, window, 0, :]
-        branches[:, window, 0, :] = self._l0_branch_row[:, None, :]
-        times[:, window, 0, :] = np.where(self._l0_faulty[:, None, :], np.nan, rows)
+                arrays = [
+                    sw.delay_arrays(layer, k) for sw in selected for k in pulses
+                ]
+                # np.array stacks equal-shape rows exactly like np.stack,
+                # at a fraction of its per-call overhead (paid per layer).
+                own = np.array([own for own, _ in arrays])
+                nb = np.array([nb for _, nb in arrays])
+                lead = (len(selected), len(pulses))
+                cached = (
+                    own.reshape(lead + own.shape[1:]),
+                    nb.reshape(lead + nb.shape[1:]),
+                )
+            else:
+                indices = np.arange(len(sweeps))[rows]
+                shape = (len(indices), len(pulses), self.width)
+                own = np.full(shape, np.nan)
+                nb = np.zeros(shape + (self.max_deg,))
+                for i, s in enumerate(indices):
+                    if layer >= self.depths[s]:
+                        continue
+                    for j, k in enumerate(pulses):
+                        own_s, nb_s = sweeps[s].delay_arrays(layer, k)
+                        own[i, j, : own_s.shape[0]] = own_s
+                        nb[i, j, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
+                cached = (own, nb)
+            cache[key] = cached
+        return cached
 
-    def _step_counts(
-        self,
-        rows,
-        lanes,
-        live: Optional[np.ndarray],
-        count: int,
-        lane_needed: Optional[np.ndarray],
-    ) -> Tuple[int, int]:
-        """Live (trial, pulse) rows of one block step, and their cells.
+    def rate_stack(
+        self, layer: int, pulses: range, rows=_ALL, lanes=_ALL
+    ) -> np.ndarray:
+        """Clock rates of the (active) trials' nodes, ``(S, P, W)``.
 
-        ``live`` is the ``(rows, B)`` mask of the (trial, pulse) rows not
-        gone dead (None: all live).  A pulse's cells are its live rows
-        times the lanes those rows need -- what a one-pulse step would
-        have run -- so both counts are independent of the block size.
+        Static rate providers read the run's ``(S, L, W)`` plane
+        (:attr:`rate_planes`) with ``P = 1`` (broadcast over the block's
+        pulses): a view of one layer, or a gather of the compacted rows.
+        When some provider is callable, ``P`` is the block's pulse count
+        and every trial is queried per pulse, exactly as a per-trial run
+        does.  Inert cells get rate 1 (never read through an eligible
+        lane, but a finite value keeps the whole-plane arithmetic
+        NaN-clean).  ``lanes`` slices the active columns out of the
+        row-compacted array, mirroring :meth:`delay_stack`.
         """
-        if live is None:
-            row_steps = count * (
-                len(self.sims) if isinstance(rows, slice) else rows.size
-            )
-        else:
-            row_steps = int(live.sum())
-        if lane_needed is None or live is None:
-            # Every pulse's live rows need exactly the step's lanes.
-            width = self._width if isinstance(lanes, slice) else lanes.size
-            return row_steps, row_steps * width
-        used = (lane_needed[rows][:, None, :] & live[:, :, None]).any(axis=0)
-        return row_steps, int(used.sum(axis=1) @ live.sum(axis=0))
+        if self.rate_planes is not None:
+            return self.rate_planes[rows, layer, None][:, :, lanes]
+        indices = np.arange(len(self.sweeps))[rows]
+        stacked = np.ones((len(indices), len(pulses), self.width))
+        for i, s in enumerate(indices):
+            if layer >= self.depths[s]:
+                continue
+            for j, k in enumerate(pulses):
+                row = self.sweeps[s].rate_array(layer, k)
+                stacked[i, j, : row.shape[0]] = row
+        return stacked[:, :, lanes]
 
-    def _fault_table(
-        self, sweeps: Sequence[_VectorSweep], any_fault: bool
-    ) -> Optional[_FaultTable]:
-        """The stack's fault table, or None when no trial has a faulty
-        sender; starts the run's send log on the first table."""
-        if not any_fault or all(sweep.fault_rows is None for sweep in sweeps):
-            return None
-        if self._fault_log is None:
-            self._fault_log = _FaultSendLog()
-        nb_shape = (
-            (len(self.sims), self._csr[1].shape[0])
-            if self._csr is not None
-            else (len(self.sims), self._width, self._max_deg)
-        )
-        return _FaultTable(self.sims, sweeps, self._width, nb_shape)
-
-    def _record_fault_sends(self, k0: int, layer: int, planes: np.ndarray) -> None:
-        """Record the block's sends of ``layer``'s faulty nodes at once.
-
-        ``planes`` is the layer's ``(S, B, W_max)`` protocol-time planes
-        of the block starting at pulse ``k0``: a faulty node that pulsed
-        sends at its protocol (correct) time plus its offsets, ``ct +
-        offsets`` for each (pulse, row) of the ``(B, R)`` correct times
-        and the block's ``(B, R, M)`` offsets.  The sends go to the run's
-        send log (the source of every result's ``fault_sends``; one
-        chunk a call) and into the overlay of ``layer + 1``: an ``(own,
-        nb)`` pair with one plane per pulse of the block, each laid out
-        like that layer's delay arrays -- ``(B, S, W_max)`` own copies
-        plus ``(B, S, W_max, max_deg)`` neighbor copies, or the ``(B, S,
-        nnz)`` edge vector on CSR stacks.  A silent send is ``+inf``, and
-        so is every slot no send was recorded for.  The fallback reads a
-        faulty predecessor's send from the overlay at the cell's pulse
-        and the slot where it reads that edge's delay.
-        """
-        table = self._faults
-        at = table.layer_rows.get(layer)
-        if at is None:
-            return
-        rows, trials, vertices = at
-        correct = planes[trials, :, vertices].T
-        pulse, row = np.nonzero(~np.isnan(correct))
-        if not pulse.size:
-            return
-        rows = rows[row]
-        sends = correct[pulse, row, None] + table.block_offsets[pulse, rows]
-        overlay = self._sends.get(layer + 1)
-        if overlay is None:
-            count = planes.shape[1]
-            overlay = (
-                np.full((count, len(self.sims), self._width), np.inf),
-                np.full((count,) + table.nb_shape, np.inf),
-            )
-            self._sends[layer + 1] = overlay
-        own, nb = overlay
-        np.put(own, pulse * own[0].size + table.own_slot[rows], sends[:, 0])
-        valid = table.valid[rows, 1:]
-        np.put(
-            nb,
-            (pulse[:, None] * nb[0].size + table.nb_slot[rows])[valid],
-            sends[:, 1:][valid],
-        )
-        self._fault_log.chunks.append((table, rows, k0 + pulse, sends))
-
-    def _row_structs(
-        self,
-        rows,
-        lanes,
-        nb_idx: Optional[np.ndarray],
-        nb_valid: Optional[np.ndarray],
-        static_eligible: np.ndarray,
-        faulty: np.ndarray,
-        active: Optional[np.ndarray],
-    ) -> Dict[str, object]:
+    def row_structs(self, rows, lanes) -> Dict[str, object]:
         """Kernel inputs of the ``rows x lanes`` plane, cached by both sets.
 
         Nothing here changes with the pulse: per-trial gather tables get
@@ -1494,21 +1267,22 @@ class TrialStack:
             None if isinstance(rows, slice) else rows.tobytes(),
             None if isinstance(lanes, slice) else lanes.tobytes(),
         )
-        cached = self._row_cache.get(key)
+        cached = self.row_cache.get(key)
         if cached is None:
+            nb_idx, nb_valid = self.nb_idx, self.nb_valid
             if nb_idx is not None and nb_idx.ndim == 3:
                 sub_idx = nb_idx[rows]
                 sub_valid = nb_valid[rows]
             else:
                 sub_idx = nb_idx
                 sub_valid = nb_valid
-            sub_eligible = static_eligible[rows]
-            sub_faulty = faulty[rows]
-            sub_active = None if active is None else active[rows]
+            sub_eligible = self.static_eligible[rows]
+            sub_faulty = self.faulty[rows]
+            sub_active = None if self.active is None else self.active[rows]
             index = (rows, _ALL)
             vertices = None
             if not isinstance(lanes, slice):
-                lane_pos = np.zeros(self._width, dtype=np.int64)
+                lane_pos = np.zeros(self.width, dtype=np.int64)
                 lane_pos[lanes] = np.arange(lanes.size, dtype=np.int64)
                 sub_idx = lane_pos[sub_idx[:, lanes, :]]
                 sub_valid = sub_valid[:, lanes, :]
@@ -1530,49 +1304,205 @@ class TrialStack:
                 "trials": np.arange(len(self.sims))[rows],
                 "vertices": vertices,
                 "params": (
-                    self._params.take(rows)
-                    if isinstance(self._params, _StackedParams)
-                    else self._params
+                    self.params.take(rows)
+                    if isinstance(self.params, _StackedParams)
+                    else self.params
                 ),
                 "policy": (
-                    self._policy.take(rows)
-                    if isinstance(self._policy, _StackedPolicy)
-                    else self._policy
+                    self.policy.take(rows)
+                    if isinstance(self.policy, _StackedPolicy)
+                    else self.policy
                 ),
             }
-            self._row_cache[key] = cached
+            self.row_cache[key] = cached
         return cached
 
-    def _run_layer_stacked(
-        self,
-        results: List[FastResult],
-        matrices: Tuple[np.ndarray, ...],
-        structs: Dict[str, object],
-        delays: Tuple[np.ndarray, np.ndarray],
-        rate: np.ndarray,
-        layer_faulty: bool,
-        layer: int,
-        window: slice,
-        live: Optional[np.ndarray],
+    # ------------------------------------------------------------------
+    # Phases of a block
+    # ------------------------------------------------------------------
+    def enter_epochs(self, k: int) -> None:
+        """Advance campaign trials into pulse ``k``'s epoch.
+
+        For each trial whose compiled schedule crosses an epoch boundary
+        at ``k``, takes the sweep of the epoch's own graph and fault plan
+        (cached per epoch state, so revisited topologies rebuild
+        nothing), frees the lanes of vertices absent for the rest of the
+        horizon, and rewrites the trial's rows of the stacked tables
+        (:meth:`set_sweep`).  Unchanged trials (and unchanged pulses)
+        cost one integer comparison each, which is what makes quiet
+        epochs free.  If any trial moved, everything derived from the
+        tables is rebuilt (:meth:`derive`); the rate plane survives.
+        """
+        changed = False
+        for s, schedule in enumerate(self.schedules):
+            if schedule is None:
+                continue
+            index = schedule.epoch_index(k)
+            if index == self.epoch_cursor[s]:
+                continue
+            self.epoch_cursor[s] = index
+            epoch = schedule.epochs[index]
+            sweep = self.epoch_sweeps[s].get(epoch.state_key)
+            if sweep is None:
+                # Campaign stacks are padded (never uniform), so epoch
+                # sweeps must carry the dense gather tables the stacked
+                # 3-D tables are rebuilt from.
+                sweep = _VectorSweep(
+                    self.sims[s], "dense", epoch.graph, epoch.fault_plan
+                )
+                self.epoch_sweeps[s][epoch.state_key] = sweep
+            # A vertex absent from this epoch through the end of the
+            # horizon can never act again: free its lane.  Absence only
+            # accumulates toward the horizon tail, so freed lanes stay
+            # freed at later boundaries.
+            lane_row = np.arange(self.width) < self.widths[s]
+            gone = frozenset.intersection(
+                *(ep.absent for ep in schedule.epochs[index:])
+            )
+            if gone:
+                lane_row[np.fromiter(gone, dtype=np.int64)] = False
+            self.lane_needed[s] = lane_row
+            self.set_sweep(s, sweep)
+            changed = True
+        if changed:
+            self.derive()
+
+    def set_sweep(self, s: int, sweep: _VectorSweep) -> None:
+        """Make ``sweep`` trial ``s``'s and write its rows of the padded
+        gather, eligibility and fault tables -- zeroing stale lanes
+        first, since an epoch graph's max degree can shrink."""
+        self.sweeps[s] = sweep
+        w, cols = sweep.nb_idx.shape
+        depth = self.depths[s]
+        self.nb_idx[s] = 0
+        self.nb_valid[s] = False
+        self.nb_idx[s, :w, :cols] = sweep.nb_idx
+        self.nb_valid[s, :w, :cols] = sweep.nb_valid
+        self.static_eligible[s] = False
+        self.static_eligible[s, : depth - 1, :w] = sweep.static_eligible
+        self.faulty[s] = False
+        self.faulty[s, :depth, :w] = sweep.faulty
+
+    def layer0(self, pulses: range, window: slice) -> None:
+        """Write layer 0's planes of the block's ``pulses`` for every trial.
+
+        Reads the stacked ``(S, P, W_max)`` schedule block -- or, on
+        streamed runs, fills the window's layer-0 rows one pulse at a
+        time with :func:`~repro.core.layer0.stacked_pulse_row`
+        (bit-identical entries).  ``window`` is the block's storage rows
+        (its pulses, or the head of a streamed run's ring).  Faulty
+        layer-0 nodes get no ``times``; their protocol times are the
+        correct times their recorded sends are offset from.
+        """
+        times, protocol_times, _, _, branches = self.matrices
+        if self.layer0_block is not None:
+            rows = self.layer0_block[:, pulses.start : pulses.stop, :]
+            protocol_times[:, window, 0, :] = rows
+        else:
+            for j, k in enumerate(pulses):
+                stacked_pulse_row(
+                    *self.layer0_sources,
+                    k,
+                    out=protocol_times[:, window.start + j, 0, :],
+                )
+            rows = protocol_times[:, window, 0, :]
+        branches[:, window, 0, :] = self.layer0_branches[:, None, :]
+        times[:, window, 0, :] = np.where(self.faulty[:, 0, None, :], np.nan, rows)
+
+    def fold(self, k0: int, window: slice, layer: int) -> None:
+        """Fold ``layer`` of the block starting at pulse ``k0`` into the
+        run's statistics: its slot's times and corrections, plus the
+        times of layer ``layer - 1`` (see
+        :meth:`~repro.analysis.streaming.StreamedStats.update`)."""
+        times, _, corrections, _, _ = self.matrices
+        slot = _slot(times, layer)
+        self.stream.update(
+            k0,
+            layer,
+            times[:, window, slot],
+            corrections[:, window, slot],
+            times[:, window, _slot(times, layer - 1)] if layer else None,
+        )
+
+    def fault_table(self) -> Optional[_FaultTable]:
+        """The stack's fault table, or None when no trial has a faulty
+        sender; starts the run's send log on the first table."""
+        if not self.any_fault or all(
+            sweep.fault_rows is None for sweep in self.sweeps
+        ):
+            return None
+        if self.fault_log is None:
+            self.fault_log = _FaultSendLog()
+        nb_shape = (
+            (len(self.sims), self.csr[1].shape[0])
+            if self.csr is not None
+            else (len(self.sims), self.width, self.max_deg)
+        )
+        return _FaultTable(self.sims, self.sweeps, self.width, nb_shape)
+
+    def record_fault_sends(self, k0: int, layer: int, planes: np.ndarray) -> None:
+        """Record the block's sends of ``layer``'s faulty nodes at once.
+
+        ``planes`` is the layer's ``(S, B, W_max)`` protocol-time planes
+        of the block starting at pulse ``k0``: a faulty node that pulsed
+        sends at its protocol (correct) time plus its offsets, ``ct +
+        offsets`` for each (pulse, row) of the ``(B, R)`` correct times
+        and the block's ``(B, R, M)`` offsets.  The sends go to the run's
+        send log (the source of every result's ``fault_sends``; one
+        chunk a call) and into the overlay of ``layer + 1``: an ``(own,
+        nb)`` pair with one plane per pulse of the block, each laid out
+        like that layer's delay arrays -- ``(B, S, W_max)`` own copies
+        plus ``(B, S, W_max, max_deg)`` neighbor copies, or the ``(B, S,
+        nnz)`` edge vector on CSR stacks.  A silent send is ``+inf``, and
+        so is every slot no send was recorded for.  The fallback reads a
+        faulty predecessor's send from the overlay at the cell's pulse
+        and the slot where it reads that edge's delay.
+        """
+        table = self.faults
+        at = table.layer_rows.get(layer)
+        if at is None:
+            return
+        rows, trials, vertices = at
+        correct = planes[trials, :, vertices].T
+        pulse, row = np.nonzero(~np.isnan(correct))
+        if not pulse.size:
+            return
+        rows = rows[row]
+        sends = correct[pulse, row, None] + table.block_offsets[pulse, rows]
+        overlay = self.sends.get(layer + 1)
+        if overlay is None:
+            count = planes.shape[1]
+            overlay = (
+                np.full((count, len(self.sims), self.width), np.inf),
+                np.full((count,) + table.nb_shape, np.inf),
+            )
+            self.sends[layer + 1] = overlay
+        own, nb = overlay
+        np.put(own, pulse * own[0].size + table.own_slot[rows], sends[:, 0])
+        valid = table.valid[rows, 1:]
+        np.put(
+            nb,
+            (pulse[:, None] * nb[0].size + table.nb_slot[rows])[valid],
+            sends[:, 1:][valid],
+        )
+        self.fault_log.chunks.append((table, rows, k0 + pulse, sends))
+
+    def layer_step(
+        self, layer: int, pulses: range, window: slice, rows, lanes
     ) -> None:
         """Advance ``layer`` for every pulse of the block on the selected plane.
 
-        Delegates to the shape-generic
-        :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
-        ``csr`` stacks) over an ``(S, B, W)`` plane; see the module
-        docstring for the exactness argument.  ``structs`` (from
-        :meth:`_row_structs`) holds the kernel inputs of the plane
-        :func:`_select_cells` picked, and ``delays``/``rate`` are already
-        compacted the same way (with a length-1 pulse axis when they do
-        not change with the pulse).  The full plane is the identity
-        case: its subscripts are ``slice(None)``.  ``matrices`` are the
-        shared ``times``, ``protocol_times``, ``corrections``,
-        ``effective`` and ``branches`` blocks (the layers' slots map
-        through :func:`_slot`); ``window`` is the block's storage rows
+        ``rows`` and ``lanes`` are the plane :func:`_select_cells` picked
+        (each :data:`_ALL` on the full plane, the identity case); the
+        step gathers its inputs for them (:meth:`row_structs`,
+        :meth:`delay_stack`, :meth:`rate_stack`, with a length-1 pulse
+        axis where they do not change with the pulse) and delegates to
+        the shape-generic :func:`~repro.core.fast._layer_step_kernel`
+        (or its CSR twin on ``csr`` stacks) over the ``(S, B, W)``
+        plane; see the module docstring for the exactness argument.
+        ``window`` is the block's storage rows in the shared matrices
         (its pulses on materialized runs, the head of the ring on
-        streamed ones).  ``live`` is the ``(rows, B)``
-        mask of the (trial, pulse) rows not gone dead, or None when all
-        are live.
+        streamed ones; the layers' slots map through :func:`_slot`).
 
         Results scatter back through the plane's subscripts.  Ineligible
         cells are written with the padding values (``NaN``/``"none"``)
@@ -1582,14 +1512,41 @@ class TrialStack:
         produces for them (inert, silent and horizon-absent cells are
         never eligible, and their fallback replays record nothing).
         ``structs["active"]`` (None on uniform stacks) masks the padding
-        inside the plane, and ``live`` the dead (trial, pulse) rows, so
-        neither is ever replayed by the batched fallback.  Every other
-        rejected cell of the plane is resolved by one
-        :meth:`_run_fallback` pass.
+        inside the plane, and the live mask the dead (trial, pulse)
+        rows, so neither is ever replayed by the batched fallback.
+        Every other rejected cell of the plane is resolved by one
+        :meth:`fallback` pass.
         """
-        times, protocol_times, corrections, effective, branches_out = matrices
-        sims = self.sims
-        sent = self._sends.pop(layer, None)
+        times, protocol_times, corrections, effective, branches_out = self.matrices
+        # The (rows, B) mask of the (trial, pulse) rows not gone dead,
+        # or None when all are live.
+        live = None if self.dead is None else ~self.dead[rows]
+        if live is not None and live.all():
+            live = None
+        # Row and lane steps count live (trial, pulse) rows and their
+        # cells: a pulse's cells are its live rows times the lanes those
+        # rows need -- what a one-pulse step would have run -- so both
+        # counts are independent of the block size.
+        if live is None:
+            row_steps = len(pulses) * (
+                len(self.sims) if isinstance(rows, slice) else rows.size
+            )
+        else:
+            row_steps = int(live.sum())
+        self.row_steps += row_steps
+        if self.lane_needed is None or live is None:
+            # Every pulse's live rows need exactly the step's lanes.
+            self.lane_steps += row_steps * (
+                self.width if isinstance(lanes, slice) else lanes.size
+            )
+        else:
+            used = (self.lane_needed[rows][:, None, :] & live[:, :, None]).any(axis=0)
+            self.lane_steps += int(used.sum(axis=1) @ live.sum(axis=0))
+
+        structs = self.row_structs(rows, lanes)
+        delays = self.delay_stack(layer, pulses, rows, lanes)
+        rate = self.rate_stack(layer, pulses, rows, lanes)
+        sent = self.sends.pop(layer, None)
         # One subscript of the 4-D blocks per layer: with an index array
         # on the rows, the rows axis leads, then the pulses and lanes.
         ri, ci = structs["index"]
@@ -1602,9 +1559,9 @@ class TrialStack:
         prev = times[ri, pi, _slot(times, layer - 1), ci]  # NaN = missing
         own_delay, nb_delay = delays
         static_eligible = structs["static_eligible"][:, layer - 1, None, :]
-        simplified = sims[0].algorithm == "simplified"
-        if self._csr is not None:
-            indptr, indices, owner, has_neighbors = self._csr
+        simplified = self.sims[0].algorithm == "simplified"
+        if self.csr is not None:
+            indptr, indices, owner, has_neighbors = self.csr
             eligible, correction, branches, pulse_time, eff = (
                 _layer_step_kernel_csr(
                     prev,
@@ -1638,7 +1595,7 @@ class TrialStack:
             )
         eligible = _kernel_cells(eligible)
 
-        if not layer_faulty and eligible.all():
+        if not self.layer_has_fault[layer] and eligible.all():
             # Common case (no trial has a fault on this layer, every cell
             # on the fast path): plain assignments, no selects.
             corrections[index] = correction
@@ -1661,15 +1618,13 @@ class TrialStack:
         if live is not None:
             fallback &= live[:, :, None]
         if fallback.any():
-            self._run_fallback(
-                results, matrices, structs, prev, delays, rate, sent,
+            self.fallback(
+                structs, prev, delays, rate, sent,
                 np.nonzero(fallback), layer, window.start,
             )
 
-    def _run_fallback(
+    def fallback(
         self,
-        results: List[FastResult],
-        matrices: Tuple[np.ndarray, ...],
         structs: Dict[str, object],
         prev: np.ndarray,
         delays: Tuple[np.ndarray, np.ndarray],
@@ -1683,24 +1638,25 @@ class TrialStack:
 
         ``cells`` are the ``(row, pulse, column)`` positions of the
         rejected cells in the ``(S, B, W)`` plane
-        :meth:`_run_layer_stacked` ran on, whose ``prev`` send times,
-        ``delays`` and ``rate`` it passes on; ``rk`` is the storage row
-        of the block's first pulse.  Each cell's arrival events are
+        :meth:`layer_step` ran on, whose kernel inputs ``structs``,
+        ``prev`` send times, ``delays`` and ``rate`` it passes on; ``rk``
+        is the storage row of the block's first pulse.  Each cell's
+        arrival events are
         gathered from those arrays at the cell's pulse (pulse 0 of an
         array whose pulse axis has length 1): the own copy at the cell's
         own column, the neighbor copies through the plane's neighbor
         table (or the shared CSR segments).  A faulty predecessor's send
         comes from ``sent``, the overlay its recorded sends were written
-        to (:meth:`_record_fault_sends`; None when no faulty predecessor
+        to (:meth:`record_fault_sends`; None when no faulty predecessor
         sent anything), and a missing message is ``+inf``.  Parameters
         are each cell's trial's own.
         :func:`~repro.core.fast._fallback_replay` then replays all cells
         at once, and the outcomes scatter back to the cells' trials,
         pulses and vertices.  A faulty cell that pulses has a protocol
         time and no ``times`` entry; the run records its sends from the
-        protocol plane after the step (:meth:`_record_fault_sends`).
+        protocol plane after the step (:meth:`record_fault_sends`).
         """
-        times, protocol_times, corrections, effective, branches = matrices
+        times, protocol_times, corrections, effective, branches = self.matrices
         si, bi, vi = cells
         trials = structs["trials"][si]
         vertices = vi if structs["vertices"] is None else structs["vertices"][vi]
@@ -1716,7 +1672,7 @@ class TrialStack:
         # Neighbor slots of each cell: source column in the plane,
         # validity, delay, and overlay index.
         pulse = bi[:, None]
-        if self._csr is None:
+        if self.csr is None:
             nb_idx, nb_valid = structs["nb_idx"], structs["nb_valid"]
             if nb_idx.ndim > 2:
                 source, valid = nb_idx[si, 0, vi], nb_valid[si, 0, vi]
@@ -1725,7 +1681,7 @@ class TrialStack:
             nb_d = nb_delay[si, at_pulse(nb_delay), vi]
             slot = (bi, trials, vertices)
         else:
-            indptr, indices = self._csr[0], self._csr[1]
+            indptr, indices = self.csr[0], self.csr[1]
             start = indptr[vi]
             degree = indptr[vi + 1] - start
             offsets = np.arange(int(degree.max()))
@@ -1751,7 +1707,7 @@ class TrialStack:
         # A correct predecessor that never pulsed sent nothing.
         ev_time[np.isnan(ev_time)] = np.inf
 
-        params, policy = self._params, self._policy
+        params, policy = self.params, self.policy
         if isinstance(params, _StackedParams):
             params = params.take(trials, flat=True)
         if isinstance(policy, _StackedPolicy):
@@ -1784,11 +1740,11 @@ class TrialStack:
 
         # Per-trial accounting keeps its meaning: a trial's batch is one
         # (pulse, layer) step with any rejected cell of that trial.
-        self._fallback_passes += 1
+        self.fallback_passes += 1
         steps = np.zeros((len(self.sims), prev.shape[1]), dtype=bool)
         steps[trials, bi] = True
         batches = steps.sum(axis=1)
         counts = np.bincount(trials)
         for s in np.flatnonzero(counts):
-            results[s].fallback_batches += int(batches[s])
-            results[s].fallback_cells += int(counts[s])
+            self.results[s].fallback_batches += int(batches[s])
+            self.results[s].fallback_cells += int(counts[s])

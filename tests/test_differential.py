@@ -899,7 +899,10 @@ class TestStackWideFallbackDifferential:
             )
             for i in range(count)
         ]
-        with prefer_csr(csr):
+        step = fast_batch_mod._StackRun.layer_step
+        with prefer_csr(csr), mock.patch.object(
+            fast_batch_mod._StackRun, "layer_step", autospec=True, side_effect=step
+        ) as steps:
             stack = TrialStack([build() for build in builders])
             stacked = stack.run(CAMPAIGN_PULSES)
             streamed = TrialStack([build() for build in builders]).run(
@@ -909,7 +912,9 @@ class TestStackWideFallbackDifferential:
 
         stats = stack.compaction_stats
         assert stats["neighbor_backend"] == ("csr" if csr else "dense")
-        assert isinstance(stack._params, fast_batch_mod._StackedParams)
+        # The first layer step is the stacked run's.
+        run = steps.call_args_list[0].args[0]
+        assert isinstance(run.params, fast_batch_mod._StackedParams)
         assert 0 < stats["fallback_passes"] <= stats["fallback_batches"]
         if not csr:
             assert stacked[0].churn_stats["epochs"] >= 2
@@ -1008,9 +1013,9 @@ class TestAllFallbackSeam:
     """
 
     def _replay(self, scenario, algorithm):
-        step = TrialStack._run_layer_stacked
+        step = fast_batch_mod._StackRun.layer_step
         with all_fallback(), mock.patch.object(
-            TrialStack, "_run_layer_stacked", autospec=True, side_effect=step
+            fast_batch_mod._StackRun, "layer_step", autospec=True, side_effect=step
         ) as steps:
             stack = TrialStack([fast_simulation(scenario, algorithm)])
             replayed = stack.run(NUM_PULSES)[0]

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation, _fold_columns
-from repro.core.fast_batch import TrialStack, _pulse_blocks, stack_compatibility
+from repro.core.fast_batch import (
+    TrialStack,
+    _pulse_blocks,
+    _StackRun,
+    stack_compatibility,
+)
 from repro.delays.models import StaticDelayModel, VaryingDelayModel
 from repro.experiments.batch import (
     BatchRunner,
@@ -373,18 +378,18 @@ class TestFallbackAccounting:
         (pulse, layer) steps are its ``fallback_batches``.
         """
         steps, pulse_steps = [], []
-        resolve = TrialStack._run_fallback
+        resolve = _StackRun.fallback
 
-        def spy(stack, *args):
+        def spy(run, *args):
             # Materialized runs store pulse k in row k, so the block's
             # first row rk is its first pulse; ``cells`` carry each
             # rejected cell's pulse within the block.
             (_, pulses, _), layer, rk = args[-3:]
             steps.append((rk, layer))
             pulse_steps.append({(rk + int(j), layer) for j in np.unique(pulses)})
-            return resolve(stack, *args)
+            return resolve(run, *args)
 
-        monkeypatch.setattr(TrialStack, "_run_fallback", spy)
+        monkeypatch.setattr(_StackRun, "fallback", spy)
         trials = _faulted_trials()
         batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         stats = batch.compaction_stats[0]

@@ -257,6 +257,11 @@ def per_layer_per_edge(model, base, layer, backend):
     return own, nb
 
 
+def sweep_of(sim, backend):
+    """The sweep a run builds for ``sim`` on its own graph and plan."""
+    return fast_mod._VectorSweep(sim, backend, sim.graph, sim.fault_plan)
+
+
 def assert_gathered(got, want):
     for got_part, want_part in zip(got, want):
         assert got_part.shape == want_part.shape
@@ -300,7 +305,7 @@ class TestDelayGather:
         for model_cls in (cls, per_edge_cls):
             model = model_cls(PARAMS.d, PARAMS.u, **kwargs)
             sim = FastSimulation(graph, PARAMS, delay_model=model)
-            sweep = fast_mod._VectorSweep(sim, backend=backend)
+            sweep = sweep_of(sim, backend)
             gathered.append([
                 sweep.delay_arrays(layer, 0)
                 for layer in range(1, graph.num_layers)
@@ -316,8 +321,8 @@ class TestDelayGather:
         model = cls(PARAMS.d, PARAMS.u, **kwargs)
         reference = cls(PARAMS.d, PARAMS.u, **kwargs)
         calls = self.count_array_calls(monkeypatch, cls)
-        sweep = fast_mod._VectorSweep(
-            FastSimulation(graph, PARAMS, delay_model=model), backend=backend
+        sweep = sweep_of(
+            FastSimulation(graph, PARAMS, delay_model=model), backend
         )
         for layer in range(1, graph.num_layers):
             assert_gathered(
@@ -339,8 +344,8 @@ class TestDelayGather:
         )
         calls = self.count_array_calls(monkeypatch, StaticDelayModel)
         model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=11)
-        sweep = fast_mod._VectorSweep(
-            FastSimulation(graph, PARAMS, delay_model=model), backend=backend
+        sweep = sweep_of(
+            FastSimulation(graph, PARAMS, delay_model=model), backend
         )
         for layer in range(1, graph.num_layers):
             assert_gathered(
@@ -355,8 +360,8 @@ class TestDelayGather:
         monkeypatch.setattr(fast_mod, "_GATHER_BLOCK_EDGES", 3)
         calls = self.count_array_calls(monkeypatch, StaticDelayModel)
         model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=4)
-        sweep = fast_mod._VectorSweep(
-            FastSimulation(graph, PARAMS, delay_model=model), backend="dense"
+        sweep = sweep_of(
+            FastSimulation(graph, PARAMS, delay_model=model), "dense"
         )
         for layer in range(1, graph.num_layers):
             assert_gathered(
@@ -412,7 +417,7 @@ class TestDelayGather:
         assert calls == [list(range(1, layers)) for _, layers in shapes]
         calls.clear()
         for sim, (base, layers) in zip(sims, shapes):
-            sweep = fast_mod._VectorSweep(sim, backend="dense")
+            sweep = sweep_of(sim, "dense")
             for layer in range(1, layers):
                 assert_gathered(
                     sweep.delay_arrays(layer, 0),
@@ -553,25 +558,31 @@ class TestRatePlane:
             assert np.array_equal(a, b, equal_nan=True), attr
         assert np.array_equal(from_view.branches, from_dict.branches)
 
+    @staticmethod
+    def run_planes(sim, runs=2):
+        """The rate plane each of ``runs`` runs of ``sim`` read."""
+        sweep = fast_mod._VectorSweep
+        with mock.patch.object(
+            sweep, "__init__", autospec=True, side_effect=sweep.__init__
+        ) as init:
+            for _ in range(runs):
+                sim.run(2)
+        return [call.args[0].rate_plane for call in init.call_args_list]
+
     def test_warm_rerun_reads_the_plane_as_is(self):
         from repro.experiments.common import standard_config
 
         config = standard_config(6, seed=1)
-        sim = config.simulation()
-        sim.run(2)
-        first = sim._rate_plane
-        sim.run(2)
+        first, second = self.run_planes(config.simulation())
         assert first is config.clock_rates.plane
-        assert sim._rate_plane is first
+        assert second is first
         # A plain dict is re-read every run (in-place edits are honored).
         sim = FastSimulation(
             config.graph, config.params, clock_rates=dict(config.clock_rates)
         )
-        sim.run(2)
-        first = sim._rate_plane
-        sim.run(2)
-        assert sim._rate_plane is not first
-        assert np.array_equal(sim._rate_plane, first)
+        first, second = self.run_planes(sim)
+        assert second is not first
+        assert np.array_equal(second, first)
 
     def test_plane_is_read_only_and_pickles(self):
         plane = np.array([[1.0, 1.5], [1.25, 1.75]])

@@ -253,13 +253,13 @@ class TestRecordedFaultSends:
 
     def test_one_record_per_pulse_and_layer(self, monkeypatch):
         steps = []
-        record = TrialStack._record_fault_sends
+        record = fast_batch_mod._StackRun.record_fault_sends
 
-        def spy(stack, k, layer, plane):
+        def spy(run, k, layer, plane):
             steps.append((k, layer))
-            return record(stack, k, layer, plane)
+            return record(run, k, layer, plane)
 
-        monkeypatch.setattr(TrialStack, "_record_fault_sends", spy)
+        monkeypatch.setattr(fast_batch_mod._StackRun, "record_fault_sends", spy)
         fault_sends_grids.thm13_results()
         assert steps
         assert len(steps) == len(set(steps))
