@@ -61,10 +61,18 @@ Four micro-benchmarks track the performance trajectory across PRs:
   the median ``ServiceClient.health()`` round trip on one keep-alive
   connection, asserting <= 10 ms.  Recorded under ``"warm_transport"``.
 * ``test_service_executor``: the same serial vs warm-pool comparison
-  on fresh grids from 4,864 to ~1.1M cells, the curve the service's
-  ``_SERIAL_CELLS`` (below it a job that names no executor runs
-  serially) is read from; recorded under ``"service_executor"`` with
-  the crossover, the constant and the host.  Reported, not gated.
+  on fresh grids from 4,864 to ~1.1M cells, with ``BatchRunner``'s
+  executor rule's pick for each (a served job that names no executor
+  takes it); recorded under ``"service_executor"`` with the crossover
+  and the host.  Reported, not gated.
+* ``test_executor_rule``: the executor rule's pick against serial and
+  warm-pool medians over gathered / cold x fault-free / thm13 x
+  streamed / materialized grids of the ``stream_horizon`` and
+  ``fault_horizon`` shapes plus the ``service_executor`` grids, with
+  the pool workers' peak RSS; asserts the pick is the faster executor
+  wherever the gap exceeds the spread and the rule's worst calibration
+  miss would not carry its modelled ratio across 1.  Recorded under
+  ``"executor_rule"`` with the rule's constants and modelled ratios.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -122,6 +130,7 @@ Select just these with ``pytest benchmarks/test_batch_speed.py -m bench``;
 import contextlib
 import itertools
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -135,8 +144,8 @@ import pytest
 
 import repro.core.fast as fast_mod
 import repro.core.fast_batch as fast_batch_mod
+import repro.experiments.batch as batch_mod
 import repro.faults.model as fault_model
-import repro.service.jobs as jobs_mod
 import repro.topology.base_graph as base_graph_mod
 from repro.analysis.report import format_table
 from repro.analysis.skew import (
@@ -415,7 +424,7 @@ def test_trial_stacked_speedup():
     graph = trials[0].config.graph
     node_pulses = graph.num_nodes * NUM_PULSES
 
-    stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
+    stacked_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
     sharded_runner = BatchRunner(
         num_pulses=NUM_PULSES, executor="process", shards=2
     )
@@ -515,7 +524,7 @@ def test_simplified_stacked_speedup():
     graph = trials[0].config.graph
     node_pulses = graph.num_nodes * NUM_PULSES
 
-    stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
+    stacked_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
 
     stacked_runner.run(trials)  # warm the delay/rate caches
     stacked_time, stacked_batch = timed(lambda: stacked_runner.run(trials))
@@ -619,7 +628,7 @@ def test_heterogeneous_stacked_speedup():
         t.config.graph.num_nodes * NUM_PULSES for t in trials
     ) / len(trials)
 
-    stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
+    stacked_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
 
     # Warm the per-edge and per-layer delay caches once.
     warm = stacked_runner.run(trials)
@@ -740,7 +749,7 @@ def test_depth_skewed_compaction_speedup():
         t.config.graph.num_nodes * NUM_PULSES for t in trials
     ) / len(trials)
 
-    compacted_runner = BatchRunner(num_pulses=NUM_PULSES)
+    compacted_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
 
     # Warm the per-edge and per-layer delay caches once; also pin the
     # single-stack + compaction bookkeeping while we are at it.
@@ -898,8 +907,10 @@ def test_streaming_memory_reduction():
         STREAM_TRIALS * STREAM_PULSES * graph.num_layers * graph.width * 8
     )
 
-    streaming_runner = BatchRunner(num_pulses=STREAM_PULSES, store_times=False)
-    materialized_runner = BatchRunner(num_pulses=STREAM_PULSES)
+    streaming_runner = BatchRunner(
+        executor="serial", num_pulses=STREAM_PULSES, store_times=False
+    )
+    materialized_runner = BatchRunner(executor="serial", num_pulses=STREAM_PULSES)
 
     # Warm the per-edge delay/rate caches (they live on the shared trial
     # configs and scale with S*L*W, not K) so the traced peaks compare
@@ -1099,7 +1110,7 @@ def test_pulse_block_speedup():
     trials = BatchRunner.seed_sweep(
         BLOCK_DIAMETER, range(BLOCK_TRIALS), num_pulses=BLOCK_PULSES
     )
-    runner = BatchRunner(num_pulses=BLOCK_PULSES, store_times=False)
+    runner = BatchRunner(executor="serial", num_pulses=BLOCK_PULSES, store_times=False)
     runner.run(trials)  # cold fill: every delay and rate cached
 
     def per_pulse():
@@ -1220,7 +1231,7 @@ def test_short_horizon_block_speedup():
     ``send_offsets`` calls.
     """
     trials, _ = thm13_trials(SHORT_DIAMETER, SHORT_SEEDS, num_pulses=SHORT_PULSES)
-    runner = BatchRunner(num_pulses=SHORT_PULSES, store_times=False)
+    runner = BatchRunner(executor="serial", num_pulses=SHORT_PULSES, store_times=False)
     runner.run(trials)  # cold fill: every delay and rate cached
 
     def per_pulse():
@@ -1370,7 +1381,11 @@ def test_block_curve():
         ),
     }
     runners = {
-        size: BatchRunner(num_pulses=max(size, CURVE_MIN_PULSES), store_times=False)
+        size: BatchRunner(
+            executor="serial",
+            num_pulses=max(size, CURVE_MIN_PULSES),
+            store_times=False,
+        )
         for size in CURVE_BLOCKS
     }
     section = {"host": host_info(), "plane_cells_cap": fast_batch_mod._PLANE_CELLS}
@@ -1378,7 +1393,9 @@ def test_block_curve():
     for name, (trials, diameter, horizon) in stacks.items():
         graph = trials[0].config.graph
         plane_cells = len(trials) * graph.width
-        BatchRunner(num_pulses=horizon, store_times=False).run(trials)  # cold fill
+        BatchRunner(  # cold fill
+            executor="serial", num_pulses=horizon, store_times=False
+        ).run(trials)
         steps = {size: [] for size in CURVE_BLOCKS}
         for _ in range(CURVE_ROUNDS):
             for size in CURVE_BLOCKS:
@@ -1471,7 +1488,7 @@ def test_campaign_stacked_speedup():
             trial.config.graph.base, trial.config.graph.num_layers, events=()
         )
 
-    stacked_runner = BatchRunner(num_pulses=CHURN_PULSES)
+    stacked_runner = BatchRunner(executor="serial", num_pulses=CHURN_PULSES)
 
     # Warm the per-edge delay and rate caches so every timed mode
     # measures its kernel, not one-time RNG setup.
@@ -1622,7 +1639,7 @@ def test_width_skewed_lane_compaction_speedup():
         t.config.graph.num_nodes * NUM_PULSES for t in trials
     ) / len(trials)
 
-    lane_runner = BatchRunner(num_pulses=NUM_PULSES)
+    lane_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
 
     # Warm the per-edge delay and rate caches; pin the stacking shape
     # and the width-axis accounting while we are at it.
@@ -1801,7 +1818,7 @@ def test_dense_backend_no_regression():
     trials = BatchRunner.seed_sweep(
         BATCH_DIAMETER, range(16), num_pulses=NUM_PULSES
     )
-    runner = BatchRunner(num_pulses=NUM_PULSES)
+    runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
     batch = runner.run(trials)
     (stats,) = batch.compaction_stats
     assert stats["neighbor_backend"] == "dense", (
@@ -1816,7 +1833,7 @@ def test_dense_backend_no_regression():
 def test_batch_runner_throughput():
     seeds = range(8)
     trials = BatchRunner.seed_sweep(16, seeds, num_pulses=NUM_PULSES)
-    runner = BatchRunner(num_pulses=NUM_PULSES)
+    runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
     runner.run(trials)  # warm delay/rate caches
     elapsed, batch = timed(lambda: runner.run(trials))
     per_trial = elapsed / len(trials)
@@ -1910,7 +1927,7 @@ def test_cold_gather_speedup():
         return time.perf_counter() - start, arrays
 
     def sweep(per_edge):
-        runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+        runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES, store_times=False)
         start = time.perf_counter()
         batch = runner.run(fresh_trials(per_edge))
         skews = batch.local_skews()
@@ -2021,7 +2038,7 @@ def cold_vs_warm_timings(rounds=3):
     empty caches), times its construction and its first streamed run,
     then re-runs it warm.  Returns the record and the last warm batch.
     """
-    runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+    runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES, store_times=False)
     config_s = first_s = warm_s = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
@@ -2220,7 +2237,7 @@ def fault_fallback_timings(repeats=3):
         FALLBACK_DIAMETER, FALLBACK_SEEDS, num_pulses=FALLBACK_PULSES
     )
     fault_free = [BatchTrial(config=trial.config) for trial in trials]
-    runner = BatchRunner(num_pulses=FALLBACK_PULSES, store_times=False)
+    runner = BatchRunner(executor="serial", num_pulses=FALLBACK_PULSES, store_times=False)
     for grid in (trials, fault_free):
         runner.run(grid)
     faulted_time, faulted = timed(lambda: runner.run(trials), repeats)
@@ -2259,7 +2276,7 @@ def test_fault_fallback_overhead():
     counters = record["faulted"]
     assert 0 < counters["fallback_passes"] <= counters["fallback_batches"]
     sends = fault_send_recording(
-        BatchRunner(num_pulses=FALLBACK_PULSES, store_times=False),
+        BatchRunner(executor="serial", num_pulses=FALLBACK_PULSES, store_times=False),
         faulted.trials,
     )
     assert sends["messages"] == PER_MESSAGE_RECORDING["messages"]
@@ -2347,7 +2364,7 @@ def warm_transport_timings(
     forks the pool (or finds it warm).
     """
     seeds = itertools.count(10_000) if seeds is None else seeds
-    serial = BatchRunner(num_pulses=num_pulses, store_times=False)
+    serial = BatchRunner(executor="serial", num_pulses=num_pulses, store_times=False)
     process = BatchRunner(
         num_pulses=num_pulses, executor="process", store_times=False
     )
@@ -2476,18 +2493,24 @@ EXECUTOR_GRIDS = (
 EXECUTOR_ROUNDS = 9
 
 
+def rule_pick(trials, num_pulses, store_times=False):
+    """The executor rule's pick for ``trials``: "serial" or "process"."""
+    shards = batch_mod._pick_shards(trials, num_pulses, store_times)
+    return "process" if shards > 1 else "serial"
+
+
 def test_service_executor():
     """Serial vs warm-pool wall time of fresh grids against their cells.
 
-    The curve the service's executor choice is read from: a job that
-    names no executor runs serially in its job thread below
-    ``repro.service.jobs._SERIAL_CELLS`` cells and shards onto the
-    process pool from there.  Each point is
-    :func:`warm_transport_timings` on one grid shape.  The crossover
-    recorded is the fewest cells from which the median pool / serial
-    ratio stays under 1 at every larger point.  Reported, not
-    gated: the curve belongs to the host (cores, the pool's fork), so
-    the section records the host and the constant next to it.
+    The curve of the service's grids: a job that names no executor
+    leaves the choice to ``BatchRunner``'s executor rule, whose pick for
+    a fresh grid of each shape is recorded next to the timings.  Each
+    point is :func:`warm_transport_timings` on one grid shape.  The
+    crossover recorded is the fewest cells from which the median pool /
+    serial ratio stays under 1 at every larger point.  Reported, not
+    gated here (:func:`test_executor_rule` gates the picks): the curve
+    belongs to the host (cores, the pool's fork), so the section
+    records the host next to it.
     """
     seeds = itertools.count(20_000)
     points, rows = [], []
@@ -2495,8 +2518,11 @@ def test_service_executor():
         record = warm_transport_timings(
             EXECUTOR_ROUNDS, diameter, trials, pulses, seeds
         )
-        one = BatchRunner.seed_sweep(diameter, [0], num_pulses=pulses)
-        cells = trials * jobs_mod.grid_cells(one, pulses)
+        grid = BatchRunner.seed_sweep(
+            diameter, [next(seeds) for _ in range(trials)], num_pulses=pulses
+        )
+        cells = batch_mod._cells(grid, pulses)
+        pick = rule_pick(grid, pulses)
         points.append(
             {
                 "diameter": diameter,
@@ -2504,11 +2530,12 @@ def test_service_executor():
                 "num_pulses": pulses,
                 "cells": cells,
                 **record,
+                "pick": pick,
             }
         )
         rows.append(
             (cells, diameter, trials, pulses, record["serial_s"],
-             record["process_s"], record["process_over_serial"])
+             record["process_s"], record["process_over_serial"], pick)
         )
     crossover = None
     for point in reversed(points):
@@ -2520,15 +2547,222 @@ def test_service_executor():
         "rounds": EXECUTOR_ROUNDS,
         "points": points,
         "crossover_cells": crossover,
-        "serial_cells": jobs_mod._SERIAL_CELLS,
     }
     _merge_bench_json({"service_executor": section})
     print()
     print(
         format_table(
-            ["cells", "D", "S", "K", "serial s", "pool s", "pool / serial"],
+            ["cells", "D", "S", "K", "serial s", "pool s", "pool / serial",
+             "rule"],
             rows,
             title="Fresh grids, serial vs warm pool (crossover "
-            f"{crossover} cells; _SERIAL_CELLS {jobs_mod._SERIAL_CELLS})",
+            f"{crossover} cells)",
         )
+    )
+
+
+#: The ``executor_rule`` matrix: (grid kind, diameter, trials or fault
+#: plans, pulses) shapes run gathered and cold, streamed and
+#: materialized.  The fault-free one is ``stream_horizon``'s shape, the
+#: thm13 one (a fault-free reference plus 16 sampled plans)
+#: ``fault_horizon``'s.
+RULE_SHAPES = (("fault-free", 32, 16, 64), ("thm13", 32, 16, 8))
+#: perfbench workload of a point, by (kind, D, trials, pulses,
+#: gathered, streamed); ``service_mix`` and ``cold_sweep`` are the
+#: first and seventh ``EXECUTOR_GRIDS`` points.
+RULE_WORKLOADS = {
+    ("fault-free", 32, 16, 64, True, True): "stream_horizon",
+    ("thm13", 32, 16, 8, True, True): "fault_horizon",
+    ("fault-free", 16, 4, 4, False, True): "service_mix",
+    ("fault-free", 32, 8, 4, False, True): "cold_sweep",
+}
+#: Rounds per ``executor_rule`` point (even, so each executor goes
+#: first equally often).
+RULE_ROUNDS = 6
+#: The rule's own error: the smallest and largest measured / modelled
+#: pool-serial ratio over 138 calibration points (46 shapes in three
+#: runs minutes apart).  On this 2-core host a grid's measured ratio
+#: moves with host contention by that much: an 8-trial D = 16 cold grid
+#: read 0.87 in one run and 1.44 in another, against a modelled 1.46.
+#: Where even the worst miss would not move the modelled ratio across
+#: 1, the pick is a claim the gate checks; elsewhere it is a tie.
+RULE_MISS = (0.65, 1.41)
+
+
+def worker_peak_rss_mb():
+    """The largest ``VmHWM`` (peak resident set) among the pool's live
+    workers, MiB, read from ``/proc/<pid>/status``; None off Linux."""
+    peaks = []
+    for child in multiprocessing.active_children():
+        with contextlib.suppress(OSError):
+            for line in Path(f"/proc/{child.pid}/status").read_text().splitlines():
+                if line.startswith("VmHWM:"):
+                    peaks.append(int(line.split()[1]) / 1024.0)
+    return max(peaks, default=None)
+
+
+def rule_grid_builder(kind, diameter, trials, pulses, seeds):
+    """A function building fresh grids of one ``executor_rule`` shape."""
+
+    def fault_free():
+        return BatchRunner.seed_sweep(
+            diameter, [next(seeds) for _ in range(trials)], num_pulses=pulses
+        )
+
+    def thm13():
+        while True:
+            try:
+                return thm13_trials(
+                    diameter,
+                    [next(seeds) for _ in range(trials)],
+                    num_pulses=pulses,
+                )[0]
+            except RuntimeError:  # a plan its locality statistic rejects
+                continue
+
+    return fault_free if kind == "fault-free" else thm13
+
+
+def executor_rule_point(build, pulses, gathered, streamed, rounds):
+    """Per-round serial and warm-pool times of one grid shape, the
+    rule's pick and the pool workers' peak RSS.
+
+    Each round runs both executors, alternating which goes first, so
+    neither leg always runs in the other's wake.  A gathered point
+    gathers one grid serially, then re-runs it.  A cold point gives each
+    executor a fresh grid of its own every round, so either order finds
+    its grid cold.  The pick is the rule's for a grid in the state it is
+    timed in.
+    """
+    store_times = not streamed
+    serial = BatchRunner(
+        num_pulses=pulses, executor="serial", store_times=store_times
+    )
+    process = BatchRunner(
+        num_pulses=pulses, executor="process", store_times=store_times
+    )
+    process.run(build())  # fork the pool, or find it warm
+    grid = build()
+    if gathered:
+        serial.run(grid)
+    pick = rule_pick(grid, pulses, store_times)
+    shards = min(batch_mod._usable_cpus(), len(grid))
+    modelled = batch_mod._pooled_seconds(
+        grid, pulses, store_times, shards
+    ) / batch_mod._serial_seconds(grid, pulses)
+    process_s, serial_s = [], []
+    for r in range(rounds):
+        order = [(process, process_s), (serial, serial_s)]
+        if r % 2:
+            order.reverse()
+        for runner, times in order:
+            trials = grid if gathered else build()
+            start = time.perf_counter()
+            runner.run(trials)
+            times.append(time.perf_counter() - start)
+    ratios = sorted(p / s for p, s in zip(process_s, serial_s))
+    quartiles = statistics.quantiles(ratios, n=4)
+    return {
+        "trials": len(grid),
+        "serial_s": statistics.median(serial_s),
+        "process_s": statistics.median(process_s),
+        "process_over_serial": statistics.median(ratios),
+        "ratio_quartiles": [quartiles[0], quartiles[2]],
+        "ratio_range": [ratios[0], ratios[-1]],
+        "modelled_process_over_serial": modelled,
+        "pick": pick,
+        "worker_peak_rss_mb": worker_peak_rss_mb(),
+    }
+
+
+def test_executor_rule():
+    """The executor rule's pick against serial and warm-pool medians.
+
+    Points: the two ``RULE_SHAPES`` gathered and cold, streamed and
+    materialized, then the ``service_executor`` curve's fresh streamed
+    fault-free grids -- so every perfbench workload's shape is a point
+    (``workload`` names it).  Gate: wherever every round agrees on the
+    faster executor, the median ratio's distance from 1 exceeds the
+    ratios' interquartile spread, and the rule's modelled ratio stays on
+    its side of 1 under the rule's worst calibration miss
+    (:data:`RULE_MISS`), the rule must have picked the faster one.
+    Recorded under ``executor_rule`` with the rule's constants;
+    ``worker_peak_rss_mb`` is the largest pool worker's ``VmHWM`` so
+    far, the memory a sharded run adds outside the parent process.
+    """
+    seeds = itertools.count(40_000)
+    cases = [
+        (kind, diameter, trials, pulses, gathered, streamed)
+        for kind, diameter, trials, pulses in RULE_SHAPES
+        for gathered in (True, False)
+        for streamed in (True, False)
+    ] + [
+        ("fault-free", diameter, trials, pulses, False, True)
+        for diameter, trials, pulses in EXECUTOR_GRIDS
+    ]
+    points, rows, wrong = [], [], []
+    for case in cases:
+        kind, diameter, trials, pulses, gathered, streamed = case
+        build = rule_grid_builder(kind, diameter, trials, pulses, seeds)
+        record = executor_rule_point(
+            build, pulses, gathered, streamed, RULE_ROUNDS
+        )
+        point = {
+            "grid": kind,
+            "diameter": diameter,
+            "num_pulses": pulses,
+            "gathered": gathered,
+            "streamed": streamed,
+            "workload": RULE_WORKLOADS.get(case),
+            **record,
+        }
+        points.append(point)
+        low, high = record["ratio_range"]
+        spread = record["ratio_quartiles"][1] - record["ratio_quartiles"][0]
+        faster = "process" if high < 1.0 else "serial" if low > 1.0 else None
+        if abs(record["process_over_serial"] - 1.0) <= spread:
+            faster = None
+        modelled = record["modelled_process_over_serial"]
+        claimed = not modelled * RULE_MISS[0] <= 1.0 <= modelled * RULE_MISS[1]
+        if claimed and faster is not None and faster != record["pick"]:
+            wrong.append(point)
+        rows.append(
+            (kind, diameter, record["trials"], pulses, gathered, streamed,
+             record["serial_s"], record["process_s"],
+             record["process_over_serial"], modelled, record["pick"],
+             "yes" if claimed else "tie", faster or "-")
+        )
+    constants = {
+        name: getattr(batch_mod, name)
+        for name in (
+            "_STEP_S", "_FAULT_STEP_S", "_CELL_S", "_FAULT_CELL_S",
+            "_TRIAL_S", "_EDGE_S", "_POOL_RUN_S", "_SHIP_S", "_FAULT_SHIP_S",
+            "_CACHED_EDGE_S", "_STORED_CELL_S", "_POOL_SLOWDOWN",
+        )
+    }
+    _merge_bench_json(
+        {
+            "executor_rule": {
+                "host": host_info(),
+                "usable_cpus": batch_mod._usable_cpus(),
+                "rounds": RULE_ROUNDS,
+                "rule_miss": list(RULE_MISS),
+                "constants": constants,
+                "points": points,
+            }
+        }
+    )
+    print()
+    print(
+        format_table(
+            ["grid", "D", "S", "K", "gathered", "streamed", "serial s",
+             "pool s", "pool / serial", "modelled", "rule", "claim",
+             "faster"],
+            rows,
+            title="Executor rule: its pick against serial and warm pool",
+        )
+    )
+    assert not wrong, (
+        "the executor rule picked the slower side where the gap exceeds "
+        f"the spread: {wrong}"
     )

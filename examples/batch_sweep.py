@@ -7,9 +7,11 @@ and skew statistics for the whole stack reduce in single array sweeps --
 then injects a random fault plan per seed and compares the two skew
 distributions.  The closing section demonstrates the executor knobs:
 
-* ``BatchRunner(...)``                       -- trial-stacked (the default)
+* ``BatchRunner(...)``                       -- the executor rule picks
+  serial or process per run from a measured cost model (the default)
+* ``BatchRunner(executor="serial")``         -- one trial-stacked run
 * ``BatchRunner(executor="process", shards=N)`` -- shard trials across
-  worker processes (fault-heavy sweeps; trials must be picklable)
+  worker processes (trials must be picklable)
 
 (The scalar reference is not a runner mode: tests and benches swap the
 per-cell rule ``repro.core.fast._scalar_replay`` in behind the fallback
@@ -81,9 +83,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nExecutor knobs (S=32 fault-free trials, D=16):")
     trials = BatchRunner.seed_sweep(16, range(32))
-    BatchRunner().run(trials)  # warm the per-layer delay caches once
+    BatchRunner(executor="serial").run(trials)  # gather the delays once
     runners = {
-        "trial-stacked (default)": BatchRunner(),
+        "executor rule (default)": BatchRunner(),
+        "trial-stacked": BatchRunner(executor="serial"),
         "process-sharded x4": BatchRunner(executor="process", shards=4),
     }
     reference = None

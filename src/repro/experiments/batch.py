@@ -21,15 +21,18 @@ module sweeps many trials in one call instead:
   stacked along a leading *trial axis* -- ``times`` of shape
   ``(S, K, L_max, W_max)``, NaN-padded when grids differ.
 
-For fault-heavy sweeps whose cells mostly go through the batched fallback,
 ``BatchRunner(executor="process", shards=N)`` splits the trial list into
 ``N`` shards and runs them on one process-wide worker pool of
 :mod:`concurrent.futures`, forked on first use and kept across calls;
 every trial is deterministic given its spec, so
 the assembled :class:`BatchResult` is identical for every ``shards``
-setting (the test suite pins this).  Trials must be picklable for the
-process executor -- use module-level functions/classes, not lambdas, for
-delay classifiers and rate providers.
+setting (the test suite pins this).  A runner that names no executor
+picks one per run from a measured cost model of that run (see
+:func:`_pick_shards`): large grids shard across the CPUs the process
+may use, small and fault-heavy ones stay serial.  Trials must be
+picklable for a named process executor -- use module-level
+functions/classes, not lambdas, for delay classifiers and rate
+providers; a picked one runs a shard that does not pickle in-parent.
 
 :class:`BatchRunner` is the backend of the ``thm11_local_skew``,
 ``thm13_random_faults``, ``cor15_variation``, and ``table1`` experiment
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import enum
 import os
+import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -60,7 +64,7 @@ import numpy as np
 
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY
 from repro.core.fast import FastResult, FastSimulation, RateProvider
-from repro.core.fast_batch import TrialStack
+from repro.core.fast_batch import TrialStack, _pulse_blocks
 from repro.core.layer0 import Layer0Schedule
 from repro.delays.models import DelayModel
 from repro.experiments.common import ExperimentConfig, standard_config
@@ -166,10 +170,19 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's).
+
+    Sizes the worker pool, the default shard count and the executor
+    rule, so a process pinned to one CPU never shards.
+    """
+    return len(os.sched_getaffinity(0))
+
+
 def _worker_pool(
     stale: Optional[ProcessPoolExecutor] = None,
 ) -> ProcessPoolExecutor:
-    """The process-wide pool of ``os.cpu_count()`` workers.
+    """The process-wide pool of one worker per usable CPU.
 
     Forked on the first process run and kept for every later one, so
     runs pay no start-up and worker caches survive between them.  A pool
@@ -180,7 +193,7 @@ def _worker_pool(
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL is stale:
-            _POOL = ProcessPoolExecutor(max_workers=os.cpu_count() or 1)
+            _POOL = ProcessPoolExecutor(max_workers=_usable_cpus())
         return _POOL
 
 
@@ -204,10 +217,115 @@ def _shard_bounds(num_trials: int, shards: int) -> List[int]:
     carrying twice its share while another ran nearly empty.)
     """
     base, extra = divmod(num_trials, shards)
-    bounds = [0]
-    for i in range(shards):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return bounds
+    return [i * base + min(i, extra) for i in range(shards + 1)]
+
+
+#: The executor rule's cost model, in seconds, least-squares fitted to
+#: serial, half-grid and pooled runs of 46 grid shapes (fault-free and
+#: thm13, gathered and cold, streamed and materialized, two interleaved
+#: calibration runs) on a 2-core x86-64 host; ``executor_rule`` in
+#: ``benchmarks/BENCH_batch.json`` holds the rule's pick against measured
+#: medians.  A serial stack costs ``_STEP_S`` per (pulse block, layer)
+#: step and ``_CELL_S`` per simulated (trial, pulse, vertex) cell --
+#: ``_FAULT_STEP_S`` and ``_FAULT_CELL_S`` when a trial carries faults,
+#: since the batched fallback then runs every step -- plus ``_TRIAL_S``
+#: per trial (its simulation and sweep) and ``_EDGE_S`` per delay edge
+#: whose model has gathered nothing yet.
+_STEP_S = 3.9e-4
+_FAULT_STEP_S = 1.3e-3
+_CELL_S = 1.5e-7
+_FAULT_CELL_S = 2.4e-7
+_TRIAL_S = 4.5e-4
+_EDGE_S = 4.2e-7
+#: A pooled run pays ``_POOL_RUN_S`` once (hand-off, the futures' round
+#: trip, assembling the shards' results), ``_SHIP_S`` per trial pickled
+#: out and back (``_FAULT_SHIP_S`` more per trial with faults),
+#: ``_CACHED_EDGE_S`` per gathered delay edge its models carry along and
+#: ``_STORED_CELL_S`` per cell of kept matrices, and runs its largest
+#: shard ``_POOL_SLOWDOWN`` times slower than alone: the workers share
+#: the host's memory bandwidth and caches.
+_POOL_RUN_S = 6e-3
+_SHIP_S = 3.6e-4
+_FAULT_SHIP_S = 6.6e-4
+_CACHED_EDGE_S = 1.4e-7
+_STORED_CELL_S = 1.1e-7
+_POOL_SLOWDOWN = 1.17
+
+
+def _delay_edges(trial: BatchTrial) -> int:
+    """Delay edges of ``trial``: every layer above 0 reads one own-copy
+    and two neighbour-copy edges per base edge."""
+    graph = trial.config.graph
+    return (graph.num_layers - 1) * (graph.width + 2 * len(graph.base.edges))
+
+
+def _gathered(trial: BatchTrial) -> bool:
+    """Whether ``trial``'s delay model already holds gathered arrays."""
+    model = trial.delay_model or trial.config.delay_model
+    return bool(getattr(model, "_edge_array_cache", None))
+
+
+def _cells(trials: Sequence[BatchTrial], num_pulses: int) -> int:
+    """Simulated cells of ``trials``: pulses x layers x width, summed."""
+    return num_pulses * sum(
+        t.config.graph.num_layers * t.config.graph.width for t in trials
+    )
+
+
+def _serial_seconds(trials: Sequence[BatchTrial], num_pulses: int) -> float:
+    """Modelled wall time of one serial run of ``trials``: one stack,
+    blocked by the run's own :func:`~repro.core.fast_batch._pulse_blocks`
+    rule over its padded ``(S, W)`` plane."""
+    layers = max(t.config.graph.num_layers for t in trials)
+    width = max(t.config.graph.width for t in trials)
+    blocks = _pulse_blocks(num_pulses, layers, len(trials) * width)
+    faulty = any(t.num_faults for t in trials)
+    return (
+        layers * len(blocks) * (_FAULT_STEP_S if faulty else _STEP_S)
+        + _cells(trials, num_pulses) * (_FAULT_CELL_S if faulty else _CELL_S)
+        + _TRIAL_S * len(trials)
+        + _EDGE_S * sum(_delay_edges(t) for t in trials if not _gathered(t))
+    )
+
+
+def _pooled_seconds(
+    trials: Sequence[BatchTrial], num_pulses: int, store_times: bool, shards: int
+) -> float:
+    """Modelled wall time of ``trials`` run in ``shards`` pooled shards:
+    the run's fixed cost, shipping, and the largest shard's serial time
+    times the pool's slowdown."""
+    bounds = _shard_bounds(len(trials), shards)
+    largest = max(
+        _serial_seconds(trials[a:b], num_pulses)
+        for a, b in zip(bounds, bounds[1:])
+    )
+    return (
+        _POOL_RUN_S
+        + _SHIP_S * len(trials)
+        + _FAULT_SHIP_S * sum(1 for t in trials if t.num_faults)
+        + _CACHED_EDGE_S * sum(_delay_edges(t) for t in trials if _gathered(t))
+        + _STORED_CELL_S * _cells(trials, num_pulses) * store_times
+        + _POOL_SLOWDOWN * largest
+    )
+
+
+def _pick_shards(
+    trials: Sequence[BatchTrial], num_pulses: int, store_times: bool
+) -> int:
+    """The executor rule: pooled shards for a run, or 1 to run serially.
+
+    Applied when the caller names no executor.  A run shards across
+    every usable CPU (:func:`_usable_cpus`, at most one shard a trial)
+    when its modelled pooled time beats its modelled serial time.  The
+    model reads only what the run can observe: trial shapes and faults,
+    the horizon, ``store_times`` and which delay models have gathered
+    their arrays.
+    """
+    shards = min(_usable_cpus(), len(trials))
+    if shards < 2:
+        return 1
+    pooled = _pooled_seconds(trials, num_pulses, store_times, shards)
+    return shards if pooled < _serial_seconds(trials, num_pulses) else 1
 
 
 class BatchResult:
@@ -253,9 +371,10 @@ class BatchResult:
     fallback_reasons:
         ``{trial_index: reason}`` for executor-level events: when a
         process shard's worker dies (``BrokenProcessPool``) and the
-        shard is re-run in-parent, every trial of that shard carries the
-        retry note -- so a trial is *both* in a stack group and
-        annotated here.  Empty when nothing went wrong.
+        shard is re-run in-parent, or a shard of a picked pool does not
+        pickle and runs in-parent, every trial of that shard carries the
+        note -- so a trial is *both* in a stack group and annotated
+        here.  Empty when nothing went wrong.
     campaign_stats:
         ``{trial_index: churn_stats}`` for every trial that ran under a
         :class:`~repro.faults.campaign.ChaosCampaign` -- the compiled
@@ -461,21 +580,42 @@ def _stack_key(trial: BatchTrial) -> Tuple:
 
 
 def _run_shard(
-    trials: List[BatchTrial],
-    num_pulses: int,
-    store_times: bool,
+    trials: List[BatchTrial], num_pulses: int, store_times: bool
 ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
-    """Process-executor worker: run one contiguous shard serially.
+    """Run one contiguous shard in this process: one :class:`TrialStack`
+    per stack key.
+
+    Returns ``(results, stack_groups, compaction_stats)`` with
+    shard-local indices -- every trial belongs to exactly one stack
+    group, whose compaction accounting is recorded.
+    """
+    results: List[Optional[FastResult]] = [None] * len(trials)
+    groups: Dict[Tuple, List[int]] = {}
+    for i, trial in enumerate(trials):
+        groups.setdefault(_stack_key(trial), []).append(i)
+    compaction: List[Dict] = []
+    for indices in groups.values():
+        stack = TrialStack([trials[i].simulation() for i in indices])
+        stacked = stack.run(num_pulses, store_times=store_times)
+        for i, result in zip(indices, stacked):
+            results[i] = result
+        compaction.append(dict(stack.compaction_stats))
+    return results, list(groups.values()), compaction  # type: ignore[return-value]
+
+
+def _run_pickled_shard(
+    blob: bytes, num_pulses: int, store_times: bool
+) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
+    """Process-executor worker: :func:`_run_shard` on a pickled shard.
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
-    pickle it under every start method (fork, spawn, forkserver).
-    Returns the shard's results plus its shard-local stack-group indices
-    and compaction stats (re-offset by the parent).
-    Shards ship their folded statistics back through the results'
-    ``streamed`` attribute (``FastResult.__getstate__`` keeps it).
+    pickle it under every start method (fork, spawn, forkserver).  The
+    parent pickles the trials itself, so a shard that does not pickle
+    fails there, before it reaches the pool.  Shards ship their folded
+    statistics back through the results' ``streamed`` attribute
+    (``FastResult.__getstate__`` keeps it).
     """
-    runner = BatchRunner(num_pulses=num_pulses, store_times=store_times)
-    return runner._run_serial(trials)
+    return _run_shard(pickle.loads(blob), num_pulses, store_times)
 
 
 class BatchRunner:
@@ -502,16 +642,26 @@ class BatchRunner:
     num_pulses:
         Pulses simulated per trial.
     executor:
-        ``"serial"`` (default) or ``"process"``.  The process executor
-        shards the trial list across one process-wide pool of
-        ``os.cpu_count()`` workers, forked on the first process run and
-        kept across calls.  Workers gather each trial's inputs cold
-        (trials arrive pickled), so it pays only when per-trial work
-        dwarfs that gather and the pickling.  Trials must be picklable.
+        ``"serial"``, ``"process"`` or ``None`` (default: pick per run).
+        The process executor shards the trial list across one
+        process-wide pool of one worker per usable CPU
+        (``os.sched_getaffinity``), forked on the first process run and
+        kept across calls.  Trials arrive pickled, and a worker gathers
+        the delays of every trial whose model the parent never gathered.
+        Trials must be picklable.  ``None`` applies one measured rule
+        (:func:`_pick_shards`): the run shards when a cost model of its
+        steps, cells, trials and cold delay edges says the pool's fixed
+        run cost, pickling and shared-host slowdown cost less than the
+        other CPUs save -- a streamed grid of 16 trials at D = 32 over
+        64 pulses shards; service-sized grids and short, fault-heavy
+        thm13 grids stay serial.  A picked pool runs a shard whose
+        trials do not pickle in-parent (noted in
+        :attr:`BatchResult.fallback_reasons`); a named one raises.
     shards:
-        Number of process shards; defaults to ``os.cpu_count()`` capped at
+        Number of process shards; defaults to the usable CPUs capped at
         the trial count.  Shards beyond the pool's workers queue on it.
-        Ignored by the serial executor.
+        Ignored by the serial executor; naming it without an executor
+        selects the process executor.
     store_times:
         Skew and correction statistics fold online either way, one
         (pulse block, layer) step at a time.  ``True`` (default) also
@@ -524,13 +674,15 @@ class BatchRunner:
     def __init__(
         self,
         num_pulses: int = 4,
-        executor: str = "serial",
+        executor: Optional[str] = None,
         shards: Optional[int] = None,
         store_times: bool = True,
     ) -> None:
         if num_pulses < 1:
             raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
-        if executor not in ("serial", "process"):
+        if executor is None and shards is not None:
+            executor = "process"
+        if executor not in (None, "serial", "process"):
             raise ValueError(
                 f"unknown executor {executor!r}; use 'serial' or 'process'"
             )
@@ -554,103 +706,61 @@ class BatchRunner:
         ``on_shard`` is an optional progress hook (used by the
         :mod:`repro.service` job runner to stream per-shard progress):
         it receives one dict per executor event -- a ``plan`` event
-        naming the shard count and sizes, then one ``shard`` event per
-        shard with ``status`` ``"done"``, ``"lost"`` (its worker died;
-        see :meth:`_run_process`), or ``"retried"`` (the in-parent
-        re-run of a lost shard completed).  The serial executor emits
-        the same shape with a single shard.
+        naming the executor that runs (``"serial"`` or ``"process"``,
+        named or picked), the shard count and sizes, then one ``shard``
+        event per shard with ``status`` ``"done"``, ``"lost"`` (its
+        worker died; see :meth:`_run_chunks`), ``"in_parent"`` (a
+        picked pool's shard that does not pickle ran in the parent) or
+        ``"retried"`` (the in-parent re-run of a lost shard completed).
+        The serial executor emits the same shape with a single shard.
         """
         trials = list(trials)
         if not trials:
             raise ValueError("need at least one trial")
-        reasons: Dict[int, str] = {}
-        if self.executor == "process":
-            results, groups, compaction, reasons = self._run_process(
-                trials, on_shard
-            )
+        if self.executor is None:
+            shards = _pick_shards(trials, self.num_pulses, self.store_times)
+        elif self.executor == "serial":
+            shards = 1
         else:
-            results, groups, compaction = self._run_single(trials, on_shard)
+            shards = min(self.shards or _usable_cpus(), len(trials))
+        bounds = _shard_bounds(len(trials), shards)
+        chunks = [(a, trials[a:b]) for a, b in zip(bounds, bounds[1:])]
+        executor = "process" if shards > 1 else "serial"
+        sizes = [len(chunk) for _, chunk in chunks]
+        _emit(on_shard, dict(event="plan", executor=executor, shards=shards, sizes=sizes))
+        outputs, notes = self._run_chunks(chunks, on_shard)
+        results: List[FastResult] = []
+        stack_groups: List[List[int]] = []
+        compaction: List[Dict] = []
+        reasons: Dict[int, str] = {}
+        for j, ((offset, chunk), (shard_results, groups, stats)) in enumerate(
+            zip(chunks, outputs)
+        ):
+            results.extend(shard_results)
+            stack_groups.extend([offset + i for i in g] for g in groups)
+            compaction.extend(stats)
+            reasons.update((offset + i, notes[j]) for i in range(len(chunk)) if j in notes)
         return BatchResult(
             trials,
             results,
-            stack_groups=groups,
+            stack_groups=stack_groups,
             fallback_reasons=reasons,
             compaction_stats=compaction,
         )
 
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, trials: List[BatchTrial]
-    ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
-        """In-process execution: one :class:`TrialStack` per stack key.
-
-        Returns ``(results, stack_groups, compaction_stats)`` -- every
-        trial belongs to exactly one stack group, whose compaction
-        accounting is recorded.
-        """
-        results: List[Optional[FastResult]] = [None] * len(trials)
-        stack_groups: List[List[int]] = []
-        compaction: List[Dict] = []
-        groups: Dict[Tuple, List[int]] = {}
-        for i, trial in enumerate(trials):
-            groups.setdefault(_stack_key(trial), []).append(i)
-        for indices in groups.values():
-            stack = TrialStack([trials[i].simulation() for i in indices])
-            stacked = stack.run(self.num_pulses, store_times=self.store_times)
-            for i, result in zip(indices, stacked):
-                results[i] = result
-            stack_groups.append(list(indices))
-            compaction.append(dict(stack.compaction_stats))
-        return results, stack_groups, compaction  # type: ignore[return-value]
-
-    def _run_single(
+    def _run_chunks(
         self,
-        trials: List[BatchTrial],
-        on_shard: Optional[ShardCallback] = None,
-    ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
-        """Serial execution wrapped in the one-shard progress protocol."""
-        _emit(on_shard, {"event": "plan", "shards": 1, "sizes": [len(trials)]})
-        out = self._run_serial(trials)
-        _emit(
-            on_shard,
-            {
-                "event": "shard",
-                "shard": 0,
-                "offset": 0,
-                "trials": len(trials),
-                "status": "done",
-            },
-        )
-        return out
-
-    def _shard_args(self) -> Tuple:
-        """The :func:`_run_shard` knob tuple after the trial chunk."""
-        return (self.num_pulses, self.store_times)
-
-    def _submit(
-        self,
-        pool: ProcessPoolExecutor,
         chunks: List[Tuple[int, List[BatchTrial]]],
-    ) -> Dict:
-        """Queue one :func:`_run_shard` task per chunk: ``{future: j}``."""
-        return {
-            pool.submit(_run_shard, chunk, *self._shard_args()): j
-            for j, (_, chunk) in enumerate(chunks)
-        }
+        on_shard: Optional[ShardCallback],
+    ) -> Tuple[List[Tuple], Dict[int, str]]:
+        """Each chunk's :func:`_run_shard` output, in chunk order, and
+        ``{chunk: note}`` for the chunks of a pooled run that ran
+        in-parent instead.
 
-    def _run_process(
-        self,
-        trials: List[BatchTrial],
-        on_shard: Optional[ShardCallback] = None,
-    ) -> Tuple[List[FastResult], List[List[int]], List[Dict], Dict[int, str]]:
-        """Shard the trial list across worker processes, preserving order.
-
-        Per-trial execution is deterministic given the trial spec, so the
-        reassembled result list is independent of the shard count.  Stack
-        groups and compaction stats come back shard-local and are
-        re-offset to batch indices here.
+        One chunk runs in this process.  More go to the process-wide
+        pool, one task per chunk; per-trial execution is deterministic
+        given the trial spec, so the reassembled results are
+        independent of the shard count.
 
         Failure isolation: a worker killed mid-shard (OOM, signal,
         ``os._exit``) breaks the pool, and each of the futures it held
@@ -658,96 +768,90 @@ class BatchRunner:
         so completed shards keep their results; the broken pool is
         discarded (the next run forks a fresh one) and the lost shards
         are re-run serially in-parent (deterministic trials make the
-        re-run bitwise identical), the event recorded in
-        :attr:`BatchResult.fallback_reasons` for every trial of a lost
+        re-run bitwise identical), noted for every trial of a lost
         shard.  A pool that broke while idle (a worker died between
         runs) is replaced before anything is submitted, so that run
         loses nothing.  Exceptions *raised by a trial itself* still
         propagate unchanged -- only executor-level worker death is
         retried.
+
+        The parent pickles each chunk before submitting it.  A chunk
+        that does not pickle raises when the caller named the process
+        executor; when the rule picked it, the chunk runs in-parent
+        while the others run on the pool, and its trials carry the
+        reason.
         """
-        shards = self.shards or os.cpu_count() or 1
-        shards = max(1, min(shards, len(trials)))
-        if shards == 1:
-            return (*self._run_single(trials, on_shard), {})
-        bounds = _shard_bounds(len(trials), shards)
-        chunks = [
-            (bounds[i], trials[bounds[i]: bounds[i + 1]])
-            for i in range(shards)
-        ]
-        _emit(
-            on_shard,
-            {
-                "event": "plan",
-                "shards": len(chunks),
-                "sizes": [len(chunk) for _, chunk in chunks],
-            },
-        )
-        shard_outputs: List[Optional[Tuple]] = [None] * len(chunks)
-        lost: Dict[int, str] = {}
-        pool = _worker_pool()
-        try:
-            futures = self._submit(pool, chunks)
-        except BrokenProcessPool:
-            pool = _worker_pool(stale=pool)
-            futures = self._submit(pool, chunks)
-        for future in as_completed(futures):
-            j = futures[future]
+        knobs = (self.num_pulses, self.store_times)
+        outputs: List[Optional[Tuple]] = [None] * len(chunks)
+        notes: Dict[int, str] = {}
+
+        def finish(j: int, status: str, output=None) -> None:
+            """Record chunk ``j`` (run here unless ``output`` is given or
+            it was lost) and emit its shard event."""
             offset, chunk = chunks[j]
-            event = {
-                "event": "shard",
-                "shard": j,
-                "offset": offset,
-                "trials": len(chunk),
-            }
+            if output is None and status != "lost":
+                output = _run_shard(chunk, *knobs)
+            outputs[j] = output
+            _emit(
+                on_shard,
+                dict(event="shard", shard=j, offset=offset, trials=len(chunk), status=status),
+            )
+
+        if len(chunks) == 1:
+            finish(0, "done")
+            return outputs, notes
+        blobs: Dict[int, bytes] = {}
+        for j, (_, chunk) in enumerate(chunks):
             try:
-                shard_outputs[j] = future.result()
+                blobs[j] = pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                if self.executor is not None:
+                    raise
+                notes[j] = (
+                    "shard run in-parent: its trials do not pickle "
+                    f"({type(exc).__name__}: {exc})"
+                )
+
+        def submit(pool: ProcessPoolExecutor) -> Dict:
+            """Queue one task per pickled chunk: ``{future: chunk}``."""
+            return {
+                pool.submit(_run_pickled_shard, blob, *knobs): j
+                for j, blob in blobs.items()
+            }
+
+        futures: Dict = {}
+        if blobs:
+            pool = _worker_pool()
+            try:
+                futures = submit(pool)
+            except BrokenProcessPool:
+                pool = _worker_pool(stale=pool)
+                futures = submit(pool)
+        for j in sorted(notes):
+            finish(j, "in_parent")
+        lost: List[int] = []
+        for future in as_completed(futures):
+            try:
+                finish(futures[future], "done", future.result())
             except BrokenProcessPool as exc:
                 # One dead worker breaks the whole pool, so every
-                # still-pending shard lands here too; each is
-                # re-run below.  Completed shards keep their
-                # results -- nothing is discarded.
-                lost[j] = f"{type(exc).__name__}: {exc}" if str(exc) else (
+                # still-pending shard lands here too; each is re-run
+                # below.  Completed shards keep their results --
+                # nothing is discarded.
+                j = futures[future]
+                lost.append(j)
+                why = f"{type(exc).__name__}: {exc}" if str(exc) else (
                     type(exc).__name__
                 )
-                _emit(on_shard, {**event, "status": "lost"})
-            else:
-                _emit(on_shard, {**event, "status": "done"})
+                notes[j] = (
+                    f"process shard re-run in-parent after a worker death ({why})"
+                )
+                finish(j, "lost")
         if lost:
             _discard_pool(pool)
         for j in sorted(lost):
-            offset, chunk = chunks[j]
-            shard_outputs[j] = _run_shard(chunk, *self._shard_args())
-            _emit(
-                on_shard,
-                {
-                    "event": "shard",
-                    "shard": j,
-                    "offset": offset,
-                    "trials": len(chunk),
-                    "status": "retried",
-                },
-            )
-        results: List[FastResult] = []
-        stack_groups: List[List[int]] = []
-        compaction: List[Dict] = []
-        reasons: Dict[int, str] = {}
-        for j, ((offset, chunk), (
-            shard_results, shard_groups, shard_compaction
-        )) in enumerate(zip(chunks, shard_outputs)):
-            results.extend(shard_results)
-            stack_groups.extend(
-                [offset + i for i in group] for group in shard_groups
-            )
-            compaction.extend(shard_compaction)
-            if j in lost:
-                note = (
-                    "process shard re-run in-parent after a worker death "
-                    f"({lost[j]})"
-                )
-                for i in range(len(chunk)):
-                    reasons[offset + i] = note
-        return results, stack_groups, compaction, reasons
+            finish(j, "retried")
+        return outputs, notes
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -152,16 +152,12 @@ def run_cor15(
     num_pulses: int = 6,
     seed: int = 0,
     envelope_factor: float = 1.5,
-    executor: str = "serial",
-    shards: Optional[int] = None,
     store_times: bool = False,
 ) -> Cor15Result:
     """Run with per-pulse delay/rate drift and a mutating fault.
 
-    ``executor``/``shards`` are forwarded to
-    :class:`BatchRunner` so multi-seed/multi-diameter variants of this
-    study shard and stack like the other drivers (the default
-    single-trial run gains nothing from either).  Only the folded
+    The trial runs through :class:`BatchRunner` like the other drivers'
+    grids (a single trial never shards).  Only the folded
     overall skew is consumed, so the run streams by default
     (``store_times=False``); ``store_times=True`` keeps raw pulse times.
 
@@ -177,8 +173,6 @@ def run_cor15(
 
     batch = BatchRunner(
         num_pulses=num_pulses,
-        executor=executor,
-        shards=shards,
         store_times=store_times,
     ).run([trial])
     return Cor15Result(

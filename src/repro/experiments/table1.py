@@ -162,8 +162,6 @@ def run_table1(
     num_pulses: int = 4,
     params: Parameters | None = None,
     hex_crash: bool = True,
-    executor: str = "serial",
-    shards: Optional[int] = None,
     store_times: bool = False,
 ) -> Table1Result:
     """Measure the Table 1 comparison over a diameter sweep.
@@ -176,11 +174,11 @@ def run_table1(
     batch through the padded mixed-geometry stack (delay models are
     per-trial inputs, so the two regimes share the stack; depth
     compaction retires each diameter's rows as its shallower grid
-    finishes).  ``executor``/``shards`` are forwarded to
-    :class:`BatchRunner` and the baseline simulations stay serial.  The
-    Gradient TRIX batch consumes only folded skew maxima, so it streams
-    by default (``store_times=False``, bit-identical);
-    ``store_times=True`` materializes the pulse-time block again.
+    finishes); :class:`BatchRunner`'s executor rule picks its executor,
+    and the baseline simulations stay serial.  The Gradient TRIX batch
+    consumes only folded skew maxima, so it streams by default
+    (``store_times=False``, bit-identical); ``store_times=True``
+    materializes the pulse-time block again.
 
     Example
     -------
@@ -192,8 +190,6 @@ def run_table1(
     rows: List[Table1Row] = []
     runner = BatchRunner(
         num_pulses=num_pulses,
-        executor=executor,
-        shards=shards,
         store_times=store_times,
     )
     all_configs = {

@@ -79,8 +79,6 @@ def run_thm11(
     diameters: Sequence[int] = (4, 8, 16, 32, 64),
     seeds: Sequence[int] = (0, 1, 2),
     num_pulses: int = 4,
-    executor: str = "serial",
-    shards: Optional[int] = None,
     store_times: bool = False,
 ) -> Thm11Result:
     """Measure the fault-free local skew sweep.
@@ -94,8 +92,7 @@ def run_thm11(
     of the layer loop as they finish instead of padding everyone to the
     deepest grid.  The per-diameter
     maxima come out of the stacked skew statistics, sliced per diameter.
-    ``executor``/``shards`` are forwarded to :class:`BatchRunner`
-    (``executor="process"`` shards the batch across worker processes).
+    :class:`BatchRunner`'s executor rule picks serial or process shards.
     The driver only needs the folded skew maxima, so it defaults to the
     streaming path (``store_times=False``): the ``(S, K, L, W)``
     pulse-time block is never materialized and the statistics are
@@ -115,8 +112,6 @@ def run_thm11(
     kappa = standard_config(4).params.kappa
     runner = BatchRunner(
         num_pulses=num_pulses,
-        executor=executor,
-        shards=shards,
         store_times=store_times,
     )
     trials = []

@@ -15,7 +15,7 @@ behaviours, and reports the skew distribution against the envelope
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -162,8 +162,6 @@ def run_thm13(
     num_pulses: int = 3,
     envelope_factor: float = 1.0,
     seeds: Sequence[int] | None = None,
-    executor: str = "serial",
-    shards: Optional[int] = None,
     store_times: bool = False,
 ) -> Thm13Result:
     """Sample random fault plans and measure the skew distribution.
@@ -205,8 +203,6 @@ def run_thm13(
 
     batch = BatchRunner(
         num_pulses=num_pulses,
-        executor=executor,
-        shards=shards,
         store_times=store_times,
     ).run(batch_trials)
     skews = batch.max_local_skews()

@@ -152,8 +152,6 @@ def run_thm16(
     budget_factor: float = 3.0,
     event_rate: float = 0.7,
     campaign: Optional[ChaosCampaign] = None,
-    executor: str = "serial",
-    shards: Optional[int] = None,
 ) -> Thm16Result:
     """Measure self-stabilization under a sustained churn campaign.
 
@@ -190,8 +188,6 @@ def run_thm16(
         Use this campaign for every trial instead of sampling (its base
         graph must match the standard config's, i.e. the replicated line
         of the given ``diameter``).
-    executor, shards:
-        Forwarded to :class:`~repro.experiments.batch.BatchRunner`.
 
     Returns
     -------
@@ -235,8 +231,6 @@ def run_thm16(
 
     runner = BatchRunner(
         num_pulses=num_pulses,
-        executor=executor,
-        shards=shards,
     )
     batch = runner.run(trials)
 

@@ -15,12 +15,13 @@ submit time, defaults in :data:`JobRunner.runner_defaults`).
 The :class:`JobRunner` owns one thread pool of ``concurrency`` job
 threads: submissions become :class:`Job` objects queued on the pool,
 and each job thread runs one blocking batch at a time.  A submission
-that names no ``executor`` (nor ``shards``) picks it from its size:
-a grid of fewer than :data:`_SERIAL_CELLS` cells (pulses x layers x
-width, summed over trials) runs ``executor="serial"`` in the job thread
-itself, a larger one shards onto the process-wide worker pool with
-``executor="process"`` -- failure-isolated, so a worker death loses no
-completed shard.  Every executor event lands in the job's ordered
+that names no ``executor`` (nor ``shards``) leaves the choice to
+:class:`~repro.experiments.batch.BatchRunner`'s executor rule, the same
+one every caller gets: a service-sized grid runs serially in the job
+thread itself, a grid the rule's cost model sends to the pool shards
+onto the process-wide worker pool -- failure-isolated, so a worker
+death loses no completed shard.  Every executor event, the ``plan``
+event naming the executor included, lands in the job's ordered
 progress stream, which HTTP clients poll or long-poll.  Results dedup
 through the :class:`~repro.service.store.ResultStore`: a job whose grid
 key is already stored completes instantly as a recorded cache hit.
@@ -297,32 +298,12 @@ class Job:
         }
 
 
-#: Cells (pulses x layers x width, summed over trials) from which a
-#: submission that names no executor shards onto the process pool;
-#: smaller grids run serially in the job thread.  Read from the serial
-#: vs warm-pool curve of fresh grids (``service_executor`` in
-#: ``benchmarks/BENCH_batch.json``): on a 2-core host, over six
-#: processes, the pool's run took a median 1.07-1.20x the serial one up
-#: to 9,728 cells (pickling and hand-off cost more than the second core
-#: saves), 1.03x at 12,160 and 0.86-0.89x from 14,592.  Two small jobs
-#: running at once share one interpreter lock, for at most this many
-#: cells each.
-_SERIAL_CELLS = 12_288
-
-
-def grid_cells(trials: Sequence[BatchTrial], num_pulses: int) -> int:
-    """Simulated cells of a grid: pulses x layers x width, over trials."""
-    return num_pulses * sum(
-        t.config.graph.num_layers * t.config.graph.width for t in trials
-    )
-
-
 class JobRunner:
     """Thread-pool job queue executing trial grids through ``BatchRunner``.
 
     ``concurrency`` bounds how many jobs execute at once (each job's
-    own process-sharding parallelism is a ``runner`` knob, or follows
-    from its size, see :data:`_SERIAL_CELLS`).  :meth:`start` is
+    own process-sharding parallelism is a ``runner`` knob, or the
+    ``BatchRunner`` executor rule's pick).  :meth:`start` is
     idempotent and :meth:`shutdown` stops taking jobs without
     interrupting the blocking batches already in flight (jobs are
     deterministic and cached, so a re-submission after restart is a
@@ -338,15 +319,15 @@ class JobRunner:
     ... })
     >>> runner.wait(job.id, timeout=60).status
     'done'
-    >>> job.runner_kwargs["executor"]
-    'serial'
+    >>> [e["executor"] for e in job.events if e["event"] == "plan"]
+    ['serial']
     >>> runner.shutdown()
     """
 
     #: Default ``BatchRunner`` knobs for submissions that name none.
     #: Streaming (``store_times=False``) keeps service memory bounded;
     #: the folded statistics are bit-identical to the materialized path.
-    #: No ``executor``: :meth:`submit` picks it from the grid's size.
+    #: No ``executor``: ``BatchRunner`` picks it per run.
     runner_defaults: Dict[str, object] = {"store_times": False}
 
     def __init__(
@@ -396,7 +377,7 @@ class JobRunner:
         caller's thread, so a bad submission fails the request instead
         of the job.  An ``executor`` or ``shards`` the submission (or
         :attr:`runner_defaults`) names is honoured; otherwise the
-        grid's :func:`grid_cells` pick it (see :data:`_SERIAL_CELLS`).
+        ``BatchRunner`` executor rule picks one when the job runs.
         """
         pool = self._pool
         if pool is None:
@@ -407,11 +388,6 @@ class JobRunner:
         BatchRunner(num_pulses=num_pulses, **runner_kwargs)  # validate knobs
         if trials is None:
             trials = build_trials(submission.get("grid"))
-        if "executor" not in runner_kwargs:
-            pooled = "shards" in runner_kwargs or (
-                grid_cells(trials, num_pulses) >= _SERIAL_CELLS
-            )
-            runner_kwargs["executor"] = "process" if pooled else "serial"
         key = grid_key(trials, num_pulses, runner_kwargs)
         with self._lock:
             job_id = f"job-{next(self._ids):05d}"

@@ -79,10 +79,13 @@ COUNTERS = (
 MODES = ("streamed", "materialized")
 
 
-def _runner_grid(trials, num_pulses, **runner):
+def _runner_grid(trials, num_pulses):
+    """A grid run by one in-process ``BatchRunner`` (named serial, so the
+    executor rule never moves a grid onto the pool)."""
+
     def run(store_times):
         return BatchRunner(
-            num_pulses=num_pulses, store_times=store_times, **runner
+            num_pulses=num_pulses, executor="serial", store_times=store_times
         ).run(trials)
 
     return run

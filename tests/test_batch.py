@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -31,6 +32,7 @@ from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import CrashFault, FaultPlan
 from tests.test_fast_sim import scalar_reference
+from unittest import mock
 
 NUM_PULSES = 3
 
@@ -496,6 +498,123 @@ class TestWorkerDeathRetry:
         assert events[1]["status"] == "done"
 
 
+def pool_always_wins(monkeypatch):
+    """Make the executor rule pick a two-shard pool for any grid of two
+    trials or more: two usable CPUs and a negative pooled-run cost."""
+    monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(batch_mod, "_POOL_RUN_S", -1.0)
+
+
+class TestExecutorRule:
+    """A runner that names no executor picks one from the cost model."""
+
+    def test_small_grids_run_serially(self):
+        trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
+        events = []
+        with mock.patch.object(batch_mod, "_worker_pool") as pool:
+            BatchRunner(num_pulses=NUM_PULSES).run(trials, on_shard=events.append)
+        assert not pool.called
+        assert events[0]["executor"] == "serial"
+
+    def test_stream_horizon_shape_shards_and_fault_grids_do_not(
+        self, monkeypatch
+    ):
+        # On two CPUs, 16 fault-free trials at D = 32 over 64 streamed
+        # pulses shard; 16 faulted ones over 8 pulses stay serial.
+        monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
+        stream = BatchRunner.seed_sweep(32, range(16))
+        assert batch_mod._pick_shards(stream, 64, False) == 2
+        faulted = [
+            BatchTrial(
+                config=standard_config(32, seed=s),
+                fault_plan=FaultPlan({(v, 1 + s): CrashFault() for v in (3, 9)}),
+            )
+            for s in range(16)
+        ]
+        assert batch_mod._pick_shards(faulted, 8, False) == 1
+
+    def test_gathered_delays_move_the_pick_toward_serial(self):
+        # A gathered model ships its arrays instead of gathering them,
+        # so gathering saves the serial run more than the pooled one.
+        trials = BatchRunner.seed_sweep(16, range(12), num_pulses=4)
+        cold = (
+            batch_mod._serial_seconds(trials, 4),
+            batch_mod._pooled_seconds(trials, 4, False, 2),
+        )
+        BatchRunner(num_pulses=4, executor="serial").run(trials)
+        assert all(batch_mod._gathered(t) for t in trials)
+        warm = (
+            batch_mod._serial_seconds(trials, 4),
+            batch_mod._pooled_seconds(trials, 4, False, 2),
+        )
+        assert warm[1] / warm[0] > cold[1] / cold[0]
+
+    def test_picked_pool_runs_an_unpicklable_shard_in_parent(self, monkeypatch):
+        pool_always_wins(monkeypatch)
+        trials = [
+            BatchTrial(config=standard_config(4, seed=s)) for s in range(4)
+        ]
+        for trial in trials[2:]:
+            trial.clock_rates = lambda node, pulse: 1.0 + 1e-6 * pulse
+        serial = BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(
+            trials
+        )
+        events = []
+        picked = BatchRunner(num_pulses=NUM_PULSES).run(
+            trials, on_shard=events.append
+        )
+        assert (events[0]["executor"], events[0]["shards"]) == ("process", 2)
+        statuses = {e["shard"]: e["status"] for e in events if e["event"] == "shard"}
+        assert statuses == {0: "done", 1: "in_parent"}
+        assert sorted(picked.fallback_reasons) == [2, 3]
+        assert all(
+            "do not pickle" in why for why in picked.fallback_reasons.values()
+        )
+        np.testing.assert_array_equal(serial.times, picked.times)
+        np.testing.assert_array_equal(
+            serial.max_local_skews(), picked.max_local_skews()
+        )
+
+    def test_named_process_still_raises_on_unpicklable_trials(self, monkeypatch):
+        pool_always_wins(monkeypatch)
+        trials = [
+            BatchTrial(config=standard_config(4, seed=s)) for s in range(4)
+        ]
+        trials[3].clock_rates = lambda node, pulse: 1.0
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            BatchRunner(
+                num_pulses=NUM_PULSES, executor="process", shards=2
+            ).run(trials)
+
+    def test_one_usable_cpu_never_shards(self, monkeypatch):
+        # Pinned to one CPU: the rule, the default shard count and the
+        # pool size all read the affinity mask, so nothing forks.
+        monkeypatch.setattr(batch_mod.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(batch_mod, "_POOL_RUN_S", -1.0)
+        trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
+        with mock.patch.object(batch_mod, "_worker_pool") as pool:
+            for executor in (None, "process"):
+                events = []
+                BatchRunner(num_pulses=NUM_PULSES, executor=executor).run(
+                    trials, on_shard=events.append
+                )
+                assert (events[0]["executor"], events[0]["shards"]) == (
+                    "serial",
+                    1,
+                )
+        assert not pool.called
+        monkeypatch.setattr(batch_mod, "_POOL", None)
+        executor_class = mock.Mock()
+        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", executor_class)
+        assert batch_mod._worker_pool() is executor_class.return_value
+        executor_class.assert_called_once_with(max_workers=1)
+
+    def test_shards_without_an_executor_select_the_pool(self):
+        assert BatchRunner(shards=2).executor == "process"
+        assert BatchRunner().executor is None
+
+
 def worker_pids():
     """PIDs of this process's live multiprocessing children."""
     return {p.pid for p in multiprocessing.active_children()}
@@ -589,7 +708,7 @@ class TestWorkerPool:
     def test_concurrent_runs_fork_one_pool(self):
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

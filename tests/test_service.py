@@ -37,7 +37,6 @@ import numpy as np
 import pytest
 
 import repro.experiments.batch as batch_mod
-import repro.service.jobs as jobs_mod
 from repro.experiments.batch import BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
 from repro.service import (
@@ -59,9 +58,9 @@ NUM_PULSES = 3
 
 def direct_payload(grid, num_pulses=NUM_PULSES):
     """The reference statistics: an in-process run of the same grid."""
-    batch = BatchRunner(num_pulses=num_pulses, store_times=False).run(
-        build_trials(grid)
-    )
+    batch = BatchRunner(
+        num_pulses=num_pulses, executor="serial", store_times=False
+    ).run(build_trials(grid))
     return to_jsonable(batch_payload(batch))
 
 
@@ -322,13 +321,23 @@ def plan_events(job):
     return [e for e in job.events if e["event"] == "plan"]
 
 
+def rule_margin(trials, num_pulses=NUM_PULSES):
+    """The executor rule's modelled serial minus pooled seconds of a
+    streamed two-shard run of ``trials``."""
+    return batch_mod._serial_seconds(
+        trials, num_pulses
+    ) - batch_mod._pooled_seconds(trials, num_pulses, False, 2)
+
+
 class TestExecutorRouting:
-    """A job that names no executor picks one from its cells."""
+    """A job that names no executor defers to BatchRunner's rule."""
 
     def test_small_grid_cells_sit_below_the_threshold(self):
-        cells = jobs_mod.grid_cells(build_trials(SMALL_GRID), NUM_PULSES)
+        trials = build_trials(SMALL_GRID)
+        cells = batch_mod._cells(trials, NUM_PULSES)
         assert cells == NUM_PULSES * (4 * 7 + 4 * 7 + 6 * 9 + 6 * 9)
-        assert cells < jobs_mod._SERIAL_CELLS
+        assert rule_margin(trials) < 0
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
 
     @pytest.mark.parametrize(
         "excess, executor", [(None, "serial"), (1, "serial"), (0, "process")]
@@ -336,11 +345,18 @@ class TestExecutorRouting:
     def test_default_job_routes_by_cells(
         self, default_runner, monkeypatch, excess, executor
     ):
-        # The threshold is the grid's cells plus ``excess``, or the real
-        # one when ``excess`` is None.
-        cells = jobs_mod.grid_cells(build_trials(SMALL_GRID), NUM_PULSES)
+        # The pooled run's fixed cost is moved so the modelled pooled run
+        # costs the serial one plus ``excess - 0.5`` microseconds, or
+        # left as measured when ``excess`` is None.
+        monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
         if excess is not None:
-            monkeypatch.setattr(jobs_mod, "_SERIAL_CELLS", cells + excess)
+            monkeypatch.setattr(
+                batch_mod,
+                "_POOL_RUN_S",
+                batch_mod._POOL_RUN_S
+                + rule_margin(build_trials(SMALL_GRID))
+                + (excess - 0.5) * 1e-6,
+            )
         with mock.patch.object(
             batch_mod, "_worker_pool", wraps=batch_mod._worker_pool
         ) as pool:
@@ -349,16 +365,17 @@ class TestExecutorRouting:
             )
             default_runner.wait(job.id, timeout=120)
         assert job.status == "done", job.error
-        assert job.runner_kwargs["executor"] == executor
+        assert "executor" not in job.runner_kwargs
         (plan,) = plan_events(job)
+        assert plan["executor"] == executor
         served = to_jsonable(job.payload())
         if executor == "serial":
             assert plan["shards"] == 1
             assert not pool.called  # no worker forked or borrowed
             assert deep_equal(served, direct_payload(SMALL_GRID))
         else:
-            assert plan["shards"] == min(os.cpu_count() or 1, 4)
-            assert pool.called is (plan["shards"] > 1)
+            assert plan["shards"] == 2
+            assert pool.called
             assert equal_statistics(served, direct_payload(SMALL_GRID))
 
     @pytest.mark.parametrize(
@@ -372,8 +389,9 @@ class TestExecutorRouting:
         )
         default_runner.wait(job.id, timeout=120)
         assert job.status == "done", job.error
-        assert job.runner_kwargs["executor"] == "process"
-        assert plan_events(job)[0]["shards"] == 2
+        (plan,) = plan_events(job)
+        assert plan["executor"] == "process"
+        assert plan["shards"] == 2
         # Routing never enters the key: the sharded job and a serial
         # one address the same stored result.
         again = default_runner.submit(
@@ -394,7 +412,8 @@ class TestExecutorRouting:
         )
         job = default_runner.submit({"num_pulses": NUM_PULSES}, trials=[bad])
         default_runner.wait(job.id, timeout=120)
-        assert job.runner_kwargs["executor"] == "serial"  # in the job thread
+        # In the job thread.
+        assert plan_events(job)[0]["executor"] == "serial"
         assert job.status == "failed"
         assert "clock exploded" in job.error
         # The job thread survives and serves the next default job.
@@ -403,12 +422,18 @@ class TestExecutorRouting:
         )
         default_runner.wait(ok.id, timeout=120)
         assert ok.status == "done"
-        assert ok.runner_kwargs["executor"] == "serial"
+        assert plan_events(ok)[0]["executor"] == "serial"
 
     def test_explicit_serial_is_honoured_over_the_threshold(
         self, default_runner, monkeypatch
     ):
-        monkeypatch.setattr(jobs_mod, "_SERIAL_CELLS", 1)
+        # A negative pooled-run cost makes the rule pick the pool for any
+        # grid of two trials or more.
+        monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(batch_mod, "_POOL_RUN_S", -1.0)
+        assert batch_mod._pick_shards(
+            build_trials(SMALL_GRID), NUM_PULSES, False
+        ) == 2
         job = default_runner.submit(
             {
                 "grid": SMALL_GRID,
@@ -418,7 +443,8 @@ class TestExecutorRouting:
         )
         default_runner.wait(job.id, timeout=120)
         assert job.runner_kwargs["executor"] == "serial"
-        assert plan_events(job)[0]["shards"] == 1
+        (plan,) = plan_events(job)
+        assert (plan["executor"], plan["shards"]) == ("serial", 1)
 
 
 class TestJobRunner:

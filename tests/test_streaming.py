@@ -95,12 +95,14 @@ class TestMemoryContract:
         # Warm the per-edge delay/rate caches (they live on the configs'
         # delay models and scale with S*L*W, independent of the pulse
         # count) so the traced peaks below isolate the result matrices.
-        BatchRunner(num_pulses=2, store_times=False).run(trials)
+        BatchRunner(num_pulses=2, executor="serial", store_times=False).run(
+            trials
+        )
 
         tracemalloc.start()
         tracemalloc.reset_peak()
         streamed = BatchRunner(
-            num_pulses=num_pulses, store_times=False
+            num_pulses=num_pulses, executor="serial", store_times=False
         ).run(trials)
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -112,7 +114,9 @@ class TestMemoryContract:
 
         tracemalloc.start()
         tracemalloc.reset_peak()
-        materialized = BatchRunner(num_pulses=num_pulses).run(trials)
+        materialized = BatchRunner(
+            num_pulses=num_pulses, executor="serial"
+        ).run(trials)
         _, full_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # Sanity: the materialized run really pays for the block(s), so
@@ -134,7 +138,9 @@ class TestMemoryContract:
         block_bytes = (
             len(trials) * num_pulses * graph.num_layers * graph.width * 8
         )
-        runner = BatchRunner(num_pulses=num_pulses, store_times=False)
+        runner = BatchRunner(
+            num_pulses=num_pulses, executor="serial", store_times=False
+        )
         runner.run(trials)  # warm the delay/rate caches, as above
 
         tracemalloc.start()
