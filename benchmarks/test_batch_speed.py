@@ -66,13 +66,13 @@ Four micro-benchmarks track the performance trajectory across PRs:
   takes it); recorded under ``"service_executor"`` with the crossover
   and the host.  Reported, not gated.
 * ``test_executor_rule``: the executor rule's pick against serial and
-  warm-pool medians over gathered / cold x fault-free / thm13 x
-  streamed / materialized grids of the ``stream_horizon`` and
-  ``fault_horizon`` shapes plus the ``service_executor`` grids, with
-  the pool workers' peak RSS; asserts the pick is the faster executor
-  wherever the gap exceeds the spread and the rule's worst calibration
-  miss would not carry its modelled ratio across 1.  Recorded under
-  ``"executor_rule"`` with the rule's constants and modelled ratios.
+  picked-pool medians (first shard in-process, second on the pool)
+  over gathered / cold x fault-free / thm13 x streamed / materialized
+  grids of the ``stream_horizon`` and ``fault_horizon`` shapes plus the
+  ``service_executor`` grids, with the pool workers' peak RSS; asserts
+  the pick is the faster executor wherever the gap exceeds the spread.
+  Recorded under ``"executor_rule"`` with the rule's constants and
+  weights.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -2578,15 +2578,7 @@ RULE_WORKLOADS = {
 }
 #: Rounds per ``executor_rule`` point (even, so each executor goes
 #: first equally often).
-RULE_ROUNDS = 6
-#: The rule's own error: the smallest and largest measured / modelled
-#: pool-serial ratio over 138 calibration points (46 shapes in three
-#: runs minutes apart).  On this 2-core host a grid's measured ratio
-#: moves with host contention by that much: an 8-trial D = 16 cold grid
-#: read 0.87 in one run and 1.44 in another, against a modelled 1.46.
-#: Where even the worst miss would not move the modelled ratio across
-#: 1, the pick is a claim the gate checks; elsewhere it is a tie.
-RULE_MISS = (0.65, 1.41)
+RULE_ROUNDS = 8
 
 
 def worker_peak_rss_mb():
@@ -2623,72 +2615,95 @@ def rule_grid_builder(kind, diameter, trials, pulses, seeds):
     return fault_free if kind == "fault-free" else thm13
 
 
-def executor_rule_point(build, pulses, gathered, streamed, rounds):
-    """Per-round serial and warm-pool times of one grid shape, the
-    rule's pick and the pool workers' peak RSS.
+def executor_rule_points(cases, seeds, rounds):
+    """Per-round serial and picked-pool times of each case, the rule's
+    weight and pick, and the pool workers' peak RSS.
 
-    Each round runs both executors, alternating which goes first, so
-    neither leg always runs in the other's wake.  A gathered point
-    gathers one grid serially, then re-runs it.  A cold point gives each
-    executor a fresh grid of its own every round, so either order finds
-    its grid cold.  The pick is the rule's for a grid in the state it is
-    timed in.
+    The pool leg runs the way a picked pool does -- the first shard in
+    this process, the second on the pool -- whatever the rule picks.
+    The pool is forked before the rounds, so the pick is the one for a
+    process that has its pool (``_FORK_CELLS`` does not count).  Rounds
+    are interleaved across the cases, so each case's rounds spread over
+    the whole run and its spread shows how far the host drifts while
+    the test runs; within a round both executors run back to back,
+    alternating which goes first.  A gathered case gathers one grid
+    serially, then re-runs it.  A cold case gives each executor a fresh
+    grid of its own every round, so either order finds its grid cold.
+    The pick is the rule's for a grid in the state it is timed in.
     """
-    store_times = not streamed
-    serial = BatchRunner(
-        num_pulses=pulses, executor="serial", store_times=store_times
-    )
-    process = BatchRunner(
-        num_pulses=pulses, executor="process", store_times=store_times
-    )
-    process.run(build())  # fork the pool, or find it warm
-    grid = build()
-    if gathered:
-        serial.run(grid)
-    pick = rule_pick(grid, pulses, store_times)
-    shards = min(batch_mod._usable_cpus(), len(grid))
-    modelled = batch_mod._pooled_seconds(
-        grid, pulses, store_times, shards
-    ) / batch_mod._serial_seconds(grid, pulses)
-    process_s, serial_s = [], []
+    points = []
+    for kind, diameter, trials, pulses, gathered, streamed in cases:
+        build = rule_grid_builder(kind, diameter, trials, pulses, seeds)
+        store_times = not streamed
+        serial = BatchRunner(
+            num_pulses=pulses, executor="serial", store_times=store_times
+        )
+        picked = BatchRunner(num_pulses=pulses, store_times=store_times)
+
+        def pooled(grid, picked=picked):
+            with mock.patch.object(batch_mod, "_pick_shards", return_value=2):
+                picked.run(grid)
+
+        pooled(build())  # fork the pool, or find it warm
+        grid = build()
+        if gathered:
+            serial.run(grid)
+        larger = grid[: batch_mod._shard_bounds(len(grid), 2)[1]]
+        points.append(
+            {
+                "legs": ((pooled, []), (serial.run, [])),
+                "grid": grid if gathered else None,
+                "build": build,
+                "trials": len(grid),
+                "rule_weight": batch_mod._cells(larger, pulses) * streamed
+                + batch_mod._EDGE_CELLS * batch_mod._cold_edges(larger),
+                "pick": rule_pick(grid, pulses, store_times),
+            }
+        )
     for r in range(rounds):
-        order = [(process, process_s), (serial, serial_s)]
-        if r % 2:
-            order.reverse()
-        for runner, times in order:
-            trials = grid if gathered else build()
-            start = time.perf_counter()
-            runner.run(trials)
-            times.append(time.perf_counter() - start)
-    ratios = sorted(p / s for p, s in zip(process_s, serial_s))
-    quartiles = statistics.quantiles(ratios, n=4)
-    return {
-        "trials": len(grid),
-        "serial_s": statistics.median(serial_s),
-        "process_s": statistics.median(process_s),
-        "process_over_serial": statistics.median(ratios),
-        "ratio_quartiles": [quartiles[0], quartiles[2]],
-        "ratio_range": [ratios[0], ratios[-1]],
-        "modelled_process_over_serial": modelled,
-        "pick": pick,
-        "worker_peak_rss_mb": worker_peak_rss_mb(),
-    }
+        for point in points:
+            order = point["legs"][::-1] if r % 2 else point["legs"]
+            for run, times in order:
+                trials = point["grid"] or point["build"]()
+                start = time.perf_counter()
+                run(trials)
+                times.append(time.perf_counter() - start)
+    records = []
+    for point in points:
+        (_, process_s), (_, serial_s) = point["legs"]
+        ratios = sorted(p / s for p, s in zip(process_s, serial_s))
+        quartiles = statistics.quantiles(ratios, n=4)
+        records.append(
+            {
+                "trials": point["trials"],
+                "serial_s": statistics.median(serial_s),
+                "process_s": statistics.median(process_s),
+                "process_over_serial": statistics.median(ratios),
+                "ratio_quartiles": [quartiles[0], quartiles[2]],
+                "ratio_range": [ratios[0], ratios[-1]],
+                "rule_weight": point["rule_weight"],
+                "pick": point["pick"],
+            }
+        )
+    peak = worker_peak_rss_mb()
+    for record in records:
+        record["worker_peak_rss_mb"] = peak
+    return records
 
 
 def test_executor_rule():
-    """The executor rule's pick against serial and warm-pool medians.
+    """The executor rule's pick against serial and picked-pool medians.
 
     Points: the two ``RULE_SHAPES`` gathered and cold, streamed and
-    materialized, then the ``service_executor`` curve's fresh streamed
-    fault-free grids -- so every perfbench workload's shape is a point
-    (``workload`` names it).  Gate: wherever every round agrees on the
-    faster executor, the median ratio's distance from 1 exceeds the
-    ratios' interquartile spread, and the rule's modelled ratio stays on
-    its side of 1 under the rule's worst calibration miss
-    (:data:`RULE_MISS`), the rule must have picked the faster one.
-    Recorded under ``executor_rule`` with the rule's constants;
-    ``worker_peak_rss_mb`` is the largest pool worker's ``VmHWM`` so
-    far, the memory a sharded run adds outside the parent process.
+    materialized, then the ``service_executor`` curve's streamed
+    fault-free grids cold, and gathered from D = 32 up -- so every
+    perfbench workload's shape is a point (``workload`` names it).
+    Gate: wherever every round's pool / serial ratio lies on one side
+    of 1 and the median's distance from 1 exceeds the ratios'
+    interquartile spread, the rule must have picked the faster side.  Recorded under ``executor_rule`` with the rule's
+    constants; ``worker_peak_rss_mb`` is the largest pool worker's
+    ``VmHWM`` after the run, the memory a sharded run adds outside the
+    parent process.
     """
     seeds = itertools.count(40_000)
     cases = [
@@ -2697,16 +2712,20 @@ def test_executor_rule():
         for gathered in (True, False)
         for streamed in (True, False)
     ] + [
-        ("fault-free", diameter, trials, pulses, False, True)
+        ("fault-free", diameter, trials, pulses, gathered, True)
         for diameter, trials, pulses in EXECUTOR_GRIDS
+        for gathered in ((False, True) if diameter >= 32 else (False,))
     ]
+    records = executor_rule_points(cases, seeds, RULE_ROUNDS)
     points, rows, wrong = [], [], []
-    for case in cases:
+    for case, record in zip(cases, records):
         kind, diameter, trials, pulses, gathered, streamed = case
-        build = rule_grid_builder(kind, diameter, trials, pulses, seeds)
-        record = executor_rule_point(
-            build, pulses, gathered, streamed, RULE_ROUNDS
-        )
+        ratio = record["process_over_serial"]
+        low, high = record["ratio_quartiles"]
+        first, last = record["ratio_range"]
+        faster = None
+        if abs(ratio - 1.0) > high - low and not first <= 1.0 <= last:
+            faster = "process" if ratio < 1.0 else "serial"
         point = {
             "grid": kind,
             "diameter": diameter,
@@ -2715,39 +2734,26 @@ def test_executor_rule():
             "streamed": streamed,
             "workload": RULE_WORKLOADS.get(case),
             **record,
+            "faster": faster,
         }
         points.append(point)
-        low, high = record["ratio_range"]
-        spread = record["ratio_quartiles"][1] - record["ratio_quartiles"][0]
-        faster = "process" if high < 1.0 else "serial" if low > 1.0 else None
-        if abs(record["process_over_serial"] - 1.0) <= spread:
-            faster = None
-        modelled = record["modelled_process_over_serial"]
-        claimed = not modelled * RULE_MISS[0] <= 1.0 <= modelled * RULE_MISS[1]
-        if claimed and faster is not None and faster != record["pick"]:
+        if faster not in (None, record["pick"]):
             wrong.append(point)
         rows.append(
             (kind, diameter, record["trials"], pulses, gathered, streamed,
-             record["serial_s"], record["process_s"],
-             record["process_over_serial"], modelled, record["pick"],
-             "yes" if claimed else "tie", faster or "-")
+             record["serial_s"], record["process_s"], ratio, high - low,
+             record["rule_weight"], record["pick"], faster or "-")
         )
-    constants = {
-        name: getattr(batch_mod, name)
-        for name in (
-            "_STEP_S", "_FAULT_STEP_S", "_CELL_S", "_FAULT_CELL_S",
-            "_TRIAL_S", "_EDGE_S", "_POOL_RUN_S", "_SHIP_S", "_FAULT_SHIP_S",
-            "_CACHED_EDGE_S", "_STORED_CELL_S", "_POOL_SLOWDOWN",
-        )
-    }
     _merge_bench_json(
         {
             "executor_rule": {
                 "host": host_info(),
                 "usable_cpus": batch_mod._usable_cpus(),
                 "rounds": RULE_ROUNDS,
-                "rule_miss": list(RULE_MISS),
-                "constants": constants,
+                "constants": {
+                    name: getattr(batch_mod, name)
+                    for name in ("_SHARD_CELLS", "_EDGE_CELLS", "_FORK_CELLS")
+                },
                 "points": points,
             }
         }
@@ -2756,10 +2762,9 @@ def test_executor_rule():
     print(
         format_table(
             ["grid", "D", "S", "K", "gathered", "streamed", "serial s",
-             "pool s", "pool / serial", "modelled", "rule", "claim",
-             "faster"],
+             "pool s", "pool / serial", "IQR", "weight", "rule", "faster"],
             rows,
-            title="Executor rule: its pick against serial and warm pool",
+            title="Executor rule: its pick against serial and picked pool",
         )
     )
     assert not wrong, (

@@ -8,7 +8,7 @@ then injects a random fault plan per seed and compares the two skew
 distributions.  The closing section demonstrates the executor knobs:
 
 * ``BatchRunner(...)``                       -- the executor rule picks
-  serial or process per run from a measured cost model (the default)
+  serial or two shards per run by the run's size (the default)
 * ``BatchRunner(executor="serial")``         -- one trial-stacked run
 * ``BatchRunner(executor="process", shards=N)`` -- shard trials across
   worker processes (trials must be picklable)

@@ -244,6 +244,12 @@ class DelayModel(ABC):
         #: docstring and :meth:`repro.core.fast._VectorSweep.delay_arrays`.
         self._edge_array_cache: Dict[object, Dict] = {}
 
+    def __getstate__(self) -> dict:
+        """Pickle without the gathered arrays: a copy gathers (or, in a
+        pool worker, looks up) its own, and the pickled bytes of a model
+        do not depend on which runs have used it."""
+        return {**self.__dict__, "_edge_array_cache": {}}
+
     @abstractmethod
     def delay(self, edge: Edge, pulse: int = 0) -> float:
         """Delay applied to pulse ``pulse`` on ``edge``; in ``[d - u, d]``."""

@@ -27,9 +27,9 @@ module sweeps many trials in one call instead:
 every trial is deterministic given its spec, so
 the assembled :class:`BatchResult` is identical for every ``shards``
 setting (the test suite pins this).  A runner that names no executor
-picks one per run from a measured cost model of that run (see
-:func:`_pick_shards`): large grids shard across the CPUs the process
-may use, small and fault-heavy ones stay serial.  Trials must be
+picks one per run by one measured rule (see :func:`_pick_shards`):
+large grids run in two shards, the first in this
+process, and every other grid runs serially.  Trials must be
 picklable for a named process executor -- use module-level
 functions/classes, not lambdas, for delay classifiers and rate
 providers; a picked one runs a shard that does not pickle in-parent.
@@ -57,6 +57,7 @@ import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,7 +65,7 @@ import numpy as np
 
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY
 from repro.core.fast import FastResult, FastSimulation, RateProvider
-from repro.core.fast_batch import TrialStack, _pulse_blocks
+from repro.core.fast_batch import TrialStack
 from repro.core.layer0 import Layer0Schedule
 from repro.delays.models import DelayModel
 from repro.experiments.common import ExperimentConfig, standard_config
@@ -171,12 +172,15 @@ _POOL_LOCK = threading.Lock()
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, not the host's).
+    """CPUs this process may run on (its affinity mask, not the host's;
+    the host's count where the platform has no affinity call).
 
     Sizes the worker pool, the default shard count and the executor
     rule, so a process pinned to one CPU never shards.
     """
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _worker_pool(
@@ -185,7 +189,7 @@ def _worker_pool(
     """The process-wide pool of one worker per usable CPU.
 
     Forked on the first process run and kept for every later one, so
-    runs pay no start-up and worker caches survive between them.  A pool
+    runs pay no start-up.  A pool
     passed as ``stale`` (its caller saw it break) is replaced when it is
     still the current one.  Interpreter exit joins the pool through
     :mod:`concurrent.futures`' own exit hook.
@@ -220,49 +224,23 @@ def _shard_bounds(num_trials: int, shards: int) -> List[int]:
     return [i * base + min(i, extra) for i in range(shards + 1)]
 
 
-#: The executor rule's cost model, in seconds, least-squares fitted to
-#: serial, half-grid and pooled runs of 46 grid shapes (fault-free and
-#: thm13, gathered and cold, streamed and materialized, two interleaved
-#: calibration runs) on a 2-core x86-64 host; ``executor_rule`` in
-#: ``benchmarks/BENCH_batch.json`` holds the rule's pick against measured
-#: medians.  A serial stack costs ``_STEP_S`` per (pulse block, layer)
-#: step and ``_CELL_S`` per simulated (trial, pulse, vertex) cell --
-#: ``_FAULT_STEP_S`` and ``_FAULT_CELL_S`` when a trial carries faults,
-#: since the batched fallback then runs every step -- plus ``_TRIAL_S``
-#: per trial (its simulation and sweep) and ``_EDGE_S`` per delay edge
-#: whose model has gathered nothing yet.
-_STEP_S = 3.9e-4
-_FAULT_STEP_S = 1.3e-3
-_CELL_S = 1.5e-7
-_FAULT_CELL_S = 2.4e-7
-_TRIAL_S = 4.5e-4
-_EDGE_S = 4.2e-7
-#: A pooled run pays ``_POOL_RUN_S`` once (hand-off, the futures' round
-#: trip, assembling the shards' results), ``_SHIP_S`` per trial pickled
-#: out and back (``_FAULT_SHIP_S`` more per trial with faults),
-#: ``_CACHED_EDGE_S`` per gathered delay edge its models carry along and
-#: ``_STORED_CELL_S`` per cell of kept matrices, and runs its largest
-#: shard ``_POOL_SLOWDOWN`` times slower than alone: the workers share
-#: the host's memory bandwidth and caches.
-_POOL_RUN_S = 6e-3
-_SHIP_S = 3.6e-4
-_FAULT_SHIP_S = 6.6e-4
-_CACHED_EDGE_S = 1.4e-7
-_STORED_CELL_S = 1.1e-7
-_POOL_SLOWDOWN = 1.17
-
-
-def _delay_edges(trial: BatchTrial) -> int:
-    """Delay edges of ``trial``: every layer above 0 reads one own-copy
-    and two neighbour-copy edges per base edge."""
-    graph = trial.config.graph
-    return (graph.num_layers - 1) * (graph.width + 2 * len(graph.base.edges))
-
-
-def _gathered(trial: BatchTrial) -> bool:
-    """Whether ``trial``'s delay model already holds gathered arrays."""
-    model = trial.delay_model or trial.config.delay_model
-    return bool(getattr(model, "_edge_array_cache", None))
+#: The executor rule's two measured constants.  A run shards when the
+#: larger of its two shards weighs at least ``_SHARD_CELLS``: its cells
+#: (pulses x layers x width, summed over its trials; none when the run
+#: keeps its matrices) plus ``_EDGE_CELLS`` per delay edge whose model
+#: has gathered nothing yet, since the second CPU then gathers half of
+#: them too.
+#: Below it the pool's hand-off, pickling and shared-host slowdown cost
+#: about what the second CPU saves.  ``executor_rule`` in
+#: ``benchmarks/BENCH_batch.json`` holds serial and pooled medians on
+#: both sides of it (two CPUs of a 2-core x86-64 host).  Until the pool
+#: exists a run must also weigh ``_FORK_CELLS`` more: the first pooled
+#: run in a process forks the workers and runs their first shard cold,
+#: about 30 ms on that host (a fresh process's cold 17-trial thm13 grid
+#: over 8 pulses took 99-138 ms pooled against 76-118 ms serially).
+_SHARD_CELLS = 1 << 17
+_EDGE_CELLS = 8
+_FORK_CELLS = 1 << 18
 
 
 def _cells(trials: Sequence[BatchTrial], num_pulses: int) -> int:
@@ -272,60 +250,51 @@ def _cells(trials: Sequence[BatchTrial], num_pulses: int) -> int:
     )
 
 
-def _serial_seconds(trials: Sequence[BatchTrial], num_pulses: int) -> float:
-    """Modelled wall time of one serial run of ``trials``: one stack,
-    blocked by the run's own :func:`~repro.core.fast_batch._pulse_blocks`
-    rule over its padded ``(S, W)`` plane."""
-    layers = max(t.config.graph.num_layers for t in trials)
-    width = max(t.config.graph.width for t in trials)
-    blocks = _pulse_blocks(num_pulses, layers, len(trials) * width)
-    faulty = any(t.num_faults for t in trials)
-    return (
-        layers * len(blocks) * (_FAULT_STEP_S if faulty else _STEP_S)
-        + _cells(trials, num_pulses) * (_FAULT_CELL_S if faulty else _CELL_S)
-        + _TRIAL_S * len(trials)
-        + _EDGE_S * sum(_delay_edges(t) for t in trials if not _gathered(t))
-    )
-
-
-def _pooled_seconds(
-    trials: Sequence[BatchTrial], num_pulses: int, store_times: bool, shards: int
-) -> float:
-    """Modelled wall time of ``trials`` run in ``shards`` pooled shards:
-    the run's fixed cost, shipping, and the largest shard's serial time
-    times the pool's slowdown."""
-    bounds = _shard_bounds(len(trials), shards)
-    largest = max(
-        _serial_seconds(trials[a:b], num_pulses)
-        for a, b in zip(bounds, bounds[1:])
-    )
-    return (
-        _POOL_RUN_S
-        + _SHIP_S * len(trials)
-        + _FAULT_SHIP_S * sum(1 for t in trials if t.num_faults)
-        + _CACHED_EDGE_S * sum(_delay_edges(t) for t in trials if _gathered(t))
-        + _STORED_CELL_S * _cells(trials, num_pulses) * store_times
-        + _POOL_SLOWDOWN * largest
+def _cold_edges(trials: Sequence[BatchTrial]) -> int:
+    """Delay edges of ``trials`` whose models have gathered nothing: every
+    layer above 0 reads one own-copy and two neighbour-copy edges per
+    base edge."""
+    return sum(
+        (t.config.graph.num_layers - 1)
+        * (t.config.graph.width + 2 * len(t.config.graph.base.edges))
+        for t in trials
+        if not _delay_cache(t)
     )
 
 
 def _pick_shards(
     trials: Sequence[BatchTrial], num_pulses: int, store_times: bool
 ) -> int:
-    """The executor rule: pooled shards for a run, or 1 to run serially.
+    """The executor rule: 2 to run in two shards, or 1 to run serially.
 
-    Applied when the caller names no executor.  A run shards across
-    every usable CPU (:func:`_usable_cpus`, at most one shard a trial)
-    when its modelled pooled time beats its modelled serial time.  The
-    model reads only what the run can observe: trial shapes and faults,
-    the horizon, ``store_times`` and which delay models have gathered
-    their arrays.
+    Applied when the caller names no executor.  A run shards when two
+    CPUs are usable (:func:`_usable_cpus`) and its larger shard weighs
+    at least :data:`_SHARD_CELLS` (plus :data:`_FORK_CELLS` until the
+    pool exists): its cells, plus :data:`_EDGE_CELLS` per cold delay
+    edge, faulted or not.  When the run keeps its
+    matrices, its cells weigh nothing: shipping a cell's pulse times
+    back costs about what computing it on the other CPU saves, so on
+    the measured grids only a cold gather then makes the pool pay.  The
+    rule stops at two shards, the most it was measured with.
     """
-    shards = min(_usable_cpus(), len(trials))
-    if shards < 2:
+    if min(2, _usable_cpus(), len(trials)) < 2:
         return 1
-    pooled = _pooled_seconds(trials, num_pulses, store_times, shards)
-    return shards if pooled < _serial_seconds(trials, num_pulses) else 1
+    larger = trials[: _shard_bounds(len(trials), 2)[1]]
+    cells = 0 if store_times else _cells(larger, num_pulses)
+    weight = cells + _EDGE_CELLS * _cold_edges(larger)
+    threshold = _SHARD_CELLS + (_FORK_CELLS if _POOL is None else 0)
+    return 2 if weight >= threshold else 1
+
+
+def _delay_model(trial: BatchTrial):
+    """The delay model ``trial`` runs with."""
+    return trial.delay_model or trial.config.delay_model
+
+
+def _delay_cache(trial: BatchTrial) -> Optional[Dict]:
+    """``trial``'s delay model's cache of gathered arrays, or None for a
+    model that keeps none."""
+    return getattr(_delay_model(trial), "_edge_array_cache", None)
 
 
 class BatchResult:
@@ -603,6 +572,36 @@ def _run_shard(
     return results, list(groups.values()), compaction  # type: ignore[return-value]
 
 
+#: Gathered delay arrays a pool worker keeps between runs, keyed by the
+#: pickled state of the delay model they belong to (a model is a
+#: deterministic function of that state), least recently used first.
+_WORKER_ARRAYS: "OrderedDict[bytes, Dict]" = OrderedDict()
+#: Delay models whose arrays one worker keeps (about 45 KiB each at
+#: D = 32, 170 KiB at D = 64).
+_WORKER_MODELS = 64
+
+
+def _warm_in_worker(trial: BatchTrial) -> None:
+    """Hand ``trial``'s delay model the arrays this worker gathered for an
+    equal model on an earlier run, or keep the ones this run gathers.
+
+    A model pickles without its arrays
+    (:meth:`~repro.delays.models.DelayModel.__getstate__`), so its
+    pickled bytes name it whether or not the parent's copy is warm.
+    """
+    model = _delay_model(trial)
+    if _delay_cache(trial) is None:
+        return
+    key = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
+    if key in _WORKER_ARRAYS:
+        _WORKER_ARRAYS.move_to_end(key)
+        model._edge_array_cache = _WORKER_ARRAYS[key]
+        return
+    _WORKER_ARRAYS[key] = model._edge_array_cache
+    while len(_WORKER_ARRAYS) > _WORKER_MODELS:
+        _WORKER_ARRAYS.popitem(last=False)
+
+
 def _run_pickled_shard(
     blob: bytes, num_pulses: int, store_times: bool
 ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
@@ -613,9 +612,15 @@ def _run_pickled_shard(
     parent pickles the trials itself, so a shard that does not pickle
     fails there, before it reaches the pool.  Shards ship their folded
     statistics back through the results' ``streamed`` attribute
-    (``FastResult.__getstate__`` keeps it).
+    (``FastResult.__getstate__`` keeps it).  Delay models arrive without
+    their gathered arrays and this worker keeps the ones it gathers
+    (:func:`_warm_in_worker`), so a re-run that lands on it gathers
+    nothing; the parent's copies stay as they were.
     """
-    return _run_shard(pickle.loads(blob), num_pulses, store_times)
+    trials = pickle.loads(blob)
+    for trial in trials:
+        _warm_in_worker(trial)
+    return _run_shard(trials, num_pulses, store_times)
 
 
 class BatchRunner:
@@ -646,17 +651,20 @@ class BatchRunner:
         The process executor shards the trial list across one
         process-wide pool of one worker per usable CPU
         (``os.sched_getaffinity``), forked on the first process run and
-        kept across calls.  Trials arrive pickled, and a worker gathers
-        the delays of every trial whose model the parent never gathered.
-        Trials must be picklable.  ``None`` applies one measured rule
-        (:func:`_pick_shards`): the run shards when a cost model of its
-        steps, cells, trials and cold delay edges says the pool's fixed
-        run cost, pickling and shared-host slowdown cost less than the
-        other CPUs save -- a streamed grid of 16 trials at D = 32 over
-        64 pulses shards; service-sized grids and short, fault-heavy
-        thm13 grids stay serial.  A picked pool runs a shard whose
-        trials do not pickle in-parent (noted in
-        :attr:`BatchResult.fallback_reasons`); a named one raises.
+        kept across calls.  Trials arrive pickled without their gathered
+        delay arrays; a worker gathers them on its first run of a model
+        and keeps them for later runs.  Trials must be picklable.
+        ``None`` applies one measured rule (:func:`_pick_shards`): a run
+        whose larger half weighs at least :data:`_SHARD_CELLS` -- its
+        cells (none when it keeps its matrices) plus
+        :data:`_EDGE_CELLS` per cold delay edge; :data:`_FORK_CELLS`
+        more until the pool exists -- runs in two shards,
+        the first in this process and the second on the pool; every
+        other run is serial.  A streamed grid of 16 trials at
+        D = 32 over 64 pulses shards; service-sized grids and the warm
+        8-pulse thm13 grid of ``fault_horizon`` stay serial.  A picked
+        pool runs a shard whose trials do not pickle in-parent (noted
+        in :attr:`BatchResult.fallback_reasons`); a named one raises.
     shards:
         Number of process shards; defaults to the usable CPUs capped at
         the trial count.  Shards beyond the pool's workers queue on it.
@@ -754,13 +762,15 @@ class BatchRunner:
         on_shard: Optional[ShardCallback],
     ) -> Tuple[List[Tuple], Dict[int, str]]:
         """Each chunk's :func:`_run_shard` output, in chunk order, and
-        ``{chunk: note}`` for the chunks of a pooled run that ran
-        in-parent instead.
+        ``{chunk: note}`` for the chunks that ran in-parent instead of on
+        the pool.
 
-        One chunk runs in this process.  More go to the process-wide
-        pool, one task per chunk; per-trial execution is deterministic
-        given the trial spec, so the reassembled results are
-        independent of the shard count.
+        One chunk runs in this process.  A named process executor sends
+        every chunk of a larger run to the process-wide pool, one task
+        per chunk.  A pool the rule picked runs its first chunk in this
+        process while the pool runs the rest.  Per-trial execution is deterministic given the
+        trial spec, so the reassembled results are independent of the
+        shard count and of where each chunk ran.
 
         Failure isolation: a worker killed mid-shard (OOM, signal,
         ``os._exit``) breaks the pool, and each of the futures it held
@@ -775,38 +785,36 @@ class BatchRunner:
         propagate unchanged -- only executor-level worker death is
         retried.
 
-        The parent pickles each chunk before submitting it.  A chunk
-        that does not pickle raises when the caller named the process
-        executor; when the rule picked it, the chunk runs in-parent
-        while the others run on the pool, and its trials carry the
-        reason.
+        The parent pickles each pooled chunk before submitting it.  A
+        chunk that does not pickle raises when the caller named the
+        process executor; when the rule picked it, the chunk runs
+        in-parent too, and its trials carry the reason.
         """
         knobs = (self.num_pulses, self.store_times)
+        picked = self.executor is None
         outputs: List[Optional[Tuple]] = [None] * len(chunks)
         notes: Dict[int, str] = {}
 
-        def finish(j: int, status: str, output=None) -> None:
-            """Record chunk ``j`` (run here unless ``output`` is given or
-            it was lost) and emit its shard event."""
+        def finish(j: int, status: str, output: Optional[Tuple]) -> None:
+            """Record chunk ``j``'s output and emit its shard event."""
             offset, chunk = chunks[j]
-            if output is None and status != "lost":
-                output = _run_shard(chunk, *knobs)
             outputs[j] = output
             _emit(
                 on_shard,
                 dict(event="shard", shard=j, offset=offset, trials=len(chunk), status=status),
             )
 
-        if len(chunks) == 1:
-            finish(0, "done")
-            return outputs, notes
+        local = [0] if picked or len(chunks) == 1 else []
         blobs: Dict[int, bytes] = {}
         for j, (_, chunk) in enumerate(chunks):
+            if j in local:
+                continue
             try:
                 blobs[j] = pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                if self.executor is not None:
+                if not picked:
                     raise
+                local.append(j)
                 notes[j] = (
                     "shard run in-parent: its trials do not pickle "
                     f"({type(exc).__name__}: {exc})"
@@ -827,18 +835,19 @@ class BatchRunner:
             except BrokenProcessPool:
                 pool = _worker_pool(stale=pool)
                 futures = submit(pool)
-        for j in sorted(notes):
-            finish(j, "in_parent")
+        for j in local:
+            output = _run_shard(chunks[j][1], *knobs)
+            finish(j, "in_parent" if j in notes else "done", output)
         lost: List[int] = []
         for future in as_completed(futures):
+            j = futures[future]
             try:
-                finish(futures[future], "done", future.result())
+                output = future.result()
             except BrokenProcessPool as exc:
                 # One dead worker breaks the whole pool, so every
                 # still-pending shard lands here too; each is re-run
                 # below.  Completed shards keep their results --
                 # nothing is discarded.
-                j = futures[future]
                 lost.append(j)
                 why = f"{type(exc).__name__}: {exc}" if str(exc) else (
                     type(exc).__name__
@@ -846,11 +855,13 @@ class BatchRunner:
                 notes[j] = (
                     f"process shard re-run in-parent after a worker death ({why})"
                 )
-                finish(j, "lost")
+                finish(j, "lost", None)
+                continue
+            finish(j, "done", output)
         if lost:
             _discard_pool(pool)
         for j in sorted(lost):
-            finish(j, "retried")
+            finish(j, "retried", _run_shard(chunks[j][1], *knobs))
         return outputs, notes
 
     # ------------------------------------------------------------------

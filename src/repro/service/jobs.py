@@ -18,9 +18,9 @@ and each job thread runs one blocking batch at a time.  A submission
 that names no ``executor`` (nor ``shards``) leaves the choice to
 :class:`~repro.experiments.batch.BatchRunner`'s executor rule, the same
 one every caller gets: a service-sized grid runs serially in the job
-thread itself, a grid the rule's cost model sends to the pool shards
-onto the process-wide worker pool -- failure-isolated, so a worker
-death loses no completed shard.  Every executor event, the ``plan``
+thread itself, and a grid the rule shards runs its first half in the
+job thread and its second on the process-wide worker pool --
+failure-isolated, so a worker death loses no completed shard.  Every executor event, the ``plan``
 event naming the executor included, lands in the job's ordered
 progress stream, which HTTP clients poll or long-poll.  Results dedup
 through the :class:`~repro.service.store.ResultStore`: a job whose grid

@@ -499,14 +499,24 @@ class TestWorkerDeathRetry:
 
 
 def pool_always_wins(monkeypatch):
-    """Make the executor rule pick a two-shard pool for any grid of two
-    trials or more: two usable CPUs and a negative pooled-run cost."""
-    monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(batch_mod, "_POOL_RUN_S", -1.0)
+    """Make the executor rule pick two shards for any grid: the rule's
+    decision is tested on its own, this patches it to test the picked
+    pool's execution."""
+    monkeypatch.setattr(batch_mod, "_pick_shards", lambda *args: 2)
+
+
+def pool_exists(monkeypatch):
+    """Let the rule see a forked pool, so only ``_SHARD_CELLS`` counts."""
+    monkeypatch.setattr(batch_mod, "_POOL", mock.sentinel.pool)
+
+
+def larger_half(trials):
+    """The larger of two shards of ``trials``."""
+    return trials[: _shard_bounds(len(trials), 2)[1]]
 
 
 class TestExecutorRule:
-    """A runner that names no executor picks one from the cost model."""
+    """A runner that names no executor picks one by the one rule."""
 
     def test_small_grids_run_serially(self):
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
@@ -516,38 +526,137 @@ class TestExecutorRule:
         assert not pool.called
         assert events[0]["executor"] == "serial"
 
-    def test_stream_horizon_shape_shards_and_fault_grids_do_not(
+    def test_stream_horizon_shape_shards_and_other_workloads_do_not(
         self, monkeypatch
     ):
         # On two CPUs, 16 fault-free trials at D = 32 over 64 streamed
-        # pulses shard; 16 faulted ones over 8 pulses stay serial.
+        # pulses shard, and so does a faulted grid that large.
+        # cold_sweep's 8 trials over 4 pulses and service_mix's D = 16
+        # grid stay serial, and so does a warm grid that keeps its
+        # matrices.
         monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
+        pool_exists(monkeypatch)
         stream = BatchRunner.seed_sweep(32, range(16))
         assert batch_mod._pick_shards(stream, 64, False) == 2
+        assert batch_mod._pick_shards(stream, 64, True) == 2  # cold
+        assert batch_mod._pick_shards(stream[:8], 4, False) == 1
+        assert batch_mod._pick_shards(BatchRunner.seed_sweep(16, range(4)), 4, False) == 1
         faulted = [
             BatchTrial(
                 config=standard_config(32, seed=s),
                 fault_plan=FaultPlan({(v, 1 + s): CrashFault() for v in (3, 9)}),
             )
-            for s in range(16)
+            for s in range(17)
         ]
+        assert batch_mod._pick_shards(faulted, 64, False) == 2
+        # fault_horizon's shape (17 trials over 8 pulses) shards cold,
+        # when half its delay gather moves to the other CPU, and runs
+        # serially warm.
+        assert batch_mod._pick_shards(faulted, 8, False) == 2
+        # In a process with no pool yet, the fork has to pay too: the
+        # cold fault_horizon grid stays serial, the cold stream grid
+        # still shards.
+        monkeypatch.setattr(batch_mod, "_POOL", None)
         assert batch_mod._pick_shards(faulted, 8, False) == 1
+        assert batch_mod._pick_shards(stream, 64, False) == 2
+        pool_exists(monkeypatch)
+        BatchRunner(num_pulses=1, executor="serial").run(faulted)
+        assert batch_mod._pick_shards(faulted, 8, False) == 1
+        BatchRunner(num_pulses=1, executor="serial").run(stream)
+        assert batch_mod._pick_shards(stream, 64, True) == 1
 
-    def test_gathered_delays_move_the_pick_toward_serial(self):
-        # A gathered model ships its arrays instead of gathering them,
-        # so gathering saves the serial run more than the pooled one.
-        trials = BatchRunner.seed_sweep(16, range(12), num_pulses=4)
-        cold = (
-            batch_mod._serial_seconds(trials, 4),
-            batch_mod._pooled_seconds(trials, 4, False, 2),
+    def test_the_larger_half_decides_at_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
+        pool_exists(monkeypatch)
+        trials = BatchRunner.seed_sweep(8, range(5), num_pulses=NUM_PULSES)
+        half = larger_half(trials)
+        cells = batch_mod._cells(half, NUM_PULSES)
+        assert cells == NUM_PULSES * 3 * 8 * 11
+        # Cold, each delay edge of the larger half weighs _EDGE_CELLS.
+        cold = batch_mod._cold_edges(half)
+        assert cold == 3 * 7 * (11 + 2 * len(half[0].config.graph.base.edges))
+        weight = cells + batch_mod._EDGE_CELLS * cold
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 2
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight + 1)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
+        # Before the pool exists, the fork's weight adds to the threshold.
+        monkeypatch.setattr(batch_mod, "_POOL", None)
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight - batch_mod._FORK_CELLS)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 2
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight - batch_mod._FORK_CELLS + 1)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
+        pool_exists(monkeypatch)
+        # Kept matrices: only the cold edges count.
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight - cells)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, True) == 2
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight - cells + 1)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, True) == 1
+        # Gathered, only the cells count.
+        BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(trials)
+        assert batch_mod._cold_edges(half) == 0
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", cells)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 2
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", cells + 1)
+        assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
+
+    def test_picked_pool_runs_the_first_shard_here(self, monkeypatch):
+        pool_always_wins(monkeypatch)
+        trials = BatchRunner.seed_sweep(8, range(4), num_pulses=NUM_PULSES)
+        twins = BatchRunner.seed_sweep(8, range(4), num_pulses=NUM_PULSES)
+        serial = BatchRunner(
+            num_pulses=NUM_PULSES, executor="serial", store_times=False
+        ).run(twins)
+        picked = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+        for _ in range(2):
+            events = []
+            batch = picked.run(trials, on_shard=events.append)
+            assert (events[0]["executor"], events[0]["shards"]) == ("process", 2)
+            assert [e["status"] for e in events[1:]] == ["done", "done"]
+            assert not batch.fallback_reasons
+            for name in ("local_skews", "inter_layer_skews", "global_skews"):
+                np.testing.assert_array_equal(
+                    getattr(serial, name)(), getattr(batch, name)()
+                )
+        # The first shard gathered here; the second's arrays stay in
+        # the worker.
+        assert all(batch_mod._delay_cache(t) for t in trials[:2])
+        assert not any(batch_mod._delay_cache(t) for t in trials[2:])
+
+    def test_a_worker_keeps_the_arrays_it_gathered(self, monkeypatch):
+        # _run_pickled_shard called here stands in for a worker.
+        monkeypatch.setattr(batch_mod, "_WORKER_ARRAYS", batch_mod.OrderedDict())
+        trials = BatchRunner.seed_sweep(8, range(3), num_pulses=NUM_PULSES)
+        twins = BatchRunner.seed_sweep(8, range(3), num_pulses=NUM_PULSES)
+        BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(trials)
+        # A model pickles without its arrays: warm and cold copies of one
+        # model pickle alike, and the parent's copy keeps its arrays.
+        for trial, twin in zip(trials, twins):
+            assert batch_mod._delay_cache(trial)
+            assert pickle.dumps(batch_mod._delay_model(trial)) == pickle.dumps(
+                batch_mod._delay_model(twin)
+            )
+        blob = pickle.dumps(trials)
+        assert not any(batch_mod._delay_cache(t) for t in pickle.loads(blob))
+        gathers = mock.patch.object(
+            fast_mod._VectorSweep, "_gather", autospec=True,
+            side_effect=fast_mod._VectorSweep._gather,
         )
-        BatchRunner(num_pulses=4, executor="serial").run(trials)
-        assert all(batch_mod._gathered(t) for t in trials)
-        warm = (
-            batch_mod._serial_seconds(trials, 4),
-            batch_mod._pooled_seconds(trials, 4, False, 2),
-        )
-        assert warm[1] / warm[0] > cold[1] / cold[0]
+        outputs = []
+        for expected_gathers in (3, 0):
+            with gathers as spy:
+                outputs.append(batch_mod._run_pickled_shard(blob, NUM_PULSES, True))
+            assert spy.call_count == expected_gathers
+        assert len(batch_mod._WORKER_ARRAYS) == 3
+        reference = BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(twins)
+        for output in outputs:
+            for result, expected in zip(output[0], reference.results):
+                np.testing.assert_array_equal(result.times, expected.times)
+        # The store is bounded: the least recently used model goes.
+        monkeypatch.setattr(batch_mod, "_WORKER_MODELS", 2)
+        other = BatchRunner.seed_sweep(8, [9], num_pulses=NUM_PULSES)
+        batch_mod._run_pickled_shard(pickle.dumps(other), NUM_PULSES, True)
+        assert len(batch_mod._WORKER_ARRAYS) == 2
 
     def test_picked_pool_runs_an_unpicklable_shard_in_parent(self, monkeypatch):
         pool_always_wins(monkeypatch)
@@ -560,9 +669,11 @@ class TestExecutorRule:
             trials
         )
         events = []
-        picked = BatchRunner(num_pulses=NUM_PULSES).run(
-            trials, on_shard=events.append
-        )
+        with mock.patch.object(batch_mod, "_worker_pool") as pool:
+            picked = BatchRunner(num_pulses=NUM_PULSES).run(
+                trials, on_shard=events.append
+            )
+        assert not pool.called  # both shards ran here
         assert (events[0]["executor"], events[0]["shards"]) == ("process", 2)
         statuses = {e["shard"]: e["status"] for e in events if e["event"] == "shard"}
         assert statuses == {0: "done", 1: "in_parent"}
@@ -590,15 +701,15 @@ class TestExecutorRule:
         # Pinned to one CPU: the rule, the default shard count and the
         # pool size all read the affinity mask, so nothing forks.
         monkeypatch.setattr(batch_mod.os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(batch_mod, "_POOL_RUN_S", -1.0)
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", 0)
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
         with mock.patch.object(batch_mod, "_worker_pool") as pool:
             for executor in (None, "process"):
                 events = []
-                BatchRunner(num_pulses=NUM_PULSES, executor=executor).run(
-                    trials, on_shard=events.append
-                )
+                BatchRunner(
+                    num_pulses=NUM_PULSES, executor=executor, store_times=False
+                ).run(trials, on_shard=events.append)
                 assert (events[0]["executor"], events[0]["shards"]) == (
                     "serial",
                     1,
@@ -609,6 +720,13 @@ class TestExecutorRule:
         monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", executor_class)
         assert batch_mod._worker_pool() is executor_class.return_value
         executor_class.assert_called_once_with(max_workers=1)
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(batch_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(batch_mod.os, "cpu_count", lambda: 3)
+        assert batch_mod._usable_cpus() == 3
+        monkeypatch.setattr(batch_mod.os, "cpu_count", lambda: None)
+        assert batch_mod._usable_cpus() == 1
 
     def test_shards_without_an_executor_select_the_pool(self):
         assert BatchRunner(shards=2).executor == "process"

@@ -321,12 +321,13 @@ def plan_events(job):
     return [e for e in job.events if e["event"] == "plan"]
 
 
-def rule_margin(trials, num_pulses=NUM_PULSES):
-    """The executor rule's modelled serial minus pooled seconds of a
-    streamed two-shard run of ``trials``."""
-    return batch_mod._serial_seconds(
-        trials, num_pulses
-    ) - batch_mod._pooled_seconds(trials, num_pulses, False, 2)
+def rule_weight(trials, num_pulses=NUM_PULSES):
+    """What the executor rule weighs for a streamed run of ``trials``:
+    the larger half's cells plus its cold delay edges, weighted."""
+    larger = trials[: batch_mod._shard_bounds(len(trials), 2)[1]]
+    return batch_mod._cells(
+        larger, num_pulses
+    ) + batch_mod._EDGE_CELLS * batch_mod._cold_edges(larger)
 
 
 class TestExecutorRouting:
@@ -336,7 +337,7 @@ class TestExecutorRouting:
         trials = build_trials(SMALL_GRID)
         cells = batch_mod._cells(trials, NUM_PULSES)
         assert cells == NUM_PULSES * (4 * 7 + 4 * 7 + 6 * 9 + 6 * 9)
-        assert rule_margin(trials) < 0
+        assert rule_weight(trials) < batch_mod._SHARD_CELLS
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
 
     @pytest.mark.parametrize(
@@ -345,17 +346,16 @@ class TestExecutorRouting:
     def test_default_job_routes_by_cells(
         self, default_runner, monkeypatch, excess, executor
     ):
-        # The pooled run's fixed cost is moved so the modelled pooled run
-        # costs the serial one plus ``excess - 0.5`` microseconds, or
-        # left as measured when ``excess`` is None.
+        # The rule's threshold is moved to the grid's weight plus
+        # ``excess``, or left as measured when ``excess`` is None; the
+        # pool's fork weighs nothing, whether or not a test forked it.
         monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(batch_mod, "_FORK_CELLS", 0)
         if excess is not None:
             monkeypatch.setattr(
                 batch_mod,
-                "_POOL_RUN_S",
-                batch_mod._POOL_RUN_S
-                + rule_margin(build_trials(SMALL_GRID))
-                + (excess - 0.5) * 1e-6,
+                "_SHARD_CELLS",
+                rule_weight(build_trials(SMALL_GRID)) + excess,
             )
         with mock.patch.object(
             batch_mod, "_worker_pool", wraps=batch_mod._worker_pool
@@ -427,10 +427,11 @@ class TestExecutorRouting:
     def test_explicit_serial_is_honoured_over_the_threshold(
         self, default_runner, monkeypatch
     ):
-        # A negative pooled-run cost makes the rule pick the pool for any
-        # grid of two trials or more.
+        # A zero threshold makes the rule pick the pool for any streamed
+        # fault-free grid of two trials or more.
         monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(batch_mod, "_POOL_RUN_S", -1.0)
+        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", 0)
+        monkeypatch.setattr(batch_mod, "_FORK_CELLS", 0)
         assert batch_mod._pick_shards(
             build_trials(SMALL_GRID), NUM_PULSES, False
         ) == 2
