@@ -17,7 +17,11 @@ fallback counters:
 * two grids that run in several pulse blocks: a fault-free D=8 seed
   sweep over 64 pulses (six blocks, so a streamed run wraps its ring)
   and the thm13 grid over 8 pulses (two blocks, so dynamic fault
-  offsets are computed per block).
+  offsets are computed per block);
+* one grid per layer-0 schedule besides the perfect one -- jittered,
+  alternating, an Algorithm 2 chain on static delays with drawn chain
+  clocks and ramped grid rates, and a chain on pulse-varying delays --
+  each a three-trial mixed-width stack over four pulse blocks.
 
 Each grid runs streamed (``store_times=False``) and materialized; both
 must match the one recorded entry.  The thm13 grid runs once more under
@@ -38,15 +42,22 @@ from pathlib import Path
 import numpy as np
 
 import fault_sends_grids
+from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation, _prefer_csr
 from repro.core.fast_batch import TrialStack
+from repro.core.layer0 import AlternatingLayer0, ChainLayer0, JitteredLayer0
 from repro.delays import StaticDelayModel, VaryingDelayModel
 from repro.experiments.batch import BatchResult, BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import thm13_trials
 from repro.faults import CrashFault, FaultPlan, FixedOffsetFault
 from repro.params import Parameters
-from repro.topology import LayeredGraph, complete_graph, cycle_graph
+from repro.topology import (
+    LayeredGraph,
+    complete_graph,
+    cycle_graph,
+    replicated_line,
+)
 from repro.topology.sparse import sparse_layered
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "stats.json"
@@ -56,6 +67,9 @@ NUM_PULSES = 6
 #: fault-free D=8 sweep, two of 4 on the thm13 grid.
 BLOCK_PULSES = 64
 THM13_BLOCK_PULSES = 8
+#: Horizon of the layer-0 grids: four blocks of 8 pulses on their
+#: three-trial, 16-wide stacks.
+LAYER0_PULSES = 32
 PARAMS = Parameters(d=1.0, u=0.05, vartheta=1.01, Lambda=2.5)
 
 #: The accessors whose arrays are pinned; ``correction_stats`` adds one
@@ -175,6 +189,53 @@ def _csr_sims():
     return sims
 
 
+def _layer0_sims(make_layer0, rates=None):
+    """Three trials of one layer-0 schedule on bases of 16, 12 and 10
+    vertices (so the stacked fill pads), each with its own delays."""
+    sims = []
+    for seed, base in enumerate(
+        [cycle_graph(16), replicated_line(10), cycle_graph(10)]
+    ):
+        sims.append(
+            FastSimulation(
+                LayeredGraph(base, 4),
+                PARAMS,
+                delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=seed),
+                clock_rates=rates,
+                layer0=make_layer0(base, seed),
+            )
+        )
+    return sims
+
+
+def _jittered(base, seed):
+    return JitteredLayer0(PARAMS.Lambda, base.num_nodes, 0.4, seed=seed)
+
+
+def _alternating(base, seed):
+    return AlternatingLayer0(PARAMS.Lambda, 0.1 * (seed + 1))
+
+
+def _static_chain(base, seed):
+    nodes = list(base.nodes())
+    return ChainLayer0(
+        PARAMS,
+        nodes[::-1],
+        delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=seed + 10),
+        clocks=uniform_random_rates(nodes, PARAMS.vartheta, rng_or_seed=seed),
+    )
+
+
+def _varying_chain(base, seed):
+    return ChainLayer0(
+        PARAMS,
+        list(base.nodes()),
+        delay_model=VaryingDelayModel(
+            PARAMS.d, PARAMS.u, max_step=0.01, seed=seed + 10
+        ),
+    )
+
+
 def grids():
     """``{name: run(store_times) -> BatchResult}`` of the serial grids."""
     thm13, _ = thm13_trials(
@@ -204,6 +265,19 @@ def grids():
             BLOCK_PULSES,
         ),
         "thm13_blocks": _runner_grid(thm13_blocks, THM13_BLOCK_PULSES),
+        "jittered": _stack_grid(
+            lambda: _layer0_sims(_jittered), LAYER0_PULSES
+        ),
+        "alternating": _stack_grid(
+            lambda: _layer0_sims(_alternating), LAYER0_PULSES
+        ),
+        "static_chain": _stack_grid(
+            lambda: _layer0_sims(_static_chain, rates=_ramp_rates),
+            LAYER0_PULSES,
+        ),
+        "varying_chain": _stack_grid(
+            lambda: _layer0_sims(_varying_chain), LAYER0_PULSES
+        ),
     }
 
 
