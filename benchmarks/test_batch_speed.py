@@ -60,16 +60,11 @@ Four micro-benchmarks track the performance trajectory across PRs:
   process pool vs the same grid run serially, asserting <= 1.5x; and
   the median ``ServiceClient.health()`` round trip on one keep-alive
   connection, asserting <= 10 ms.  Recorded under ``"warm_transport"``.
-* ``test_service_executor``: the same serial vs warm-pool comparison
-  on fresh grids from 4,864 to ~1.1M cells, with ``BatchRunner``'s
-  executor rule's pick for each (a served job that names no executor
-  takes it); recorded under ``"service_executor"`` with the crossover
-  and the host.  Reported, not gated.
 * ``test_executor_rule``: the executor rule's pick against serial and
   picked-pool medians (first shard in-process, second on the pool)
   over gathered / cold x fault-free / thm13 x streamed / materialized
-  grids of the ``stream_horizon`` and ``fault_horizon`` shapes plus the
-  ``service_executor`` grids, with the pool workers' peak RSS; asserts
+  grids of the ``stream_horizon`` and ``fault_horizon`` shapes plus
+  fresh grids from 4,864 to ~1.1M cells, with the pool workers' peak RSS; asserts
   the pick is the faster executor wherever the gap exceeds the spread.
   Recorded under ``"executor_rule"`` with the rule's constants and
   weights.
@@ -2419,7 +2414,7 @@ def test_warm_transport():
 
     The service sends a grid this size to the process executor only
     when the submission asks for it (a job that names no executor runs
-    it serially, see :func:`test_service_executor`), and a served job
+    it serially, see :func:`test_executor_rule`), and a served job
     is three HTTP requests.  With a pool forked per run and a TCP
     connection per request, a fresh service-sized grid took ~2x its
     serial run; the section records those numbers
@@ -2471,7 +2466,7 @@ def test_warm_transport():
     )
 
 
-#: The ``service_executor`` curve: fresh streamed grids from the
+#: Fresh streamed grids of the executor rule's curve, from the
 #: ``service_mix`` miss (4,864 cells) to ~1.1M cells, as
 #: ``(diameter, trials, pulses)``; cells = pulses x trials x layers x
 #: width, with D layers of D + 3 nodes.
@@ -2489,76 +2484,10 @@ EXECUTOR_GRIDS = (
     (64, 16, 8),
     (64, 16, 16),
 )
-#: Fresh grids timed through each executor per curve point.
-EXECUTOR_ROUNDS = 9
-
-
 def rule_pick(trials, num_pulses, store_times=False):
     """The executor rule's pick for ``trials``: "serial" or "process"."""
     shards = batch_mod._pick_shards(trials, num_pulses, store_times)
     return "process" if shards > 1 else "serial"
-
-
-def test_service_executor():
-    """Serial vs warm-pool wall time of fresh grids against their cells.
-
-    The curve of the service's grids: a job that names no executor
-    leaves the choice to ``BatchRunner``'s executor rule, whose pick for
-    a fresh grid of each shape is recorded next to the timings.  Each
-    point is :func:`warm_transport_timings` on one grid shape.  The
-    crossover recorded is the fewest cells from which the median pool /
-    serial ratio stays under 1 at every larger point.  Reported, not
-    gated here (:func:`test_executor_rule` gates the picks): the curve
-    belongs to the host (cores, the pool's fork), so the section
-    records the host next to it.
-    """
-    seeds = itertools.count(20_000)
-    points, rows = [], []
-    for diameter, trials, pulses in EXECUTOR_GRIDS:
-        record = warm_transport_timings(
-            EXECUTOR_ROUNDS, diameter, trials, pulses, seeds
-        )
-        grid = BatchRunner.seed_sweep(
-            diameter, [next(seeds) for _ in range(trials)], num_pulses=pulses
-        )
-        cells = batch_mod._cells(grid, pulses)
-        pick = rule_pick(grid, pulses)
-        points.append(
-            {
-                "diameter": diameter,
-                "trials": trials,
-                "num_pulses": pulses,
-                "cells": cells,
-                **record,
-                "pick": pick,
-            }
-        )
-        rows.append(
-            (cells, diameter, trials, pulses, record["serial_s"],
-             record["process_s"], record["process_over_serial"], pick)
-        )
-    crossover = None
-    for point in reversed(points):
-        if point["process_over_serial"] >= 1.0:
-            break
-        crossover = point["cells"]
-    section = {
-        "host": host_info(),
-        "rounds": EXECUTOR_ROUNDS,
-        "points": points,
-        "crossover_cells": crossover,
-    }
-    _merge_bench_json({"service_executor": section})
-    print()
-    print(
-        format_table(
-            ["cells", "D", "S", "K", "serial s", "pool s", "pool / serial",
-             "rule"],
-            rows,
-            title="Fresh grids, serial vs warm pool (crossover "
-            f"{crossover} cells)",
-        )
-    )
 
 
 #: The ``executor_rule`` matrix: (grid kind, diameter, trials or fault
@@ -2695,7 +2624,7 @@ def test_executor_rule():
     """The executor rule's pick against serial and picked-pool medians.
 
     Points: the two ``RULE_SHAPES`` gathered and cold, streamed and
-    materialized, then the ``service_executor`` curve's streamed
+    materialized, then the :data:`EXECUTOR_GRIDS` curve's streamed
     fault-free grids cold, and gathered from D = 32 up -- so every
     perfbench workload's shape is a point (``workload`` names it).
     Gate: wherever every round's pool / serial ratio lies on one side
