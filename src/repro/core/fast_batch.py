@@ -30,10 +30,10 @@ tensors built from each base graph's cached
 :meth:`~repro.topology.base_graph.BaseGraph.neighbor_index_arrays`;
 numeric parameters (``kappa``/``vartheta``/``Lambda``/``d``) and the
 policy's ``jump_slack`` broadcast as per-trial ``(S, 1)`` columns.  The
-layer-0 schedules of the whole stack are gathered as one
-``(S, P, W_max)`` block by :func:`~repro.core.layer0.stacked_pulse_times`
-and written plane by plane, instead of ``S`` per-trial ``(P, W)``
-gathers and row loops.
+layer-0 schedules of the whole stack are filled one pulse block at a
+time by :func:`~repro.core.layer0.stacked_pulse_times`, straight into
+the block's layer-0 rows, instead of ``S`` per-trial gathers and row
+loops.
 
 Depth-aware compaction (dropping finished rows)
 -----------------------------------------------
@@ -235,7 +235,7 @@ from repro.core.fast import (
     _layer_step_kernel_csr,
     _neighbor_backend,
 )
-from repro.core.layer0 import stacked_pulse_row, stacked_pulse_times
+from repro.core.layer0 import stacked_pulse_times
 from repro.faults.model import SendBatch, send_offsets
 from repro.topology.layered import NodeId
 
@@ -749,9 +749,9 @@ class TrialStack:
         ``(S, K, L, W)`` matrices are kept: with ``False`` they shrink to
         a two-layer ring of ``(S, B, W)`` planes (the previous and the
         current layer of the block; see :func:`_slot`) -- memory
-        O(S, B, W) instead of O(S, K, L, W), and the layer-0 schedule is
-        gathered one ``(S, W)`` row per pulse instead of the whole
-        ``(S, K, W)`` block -- and the results' matrices are ``None``.
+        O(S, B, W) instead of O(S, K, L, W) -- and the results' matrices
+        are ``None``.  Either way the layer-0 schedules are filled one
+        block at a time, straight into the block's rows.
         The folded statistics are bitwise identical to the array
         reducers of :mod:`repro.analysis.skew` on the materialized
         matrices (see :mod:`repro.analysis.streaming`).
@@ -829,16 +829,10 @@ class _StackRun:
                 for epoch in schedule.epochs
             ],
         )
-        # Layer 0: one (S, P, W_max) gather for the whole stack, or on a
-        # streamed run one (S, W_max) row per pulse (see layer0).
+        # Layer 0: one stacked fill per block (see layer0).
         self.layer0_sources = (
             [sim.layer0 for sim in sims],
             [sim.graph.base for sim in sims],
-        )
-        self.layer0_block = (
-            stacked_pulse_times(*self.layer0_sources, num_pulses)
-            if store_times
-            else None
         )
         # One shared block per matrix: every pulse and layer, or on a
         # streamed run a two-layer ring of one pulse block (_slot maps a
@@ -1386,26 +1380,17 @@ class _StackRun:
     def layer0(self, pulses: range, window: slice) -> None:
         """Write layer 0's planes of the block's ``pulses`` for every trial.
 
-        Reads the stacked ``(S, P, W_max)`` schedule block -- or, on
-        streamed runs, fills the window's layer-0 rows one pulse at a
-        time with :func:`~repro.core.layer0.stacked_pulse_row`
-        (bit-identical entries).  ``window`` is the block's storage rows
-        (its pulses, or the head of a streamed run's ring).  Faulty
-        layer-0 nodes get no ``times``; their protocol times are the
-        correct times their recorded sends are offset from.
+        One :func:`~repro.core.layer0.stacked_pulse_times` fill of the
+        block writes the protocol times straight into the window's
+        layer-0 rows (``window`` is the block's storage rows: its
+        pulses, or the head of a streamed run's ring).  Faulty layer-0
+        nodes get no ``times``; their protocol times are the correct
+        times their recorded sends are offset from.
         """
         times, protocol_times, _, _, branches = self.matrices
-        if self.layer0_block is not None:
-            rows = self.layer0_block[:, pulses.start : pulses.stop, :]
-            protocol_times[:, window, 0, :] = rows
-        else:
-            for j, k in enumerate(pulses):
-                stacked_pulse_row(
-                    *self.layer0_sources,
-                    k,
-                    out=protocol_times[:, window.start + j, 0, :],
-                )
-            rows = protocol_times[:, window, 0, :]
+        rows = stacked_pulse_times(
+            *self.layer0_sources, pulses, out=protocol_times[:, window, 0, :]
+        )
         branches[:, window, 0, :] = self.layer0_branches[:, None, :]
         times[:, window, 0, :] = np.where(self.faulty[:, 0, None, :], np.nan, rows)
 

@@ -2,12 +2,14 @@
 
 Layer 0 must provide well-synchronized input pulses: local skew
 ``L_0 <= kappa`` suffices for the grid analysis (the chain scheme achieves
-``kappa / 2``, Lemma A.1).  Three schedules are provided:
+``kappa / 2``, Lemma A.1).  Four schedules are provided:
 
 * :class:`PerfectLayer0` -- ideal source, pulse ``k`` at ``k * Lambda``
   everywhere (control runs);
 * :class:`JitteredLayer0` -- per-node static jitter within a budget
   (models an imperfect but bounded source);
+* :class:`AlternatingLayer0` -- adjacent nodes oppositely offset (the
+  worst-case zigzag input of the oscillation experiments);
 * :class:`ChainLayer0` -- Algorithm 2: the clock source feeds a simple
   path through layer 0; each node forwards ``Lambda - d`` local time after
   reception.  Pipelining shifts pulse indices along the chain (node at
@@ -16,6 +18,12 @@ Layer 0 must provide well-synchronized input pulses: local skew
   pulse ``k + P - i`` (``P`` = chain length); this makes all grid-``k``
   pulses land around ``(k + P - 1) * Lambda`` with adjacent skew
   ``<= kappa/2`` per hop, exactly Lemma A.1's guarantee.
+
+Each schedule is evaluated two ways: the scalar ``pulse_time`` (the
+event engine's reference) and one array fill per class, ``_fill``, which
+:func:`stacked_pulse_times` calls once per class of a trial stack for
+any range of grid pulses -- a stack's whole horizon, or one pulse block
+of a run at a time.  Both give the same floats.
 """
 
 from __future__ import annotations
@@ -44,42 +52,42 @@ __all__ = [
 def stacked_pulse_times(
     schedules: Sequence["Layer0Schedule"],
     bases: Sequence[BaseGraph],
-    pulses: int,
+    pulses: range,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """All trials' layer-0 schedules as one ``(S, pulses, W_max)`` block.
+    """Grid pulses ``pulses`` of every trial's schedule, ``(S, B, W_max)``.
 
-    The stacked-trial kernel's layer-0 fill: trial ``s``'s schedule over
-    its base graph occupies ``out[s, :, :W_s]``; cells past a trial's
-    width are NaN (inert padding -- the same marker the simulator uses
-    for "never pulsed", so padded cells are masked out everywhere NaN
-    is).  Schedules are grouped by concrete class and delegated to
-    ``_stack_pulse_times``, which Perfect/Jittered/Alternating override
-    with one whole-group array fill; the generic fallback loops
-    :meth:`Layer0Schedule.pulse_times_array` per trial.
-    :class:`ChainLayer0` fills are inherently per-chain (each trial has
-    its own edge delays), but each chain's fill is itself vectorized
-    over the pulse axis for pulse-invariant delay models -- one array op
-    per chain hop instead of a per-entry Python loop, which on
-    5000-node chains is the difference between milliseconds and
-    seconds.  Every entry is bit-identical to the per-trial array -- the
-    vectorized fills evaluate the same elementwise expressions in the
-    same association.
+    The one layer-0 fill: trial ``s``'s schedule over its base graph
+    occupies ``out[s, :, :W_s]``, plane ``j`` holding grid pulse
+    ``pulses[j]``; cells past a trial's width are NaN (inert padding --
+    the simulator's own marker for "never pulsed", masked out everywhere
+    NaN is).  Trials are grouped by class, and each group is filled by
+    one call of its class's ``_fill``.  A fill of ``range(k0, k1)``
+    equals planes ``k0:k1`` of the ``range(0, K)`` fill bit for bit,
+    and every entry equals :meth:`Layer0Schedule.pulse_time` -- the
+    fills evaluate its expressions elementwise in the same association.
+    ``out`` (for example a block's layer-0 rows of a stack's result
+    matrix) receives every cell; a new array is returned without it.
     """
     if len(schedules) != len(bases):
         raise ValueError(
             f"{len(schedules)} schedules for {len(bases)} base graphs"
         )
-    if pulses < 0:
-        raise ValueError(f"pulses must be >= 0, got {pulses}")
-    if not schedules:
-        return np.empty((0, pulses, 0))
-    width = max(base.num_nodes for base in bases)
-    out = np.full((len(schedules), pulses, width), np.nan)
+    if not isinstance(pulses, range) or pulses.step != 1 or pulses.start < 0:
+        raise ValueError(
+            f"pulses must be a range of pulses >= 0 in steps of 1, got {pulses!r}"
+        )
+    width = max((base.num_nodes for base in bases), default=0)
+    shape = (len(schedules), len(pulses), width)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape[:2] != shape[:2] or out.shape[2] < width:
+        raise ValueError(f"out has shape {out.shape}, need {shape}")
     groups: Dict[type, List[int]] = {}
     for s, schedule in enumerate(schedules):
         groups.setdefault(type(schedule), []).append(s)
     for cls, rows in groups.items():
-        cls._stack_pulse_times(
+        cls._fill(
             [schedules[s] for s in rows], [bases[s] for s in rows], pulses,
             out, rows,
         )
@@ -92,43 +100,13 @@ def stacked_pulse_row(
     pulse: int,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One grid pulse of every trial's schedule as an ``(S, W_max)`` row.
-
-    The streaming (``store_times=False``) counterpart of
-    :func:`stacked_pulse_times`: instead of materializing the whole
-    ``(S, pulses, W_max)`` layer-0 block up front, the stacked kernel
-    asks for one pulse's row at a time and reuses the same ``out``
-    buffer, keeping layer-0 memory at O(S, W).  Entries are bit-identical
-    to the corresponding ``stacked_pulse_times`` plane -- the per-class
-    overrides evaluate the same expressions in the same association, and
-    :class:`ChainLayer0` gathers from the same front-to-back cache --
-    so streamed and materialized runs see the same floats.
-    """
-    if len(schedules) != len(bases):
-        raise ValueError(
-            f"{len(schedules)} schedules for {len(bases)} base graphs"
-        )
-    if pulse < 0:
-        raise ValueError(f"pulse must be >= 0, got {pulse}")
-    if out is None:
-        width = max((base.num_nodes for base in bases), default=0)
-        out = np.full((len(schedules), width), np.nan)
-    else:
-        if out.shape[0] != len(schedules):
-            raise ValueError(
-                f"row buffer has {out.shape[0]} rows for "
-                f"{len(schedules)} schedules"
-            )
-        out[:] = np.nan
-    groups: Dict[type, List[int]] = {}
-    for s, schedule in enumerate(schedules):
-        groups.setdefault(type(schedule), []).append(s)
-    for cls, rows in groups.items():
-        cls._stack_pulse_row(
-            [schedules[s] for s in rows], [bases[s] for s in rows], pulse,
-            out, rows,
-        )
-    return out
+    """One grid pulse of every trial's schedule as an ``(S, W_max)`` row:
+    :func:`stacked_pulse_times` of ``range(pulse, pulse + 1)``.  Nothing
+    in the package calls it; perfbench's tracer still looks it up."""
+    return stacked_pulse_times(
+        schedules, bases, range(pulse, pulse + 1),
+        None if out is None else out[:, None],
+    )[:, 0]
 
 
 def _width_mask(bases: Sequence[BaseGraph], width: int) -> np.ndarray:
@@ -137,73 +115,46 @@ def _width_mask(bases: Sequence[BaseGraph], width: int) -> np.ndarray:
     return np.arange(width)[None, :] < counts[:, None]
 
 
+def _grid_pulses(pulses: range) -> np.ndarray:
+    """The grid pulse numbers of a fill as a float row."""
+    return np.arange(pulses.start, pulses.stop, dtype=float)
+
+
 class Layer0Schedule(ABC):
-    """Pulse times of layer-0 nodes, indexed by grid pulse number ``k >= 0``."""
+    """Pulse times of layer-0 nodes, indexed by grid pulse number ``k >= 0``.
+
+    A schedule class gives two evaluators of one schedule: the scalar
+    :meth:`pulse_time` (the event engine's reference) and the classmethod
+    ``_fill(schedules, bases, pulses, out, rows)``, which writes grid
+    pulses ``pulses`` of a same-class group into ``out[rows]`` -- NaN
+    past each trial's width -- for :func:`stacked_pulse_times`.
+    """
 
     @abstractmethod
     def pulse_time(self, base_vertex: int, pulse: int) -> float:
         """Real time of grid pulse ``pulse`` at ``(base_vertex, 0)``."""
 
+    @classmethod
+    @abstractmethod
+    def _fill(
+        cls,
+        schedules: Sequence["Layer0Schedule"],
+        bases: Sequence[BaseGraph],
+        pulses: range,
+        out: np.ndarray,
+        rows: List[int],
+    ) -> None:
+        """Write the group's grid pulses ``pulses`` into ``out[rows]``."""
+
     def pulse_times_array(self, base: BaseGraph, pulses: int) -> np.ndarray:
         """All pulse times as a ``(pulses, W)`` array; ``W = |V(H)|``.
 
-        The array entry point the fast-simulator kernels consume: one
-        gather per run instead of a per-node/per-pulse ``pulse_time``
-        loop.  Entries are bit-identical to :meth:`pulse_time` -- the
-        vectorized overrides replicate its arithmetic association
-        elementwise, and this generic fallback simply loops it -- so
-        per-node queries and the stacked simulator see the same floats.
+        The stacked fill of this one schedule: entries are bit-identical
+        to :meth:`pulse_time`.
         """
         if pulses < 0:
             raise ValueError(f"pulses must be >= 0, got {pulses}")
-        times = np.empty((pulses, base.num_nodes))
-        for k in range(pulses):
-            for v in base.nodes():
-                times[k, v] = self.pulse_time(v, k)
-        return times
-
-    @classmethod
-    def _stack_pulse_times(
-        cls,
-        schedules: Sequence["Layer0Schedule"],
-        bases: Sequence[BaseGraph],
-        pulses: int,
-        out: np.ndarray,
-        rows: Sequence[int],
-    ) -> None:
-        """Fill ``out[rows]`` of a :func:`stacked_pulse_times` block.
-
-        The generic fallback gathers one trial at a time; subclasses
-        whose schedule is a closed-form function of ``(pulse, vertex)``
-        override it with a single vectorized fill of the whole group.
-        """
-        for row, schedule, base in zip(rows, schedules, bases):
-            out[row, :, : base.num_nodes] = schedule.pulse_times_array(
-                base, pulses
-            )
-
-    @classmethod
-    def _stack_pulse_row(
-        cls,
-        schedules: Sequence["Layer0Schedule"],
-        bases: Sequence[BaseGraph],
-        pulse: int,
-        out: np.ndarray,
-        rows: Sequence[int],
-    ) -> None:
-        """Fill ``out[rows]`` of a :func:`stacked_pulse_row` buffer.
-
-        Generic fallback: per-node :meth:`pulse_time` queries (exact by
-        definition).  Closed-form schedules override with one vectorized
-        group fill mirroring their ``_stack_pulse_times`` association.
-        """
-        for row, schedule, base in zip(rows, schedules, bases):
-            for v in base.nodes():
-                out[row, v] = schedule.pulse_time(v, pulse)
-
-    def layer_times(self, base: BaseGraph, pulse: int) -> List[float]:
-        """Pulse times across the whole layer."""
-        return [self.pulse_time(v, pulse) for v in base.nodes()]
+        return stacked_pulse_times([self], [base], range(pulses))[0]
 
     def local_skew(self, base: BaseGraph, pulses: int) -> float:
         """Measured ``L_0``: max adjacent same-pulse offset over ``pulses``.
@@ -233,26 +184,13 @@ class PerfectLayer0(Layer0Schedule):
             raise ValueError(f"pulse must be >= 0, got {pulse}")
         return pulse * self.Lambda
 
-    def pulse_times_array(self, base: BaseGraph, pulses: int) -> np.ndarray:
-        if pulses < 0:
-            raise ValueError(f"pulses must be >= 0, got {pulses}")
-        column = np.arange(pulses, dtype=float) * self.Lambda
-        return np.tile(column[:, None], (1, base.num_nodes))
-
     @classmethod
-    def _stack_pulse_times(cls, schedules, bases, pulses, out, rows):
+    def _fill(cls, schedules, bases, pulses, out, rows):
         # k * Lambda per trial, broadcast over each trial's real vertices.
         lambdas = np.array([s.Lambda for s in schedules])[:, None]
-        columns = np.arange(pulses, dtype=float)[None, :] * lambdas  # (n, P)
+        columns = _grid_pulses(pulses)[None, :] * lambdas  # (n, B)
         mask = _width_mask(bases, out.shape[-1])
         out[rows] = np.where(mask[:, None, :], columns[:, :, None], np.nan)
-
-    @classmethod
-    def _stack_pulse_row(cls, schedules, bases, pulse, out, rows):
-        # k * Lambda per trial, broadcast over each trial's real vertices.
-        lambdas = np.array([s.Lambda for s in schedules])[:, None]
-        mask = _width_mask(bases, out.shape[-1])
-        out[rows] = np.where(mask, float(pulse) * lambdas, np.nan)
 
 
 class JitteredLayer0(Layer0Schedule):
@@ -290,36 +228,23 @@ class JitteredLayer0(Layer0Schedule):
             + float(self._jitter[base_vertex])
         )
 
-    def pulse_times_array(self, base: BaseGraph, pulses: int) -> np.ndarray:
-        if pulses < 0:
-            raise ValueError(f"pulses must be >= 0, got {pulses}")
-        # Same association as the scalar path: (k * Lambda + offset) + jitter.
-        column = np.arange(pulses, dtype=float) * self.Lambda + self._base_offset
-        jitter = self._jitter[np.asarray(base.nodes(), dtype=np.int64)]
-        return column[:, None] + jitter[None, :]
-
     @classmethod
-    def _stack_pulse_times(cls, schedules, bases, pulses, out, rows):
-        # (k * Lambda + offset) per trial, plus NaN-padded jitter rows --
-        # the padding NaN propagates through the add, masking dead cells.
+    def _fill(cls, schedules, bases, pulses, out, rows):
+        # (k * Lambda + offset) + jitter, as the scalar path associates
+        # it; the NaN padding of the jitter rows propagates through the
+        # add, masking dead cells.
         lambdas = np.array([s.Lambda for s in schedules])[:, None]
         offsets = np.array([s._base_offset for s in schedules])[:, None]
-        columns = np.arange(pulses, dtype=float)[None, :] * lambdas + offsets
+        columns = _grid_pulses(pulses)[None, :] * lambdas + offsets
         jitter = np.full((len(schedules), out.shape[-1]), np.nan)
         for i, (schedule, base) in enumerate(zip(schedules, bases)):
+            if len(schedule._jitter) < base.num_nodes:
+                raise ValueError(
+                    f"JitteredLayer0 has {len(schedule._jitter)} jitter "
+                    f"values for a base graph of {base.num_nodes} vertices"
+                )
             jitter[i, : base.num_nodes] = schedule._jitter[: base.num_nodes]
         out[rows] = columns[:, :, None] + jitter[:, None, :]
-
-    @classmethod
-    def _stack_pulse_row(cls, schedules, bases, pulse, out, rows):
-        # (k * Lambda + offset) + jitter, NaN-padded past each trial.
-        lambdas = np.array([s.Lambda for s in schedules])[:, None]
-        offsets = np.array([s._base_offset for s in schedules])[:, None]
-        columns = float(pulse) * lambdas + offsets  # (n, 1)
-        jitter = np.full((len(schedules), out.shape[-1]), np.nan)
-        for i, (schedule, base) in enumerate(zip(schedules, bases)):
-            jitter[i, : base.num_nodes] = schedule._jitter[: base.num_nodes]
-        out[rows] = columns + jitter
 
 
 class AlternatingLayer0(Layer0Schedule):
@@ -344,38 +269,17 @@ class AlternatingLayer0(Layer0Schedule):
         sign = 1.0 if base_vertex % 2 == 0 else -1.0
         return pulse * self.Lambda + self.amplitude + sign * self.amplitude
 
-    def pulse_times_array(self, base: BaseGraph, pulses: int) -> np.ndarray:
-        if pulses < 0:
-            raise ValueError(f"pulses must be >= 0, got {pulses}")
-        # Same association as the scalar path:
-        # (k * Lambda + amplitude) + sign * amplitude.
-        column = np.arange(pulses, dtype=float) * self.Lambda + self.amplitude
-        signs = np.where(np.arange(base.num_nodes) % 2 == 0, 1.0, -1.0)
-        return column[:, None] + (signs * self.amplitude)[None, :]
-
     @classmethod
-    def _stack_pulse_times(cls, schedules, bases, pulses, out, rows):
+    def _fill(cls, schedules, bases, pulses, out, rows):
         # (k * Lambda + amplitude) + sign * amplitude, per trial at once.
         lambdas = np.array([s.Lambda for s in schedules])[:, None]
         amplitudes = np.array([s.amplitude for s in schedules])[:, None]
-        columns = np.arange(pulses, dtype=float)[None, :] * lambdas + amplitudes
+        columns = _grid_pulses(pulses)[None, :] * lambdas + amplitudes
         signs = np.where(np.arange(out.shape[-1]) % 2 == 0, 1.0, -1.0)
         offsets = signs[None, :] * amplitudes  # (n, W_max)
         mask = _width_mask(bases, out.shape[-1])
         block = columns[:, :, None] + offsets[:, None, :]
         out[rows] = np.where(mask[:, None, :], block, np.nan)
-
-    @classmethod
-    def _stack_pulse_row(cls, schedules, bases, pulse, out, rows):
-        # (k * Lambda + amplitude) + sign * amplitude, per trial at once.
-        lambdas = np.array([s.Lambda for s in schedules])[:, None]
-        amplitudes = np.array([s.amplitude for s in schedules])[:, None]
-        columns = float(pulse) * lambdas + amplitudes  # (n, 1)
-        signs = np.where(np.arange(out.shape[-1]) % 2 == 0, 1.0, -1.0)
-        mask = _width_mask(bases, out.shape[-1])
-        out[rows] = np.where(
-            mask, columns + signs[None, :] * amplitudes, np.nan
-        )
 
 
 class ChainLayer0(Layer0Schedule):
@@ -395,8 +299,9 @@ class ChainLayer0(Layer0Schedule):
         Optional per-base-vertex hardware clocks (only rates matter here);
         defaults to rate-1 clocks.
     source_period:
-        Period of the clock source; defaults to ``params.Lambda`` (the paper
-        matches the input frequency to the nominal layer latency).
+        Period of the clock source (positive); defaults to
+        ``params.Lambda`` (the paper matches the input frequency to the
+        nominal layer latency).
     """
 
     def __init__(
@@ -411,13 +316,20 @@ class ChainLayer0(Layer0Schedule):
             raise ValueError("chain_order must be non-empty")
         if len(set(chain_order)) != len(chain_order):
             raise ValueError("chain_order must not repeat vertices")
+        if source_period is None:
+            source_period = params.Lambda
+        elif source_period <= 0:
+            raise ValueError(
+                f"source_period must be positive, got {source_period}"
+            )
         self.params = params
         self.chain_order = list(chain_order)
         self.delay_model = delay_model or UniformDelayModel(params.d, params.u)
         self.clocks = clocks or {}
-        self.source_period = source_period or params.Lambda
+        self.source_period = source_period
         self._position = {v: i for i, v in enumerate(self.chain_order)}
-        # _chain_times[i][j] = time of *chain* pulse j at chain position i.
+        # _chain_times[i][j] = time of *chain* pulse j at chain position i;
+        # filled by scalar queries and by fills on pulse-varying models.
         self._chain_times: List[List[float]] = [[] for _ in self.chain_order]
 
     def _rate(self, vertex: int) -> float:
@@ -432,6 +344,14 @@ class ChainLayer0(Layer0Schedule):
             )
         return low
 
+    def _hop(self, pos: int):
+        """Chain position ``pos``'s in-edge and its forwarding wait."""
+        vertex = self.chain_order[pos]
+        prev = ("source", -1) if pos == 0 else (self.chain_order[pos - 1], 0)
+        # Wait Lambda - d of *local* time after reception (Algorithm 2).
+        wait = (self.params.Lambda - self.params.d) / self._rate(vertex)
+        return (prev, (vertex, 0)), wait
+
     def _extend_position(self, pos: int, chain_pulse: int) -> None:
         """Extend one position's cached times through ``chain_pulse``.
 
@@ -441,50 +361,31 @@ class ChainLayer0(Layer0Schedule):
         times = self._chain_times[pos]
         if len(times) > chain_pulse:
             return
-        vertex = self.chain_order[pos]
-        # Wait Lambda - d of *local* time after reception (Algorithm 2).
-        wait = (self.params.Lambda - self.params.d) / self._rate(vertex)
+        edge, wait = self._hop(pos)
+        delay = self.delay_model.delay
+        first = len(times)
         if pos == 0:
-            while len(times) <= chain_pulse:
-                j = len(times)
-                received = j * self.source_period + self.delay_model.delay(
-                    (("source", -1), (vertex, 0)), j
-                )
-                times.append(received + wait)
+            sent = [j * self.source_period for j in range(first, chain_pulse + 1)]
         else:
-            prev_times = self._chain_times[pos - 1]
-            prev_vertex = self.chain_order[pos - 1]
-            while len(times) <= chain_pulse:
-                j = len(times)
-                received = prev_times[j] + self.delay_model.delay(
-                    ((prev_vertex, 0), (vertex, 0)), j
-                )
-                times.append(received + wait)
-
-    def _fill_chain(self, position: int, chain_pulse: int) -> None:
-        """Fill the cached chain times front-to-back up to ``chain_pulse``.
-
-        Iterative on purpose: the old implementation recursed through
-        ``position - 1``, so one cold query at the far end of a long chain
-        (P >~ 1000 -- production-scale grids) blew the interpreter's
-        recursion limit.  Each position only needs its predecessor's
-        already-extended list, so a front-to-back sweep computes the exact
-        same floats without growing the Python stack.
-        """
-        for pos in range(position + 1):
-            self._extend_position(pos, chain_pulse)
+            sent = self._chain_times[pos - 1][first: chain_pulse + 1]
+        times.extend(
+            (t + delay(edge, j)) + wait for j, t in enumerate(sent, first)
+        )
 
     def chain_pulse_time(self, position: int, chain_pulse: int) -> float:
         """Time of *chain* pulse ``chain_pulse`` (0-based) at chain position.
 
         Position 0 receives source pulse ``j`` at ``j * source_period`` and
-        runs the same forwarding rule as everyone else.
+        runs the same forwarding rule as everyone else.  The cache fills
+        front to back, iteratively, so one cold query at the far end of a
+        long chain does not recurse through every position.
         """
         if not 0 <= position < len(self.chain_order):
             raise ValueError(f"position {position} out of range")
         if chain_pulse < 0:
             raise ValueError(f"chain_pulse must be >= 0, got {chain_pulse}")
-        self._fill_chain(position, chain_pulse)
+        for pos in range(position + 1):
+            self._extend_position(pos, chain_pulse)
         return self._chain_times[position][chain_pulse]
 
     def pulse_time(self, base_vertex: int, pulse: int) -> float:
@@ -501,119 +402,46 @@ class ChainLayer0(Layer0Schedule):
         chain_pulse = pulse + (len(self.chain_order) - 1 - position)
         return self.chain_pulse_time(position, chain_pulse)
 
-    def pulse_times_array(self, base: BaseGraph, pulses: int) -> np.ndarray:
-        """Grid pulse times ``(pulses, W)`` from one front-to-back fill.
-
-        Pulse-invariant delay models (the common static/uniform case) go
-        through :meth:`_pulse_rows_invariant`: every chain hop advances
-        the *whole* pulse axis as one array op, so a cold 5000-node
-        chain fills in milliseconds where the per-entry Python loop took
-        seconds (the regression the fast kernels hit on every cold
-        ``ChainLayer0`` run).  Pulse-varying models keep the cached
-        per-entry fill (:meth:`_pulse_rows_cached`).  Both paths slice
-        out the pipelined re-indexing ``chain_pulse = k + P - 1 -
-        position`` and produce bit-identical entries to per-node
-        :meth:`pulse_time` queries -- the vectorized sweep evaluates the
-        same expressions in the same association.
-        """
-        if pulses < 0:
-            raise ValueError(f"pulses must be >= 0, got {pulses}")
-        positions = []
-        for v in base.nodes():
-            position = self._position.get(v)
-            if position is None:
-                raise ValueError(f"vertex {v} not on the chain")
-            positions.append(position)
-        if pulses == 0:
-            return np.empty((0, base.num_nodes))
-        if getattr(self.delay_model, "pulse_invariant", False):
-            rows = self._pulse_rows_invariant(positions, pulses)
-        else:
-            rows = self._pulse_rows_cached(positions, pulses)
-        return np.ascontiguousarray(rows.T)
-
-    def _pulse_rows_cached(
-        self, positions: Sequence[int], pulses: int
-    ) -> np.ndarray:
-        """Per-entry reference fill: grid rows ``(W, pulses)``.
-
-        Extends the cached chain times with a *triangular* front-to-back
-        fill -- position ``pos`` only needs chain pulses through
-        ``pulses - 1 + (P - 1 - pos)``, and the required depth shrinks
-        by one per hop, so each position is exactly deep enough for its
-        successor (O(P * pulses + P^2) entries, no rectangular
-        ``(P, P + pulses)`` intermediate).
-        """
-        length = len(self.chain_order)
-        for pos in range(length):
-            self._extend_position(pos, pulses - 1 + (length - 1 - pos))
-        return np.array(
-            [
-                self._chain_times[pos][
-                    length - 1 - pos: length - 1 - pos + pulses
-                ]
-                for pos in positions
-            ]
-        )
-
-    def _pulse_rows_invariant(
-        self, positions: Sequence[int], pulses: int
-    ) -> np.ndarray:
-        """Pulse-axis-vectorized fill: grid rows ``(W, pulses)``.
-
-        Valid only for pulse-invariant delay models (one ``delay`` query
-        per chain edge stands in for all pulses).  The sweep carries one
-        chain-pulse row forward hop by hop, evaluating exactly the
-        per-entry fill's expressions -- ``(prev + delay) + wait``
-        elementwise, in that association -- so entries are bit-identical
-        to :meth:`_pulse_rows_cached`; the row shrinks by one pulse per
-        hop, mirroring the triangular depth requirement.
-        """
-        length = len(self.chain_order)
-        params = self.params
-        vertex = self.chain_order[0]
-        wait = (params.Lambda - params.d) / self._rate(vertex)
-        delay = self.delay_model.delay((("source", -1), (vertex, 0)), 0)
-        row = (
-            np.arange(pulses + length - 1, dtype=float) * self.source_period
-            + delay
-        ) + wait
-        start = length - 1
-        windows = {}
-        needed = set(positions)
-        if 0 in needed:
-            windows[0] = row[start:]
-        for pos in range(1, max(needed) + 1):
-            prev_vertex = self.chain_order[pos - 1]
-            vertex = self.chain_order[pos]
-            delay = self.delay_model.delay(
-                ((prev_vertex, 0), (vertex, 0)), 0
-            )
-            wait = (params.Lambda - params.d) / self._rate(vertex)
-            row = (row[:-1] + delay) + wait
-            start -= 1
-            if pos in needed:
-                windows[pos] = row[start:]
-        return np.array([windows[pos] for pos in positions])
-
     @classmethod
-    def _stack_pulse_row(cls, schedules, bases, pulse, out, rows):
-        # One triangular cache extension per chain (position ``pos`` only
-        # needs chain pulse ``pulse + P - 1 - pos``), then a gather from
-        # the same front-to-back cache the per-entry fills use -- so the
-        # streamed row is bit-identical to the materialized block plane
-        # without the O(P^2) re-walk per-vertex ``pulse_time`` would do.
+    def _fill(cls, schedules, bases, pulses, out, rows):
+        # Grid pulse k at chain position pos is chain pulse
+        # k + P - 1 - pos, so the block needs chain pulses k0 .. k1 + P - 2
+        # at position 0 and one fewer per hop.  On a pulse-invariant model
+        # the sweep carries that row hop by hop, one array op per hop
+        # (entries (prev + delay) + wait, elementwise, so any start pulse
+        # gives the same floats) and leaves the schedule untouched; a
+        # pulse-varying model extends the triangular front-to-back cache
+        # (each position exactly as deep as its successor needs) and
+        # gathers from it.
+        k0, count = pulses.start, len(pulses)
         for row, schedule, base in zip(rows, schedules, bases):
-            length = len(schedule.chain_order)
-            for pos in range(length):
-                schedule._extend_position(pos, pulse + (length - 1 - pos))
+            positions = []
             for v in base.nodes():
                 position = schedule._position.get(v)
                 if position is None:
                     raise ValueError(f"vertex {v} not on the chain")
-                out[row, v] = schedule._chain_times[position][
-                    pulse + (length - 1 - position)
-                ]
+                positions.append(position)
+            length = len(schedule.chain_order)
+            grid = np.empty((max(positions) + 1, count))  # (position, pulse)
+            if getattr(schedule.delay_model, "pulse_invariant", False):
+                chain = schedule.source_period * _grid_pulses(
+                    range(k0, k0 + count + length - 1)
+                )
+                for pos in range(len(grid)):
+                    edge, wait = schedule._hop(pos)
+                    delay = schedule.delay_model.delay(edge, 0)
+                    chain = (chain[: len(chain) - (pos > 0)] + delay) + wait
+                    grid[pos] = chain[length - 1 - pos:]
+            else:
+                for pos in range(len(grid)):
+                    schedule._extend_position(
+                        pos, k0 + count - 1 + (length - 1 - pos)
+                    )
+                for pos in range(len(grid)):
+                    first = k0 + length - 1 - pos
+                    grid[pos] = schedule._chain_times[pos][first: first + count]
+            out[row, :, : base.num_nodes] = grid[positions].T
+            out[row, :, base.num_nodes:] = np.nan
 
     def lemma_a1_envelope(self, position: int, chain_pulse: int) -> tuple:
         """Lemma A.1's envelope for chain pulse times.

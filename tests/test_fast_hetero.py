@@ -322,16 +322,20 @@ class TestSameShapeDifferentTopology:
 
 
 class TestStackedLayer0Fill:
-    """stacked_pulse_times == per-schedule pulse_times_array, bit for bit."""
+    """stacked_pulse_times == per-schedule scalar pulse_time loops, bit
+    for bit."""
 
     def _assert_stack_matches(self, schedules, bases):
-        block = stacked_pulse_times(schedules, bases, NUM_PULSES)
+        block = stacked_pulse_times(schedules, bases, range(NUM_PULSES))
         width = max(base.num_nodes for base in bases)
         assert block.shape == (len(schedules), NUM_PULSES, width)
         for s, (schedule, base) in enumerate(zip(schedules, bases)):
             np.testing.assert_array_equal(
                 block[s, :, : base.num_nodes],
-                schedule.pulse_times_array(base, NUM_PULSES),
+                [
+                    [schedule.pulse_time(v, k) for v in base.nodes()]
+                    for k in range(NUM_PULSES)
+                ],
             )
             assert np.isnan(block[s, :, base.num_nodes:]).all()
 
@@ -342,12 +346,20 @@ class TestStackedLayer0Fill:
             cycle_graph(7),
             replicated_line(5),
             cycle_graph(4),
+            cycle_graph(6),
         ]
         schedules = [
             PerfectLayer0(params.Lambda),
             JitteredLayer0(params.Lambda, 7, params.kappa, seed=3),
             AlternatingLayer0(params.Lambda, params.kappa),
             ChainLayer0(params, chain_order=list(range(4))),
+            ChainLayer0(
+                params,
+                chain_order=list(range(6)),
+                delay_model=VaryingDelayModel(
+                    params.d, params.u, 0.002, seed=1
+                ),
+            ),
         ]
         self._assert_stack_matches(schedules, bases)
 
@@ -358,11 +370,35 @@ class TestStackedLayer0Fill:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="schedules"):
-            stacked_pulse_times([PerfectLayer0(2.0)], [], NUM_PULSES)
+            stacked_pulse_times([PerfectLayer0(2.0)], [], range(NUM_PULSES))
         with pytest.raises(ValueError, match="pulses"):
             stacked_pulse_times(
-                [PerfectLayer0(2.0)], [cycle_graph(3)], -1
+                [PerfectLayer0(2.0)], [cycle_graph(3)], range(-1, NUM_PULSES)
             )
+
+    @pytest.mark.parametrize("store_times", [False, True])
+    def test_chain_run_leaves_schedule_untouched(self, store_times):
+        # The stack fills a pulse-invariant chain by its hop sweep, block
+        # by block, and never writes the schedule's scalar cache.
+        params = PARAMS_CHOICES[1]
+        sims = [
+            FastSimulation(
+                LayeredGraph(base, 3),
+                params,
+                delay_model=StaticDelayModel(params.d, params.u, seed=seed),
+                layer0=ChainLayer0(
+                    params,
+                    list(base.nodes()),
+                    delay_model=StaticDelayModel(params.d, params.u, seed=9),
+                ),
+            )
+            for seed, base in enumerate([cycle_graph(16), cycle_graph(12)])
+        ]
+        stack = TrialStack(sims)
+        stack.run(40, store_times=store_times)
+        assert stack.compaction_stats["pulse_blocks"] > 1
+        for sim in sims:
+            assert not any(sim.layer0._chain_times)
 
 
 def assert_matches_per_trial(batch, trials, num_pulses):

@@ -10,10 +10,12 @@ from repro.core.layer0 import (
     ChainLayer0,
     JitteredLayer0,
     PerfectLayer0,
+    stacked_pulse_row,
+    stacked_pulse_times,
 )
-from repro.delays import StaticDelayModel
+from repro.delays import StaticDelayModel, VaryingDelayModel
 from repro.params import Parameters
-from repro.topology import replicated_line
+from repro.topology import cycle_graph, replicated_line
 
 PARAMS = Parameters(d=1.0, u=0.01, vartheta=1.001, Lambda=2.0)
 
@@ -53,6 +55,14 @@ class TestJittered:
         base = replicated_line(8)
         s = JitteredLayer0(2.0, base.num_nodes, jitter_bound=0.03, seed=2)
         assert s.local_skew(base, pulses=2) <= 0.06 + 1e-12
+
+    def test_rejects_base_wider_than_its_jitter(self):
+        base = replicated_line(4)
+        s = JitteredLayer0(2.0, 3, jitter_bound=0.03)
+        with pytest.raises(ValueError, match="3 jitter values .* 6 vertices"):
+            s.pulse_times_array(base, 2)
+        with pytest.raises(ValueError, match="3 jitter values .* 6 vertices"):
+            stacked_pulse_times([PerfectLayer0(2.0), s], [base, base], range(2))
 
 
 class TestAlternating:
@@ -124,6 +134,15 @@ class TestChain:
     def test_rejects_duplicate_chain(self):
         with pytest.raises(ValueError):
             ChainLayer0(PARAMS, [0, 1, 1])
+
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_rejects_non_positive_source_period(self, period):
+        with pytest.raises(ValueError, match="source_period"):
+            ChainLayer0(PARAMS, [0, 1], source_period=period)
+
+    def test_source_period_defaults_to_lambda(self):
+        assert ChainLayer0(PARAMS, [0, 1]).source_period == PARAMS.Lambda
+        assert ChainLayer0(PARAMS, [0, 1], source_period=3.0).source_period == 3.0
 
     def test_rejects_varying_rate_clock(self):
         clock = PiecewiseRateClock([0.0, 1.0], [1.0, 1.001])
@@ -236,14 +255,15 @@ class TestPulseTimesArray:
 
 
 class TestChainVectorizedFill:
-    """The pulse-axis-vectorized chain fill == the per-entry cached fill.
+    """The pulse-axis-vectorized chain fill == the scalar cached fill.
 
     Regression for the Chain layer-0 fill: a cold ``pulse_times_array``
     on a P-node chain used to walk O(P^2) per-entry Python iterations
     (~6 s at P = 5000); pulse-invariant models now advance the whole
-    pulse axis per hop.  Both fills must stay bit-identical -- the
-    vectorized sweep evaluates the same expressions in the same
-    association.
+    pulse axis per hop.  The fill must stay bit-identical to the
+    per-entry cache the scalar ``pulse_time`` walks -- the vectorized
+    sweep evaluates the same expressions in the same association --
+    and must leave that cache alone.
     """
 
     def _chain(self, base, seed=0, rates=True):
@@ -265,11 +285,9 @@ class TestChainVectorizedFill:
     def test_bit_identical_to_cached_fill(self, pulses):
         base = replicated_line(120)
         chain = self._chain(base, seed=4)
-        positions = [chain._position[v] for v in base.nodes()]
-        vectorized = chain._pulse_rows_invariant(positions, pulses)
-        cached = self._chain(base, seed=4)._pulse_rows_cached(
-            positions, pulses
-        )
+        vectorized = stacked_pulse_times([chain], [base], range(pulses))[0]
+        assert not any(chain._chain_times)
+        cached = _loop_times(self._chain(base, seed=4), base, pulses)
         np.testing.assert_array_equal(vectorized, cached)
 
     def test_pulse_varying_model_uses_cached_fill(self):
@@ -277,8 +295,6 @@ class TestChainVectorizedFill:
         # as StaticDelayModel from the same seed but is not declared
         # pulse-invariant, so it exercises the per-entry path; both must
         # agree bit for bit.
-        from repro.delays import VaryingDelayModel
-
         base = replicated_line(40)
         static = self._chain(base, seed=7, rates=False)
         varying = ChainLayer0(
@@ -290,19 +306,135 @@ class TestChainVectorizedFill:
             static.pulse_times_array(base, 3),
             varying.pulse_times_array(base, 3),
         )
+        assert any(varying._chain_times)
 
     def test_five_thousand_node_chain_stacked_equals_per_trial(self):
-        """The 5000-node acceptance cell: stacked == per-trial == scalar."""
-        from repro.core.layer0 import stacked_pulse_times
-
+        """The 5000-node acceptance cell: whole fill == block fill == scalar."""
         base = replicated_line(4998)
         assert base.num_nodes == 5000
         chain = self._chain(base, seed=0, rates=False)
         arr = chain.pulse_times_array(base, 3)
-        block = stacked_pulse_times([chain], [base], 3)
-        np.testing.assert_array_equal(block[0], arr)
+        block = stacked_pulse_times([chain], [base], range(1, 3))
+        np.testing.assert_array_equal(block[0], arr[1:])
         # Scalar spot checks at both chain ends (cheap cache fills).
         probe = self._chain(base, seed=0, rates=False)
         for v in (0, 1, 4998, 4999):
             for k in (0, 2):
                 assert arr[k, v] == probe.pulse_time(v, k)
+
+
+def _fill_cases():
+    """``{name: () -> (schedules, bases)}``, fresh schedules per call:
+    every class on mixed widths, and a chain on a pulse-varying model."""
+
+    def chain(base, seed, model):
+        nodes = list(base.nodes())
+        return ChainLayer0(
+            PARAMS,
+            nodes[::-1],
+            delay_model=model,
+            clocks=uniform_random_rates(nodes, PARAMS.vartheta, rng_or_seed=seed),
+            source_period=PARAMS.Lambda * 1.01,
+        )
+
+    bases = [replicated_line(3), cycle_graph(9), cycle_graph(6)]
+    return {
+        "perfect": lambda: (
+            [PerfectLayer0(2.0), PerfectLayer0(3.5), PerfectLayer0(2.5)],
+            bases,
+        ),
+        "jittered": lambda: (
+            [JitteredLayer0(2.0, b.num_nodes, 0.05, seed=i) for i, b in enumerate(bases)],
+            bases,
+        ),
+        "alternating": lambda: (
+            [AlternatingLayer0(2.0, 0.1 * (i + 1)) for i in range(3)],
+            bases,
+        ),
+        "static_chain": lambda: (
+            [chain(b, i, StaticDelayModel(PARAMS.d, PARAMS.u, seed=i)) for i, b in enumerate(bases)],
+            bases,
+        ),
+        "varying_chain": lambda: (
+            [
+                chain(b, i, VaryingDelayModel(PARAMS.d, PARAMS.u, 0.002, seed=i))
+                for i, b in enumerate(bases)
+            ],
+            bases,
+        ),
+        "mixed": lambda: (
+            [
+                PerfectLayer0(2.0),
+                JitteredLayer0(2.0, 9, 0.05, seed=3),
+                chain(bases[2], 5, VaryingDelayModel(PARAMS.d, PARAMS.u, 0.002, seed=5)),
+            ],
+            bases,
+        ),
+    }
+
+
+FILL_PULSES = 7
+
+
+class TestRangeFill:
+    """Any range of grid pulses fills bit-identically to the whole horizon
+    and to the scalar ``pulse_time`` loop, NaN past each trial's width."""
+
+    @pytest.mark.parametrize("case", sorted(_fill_cases()))
+    @pytest.mark.parametrize("k0, k1", [(0, 7), (0, 1), (2, 5), (6, 7), (3, 3)])
+    def test_range_equals_whole_and_scalar(self, case, k0, k1):
+        make = _fill_cases()[case]
+        whole = stacked_pulse_times(*make(), range(FILL_PULSES))
+        # A cold schedule, so a cached fill starts from nothing.
+        schedules, bases = make()
+        block = stacked_pulse_times(schedules, bases, range(k0, k1))
+        width = max(base.num_nodes for base in bases)
+        assert block.shape == (len(schedules), k1 - k0, width)
+        np.testing.assert_array_equal(block, whole[:, k0:k1])
+        reference, _ = make()
+        for s, (schedule, base) in enumerate(zip(reference, bases)):
+            np.testing.assert_array_equal(
+                block[s, :, : base.num_nodes],
+                _loop_times(schedule, base, k1)[k0:],
+            )
+            assert np.isnan(block[s, :, base.num_nodes:]).all()
+
+    @pytest.mark.parametrize("case", sorted(_fill_cases()))
+    def test_blocks_into_out_rows(self, case):
+        # Block by block into one reused buffer, the way a run fills its
+        # ring: every cell is overwritten, padding included.
+        schedules, bases = _fill_cases()[case]()
+        whole = stacked_pulse_times(*_fill_cases()[case](), range(FILL_PULSES))
+        ring = np.full((len(schedules), 3, 2, whole.shape[-1] + 1), -1.0)
+        for k0 in range(0, FILL_PULSES, 3):
+            pulses = range(k0, min(k0 + 3, FILL_PULSES))
+            out = ring[:, : len(pulses), 0, : whole.shape[-1]]
+            got = stacked_pulse_times(schedules, bases, pulses, out=out)
+            assert np.shares_memory(got, ring)
+            np.testing.assert_array_equal(out, whole[:, pulses.start : pulses.stop])
+        assert (ring[:, :, 1] == -1.0).all() and (ring[..., -1] == -1.0).all()
+
+    @pytest.mark.parametrize("case", sorted(_fill_cases()))
+    def test_stacked_pulse_row(self, case):
+        schedules, bases = _fill_cases()[case]()
+        whole = stacked_pulse_times(*_fill_cases()[case](), range(FILL_PULSES))
+        np.testing.assert_array_equal(
+            stacked_pulse_row(schedules, bases, 4), whole[:, 4]
+        )
+        out = np.zeros((len(schedules), whole.shape[-1]))
+        row = stacked_pulse_row(schedules, bases, 2, out=out)
+        assert np.shares_memory(row, out)
+        np.testing.assert_array_equal(out, whole[:, 2])
+
+    def test_validation(self):
+        schedules, bases = [PerfectLayer0(2.0)], [cycle_graph(3)]
+        for pulses in (range(0, 4, 2), 3):
+            with pytest.raises(ValueError, match="pulses"):
+                stacked_pulse_times(schedules, bases, pulses)
+        with pytest.raises(ValueError, match="shape"):
+            stacked_pulse_times(schedules, bases, range(2), out=np.empty((1, 3, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            stacked_pulse_times(schedules, bases, range(2), out=np.empty((1, 2, 2)))
+        with pytest.raises(ValueError, match="pulses"):
+            stacked_pulse_row(schedules, bases, -1)
+        assert stacked_pulse_times([], [], range(2)).shape == (0, 2, 0)
