@@ -323,54 +323,44 @@ class TestChainVectorizedFill:
                 assert arr[k, v] == probe.pulse_time(v, k)
 
 
-def _fill_cases():
-    """``{name: () -> (schedules, bases)}``, fresh schedules per call:
-    every class on mixed widths, and a chain on a pulse-varying model."""
+FILL_CASES = (
+    "perfect", "jittered", "alternating", "static_chain", "varying_chain",
+    "mixed",
+)
 
-    def chain(base, seed, model):
+
+def _fill_case(name):
+    """Fresh ``(schedules, bases)`` of one case: three trials of mixed
+    widths, of one class (a chain on static or on pulse-varying delays)
+    or of three classes."""
+    bases = [replicated_line(3), cycle_graph(9), cycle_graph(6)]
+
+    def chain(i, base, model):
         nodes = list(base.nodes())
         return ChainLayer0(
             PARAMS,
             nodes[::-1],
             delay_model=model,
-            clocks=uniform_random_rates(nodes, PARAMS.vartheta, rng_or_seed=seed),
+            clocks=uniform_random_rates(nodes, PARAMS.vartheta, rng_or_seed=i),
             source_period=PARAMS.Lambda * 1.01,
         )
 
-    bases = [replicated_line(3), cycle_graph(9), cycle_graph(6)]
-    return {
-        "perfect": lambda: (
-            [PerfectLayer0(2.0), PerfectLayer0(3.5), PerfectLayer0(2.5)],
-            bases,
+    makers = {
+        "perfect": lambda i, b: PerfectLayer0(2.0 + 0.75 * i),
+        "jittered": lambda i, b: JitteredLayer0(2.0, b.num_nodes, 0.05, seed=i),
+        "alternating": lambda i, b: AlternatingLayer0(2.0, 0.1 * (i + 1)),
+        "static_chain": lambda i, b: chain(
+            i, b, StaticDelayModel(PARAMS.d, PARAMS.u, seed=i)
         ),
-        "jittered": lambda: (
-            [JitteredLayer0(2.0, b.num_nodes, 0.05, seed=i) for i, b in enumerate(bases)],
-            bases,
-        ),
-        "alternating": lambda: (
-            [AlternatingLayer0(2.0, 0.1 * (i + 1)) for i in range(3)],
-            bases,
-        ),
-        "static_chain": lambda: (
-            [chain(b, i, StaticDelayModel(PARAMS.d, PARAMS.u, seed=i)) for i, b in enumerate(bases)],
-            bases,
-        ),
-        "varying_chain": lambda: (
-            [
-                chain(b, i, VaryingDelayModel(PARAMS.d, PARAMS.u, 0.002, seed=i))
-                for i, b in enumerate(bases)
-            ],
-            bases,
-        ),
-        "mixed": lambda: (
-            [
-                PerfectLayer0(2.0),
-                JitteredLayer0(2.0, 9, 0.05, seed=3),
-                chain(bases[2], 5, VaryingDelayModel(PARAMS.d, PARAMS.u, 0.002, seed=5)),
-            ],
-            bases,
+        "varying_chain": lambda i, b: chain(
+            i, b, VaryingDelayModel(PARAMS.d, PARAMS.u, 0.002, seed=i)
         ),
     }
+    mixed = ("perfect", "jittered", "varying_chain")
+    return [
+        makers[mixed[i] if name == "mixed" else name](i, base)
+        for i, base in enumerate(bases)
+    ], bases
 
 
 FILL_PULSES = 7
@@ -380,18 +370,17 @@ class TestRangeFill:
     """Any range of grid pulses fills bit-identically to the whole horizon
     and to the scalar ``pulse_time`` loop, NaN past each trial's width."""
 
-    @pytest.mark.parametrize("case", sorted(_fill_cases()))
+    @pytest.mark.parametrize("case", FILL_CASES)
     @pytest.mark.parametrize("k0, k1", [(0, 7), (0, 1), (2, 5), (6, 7), (3, 3)])
     def test_range_equals_whole_and_scalar(self, case, k0, k1):
-        make = _fill_cases()[case]
-        whole = stacked_pulse_times(*make(), range(FILL_PULSES))
+        whole = stacked_pulse_times(*_fill_case(case), range(FILL_PULSES))
         # A cold schedule, so a cached fill starts from nothing.
-        schedules, bases = make()
+        schedules, bases = _fill_case(case)
         block = stacked_pulse_times(schedules, bases, range(k0, k1))
         width = max(base.num_nodes for base in bases)
         assert block.shape == (len(schedules), k1 - k0, width)
         np.testing.assert_array_equal(block, whole[:, k0:k1])
-        reference, _ = make()
+        reference, _ = _fill_case(case)
         for s, (schedule, base) in enumerate(zip(reference, bases)):
             np.testing.assert_array_equal(
                 block[s, :, : base.num_nodes],
@@ -399,12 +388,12 @@ class TestRangeFill:
             )
             assert np.isnan(block[s, :, base.num_nodes:]).all()
 
-    @pytest.mark.parametrize("case", sorted(_fill_cases()))
+    @pytest.mark.parametrize("case", FILL_CASES)
     def test_blocks_into_out_rows(self, case):
         # Block by block into one reused buffer, the way a run fills its
         # ring: every cell is overwritten, padding included.
-        schedules, bases = _fill_cases()[case]()
-        whole = stacked_pulse_times(*_fill_cases()[case](), range(FILL_PULSES))
+        schedules, bases = _fill_case(case)
+        whole = stacked_pulse_times(*_fill_case(case), range(FILL_PULSES))
         ring = np.full((len(schedules), 3, 2, whole.shape[-1] + 1), -1.0)
         for k0 in range(0, FILL_PULSES, 3):
             pulses = range(k0, min(k0 + 3, FILL_PULSES))
@@ -414,10 +403,10 @@ class TestRangeFill:
             np.testing.assert_array_equal(out, whole[:, pulses.start : pulses.stop])
         assert (ring[:, :, 1] == -1.0).all() and (ring[..., -1] == -1.0).all()
 
-    @pytest.mark.parametrize("case", sorted(_fill_cases()))
+    @pytest.mark.parametrize("case", FILL_CASES)
     def test_stacked_pulse_row(self, case):
-        schedules, bases = _fill_cases()[case]()
-        whole = stacked_pulse_times(*_fill_cases()[case](), range(FILL_PULSES))
+        schedules, bases = _fill_case(case)
+        whole = stacked_pulse_times(*_fill_case(case), range(FILL_PULSES))
         np.testing.assert_array_equal(
             stacked_pulse_row(schedules, bases, 4), whole[:, 4]
         )
