@@ -81,7 +81,7 @@ def stacked_pulse_times(
     shape = (len(schedules), len(pulses), width)
     if out is None:
         out = np.empty(shape)
-    elif out.shape[:2] != shape[:2] or out.shape[2] < width:
+    elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, need {shape}")
     groups: Dict[type, List[int]] = {}
     for s, schedule in enumerate(schedules):
