@@ -56,8 +56,9 @@ Four micro-benchmarks track the performance trajectory across PRs:
   64 configs from an empty shared-structure cache runs one BFS; recorded
   under ``"cold_vs_warm"`` with the config time per trial.
 * ``test_warm_transport``: the service's two per-job set-up costs.  A
-  fresh S = 4, D = 16 grid (the ``service_mix`` miss) through a warm
-  process pool vs the same grid run serially, asserting <= 1.5x; and
+  fresh S = 4, D = 16 grid (the ``service_mix`` miss) forced to two
+  shards (the first in-process, the second on the warm pool) vs the
+  same grid run serially, asserting <= 1.5x; and
   the median ``ServiceClient.health()`` round trip on one keep-alive
   connection, asserting <= 10 ms.  Recorded under ``"warm_transport"``.
 * ``test_executor_rule``: the executor rule's pick against serial and
@@ -162,6 +163,7 @@ from repro.faults import ChaosCampaign
 from repro.params import Parameters
 from repro.service import ServiceClient, ServiceServer
 from repro.topology import LayeredGraph, replicated_line, sparse_layered
+from tests.conftest import shards
 
 pytestmark = pytest.mark.bench
 
@@ -216,6 +218,25 @@ def _merge_sparse_section(subkey, value):
             existing = {}
     existing[subkey] = value
     _merge_bench_json({"sparse": existing})
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Pin every run of a bench to one shard in this process: the pool's
+    workers are out of reach of its timers, tracers and patched seams."""
+    shards(monkeypatch, 1)
+
+
+def on_shards(count, runner):
+    """``runner.run`` with the executor rule's pick forced to ``count``
+    shards, for benches that time both sides of the rule."""
+
+    def run(trials):
+        with pytest.MonkeyPatch.context() as patch:
+            shards(patch, count)
+            return runner.run(trials)
+
+    return run
 
 
 def per_trial_loop(trials, num_pulses):
@@ -407,11 +428,13 @@ def _mode_record(trials_measured, seconds, node_pulses_per_trial, **extra):
     return record
 
 
+@pytest.mark.usefixtures("in_process")
 def test_trial_stacked_speedup():
     """Trial-stacked kernel >= 3x over the per-trial vectorized loop.
 
-    Also times the scalar reference (on a subset) and the process-sharded
-    executor, and records all four modes in ``BENCH_batch.json``.
+    Also times the scalar reference (on a subset) and a run forced to two
+    shards (the first in this process, the second on the pool), and
+    records all four modes in ``BENCH_batch.json``.
     """
     trials = BatchRunner.seed_sweep(
         BATCH_DIAMETER, range(BATCH_TRIALS), num_pulses=NUM_PULSES
@@ -419,10 +442,8 @@ def test_trial_stacked_speedup():
     graph = trials[0].config.graph
     node_pulses = graph.num_nodes * NUM_PULSES
 
-    stacked_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
-    sharded_runner = BatchRunner(
-        num_pulses=NUM_PULSES, executor="process", shards=2
-    )
+    stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
+    sharded_run = on_shards(2, BatchRunner(num_pulses=NUM_PULSES))
 
     # Warm the per-edge and per-layer delay caches once; every timed mode
     # then measures its kernel, not one-time RNG setup.
@@ -439,9 +460,7 @@ def test_trial_stacked_speedup():
     scalar_time, _ = timed(
         lambda: scalar_loop(trials[:SCALAR_TRIALS], NUM_PULSES), repeats=1
     )
-    sharded_time, sharded_batch = timed(
-        lambda: sharded_runner.run(trials), repeats=1
-    )
+    sharded_time, sharded_batch = timed(lambda: sharded_run(trials), repeats=1)
 
     np.testing.assert_allclose(
         stacked_batch.times,
@@ -471,9 +490,10 @@ def test_trial_stacked_speedup():
             "trial_stacked": _mode_record(
                 BATCH_TRIALS, stacked_time, node_pulses
             ),
-            "process_sharded": _mode_record(
-                BATCH_TRIALS, sharded_time, node_pulses, shards=2
-            ),
+            "process_sharded": {
+                **_mode_record(BATCH_TRIALS, sharded_time, node_pulses),
+                "shards": 2,
+            },
         },
         "speedups": {
             "stacked_vs_per_trial": speedup,
@@ -503,6 +523,7 @@ def test_trial_stacked_speedup():
     )
 
 
+@pytest.mark.usefixtures("in_process")
 def test_simplified_stacked_speedup():
     """Stacked Algorithm 1 >= 5x over its scalar per-cell reference at D=64.
 
@@ -519,7 +540,7 @@ def test_simplified_stacked_speedup():
     graph = trials[0].config.graph
     node_pulses = graph.num_nodes * NUM_PULSES
 
-    stacked_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
+    stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
 
     stacked_runner.run(trials)  # warm the delay/rate caches
     stacked_time, stacked_batch = timed(lambda: stacked_runner.run(trials))
@@ -608,6 +629,7 @@ def hetero_trials():
     return trials
 
 
+@pytest.mark.usefixtures("in_process")
 def test_heterogeneous_stacked_speedup():
     """Padded mixed-geometry stack >= 1.3x over the per-trial loop.
 
@@ -623,7 +645,7 @@ def test_heterogeneous_stacked_speedup():
         t.config.graph.num_nodes * NUM_PULSES for t in trials
     ) / len(trials)
 
-    stacked_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
+    stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
 
     # Warm the per-edge and per-layer delay caches once.
     warm = stacked_runner.run(trials)
@@ -726,6 +748,7 @@ def depth_skew_trials():
     return trials
 
 
+@pytest.mark.usefixtures("in_process")
 def test_depth_skewed_compaction_speedup():
     """Depth-compacted stack >= 1.3x over per-geometry grouping.
 
@@ -744,7 +767,7 @@ def test_depth_skewed_compaction_speedup():
         t.config.graph.num_nodes * NUM_PULSES for t in trials
     ) / len(trials)
 
-    compacted_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
+    compacted_runner = BatchRunner(num_pulses=NUM_PULSES)
 
     # Warm the per-edge and per-layer delay caches once; also pin the
     # single-stack + compaction bookkeeping while we are at it.
@@ -879,6 +902,7 @@ def accessor_seconds(batch):
     return time.perf_counter() - start
 
 
+@pytest.mark.usefixtures("in_process")
 def test_streaming_memory_reduction():
     """Streaming folds >= 4x less peak memory than the materialized block.
 
@@ -902,10 +926,8 @@ def test_streaming_memory_reduction():
         STREAM_TRIALS * STREAM_PULSES * graph.num_layers * graph.width * 8
     )
 
-    streaming_runner = BatchRunner(
-        executor="serial", num_pulses=STREAM_PULSES, store_times=False
-    )
-    materialized_runner = BatchRunner(executor="serial", num_pulses=STREAM_PULSES)
+    streaming_runner = BatchRunner(num_pulses=STREAM_PULSES, store_times=False)
+    materialized_runner = BatchRunner(num_pulses=STREAM_PULSES)
 
     # Warm the per-edge delay/rate caches (they live on the shared trial
     # configs and scale with S*L*W, not K) so the traced peaks compare
@@ -1092,6 +1114,7 @@ def streamed_peak(runner, trials):
     return peak
 
 
+@pytest.mark.usefixtures("in_process")
 def test_pulse_block_speedup():
     """Default pulse blocks >= 1.5x one pulse per block, warm and streamed.
 
@@ -1105,7 +1128,7 @@ def test_pulse_block_speedup():
     trials = BatchRunner.seed_sweep(
         BLOCK_DIAMETER, range(BLOCK_TRIALS), num_pulses=BLOCK_PULSES
     )
-    runner = BatchRunner(executor="serial", num_pulses=BLOCK_PULSES, store_times=False)
+    runner = BatchRunner(num_pulses=BLOCK_PULSES, store_times=False)
     runner.run(trials)  # cold fill: every delay and rate cached
 
     def per_pulse():
@@ -1213,6 +1236,7 @@ def send_offsets_calls(runner, trials):
     return calls[0]
 
 
+@pytest.mark.usefixtures("in_process")
 def test_short_horizon_block_speedup():
     """Default pulse blocks >= 1.5x one pulse per block on 8 faulted pulses.
 
@@ -1226,7 +1250,7 @@ def test_short_horizon_block_speedup():
     ``send_offsets`` calls.
     """
     trials, _ = thm13_trials(SHORT_DIAMETER, SHORT_SEEDS, num_pulses=SHORT_PULSES)
-    runner = BatchRunner(executor="serial", num_pulses=SHORT_PULSES, store_times=False)
+    runner = BatchRunner(num_pulses=SHORT_PULSES, store_times=False)
     runner.run(trials)  # cold fill: every delay and rate cached
 
     def per_pulse():
@@ -1346,6 +1370,7 @@ def host_info():
     }
 
 
+@pytest.mark.usefixtures("in_process")
 def test_block_curve():
     """Per-step wall time and streamed peak against the plane's cells.
 
@@ -1377,9 +1402,7 @@ def test_block_curve():
     }
     runners = {
         size: BatchRunner(
-            executor="serial",
-            num_pulses=max(size, CURVE_MIN_PULSES),
-            store_times=False,
+            num_pulses=max(size, CURVE_MIN_PULSES), store_times=False
         )
         for size in CURVE_BLOCKS
     }
@@ -1388,9 +1411,7 @@ def test_block_curve():
     for name, (trials, diameter, horizon) in stacks.items():
         graph = trials[0].config.graph
         plane_cells = len(trials) * graph.width
-        BatchRunner(  # cold fill
-            executor="serial", num_pulses=horizon, store_times=False
-        ).run(trials)
+        BatchRunner(num_pulses=horizon, store_times=False).run(trials)  # cold fill
         steps = {size: [] for size in CURVE_BLOCKS}
         for _ in range(CURVE_ROUNDS):
             for size in CURVE_BLOCKS:
@@ -1446,6 +1467,7 @@ def test_block_curve():
     )
 
 
+@pytest.mark.usefixtures("in_process")
 def test_campaign_stacked_speedup():
     """Stacked campaign trials >= 1.5x per-trial; quiet campaigns near-free.
 
@@ -1483,7 +1505,7 @@ def test_campaign_stacked_speedup():
             trial.config.graph.base, trial.config.graph.num_layers, events=()
         )
 
-    stacked_runner = BatchRunner(executor="serial", num_pulses=CHURN_PULSES)
+    stacked_runner = BatchRunner(num_pulses=CHURN_PULSES)
 
     # Warm the per-edge delay and rate caches so every timed mode
     # measures its kernel, not one-time RNG setup.
@@ -1619,6 +1641,7 @@ def width_skew_trials():
     return trials
 
 
+@pytest.mark.usefixtures("in_process")
 def test_width_skewed_lane_compaction_speedup():
     """Lane-compacted stack >= 1.3x over the lane-padded stack.
 
@@ -1634,7 +1657,7 @@ def test_width_skewed_lane_compaction_speedup():
         t.config.graph.num_nodes * NUM_PULSES for t in trials
     ) / len(trials)
 
-    lane_runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
+    lane_runner = BatchRunner(num_pulses=NUM_PULSES)
 
     # Warm the per-edge delay and rate caches; pin the stacking shape
     # and the width-axis accounting while we are at it.
@@ -1803,6 +1826,7 @@ def test_csr_backend_memory_reduction():
     )
 
 
+@pytest.mark.usefixtures("in_process")
 def test_dense_backend_no_regression():
     """The density heuristic picks dense on regular graphs, bitwise.
 
@@ -1813,7 +1837,7 @@ def test_dense_backend_no_regression():
     trials = BatchRunner.seed_sweep(
         BATCH_DIAMETER, range(16), num_pulses=NUM_PULSES
     )
-    runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
+    runner = BatchRunner(num_pulses=NUM_PULSES)
     batch = runner.run(trials)
     (stats,) = batch.compaction_stats
     assert stats["neighbor_backend"] == "dense", (
@@ -1825,10 +1849,11 @@ def test_dense_backend_no_regression():
     np.testing.assert_array_equal(batch.times, dense_batch.times)
 
 
+@pytest.mark.usefixtures("in_process")
 def test_batch_runner_throughput():
     seeds = range(8)
     trials = BatchRunner.seed_sweep(16, seeds, num_pulses=NUM_PULSES)
-    runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES)
+    runner = BatchRunner(num_pulses=NUM_PULSES)
     runner.run(trials)  # warm delay/rate caches
     elapsed, batch = timed(lambda: runner.run(trials))
     per_trial = elapsed / len(trials)
@@ -1892,6 +1917,7 @@ def _gather_all_layers(sims):
     return gathered
 
 
+@pytest.mark.usefixtures("in_process")
 def test_cold_gather_speedup():
     """Block delay gather vs the per-edge loop on a fresh seed sweep.
 
@@ -1922,7 +1948,7 @@ def test_cold_gather_speedup():
         return time.perf_counter() - start, arrays
 
     def sweep(per_edge):
-        runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES, store_times=False)
+        runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
         start = time.perf_counter()
         batch = runner.run(fresh_trials(per_edge))
         skews = batch.local_skews()
@@ -2033,7 +2059,7 @@ def cold_vs_warm_timings(rounds=3):
     empty caches), times its construction and its first streamed run,
     then re-runs it warm.  Returns the record and the last warm batch.
     """
-    runner = BatchRunner(executor="serial", num_pulses=NUM_PULSES, store_times=False)
+    runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
     config_s = first_s = warm_s = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
@@ -2056,6 +2082,7 @@ def cold_vs_warm_timings(rounds=3):
     return record, batch
 
 
+@pytest.mark.usefixtures("in_process")
 def test_cold_vs_warm():
     """A fresh sweep's first run costs at most 3x its warm rerun.
 
@@ -2232,7 +2259,7 @@ def fault_fallback_timings(repeats=3):
         FALLBACK_DIAMETER, FALLBACK_SEEDS, num_pulses=FALLBACK_PULSES
     )
     fault_free = [BatchTrial(config=trial.config) for trial in trials]
-    runner = BatchRunner(executor="serial", num_pulses=FALLBACK_PULSES, store_times=False)
+    runner = BatchRunner(num_pulses=FALLBACK_PULSES, store_times=False)
     for grid in (trials, fault_free):
         runner.run(grid)
     faulted_time, faulted = timed(lambda: runner.run(trials), repeats)
@@ -2252,6 +2279,7 @@ def fault_fallback_timings(repeats=3):
     return record, faulted
 
 
+@pytest.mark.usefixtures("in_process")
 def test_fault_fallback_overhead():
     """Warm faulted thm13 stack <= 4x the same configs run fault-free.
 
@@ -2271,7 +2299,7 @@ def test_fault_fallback_overhead():
     counters = record["faulted"]
     assert 0 < counters["fallback_passes"] <= counters["fallback_batches"]
     sends = fault_send_recording(
-        BatchRunner(executor="serial", num_pulses=FALLBACK_PULSES, store_times=False),
+        BatchRunner(num_pulses=FALLBACK_PULSES, store_times=False),
         faulted.trials,
     )
     assert sends["messages"] == PER_MESSAGE_RECORDING["messages"]
@@ -2347,22 +2375,21 @@ def warm_transport_timings(
     num_pulses=NUM_PULSES,
     seeds=None,
 ):
-    """Median process and serial runs of fresh grids, and their ratio.
+    """Median pooled and serial runs of fresh grids, and their ratio.
 
     Each round builds a fresh grid of ``trials`` seeds at ``diameter``
     (seeds never reused, so every run gathers its inputs cold), runs it
-    through the process executor, then serially -- the process run
-    ships pickled copies, so the serial run finds the parent's trials
-    still cold.  The ratio is the median of the per-round ratios: run
+    in two shards -- the first in this process, the second on the pool,
+    as the executor rule's pool runs -- then serially.  The pooled run
+    ships the second shard's trials pickled, so the serial run finds
+    those still cold in the parent.  The ratio is the median of the per-round ratios: run
     times differ between grids, and a best-of per side would pair one
     grid's luck with another's.  One process run before the rounds
     forks the pool (or finds it warm).
     """
     seeds = itertools.count(10_000) if seeds is None else seeds
-    serial = BatchRunner(executor="serial", num_pulses=num_pulses, store_times=False)
-    process = BatchRunner(
-        num_pulses=num_pulses, executor="process", store_times=False
-    )
+    runner = BatchRunner(num_pulses=num_pulses, store_times=False)
+    serial, process = on_shards(1, runner), on_shards(2, runner)
 
     def fresh():
         return BatchRunner.seed_sweep(
@@ -2371,15 +2398,15 @@ def warm_transport_timings(
             num_pulses=num_pulses,
         )
 
-    process.run(fresh())
+    process(fresh())
     process_s, serial_s = [], []
     for _ in range(rounds):
         grid = fresh()
         start = time.perf_counter()
-        by_process = process.run(grid)
+        by_process = process(grid)
         process_s.append(time.perf_counter() - start)
         start = time.perf_counter()
-        by_serial = serial.run(grid)
+        by_serial = serial(grid)
         serial_s.append(time.perf_counter() - start)
         np.testing.assert_array_equal(
             by_process.local_skews(), by_serial.local_skews()
@@ -2412,10 +2439,9 @@ def health_round_trip():
 def test_warm_transport():
     """Warm pool <= 1.5x serial on a fresh grid; round trip <= 10 ms.
 
-    The service sends a grid this size to the process executor only
-    when the submission asks for it (a job that names no executor runs
-    it serially, see :func:`test_executor_rule`), and a served job
-    is three HTTP requests.  With a pool forked per run and a TCP
+    The executor rule runs a grid this size serially (see
+    :func:`test_executor_rule`); the pooled leg bounds what a run of it
+    in two shards would cost.  A served job is three HTTP requests.  With a pool forked per run and a TCP
     connection per request, a fresh service-sized grid took ~2x its
     serial run; the section records those numbers
     (:data:`PER_CALL_TRANSPORT`) next to the live ``warm`` ones.
@@ -2563,30 +2589,22 @@ def executor_rule_points(cases, seeds, rounds):
     points = []
     for kind, diameter, trials, pulses, gathered, streamed in cases:
         build = rule_grid_builder(kind, diameter, trials, pulses, seeds)
-        store_times = not streamed
-        serial = BatchRunner(
-            num_pulses=pulses, executor="serial", store_times=store_times
-        )
-        picked = BatchRunner(num_pulses=pulses, store_times=store_times)
-
-        def pooled(grid, picked=picked):
-            with mock.patch.object(batch_mod, "_pick_shards", return_value=2):
-                picked.run(grid)
-
+        runner = BatchRunner(num_pulses=pulses, store_times=not streamed)
+        serial, pooled = on_shards(1, runner), on_shards(2, runner)
         pooled(build())  # fork the pool, or find it warm
         grid = build()
         if gathered:
-            serial.run(grid)
+            serial(grid)
         larger = grid[: batch_mod._shard_bounds(len(grid), 2)[1]]
         points.append(
             {
-                "legs": ((pooled, []), (serial.run, [])),
+                "legs": ((pooled, []), (serial, [])),
                 "grid": grid if gathered else None,
                 "build": build,
                 "trials": len(grid),
                 "rule_weight": batch_mod._cells(larger, pulses) * streamed
                 + batch_mod._EDGE_CELLS * batch_mod._cold_edges(larger),
-                "pick": rule_pick(grid, pulses, store_times),
+                "pick": rule_pick(grid, pulses, not streamed),
             }
         )
     for r in range(rounds):

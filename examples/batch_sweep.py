@@ -5,19 +5,17 @@ Sweeps 16 seeds at two diameters with :class:`BatchRunner` -- compatible
 trials advance through the trial-stacked ``(S, W)`` kernel in lock-step,
 and skew statistics for the whole stack reduce in single array sweeps --
 then injects a random fault plan per seed and compares the two skew
-distributions.  The closing section demonstrates the executor knobs:
-
-* ``BatchRunner(...)``                       -- the executor rule picks
-  serial or two shards per run by the run's size (the default)
-* ``BatchRunner(executor="serial")``         -- one trial-stacked run
-* ``BatchRunner(executor="process", shards=N)`` -- shard trials across
-  worker processes (trials must be picklable)
+distributions.  The closing section shows the executor rule at work:
+``BatchRunner`` takes only ``num_pulses`` and ``store_times``, and one
+measured rule picks each run's shards -- serial for a small grid, two
+shards (the first in this process, the second on a worker pool) for a
+large streamed one.  Each run's ``plan`` event names the pick.
 
 (The scalar reference is not a runner mode: tests and benches swap the
 per-cell rule ``repro.core.fast._scalar_replay`` in behind the fallback
 seam of ``repro.core.fast_batch``.)
 
-All strategies produce bit-identical results; only the wall clock moves.
+Every pick produces bit-identical results; only the wall clock moves.
 
 Run:  python examples/batch_sweep.py
 """
@@ -78,28 +76,28 @@ def main() -> None:
         print(f"  worst faulty skew {worst:.4f} stays within 5x the bound")
 
     # ------------------------------------------------------------------
-    # Executor knobs: every strategy computes the same numbers; pick by
-    # workload shape (see the BatchRunner docstring).
+    # The executor rule: each run's plan event names its pick, and a
+    # materialized run of the same grid gives the same statistics.
     # ------------------------------------------------------------------
-    print("\nExecutor knobs (S=32 fault-free trials, D=16):")
-    trials = BatchRunner.seed_sweep(16, range(32))
-    BatchRunner(executor="serial").run(trials)  # gather the delays once
-    runners = {
-        "executor rule (default)": BatchRunner(),
-        "trial-stacked": BatchRunner(executor="serial"),
-        "process-sharded x4": BatchRunner(executor="process", shards=4),
-    }
-    reference = None
-    for label, runner in runners.items():
+    print("\nExecutor rule (fault-free trials):")
+    for diameter, count, pulses in ((16, 4, 4), (32, 16, 64)):
+        trials = BatchRunner.seed_sweep(diameter, range(count))
+        events = []
         start = time.perf_counter()
-        batch = runner.run(trials)
+        streamed = BatchRunner(num_pulses=pulses, store_times=False).run(
+            trials, on_shard=events.append
+        )
         elapsed = time.perf_counter() - start
-        skews = batch.max_local_skews()
-        if reference is None:
-            reference = skews
-        assert np.array_equal(skews, reference), "strategies must agree"
-        print(f"  {label:<26} {elapsed:7.3f}s  median L_l={np.median(skews):.4f}")
-    print("  (identical skews from every strategy, as asserted)")
+        plan = events[0]
+        kept = BatchRunner(num_pulses=pulses).run(trials)
+        assert np.array_equal(
+            streamed.max_local_skews(), kept.max_local_skews()
+        ), "every pick must agree"
+        print(
+            f"  S={count:<3} D={diameter:<3} K={pulses:<3} "
+            f"{plan['executor']:>7} x{plan['shards']}  {elapsed:7.3f}s"
+        )
+    print("  (identical skews streamed and materialized, as asserted)")
 
 
 if __name__ == "__main__":

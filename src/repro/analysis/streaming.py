@@ -43,9 +43,9 @@ Design constraints, all load-bearing:
   compacted kernel skipped: a NaN cell leaves every max accumulator
   untouched and adds count 0 and ``+0.0`` to a
   non-negative correction total, which leaves it bitwise unchanged.
-* **Picklable.**  Accumulators survive the process executor: each
-  shard's results carry their own stack group's stream, so
-  ``executor="process"`` sweeps need no merge.
+* **Picklable.**  Accumulators survive the worker pool: each pooled
+  shard's results carry their own stack group's stream, so sharded
+  sweeps need no merge.
 
 The inter-layer skew compares pulse ``k`` on layer ``l`` against pulse
 ``k - 1`` on layer ``l + 1`` -- a *cross-pulse* comparison.  Inside a
@@ -215,7 +215,7 @@ class StreamedStats:
     stack as ``result.streamed`` with the trial's row in
     ``result.streamed_row``
     -- one shared object per stack group, which pickling deduplicates
-    within a shard payload, so the process executor carries it at no
+    within a shard payload, so a pooled shard carries it at no
     per-trial cost (unlike the stripped ``_StackBlock``).
     """
 

@@ -21,18 +21,15 @@ module sweeps many trials in one call instead:
   stacked along a leading *trial axis* -- ``times`` of shape
   ``(S, K, L_max, W_max)``, NaN-padded when grids differ.
 
-``BatchRunner(executor="process", shards=N)`` splits the trial list into
-``N`` shards and runs them on one process-wide worker pool of
+One measured rule (see :func:`_pick_shards`) decides how every run
+executes: a large grid runs in two shards, the first in this process
+and the second on one process-wide worker pool of
 :mod:`concurrent.futures`, forked on first use and kept across calls;
-every trial is deterministic given its spec, so
-the assembled :class:`BatchResult` is identical for every ``shards``
-setting (the test suite pins this).  A runner that names no executor
-picks one per run by one measured rule (see :func:`_pick_shards`):
-large grids run in two shards, the first in this
-process, and every other grid runs serially.  Trials must be
-picklable for a named process executor -- use module-level
-functions/classes, not lambdas, for delay classifiers and rate
-providers; a picked one runs a shard that does not pickle in-parent.
+every other grid runs serially.  Every trial is deterministic given its
+spec, so the assembled :class:`BatchResult` is identical for every
+shard count (the test suite pins this).  A shard whose trials do not
+pickle (a lambda delay classifier or rate provider) runs in this
+process instead.
 
 :class:`BatchRunner` is the backend of the ``thm11_local_skew``,
 ``thm13_random_faults``, ``cor15_variation``, and ``table1`` experiment
@@ -87,7 +84,7 @@ class _ConfigRates(enum.Enum):
 #: member rather than a bare ``object()`` so the ``is CONFIG_RATES``
 #: identity test survives pickling: enum members unpickle by name to the
 #: module-level singleton, which is what lets :class:`BatchTrial` specs
-#: round-trip into ``executor="process"`` worker processes.
+#: round-trip into the pool's worker processes.
 CONFIG_RATES = _ConfigRates.CONFIG_RATES
 
 
@@ -101,7 +98,7 @@ class BatchTrial:
     ``campaign`` attaches a :class:`~repro.faults.campaign.ChaosCampaign`
     (declared churn over the trial's base graph); campaigns are plain
     frozen-dataclass schedules, so campaign trials pickle into
-    ``executor="process"`` shards like any other, and their per-trial
+    pooled shards like any other, and their per-trial
     churn accounting lands in :attr:`BatchResult.campaign_stats`.
     """
 
@@ -165,8 +162,8 @@ def _emit(on_shard: Optional[ShardCallback], event: Dict) -> None:
         on_shard(dict(event))
 
 
-#: The process executor's worker pool, shared by every run in this
-#: process (see :func:`_worker_pool`).
+#: The worker pool, shared by every pooled run in this process (see
+#: :func:`_worker_pool`).
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
 
@@ -175,8 +172,8 @@ def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask, not the host's;
     the host's count where the platform has no affinity call).
 
-    Sizes the worker pool, the default shard count and the executor
-    rule, so a process pinned to one CPU never shards.
+    Sizes the worker pool and the executor rule, so a process pinned to
+    one CPU never shards.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -215,10 +212,7 @@ def _shard_bounds(num_trials: int, shards: int) -> List[int]:
 
     ``np.array_split`` semantics -- the first ``num_trials % shards``
     shards take one extra trial, so shard sizes never differ by more
-    than one.  (The previous ``np.linspace(...).astype(int)`` bounds
-    *truncated* instead of rounding, which for some ``(trials, shards)``
-    combinations produced maximally uneven chunks -- e.g. a first shard
-    carrying twice its share while another ran nearly empty.)
+    than one.
     """
     base, extra = divmod(num_trials, shards)
     return [i * base + min(i, extra) for i in range(shards + 1)]
@@ -267,7 +261,7 @@ def _pick_shards(
 ) -> int:
     """The executor rule: 2 to run in two shards, or 1 to run serially.
 
-    Applied when the caller names no executor.  A run shards when two
+    Applied to every run.  A run shards when two
     CPUs are usable (:func:`_usable_cpus`) and its larger shard weighs
     at least :data:`_SHARD_CELLS` (plus :data:`_FORK_CELLS` until the
     pool exists): its cells, plus :data:`_EDGE_CELLS` per cold delay
@@ -339,9 +333,9 @@ class BatchResult:
         stacked".
     fallback_reasons:
         ``{trial_index: reason}`` for executor-level events: when a
-        process shard's worker dies (``BrokenProcessPool``) and the
-        shard is re-run in-parent, or a shard of a picked pool does not
-        pickle and runs in-parent, every trial of that shard carries the
+        pooled shard's worker dies (``BrokenProcessPool``) and the
+        shard is re-run in-parent, or a shard does not pickle and runs
+        in-parent, every trial of that shard carries the
         note -- so a trial is *both* in a stack group and annotated
         here.  Empty when nothing went wrong.
     campaign_stats:
@@ -605,7 +599,7 @@ def _warm_in_worker(trial: BatchTrial) -> None:
 def _run_pickled_shard(
     blob: bytes, num_pulses: int, store_times: bool
 ) -> Tuple[List[FastResult], List[List[int]], List[Dict]]:
-    """Process-executor worker: :func:`_run_shard` on a pickled shard.
+    """Pool worker: :func:`_run_shard` on a pickled shard.
 
     Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
     pickle it under every start method (fork, spawn, forkserver).  The
@@ -630,8 +624,15 @@ class BatchRunner:
     trials sharing an algorithm and the structural policy switches
     advance through one shared :class:`TrialStack` kernel (padding
     narrower/shallower trials with inert cells, compacting the rows and
-    lanes each step needs).  Results are bit-identical across every
-    execution strategy.
+    lanes each step needs).  One measured rule (:func:`_pick_shards`)
+    decides each run's shards: a large grid (16 streamed trials at
+    D = 32 over 64 pulses) runs its first half in this process and its
+    second on a process-wide pool of one worker per usable CPU, forked
+    on the first pooled run and kept across calls; service-sized grids
+    and the warm 8-pulse thm13 grid of ``fault_horizon`` run serially.
+    Pooled trials arrive pickled without their gathered delay arrays; a
+    worker gathers them on its first run of a model and keeps them for
+    later runs.  Results are bit-identical for every shard count.
 
     Example
     -------
@@ -646,30 +647,6 @@ class BatchRunner:
     ----------
     num_pulses:
         Pulses simulated per trial.
-    executor:
-        ``"serial"``, ``"process"`` or ``None`` (default: pick per run).
-        The process executor shards the trial list across one
-        process-wide pool of one worker per usable CPU
-        (``os.sched_getaffinity``), forked on the first process run and
-        kept across calls.  Trials arrive pickled without their gathered
-        delay arrays; a worker gathers them on its first run of a model
-        and keeps them for later runs.  Trials must be picklable.
-        ``None`` applies one measured rule (:func:`_pick_shards`): a run
-        whose larger half weighs at least :data:`_SHARD_CELLS` -- its
-        cells (none when it keeps its matrices) plus
-        :data:`_EDGE_CELLS` per cold delay edge; :data:`_FORK_CELLS`
-        more until the pool exists -- runs in two shards,
-        the first in this process and the second on the pool; every
-        other run is serial.  A streamed grid of 16 trials at
-        D = 32 over 64 pulses shards; service-sized grids and the warm
-        8-pulse thm13 grid of ``fault_horizon`` stay serial.  A picked
-        pool runs a shard whose trials do not pickle in-parent (noted
-        in :attr:`BatchResult.fallback_reasons`); a named one raises.
-    shards:
-        Number of process shards; defaults to the usable CPUs capped at
-        the trial count.  Shards beyond the pool's workers queue on it.
-        Ignored by the serial executor; naming it without an executor
-        selects the process executor.
     store_times:
         Skew and correction statistics fold online either way, one
         (pulse block, layer) step at a time.  ``True`` (default) also
@@ -679,26 +656,10 @@ class BatchRunner:
         block, ``O(S * B * W)`` -- and serves the same statistics.
     """
 
-    def __init__(
-        self,
-        num_pulses: int = 4,
-        executor: Optional[str] = None,
-        shards: Optional[int] = None,
-        store_times: bool = True,
-    ) -> None:
+    def __init__(self, num_pulses: int = 4, store_times: bool = True) -> None:
         if num_pulses < 1:
             raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
-        if executor is None and shards is not None:
-            executor = "process"
-        if executor not in (None, "serial", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; use 'serial' or 'process'"
-            )
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.num_pulses = num_pulses
-        self.executor = executor
-        self.shards = shards
         self.store_times = store_times
 
     def run(
@@ -714,28 +675,29 @@ class BatchRunner:
         ``on_shard`` is an optional progress hook (used by the
         :mod:`repro.service` job runner to stream per-shard progress):
         it receives one dict per executor event -- a ``plan`` event
-        naming the executor that runs (``"serial"`` or ``"process"``,
-        named or picked), the shard count and sizes, then one ``shard``
+        naming the executor the rule picked (``"serial"`` or
+        ``"process"``), the shard count and sizes, then one ``shard``
         event per shard with ``status`` ``"done"``, ``"lost"`` (its
-        worker died; see :meth:`_run_chunks`), ``"in_parent"`` (a
-        picked pool's shard that does not pickle ran in the parent) or
-        ``"retried"`` (the in-parent re-run of a lost shard completed).
-        The serial executor emits the same shape with a single shard.
+        worker died; see :meth:`_run_chunks`), ``"in_parent"`` (a shard
+        that does not pickle ran in the parent) or ``"retried"`` (the
+        in-parent re-run of a lost shard completed).  A serial run emits
+        the same shape with a single shard.
         """
         trials = list(trials)
         if not trials:
             raise ValueError("need at least one trial")
-        if self.executor is None:
-            shards = _pick_shards(trials, self.num_pulses, self.store_times)
-        elif self.executor == "serial":
-            shards = 1
-        else:
-            shards = min(self.shards or _usable_cpus(), len(trials))
+        shards = _pick_shards(trials, self.num_pulses, self.store_times)
         bounds = _shard_bounds(len(trials), shards)
         chunks = [(a, trials[a:b]) for a, b in zip(bounds, bounds[1:])]
-        executor = "process" if shards > 1 else "serial"
-        sizes = [len(chunk) for _, chunk in chunks]
-        _emit(on_shard, dict(event="plan", executor=executor, shards=shards, sizes=sizes))
+        _emit(
+            on_shard,
+            {
+                "event": "plan",
+                "executor": "process" if shards > 1 else "serial",
+                "shards": shards,
+                "sizes": [len(chunk) for _, chunk in chunks],
+            },
+        )
         outputs, notes = self._run_chunks(chunks, on_shard)
         results: List[FastResult] = []
         stack_groups: List[List[int]] = []
@@ -765,12 +727,10 @@ class BatchRunner:
         ``{chunk: note}`` for the chunks that ran in-parent instead of on
         the pool.
 
-        One chunk runs in this process.  A named process executor sends
-        every chunk of a larger run to the process-wide pool, one task
-        per chunk.  A pool the rule picked runs its first chunk in this
-        process while the pool runs the rest.  Per-trial execution is deterministic given the
-        trial spec, so the reassembled results are independent of the
-        shard count and of where each chunk ran.
+        The first chunk runs in this process while the process-wide pool
+        runs the others, one task per chunk.  Per-trial execution is
+        deterministic given the trial spec, so the reassembled results
+        are independent of the shard count and of where each chunk ran.
 
         Failure isolation: a worker killed mid-shard (OOM, signal,
         ``os._exit``) breaks the pool, and each of the futures it held
@@ -786,12 +746,10 @@ class BatchRunner:
         retried.
 
         The parent pickles each pooled chunk before submitting it.  A
-        chunk that does not pickle raises when the caller named the
-        process executor; when the rule picked it, the chunk runs
-        in-parent too, and its trials carry the reason.
+        chunk that does not pickle runs in-parent too, and its trials
+        carry the reason.
         """
         knobs = (self.num_pulses, self.store_times)
-        picked = self.executor is None
         outputs: List[Optional[Tuple]] = [None] * len(chunks)
         notes: Dict[int, str] = {}
 
@@ -804,16 +762,12 @@ class BatchRunner:
                 dict(event="shard", shard=j, offset=offset, trials=len(chunk), status=status),
             )
 
-        local = [0] if picked or len(chunks) == 1 else []
+        local = [0]
         blobs: Dict[int, bytes] = {}
-        for j, (_, chunk) in enumerate(chunks):
-            if j in local:
-                continue
+        for j, (_, chunk) in enumerate(chunks[1:], start=1):
             try:
                 blobs[j] = pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                if not picked:
-                    raise
                 local.append(j)
                 notes[j] = (
                     "shard run in-parent: its trials do not pickle "

@@ -33,7 +33,7 @@ def _rightward_or_straight(edge) -> bool:
     """Figure 1 worst-case classifier: slow the non-leftward edges.
 
     Module-level (not a closure) so the adversarial trials stay picklable
-    for ``BatchRunner(executor="process")``.
+    for ``BatchRunner``'s pooled shards.
     """
     return edge[1][0] >= edge[0][0]
 

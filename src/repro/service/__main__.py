@@ -9,7 +9,7 @@ Options::
 
 Prints one ``listening on http://HOST:PORT`` line (the smoke harness
 parses it) and serves until interrupted (SIGINT or SIGTERM).  Either
-signal exits cleanly, so the process executor's idle worker pool is
+signal exits cleanly, so the batch runner's idle worker pool is
 joined rather than orphaned.
 """
 
@@ -20,7 +20,6 @@ import signal
 import sys
 
 from repro.service.api import ServiceServer
-from repro.service.jobs import JobRunner
 from repro.service.store import ResultStore
 
 
@@ -35,9 +34,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=2)
     args = parser.parse_args(argv)
 
-    store = ResultStore(directory=args.store_dir)
-    runner = JobRunner(store=store, concurrency=args.concurrency)
-    server = ServiceServer(host=args.host, port=args.port, runner=runner)
+    server = ServiceServer(
+        host=args.host,
+        port=args.port,
+        store=ResultStore(directory=args.store_dir),
+        concurrency=args.concurrency,
+    )
     # SIGTERM's default action skips interpreter exit, which would leave
     # the pool's idle workers blocked on their task queue for good.
     signal.signal(signal.SIGTERM, signal.default_int_handler)

@@ -5,8 +5,8 @@ Endpoints (all JSON unless noted):
 ==============================  ======================================
 ``GET /healthz``                liveness + job counts
 ``GET /workers``                PIDs of live worker processes (the
-                                process executor's pool stays up
-                                between jobs, so idle workers count)
+                                worker pool stays up between jobs,
+                                so idle workers count)
 ``GET /store``                  result-store stats (entries/hits/misses)
 ``POST /jobs``                  submit a grid (see :mod:`.jobs`); 202
 ``GET /jobs``                   all jobs, submission order
@@ -216,11 +216,10 @@ class ServiceServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        runner: Optional[JobRunner] = None,
         store: Optional[ResultStore] = None,
         concurrency: int = 2,
     ) -> None:
-        self.runner = runner or JobRunner(store=store, concurrency=concurrency)
+        self.runner = JobRunner(store=store, concurrency=concurrency)
         self._http = ThreadingHTTPServer((host, port), _Handler)
         self._http.daemon_threads = True
         self._http.runner = self.runner  # type: ignore[attr-defined]

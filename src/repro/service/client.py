@@ -128,17 +128,11 @@ class ServiceClient:
         """``GET /store`` -> dedup-store counters."""
         return self._request("/store")
 
-    def submit(
-        self,
-        grid: Dict,
-        num_pulses: int = 4,
-        runner: Optional[Dict] = None,
-    ) -> Dict:
+    def submit(self, grid: Dict, num_pulses: int = 4) -> Dict:
         """``POST /jobs`` -> the accepted job's status view."""
-        submission: Dict = {"grid": grid, "num_pulses": num_pulses}
-        if runner is not None:
-            submission["runner"] = runner
-        return self._request("/jobs", body=submission)
+        return self._request(
+            "/jobs", body={"grid": grid, "num_pulses": num_pulses}
+        )
 
     def jobs(self) -> List[Dict]:
         """``GET /jobs`` -> all job status views."""

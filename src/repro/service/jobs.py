@@ -3,33 +3,32 @@
 A *submission* is a JSON-able dict::
 
     {"grid": {"kind": "thm11", "diameters": [4, 8], "seeds": [0, 1]},
-     "num_pulses": 3,
-     "runner": {"executor": "process", "shards": 2}}
+     "num_pulses": 3}
 
 ``grid`` names one of the trial grids the experiment drivers build
-(:func:`build_trials` maps it to a ``BatchTrial`` list), ``num_pulses``
-is the pulse budget, and ``runner`` overrides
-:class:`~repro.experiments.batch.BatchRunner` knobs (validated at
-submit time, defaults in :data:`JobRunner.runner_defaults`).
+(:func:`build_trials` maps it to a ``BatchTrial`` list) and
+``num_pulses`` is the pulse budget (default 4); a submission carries no
+other field.
 
 The :class:`JobRunner` owns one thread pool of ``concurrency`` job
 threads: submissions become :class:`Job` objects queued on the pool,
-and each job thread runs one blocking batch at a time.  A submission
-that names no ``executor`` (nor ``shards``) leaves the choice to
+and each job thread runs one blocking, streamed batch at a time.
 :class:`~repro.experiments.batch.BatchRunner`'s executor rule, the same
-one every caller gets: a service-sized grid runs serially in the job
-thread itself, and a grid the rule shards runs its first half in the
-job thread and its second on the process-wide worker pool --
-failure-isolated, so a worker death loses no completed shard.  Every executor event, the ``plan``
-event naming the executor included, lands in the job's ordered
-progress stream, which HTTP clients poll or long-poll.  Results dedup
-through the :class:`~repro.service.store.ResultStore`: a job whose grid
-key is already stored completes instantly as a recorded cache hit.
+one every caller gets, decides each job's shards: a service-sized grid
+runs serially in the job thread itself, and a grid the rule shards runs
+its first half in the job thread and its second on the process-wide
+worker pool -- failure-isolated, so a worker death loses no completed
+shard.  Every executor event, the ``plan`` event naming the executor
+included, lands in the job's ordered progress stream, which HTTP
+clients poll or long-poll.  Results dedup through the
+:class:`~repro.service.store.ResultStore`: a job whose grid key is
+already stored completes instantly as a recorded cache hit.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
 import time
 import traceback
@@ -197,6 +196,29 @@ def to_jsonable(value):
     return value
 
 
+def _submission_pulses(submission: Dict) -> int:
+    """Check a submission's fields and return its pulse budget.
+
+    A submission is ``{"grid", "num_pulses"}``: any other field (the
+    retired ``runner`` knobs included) is rejected by name, and the pulse
+    budget must be an integer >= 1 (default 4).
+    """
+    unknown = sorted(set(submission) - {"grid", "num_pulses"})
+    if unknown:
+        raise ValueError(
+            f"unknown submission field(s) {unknown}; a submission has "
+            "only 'grid' and 'num_pulses'"
+        )
+    num_pulses = submission.get("num_pulses", 4)
+    if (
+        isinstance(num_pulses, bool)
+        or not isinstance(num_pulses, numbers.Integral)
+        or num_pulses < 1
+    ):
+        raise ValueError(f"num_pulses must be an integer >= 1, got {num_pulses!r}")
+    return int(num_pulses)
+
+
 # ----------------------------------------------------------------------
 # Jobs
 # ----------------------------------------------------------------------
@@ -214,14 +236,12 @@ class Job:
         spec: Dict,
         trials: Sequence[BatchTrial],
         num_pulses: int,
-        runner_kwargs: Dict,
         key: Optional[str],
     ) -> None:
         self.id = job_id
         self.spec = spec
         self.trials = list(trials)
         self.num_pulses = num_pulses
-        self.runner_kwargs = dict(runner_kwargs)
         self.key = key
         self.status = "queued"
         self.cache_hit: Optional[bool] = None
@@ -302,8 +322,7 @@ class JobRunner:
     """Thread-pool job queue executing trial grids through ``BatchRunner``.
 
     ``concurrency`` bounds how many jobs execute at once (each job's
-    own process-sharding parallelism is a ``runner`` knob, or the
-    ``BatchRunner`` executor rule's pick).  :meth:`start` is
+    own sharding is the ``BatchRunner`` executor rule's pick).  :meth:`start` is
     idempotent and :meth:`shutdown` stops taking jobs without
     interrupting the blocking batches already in flight (jobs are
     deterministic and cached, so a re-submission after restart is a
@@ -324,24 +343,13 @@ class JobRunner:
     >>> runner.shutdown()
     """
 
-    #: Default ``BatchRunner`` knobs for submissions that name none.
-    #: Streaming (``store_times=False``) keeps service memory bounded;
-    #: the folded statistics are bit-identical to the materialized path.
-    #: No ``executor``: ``BatchRunner`` picks it per run.
-    runner_defaults: Dict[str, object] = {"store_times": False}
-
     def __init__(
-        self,
-        store: Optional[ResultStore] = None,
-        concurrency: int = 2,
-        runner_defaults: Optional[Dict] = None,
+        self, store: Optional[ResultStore] = None, concurrency: int = 2
     ) -> None:
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
         self.store = store if store is not None else ResultStore()
         self.concurrency = concurrency
-        if runner_defaults is not None:
-            self.runner_defaults = dict(runner_defaults)
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
@@ -372,23 +380,18 @@ class JobRunner:
         ``trials`` optionally bypasses the grid spec with pre-built
         trial objects (the programmatic path used by in-process callers
         and the chaos smoke test); HTTP submissions always come through
-        ``submission["grid"]``.  Validation -- grid building and a
-        throwaway ``BatchRunner`` construction -- happens here, in the
+        ``submission["grid"]``.  Validation -- the submission's fields
+        and pulse budget, then grid building -- happens here, in the
         caller's thread, so a bad submission fails the request instead
-        of the job.  An ``executor`` or ``shards`` the submission (or
-        :attr:`runner_defaults`) names is honoured; otherwise the
-        ``BatchRunner`` executor rule picks one when the job runs.
+        of the job.
         """
         pool = self._pool
         if pool is None:
             raise RuntimeError("JobRunner is not started; call start() first")
-        num_pulses = int(submission.get("num_pulses", 4))
-        runner_kwargs = dict(self.runner_defaults)
-        runner_kwargs.update(submission.get("runner") or {})
-        BatchRunner(num_pulses=num_pulses, **runner_kwargs)  # validate knobs
+        num_pulses = _submission_pulses(submission)
         if trials is None:
             trials = build_trials(submission.get("grid"))
-        key = grid_key(trials, num_pulses, runner_kwargs)
+        key = grid_key(trials, num_pulses)
         with self._lock:
             job_id = f"job-{next(self._ids):05d}"
             job = Job(
@@ -396,7 +399,6 @@ class JobRunner:
                 spec=dict(submission),
                 trials=trials,
                 num_pulses=num_pulses,
-                runner_kwargs=runner_kwargs,
                 key=key,
             )
             self._jobs[job_id] = job
@@ -451,9 +453,9 @@ class JobRunner:
                         "key": job.key,
                     }
                 )
-                runner = BatchRunner(
-                    num_pulses=job.num_pulses, **job.runner_kwargs
-                )
+                # Streamed: service memory stays bounded, and the folded
+                # statistics equal a materialized run's bitwise.
+                runner = BatchRunner(num_pulses=job.num_pulses, store_times=False)
                 batch = runner.run(job.trials, on_shard=job.emit)
                 payload = batch_payload(batch)
                 if job.key is not None:

@@ -2,18 +2,12 @@
 
 The store maps a *grid key* -- a SHA-256 digest over every trial's
 identity (algorithm, parameters, policy, layer count, and base-graph
-adjacency, plus the seed and every per-trial override), the pulse budget,
-and the keyed runner knobs -- to the pickled statistics payload of the
-finished batch.  Two submissions with the same key are the same
-computation bit-for-bit (every execution strategy of the batch runner is
-bitwise-invariant), so the second is served from the store: a recorded
-cache hit.
-
-Deliberately *excluded* from the key: ``executor`` and ``shards``.  The
-test suite pins that results are bitwise identical for every sharding,
-so a grid first run serially and resubmitted with
-``executor="process"`` is still a hit.  Keyed: ``store_times`` (the
-pulse budget enters the key on its own).
+adjacency, plus the seed and every per-trial override) and the pulse
+budget -- to the pickled statistics payload of the finished batch.  Two
+submissions with the same key are the same computation bit-for-bit
+(results are bitwise identical for every shard count the batch runner's
+executor rule picks, and every served job streams), so the second is
+served from the store: a recorded cache hit.
 
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
@@ -40,15 +34,10 @@ __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 #: persisted to disk never serve a stale schema.  Version 2 dropped the
 #: retired stacking, compaction and backend knobs from the key; version 3
 #: dropped ``vectorize``; version 4 dropped ``sketch_rank`` and
-#: ``potential_levels``.
-CACHE_VERSION = 4
-
-#: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
-#: grid key, with their defaults.  ``executor``/``shards`` are absent by
-#: design (see the module docstring).
-KEYED_RUNNER_KNOBS: Dict[str, object] = {
-    "store_times": True,
-}
+#: ``potential_levels``; version 5 dropped the last runner knob,
+#: ``store_times`` (every served job streams, and the payload is built
+#: from the run's folds alone, so the knob never changed a stored value).
+CACHE_VERSION = 5
 
 #: Bytes of the payload digest at the head of a ``<key>.pkl`` file.
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -88,28 +77,17 @@ def trial_cell_key(trial: BatchTrial) -> Tuple:
     )
 
 
-def grid_key(
-    trials: Sequence[BatchTrial],
-    num_pulses: int,
-    runner_knobs: Optional[Dict[str, object]] = None,
-) -> Optional[str]:
+def grid_key(trials: Sequence[BatchTrial], num_pulses: int) -> Optional[str]:
     """SHA-256 digest addressing one grid's results, or ``None``.
 
     ``None`` means *uncacheable*: some component of the grid (a lambda
     delay classifier, an unpicklable rate provider) has no stable byte
     representation, so the job runs and serves but never enters the
-    store.  ``runner_knobs`` entries outside :data:`KEYED_RUNNER_KNOBS`
-    (``executor``, ``shards``) are ignored; missing ones key on their
-    defaults, so an explicit default and an omitted knob hash alike.
+    store.
     """
-    knobs = dict(KEYED_RUNNER_KNOBS)
-    for name, value in (runner_knobs or {}).items():
-        if name in knobs:
-            knobs[name] = value
     identity = (
         CACHE_VERSION,
         int(num_pulses),
-        tuple(sorted(knobs.items())),
         tuple(trial_cell_key(trial) for trial in trials),
     )
     try:

@@ -24,9 +24,9 @@ fallback counters:
   each a three-trial mixed-width stack over four pulse blocks.
 
 Each grid runs streamed (``store_times=False``) and materialized; both
-must match the one recorded entry.  The thm13 grid runs once more under
-``executor="process", shards=2`` as its own entry (its pass and block
-counts are per shard stack).
+must match the one recorded entry.  The thm13 grid runs once more in two
+shards (the executor rule's pick forced, as ``conftest.shards`` does) as
+its own entry (its pass and block counts are per shard stack).
 
 ``python tests/stats_grids.py`` (with ``PYTHONPATH=src``) checks the
 fixture and prints the entries that differ; ``--record`` rewrites it.
@@ -38,10 +38,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import fault_sends_grids
+import repro.experiments.batch as batch_mod
 from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation, _prefer_csr
 from repro.core.fast_batch import TrialStack
@@ -93,14 +95,20 @@ COUNTERS = (
 MODES = ("streamed", "materialized")
 
 
+def _on_shards(count):
+    """Force the executor rule's pick to ``count`` shards."""
+    return mock.patch.object(batch_mod, "_pick_shards", return_value=count)
+
+
 def _runner_grid(trials, num_pulses):
-    """A grid run by one in-process ``BatchRunner`` (named serial, so the
+    """A grid run by one in-process ``BatchRunner`` (one shard, so the
     executor rule never moves a grid onto the pool)."""
 
     def run(store_times):
-        return BatchRunner(
-            num_pulses=num_pulses, executor="serial", store_times=store_times
-        ).run(trials)
+        with _on_shards(1):
+            return BatchRunner(num_pulses=num_pulses, store_times=store_times).run(
+                trials
+            )
 
     return run
 
@@ -288,11 +296,8 @@ def process_batch():
         fault_sends_grids.THM13_SEEDS,
         num_pulses=fault_sends_grids.THM13_PULSES,
     )
-    return BatchRunner(
-        num_pulses=fault_sends_grids.THM13_PULSES,
-        executor="process",
-        shards=2,
-    ).run(trials)
+    with _on_shards(2):
+        return BatchRunner(num_pulses=fault_sends_grids.THM13_PULSES).run(trials)
 
 
 def digest(values) -> str:

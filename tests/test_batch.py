@@ -31,14 +31,15 @@ from repro.experiments.batch import (
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import CrashFault, FaultPlan
+from tests.conftest import shards
 from tests.test_fast_sim import scalar_reference
 from unittest import mock
 
 NUM_PULSES = 3
 
 
-def seed_batch(seeds=(0, 1, 2), diameter=6, **kwargs):
-    runner = BatchRunner(num_pulses=NUM_PULSES, **kwargs)
+def seed_batch(seeds=(0, 1, 2), diameter=6):
+    runner = BatchRunner(num_pulses=NUM_PULSES)
     trials = BatchRunner.seed_sweep(diameter, seeds, num_pulses=NUM_PULSES)
     return trials, runner.run(trials)
 
@@ -196,21 +197,20 @@ class TestNoCopySingleStack:
             reference = trial.simulation().run(NUM_PULSES)
             np.testing.assert_array_equal(batch.times[i], reference.times)
 
-    def test_process_executor_still_assembles_correctly(self):
+    def test_process_executor_still_assembles_correctly(self, monkeypatch):
         # Shard results cross a pickle boundary, so no shared block: the
         # assembled copy must equal the serial no-copy batch exactly.
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2
-        ).run(trials)
+        shards(monkeypatch, 2)
+        sharded = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         np.testing.assert_array_equal(serial.times, sharded.times)
         np.testing.assert_array_equal(
             serial.faulty_masks, sharded.faulty_masks
         )
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
 
-    def test_pickled_seed_sweep_streams_like_serial(self):
+    def test_pickled_seed_sweep_streams_like_serial(self, monkeypatch):
         # Configs cross the pickle boundary with their rate planes and
         # base graphs (which rejoin the worker's shared structure); the
         # streamed statistics must stay bitwise equal to a serial run.
@@ -218,12 +218,10 @@ class TestNoCopySingleStack:
         serial = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
             trials
         )
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES,
-            store_times=False,
-            executor="process",
-            shards=2,
-        ).run(trials)
+        shards(monkeypatch, 2)
+        sharded = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
+            trials
+        )
         for name in (
             "max_local_skews",
             "max_inter_layer_skews",
@@ -294,7 +292,8 @@ class TestSparseBatchOptions:
     """Neighbor representation and lane compaction through the runner."""
 
     def test_rejects_unknown_backend(self):
-        # The retired speed-only knobs are gone, not silently ignored.
+        # The retired speed-only and executor knobs are gone, not
+        # silently ignored.
         for knob in (
             "stack",
             "stack_mixed_geometry",
@@ -302,6 +301,8 @@ class TestSparseBatchOptions:
             "compact_width",
             "neighbor_backend",
             "kernel_backend",
+            "executor",
+            "shards",
         ):
             with pytest.raises(TypeError, match=knob):
                 BatchRunner(num_pulses=NUM_PULSES, **{knob: "csr"})
@@ -347,7 +348,7 @@ class TestSparseBatchOptions:
                 batch.results[i].times, reference.times
             )
 
-    def test_shard_merge_keeps_lane_and_backend_stats(self):
+    def test_shard_merge_keeps_lane_and_backend_stats(self, monkeypatch):
         # Regression: shard merging must carry the new width/backend
         # keys through the pickle boundary, one stats dict per stack
         # group, identical to the serial run's accounting.
@@ -357,9 +358,8 @@ class TestSparseBatchOptions:
             BatchTrial(config=standard_config(6, seed=s)) for s in range(2)
         ]
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2
-        ).run(trials)
+        shards(monkeypatch, 2)
+        sharded = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         np.testing.assert_array_equal(serial.times, sharded.times)
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
         for stats in sharded.compaction_stats:
@@ -382,34 +382,33 @@ class TestShardBounds:
     """Balanced shard boundaries (the linspace-truncation bugfix)."""
 
     @given(st.integers(1, 500), st.integers(1, 64))
-    def test_sizes_differ_by_at_most_one(self, num_trials, shards):
-        shards = min(shards, num_trials)
-        bounds = _shard_bounds(num_trials, shards)
+    def test_sizes_differ_by_at_most_one(self, num_trials, count):
+        count = min(count, num_trials)
+        bounds = _shard_bounds(num_trials, count)
         assert bounds[0] == 0
         assert bounds[-1] == num_trials
-        assert len(bounds) == shards + 1
+        assert len(bounds) == count + 1
         sizes = [b - a for a, b in zip(bounds, bounds[1:])]
         assert all(size >= 1 for size in sizes)
         assert max(sizes) - min(sizes) <= 1
 
     @given(st.integers(1, 500), st.integers(1, 64))
-    def test_matches_array_split_semantics(self, num_trials, shards):
-        shards = min(shards, num_trials)
-        bounds = _shard_bounds(num_trials, shards)
+    def test_matches_array_split_semantics(self, num_trials, count):
+        count = min(count, num_trials)
+        bounds = _shard_bounds(num_trials, count)
         sizes = [b - a for a, b in zip(bounds, bounds[1:])]
         reference = [
             len(chunk)
-            for chunk in np.array_split(np.arange(num_trials), shards)
+            for chunk in np.array_split(np.arange(num_trials), count)
         ]
         assert sizes == reference
 
-    def test_results_bitwise_invariant_in_shard_count(self):
+    def test_results_bitwise_invariant_in_shard_count(self, monkeypatch):
         trials = BatchRunner.seed_sweep(4, range(5), num_pulses=NUM_PULSES)
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        for shards in (2, 3, 5):
-            sharded = BatchRunner(
-                num_pulses=NUM_PULSES, executor="process", shards=shards
-            ).run(trials)
+        for count in (2, 3, 5):
+            shards(monkeypatch, count)
+            sharded = BatchRunner(num_pulses=NUM_PULSES).run(trials)
             np.testing.assert_array_equal(serial.times, sharded.times)
             np.testing.assert_array_equal(
                 serial.faulty_masks, sharded.faulty_masks
@@ -448,13 +447,14 @@ class TestWorkerDeathRetry:
         )
         return trials
 
-    def test_batch_completes_and_matches_serial(self):
+    def test_batch_completes_and_matches_serial(self, monkeypatch):
         trials = self._trials()
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         events = []
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2
-        ).run(trials, on_shard=events.append)
+        shards(monkeypatch, 2)
+        sharded = BatchRunner(num_pulses=NUM_PULSES).run(
+            trials, on_shard=events.append
+        )
         np.testing.assert_array_equal(serial.times, sharded.times)
         statuses = [e["status"] for e in events if e["event"] == "shard"]
         assert "lost" in statuses
@@ -465,24 +465,24 @@ class TestWorkerDeathRetry:
             for why in sharded.fallback_reasons.values()
         )
 
-    def test_lost_shards_annotated_without_clobbering(self):
+    def test_lost_shards_annotated_without_clobbering(self, monkeypatch):
         trials = self._trials()
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2
-        ).run(trials)
-        bounds = _shard_bounds(len(trials), 2)
-        # The killer sits in the last shard; at minimum that whole
-        # shard must be annotated (the pool may break before the other
-        # shard lands, in which case it is lost-and-retried too).
+        shards(monkeypatch, 3)
+        sharded = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        bounds = _shard_bounds(len(trials), 3)
+        # The killer sits in the last shard; that whole shard must be
+        # annotated (the pool may break before the middle shard lands,
+        # in which case it is lost-and-retried too).  The first shard
+        # runs in this process and loses nothing.
         for i in range(bounds[-2], bounds[-1]):
             assert "worker death" in sharded.fallback_reasons[i]
+        assert not any(i in sharded.fallback_reasons for i in range(bounds[1]))
 
-    def test_healthy_process_runs_emit_no_retry_events(self):
+    def test_healthy_process_runs_emit_no_retry_events(self, monkeypatch):
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
         events = []
-        BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2
-        ).run(trials, on_shard=events.append)
+        shards(monkeypatch, 2)
+        BatchRunner(num_pulses=NUM_PULSES).run(trials, on_shard=events.append)
         assert events[0]["event"] == "plan"
         assert events[0]["shards"] == 2
         assert sum(events[0]["sizes"]) == len(trials)
@@ -498,13 +498,6 @@ class TestWorkerDeathRetry:
         assert events[1]["status"] == "done"
 
 
-def pool_always_wins(monkeypatch):
-    """Make the executor rule pick two shards for any grid: the rule's
-    decision is tested on its own, this patches it to test the picked
-    pool's execution."""
-    monkeypatch.setattr(batch_mod, "_pick_shards", lambda *args: 2)
-
-
 def pool_exists(monkeypatch):
     """Let the rule see a forked pool, so only ``_SHARD_CELLS`` counts."""
     monkeypatch.setattr(batch_mod, "_POOL", mock.sentinel.pool)
@@ -516,7 +509,7 @@ def larger_half(trials):
 
 
 class TestExecutorRule:
-    """A runner that names no executor picks one by the one rule."""
+    """Every run's shards come from the one rule."""
 
     def test_small_grids_run_serially(self):
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
@@ -560,9 +553,9 @@ class TestExecutorRule:
         assert batch_mod._pick_shards(faulted, 8, False) == 1
         assert batch_mod._pick_shards(stream, 64, False) == 2
         pool_exists(monkeypatch)
-        BatchRunner(num_pulses=1, executor="serial").run(faulted)
+        batch_mod._run_shard(faulted, 1, True)  # gather in this process
         assert batch_mod._pick_shards(faulted, 8, False) == 1
-        BatchRunner(num_pulses=1, executor="serial").run(stream)
+        batch_mod._run_shard(stream, 1, True)
         assert batch_mod._pick_shards(stream, 64, True) == 1
 
     def test_the_larger_half_decides_at_the_threshold(self, monkeypatch):
@@ -593,7 +586,7 @@ class TestExecutorRule:
         monkeypatch.setattr(batch_mod, "_SHARD_CELLS", weight - cells + 1)
         assert batch_mod._pick_shards(trials, NUM_PULSES, True) == 1
         # Gathered, only the cells count.
-        BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(trials)
+        batch_mod._run_shard(trials, NUM_PULSES, True)
         assert batch_mod._cold_edges(half) == 0
         monkeypatch.setattr(batch_mod, "_SHARD_CELLS", cells)
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 2
@@ -601,16 +594,15 @@ class TestExecutorRule:
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
 
     def test_picked_pool_runs_the_first_shard_here(self, monkeypatch):
-        pool_always_wins(monkeypatch)
         trials = BatchRunner.seed_sweep(8, range(4), num_pulses=NUM_PULSES)
         twins = BatchRunner.seed_sweep(8, range(4), num_pulses=NUM_PULSES)
-        serial = BatchRunner(
-            num_pulses=NUM_PULSES, executor="serial", store_times=False
-        ).run(twins)
-        picked = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+        runner = BatchRunner(num_pulses=NUM_PULSES, store_times=False)
+        shards(monkeypatch, 1)
+        serial = runner.run(twins)
+        shards(monkeypatch, 2)
         for _ in range(2):
             events = []
-            batch = picked.run(trials, on_shard=events.append)
+            batch = runner.run(trials, on_shard=events.append)
             assert (events[0]["executor"], events[0]["shards"]) == ("process", 2)
             assert [e["status"] for e in events[1:]] == ["done", "done"]
             assert not batch.fallback_reasons
@@ -628,7 +620,7 @@ class TestExecutorRule:
         monkeypatch.setattr(batch_mod, "_WORKER_ARRAYS", batch_mod.OrderedDict())
         trials = BatchRunner.seed_sweep(8, range(3), num_pulses=NUM_PULSES)
         twins = BatchRunner.seed_sweep(8, range(3), num_pulses=NUM_PULSES)
-        BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(trials)
+        batch_mod._run_shard(trials, NUM_PULSES, True)
         # A model pickles without its arrays: warm and cold copies of one
         # model pickle alike, and the parent's copy keeps its arrays.
         for trial, twin in zip(trials, twins):
@@ -648,9 +640,9 @@ class TestExecutorRule:
                 outputs.append(batch_mod._run_pickled_shard(blob, NUM_PULSES, True))
             assert spy.call_count == expected_gathers
         assert len(batch_mod._WORKER_ARRAYS) == 3
-        reference = BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(twins)
+        reference, _, _ = batch_mod._run_shard(twins, NUM_PULSES, True)
         for output in outputs:
-            for result, expected in zip(output[0], reference.results):
+            for result, expected in zip(output[0], reference):
                 np.testing.assert_array_equal(result.times, expected.times)
         # The store is bounded: the least recently used model goes.
         monkeypatch.setattr(batch_mod, "_WORKER_MODELS", 2)
@@ -659,15 +651,13 @@ class TestExecutorRule:
         assert len(batch_mod._WORKER_ARRAYS) == 2
 
     def test_picked_pool_runs_an_unpicklable_shard_in_parent(self, monkeypatch):
-        pool_always_wins(monkeypatch)
         trials = [
             BatchTrial(config=standard_config(4, seed=s)) for s in range(4)
         ]
         for trial in trials[2:]:
             trial.clock_rates = lambda node, pulse: 1.0 + 1e-6 * pulse
-        serial = BatchRunner(num_pulses=NUM_PULSES, executor="serial").run(
-            trials
-        )
+        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        shards(monkeypatch, 2)
         events = []
         with mock.patch.object(batch_mod, "_worker_pool") as pool:
             picked = BatchRunner(num_pulses=NUM_PULSES).run(
@@ -686,34 +676,19 @@ class TestExecutorRule:
             serial.max_local_skews(), picked.max_local_skews()
         )
 
-    def test_named_process_still_raises_on_unpicklable_trials(self, monkeypatch):
-        pool_always_wins(monkeypatch)
-        trials = [
-            BatchTrial(config=standard_config(4, seed=s)) for s in range(4)
-        ]
-        trials[3].clock_rates = lambda node, pulse: 1.0
-        with pytest.raises((pickle.PicklingError, AttributeError)):
-            BatchRunner(
-                num_pulses=NUM_PULSES, executor="process", shards=2
-            ).run(trials)
-
     def test_one_usable_cpu_never_shards(self, monkeypatch):
-        # Pinned to one CPU: the rule, the default shard count and the
-        # pool size all read the affinity mask, so nothing forks.
+        # Pinned to one CPU: the rule and the pool size both read the
+        # affinity mask, so nothing forks.
         monkeypatch.setattr(batch_mod.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(batch_mod, "_SHARD_CELLS", 0)
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
+        events = []
         with mock.patch.object(batch_mod, "_worker_pool") as pool:
-            for executor in (None, "process"):
-                events = []
-                BatchRunner(
-                    num_pulses=NUM_PULSES, executor=executor, store_times=False
-                ).run(trials, on_shard=events.append)
-                assert (events[0]["executor"], events[0]["shards"]) == (
-                    "serial",
-                    1,
-                )
+            BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
+                trials, on_shard=events.append
+            )
+        assert (events[0]["executor"], events[0]["shards"]) == ("serial", 1)
         assert not pool.called
         monkeypatch.setattr(batch_mod, "_POOL", None)
         executor_class = mock.Mock()
@@ -728,14 +703,15 @@ class TestExecutorRule:
         monkeypatch.setattr(batch_mod.os, "cpu_count", lambda: None)
         assert batch_mod._usable_cpus() == 1
 
-    def test_shards_without_an_executor_select_the_pool(self):
-        assert BatchRunner(shards=2).executor == "process"
-        assert BatchRunner().executor is None
-
 
 def worker_pids():
     """PIDs of this process's live multiprocessing children."""
     return {p.pid for p in multiprocessing.active_children()}
+
+
+def per_trial(trials):
+    """The reference batch: each trial run on its own, in this process."""
+    return BatchResult(trials, [t.simulation().run(NUM_PULSES) for t in trials])
 
 
 def wait_reaped(pids, timeout=30.0):
@@ -747,19 +723,21 @@ def wait_reaped(pids, timeout=30.0):
 
 
 class TestWorkerPool:
-    """One worker pool serves every process run, and recovers when broken."""
+    """One worker pool serves every pooled run, and recovers when broken."""
+
+    @pytest.fixture(autouse=True)
+    def _two_shards(self, monkeypatch):
+        shards(monkeypatch, 2)
 
     def _run(self, trials):
-        """A two-shard process run: (batch, shard statuses, pids seen)."""
+        """A two-shard run: (batch, shard statuses, pids seen)."""
         events, pids = [], set()
 
         def on_shard(event):
             events.append(event)
             pids.update(worker_pids())
 
-        batch = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2
-        ).run(trials, on_shard=on_shard)
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials, on_shard=on_shard)
         statuses = [e["status"] for e in events if e["event"] == "shard"]
         return batch, statuses, pids
 
@@ -777,7 +755,7 @@ class TestWorkerPool:
         _, statuses, _ = self._run(TestWorkerDeathRetry()._trials())
         assert "lost" in statuses
         wait_reaped(old)
-        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        serial = per_trial(trials)
         batch, statuses, new = self._run(trials)
         assert statuses == ["done", "done"]
         assert not batch.fallback_reasons
@@ -794,7 +772,7 @@ class TestWorkerPool:
         # The pool's manager thread sees the death and stops the other
         # workers; once all are reaped the pool is flagged broken.
         wait_reaped(idle)
-        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        serial = per_trial(trials)
         batch, statuses, pids = self._run(trials)
         assert statuses == ["done", "done"]
         assert batch.fallback_reasons == {}
@@ -825,7 +803,7 @@ class TestWorkerPool:
 
     def test_concurrent_runs_fork_one_pool(self):
         trials = BatchRunner.seed_sweep(4, range(4), num_pulses=NUM_PULSES)
-        serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        serial = per_trial(trials)
         workers = len(os.sched_getaffinity(0))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -9,12 +9,14 @@ must fall back group by group.
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.batch as batch_mod
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import BRANCH_CODES, FastSimulation, _fold_columns
 from repro.core.fast_batch import (
@@ -32,6 +34,7 @@ from repro.experiments.batch import (
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import AdversarialLateFault, CrashFault, FaultPlan
+from tests.conftest import shards
 from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
@@ -279,13 +282,12 @@ class TestHeterogeneousBatches:
 class TestProcessExecutor:
     """Same seeds => same BatchResult, regardless of the shard count."""
 
-    def test_determinism_across_shard_counts(self):
+    def test_determinism_across_shard_counts(self, monkeypatch):
         trials = random_fault_trials(seeds=(0, 1, 2, 3, 4))
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        for shards in (2, 3):
-            sharded = BatchRunner(
-                num_pulses=NUM_PULSES, executor="process", shards=shards
-            ).run(trials)
+        for count in (2, 3):
+            shards(monkeypatch, count)
+            sharded = BatchRunner(num_pulses=NUM_PULSES).run(trials)
             np.testing.assert_array_equal(sharded.times, serial.times)
             np.testing.assert_array_equal(
                 sharded.corrections, serial.corrections
@@ -296,19 +298,14 @@ class TestProcessExecutor:
             for got, want in zip(sharded.results, serial.results):
                 assert got.fault_sends == want.fault_sends
 
-    def test_single_shard_short_circuits(self):
+    def test_single_shard_short_circuits(self, monkeypatch):
         trials = BatchRunner.seed_sweep(4, (0, 1), num_pulses=NUM_PULSES)
-        batch = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=1
-        ).run(trials)
         reference = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        shards(monkeypatch, 1)
+        with mock.patch.object(batch_mod, "_worker_pool") as pool:
+            batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        assert not pool.called
         np.testing.assert_array_equal(batch.times, reference.times)
-
-    def test_executor_validation(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            BatchRunner(executor="threads")
-        with pytest.raises(ValueError, match="shards"):
-            BatchRunner(executor="process", shards=0)
 
 
 class TestTrialPickling:

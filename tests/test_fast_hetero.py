@@ -65,6 +65,7 @@ from repro.topology.base_graph import (
     torus_graph,
 )
 from repro.topology.layered import LayeredGraph
+from tests.conftest import shards
 from tests.test_fast_sim import scalar_reference
 
 NUM_PULSES = 3
@@ -456,13 +457,12 @@ class TestHeterogeneousGrouping:
         batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
         assert sorted(len(g) for g in batch.stack_groups) == [1, 1]
 
-    def test_process_sharding_deterministic_on_hetero_groups(self):
+    def test_process_sharding_deterministic_on_hetero_groups(self, monkeypatch):
         trials = thm11_style_trials(diameters=(4, 6, 8), seeds=(0, 1))
         serial = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        for shards in (2, 3):
-            sharded = BatchRunner(
-                num_pulses=NUM_PULSES, executor="process", shards=shards
-            ).run(trials)
+        for count in (2, 3):
+            shards(monkeypatch, count)
+            sharded = BatchRunner(num_pulses=NUM_PULSES).run(trials)
             np.testing.assert_array_equal(sharded.times, serial.times)
             np.testing.assert_array_equal(
                 sharded.corrections, serial.corrections

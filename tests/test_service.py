@@ -8,8 +8,7 @@ The service contract under test, end to end:
   JSON, NaN-aware),
 * resubmitting the same grid is a **recorded cache hit** (the
   content-addressed store dedups on trial identity + seed + pulse
-  budget + the keyed runner knobs; ``executor``/``shards`` deliberately
-  excluded),
+  budget),
 * a worker process dying mid-batch loses no completed shard and the
   job still completes (the ``BrokenProcessPool`` retry path, exercised
   deterministically through the service with an ``os._exit`` trial and
@@ -50,17 +49,28 @@ from repro.service import (
 )
 from repro.service.api import _Handler
 from repro.service.jobs import batch_payload, to_jsonable
-from repro.service.store import CACHE_VERSION, KEYED_RUNNER_KNOBS
+from repro.service.store import CACHE_VERSION
+from tests.conftest import shards
 
 SMALL_GRID = {"kind": "thm11", "diameters": [4, 6], "seeds": [0, 1]}
 NUM_PULSES = 3
+#: Runner knobs a submission once carried, each with a value it took.
+RETIRED_KNOBS = (
+    ("kernel_backend", "numpy"),
+    ("vectorize", False),
+    ("sketch_rank", 2),
+    ("potential_levels", [1]),
+    ("executor", "process"),
+    ("shards", 2),
+    ("store_times", True),
+)
 
 
 def direct_payload(grid, num_pulses=NUM_PULSES):
     """The reference statistics: an in-process run of the same grid."""
-    batch = BatchRunner(
-        num_pulses=num_pulses, executor="serial", store_times=False
-    ).run(build_trials(grid))
+    batch = BatchRunner(num_pulses=num_pulses, store_times=False).run(
+        build_trials(grid)
+    )
     return to_jsonable(batch_payload(batch))
 
 
@@ -131,40 +141,43 @@ class TestGridKey:
             build_trials(other), NUM_PULSES
         )
 
-    def test_executor_and_shards_are_excluded(self):
-        trials = build_trials(SMALL_GRID)
-        assert grid_key(trials, NUM_PULSES) == grid_key(
-            trials, NUM_PULSES, {"executor": "process", "shards": 4}
-        )
-
-    def test_keyed_knob_is_store_times_alone(self):
-        # The retired stacking/compaction/backend knobs, then
-        # ``vectorize``, then ``sketch_rank`` and ``potential_levels``
-        # left the key, so the layout changed three times and
-        # CACHE_VERSION moved to 4.
-        assert set(KEYED_RUNNER_KNOBS) == {"store_times"}
-        assert CACHE_VERSION == 4
-        trials = build_trials(SMALL_GRID)
-        assert grid_key(trials, NUM_PULSES) != grid_key(
-            trials, NUM_PULSES, {"store_times": False}
-        )
-
     def test_seed_sweep_key_is_stable(self):
-        # Recorded before configs held their rates as a read-only plane
-        # and shared base-graph structure: config-derived rates key as
-        # the sentinel and the seed, so the key (and CACHE_VERSION) must
-        # not move when their in-memory form does.
+        # Config-derived rates key as the sentinel and the seed, so the
+        # key must not move when their in-memory form does.  Re-pinned
+        # when CACHE_VERSION moved to 5 and the key lost its last runner
+        # knob (``store_times``).
         trials = BatchRunner.seed_sweep(4, [0, 1, 2])
         assert grid_key(trials, 3) == (
-            "237dfb6b425572de5733c5388bb8225e856b447e676782da3a3d6f3adcc83a46"
+            "dbedc1f8d0e84662b755593f3747baa5ee96363af8bc39449514da927d747eca"
         )
-        assert CACHE_VERSION == 4
+        assert CACHE_VERSION == 5
 
-    def test_explicit_default_hashes_like_omitted(self):
+    def test_explicit_default_hashes_like_omitted(self, runner):
+        # The pulse budget defaults to 4: naming it or not addresses the
+        # same stored result.
+        omitted = runner.submit({"grid": SMALL_GRID})
+        explicit = runner.submit({"grid": SMALL_GRID, "num_pulses": 4})
+        assert omitted.key == explicit.key
+        assert omitted.key == grid_key(build_trials(SMALL_GRID), 4)
+        for job in (omitted, explicit):
+            runner.wait(job.id, timeout=120)
+
+    def test_payload_does_not_depend_on_store_times(self):
+        # Why the key carries no ``store_times``: the served payload is
+        # built from the run's folds, bitwise the same whether or not
+        # the run kept its matrices.
         trials = build_trials(SMALL_GRID)
-        assert grid_key(trials, NUM_PULSES) == grid_key(
-            trials, NUM_PULSES, {"store_times": True}
-        )
+        payloads = [
+            to_jsonable(
+                batch_payload(
+                    BatchRunner(num_pulses=NUM_PULSES, store_times=keep).run(
+                        trials
+                    )
+                )
+            )
+            for keep in (False, True)
+        ]
+        assert deep_equal(*payloads)
 
     def test_unpicklable_grid_is_uncacheable(self):
         trial = BatchTrial(
@@ -209,11 +222,7 @@ class TestResultStore:
         # job recomputes, put replaces the file, and the resubmission
         # is served from the repaired entry.
         spec = {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
-        defaults = {"executor": "serial", "store_times": False}
-        first = JobRunner(
-            store=ResultStore(directory=str(tmp_path)),
-            runner_defaults=defaults,
-        ).start()
+        first = JobRunner(store=ResultStore(directory=str(tmp_path))).start()
         try:
             job = first.submit(spec)
             first.wait(job.id, timeout=120)
@@ -224,7 +233,7 @@ class TestResultStore:
         path.write_bytes(path.read_bytes()[:40])
 
         store = ResultStore(directory=str(tmp_path))
-        second = JobRunner(store=store, runner_defaults=defaults).start()
+        second = JobRunner(store=store).start()
         try:
             redo = second.submit(spec)
             second.wait(redo.id, timeout=120)
@@ -250,11 +259,7 @@ class TestResultStore:
         # statistic.  The file's digest catches it: the key misses, the
         # job recomputes, and what is served equals a direct run.
         spec = {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
-        defaults = {"executor": "serial", "store_times": False}
-        first = JobRunner(
-            store=ResultStore(directory=str(tmp_path)),
-            runner_defaults=defaults,
-        ).start()
+        first = JobRunner(store=ResultStore(directory=str(tmp_path))).start()
         try:
             job = first.submit(spec)
             first.wait(job.id, timeout=120)
@@ -273,7 +278,7 @@ class TestResultStore:
 
         store = ResultStore(directory=str(tmp_path))
         assert job.key not in store
-        second = JobRunner(store=store, runner_defaults=defaults).start()
+        second = JobRunner(store=store).start()
         try:
             redo = second.submit(spec)
             second.wait(redo.id, timeout=120)
@@ -303,15 +308,6 @@ class TestResultStore:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def runner():
-    instance = JobRunner(
-        runner_defaults={"executor": "serial", "store_times": False}
-    ).start()
-    yield instance
-    instance.shutdown()
-
-
-@pytest.fixture()
-def default_runner():
     instance = JobRunner().start()
     yield instance
     instance.shutdown()
@@ -331,7 +327,7 @@ def rule_weight(trials, num_pulses=NUM_PULSES):
 
 
 class TestExecutorRouting:
-    """A job that names no executor defers to BatchRunner's rule."""
+    """Every job defers to BatchRunner's executor rule."""
 
     def test_small_grid_cells_sit_below_the_threshold(self):
         trials = build_trials(SMALL_GRID)
@@ -344,7 +340,7 @@ class TestExecutorRouting:
         "excess, executor", [(None, "serial"), (1, "serial"), (0, "process")]
     )
     def test_default_job_routes_by_cells(
-        self, default_runner, monkeypatch, excess, executor
+        self, runner, monkeypatch, excess, executor
     ):
         # The rule's threshold is moved to the grid's weight plus
         # ``excess``, or left as measured when ``excess`` is None; the
@@ -360,12 +356,11 @@ class TestExecutorRouting:
         with mock.patch.object(
             batch_mod, "_worker_pool", wraps=batch_mod._worker_pool
         ) as pool:
-            job = default_runner.submit(
+            job = runner.submit(
                 {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
             )
-            default_runner.wait(job.id, timeout=120)
+            runner.wait(job.id, timeout=120)
         assert job.status == "done", job.error
-        assert "executor" not in job.runner_kwargs
         (plan,) = plan_events(job)
         assert plan["executor"] == executor
         served = to_jsonable(job.payload())
@@ -378,31 +373,8 @@ class TestExecutorRouting:
             assert pool.called
             assert equal_statistics(served, direct_payload(SMALL_GRID))
 
-    @pytest.mark.parametrize(
-        "knobs", [{"executor": "process", "shards": 2}, {"shards": 2}]
-    )
-    def test_explicit_sharding_is_honoured_on_a_small_grid(
-        self, default_runner, knobs
-    ):
-        job = default_runner.submit(
-            {"grid": SMALL_GRID, "num_pulses": NUM_PULSES, "runner": knobs}
-        )
-        default_runner.wait(job.id, timeout=120)
-        assert job.status == "done", job.error
-        (plan,) = plan_events(job)
-        assert plan["executor"] == "process"
-        assert plan["shards"] == 2
-        # Routing never enters the key: the sharded job and a serial
-        # one address the same stored result.
-        again = default_runner.submit(
-            {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
-        )
-        default_runner.wait(again.id, timeout=120)
-        assert again.key == job.key
-        assert again.cache_hit is True
-
     def test_trial_error_in_a_default_job_fails_only_that_job(
-        self, default_runner
+        self, runner
     ):
         bad = BatchTrial(
             config=standard_config(4),
@@ -410,42 +382,19 @@ class TestExecutorRouting:
                 RuntimeError("clock exploded")
             ),
         )
-        job = default_runner.submit({"num_pulses": NUM_PULSES}, trials=[bad])
-        default_runner.wait(job.id, timeout=120)
+        job = runner.submit({"num_pulses": NUM_PULSES}, trials=[bad])
+        runner.wait(job.id, timeout=120)
         # In the job thread.
         assert plan_events(job)[0]["executor"] == "serial"
         assert job.status == "failed"
         assert "clock exploded" in job.error
         # The job thread survives and serves the next default job.
-        ok = default_runner.submit(
+        ok = runner.submit(
             {"grid": SMALL_GRID, "num_pulses": NUM_PULSES}
         )
-        default_runner.wait(ok.id, timeout=120)
+        runner.wait(ok.id, timeout=120)
         assert ok.status == "done"
         assert plan_events(ok)[0]["executor"] == "serial"
-
-    def test_explicit_serial_is_honoured_over_the_threshold(
-        self, default_runner, monkeypatch
-    ):
-        # A zero threshold makes the rule pick the pool for any streamed
-        # fault-free grid of two trials or more.
-        monkeypatch.setattr(batch_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(batch_mod, "_SHARD_CELLS", 0)
-        monkeypatch.setattr(batch_mod, "_FORK_CELLS", 0)
-        assert batch_mod._pick_shards(
-            build_trials(SMALL_GRID), NUM_PULSES, False
-        ) == 2
-        job = default_runner.submit(
-            {
-                "grid": SMALL_GRID,
-                "num_pulses": NUM_PULSES,
-                "runner": {"executor": "serial"},
-            }
-        )
-        default_runner.wait(job.id, timeout=120)
-        assert job.runner_kwargs["executor"] == "serial"
-        (plan,) = plan_events(job)
-        assert (plan["executor"], plan["shards"]) == ("serial", 1)
 
 
 class TestJobRunner:
@@ -541,10 +490,7 @@ class TestJobRunner:
             config=standard_config(4),
             clock_rates=lambda node, pulse: 1.0,
         )
-        job = runner.submit(
-            {"num_pulses": NUM_PULSES, "runner": {"executor": "serial"}},
-            trials=[trial],
-        )
+        job = runner.submit({"num_pulses": NUM_PULSES}, trials=[trial])
         runner.wait(job.id, timeout=120)
         assert job.status == "done"
         assert job.key is None
@@ -559,21 +505,18 @@ class TestJobRunner:
             runner.submit({"grid": {"kind": "thm99"}})
         with pytest.raises(ValueError, match="grid spec"):
             runner.submit({"grid": None})
-        with pytest.raises(ValueError, match="executor"):
-            runner.submit(
-                {"grid": SMALL_GRID, "runner": {"executor": "gpu"}}
-            )
+        with pytest.raises(ValueError, match="'priority'"):
+            runner.submit({"grid": SMALL_GRID, "priority": 1})
+        for pulses in (0, -1, 2.5, "3", True, None):
+            with pytest.raises(ValueError, match="num_pulses"):
+                runner.submit({"grid": SMALL_GRID, "num_pulses": pulses})
         assert runner.jobs() == []
 
     def test_retired_runner_knob_fails_the_submit_call(self, runner):
-        # BatchRunner no longer takes the knobs, so validation names them.
-        for knob, value in (
-            ("kernel_backend", "numpy"),
-            ("vectorize", False),
-            ("sketch_rank", 2),
-            ("potential_levels", [1]),
-        ):
-            with pytest.raises(TypeError, match=knob):
+        # A submission carries no runner knobs any more, so validation
+        # names the retired field that held them.
+        for knob, value in RETIRED_KNOBS:
+            with pytest.raises(ValueError, match="'runner'"):
                 runner.submit({"grid": SMALL_GRID, "runner": {knob: value}})
         assert runner.jobs() == []
 
@@ -585,10 +528,7 @@ class TestJobRunner:
                 RuntimeError("clock exploded")
             ),
         )
-        job = runner.submit(
-            {"num_pulses": NUM_PULSES, "runner": {"executor": "serial"}},
-            trials=[bad],
-        )
+        job = runner.submit({"num_pulses": NUM_PULSES}, trials=[bad])
         runner.wait(job.id, timeout=120)
         assert job.status == "failed"
         assert "clock exploded" in job.error
@@ -598,14 +538,9 @@ class TestJobRunner:
         runner.wait(ok.id, timeout=120)
         assert ok.status == "done"
 
-    def test_worker_death_through_the_service(self):
-        runner = JobRunner(
-            runner_defaults={
-                "executor": "process",
-                "shards": 2,
-                "store_times": False,
-            }
-        ).start()
+    def test_worker_death_through_the_service(self, monkeypatch):
+        shards(monkeypatch, 2)
+        runner = JobRunner().start()
         try:
             trials = [
                 BatchTrial(config=standard_config(4, seed=s))
@@ -626,6 +561,7 @@ class TestJobRunner:
             ]
             assert "lost" in statuses
             assert statuses.count("retried") == statuses.count("lost")
+            shards(monkeypatch, 1)
             reference = BatchRunner(
                 num_pulses=NUM_PULSES, store_times=False
             ).run(trials)
@@ -643,7 +579,7 @@ class TestJobRunner:
 
 class TestJobEvents:
     def test_long_poll_wakes_on_emit(self):
-        job = Job("job-x", {}, [], NUM_PULSES, {}, key=None)
+        job = Job("job-x", {}, [], NUM_PULSES, key=None)
         seen = {}
 
         def poll():
@@ -658,7 +594,7 @@ class TestJobEvents:
         assert [e["event"] for e in seen["events"]] == ["queued"]
 
     def test_wait_done_wakes_on_the_terminal_state_only(self):
-        job = Job("job-x", {}, [], NUM_PULSES, {}, key=None)
+        job = Job("job-x", {}, [], NUM_PULSES, key=None)
         assert job.wait_done(0.01) is False
         seen = {}
 
@@ -677,7 +613,7 @@ class TestJobEvents:
         assert seen["done"] is True
 
     def test_since_offsets_paginate(self):
-        job = Job("job-x", {}, [], NUM_PULSES, {}, key=None)
+        job = Job("job-x", {}, [], NUM_PULSES, key=None)
         for i in range(3):
             job.emit({"event": f"e{i}"})
         assert [e["seq"] for e in job.events_since(1)] == [1, 2]
@@ -708,9 +644,7 @@ class TestServiceHTTP:
         assert view["status"] == "ok"
 
     def test_submit_wait_fetch_bitwise(self, client):
-        accepted = client.submit(
-            self.GRID, num_pulses=NUM_PULSES, runner={"executor": "serial"}
-        )
+        accepted = client.submit(self.GRID, num_pulses=NUM_PULSES)
         assert accepted["status"] in ("queued", "running", "done")
         job = client.wait(accepted["id"])
         assert job["status"] == "done"
@@ -721,14 +655,10 @@ class TestServiceHTTP:
         assert deep_equal(to_jsonable(pickled), served)
 
     def test_resubmit_is_a_cache_hit_over_http(self, client):
-        first = client.submit(
-            self.GRID, num_pulses=NUM_PULSES, runner={"executor": "serial"}
-        )
+        first = client.submit(self.GRID, num_pulses=NUM_PULSES)
         client.wait(first["id"])
         hits_before = client.store_stats()["hits"]
-        second = client.submit(
-            self.GRID, num_pulses=NUM_PULSES, runner={"executor": "serial"}
-        )
+        second = client.submit(self.GRID, num_pulses=NUM_PULSES)
         job = client.wait(second["id"])
         assert job["cache_hit"] is True
         assert job["key"] == client.job(first["id"])["key"]
@@ -814,9 +744,7 @@ class TestServiceHTTP:
         assert job.status == "done"
 
     def test_event_stream_pagination(self, client):
-        accepted = client.submit(
-            self.GRID, num_pulses=NUM_PULSES, runner={"executor": "serial"}
-        )
+        accepted = client.submit(self.GRID, num_pulses=NUM_PULSES)
         client.wait(accepted["id"])
         view = client.events(accepted["id"])
         names = [e["event"] for e in view["events"]]
@@ -839,14 +767,15 @@ class TestServiceHTTP:
             client.submit({"kind": "thm99"})
 
     def test_retired_runner_knob_is_a_400_naming_it(self, client):
-        for knob, value in (
-            ("kernel_backend", "numpy"),
-            ("vectorize", False),
-            ("sketch_rank", 2),
-            ("potential_levels", [1]),
-        ):
-            with pytest.raises(RuntimeError, match=f"HTTP 400.*{knob}"):
-                client.submit(SMALL_GRID, runner={knob: value})
+        for knob, value in RETIRED_KNOBS:
+            with pytest.raises(RuntimeError, match="HTTP 400.*'runner'"):
+                client._request(
+                    "/jobs", body={"grid": SMALL_GRID, "runner": {knob: value}}
+                )
+
+    def test_zero_pulses_is_a_400(self, client):
+        with pytest.raises(RuntimeError, match="HTTP 400.*num_pulses"):
+            client.submit(SMALL_GRID, num_pulses=0)
 
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(RuntimeError, match="HTTP 404"):
@@ -967,16 +896,26 @@ class TestServiceHTTP:
 class TestServiceSmoke:
     """The CI ``service-smoke`` scenario, runnable locally.
 
-    Boots ``python -m repro.service`` as a real subprocess, submits a
-    grid big enough to hold worker processes busy for ~2 s, SIGKILLs
-    one live worker PID from ``/workers`` mid-run, and requires the job
-    to complete with a ``lost``/``retried`` shard pair and statistics
-    bitwise equal to an in-process reference run; a resubmission must
-    then be a recorded cache hit.
+    Boots ``python -m repro.service`` as a real subprocess and submits a
+    grid the executor rule shards on its own: the job's ``plan`` event
+    must name two process shards.  Then it SIGKILLs one live worker PID
+    from ``/workers`` mid-run, and requires the job to complete with a
+    ``lost``/``retried`` shard pair and statistics bitwise equal to an
+    in-process reference run; a resubmission must then be a recorded
+    cache hit.
     """
 
-    GRID = {"kind": "thm13", "diameter": 32, "num_trials": 12}
-    PULSES = 10
+    #: thm13 at D = 32 (a fault-free reference plus 16 sampled plans)
+    #: over 32 pulses: its larger half weighs 561,384, over the 393,216
+    #: (``_SHARD_CELLS + _FORK_CELLS``) at which a service that has not
+    #: forked its pool yet shards.
+    GRID = {"kind": "thm13", "diameter": 32, "num_trials": 16}
+    PULSES = 32
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self):
+        if batch_mod._usable_cpus() < 2:
+            pytest.skip("the executor rule shards only on 2 or more usable CPUs")
 
     def _boot(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -995,12 +934,21 @@ class TestServiceSmoke:
         assert line.startswith("listening on "), line
         return proc, line.split()[-1]
 
+    def _submit_sharded(self, client, num_pulses):
+        """Submit :attr:`GRID`; its id once the rule planned two shards."""
+        accepted = client.submit(self.GRID, num_pulses=num_pulses)
+        since, deadline = 0, time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            view = client.events(accepted["id"], since=since, wait=5.0)
+            plans = [e for e in view["events"] if e["event"] == "plan"]
+            if plans:
+                assert (plans[0]["executor"], plans[0]["shards"]) == ("process", 2)
+                return accepted["id"]
+            since = view["next"]
+        raise AssertionError("the job never planned its shards")
+
     def _submit_and_kill(self, client, num_pulses):
-        accepted = client.submit(
-            self.GRID,
-            num_pulses=num_pulses,
-            runner={"executor": "process", "shards": 2},
-        )
+        job_id = self._submit_sharded(client, num_pulses)
         deadline = time.monotonic() + 30.0
         pids = []
         while time.monotonic() < deadline:
@@ -1010,13 +958,13 @@ class TestServiceSmoke:
             time.sleep(0.02)
         assert pids, "worker processes never appeared"
         os.kill(pids[0], signal.SIGKILL)
-        job = client.wait(accepted["id"], timeout=180)
+        job = client.wait(job_id, timeout=180)
         assert job["status"] == "done"
-        events = client.events(accepted["id"])["events"]
+        events = client.events(job_id)["events"]
         statuses = [
             e["status"] for e in events if e["event"] == "shard"
         ]
-        return accepted["id"], job, statuses
+        return job_id, job, statuses
 
     def test_boot_kill_worker_and_dedup(self):
         proc, url = self._boot()
@@ -1046,11 +994,7 @@ class TestServiceSmoke:
                 for why in served["fallback_reasons"].values()
             )
             # Resubmission: a recorded cache hit, no new worker pool.
-            again = client.submit(
-                self.GRID,
-                num_pulses=self.PULSES + attempt,
-                runner={"executor": "process", "shards": 2},
-            )
+            again = client.submit(self.GRID, num_pulses=self.PULSES + attempt)
             view = client.wait(again["id"])
             assert view["cache_hit"] is True
             stats = client.store_stats()
@@ -1069,12 +1013,8 @@ class TestServiceSmoke:
         proc, url = self._boot()
         client = ServiceClient(url, timeout=60.0)
         try:
-            accepted = client.submit(
-                SMALL_GRID,
-                num_pulses=NUM_PULSES,
-                runner={"executor": "process", "shards": 2},
-            )
-            assert client.wait(accepted["id"])["status"] == "done"
+            job_id = self._submit_sharded(client, self.PULSES)
+            assert client.wait(job_id)["status"] == "done"
             idle = client.workers()
             assert idle, "the pool should outlive the job"
         finally:
@@ -1096,9 +1036,7 @@ class TestServiceSmoke:
         client = ServiceClient(url, timeout=60.0)
         try:
             grid = {"kind": "cor15", "diameter": 8, "seed": 0}
-            accepted = client.submit(
-                grid, num_pulses=NUM_PULSES, runner={"executor": "serial"}
-            )
+            accepted = client.submit(grid, num_pulses=NUM_PULSES)
             client.wait(accepted["id"])
             payload = client.result_pickle(accepted["id"])
             blob = pickle.dumps(payload)

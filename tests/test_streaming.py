@@ -44,6 +44,7 @@ from repro.faults.injection import FaultPlan
 from repro.faults.model import SilentFromFault
 from repro.topology.base_graph import cycle_graph
 from repro.topology.layered import LayeredGraph
+from tests.conftest import shards
 
 NUM_PULSES = 4
 
@@ -77,6 +78,11 @@ def _simulation(diameter=6, seed=0):
 # Memory contract
 # ----------------------------------------------------------------------
 class TestMemoryContract:
+    @pytest.fixture(autouse=True)
+    def _in_process(self, monkeypatch):
+        # tracemalloc sees this process only.
+        shards(monkeypatch, 1)
+
     def test_streaming_never_allocates_the_block(self):
         """Peak streamed allocation stays under ONE (S, K, L, W) matrix.
 
@@ -95,15 +101,13 @@ class TestMemoryContract:
         # Warm the per-edge delay/rate caches (they live on the configs'
         # delay models and scale with S*L*W, independent of the pulse
         # count) so the traced peaks below isolate the result matrices.
-        BatchRunner(num_pulses=2, executor="serial", store_times=False).run(
-            trials
-        )
+        BatchRunner(num_pulses=2, store_times=False).run(trials)
 
         tracemalloc.start()
         tracemalloc.reset_peak()
-        streamed = BatchRunner(
-            num_pulses=num_pulses, executor="serial", store_times=False
-        ).run(trials)
+        streamed = BatchRunner(num_pulses=num_pulses, store_times=False).run(
+            trials
+        )
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert streamed.streaming
@@ -114,9 +118,7 @@ class TestMemoryContract:
 
         tracemalloc.start()
         tracemalloc.reset_peak()
-        materialized = BatchRunner(
-            num_pulses=num_pulses, executor="serial"
-        ).run(trials)
+        materialized = BatchRunner(num_pulses=num_pulses).run(trials)
         _, full_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # Sanity: the materialized run really pays for the block(s), so
@@ -138,9 +140,7 @@ class TestMemoryContract:
         block_bytes = (
             len(trials) * num_pulses * graph.num_layers * graph.width * 8
         )
-        runner = BatchRunner(
-            num_pulses=num_pulses, executor="serial", store_times=False
-        )
+        runner = BatchRunner(num_pulses=num_pulses, store_times=False)
         runner.run(trials)  # warm the delay/rate caches, as above
 
         tracemalloc.start()
@@ -172,7 +172,7 @@ class TestMemoryContract:
 # Process shards and pickling
 # ----------------------------------------------------------------------
 class TestShardsAndPickling:
-    def test_process_shard_merge_matches_serial_bitwise(self):
+    def test_process_shard_merge_matches_serial_bitwise(self, monkeypatch):
         """Satellite regression: accumulators cross the process boundary.
 
         ``FastResult.__getstate__`` must keep ``streamed`` (it strips the
@@ -182,12 +182,10 @@ class TestShardsAndPickling:
         serial = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
             _trials(8)
         )
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES,
-            store_times=False,
-            executor="process",
-            shards=3,
-        ).run(_trials(8))
+        shards(monkeypatch, 3)
+        sharded = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
+            _trials(8)
+        )
         assert sharded.streaming
         for name in (
             "local_skews",
@@ -231,20 +229,18 @@ class TestShardsAndPickling:
             assert clone.streamed_row == result.streamed_row
             assert clone.max_local_skew() == result.max_local_skew()
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_every_shard_count_matches_serial_bitwise(self, shards):
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_every_shard_count_matches_serial_bitwise(self, monkeypatch, count):
         """Shard-count regression: 1, 2, and 3 shards all reassemble to
         the serial trial order (uneven splits included -- 8 trials over
         3 shards)."""
         serial = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
             _trials(8)
         )
-        sharded = BatchRunner(
-            num_pulses=NUM_PULSES,
-            store_times=False,
-            executor="process",
-            shards=shards,
-        ).run(_trials(8))
+        shards(monkeypatch, count)
+        sharded = BatchRunner(num_pulses=NUM_PULSES, store_times=False).run(
+            _trials(8)
+        )
         np.testing.assert_array_equal(
             serial.max_local_skews(), sharded.max_local_skews()
         )
