@@ -96,6 +96,13 @@ Four micro-benchmarks track the performance trajectory across PRs:
   peak against the plane's ``S * B * W`` cells, the B the default rule
   picks for each shape's own horizon, and the host (CPU, cores, L2,
   libc).  Reported, not gated.
+* ``test_kernel_step``: every dense kernel call of one warm streamed
+  run of each of those two shapes, captured and replayed through the
+  kernel and through the parent's expressions frozen in this module
+  (:func:`parent_layer_step_kernel`) in interleaved rounds; asserts
+  bitwise-equal outputs and the kernel no slower than that baseline on
+  the ``stream_horizon`` shape.  Recorded under ``"kernel_step"`` with
+  the median microseconds per step.
 * ``test_fault_fallback_overhead``: warm runs of the 17-trial thm13
   stack (a fault-free reference plus 16 sampled fault plans, D = 32,
   8 pulses) against the same configs run fault-free, asserting the
@@ -116,13 +123,15 @@ that still exist: a per-trial ``FastSimulation.run`` loop
 (:func:`uncompacted`, :func:`lanes_uncompacted`), one pulse per block
 (:func:`one_pulse_blocks`; it also sets the short-horizon baseline of
 :func:`test_short_horizon_block_speedup`), the axis-reduced neighbor min/max
-(:func:`axis_reduce_folds`) and a forced density verdict
-(:func:`prefer_csr`).
+(:func:`axis_reduce_folds`), a forced density verdict
+(:func:`prefer_csr`) and the dense layer step of the previous release
+(:func:`parent_layer_step_kernel`, frozen here).
 
 Select just these with ``pytest benchmarks/test_batch_speed.py -m bench``;
 ``-m 'bench and not slow'`` is the CI smoke selection.
 """
 
+import collections
 import contextlib
 import itertools
 import json
@@ -1079,13 +1088,25 @@ def one_pulse_blocks():
     return fixed_blocks(1)
 
 
+def _axis_reduced_bounds(prev, nb_delay, rate, nb_idx, nb_valid, columns=None):
+    """The kernel's H_min / H_max as the degree-axis reduction of the
+    whole masked ``(..., W, max_deg)`` neighbor tensor."""
+    if nb_idx.ndim > 2:
+        gathered = np.take_along_axis(
+            prev, nb_idx.reshape(nb_idx.shape[:-2] + (-1,)), axis=-1
+        ).reshape(prev.shape[:-1] + nb_idx.shape[-2:])
+    else:
+        gathered = prev.take(nb_idx, axis=-1)
+    h_nb = rate[..., None] * (gathered + nb_delay)
+    return (
+        np.minimum.reduce(np.where(nb_valid, h_nb, np.inf), axis=-1),
+        np.maximum.reduce(np.where(nb_valid, h_nb, -np.inf), axis=-1),
+    )
+
+
 def axis_reduce_folds():
     """Baseline of the kernel's H_min / H_max: the degree-axis reduction."""
-    return mock.patch.object(
-        fast_mod,
-        "_fold_columns",
-        lambda ufunc, values, identity: ufunc.reduce(values, axis=-1),
-    )
+    return mock.patch.object(fast_mod, "_neighbor_bounds", _axis_reduced_bounds)
 
 
 def kernel_step_us(runner, trials):
@@ -1465,6 +1486,236 @@ def test_block_curve():
             f"fault_horizon {section['fault_horizon']['default_block_pulses']})",
         )
     )
+
+
+# ----------------------------------------------------------------------
+# The parent's layer step, frozen: the kernel_step baseline
+# ----------------------------------------------------------------------
+def _parent_correction_step(h_own, h_min, h_max, params, policy):
+    """The correction rule as one expression per temporary (frozen)."""
+    kappa = params.kappa
+    vartheta = params.vartheta
+    kappa_stacked = np.ndim(kappa) > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = h_own - h_max
+        b = h_own - h_min
+        if policy.discretize:
+            if not kappa_stacked and kappa == 0.0:
+                delta = b
+            else:
+                s_star = (h_max - h_min) / (8.0 * kappa)
+                s_floor = np.floor(s_star)
+                s_ceil = np.ceil(s_star)
+                delta = (
+                    np.minimum(
+                        np.maximum(
+                            a + 4.0 * s_floor * kappa,
+                            b - 4.0 * s_floor * kappa,
+                        ),
+                        np.maximum(
+                            a + 4.0 * s_ceil * kappa,
+                            b - 4.0 * s_ceil * kappa,
+                        ),
+                    )
+                    - kappa / 2.0
+                )
+                if kappa_stacked:
+                    delta = np.where(kappa == 0.0, b, delta)
+        else:
+            delta = h_own - (h_max + h_min) / 2.0 - kappa / 2.0
+        delta = np.where(np.isinf(h_max), -np.inf, delta)
+        upper = vartheta * kappa
+        damp = policy.jump_slack * kappa
+        low = delta < 0.0
+        high = delta > upper
+        if policy.stick_to_median:
+            corr_low = np.minimum(h_own - h_min + kappa / 2.0 + damp, 0.0)
+            corr_high = np.maximum(h_own - h_max - kappa / 2.0 - damp, upper)
+        else:
+            corr_low = np.zeros_like(delta)
+            corr_high = np.broadcast_to(
+                np.asarray(upper, dtype=float), delta.shape
+            )
+        correction = np.where(low, corr_low, np.where(high, corr_high, delta))
+        branches = np.where(
+            low,
+            fast_mod.BRANCH_CODES["low"],
+            np.where(
+                high, fast_mod.BRANCH_CODES["high"], fast_mod.BRANCH_CODES["mid"]
+            ),
+        ).astype(np.int8)
+    return correction, branches
+
+
+def _parent_fold_columns(ufunc, values, identity):
+    """Min / max over the masked degree axis, one column at a time."""
+    if values.shape[-1] == 0:
+        return np.full(values.shape[:-1], identity)
+    folded = values[..., 0]
+    for column in range(1, values.shape[-1]):
+        folded = ufunc(folded, values[..., column])
+    return folded
+
+
+def parent_layer_step_kernel(
+    prev, own_delay, nb_delay, rate, nb_idx, nb_valid, static_eligible,
+    params, policy, simplified, *_,
+):
+    """The dense layer step as the previous release evaluated it: one
+    temporary per expression, both neighbor masks over the whole
+    ``(..., W, max_deg)`` tensor, every output plane on every run.
+    Frozen here as the ``kernel_step`` baseline; bitwise equal to
+    :func:`repro.core.fast._layer_step_kernel`."""
+    kappa = params.kappa
+    vartheta = params.vartheta
+    h_own = rate * (prev + own_delay)
+    if nb_idx.ndim > 2:
+        gathered = np.take_along_axis(
+            prev, nb_idx.reshape(nb_idx.shape[:-2] + (-1,)), axis=-1
+        ).reshape(prev.shape[:-1] + nb_idx.shape[-2:])
+    else:
+        gathered = prev.take(nb_idx, axis=-1)
+    h_nb = rate[..., None] * (gathered + nb_delay)
+    h_min = _parent_fold_columns(
+        np.minimum, np.where(nb_valid, h_nb, np.inf), np.inf
+    )
+    h_max = _parent_fold_columns(
+        np.maximum, np.where(nb_valid, h_nb, -np.inf), -np.inf
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eligible = static_eligible & np.isfinite(h_own + h_min + h_max)
+        if not simplified:
+            eligible = (
+                eligible
+                & (h_own <= h_max + kappa / 2.0 + vartheta * kappa)
+                & (h_max <= 2.0 * h_own - h_min + 2.0 * kappa)
+            )
+        correction, branches = _parent_correction_step(
+            h_own, h_min, h_max, params, policy
+        )
+        exit_tau = np.maximum(h_own, h_max)
+        target = h_own + params.Lambda - params.d - correction
+        pulse_local = np.maximum(target, exit_tau)
+        pulse_time = pulse_local / rate
+        effective = h_own + params.Lambda - params.d - rate * pulse_time
+    return eligible, correction, branches, pulse_time, effective
+
+
+#: Interleaved timing rounds of the kernel_step bench (medians recorded).
+KERNEL_ROUNDS = 5
+
+
+def captured_steps(trials, num_pulses):
+    """The arguments of every dense kernel call of one warm streamed run
+    (each ``prev`` copied at its step: the ring moves on)."""
+    runner = BatchRunner(num_pulses=num_pulses, store_times=False)
+    runner.run(trials)  # cold fill: every delay and rate cached
+    calls = []
+    kernel = fast_batch_mod._layer_step_kernel
+
+    def capture(prev, *rest):
+        calls.append((prev.copy(),) + rest)
+        return kernel(prev, *rest)
+
+    with mock.patch.object(fast_batch_mod, "_layer_step_kernel", capture):
+        runner.run(trials)
+    return calls
+
+
+def assert_kernel_matches_parent(calls):
+    """Every captured step: the kernel's outputs bitwise the parent's, with
+    the planes and without them (as a streamed run calls it)."""
+    for args in calls:
+        want = parent_layer_step_kernel(*args)
+        with_planes = fast_mod._layer_step_kernel(*args[:10], True, *args[11:])
+        streamed = fast_mod._layer_step_kernel(*args)
+        for got in (with_planes, streamed):
+            for index, (a, b) in enumerate(zip(got, want)):
+                if a is None:
+                    assert got is streamed and index in (2, 4)
+                    continue
+                np.testing.assert_array_equal(
+                    a.view(np.uint8), b.view(np.uint8), err_msg=str(index)
+                )
+
+
+def kernel_step_rounds(calls, rounds=KERNEL_ROUNDS):
+    """Median microseconds per step of the parent baseline and the kernel
+    over ``calls``, the two alternating first across rounds."""
+    kernels = {
+        "parent": parent_layer_step_kernel,
+        "kernel": fast_mod._layer_step_kernel,
+    }
+    spent = {name: [] for name in kernels}
+    for round_ in range(rounds):
+        names = list(kernels)[:: 1 if round_ % 2 == 0 else -1]
+        for name in names:
+            kernel = kernels[name]
+            start = time.perf_counter()
+            for args in calls:
+                kernel(*args)
+            spent[name].append((time.perf_counter() - start) / len(calls))
+    return {name: 1e6 * statistics.median(times) for name, times in spent.items()}
+
+
+@pytest.mark.usefixtures("in_process")
+def test_kernel_step():
+    """The lean layer step against the parent's expressions, per step.
+
+    Captures every dense kernel call of one warm streamed run of the
+    ``stream_horizon`` shape (S = 16, D = 32, 64 pulses) and of the
+    ``fault_horizon`` shape (the 17-trial thm13 grid, D = 32, 8 pulses),
+    checks that the kernel's outputs are bitwise the frozen baseline's
+    (:func:`parent_layer_step_kernel`), then times both over the
+    captured steps in interleaved rounds.  Recorded under
+    ``"kernel_step"``; gated: the kernel is not slower than the baseline
+    on the ``stream_horizon`` shape.
+    """
+    shapes = {
+        "stream_horizon": (
+            BatchRunner.seed_sweep(
+                BLOCK_DIAMETER, range(BLOCK_TRIALS), num_pulses=BLOCK_PULSES
+            ),
+            BLOCK_PULSES,
+        ),
+        "fault_horizon": (
+            thm13_trials(SHORT_DIAMETER, SHORT_SEEDS, num_pulses=SHORT_PULSES)[0],
+            SHORT_PULSES,
+        ),
+    }
+    section = {"rounds": KERNEL_ROUNDS, "host": host_info()}
+    rows = []
+    for name, (trials, num_pulses) in shapes.items():
+        calls = captured_steps(trials, num_pulses)
+        assert_kernel_matches_parent(calls)
+        step_us = kernel_step_rounds(calls)
+        planes = collections.Counter(args[0].shape for args in calls)
+        section[name] = {
+            "trials": len(trials),
+            "num_pulses": num_pulses,
+            "steps": len(calls),
+            "plane": list(planes.most_common(1)[0][0]),
+            "max_deg": int(calls[0][4].shape[-1]),
+            "parent_us_per_step": step_us["parent"],
+            "kernel_us_per_step": step_us["kernel"],
+            "speedup": step_us["parent"] / step_us["kernel"],
+        }
+        rows.append(
+            (name, len(calls), step_us["parent"], step_us["kernel"],
+             step_us["parent"] / step_us["kernel"])
+        )
+    _merge_bench_json({"kernel_step": section})
+    print()
+    print(
+        format_table(
+            ["shape", "steps", "parent us / step", "kernel us / step", "speedup"],
+            rows,
+            title="Dense layer step, streamed, warm: the parent's expressions "
+            f"vs the lean kernel ({KERNEL_ROUNDS} interleaved rounds)",
+        )
+    )
+    stream = section["stream_horizon"]
+    assert stream["kernel_us_per_step"] <= stream["parent_us_per_step"], stream
 
 
 @pytest.mark.usefixtures("in_process")

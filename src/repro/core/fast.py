@@ -42,13 +42,12 @@ of one, and the stack is the only driver of the recurrence: it advances
 one layer of a *block* of pulses for **all** base vertices of all its
 trials at once with NumPy array operations (reception times, do-until
 exit, correction, pulse time), which is what makes large parameter
-sweeps tractable.  Pulse ``k`` of layer ``l`` depends only on pulse
-``k`` of layer ``l - 1``, so the pulses of a block are as independent as
-the trials of a stack: each layer step runs on an ``(S, B, W)`` plane of
+sweeps tractable; each layer step runs on an ``(S, B, W)`` plane of
 ``B`` pulses (see the "Pulse blocks" section of
 :mod:`repro.core.fast_batch`).  The arithmetic lives in the
-shape-generic :func:`_layer_step_kernel` (and its CSR twin); both
-algorithms run through it:
+shape-generic :func:`_layer_step_kernel` (and its CSR twin), which
+works in place with bitwise-unchanged outputs (its docstring has the
+argument); both algorithms run through it:
 
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
@@ -208,7 +207,8 @@ def _correction_step(
     h_max: np.ndarray,
     params: Parameters,
     policy: CorrectionPolicy,
-) -> Tuple[np.ndarray, np.ndarray]:
+    codes: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Vectorized correction rule: ``compute_correction`` over a plane.
 
     Mirrors :func:`repro.core.correction.compute_correction`
@@ -219,7 +219,10 @@ def _correction_step(
     ``raw_delta`` convention: their delta is ``-inf``, forcing the low
     branch; the formulae below would produce NaN via ``inf - inf``
     instead, so the convention is pinned explicitly.  Returns
-    ``(correction, branches)``.
+    ``(correction, branches)``; ``branches`` is None without ``codes``.
+    Works in place (see :func:`_layer_step_kernel`); the selects stay
+    :func:`numpy.where`, which measured 2-3x faster than a masked
+    :func:`numpy.copyto` on these planes.
     """
     kappa = params.kappa
     vartheta = params.vartheta
@@ -230,52 +233,52 @@ def _correction_step(
         b = h_own - h_min
         if policy.discretize:
             if not kappa_stacked and kappa == 0.0:
-                delta = b
+                # A copy: ``b`` is read again for the low branch.
+                delta = b.copy()
             else:
                 # s_star >= 0 on every eligible lane (h_max >= h_min),
                 # so the scalar path's max(0, .) clamps are no-ops.
-                s_star = (h_max - h_min) / (8.0 * kappa)
-                s_floor = np.floor(s_star)
-                s_ceil = np.ceil(s_star)
-                delta = (
-                    np.minimum(
-                        np.maximum(
-                            a + 4.0 * s_floor * kappa,
-                            b - 4.0 * s_floor * kappa,
-                        ),
-                        np.maximum(
-                            a + 4.0 * s_ceil * kappa,
-                            b - 4.0 * s_ceil * kappa,
-                        ),
-                    )
-                    - kappa / 2.0
-                )
+                s_star = h_max - h_min
+                s_star /= 8.0 * kappa
+                delta = None
+                for step in (np.floor(s_star), np.ceil(s_star, out=s_star)):
+                    step *= 4.0
+                    step *= kappa  # 4 * s * kappa, shared by both terms
+                    term = a + step
+                    np.maximum(term, np.subtract(b, step, out=step), out=term)
+                    delta = term if delta is None else np.minimum(delta, term, out=delta)
+                delta -= kappa / 2.0
                 if kappa_stacked:
                     # kappa == 0 lanes divided by zero above; give them the
                     # scalar path's kappa == 0 answer instead.
-                    delta = np.where(kappa == 0.0, b, delta)
+                    np.copyto(delta, b, where=kappa == 0.0)
         else:
-            delta = h_own - (h_max + h_min) / 2.0 - kappa / 2.0
-        delta = np.where(np.isinf(h_max), -np.inf, delta)
+            delta = h_max + h_min
+            delta /= 2.0
+            np.subtract(h_own, delta, out=delta)
+            delta -= kappa / 2.0
+        np.copyto(delta, -np.inf, where=np.isinf(h_max))
 
         upper = vartheta * kappa
-        damp = policy.jump_slack * kappa
         low = delta < 0.0
         high = delta > upper
         if policy.stick_to_median:
-            corr_low = np.minimum(h_own - h_min + kappa / 2.0 + damp, 0.0)
-            corr_high = np.maximum(h_own - h_max - kappa / 2.0 - damp, upper)
+            damp = policy.jump_slack * kappa
+            a -= kappa / 2.0
+            a -= damp
+            corr_high = np.maximum(a, upper, out=a)
+            b += kappa / 2.0
+            b += damp
+            corr_low = np.minimum(b, 0.0, out=b)
         else:
-            corr_low = np.zeros_like(delta)
-            corr_high = np.broadcast_to(
-                np.asarray(upper, dtype=float), delta.shape
-            )
+            corr_low, corr_high = 0.0, upper
         correction = np.where(low, corr_low, np.where(high, corr_high, delta))
-        branches = np.where(
-            low,
-            BRANCH_CODES["low"],
-            np.where(high, BRANCH_CODES["high"], BRANCH_CODES["mid"]),
-        ).astype(np.int8)
+        branches = None
+        if codes:
+            # low wins over high, as in the select above: 2 * high + low.
+            high &= ~low
+            branches = np.add(high, high, dtype=np.int8)
+            branches += low
     return correction, branches
 
 
@@ -288,57 +291,113 @@ def _registers_step(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    planes: bool = True,
+) -> Tuple[np.ndarray, ...]:
     """Eligibility, correction, and pulse time from the filled registers.
 
-    The back half of the layer step, shared verbatim by the dense padded
-    kernel (:func:`_layer_step_kernel`) and the CSR segment-reduce kernel
-    (:func:`_layer_step_kernel_csr`): once ``H_own``/``H_min``/``H_max``
-    are gathered, the two representations are indistinguishable -- every
-    operation here is elementwise over the ``(..., W)`` plane, so equal
-    registers produce bit-identical outputs regardless of how the
-    neighbor reduction was evaluated.
+    The back half of the layer step, shared by the dense and the CSR
+    kernel: every operation is elementwise over the ``(..., W)`` plane,
+    so equal registers give bit-identical outputs whichever reduction
+    filled them.  Without ``planes`` (a streamed run keeps neither) the
+    branch codes and effective corrections are None.
     """
     kappa = params.kappa
     vartheta = params.vartheta
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        eligible = static_eligible & np.isfinite(h_own + h_min + h_max)
+        scratch = h_own + h_min
+        scratch += h_max
+        eligible = np.isfinite(scratch)
+        eligible &= static_eligible
         if not simplified:
-            eligible = (
-                eligible
-                & (h_own <= h_max + kappa / 2.0 + vartheta * kappa)
-                & (h_max <= 2.0 * h_own - h_min + 2.0 * kappa)
-            )
+            np.add(h_max, kappa / 2.0, out=scratch)
+            scratch += vartheta * kappa
+            eligible &= h_own <= scratch
+            np.multiply(2.0, h_own, out=scratch)
+            scratch -= h_min
+            scratch += 2.0 * kappa
+            eligible &= h_max <= scratch
 
         correction, branches = _correction_step(
-            h_own, h_min, h_max, params, policy
+            h_own, h_min, h_max, params, policy, planes
         )
 
-        exit_tau = np.maximum(h_own, h_max)
-        target = h_own + params.Lambda - params.d - correction
-        pulse_local = np.maximum(target, exit_tau)
-        pulse_time = pulse_local / rate
-        effective = h_own + params.Lambda - params.d - rate * pulse_time
+        base = h_own + params.Lambda
+        base -= params.d
+        np.subtract(base, correction, out=scratch)  # the target
+        pulse_time = np.maximum(h_own, h_max)
+        np.maximum(scratch, pulse_time, out=scratch)
+        np.divide(scratch, rate, out=pulse_time)
+        effective = None
+        if planes:
+            effective = np.subtract(base, np.multiply(rate, pulse_time, out=scratch), out=base)
 
     return eligible, correction, branches, pulse_time, effective
 
 
-def _fold_columns(ufunc, values: np.ndarray, identity: float) -> np.ndarray:
-    """``ufunc.reduce(values, axis=-1)`` folded one column at a time.
+def _read_only(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """A read-only view of ``array`` (None stays None)."""
+    if array is not None:
+        array = array.view()
+        array.flags.writeable = False
+    return array
 
-    Starts from the first column (``identity`` when there is none) and
-    folds in each further column with one elementwise call.  Bitwise
-    equal to the reduction for ``np.minimum`` / ``np.maximum``: both are
-    exact, and NaN propagates through the elementwise ufunc as through
-    the reduce.
+
+def _neighbor_columns(nb_idx: np.ndarray, nb_valid: np.ndarray) -> Tuple:
+    """The dense kernel's neighbor plan: per degree column of the padded
+    tables, None when no lane is valid, else read-only ``(index, lanes,
+    mask)`` -- the column's gather index on ``lanes``, the lanes with a
+    valid entry (None: all), and their validity where some entry is
+    invalid (None: all valid)."""
+    columns = []
+    for j in range(nb_valid.shape[-1]):
+        valid = nb_valid[..., j]
+        used = valid.reshape(-1, valid.shape[-1]).any(axis=0)
+        lanes = None if used.all() else np.flatnonzero(used)
+        if lanes is not None:
+            valid = valid[..., lanes]
+        index = nb_idx[..., j] if lanes is None else nb_idx[..., lanes, j]
+        mask = None if valid.all() else valid
+        plan = (np.ascontiguousarray(index), lanes, mask)
+        columns.append(tuple(map(_read_only, plan)) if used.any() else None)
+    return tuple(columns)
+
+
+def _neighbor_bounds(
+    prev: np.ndarray, nb_delay: np.ndarray, rate: np.ndarray,
+    nb_idx: np.ndarray, nb_valid: np.ndarray, columns: Optional[Tuple] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``H_min`` / ``H_max`` of the dense kernel, one degree column at a time.
+
+    Bitwise the min / max over the last axis of ``np.where(nb_valid,
+    rate * (gathered + nb_delay), +-inf)``: each column of the plan
+    (:func:`_neighbor_columns`) is computed on its valid lanes only and
+    folded, in order, into bounds that start at the identities; the
+    ufunc's ``where`` keeps a bound on an invalid lane, as folding in
+    the identity would.  Min and max are exact and propagate NaN alike.
     """
-    if values.shape[-1] == 0:
-        return np.full(values.shape[:-1], identity)
-    folded = values[..., 0]
-    for column in range(1, values.shape[-1]):
-        folded = ufunc(folded, values[..., column])
-    return folded
+    if columns is None:
+        columns = _neighbor_columns(nb_idx, nb_valid)
+    bounds = (np.full(prev.shape, np.inf), np.full(prev.shape, -np.inf))
+    for j, column in enumerate(columns):
+        if column is None:
+            continue
+        index, lanes, mask = column
+        # A per-row ``index`` gathers row ``s`` from trial ``s``'s plane.
+        if index.ndim > 1:
+            values = np.take_along_axis(prev, index, axis=-1)
+        else:
+            values = prev.take(index, axis=-1)
+        at = slice(None) if lanes is None else lanes
+        values += nb_delay[..., at, j]
+        np.multiply(rate[..., at], values, out=values)
+        where = True if mask is None else mask
+        for bound, ufunc in zip(bounds, (np.minimum, np.maximum)):
+            part = bound if lanes is None else bound[..., lanes]
+            ufunc(part, values, out=part, where=where)
+            if lanes is not None:
+                bound[..., lanes] = part
+    return bounds
 
 
 def _layer_step_kernel(
@@ -352,7 +411,9 @@ def _layer_step_kernel(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    planes: bool = True,
+    columns: Optional[Tuple] = None,
+) -> Tuple[np.ndarray, ...]:
     """One layer step for every cell of a ``(..., W)`` plane.
 
     The shape-generic arithmetic behind the trial-stacked ``(S, B, W)``
@@ -370,31 +431,34 @@ def _layer_step_kernel(
     eligibility mask for this layer.  Returns ``(eligible, correction,
     branches, pulse_time, effective_correction)``; only entries where
     ``eligible`` is True are meaningful -- the rest are resolved by the
-    caller through the exact batched fallback.
+    caller through the exact batched fallback.  Without ``planes`` the
+    branch codes and effective corrections are None (see
+    :func:`_registers_step`).  The inputs are only read.
 
-    Two generalizations serve the heterogeneous trial stack of
-    :mod:`repro.core.fast_batch`:
+    For the heterogeneous stack, ``nb_idx``/``nb_valid`` may be
+    per-trial ``(S, 1, W, max_deg)`` tables (trial ``s`` gathers from
+    its own plane; padded lanes are invalid and padded cells stay NaN),
+    and the numeric fields of ``params`` / ``policy`` per-trial ``(S, 1,
+    1)`` columns: every use is elementwise, so a lane computes what a
+    scalar call with its own value does.  ``discretize`` and
+    ``stick_to_median`` select Python-level branches and must be bools.
 
-    * ``nb_idx``/``nb_valid`` may carry leading axes (shape
-      ``(S, 1, W, max_deg)`` for a pulse-blocked plane): each trial then
-      gathers through its *own* padded index rows
-      (``prev[s, b, nb_idx[s, 0, v, j]]``) instead of one shared index
-      table.  Padded lanes are masked by ``nb_valid`` and padded cells
-      stay NaN end-to-end, so they can never turn eligible.
-    * the numeric fields of ``params`` (``kappa``, ``vartheta``,
-      ``Lambda``, ``d``) and ``policy`` (``jump_slack``) may be
-      per-trial ``(S, 1, 1)`` columns instead of scalars; every use is
-      elementwise, so lanes compute bit-identical floats to a scalar
-      call with their own value.  The *structural* policy switches
-      (``discretize``, ``stick_to_median``) select Python-level branches
-      and must be plain bools (uniform across the stack).
+    ``H_min``/``H_max`` are folded one degree column at a time
+    (:func:`_neighbor_bounds`), never by masking the whole ``(..., W,
+    max_deg)`` neighbor tensor: a partly valid column (on a replicated
+    line, the two end vertices' third neighbors) is gathered and masked
+    on its valid lanes only.  ``columns`` is that per-column plan
+    (:func:`_neighbor_columns`), cached by the stack per row-structure
+    entry and derived here when not given.
 
-    ``H_min``/``H_max`` fold the masked degree axis one column at a
-    time (:func:`_fold_columns`), not with an axis reduction: NumPy's
-    reduce over a short last axis pays per output cell, the column fold
-    per column.  Min and max are exact and NaN propagates through
-    ``np.minimum``/``np.maximum`` as through the reduce, so the result
-    is bitwise the reduction's.
+    In-place evaluation: the step writes into its own temporaries
+    (``out=``, in-place operators) and evaluates each shared
+    subexpression once (``h_own - h_max``, ``h_own - h_min``,
+    ``4 * round(s*) * kappa``, ``h_own + Lambda - d``), with every
+    operation's operands and order kept.  An IEEE result depends only
+    on the operation and its operands, not on where it is stored, so
+    every output is bitwise that of one temporary per expression (the
+    bench's ``kernel_step`` checks it against that form frozen).
 
     Eligibility: all predecessors correct (static part) and received (a
     missing reception turns the summed registers NaN or infinite), and --
@@ -406,25 +470,11 @@ def _layer_step_kernel(
     for every arrival unconditionally -- so the two comparisons drop out
     and every received cell is eligible.
     """
-    own_arrival = prev + own_delay
-    h_own = rate * own_arrival
-    # Padded gather + delay + rate product + masked min/max.  A per-row
-    # ``nb_idx`` gathers row ``s`` only from trial ``s``'s plane.
-    if nb_idx.ndim > 2:
-        gathered = np.take_along_axis(
-            prev, nb_idx.reshape(nb_idx.shape[:-2] + (-1,)), axis=-1
-        ).reshape(prev.shape[:-1] + nb_idx.shape[-2:])
-    else:
-        # ``take`` gathers like ``prev[..., nb_idx]`` with less
-        # per-call overhead (this runs once per layer step).
-        gathered = prev.take(nb_idx, axis=-1)
-    nb_arrival = gathered + nb_delay
-    h_nb = rate[..., None] * nb_arrival
-    h_min = _fold_columns(np.minimum, np.where(nb_valid, h_nb, np.inf), np.inf)
-    h_max = _fold_columns(np.maximum, np.where(nb_valid, h_nb, -np.inf), -np.inf)
-
+    h_own = prev + own_delay
+    np.multiply(rate, h_own, out=h_own)
+    h_min, h_max = _neighbor_bounds(prev, nb_delay, rate, nb_idx, nb_valid, columns)
     return _registers_step(
-        h_own, h_min, h_max, rate, static_eligible, params, policy, simplified
+        h_own, h_min, h_max, rate, static_eligible, params, policy, simplified, planes
     )
 
 
@@ -441,40 +491,34 @@ def _layer_step_kernel_csr(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    planes: bool = True,
+) -> Tuple[np.ndarray, ...]:
     """CSR variant of :func:`_layer_step_kernel`: reduce over edge segments.
 
-    Instead of gathering through padded ``(..., W, max_deg)`` tensors,
-    the neighbor reduction walks the base graph's
-    :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr` arrays:
-    per-entry arrivals are gathered along the flat ``(..., nnz)`` edge
-    axis (``owner[j]`` maps entry ``j`` back to its destination vertex
-    for the rate product) and ``H_min``/``H_max`` come from
-    ``np.minimum.reduceat`` / ``np.maximum.reduceat`` at the segment
-    starts.  Per-step memory is ``O(nnz)`` instead of ``O(W * max_deg)``,
-    so a single hub vertex no longer pads every row.
-
-    Bit-exactness: min/max over the *same value set* (each vertex's
-    segment holds exactly its valid padded lane values, in the same
-    sorted-neighbor order) are exact regardless of evaluation order, and
-    NaN (a missing predecessor) propagates through ``reduceat`` exactly
-    as through the masked dense reduction, so eligible cells match the
-    dense kernel bitwise.  Empty segments (degree-0 vertices; only in
-    campaign epoch graphs) get the dense path's identity values --
-    ``+inf`` / ``-inf`` -- explicitly, since ``reduceat`` has no empty
-    reduction: their start index is clamped into range and the garbage
-    overwritten.  Such cells are statically ineligible anyway.
+    The neighbor arrivals are gathered along the flat ``(..., nnz)``
+    entries of the base graph's
+    :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr` arrays
+    (``owner[j]``: entry ``j``'s vertex, for the rate product) and
+    ``H_min``/``H_max`` are ``np.minimum.reduceat`` /
+    ``np.maximum.reduceat`` at the segment starts, in ``O(nnz)`` memory
+    instead of ``O(W * max_deg)``.  Each segment holds exactly the dense
+    path's valid lanes, min and max are exact in any order and NaN
+    propagates alike, so the registers match the dense kernel bitwise.
+    Empty segments (degree-0 vertices, statically ineligible) get the
+    dense identities ``+inf`` / ``-inf`` explicitly, since ``reduceat``
+    has no empty reduction.
     """
-    own_arrival = prev + own_delay
-    h_own = rate * own_arrival
+    h_own = prev + own_delay
+    np.multiply(rate, h_own, out=h_own)
     nnz = indices.shape[0]
     lead = prev.shape[:-1]
     if nnz == 0:
         h_min = np.full(lead + (indptr.shape[0] - 1,), np.inf)
         h_max = np.full(lead + (indptr.shape[0] - 1,), -np.inf)
     else:
-        nb_arrival = prev.take(indices, axis=-1) + nb_delay
-        h_nb = rate.take(owner, axis=-1) * nb_arrival
+        h_nb = prev.take(indices, axis=-1)
+        h_nb += nb_delay
+        np.multiply(rate.take(owner, axis=-1), h_nb, out=h_nb)
         starts = np.minimum(indptr[:-1], nnz - 1)
         h_min = np.minimum.reduceat(h_nb, starts, axis=-1)
         h_max = np.maximum.reduceat(h_nb, starts, axis=-1)
@@ -483,7 +527,7 @@ def _layer_step_kernel_csr(
             h_max[..., ~has_neighbors] = -np.inf
 
     return _registers_step(
-        h_own, h_min, h_max, rate, static_eligible, params, policy, simplified
+        h_own, h_min, h_max, rate, static_eligible, params, policy, simplified, planes
     )
 
 
@@ -1002,14 +1046,6 @@ class FastSimulation:
         The layer-0 schedule is gathered once from the seed topology;
         membership changes silence a vertex's column via per-epoch crash
         masks rather than rewriting history.
-
-    Notes
-    -----
-    The stacked kernel reduces over padded ``(W, max_deg)`` neighbor
-    tensors, or over the base graph's
-    :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr` segments
-    when the density heuristic (:func:`_prefer_csr`) says padding
-    dominates; both are bit-identical on eligible cells.
     """
 
     def __init__(

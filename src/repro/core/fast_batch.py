@@ -94,9 +94,11 @@ block and a 64-pulse one in three.  Blocks never span a pulse at which
 some trial enters a campaign epoch, so epoch entries run before a
 block's first pulse.
 
-A streamed run (``store_times=False``) stores each result matrix as a
-two-layer ring, ``(S, B, 2, W)``: the previous and the current layer of
-the block.  Every layer subscript of the step, the fallback and the
+A streamed run (``store_times=False``) stores its times, protocol times
+and corrections as a two-layer ring, ``(S, B, 2, W)``: the previous and
+the current layer of the block (no result of it is handed effective
+corrections or branch codes, so they are neither computed nor stored).
+Every layer subscript of the step, the fallback and the
 fault-send records goes through :func:`_slot` (``layer`` on a
 materialized run, ``layer % 2`` in the ring).  After each (block,
 layer) step every run, streamed or not, folds that layer's planes into
@@ -159,15 +161,11 @@ shared between them is the exception: its walks advance per query).
 
 CSR neighbor backend (sparse/skewed graphs)
 -------------------------------------------
-Uniform-adjacency stacks may run the neighbor reduction over the base
-graph's CSR arrays (:meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr`)
-instead of the padded ``(W, max_deg)`` tensors: per-step cost becomes
-``O(S * nnz)`` rather than ``O(S * W * max_deg)``, which is what lets a
-hub-skewed or million-node sparse layer through the fast path -- see
-:func:`repro.core.fast._layer_step_kernel_csr`.  The density heuristic
-(:func:`repro.core.fast._prefer_csr`) picks the representation of a
-uniform stack; mixed-adjacency stacks always run the dense padded path.
-``compaction_stats["neighbor_backend"]`` records the choice.
+A uniform-adjacency stack may reduce over the base graph's CSR arrays
+instead of the padded ``(W, max_deg)`` tables
+(:func:`repro.core.fast._layer_step_kernel_csr`), as the density
+heuristic :func:`repro.core.fast._prefer_csr` picks; mixed-adjacency
+stacks run dense.  ``compaction_stats["neighbor_backend"]`` records it.
 
 Stacking requirements (checked by :func:`stack_compatibility`)
 --------------------------------------------------------------
@@ -189,31 +187,19 @@ consumes.
 Exactness
 ---------
 Every stack -- one trial or many, one pulse per block or many --
-evaluates *the same* NumPy expressions of the shape-generic
-:func:`~repro.core.fast._layer_step_kernel` elementwise, so a trial's
-eligible cells produce bit-identical floats whatever stack and block
-they run in (per-trial parameter columns and pulse-invariant inputs
-broadcast elementwise and change no operation; the neighbor min/max is
-exact in any fold order).  The exact eligibility test is applied cell
-by cell: fault-adjacent, via-``H_max``, and missing-message cells drop
-out of the array path and are resolved by one stack-wide batched
-fallback pass per block step (:meth:`_StackRun.fallback`), which
-mirrors the
-per-cell scalar rule (:func:`~repro.core.fast._scalar_replay`) operation
-for operation.  The pass gathers every
-rejected cell's arrivals from arrays: send times from the stacked
-``times`` plane or, for faulty predecessors, from a per-layer overlay of
-their recorded sends, plus the layer's delay and rate planes and the
-cells' own parameter values, each at the cell's pulse.  Every
-operation of the replay is per cell, so a cell's outcome does not
-depend on which stack or block it ran in.  The test
-suite asserts equality against both per-trial runs (stacks of one) and
-the scalar reference, for both algorithms, over randomized
-mixed-geometry stacks.  The reference is a seam, not a second driver:
-patching :func:`_kernel_cells` to :func:`numpy.zeros_like` sends every
-cell through the fallback, and patching :func:`_fallback_replay` to
-:func:`~repro.core.fast._scalar_replay` as well resolves each of them
-with the per-cell scalar rule.
+evaluates the same elementwise operations of
+:func:`~repro.core.fast._layer_step_kernel` on a trial's cells
+(parameter columns and pulse-invariant inputs broadcast; min and max
+are exact in any fold order), so its eligible cells get bit-identical
+floats whatever stack and block they run in.  Rejected cells go through
+one batched fallback pass per block step (:meth:`_StackRun.fallback`),
+which gathers each cell's arrivals from arrays (the ``times`` plane, or
+the overlay of a faulty predecessor's recorded sends) and mirrors the
+scalar rule (:func:`~repro.core.fast._scalar_replay`) per cell.  The
+reference is a seam, not a second driver: patching :func:`_kernel_cells`
+to :func:`numpy.zeros_like` and :func:`_fallback_replay` to
+:func:`~repro.core.fast._scalar_replay` resolves every cell with the
+scalar rule; the tests compare both against per-trial runs.
 """
 
 from __future__ import annotations
@@ -233,6 +219,8 @@ from repro.core.fast import (
     _fallback_replay,
     _layer_step_kernel,
     _layer_step_kernel_csr,
+    _neighbor_columns,
+    _read_only,
     _neighbor_backend,
 )
 from repro.core.layer0 import stacked_pulse_times
@@ -323,7 +311,8 @@ _KNEE_CELLS = 6144
 #: that the run holds whatever the blocks -- stacked delays, the rate
 #: plane, masks, statistics; 7.0-9.9 measured -- plus ``_RING_VALUES``
 #: per pulse of a block -- the two-layer ring of five matrices and a
-#: step's temporaries; 33.4-34.0 measured, 38 with faults.
+#: step's temporaries; 33.4-34.0 measured, 38 with faults (before the
+#: ring dropped two of those five matrices, so it now errs high).
 _FIXED_VALUES = 8.5
 _RING_VALUES = 34
 #: Plane size, in cells, a block may always fill, whatever the horizon:
@@ -444,13 +433,12 @@ def _select_cells(
     return rows, np.flatnonzero(used)
 
 
-def _clear_slot(matrices: Sequence[np.ndarray], window: slice, slot: int) -> None:
-    """Reset one ring slot of a block's storage rows to the padding values
-    (``NaN``, or ``"none"`` for the branch codes)."""
+def _clear_slot(matrices: Sequence[Optional[np.ndarray]], window: slice, slot: int) -> None:
+    """Reset one ring slot of a block's storage rows to NaN (a ring has
+    no branch-code or effective-correction matrix: None)."""
     for matrix in matrices:
-        matrix[:, window, slot] = (
-            BRANCH_CODES["none"] if matrix.dtype == np.int8 else np.nan
-        )
+        if matrix is not None:
+            matrix[:, window, slot] = np.nan
 
 
 def _kernel_cells(eligible: np.ndarray) -> np.ndarray:
@@ -836,7 +824,8 @@ class _StackRun:
         )
         # One shared block per matrix: every pulse and layer, or on a
         # streamed run a two-layer ring of one pulse block (_slot maps a
-        # layer to its slot).  Cells outside a trial's window stay NaN
+        # layer to its slot) without the effective-correction and branch
+        # planes (None).  Cells outside a trial's window stay NaN
         # (padding never turns eligible; the whole-plane fast path only
         # runs on uniform stacks).
         shape = (
@@ -849,8 +838,8 @@ class _StackRun:
                 width,
             )
         )
-        self.matrices = tuple(np.full(shape, np.nan) for _ in range(4)) + (
-            np.full(shape, BRANCH_CODES["none"], dtype=np.int8),
+        self.matrices = tuple(np.full(shape, np.nan) for _ in range(4 if store_times else 3)) + (
+            (np.full(shape, BRANCH_CODES["none"], dtype=np.int8),) if store_times else (None, None)
         )
         if store_times:
             # Each FastResult holds the trial-s window view, so analysis
@@ -901,12 +890,9 @@ class _StackRun:
             sweep0 = self.sweeps[0]
             self.nb_idx, self.nb_valid = sweep0.nb_idx, sweep0.nb_valid
             if self.backend == "csr":
-                self.csr = (
-                    sweep0.indptr,
-                    sweep0.indices,
-                    sweep0.owner,
-                    sweep0.has_neighbors,
-                )
+                self.csr = tuple(map(_read_only, (
+                    sweep0.indptr, sweep0.indices, sweep0.owner, sweep0.has_neighbors
+                )))
                 self.max_deg = sweep0.max_deg
             else:
                 self.max_deg = self.nb_idx.shape[1]
@@ -1161,7 +1147,7 @@ class _StackRun:
             key = (key, "lanes", lanes.tobytes())
             cached = cache.get(key)
             if cached is None:
-                cached = (full_own[:, :, lanes], full_nb[:, :, lanes, :])
+                cached = tuple(map(_read_only, (full_own[:, :, lanes], full_nb[:, :, lanes, :])))
                 cache[key] = cached
             return cached
         cached = cache.get(key)
@@ -1198,6 +1184,7 @@ class _StackRun:
                         own[i, j, : own_s.shape[0]] = own_s
                         nb[i, j, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
                 cached = (own, nb)
+            cached = tuple(map(_read_only, cached))
             cache[key] = cached
         return cached
 
@@ -1217,7 +1204,7 @@ class _StackRun:
         row-compacted array, mirroring :meth:`delay_stack`.
         """
         if self.rate_planes is not None:
-            return self.rate_planes[rows, layer, None][:, :, lanes]
+            return _read_only(self.rate_planes[rows, layer, None][:, :, lanes])
         indices = np.arange(len(self.sweeps))[rows]
         stacked = np.ones((len(indices), len(pulses), self.width))
         for i, s in enumerate(indices):
@@ -1226,7 +1213,7 @@ class _StackRun:
             for j, k in enumerate(pulses):
                 row = self.sweeps[s].rate_array(layer, k)
                 stacked[i, j, : row.shape[0]] = row
-        return stacked[:, :, lanes]
+        return _read_only(stacked[:, :, lanes])
 
     def row_structs(self, rows, lanes) -> Dict[str, object]:
         """Kernel inputs of the ``rows x lanes`` plane, cached by both sets.
@@ -1251,7 +1238,9 @@ class _StackRun:
         mask -- no valid entry of an active trial references a dropped
         lane) collapse to column 0 harmlessly.
 
-        Besides the kernel inputs, an entry carries ``index`` (the
+        Besides the kernel inputs (read-only, with the dense kernel's
+        neighbor plan :func:`~repro.core.fast._neighbor_columns`), an
+        entry carries ``index`` (the
         ``(rows, lanes)`` subscripts of the shared blocks; the caller
         adds the pulse and layer subscripts) and the
         original ``trials`` / ``vertices`` ids of its rows and columns
@@ -1289,11 +1278,12 @@ class _StackRun:
                 sub_idx = sub_idx[:, None]
                 sub_valid = sub_valid[:, None]
             cached = {
-                "nb_idx": sub_idx,
-                "nb_valid": sub_valid,
-                "static_eligible": sub_eligible,
-                "faulty": sub_faulty,
-                "active": sub_active,
+                "nb_idx": _read_only(sub_idx),
+                "nb_valid": _read_only(sub_valid),
+                "nb_columns": None if sub_idx is None else _neighbor_columns(sub_idx, sub_valid),
+                "static_eligible": _read_only(sub_eligible),
+                "faulty": _read_only(sub_faulty),
+                "active": _read_only(sub_active),
                 "index": index,
                 "trials": np.arange(len(self.sims))[rows],
                 "vertices": vertices,
@@ -1391,7 +1381,8 @@ class _StackRun:
         rows = stacked_pulse_times(
             *self.layer0_sources, pulses, out=protocol_times[:, window, 0, :]
         )
-        branches[:, window, 0, :] = self.layer0_branches[:, None, :]
+        if branches is not None:
+            branches[:, window, 0, :] = self.layer0_branches[:, None, :]
         times[:, window, 0, :] = np.where(self.faulty[:, 0, None, :], np.nan, rows)
 
     def fold(self, k0: int, window: slice, layer: int) -> None:
@@ -1478,28 +1469,19 @@ class _StackRun:
         """Advance ``layer`` for every pulse of the block on the selected plane.
 
         ``rows`` and ``lanes`` are the plane :func:`_select_cells` picked
-        (each :data:`_ALL` on the full plane, the identity case); the
-        step gathers its inputs for them (:meth:`row_structs`,
-        :meth:`delay_stack`, :meth:`rate_stack`, with a length-1 pulse
-        axis where they do not change with the pulse) and delegates to
-        the shape-generic :func:`~repro.core.fast._layer_step_kernel`
-        (or its CSR twin on ``csr`` stacks) over the ``(S, B, W)``
-        plane; see the module docstring for the exactness argument.
-        ``window`` is the block's storage rows in the shared matrices
-        (its pulses on materialized runs, the head of the ring on
-        streamed ones; the layers' slots map through :func:`_slot`).
+        (each :data:`_ALL` on the full plane); the step gathers its
+        read-only inputs for them (:meth:`row_structs`,
+        :meth:`delay_stack`, :meth:`rate_stack`) and runs the kernel (or
+        its CSR twin) over the ``(S, B, W)`` plane.  ``window`` is the
+        block's storage rows (its pulses, or the head of the ring).
 
-        Results scatter back through the plane's subscripts.  Ineligible
-        cells are written with the padding values (``NaN``/``"none"``)
-        that the rest of the block starts with, so the output is
-        bit-identical to a full-plane step: cells outside the plane keep
-        their initial padding, which is also what a full-plane step
-        produces for them (inert, silent and horizon-absent cells are
-        never eligible, and their fallback replays record nothing).
+        Results scatter back through the plane's subscripts, ineligible
+        cells as the padding (``NaN``/``"none"``) the block starts with,
+        so the output is bitwise a full-plane step's: cells outside the
+        plane are never eligible and their replays record nothing.
         ``structs["active"]`` (None on uniform stacks) masks the padding
         inside the plane, and the live mask the dead (trial, pulse)
-        rows, so neither is ever replayed by the batched fallback.
-        Every other rejected cell of the plane is resolved by one
+        rows; every other rejected cell goes through one
         :meth:`fallback` pass.
         """
         times, protocol_times, corrections, effective, branches_out = self.matrices
@@ -1541,59 +1523,39 @@ class _StackRun:
             else np.arange(window.start, window.stop)[None, :, None]
         )
         index = (ri, pi, _slot(times, layer), ci)
-        prev = times[ri, pi, _slot(times, layer - 1), ci]  # NaN = missing
+        # NaN = missing; read-only, as are the other kernel inputs.
+        prev = _read_only(times[ri, pi, _slot(times, layer - 1), ci])
         own_delay, nb_delay = delays
         static_eligible = structs["static_eligible"][:, layer - 1, None, :]
         simplified = self.sims[0].algorithm == "simplified"
-        if self.csr is not None:
-            indptr, indices, owner, has_neighbors = self.csr
-            eligible, correction, branches, pulse_time, eff = (
-                _layer_step_kernel_csr(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    indptr,
-                    indices,
-                    owner,
-                    has_neighbors,
-                    static_eligible,
-                    structs["params"],
-                    structs["policy"],
-                    simplified,
-                )
-            )
+        planes = self.store_times  # a streamed run keeps neither codes nor effective
+        if self.csr is None:
+            kernel, tables = _layer_step_kernel, (structs["nb_idx"], structs["nb_valid"])
+            plan = (structs["nb_columns"],)
         else:
-            eligible, correction, branches, pulse_time, eff = (
-                _layer_step_kernel(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    structs["nb_idx"],
-                    structs["nb_valid"],
-                    static_eligible,
-                    structs["params"],
-                    structs["policy"],
-                    simplified,
-                )
-            )
+            kernel, tables, plan = _layer_step_kernel_csr, self.csr, ()
+        eligible, correction, branches, pulse_time, eff = kernel(
+            prev, own_delay, nb_delay, rate, *tables, static_eligible,
+            structs["params"], structs["policy"], simplified, planes, *plan,
+        )
         eligible = _kernel_cells(eligible)
 
         if not self.layer_has_fault[layer] and eligible.all():
             # Common case (no trial has a fault on this layer, every cell
             # on the fast path): plain assignments, no selects.
             corrections[index] = correction
-            branches_out[index] = branches
-            effective[index] = eff
+            if planes:
+                branches_out[index] = branches
+                effective[index] = eff
             protocol_times[index] = pulse_time
             times[index] = pulse_time
             return
 
         faulty_here = structs["faulty"][:, layer, None, :]
         corrections[index] = np.where(eligible, correction, np.nan)
-        branches_out[index] = np.where(eligible, branches, BRANCH_CODES["none"])
-        effective[index] = np.where(eligible, eff, np.nan)
+        if planes:
+            branches_out[index] = np.where(eligible, branches, BRANCH_CODES["none"])
+            effective[index] = np.where(eligible, eff, np.nan)
         protocol_times[index] = np.where(eligible, pulse_time, np.nan)
         times[index] = np.where(eligible & ~faulty_here, pulse_time, np.nan)
         fallback = ~eligible
@@ -1711,11 +1673,10 @@ class _StackRun:
 
         rows, slot = rk + bi, _slot(times, layer)
         corrections[trials, rows, slot, vertices] = correction
-        branches[trials, rows, slot, vertices] = branch_codes
-        eff_ok = pulses & np.isfinite(h_own)
-        effective[trials[eff_ok], rows[eff_ok], slot, vertices[eff_ok]] = (
-            eff[eff_ok]
-        )
+        if branches is not None:
+            branches[trials, rows, slot, vertices] = branch_codes
+            eff_ok = pulses & np.isfinite(h_own)
+            effective[trials[eff_ok], rows[eff_ok], slot, vertices[eff_ok]] = eff[eff_ok]
         protocol_times[
             trials[pulses], rows[pulses], slot, vertices[pulses]
         ] = pulse_time[pulses]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import repro.experiments.batch as batch_mod
 from repro.core.correction import CorrectionPolicy
-from repro.core.fast import BRANCH_CODES, FastSimulation, _fold_columns
+from repro.core.fast import BRANCH_CODES, FastSimulation, _neighbor_bounds
 from repro.core.fast_batch import (
     TrialStack,
     _pulse_blocks,
@@ -477,22 +477,34 @@ class TestColumnFold:
     @settings(max_examples=200, deadline=None)
     @given(plane=masked_planes())
     def test_column_fold_is_the_reduction_bitwise(self, plane):
+        # Zero send times and unit rates: the lane values are the delays,
+        # through the kernel's own arithmetic (so -0.0 turns +0.0 in both).
         values, valid = plane
-        for ufunc, identity in ((np.minimum, np.inf), (np.maximum, -np.inf)):
-            masked = np.where(valid, values, identity)
-            got = _fold_columns(ufunc, masked, identity)
-            want = ufunc.reduce(masked, axis=-1)
-            assert got.shape == want.shape
-            assert got.dtype == want.dtype
+        lead = values.shape[:-1]
+        prev, rate = np.zeros(lead), np.ones(lead)
+        nb_idx = np.zeros(values.shape, dtype=np.int64)
+        h_nb = rate[..., None] * (prev[..., None] + values)
+        got = _neighbor_bounds(prev, values, rate, nb_idx, valid)
+        for bound, ufunc, identity in zip(
+            got, (np.minimum, np.maximum), (np.inf, -np.inf)
+        ):
+            want = ufunc.reduce(np.where(valid, h_nb, identity), axis=-1)
+            assert bound.shape == want.shape
+            assert bound.dtype == want.dtype
             np.testing.assert_array_equal(
-                got.view(np.uint64), want.view(np.uint64), err_msg=str(ufunc)
+                bound.view(np.uint64), want.view(np.uint64), err_msg=str(ufunc)
             )
 
     def test_no_columns_is_the_identity(self):
-        empty = np.empty((2, 3, 0))
-        np.testing.assert_array_equal(
-            _fold_columns(np.minimum, empty, np.inf), np.full((2, 3), np.inf)
+        h_min, h_max = _neighbor_bounds(
+            np.zeros((2, 3)),
+            np.empty((2, 3, 0)),
+            np.ones((2, 3)),
+            np.empty((3, 0), dtype=np.int64),
+            np.empty((3, 0), dtype=bool),
         )
+        np.testing.assert_array_equal(h_min, np.full((2, 3), np.inf))
+        np.testing.assert_array_equal(h_max, np.full((2, 3), -np.inf))
 
 
 class TestPulseBlocks:

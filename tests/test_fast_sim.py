@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,11 +13,12 @@ import repro.core.fast_batch as fast_batch_mod
 
 from repro.analysis.skew import max_inter_layer_skew
 from repro.clocks import uniform_random_rates
-from repro.core.correction import CorrectionPolicy
+from repro.core.correction import CorrectionPolicy, compute_correction
 from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.core.layer0 import JitteredLayer0
 from repro.delays import StaticDelayModel, UniformDelayModel
+from repro.faults import CrashFault, FaultPlan
 from repro.params import Parameters
 from repro.topology import (
     LayeredGraph,
@@ -750,3 +752,317 @@ class TestKernelReductions:
         )
         np.testing.assert_array_equal(h_min, [7.5, np.inf, 3.25])
         np.testing.assert_array_equal(h_max, [7.5, -np.inf, 3.25])
+
+
+# ----------------------------------------------------------------------
+# Parity of the in-place layer step
+# ----------------------------------------------------------------------
+#: Every structural policy: discretize x stick_to_median.
+ALL_POLICIES = [
+    CorrectionPolicy(discretize=discretize, stick_to_median=stick)
+    for discretize in (True, False)
+    for stick in (True, False)
+]
+
+
+def register_lanes(lanes=240, seed=0):
+    """``(h_own, h_min, h_max)`` lanes over all three branches.
+
+    ``h_min <= h_max`` everywhere, with exact ties, ``H_max = +inf``
+    lanes (last neighbor missing) and lanes with a NaN register.
+    """
+    rng = np.random.default_rng(seed)
+    h_min = rng.uniform(0.0, 4.0, lanes)
+    h_max = h_min + rng.uniform(0.0, 0.2, lanes)
+    h_max[::11] = h_min[::11]
+    h_own = (h_min + h_max) / 2.0 + rng.normal(0.0, 0.04, lanes)
+    h_own[::29] = h_min[::29]  # delta = 0 with kappa = 0: the mid branch
+    h_max[3::13] = np.inf
+    h_own[5::17] = np.nan
+    h_min[6::19] = np.nan
+    h_max[7::23] = np.nan
+    return h_own, h_min, h_max
+
+
+def scalar_corrections(h_own, h_min, h_max, kappa, vartheta, policy):
+    """``compute_correction`` lane by lane: ``(correction, branches,
+    defined)``.  ``defined`` is False on the lanes outside the scalar
+    rule's domain (it raises on a NaN ``h_own`` / ``h_min``, and on a
+    NaN ``h_max`` that it must discretize)."""
+    kappa = np.broadcast_to(kappa, h_own.shape)
+    vartheta = np.broadcast_to(vartheta, h_own.shape)
+    correction = np.full(h_own.shape, np.nan)
+    branches = np.full(h_own.shape, BRANCH_CODES["none"], dtype=np.int8)
+    defined = np.zeros(h_own.shape, dtype=bool)
+    for i in range(h_own.size):
+        registers = (float(h_own[i]), float(h_min[i]), float(h_max[i]))
+        try:
+            outcome = compute_correction(
+                *registers, float(kappa[i]), float(vartheta[i]), policy
+            )
+        except ValueError:
+            assert any(math.isnan(r) for r in registers)
+            continue
+        correction[i] = outcome.correction
+        branches[i] = BRANCH_CODES[outcome.branch]
+        defined[i] = True
+    return correction, branches, defined
+
+
+class TestCorrectionStepParity:
+    """``_correction_step`` against the scalar rule, bit for bit."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=repr)
+    @pytest.mark.parametrize("kappa", ["stacked", 0.0, PARAMS.kappa])
+    def test_matches_compute_correction_bitwise(self, policy, kappa):
+        h_own, h_min, h_max = register_lanes()
+        if kappa == "stacked":
+            # Per-lane kappa and vartheta columns, kappa = 0 included.
+            kappa = np.resize([PARAMS.kappa, 0.0, 0.05], h_own.size)
+            vartheta = np.resize([PARAMS.vartheta, 1.01], h_own.size)
+        else:
+            vartheta = PARAMS.vartheta
+        params = SimpleNamespace(kappa=kappa, vartheta=vartheta)
+        inputs = [array.copy() for array in (h_own, h_min, h_max)]
+        got, codes = fast_mod._correction_step(*inputs, params, policy)
+        want, want_codes, defined = scalar_corrections(
+            h_own, h_min, h_max, kappa, vartheta, policy
+        )
+        # Lanes the scalar rule rejects (NaN registers) have no
+        # reference; they must only not raise.  A NaN reference wants a
+        # NaN, every other one the same bits.
+        nan = defined & np.isnan(want)
+        exact = defined & ~nan
+        assert np.isnan(got[nan]).all()
+        np.testing.assert_array_equal(
+            got[exact].view(np.uint64), want[exact].view(np.uint64)
+        )
+        np.testing.assert_array_equal(codes[defined], want_codes[defined])
+        # Every branch and H_max = +inf occur, and the registers are
+        # only read.
+        assert set(want_codes[exact]) == {0, 1, 2}
+        assert (np.isinf(h_max) & exact & (codes == BRANCH_CODES["low"])).any()
+        for array, before in zip(inputs, (h_own, h_min, h_max)):
+            np.testing.assert_array_equal(
+                array.view(np.uint64), before.view(np.uint64)
+            )
+
+    def test_without_codes_the_correction_is_the_same(self):
+        h_own, h_min, h_max = register_lanes()
+        with_codes, codes = fast_mod._correction_step(
+            h_own, h_min, h_max, PARAMS, CorrectionPolicy()
+        )
+        alone, none = fast_mod._correction_step(
+            h_own, h_min, h_max, PARAMS, CorrectionPolicy(), codes=False
+        )
+        assert codes is not None and none is None
+        np.testing.assert_array_equal(
+            alone.view(np.uint64), with_codes.view(np.uint64)
+        )
+
+
+def step_inputs(base, trials=3, pulses=4, seed=0):
+    """One ``(S, B, W)`` layer step's inputs on ``base``, dense and CSR.
+
+    Returns ``(prev, own_delay, rate, static_eligible, dense, csr)``:
+    ``dense`` is ``(nb_delay, nb_idx, nb_valid)``, ``csr`` is
+    ``(nb_delay, indptr, indices, owner, has_neighbors)``; the CSR delays
+    are the dense ones' valid entries, in the same sorted-neighbor order.
+    Two send times are missing (NaN).
+    """
+    rng = np.random.default_rng(seed)
+    width = base.num_nodes
+    nb_idx, nb_valid = base.neighbor_index_arrays()
+    indptr, indices, _ = base.neighbor_csr()
+    degrees = np.diff(indptr)
+    owner = np.repeat(np.arange(width, dtype=np.int64), degrees)
+    prev = rng.uniform(0.0, 0.01, (trials, pulses, width))
+    prev[0, 1, 2] = prev[2, 3, width - 1] = np.nan
+    own_delay = rng.uniform(PARAMS.d - PARAMS.u, PARAMS.d, (trials, 1, width))
+    nb_delay = rng.uniform(
+        PARAMS.d - PARAMS.u, PARAMS.d, (trials, 1) + nb_idx.shape
+    )
+    rate = rng.uniform(1.0, PARAMS.vartheta, (trials, 1, width))
+    static_eligible = np.ones((trials, 1, width), dtype=bool)
+    return (
+        prev,
+        own_delay,
+        rate,
+        static_eligible,
+        (nb_delay, nb_idx, nb_valid),
+        (nb_delay[:, :, nb_valid], indptr, indices, owner, degrees > 0),
+    )
+
+
+def assert_outputs_bitwise(got, want):
+    assert len(got) == len(want)
+    for index, (a, b) in enumerate(zip(got, want)):
+        if b is None:
+            assert a is None, index
+            continue
+        assert a.shape == b.shape and a.dtype == b.dtype, index
+        np.testing.assert_array_equal(
+            a.view(np.uint8), b.view(np.uint8), err_msg=str(index)
+        )
+
+
+class TestDenseCsrParity:
+    """The dense kernel against its CSR twin on the same step."""
+
+    @pytest.mark.parametrize("simplified", [False, True])
+    @pytest.mark.parametrize(
+        "base, partial",
+        [(replicated_line(9), True), (cycle_graph(9), False)],
+        ids=["replicated_line", "cycle"],
+    )
+    def test_dense_equals_csr_bitwise(self, base, partial, simplified):
+        prev, own_delay, rate, eligible, dense, csr = step_inputs(base)
+        nb_delay, nb_idx, nb_valid = dense
+        columns = fast_mod._neighbor_columns(nb_idx, nb_valid)
+        # The replicated line's ends leave one column partly valid.
+        assert any(c[1] is not None for c in columns) is partial
+        args = (PARAMS, CorrectionPolicy(), simplified)
+        want = fast_mod._layer_step_kernel_csr(
+            prev, own_delay, csr[0], rate, *csr[1:], eligible, *args
+        )
+        got = fast_mod._layer_step_kernel(
+            prev, own_delay, nb_delay, rate, nb_idx, nb_valid, eligible, *args
+        )
+        assert want[0].any() and not want[0].all()
+        assert_outputs_bitwise(got, want)
+        # Per-trial (S, 1, W, max_deg) tables and the cached plan.
+        trials = prev.shape[0]
+        stacked = [
+            np.broadcast_to(table, (trials, 1) + table.shape)
+            for table in (nb_idx, nb_valid)
+        ]
+        assert_outputs_bitwise(
+            fast_mod._layer_step_kernel(
+                prev, own_delay, nb_delay, rate, *stacked, eligible, *args,
+                True, fast_mod._neighbor_columns(*stacked),
+            ),
+            want,
+        )
+        # Without the planes: the same step, no codes, no effective.
+        lean = fast_mod._layer_step_kernel(
+            prev, own_delay, nb_delay, rate, nb_idx, nb_valid, eligible,
+            *args, False, columns,
+        )
+        assert_outputs_bitwise(lean, want[:2] + (None,) + want[3:4] + (None,))
+        assert_outputs_bitwise(
+            fast_mod._layer_step_kernel_csr(
+                prev, own_delay, csr[0], rate, *csr[1:], eligible, *args, False
+            ),
+            lean,
+        )
+
+
+def snapshot(values):
+    """Bitwise copies of the arrays among ``values`` (nested tuples too)."""
+    out = []
+    for value in values:
+        if isinstance(value, np.ndarray):
+            out.append(value.copy())
+        elif isinstance(value, tuple):
+            out.append(snapshot(value))
+        else:
+            out.append(value)
+    return out
+
+
+def assert_unchanged(values, before):
+    for value, old in zip(values, before):
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == old.tobytes()
+        elif isinstance(value, tuple):
+            assert_unchanged(value, old)
+
+
+def array_flags(values):
+    """The ``writeable`` flag of every array among ``values``."""
+    flags = []
+    for value in values:
+        if isinstance(value, np.ndarray):
+            flags.append(value.flags.writeable)
+        elif isinstance(value, tuple):
+            flags.extend(array_flags(value))
+    return flags
+
+
+class TestKernelInputsAreOnlyRead:
+    def test_kernels_and_replay_leave_inputs_unchanged(self):
+        prev, own_delay, rate, eligible, dense, csr = step_inputs(
+            replicated_line(9)
+        )
+        nb_delay, nb_idx, nb_valid = dense
+        columns = fast_mod._neighbor_columns(nb_idx, nb_valid)
+        args = (PARAMS, CorrectionPolicy(), False)
+        calls = [
+            (fast_mod._layer_step_kernel,
+             (prev, own_delay, nb_delay, rate, nb_idx, nb_valid, eligible,
+              *args, True, columns)),
+            (fast_mod._layer_step_kernel_csr,
+             (prev, own_delay, csr[0], rate, *csr[1:], eligible, *args)),
+        ]
+        rng = np.random.default_rng(1)
+        ev_time = rng.uniform(1.0, 1.02, (40, 4))
+        ev_time[::3, 3] = np.inf  # padding slots
+        ev_time[::7, 0] = np.inf  # missing own copies: via H_max
+        ev_time[::5, 2] = np.inf  # missing last neighbors
+        num_nb = np.where(np.isinf(ev_time[:, 3]), 2, 3)
+        rates = rng.uniform(1.0, PARAMS.vartheta, 40)
+        for simplified in (False, True):
+            calls.append(
+                (fast_mod._fallback_replay,
+                 (ev_time, num_nb, rates, PARAMS, CorrectionPolicy(),
+                  simplified))
+            )
+        for function, inputs in calls:
+            before = snapshot(inputs)
+            function(*inputs)
+            assert_unchanged(inputs, before)
+
+    @pytest.mark.parametrize("store_times", [False, True])
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    def test_stack_hands_read_only_inputs(self, backend, store_times):
+        """Every array a run hands the kernels and the replay is read-only."""
+        plan = FaultPlan.from_nodes({(3, 2): CrashFault()})
+        sims = [noisy_sim(diameter=6, seed=s, fault_plan=plan) for s in (0, 1)]
+        seen = {}
+
+        def spy(name, function):
+            def wrapped(*args):
+                seen.setdefault(name, []).extend(array_flags(args))
+                return function(*args)
+            return wrapped
+
+        with mock.patch.multiple(
+            fast_batch_mod,
+            _layer_step_kernel=spy("dense", fast_mod._layer_step_kernel),
+            _layer_step_kernel_csr=spy("csr", fast_mod._layer_step_kernel_csr),
+            _fallback_replay=spy("replay", fast_mod._fallback_replay),
+        ), mock.patch.object(
+            fast_batch_mod, "_neighbor_backend", lambda base: backend
+        ):
+            TrialStack(sims).run(3, store_times=store_times)
+        assert set(seen) == {backend, "replay"}
+        assert not any(seen[backend]), seen[backend]
+
+    def test_streamed_ring_has_no_effective_or_branch_planes(self):
+        sims = [noisy_sim(diameter=6, seed=s) for s in (0, 1)]
+        seen = []
+        real = fast_mod._layer_step_kernel
+
+        def spy(*args):
+            out = real(*args)
+            seen.append(out)
+            return out
+
+        with mock.patch.object(fast_batch_mod, "_layer_step_kernel", spy):
+            streamed = TrialStack(sims).run(3, store_times=False)
+        assert seen and all(
+            out[2] is None and out[4] is None for out in seen
+        )
+        materialized = TrialStack(sims).run(3)
+        for lean, full in zip(streamed, materialized):
+            assert lean.max_local_skew() == full.max_local_skew()
