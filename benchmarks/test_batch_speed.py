@@ -36,14 +36,13 @@ Four micro-benchmarks track the performance trajectory across PRs:
   stack, bit-identical times, >= 1.3x floor; recorded under the
   ``"sparse"`` section.
 * ``test_csr_backend_memory_reduction``: a hub-skewed 10^5-node sparse
-  layered graph through the CSR segment-reduce kernel vs the dense
-  padded kernel, tracking peak memory with ``tracemalloc`` and asserting
-  the CSR peak stays <= 0.5x dense (it is ~10x smaller in practice) with
-  bit-identical times on a small companion cell; also recorded under
-  ``"sparse"``.
-* ``test_dense_backend_no_regression``: the density heuristic must pick
-  the dense kernel on the regular trial-stacked cell, bitwise equal to
-  a run with the heuristic forced to dense.
+  layered graph through the one layer step (neighbor copies on the CSR
+  entry axis), tracking peak memory with ``tracemalloc`` and asserting
+  the peak stays <= 0.5x the dense padded kernel's, frozen from the
+  release that still had one (:data:`PARENT_DENSE_PEAK`), and recording
+  its ratio to that release's CSR kernel (:data:`PARENT_CSR_PEAK`); a
+  small companion cell pins the column fold bitwise to the axis
+  reduction.  Recorded under ``"sparse"``.
 * ``test_cold_gather_speedup``: a fresh S = 8, D = 32 seed sweep with
   the per-edge static sampler (one ``SeedSequence`` + ``Generator`` per
   edge) vs the array-valued block gather, timing the delay gather alone
@@ -96,7 +95,7 @@ Four micro-benchmarks track the performance trajectory across PRs:
   peak against the plane's ``S * B * W`` cells, the B the default rule
   picks for each shape's own horizon, and the host (CPU, cores, L2,
   libc).  Reported, not gated.
-* ``test_kernel_step``: every dense kernel call of one warm streamed
+* ``test_kernel_step``: every kernel call of one warm streamed
   run of each of those two shapes, captured and replayed through the
   kernel and through the parent's expressions frozen in this module
   (:func:`parent_layer_step_kernel`) in interleaved rounds; asserts
@@ -123,9 +122,9 @@ that still exist: a per-trial ``FastSimulation.run`` loop
 (:func:`uncompacted`, :func:`lanes_uncompacted`), one pulse per block
 (:func:`one_pulse_blocks`; it also sets the short-horizon baseline of
 :func:`test_short_horizon_block_speedup`), the axis-reduced neighbor min/max
-(:func:`axis_reduce_folds`), a forced density verdict
-(:func:`prefer_csr`) and the dense layer step of the previous release
-(:func:`parent_layer_step_kernel`, frozen here).
+(:func:`axis_reduce_folds`) and the dense layer step of an earlier
+release (:func:`parent_layer_step_kernel`, frozen here, fed the padded
+tables :func:`padded_neighbor_tables` rebuilds from the neighbor plan).
 
 Select just these with ``pytest benchmarks/test_batch_speed.py -m bench``;
 ``-m 'bench and not slow'`` is the CI smoke selection.
@@ -328,11 +327,6 @@ def lanes_uncompacted():
             layer, depths, dead, prev, None
         ),
     )
-
-
-def prefer_csr(prefer):
-    """Force the density heuristic's verdict (explicit dense or CSR)."""
-    return mock.patch.object(fast_mod, "_prefer_csr", lambda base: prefer)
 
 
 def acceptance_grid():
@@ -1088,9 +1082,45 @@ def one_pulse_blocks():
     return fixed_blocks(1)
 
 
-def _axis_reduced_bounds(prev, nb_delay, rate, nb_idx, nb_valid, columns=None):
+def padded_neighbor_tables(nb_delay, columns, width):
+    """The dense padded layout of earlier releases, from the neighbor plan.
+
+    Returns ``(nb_delay, nb_idx, nb_valid)``: the ``(..., E)`` entry-axis
+    delays padded out to ``(..., W, max_deg)`` by plan column, and the
+    ``(W, max_deg)`` gather index and validity tables (``(S, 1, W,
+    max_deg)`` for a per-row plan).  Slot ``j`` of a lane is its
+    ``j``-th column; lanes past their degree are invalid.
+    """
+    lead = ()
+    for _, source, _, _ in columns:
+        lead = source.shape[:-1] + (1,) * (source.ndim - 1)
+    shape = (width, max(len(columns), 1))
+    nb_idx = np.zeros(lead + shape, dtype=np.int64)
+    nb_valid = np.zeros(lead + shape, dtype=bool)
+    padded = np.zeros(nb_delay.shape[:-1] + shape)
+    for j, (entries, source, lanes, mask) in enumerate(columns):
+        at = slice(None) if lanes is None else lanes
+        per_row = (slice(None), None) if source.ndim > 1 else ()
+        nb_idx[..., at, j] = source[per_row]
+        nb_valid[..., at, j] = True if mask is None else mask[per_row]
+        padded[..., at, j] = nb_delay[..., entries]
+    return padded, nb_idx, nb_valid
+
+
+#: Padded tables of the axis-reduced baseline, by (plan, delays): both
+#: are cached for the whole run, so the baseline pays the layout once.
+_PADDED = {}
+
+
+def _axis_reduced_bounds(prev, nb_delay, rate, columns):
     """The kernel's H_min / H_max as the degree-axis reduction of the
     whole masked ``(..., W, max_deg)`` neighbor tensor."""
+    key = (id(columns), id(nb_delay))
+    if key not in _PADDED:
+        _PADDED[key] = (columns, nb_delay) + padded_neighbor_tables(
+            nb_delay, columns, prev.shape[-1]
+        )
+    nb_delay, nb_idx, nb_valid = _PADDED[key][2:]
     if nb_idx.ndim > 2:
         gathered = np.take_along_axis(
             prev, nb_idx.reshape(nb_idx.shape[:-2] + (-1,)), axis=-1
@@ -1104,13 +1134,18 @@ def _axis_reduced_bounds(prev, nb_delay, rate, nb_idx, nb_valid, columns=None):
     )
 
 
+@contextlib.contextmanager
 def axis_reduce_folds():
     """Baseline of the kernel's H_min / H_max: the degree-axis reduction."""
-    return mock.patch.object(fast_mod, "_neighbor_bounds", _axis_reduced_bounds)
+    try:
+        with mock.patch.object(fast_mod, "_neighbor_bounds", _axis_reduced_bounds):
+            yield
+    finally:
+        _PADDED.clear()
 
 
 def kernel_step_us(runner, trials):
-    """Mean microseconds of one dense kernel call over a warm run."""
+    """Median microseconds of one kernel call over a warm run."""
     kernel = fast_batch_mod._layer_step_kernel
     spent = []
 
@@ -1561,11 +1596,12 @@ def parent_layer_step_kernel(
     prev, own_delay, nb_delay, rate, nb_idx, nb_valid, static_eligible,
     params, policy, simplified, *_,
 ):
-    """The dense layer step as the previous release evaluated it: one
-    temporary per expression, both neighbor masks over the whole
-    ``(..., W, max_deg)`` tensor, every output plane on every run.
-    Frozen here as the ``kernel_step`` baseline; bitwise equal to
-    :func:`repro.core.fast._layer_step_kernel`."""
+    """The dense layer step as an earlier release evaluated it: padded
+    ``(W, max_deg)`` neighbor tables, one temporary per expression, both
+    neighbor masks over the whole ``(..., W, max_deg)`` tensor, every
+    output plane on every run.  Frozen here as the ``kernel_step``
+    baseline; bitwise equal to :func:`repro.core.fast._layer_step_kernel`
+    on the same step (:func:`parent_arguments`)."""
     kappa = params.kappa
     vartheta = params.vartheta
     h_own = rate * (prev + own_delay)
@@ -1606,8 +1642,8 @@ KERNEL_ROUNDS = 5
 
 
 def captured_steps(trials, num_pulses):
-    """The arguments of every dense kernel call of one warm streamed run
-    (each ``prev`` copied at its step: the ring moves on)."""
+    """The arguments of every kernel call of one warm streamed run (each
+    ``prev`` copied at its step: the ring moves on)."""
     runner = BatchRunner(num_pulses=num_pulses, store_times=False)
     runner.run(trials)  # cold fill: every delay and rate cached
     calls = []
@@ -1622,12 +1658,22 @@ def captured_steps(trials, num_pulses):
     return calls
 
 
-def assert_kernel_matches_parent(calls):
+def parent_arguments(args):
+    """A captured kernel call's arguments in the frozen baseline's dense
+    layout (:func:`padded_neighbor_tables`)."""
+    prev, own_delay, nb_delay, rate, columns = args[:5]
+    padded, nb_idx, nb_valid = padded_neighbor_tables(
+        nb_delay, columns, prev.shape[-1]
+    )
+    return (prev, own_delay, padded, rate, nb_idx, nb_valid) + args[5:]
+
+
+def assert_kernel_matches_parent(calls, parent_calls):
     """Every captured step: the kernel's outputs bitwise the parent's, with
     the planes and without them (as a streamed run calls it)."""
-    for args in calls:
-        want = parent_layer_step_kernel(*args)
-        with_planes = fast_mod._layer_step_kernel(*args[:10], True, *args[11:])
+    for args, parent_args in zip(calls, parent_calls):
+        want = parent_layer_step_kernel(*parent_args)
+        with_planes = fast_mod._layer_step_kernel(*args[:9], True)
         streamed = fast_mod._layer_step_kernel(*args)
         for got in (with_planes, streamed):
             for index, (a, b) in enumerate(zip(got, want)):
@@ -1639,20 +1685,21 @@ def assert_kernel_matches_parent(calls):
                 )
 
 
-def kernel_step_rounds(calls, rounds=KERNEL_ROUNDS):
-    """Median microseconds per step of the parent baseline and the kernel
-    over ``calls``, the two alternating first across rounds."""
+def kernel_step_rounds(calls, parent_calls, rounds=KERNEL_ROUNDS):
+    """Median microseconds per step of the parent baseline (on its own
+    layout) and the kernel over the captured steps, the two alternating
+    first across rounds."""
     kernels = {
-        "parent": parent_layer_step_kernel,
-        "kernel": fast_mod._layer_step_kernel,
+        "parent": (parent_layer_step_kernel, parent_calls),
+        "kernel": (fast_mod._layer_step_kernel, calls),
     }
     spent = {name: [] for name in kernels}
     for round_ in range(rounds):
         names = list(kernels)[:: 1 if round_ % 2 == 0 else -1]
         for name in names:
-            kernel = kernels[name]
+            kernel, arguments = kernels[name]
             start = time.perf_counter()
-            for args in calls:
+            for args in arguments:
                 kernel(*args)
             spent[name].append((time.perf_counter() - start) / len(calls))
     return {name: 1e6 * statistics.median(times) for name, times in spent.items()}
@@ -1662,12 +1709,12 @@ def kernel_step_rounds(calls, rounds=KERNEL_ROUNDS):
 def test_kernel_step():
     """The lean layer step against the parent's expressions, per step.
 
-    Captures every dense kernel call of one warm streamed run of the
+    Captures every kernel call of one warm streamed run of the
     ``stream_horizon`` shape (S = 16, D = 32, 64 pulses) and of the
     ``fault_horizon`` shape (the 17-trial thm13 grid, D = 32, 8 pulses),
     checks that the kernel's outputs are bitwise the frozen baseline's
-    (:func:`parent_layer_step_kernel`), then times both over the
-    captured steps in interleaved rounds.  Recorded under
+    (:func:`parent_layer_step_kernel`, on the padded layout it read),
+    then times both over the captured steps in interleaved rounds.  Recorded under
     ``"kernel_step"``; gated: the kernel is not slower than the baseline
     on the ``stream_horizon`` shape.
     """
@@ -1687,15 +1734,16 @@ def test_kernel_step():
     rows = []
     for name, (trials, num_pulses) in shapes.items():
         calls = captured_steps(trials, num_pulses)
-        assert_kernel_matches_parent(calls)
-        step_us = kernel_step_rounds(calls)
+        parent_calls = [parent_arguments(args) for args in calls]
+        assert_kernel_matches_parent(calls, parent_calls)
+        step_us = kernel_step_rounds(calls, parent_calls)
         planes = collections.Counter(args[0].shape for args in calls)
         section[name] = {
             "trials": len(trials),
             "num_pulses": num_pulses,
             "steps": len(calls),
             "plane": list(planes.most_common(1)[0][0]),
-            "max_deg": int(calls[0][4].shape[-1]),
+            "max_deg": len(calls[0][4]),
             "parent_us_per_step": step_us["parent"],
             "kernel_us_per_step": step_us["kernel"],
             "speedup": step_us["parent"] / step_us["kernel"],
@@ -1710,8 +1758,8 @@ def test_kernel_step():
         format_table(
             ["shape", "steps", "parent us / step", "kernel us / step", "speedup"],
             rows,
-            title="Dense layer step, streamed, warm: the parent's expressions "
-            f"vs the lean kernel ({KERNEL_ROUNDS} interleaved rounds)",
+            title="Layer step, streamed, warm: the frozen dense expressions "
+            f"vs the kernel ({KERNEL_ROUNDS} interleaved rounds)",
         )
     )
     stream = section["stream_horizon"]
@@ -1863,16 +1911,25 @@ WIDTH_SKEW_NARROW_DIAMETER = 64
 WIDTH_SKEW_NARROW_TRIALS = 15
 WIDTH_SKEW_DEEP_LAYERS = 8
 
-#: The CSR acceptance cell: a hub-skewed sparse layered graph with 10^5
-#: simulated nodes.  One degree-256 hub pads every dense row to 256
-#: entries while the ring median stays at 4 -- the dense kernel's
-#: footprint is ~60x the edge list's.
+#: The hub acceptance cell: a hub-skewed sparse layered graph with 10^5
+#: simulated nodes.  One degree-256 hub would pad every row of a dense
+#: table to 256 entries while the ring median stays at 4 -- the retired
+#: dense kernel's footprint was ~60x the edge list's.
 CSR_WIDTH = 25_000
 CSR_LAYERS = 4
 CSR_HUB_DEGREE = 256
 CSR_PULSES = 3
-#: Ceiling on csr_peak / dense_peak; in practice CSR is ~10x smaller.
+#: Ceiling on the cell's peak over the dense kernel's (frozen below).
 CSR_MEMORY_CEILING = 0.5
+#: ``tracemalloc`` peaks of one cell run (:func:`_csr_cell_run`) with the
+#: dense padded kernel and with the CSR segment-reduce kernel, the two
+#: neighbor layouts before the entry axis replaced both, each after a
+#: run of the same cell in the process; measured on a 2-core x86-64 box,
+#: three alternating runs each (every run after the first gave these
+#: bytes within 1 KiB; a process's first run of the cell peaked at 382
+#: MiB dense, 36.4 MiB CSR).
+PARENT_DENSE_PEAK = 340_333_117
+PARENT_CSR_PEAK = 35_391_933
 
 
 def width_skew_trials():
@@ -1985,13 +2042,13 @@ def test_width_skewed_lane_compaction_speedup():
     )
 
 
-def _csr_cell_run(backend, width=CSR_WIDTH):
-    """Build and sweep one hub-skewed sparse cell on ``backend``.
+def _csr_cell_run(width=CSR_WIDTH):
+    """Build and sweep one hub-skewed sparse cell.
 
-    Construction stays inside the traced region on purpose: the dense
-    kernel's cost is dominated by the ``(L, W, max_deg)`` delay tensors
-    it builds up front, which is exactly the footprint the CSR backend
-    exists to avoid.
+    Construction stays inside the traced region on purpose: a padded
+    layout's cost was dominated by the ``(L, W, max_deg)`` delay tensors
+    it built up front, which is exactly the footprint the entry axis
+    avoids.
     """
     graph = sparse_layered(
         width, CSR_LAYERS, num_hubs=1, hub_degree=CSR_HUB_DEGREE
@@ -2004,37 +2061,42 @@ def _csr_cell_run(backend, width=CSR_WIDTH):
         PARAMS,
         delay_model=UniformDelayModel(PARAMS.d, PARAMS.u),
     )
-    with prefer_csr(backend == "csr"):
-        return sim.run(CSR_PULSES)
+    return sim.run(CSR_PULSES)
 
 
 def test_csr_backend_memory_reduction():
-    """CSR peak memory <= 0.5x dense on a hub-skewed 10^5-node graph.
+    """Peak memory <= 0.5x the dense kernel's on a hub-skewed 10^5-node graph.
 
-    A small companion cell first pins CSR against dense bitwise; the
-    traced cell then compares end-to-end peaks (graph + kernel + delay
-    tensors) with ``tracemalloc``.  Records both backends under the
-    ``"sparse"`` section of ``BENCH_batch.json``.
+    A small companion cell first pins the column fold against the axis
+    reduction of the padded neighbor tensor bitwise; the cell then runs
+    twice under ``tracemalloc``, and the second run's end-to-end peak
+    (graph + kernel + delay arrays; the graph's shared structure is
+    built by then) is held against the peaks of the dense and the CSR
+    kernel, frozen from the release that had both under the same
+    condition (:data:`PARENT_DENSE_PEAK`, :data:`PARENT_CSR_PEAK`).
+    Recorded under the ``"sparse"`` section of ``BENCH_batch.json``,
+    with the first run's peak.
     """
-    small_dense = _csr_cell_run("dense", width=512)
-    small_csr = _csr_cell_run("csr", width=512)
-    np.testing.assert_array_equal(small_csr.times, small_dense.times)
-    np.testing.assert_array_equal(
-        small_csr.corrections, small_dense.corrections
-    )
+    small = _csr_cell_run(width=512)
+    with axis_reduce_folds():
+        reduced = _csr_cell_run(width=512)
+    np.testing.assert_array_equal(small.times, reduced.times)
+    np.testing.assert_array_equal(small.corrections, reduced.corrections)
 
-    peaks, times = {}, {}
-    for backend in ("dense", "csr"):
+    peaks = []
+    for _ in range(2):
         tracemalloc.start()
         tracemalloc.reset_peak()
         start = time.perf_counter()
-        _csr_cell_run(backend)
-        times[backend] = time.perf_counter() - start
-        _, peaks[backend] = tracemalloc.get_traced_memory()
+        _csr_cell_run()
+        seconds = time.perf_counter() - start
+        peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
+    first_peak, peak = peaks
 
     node_pulses = CSR_WIDTH * CSR_LAYERS * CSR_PULSES
-    ratio = peaks["csr"] / peaks["dense"]
+    ratio = peak / PARENT_DENSE_PEAK
+    csr_ratio = peak / PARENT_CSR_PEAK
     _merge_sparse_section(
         "csr_memory",
         {
@@ -2046,58 +2108,40 @@ def test_csr_backend_memory_reduction():
                 "simulated_nodes": CSR_WIDTH * CSR_LAYERS,
             },
             "modes": {
-                backend: dict(
-                    _mode_record(1, times[backend], node_pulses),
-                    peak_bytes=peaks[backend],
-                )
-                for backend in ("dense", "csr")
+                "entry_axis": dict(
+                    _mode_record(1, seconds, node_pulses),
+                    peak_bytes=peak,
+                    first_run_peak_bytes=first_peak,
+                ),
             },
-            "memory_ratio_csr_vs_dense": ratio,
+            "frozen_peak_bytes": {
+                "dense": PARENT_DENSE_PEAK,
+                "csr": PARENT_CSR_PEAK,
+            },
+            "memory_ratio_vs_dense": ratio,
+            "memory_ratio_vs_csr": csr_ratio,
         },
     )
 
     print()
     print(
         format_table(
-            ["backend", "seconds", "peak MiB", "node-pulses/s"],
+            ["layout", "seconds", "peak MiB", "node-pulses/s"],
             [
-                (backend, times[backend], peaks[backend] / 2**20,
-                 node_pulses / times[backend])
-                for backend in ("dense", "csr")
+                ("entry axis", seconds, peak / 2**20, node_pulses / seconds),
+                ("dense (frozen)", "", PARENT_DENSE_PEAK / 2**20, ""),
+                ("csr (frozen)", "", PARENT_CSR_PEAK / 2**20, ""),
             ],
-            title=f"CSR backend, W={CSR_WIDTH}, {CSR_LAYERS} layers, "
+            title=f"Hub cell, W={CSR_WIDTH}, {CSR_LAYERS} layers, "
             f"hub degree {CSR_HUB_DEGREE} "
-            f"(CSR peak {ratio:.2f}x of dense)",
+            f"(peak {ratio:.2f}x dense, {csr_ratio:.2f}x csr)",
         )
     )
     assert ratio <= CSR_MEMORY_CEILING, (
-        f"CSR peak memory is {ratio:.2f}x the dense kernel's "
-        f"({peaks['csr']} vs {peaks['dense']} bytes); ceiling is "
+        f"peak memory is {ratio:.2f}x the dense kernel's "
+        f"({peak} vs {PARENT_DENSE_PEAK} bytes); ceiling is "
         f"{CSR_MEMORY_CEILING}x"
     )
-
-
-@pytest.mark.usefixtures("in_process")
-def test_dense_backend_no_regression():
-    """The density heuristic picks dense on regular graphs, bitwise.
-
-    On the standard trial-stacked cell (replicated lines, padding ratio
-    1.0) the heuristic must resolve to the dense kernel and produce the
-    same times as a run with the verdict forced to dense.
-    """
-    trials = BatchRunner.seed_sweep(
-        BATCH_DIAMETER, range(16), num_pulses=NUM_PULSES
-    )
-    runner = BatchRunner(num_pulses=NUM_PULSES)
-    batch = runner.run(trials)
-    (stats,) = batch.compaction_stats
-    assert stats["neighbor_backend"] == "dense", (
-        f"the heuristic picked {stats['neighbor_backend']!r} on a regular "
-        "graph"
-    )
-    with prefer_csr(False):
-        dense_batch = runner.run(trials)
-    np.testing.assert_array_equal(batch.times, dense_batch.times)
 
 
 @pytest.mark.usefixtures("in_process")
@@ -2155,12 +2199,7 @@ def _gather_all_layers(sims):
     """Every layer's (own, neighbor) delay arrays of every simulation."""
     gathered = []
     for sim in sims:
-        sweep = fast_mod._VectorSweep(
-            sim,
-            fast_mod._neighbor_backend(sim.graph.base),
-            sim.graph,
-            sim.fault_plan,
-        )
+        sweep = fast_mod._VectorSweep(sim, sim.graph, sim.fault_plan)
         gathered.extend(
             sweep.delay_arrays(layer, 0)
             for layer in range(1, sim.graph.num_layers)

@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""A million-node layered graph through the fast path, via CSR.
+"""A million-node layered graph through the fast path.
 
-The dense vectorized kernel pads every vertex row to the maximum degree:
-one well-connected hub widens *every* row of the ``(L, W, max_deg)``
-delay tensors, and a hub-skewed graph at W = 250,000 would need tens of
-GiB before the first pulse fires.  The CSR neighbor backend stores the
-edge list once (``O(n + m)``) and reduces over per-vertex edge segments,
-so the same sweep fits in a few hundred MiB.
+A layout that padded every vertex row to the maximum degree would let
+one well-connected hub widen *every* row of ``(L, W, max_deg)`` delay
+tensors: a hub-skewed graph at W = 250,000 would need tens of GiB
+before the first pulse fires.  The simulator keeps every neighbor copy
+on the graph's CSR entry axis instead (``O(n + m)``) and folds it one
+degree column at a time, so the same sweep fits in a few hundred MiB.
 
 This script builds a sparse circulant base graph with one high-degree
 hub, stacks it four layers deep (10^6 simulated nodes), and runs a
 multi-pulse sweep with streamed statistics (``store_times=False``, so the
-``(P, L, W)`` pulse-time block is never materialized either).  The
-density heuristic picks CSR on its own; the differential test suite
-pins CSR against the dense kernel bitwise, so the big run's numbers are
-backed by that guarantee.
+``(P, L, W)`` pulse-time block is never materialized either).  The test
+suite pins the column fold bitwise against the masked reduction over a
+padded table on hub graphs, so the big run's numbers are backed by that
+guarantee.
 
 Run:  python examples/sparse_sweep.py
 """
@@ -66,18 +66,18 @@ def main() -> None:
     build = time.perf_counter() - build_start
 
     nnz = 2 * len(base.edges)
-    dense_plane = width * base.max_degree() * 8  # one (W, max_deg) float64
+    padded_plane = width * base.max_degree() * 8  # one (W, max_deg) float64
     print(
         f"graph: {base.name} x {num_layers} layers\n"
         f"  simulated nodes      {width * num_layers:,}\n"
         f"  undirected edges     {len(base.edges):,} per layer\n"
         f"  max degree           {base.max_degree():,} (hub) "
         f"vs median 4 (ring)\n"
-        f"  dense padded plane   {dense_plane / 2**30:.1f} GiB "
-        f"per (W, max_deg) tensor -- x{num_layers} layers x several "
-        f"tensors: not allocatable\n"
-        f"  CSR edge entries     {nnz:,} "
-        f"({nnz * 8 / 2**20:.0f} MiB per per-edge array)\n"
+        f"  CSR entry axis       {nnz:,} neighbor copies "
+        f"({nnz * 8 / 2**20:.0f} MiB per per-copy array)\n"
+        f"  degree columns       {len(base.neighbor_columns()):,} "
+        f"(no padded table; one (W, max_deg) float64 would be "
+        f"{padded_plane / 2**30:.1f} GiB)\n"
         f"  build time           {build:.1f}s"
     )
 

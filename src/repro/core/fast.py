@@ -45,9 +45,10 @@ exit, correction, pulse time), which is what makes large parameter
 sweeps tractable; each layer step runs on an ``(S, B, W)`` plane of
 ``B`` pulses (see the "Pulse blocks" section of
 :mod:`repro.core.fast_batch`).  The arithmetic lives in the
-shape-generic :func:`_layer_step_kernel` (and its CSR twin), which
-works in place with bitwise-unchanged outputs (its docstring has the
-argument); both algorithms run through it:
+shape-generic :func:`_layer_step_kernel`, which reads every neighbor
+copy from one flat CSR entry axis and works in place with
+bitwise-unchanged outputs (its docstring has the argument); both
+algorithms run through it:
 
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
@@ -179,28 +180,6 @@ RateProvider = Union[
 _GATHER_BLOCK_EDGES = 1 << 16
 
 
-def _prefer_csr(base) -> bool:
-    """Density heuristic: should this base graph default to the CSR kernel?
-
-    The dense padded tensors cost ``O(W * max_deg)`` per layer step while
-    CSR costs ``O(nnz)`` (``nnz = 2m``).  CSR wins when the padding waste
-    is at least 2x *and* the graph is big enough for the segment-reduce
-    overhead to amortize; regular small graphs (cycles, completes, tori --
-    padding ratio 1.0) stay dense.
-    """
-    width = base.num_nodes
-    if width == 0:
-        return False
-    padded = width * max(base.max_degree(), 1)
-    nnz = 2 * len(base.edges)
-    return padded >= 4096 and 2 * nnz <= padded
-
-
-def _neighbor_backend(base) -> str:
-    """The neighbor representation the density heuristic picks for ``base``."""
-    return "csr" if _prefer_csr(base) else "dense"
-
-
 def _correction_step(
     h_own: np.ndarray,
     h_min: np.ndarray,
@@ -295,11 +274,9 @@ def _registers_step(
 ) -> Tuple[np.ndarray, ...]:
     """Eligibility, correction, and pulse time from the filled registers.
 
-    The back half of the layer step, shared by the dense and the CSR
-    kernel: every operation is elementwise over the ``(..., W)`` plane,
-    so equal registers give bit-identical outputs whichever reduction
-    filled them.  Without ``planes`` (a streamed run keeps neither) the
-    branch codes and effective corrections are None.
+    The back half of the layer step: every operation is elementwise
+    over the ``(..., W)`` plane.  Without ``planes`` (a streamed run
+    keeps neither) the branch codes and effective corrections are None.
     """
     kappa = params.kappa
     vartheta = params.vartheta
@@ -343,55 +320,36 @@ def _read_only(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return array
 
 
-def _neighbor_columns(nb_idx: np.ndarray, nb_valid: np.ndarray) -> Tuple:
-    """The dense kernel's neighbor plan: per degree column of the padded
-    tables, None when no lane is valid, else read-only ``(index, lanes,
-    mask)`` -- the column's gather index on ``lanes``, the lanes with a
-    valid entry (None: all), and their validity where some entry is
-    invalid (None: all valid)."""
-    columns = []
-    for j in range(nb_valid.shape[-1]):
-        valid = nb_valid[..., j]
-        used = valid.reshape(-1, valid.shape[-1]).any(axis=0)
-        lanes = None if used.all() else np.flatnonzero(used)
-        if lanes is not None:
-            valid = valid[..., lanes]
-        index = nb_idx[..., j] if lanes is None else nb_idx[..., lanes, j]
-        mask = None if valid.all() else valid
-        plan = (np.ascontiguousarray(index), lanes, mask)
-        columns.append(tuple(map(_read_only, plan)) if used.any() else None)
-    return tuple(columns)
-
-
 def _neighbor_bounds(
-    prev: np.ndarray, nb_delay: np.ndarray, rate: np.ndarray,
-    nb_idx: np.ndarray, nb_valid: np.ndarray, columns: Optional[Tuple] = None,
+    prev: np.ndarray, nb_delay: np.ndarray, rate: np.ndarray, columns: Tuple
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``H_min`` / ``H_max`` of the dense kernel, one degree column at a time.
+    """``H_min`` / ``H_max`` of the layer step, one degree column at a time.
 
-    Bitwise the min / max over the last axis of ``np.where(nb_valid,
-    rate * (gathered + nb_delay), +-inf)``: each column of the plan
-    (:func:`_neighbor_columns`) is computed on its valid lanes only and
-    folded, in order, into bounds that start at the identities; the
-    ufunc's ``where`` keeps a bound on an invalid lane, as folding in
-    the identity would.  Min and max are exact and propagate NaN alike.
+    ``nb_delay`` holds the neighbor copies' delays on the flat ``(...,
+    E)`` entry axis, and ``columns`` is the neighbor plan
+    (:func:`~repro.topology.base_graph.degree_columns`): per degree
+    column ``j``, ``(entries, source, lanes, mask)`` -- the entries
+    ``indptr[v] + j`` of the ``lanes`` (None: all) of degree ``> j``,
+    the neighbor each one reads in ``prev`` and their validity (None:
+    all valid), ``(C,)`` or, per trial, ``(S, C)`` broadcast over the
+    pulse axis of the ``(S, B, W)`` plane.  Each column is
+    computed on its lanes only and folded, in order, into bounds that
+    start at the identities; the ufunc's ``where`` keeps a bound on an
+    invalid entry, as folding in the identity would.  So the bounds are
+    bitwise the min / max over each lane's valid entries in any order:
+    min and max are exact and propagate NaN alike.
     """
-    if columns is None:
-        columns = _neighbor_columns(nb_idx, nb_valid)
     bounds = (np.full(prev.shape, np.inf), np.full(prev.shape, -np.inf))
-    for j, column in enumerate(columns):
-        if column is None:
-            continue
-        index, lanes, mask = column
-        # A per-row ``index`` gathers row ``s`` from trial ``s``'s plane.
-        if index.ndim > 1:
-            values = np.take_along_axis(prev, index, axis=-1)
+    for entries, source, lanes, mask in columns:
+        # A per-row ``source`` gathers row ``s`` from trial ``s``'s plane.
+        if source.ndim > 1:
+            values = np.take_along_axis(prev, source[:, None], axis=-1)
         else:
-            values = prev.take(index, axis=-1)
+            values = prev.take(source, axis=-1)
+        values += nb_delay[..., entries]
         at = slice(None) if lanes is None else lanes
-        values += nb_delay[..., at, j]
         np.multiply(rate[..., at], values, out=values)
-        where = True if mask is None else mask
+        where = True if mask is None else mask[:, None]
         for bound, ufunc in zip(bounds, (np.minimum, np.maximum)):
             part = bound if lanes is None else bound[..., lanes]
             ufunc(part, values, out=part, where=where)
@@ -405,14 +363,12 @@ def _layer_step_kernel(
     own_delay: np.ndarray,
     nb_delay: np.ndarray,
     rate: np.ndarray,
-    nb_idx: np.ndarray,
-    nb_valid: np.ndarray,
+    columns: Tuple,
     static_eligible: np.ndarray,
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
     planes: bool = True,
-    columns: Optional[Tuple] = None,
 ) -> Tuple[np.ndarray, ...]:
     """One layer step for every cell of a ``(..., W)`` plane.
 
@@ -435,21 +391,18 @@ def _layer_step_kernel(
     branch codes and effective corrections are None (see
     :func:`_registers_step`).  The inputs are only read.
 
-    For the heterogeneous stack, ``nb_idx``/``nb_valid`` may be
-    per-trial ``(S, 1, W, max_deg)`` tables (trial ``s`` gathers from
-    its own plane; padded lanes are invalid and padded cells stay NaN),
-    and the numeric fields of ``params`` / ``policy`` per-trial ``(S, 1,
-    1)`` columns: every use is elementwise, so a lane computes what a
-    scalar call with its own value does.  ``discretize`` and
-    ``stick_to_median`` select Python-level branches and must be bools.
-
-    ``H_min``/``H_max`` are folded one degree column at a time
-    (:func:`_neighbor_bounds`), never by masking the whole ``(..., W,
-    max_deg)`` neighbor tensor: a partly valid column (on a replicated
-    line, the two end vertices' third neighbors) is gathered and masked
-    on its valid lanes only.  ``columns`` is that per-column plan
-    (:func:`_neighbor_columns`), cached by the stack per row-structure
-    entry and derived here when not given.
+    Neighbor copies live on the flat ``(..., E)`` entry axis of
+    ``nb_delay`` (CSR order: vertex ``v``'s copies at ``indptr[v] + j``),
+    and ``H_min``/``H_max`` are folded one degree column of it at a time
+    (:func:`_neighbor_bounds`, over the plan ``columns``): no ``(W,
+    max_deg)`` table or tensor exists, so a hub-skewed graph costs
+    ``O(W + E)`` per step.  On the heterogeneous stack the plan gathers
+    per trial (trial ``s`` reads its own plane; padded entries are
+    masked and padded cells stay NaN), and the numeric fields of
+    ``params`` / ``policy`` may be per-trial ``(S, 1, 1)`` columns: every
+    use is elementwise, so a lane computes what a scalar call with its
+    own value does.  ``discretize`` and ``stick_to_median`` select
+    Python-level branches and must be bools.
 
     In-place evaluation: the step writes into its own temporaries
     (``out=``, in-place operators) and evaluates each shared
@@ -472,60 +425,7 @@ def _layer_step_kernel(
     """
     h_own = prev + own_delay
     np.multiply(rate, h_own, out=h_own)
-    h_min, h_max = _neighbor_bounds(prev, nb_delay, rate, nb_idx, nb_valid, columns)
-    return _registers_step(
-        h_own, h_min, h_max, rate, static_eligible, params, policy, simplified, planes
-    )
-
-
-def _layer_step_kernel_csr(
-    prev: np.ndarray,
-    own_delay: np.ndarray,
-    nb_delay: np.ndarray,
-    rate: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    owner: np.ndarray,
-    has_neighbors: np.ndarray,
-    static_eligible: np.ndarray,
-    params: Parameters,
-    policy: CorrectionPolicy,
-    simplified: bool,
-    planes: bool = True,
-) -> Tuple[np.ndarray, ...]:
-    """CSR variant of :func:`_layer_step_kernel`: reduce over edge segments.
-
-    The neighbor arrivals are gathered along the flat ``(..., nnz)``
-    entries of the base graph's
-    :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr` arrays
-    (``owner[j]``: entry ``j``'s vertex, for the rate product) and
-    ``H_min``/``H_max`` are ``np.minimum.reduceat`` /
-    ``np.maximum.reduceat`` at the segment starts, in ``O(nnz)`` memory
-    instead of ``O(W * max_deg)``.  Each segment holds exactly the dense
-    path's valid lanes, min and max are exact in any order and NaN
-    propagates alike, so the registers match the dense kernel bitwise.
-    Empty segments (degree-0 vertices, statically ineligible) get the
-    dense identities ``+inf`` / ``-inf`` explicitly, since ``reduceat``
-    has no empty reduction.
-    """
-    h_own = prev + own_delay
-    np.multiply(rate, h_own, out=h_own)
-    nnz = indices.shape[0]
-    lead = prev.shape[:-1]
-    if nnz == 0:
-        h_min = np.full(lead + (indptr.shape[0] - 1,), np.inf)
-        h_max = np.full(lead + (indptr.shape[0] - 1,), -np.inf)
-    else:
-        h_nb = prev.take(indices, axis=-1)
-        h_nb += nb_delay
-        np.multiply(rate.take(owner, axis=-1), h_nb, out=h_nb)
-        starts = np.minimum(indptr[:-1], nnz - 1)
-        h_min = np.minimum.reduceat(h_nb, starts, axis=-1)
-        h_max = np.maximum.reduceat(h_nb, starts, axis=-1)
-        if not has_neighbors.all():
-            h_min[..., ~has_neighbors] = np.inf
-            h_max[..., ~has_neighbors] = -np.inf
-
+    h_min, h_max = _neighbor_bounds(prev, nb_delay, rate, columns)
     return _registers_step(
         h_own, h_min, h_max, rate, static_eligible, params, policy, simplified, planes
     )
@@ -1130,7 +1030,8 @@ class _FaultRows(NamedTuple):
     #: ``(R, D)`` neighbor successor vertices, valid where ``valid``.
     neighbors: np.ndarray
     valid: np.ndarray
-    slots: Tuple[np.ndarray, ...]
+    #: ``(R, D)`` CSR entries of the copies those successors receive.
+    entries: np.ndarray
 
 
 class _VectorSweep:
@@ -1139,13 +1040,15 @@ class _VectorSweep:
     Built by every :meth:`repro.core.fast_batch.TrialStack.run` once per
     trial (the fault plan may change between runs), from the
     simulation's ``graph`` and ``fault_plan``, and once per campaign
-    epoch state, from the epoch's own graph and plan; ``backend``
-    (``"dense"`` or ``"csr"``) is the neighbor representation the stack
-    chose.  The sweep reads the simulation's delay model and rates and
-    writes nothing to it.  The rate plane is cached on the sweep, so once
-    per run (a :class:`RatePlane` provider's own plane, so nothing is
-    rebuilt); delay arrays are cached on the *delay model*
-    (keyed by edge structure and layer/pulse), so they survive simulation
+    epoch state, from the epoch's own graph and plan.  Neighbor copies
+    are laid out on the graph's CSR entry axis
+    (:meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr`: vertex
+    ``v``'s copies at ``indptr[v] + j``, one per sorted neighbor).  The
+    sweep reads the simulation's delay model and rates and writes
+    nothing to it.  The rate plane is cached on the sweep, so once per
+    run (a :class:`RatePlane` provider's own plane, so nothing is
+    rebuilt); delay arrays are cached on the *delay model* (keyed by
+    edge structure and layer/pulse), so they survive simulation
     reconstruction and are never re-gathered for the same model.  Block
     gathers pass int64 vertex arrays and per-edge gathers plain ``int``
     vertices, so delay models keyed or seeded by edge identity see
@@ -1153,85 +1056,53 @@ class _VectorSweep:
     """
 
     def __init__(
-        self,
-        sim: FastSimulation,
-        backend: str,
-        graph: LayeredGraph,
-        fault_plan: FaultPlan,
+        self, sim: FastSimulation, graph: LayeredGraph, fault_plan: FaultPlan
     ) -> None:
         self.sim = sim
         self.graph = graph
         base = graph.base
-        self.base = base
         width = base.num_nodes
         self.width = width
-        self.backend = backend
-        self.nb_lists = [tuple(base.neighbors(v)) for v in base.nodes()]
+        self.indptr, self.indices = base.neighbor_csr()
+        self.degree = np.diff(self.indptr)
         # Identifies the edge set the delay gathers cover: two graphs with
         # equal width and adjacency query exactly the same edge tuples, so
         # they may share a delay model's array cache.
-        self.edge_signature = (width, tuple(self.nb_lists))
+        self.edge_signature = (width, base.adjacency)
         self.num_layers = graph.num_layers
-        self.max_deg = base.max_degree() if width else 0
-        if self.backend == "csr":
-            # CSR mode never materializes the O(W * max_deg) padded
-            # tensors -- that allocation is exactly what it exists to
-            # avoid on hub-skewed graphs.
-            indptr, indices, _ = base.neighbor_csr()
-            self.indptr = indptr
-            self.indices = indices
-            degrees = np.diff(indptr)
-            self.owner = np.repeat(
-                np.arange(width, dtype=np.int64), degrees
-            )
-            self.nb_idx = None
-            self.nb_valid = None
-            self.has_neighbors = degrees > 0
-        else:
-            self.indptr = None
-            self.indices = None
-            self.owner = None
-            # Padded gather indices come from the graph's own cache
-            # (adjacency is immutable), shared across trials, runs, and
-            # stacks.
-            self.nb_idx, self.nb_valid = base.neighbor_index_arrays()
-            self.has_neighbors = self.nb_valid.any(axis=1)
         self.fault_plan = fault_plan
         faulty = fault_plan.faulty_mask(graph)
         self.faulty = faulty
         # has_faulty_pred[l - 1] flags nodes of layer ``l`` with a faulty
         # own-copy or neighbor-copy predecessor on layer ``l - 1``.
         prev = faulty[:-1]
-        if not faulty.any():
-            nb_faulty = np.zeros_like(prev)
-        elif self.backend == "csr":
-            nnz = self.indices.shape[0]
-            if nnz == 0:
-                nb_faulty = np.zeros_like(prev)
-            else:
-                vals = prev[:, self.indices].astype(np.uint8)
-                starts = np.minimum(indptr[:-1], nnz - 1)
-                seg = np.maximum.reduceat(vals, starts, axis=-1)
-                seg[:, ~self.has_neighbors] = 0
-                nb_faulty = seg.astype(bool)
-        else:
-            nb_faulty = (
-                prev[:, self.nb_idx] & self.nb_valid[None, :, :]
-            ).any(axis=2)
-        self.has_faulty_pred = prev | nb_faulty
-        self.static_eligible = self.has_neighbors[None, :] & ~self.has_faulty_pred
+        has_faulty_pred = prev.copy()
+        if faulty.any():
+            layers, entries = np.nonzero(prev[:, self.indices])
+            has_faulty_pred[layers, self.owner[entries]] = True
+        self.static_eligible = (self.degree > 0)[None, :] & ~has_faulty_pred
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The vertex each CSR entry belongs to (the copy's receiver)."""
+        return np.repeat(np.arange(self.width, dtype=np.int64), self.degree)
+
+    def entries_on(self, indptr: np.ndarray) -> np.ndarray:
+        """Where this sweep's CSR entries sit on an entry axis that starts
+        vertex ``v``'s copies at ``indptr[v]`` (a padded stack's union
+        axis, with at least this graph's degree at every vertex)."""
+        shift = indptr[: self.width] - self.indptr[:-1]
+        return np.arange(self.indices.size) + np.repeat(shift, self.degree)
 
     @cached_property
     def _edge_ends(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(sources, targets)`` vertex ids of every own-copy then
         neighbor-copy edge into a layer, in the gathered arrays' order."""
         own = np.arange(self.width, dtype=np.int64)
-        if self.backend == "csr":
-            sources, targets = self.indices, self.owner
-        else:
-            sources = self.nb_idx[self.nb_valid]
-            targets = np.nonzero(self.nb_valid)[0]
-        return np.concatenate((own, sources)), np.concatenate((own, targets))
+        return (
+            np.concatenate((own, self.indices)),
+            np.concatenate((own, self.owner)),
+        )
 
     @cached_property
     def fault_rows(self) -> Optional[_FaultRows]:
@@ -1242,27 +1113,22 @@ class _VectorSweep:
         ``graph.successors((v, l))`` lists the own copy, then
         ``(w, l + 1)`` for each neighbor ``w`` of ``v`` in sorted order;
         the message to ``(w, l + 1)`` is the copy of ``v`` among ``w``'s
-        neighbors.  ``slots`` index those neighbor copies in the
-        neighbor-delay layout one layer up: ``(targets, positions)``
-        into a ``(W, max_deg)`` plane in dense mode, ``(entries,)`` into
-        the ``(nnz,)`` edge vector in CSR mode.  None without faults.
+        neighbors, CSR entry ``entries[r, j]`` one layer up.  None
+        without faults.
         """
         layers, vertices = np.nonzero(self.faulty[:-1])
         if not vertices.size:
             return None
         plan = self.fault_plan
-        indptr, indices, _ = self.base.neighbor_csr()
-        owner = np.repeat(np.arange(self.width, dtype=np.int64), np.diff(indptr))
+        indptr, indices = self.indptr, self.indices
         # Adjacency is symmetric and sorted, so the entries sorted by
         # (target, source) list the reverse of CSR entry i at i.
-        reverse = np.lexsort((owner, indices))
+        reverse = np.lexsort((self.owner, indices))
         start = indptr[vertices]
         degree = indptr[vertices + 1] - start
         columns = np.arange(int(degree.max()))
         valid = columns < degree[:, None]
         entry = np.minimum(start[:, None] + columns, indices.shape[0] - 1)
-        targets = indices[entry]
-        entries = reverse[entry]
         return _FaultRows(
             vertices=vertices,
             layers=layers,
@@ -1270,27 +1136,22 @@ class _VectorSweep:
                 plan.behavior((v, layer))
                 for layer, v in zip(layers.tolist(), vertices.tolist())
             ],
-            neighbors=targets,
+            neighbors=indices[entry],
             valid=valid,
-            slots=(
-                (entries,)
-                if self.backend == "csr"
-                else (targets, entries - indptr[targets])
-            ),
+            entries=reverse[entry],
         )
 
     def delay_arrays(self, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Own-copy ``(W,)`` and neighbor-copy delays for one layer.
+        """Own-copy ``(W,)`` and neighbor-copy ``(E,)`` delays for one layer.
 
-        Neighbor delays are ``(W, max_deg)`` padded in dense mode and a
-        flat ``(nnz,)`` vector in CSR segment order in ``csr`` mode.
-        Cached on the delay model keyed by the edge structure and layer
-        (plus pulse unless the model is pulse-invariant), so rebuilt
-        simulations over the same model gather nothing.  A miss gathers
-        the requested layer together with every missing layer above it,
-        whole layers up to :data:`_GATHER_BLOCK_EDGES` edges at a time:
-        a sweep's first layer step fills a small trial's every layer in
-        one array-valued ``delay`` call.  Models not subclassing
+        Neighbor delays follow the CSR entry axis.  Cached on the delay
+        model keyed by the edge structure and layer (plus pulse unless
+        the model is pulse-invariant), so rebuilt simulations over the
+        same model gather nothing.  A miss gathers the requested layer
+        together with every missing layer above it, whole layers up to
+        :data:`_GATHER_BLOCK_EDGES` edges at a time: a sweep's first
+        layer step fills a small trial's every layer in one array-valued
+        ``delay`` call.  Models not subclassing
         :class:`~repro.delays.models.DelayModel` are gathered uncached,
         one layer at a time.
         """
@@ -1299,14 +1160,9 @@ class _VectorSweep:
         if model_cache is None:
             return self._gather(model, [layer], k)[0]
         per_pulse = not getattr(model, "pulse_invariant", False)
-        csr = self.backend == "csr"
 
         def key(at: int) -> object:
-            plain = (at, k) if per_pulse else at
-            # CSR delays are a flat (nnz,) vector in segment order; keep
-            # them on a distinct cache key so dense and CSR consumers of
-            # the same model never hand each other the wrong shape.
-            return ("csr", plain) if csr else plain
+            return (at, k) if per_pulse else at
 
         cache = model_cache.setdefault(self.edge_signature, {})
         cached = cache.get(key(layer))
@@ -1355,13 +1211,7 @@ class _VectorSweep:
                 dtype=float,
             )
         values = values.reshape(count, sources.shape[0])
-        own = values[:, : self.width]
-        if self.backend == "csr":
-            nb = values[:, self.width:]
-        else:
-            nb = np.zeros((count,) + self.nb_valid.shape)
-            nb[:, self.nb_valid] = values[:, self.width:]
-        return list(zip(own, nb))
+        return list(zip(values[:, : self.width], values[:, self.width:]))
 
     def rate_array(self, layer: int, k: int) -> np.ndarray:
         """Hardware clock rates of the layer's nodes during pulse ``k``.

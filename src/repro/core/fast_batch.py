@@ -25,15 +25,13 @@ NaN, their gather lanes are masked invalid, their eligibility is
 statically False, and the batched fallback skips them -- so an inert cell
 can never influence a real one, and NaN (the simulator's own marker for
 "never pulsed") keeps them out of every downstream reducer.  Per-trial
-neighbor gathers run through padded ``(S, W_max, max_deg)`` index/valid
-tensors built from each base graph's cached
-:meth:`~repro.topology.base_graph.BaseGraph.neighbor_index_arrays`;
-numeric parameters (``kappa``/``vartheta``/``Lambda``/``d``) and the
-policy's ``jump_slack`` broadcast as per-trial ``(S, 1)`` columns.  The
-layer-0 schedules of the whole stack are filled one pulse block at a
-time by :func:`~repro.core.layer0.stacked_pulse_times`, straight into
-the block's layer-0 rows, instead of ``S`` per-trial gathers and row
-loops.
+neighbor gathers run through the stack's union entry axis (see "One
+neighbor layout" below); numeric parameters
+(``kappa``/``vartheta``/``Lambda``/``d``) and the policy's
+``jump_slack`` broadcast as per-trial ``(S, 1)`` columns.  The layer-0
+schedules of the whole stack are filled one pulse block at a time by
+:func:`~repro.core.layer0.stacked_pulse_times`, straight into the
+block's layer-0 rows, instead of ``S`` per-trial gathers and row loops.
 
 Depth-aware compaction (dropping finished rows)
 -----------------------------------------------
@@ -138,8 +136,8 @@ One layer step
 The full ``(S, B, W_max)`` plane is the identity case of compaction:
 rows and lanes index with ``slice(None)``.  :func:`_select_cells` picks
 the rows and lanes of each step, and :meth:`_StackRun.layer_step`
-runs the kernel on whatever plane they select, so the dense/CSR kernel
-call lives in one place.  Tests and benchmarks replace
+runs the kernel on whatever plane they select, so the kernel call lives
+in one place.  Tests and benchmarks replace
 :func:`_select_cells` with the identity to measure or pin the
 uncompacted plane; it is a test seam, not an option.
 
@@ -159,13 +157,21 @@ the stack and its simulations are only read, and two threads may run
 one stack at once (a :class:`~repro.delays.models.VaryingDelayModel`
 shared between them is the exception: its walks advance per query).
 
-CSR neighbor backend (sparse/skewed graphs)
--------------------------------------------
-A uniform-adjacency stack may reduce over the base graph's CSR arrays
-instead of the padded ``(W, max_deg)`` tables
-(:func:`repro.core.fast._layer_step_kernel_csr`), as the density
-heuristic :func:`repro.core.fast._prefer_csr` picks; mixed-adjacency
-stacks run dense.  ``compaction_stats["neighbor_backend"]`` records it.
+One neighbor layout
+-------------------
+Every stack keeps its neighbor copies on one flat entry axis in CSR
+order (:meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr`:
+vertex ``v``'s copies at ``indptr[v] + j``): neighbor delays are ``(S,
+P, E)``, the fault-send overlay ``(B, S, E)``, and the fallback reads a
+cell's copies at its entries.  A uniform stack's axis is its base
+graph's, ``E = nnz``.  A padded stack (mixed adjacency, or campaign
+epochs) uses a union axis on which vertex ``v`` gets the most copies it
+has in any trial's graph or compiled epoch graph, with per-trial ``(S,
+E)`` source and validity rows that :meth:`_StackRun.set_sweep` rewrites
+at epoch entries.  The kernel folds the axis one degree column at a
+time (:func:`~repro.core.fast._neighbor_bounds`), so memory stays
+``O(W + E)`` per layer however skewed the degrees are: no ``(W,
+max_deg)`` table is ever built.
 
 Stacking requirements (checked by :func:`stack_compatibility`)
 --------------------------------------------------------------
@@ -218,13 +224,11 @@ from repro.core.fast import (
     _VectorSweep,
     _fallback_replay,
     _layer_step_kernel,
-    _layer_step_kernel_csr,
-    _neighbor_columns,
     _read_only,
-    _neighbor_backend,
 )
 from repro.core.layer0 import stacked_pulse_times
 from repro.faults.model import SendBatch, send_offsets
+from repro.topology.base_graph import degree_columns
 from repro.topology.layered import NodeId
 
 __all__ = ["TrialStack", "stack_compatibility"]
@@ -518,9 +522,9 @@ class _FaultTable:
     other columns its neighbor copies (``successors``, valid where
     ``valid``).  ``own_slot`` / ``nb_slot`` are the flat indices of each
     send in one pulse's planes of the overlay of layer ``layer[r] + 1``:
-    the ``(S, W_max)`` own-copy plane and the neighbor plane of shape
-    ``nb_shape`` (that layer's neighbor-delay layout, without the pulse
-    axis).
+    the ``(S, W_max)`` own-copy plane and the ``(S, E)`` neighbor-copy
+    plane on the stack's entry axis (``positions[s]`` maps trial ``s``'s
+    CSR entries onto it; None: they are the axis).
 
     Every behaviour sends at ``correct time + offset``.  The offsets of
     the static behaviours are computed once, here; the dynamic ones once
@@ -534,7 +538,8 @@ class _FaultTable:
         sims: Sequence[FastSimulation],
         sweeps: Sequence[_VectorSweep],
         width: int,
-        nb_shape: Tuple[int, ...],
+        positions: Sequence[Optional[np.ndarray]],
+        num_entries: int,
     ) -> None:
         parts = [
             (s, sweep.fault_rows)
@@ -546,27 +551,23 @@ class _FaultTable:
         self.vertex = np.concatenate([part.vertices for _, part in parts])
         self.layer = np.concatenate([part.layers for _, part in parts])
         behaviors = [b for _, part in parts for b in part.behaviors]
-        self.nb_shape = nb_shape
+        self.nb_shape = (len(sweeps), num_entries)
         size = self.trial.size
         degree = max(part.neighbors.shape[1] for _, part in parts)
         self.successors = np.zeros((size, 1 + degree), dtype=np.int64)
         self.successors[:, 0] = self.vertex
         self.valid = np.zeros((size, 1 + degree), dtype=bool)
         self.valid[:, 0] = True
-        slots = np.zeros((len(nb_shape) - 1, size, degree), dtype=np.int64)
+        self.nb_slot = np.zeros((size, degree), dtype=np.int64)
         start = 0
-        for (_, part), count in zip(parts, counts):
+        for (s, part), count in zip(parts, counts):
             rows, cols = slice(start, start + count), part.neighbors.shape[1]
             self.successors[rows, 1 : 1 + cols] = part.neighbors
             self.valid[rows, 1 : 1 + cols] = part.valid
-            for axis, slot in enumerate(part.slots):
-                slots[axis, rows, :cols] = slot
+            entries = part.entries if positions[s] is None else positions[s][part.entries]
+            self.nb_slot[rows, :cols] = s * num_entries + entries
             start += count
         self.own_slot = self.trial * width + self.vertex
-        self.nb_slot = np.ravel_multi_index(
-            (np.broadcast_to(self.trial[:, None], slots.shape[1:]), *slots),
-            nb_shape,
-        )
         self.layer_rows = {}
         for layer in np.unique(self.layer).tolist():
             rows = np.flatnonzero(self.layer == layer)
@@ -687,8 +688,7 @@ class TrialStack:
     Every layer step runs on the rows and lanes that still need it (see
     the module docstring).  After :meth:`run`, :attr:`compaction_stats`
     holds the padded vs executed row- and lane-step accounting of the
-    last run, the neighbor representation the density heuristic chose,
-    and the batched-fallback counts.
+    last run, its pulse blocks and the batched-fallback counts.
 
     Each run keeps its state in a :class:`_StackRun` of its own and
     only reads the simulations, so one stack may run on several threads
@@ -854,17 +854,9 @@ class _StackRun:
                     result.branches,
                 ) = views
 
-        # One neighbor representation for the whole stack.  CSR needs one
-        # shared adjacency (the segment structure is per-graph), so only
-        # uniform stacks consult the density heuristic; padded stacks run
-        # the dense tensors.
-        self.backend = (
-            _neighbor_backend(sims[0].graph.base) if self.uniform else "dense"
-        )
         # Epoch entries replace a trial's sweep in this list.
         self.sweeps = [
-            _VectorSweep(sim, self.backend, sim.graph, sim.fault_plan)
-            for sim in sims
+            _VectorSweep(sim, sim.graph, sim.fault_plan) for sim in sims
         ]
         self.pulse_invariant = all(
             getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
@@ -882,28 +874,42 @@ class _StackRun:
             planes.setflags(write=False)
             self.rate_planes = planes
 
-        # Padded (S, ...) fault/eligibility structure.  ``active`` marks the
-        # real (non-padding) cells; None on uniform stacks (all real).
-        self.csr = None
+        # The stack's neighbor entry axis (see "One neighbor layout" in
+        # the module docstring): the shared base graph's CSR on a uniform
+        # stack, whose ``sources`` are its ``indices`` and all valid
+        # (``valid`` None); on a padded stack a union axis with per-trial
+        # ``(S, E)`` source and validity rows, written by set_sweep.
+        # ``positions[s]`` maps trial s's CSR entries onto the axis (None:
+        # they are the axis); vertex v has ``degree[v]`` entries.
+        # ``active`` marks the real (non-padding) cells; None on uniform
+        # stacks (all real).
         self.active = None
+        self.positions: List[Optional[np.ndarray]] = [None] * num_trials
         if self.uniform:
-            sweep0 = self.sweeps[0]
-            self.nb_idx, self.nb_valid = sweep0.nb_idx, sweep0.nb_valid
-            if self.backend == "csr":
-                self.csr = tuple(map(_read_only, (
-                    sweep0.indptr, sweep0.indices, sweep0.owner, sweep0.has_neighbors
-                )))
-                self.max_deg = sweep0.max_deg
-            else:
-                self.max_deg = self.nb_idx.shape[1]
+            base = sims[0].graph.base
+            self.indptr, self.sources = base.neighbor_csr()
+            self.degree = self.sweeps[0].degree
+            self.valid = None
+            self.columns = base.neighbor_columns()
             self.static_eligible = np.stack(
                 [sweep.static_eligible for sweep in self.sweeps]
             )
             self.faulty = np.stack([sweep.faulty for sweep in self.sweeps])
         else:
-            self.max_deg = max(sweep.nb_idx.shape[1] for sweep in self.sweeps)
-            self.nb_idx = np.zeros((num_trials, width, self.max_deg), dtype=np.int64)
-            self.nb_valid = np.zeros((num_trials, width, self.max_deg), dtype=bool)
+            # Vertex v gets the most copies it has in any trial's graph or
+            # compiled epoch graph, so no epoch entry outgrows the axis.
+            self.degree = degree = np.zeros(width, dtype=np.int64)
+            for sim, schedule in zip(sims, self.schedules):
+                graphs = [sim.graph] + (
+                    [] if schedule is None else [epoch.graph for epoch in schedule.epochs]
+                )
+                for graph in graphs:
+                    own = np.diff(graph.base.neighbor_csr()[0])
+                    np.maximum(degree[: own.size], own, out=degree[: own.size])
+            self.indptr = np.zeros(width + 1, dtype=np.int64)
+            np.cumsum(degree, out=self.indptr[1:])
+            self.sources = np.zeros((num_trials, self.indptr[-1]), dtype=np.int64)
+            self.valid = np.zeros((num_trials, self.indptr[-1]), dtype=bool)
             self.static_eligible = np.zeros(
                 (num_trials, num_layers - 1, width), dtype=bool
             )
@@ -1093,7 +1099,6 @@ class _StackRun:
                 if padded_lane_steps
                 else 0.0
             ),
-            "neighbor_backend": self.backend,
             # Pulse blocking (see _pulse_blocks): how many blocks the run
             # advanced and the most pulses one block held.
             "pulse_blocks": len(self.blocks),
@@ -1114,7 +1119,7 @@ class _StackRun:
     def delay_stack(
         self, layer: int, pulses: range, rows=_ALL, lanes=_ALL
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Own ``(S, P, W)`` and neighbor ``(S, P, W, max_deg)`` delays.
+        """Own ``(S, P, W)`` and neighbor ``(S, P, E)`` delays.
 
         ``P`` is 1 when every model is pulse-invariant -- the arrays
         broadcast over the block's pulse axis, never repeated -- and the
@@ -1122,17 +1127,19 @@ class _StackRun:
         ``pulses``).  Each sweep's per-trial arrays come from (and fill)
         its simulation's own delay cache; the stacked copies are cached
         here per layer when every model is pulse-invariant, else per
-        ``(layer, block)``.  On a compacted step, ``rows`` selects the
-        active trials and only their arrays are gathered (the cache key
-        then carries the row set -- depth-driven sets are nested, so at
-        most one entry per distinct depth survives), and ``lanes``
-        slices the active columns out of the row-compacted arrays
-        (cached under the extended key).  On a CSR stack the neighbor
-        array is the flat ``(S, P, nnz)`` segment vector instead (lane
-        compaction never coexists with CSR: CSR requires a uniform
-        stack, lanes a padded one).  Trials without this layer (padded
-        depth) contribute inert NaN/zero rows and are never queried, so
-        delay models only ever see edges that exist in their own graph.
+        ``(layer, block)``.  Neighbor delays sit on the stack's entry
+        axis: a uniform stack stacks its trials' CSR vectors, a padded
+        one scatters each through its ``positions`` (padding entries
+        stay 0 and are never valid).  On a compacted step, ``rows``
+        selects the active trials and only their arrays are gathered
+        (the cache key then carries the row set -- depth-driven sets are
+        nested, so at most one entry per distinct depth survives), and
+        ``lanes`` slices the active columns out of the row-compacted own
+        delays (cached under the extended key); the entry axis is never
+        compacted, the neighbor plan reads the entries it needs.  Trials
+        without this layer (padded depth) contribute inert NaN/zero rows
+        and are never queried, so delay models only ever see edges that
+        exist in their own graph.
         """
         cache = self.delay_cache
         if self.pulse_invariant:
@@ -1147,7 +1154,7 @@ class _StackRun:
             key = (key, "lanes", lanes.tobytes())
             cached = cache.get(key)
             if cached is None:
-                cached = tuple(map(_read_only, (full_own[:, :, lanes], full_nb[:, :, lanes, :])))
+                cached = (_read_only(full_own[:, :, lanes]), full_nb)
                 cache[key] = cached
             return cached
         cached = cache.get(key)
@@ -1175,14 +1182,14 @@ class _StackRun:
                 indices = np.arange(len(sweeps))[rows]
                 shape = (len(indices), len(pulses), self.width)
                 own = np.full(shape, np.nan)
-                nb = np.zeros(shape + (self.max_deg,))
+                nb = np.zeros(shape[:2] + self.sources.shape[1:])
                 for i, s in enumerate(indices):
                     if layer >= self.depths[s]:
                         continue
                     for j, k in enumerate(pulses):
                         own_s, nb_s = sweeps[s].delay_arrays(layer, k)
                         own[i, j, : own_s.shape[0]] = own_s
-                        nb[i, j, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
+                        nb[i, j, self.positions[s]] = nb_s
                 cached = (own, nb)
             cached = tuple(map(_read_only, cached))
             cache[key] = cached
@@ -1218,33 +1225,37 @@ class _StackRun:
     def row_structs(self, rows, lanes) -> Dict[str, object]:
         """Kernel inputs of the ``rows x lanes`` plane, cached by both sets.
 
-        Nothing here changes with the pulse: per-trial gather tables get
-        a length-1 pulse axis (``(S, 1, W, max_deg)``) and broadcast over
-        the block's pulses; eligibility and fault masks are indexed per
-        layer and broadcast the same way.
+        Nothing here changes with the pulse: eligibility and fault masks
+        are indexed per layer and broadcast over the block's pulses, and
+        so does the neighbor plan (its per-trial gathers carry a
+        length-1 pulse axis).
 
         Depth-driven active sets are nested (they only shrink as the
         layer index grows), so at most one entry per distinct depth is
         ever built; dead-trial sets add at most a handful more, and lane
         sets one entry per distinct (row set, lane set) pair.  The full
-        plane (both :data:`_ALL`) is one more entry of views.  Shared
-        2-D gather tables (uniform stacks) are row-independent and pass
-        through untouched; CSR stacks carry no padded tables at all
-        (``nb_idx``/``nb_valid`` are None and the kernel reads the
-        stack's shared CSR arrays).  With a lane set, the padded tables
-        are additionally re-indexed into the compact column space:
-        ``lane_pos`` maps original vertex ids to compacted columns, and
-        entries pointing at dropped lanes (only ever behind an invalid
-        mask -- no valid entry of an active trial references a dropped
-        lane) collapse to column 0 harmlessly.
+        plane (both :data:`_ALL`) is one more entry of views.
 
-        Besides the kernel inputs (read-only, with the dense kernel's
-        neighbor plan :func:`~repro.core.fast._neighbor_columns`), an
-        entry carries ``index`` (the
-        ``(rows, lanes)`` subscripts of the shared blocks; the caller
-        adds the pulse and layer subscripts) and the
-        original ``trials`` / ``vertices`` ids of its rows and columns
-        (``vertices`` is None on the full width).
+        The neighbor plan ``columns`` (see
+        :func:`~repro.core.fast._neighbor_bounds`) of a uniform stack is
+        its base graph's shared
+        :meth:`~repro.topology.base_graph.BaseGraph.neighbor_columns`,
+        whatever the rows; a padded stack's is built from its rows'
+        ``sources`` and ``valid``
+        (:func:`~repro.topology.base_graph.degree_columns`).
+        With a lane set, the rows' ``sources``
+        are re-indexed into the compact column space: ``lane_pos`` maps
+        vertex ids to compacted columns, and entries pointing at dropped
+        lanes (only ever invalid -- no valid entry of an active trial
+        references a dropped lane) collapse to column 0 harmlessly.
+
+        Besides the read-only kernel inputs, an entry carries ``index``
+        (the ``(rows, lanes)`` subscripts of the shared blocks; the
+        caller adds the pulse and layer subscripts), the original
+        ``trials`` / ``vertices`` ids of its rows and columns
+        (``vertices`` is None on the full width), and the ``sources`` /
+        ``valid`` rows the fallback reads (1-D and None on a uniform
+        stack).
         """
         key = (
             None if isinstance(rows, slice) else rows.tobytes(),
@@ -1252,13 +1263,9 @@ class _StackRun:
         )
         cached = self.row_cache.get(key)
         if cached is None:
-            nb_idx, nb_valid = self.nb_idx, self.nb_valid
-            if nb_idx is not None and nb_idx.ndim == 3:
-                sub_idx = nb_idx[rows]
-                sub_valid = nb_valid[rows]
-            else:
-                sub_idx = nb_idx
-                sub_valid = nb_valid
+            sources, valid = self.sources, self.valid
+            if valid is not None:
+                sources, valid = sources[rows], valid[rows]
             sub_eligible = self.static_eligible[rows]
             sub_faulty = self.faulty[rows]
             sub_active = None if self.active is None else self.active[rows]
@@ -1267,20 +1274,20 @@ class _StackRun:
             if not isinstance(lanes, slice):
                 lane_pos = np.zeros(self.width, dtype=np.int64)
                 lane_pos[lanes] = np.arange(lanes.size, dtype=np.int64)
-                sub_idx = lane_pos[sub_idx[:, lanes, :]]
-                sub_valid = sub_valid[:, lanes, :]
+                sources = lane_pos[sources]
                 sub_eligible = sub_eligible[:, :, lanes]
                 sub_faulty = sub_faulty[:, :, lanes]
                 sub_active = sub_active[:, :, lanes]
                 index = (rows[:, None, None], lanes[None, None, :])
                 vertices = lanes
-            if sub_idx is not None and sub_idx.ndim == 3:
-                sub_idx = sub_idx[:, None]
-                sub_valid = sub_valid[:, None]
             cached = {
-                "nb_idx": _read_only(sub_idx),
-                "nb_valid": _read_only(sub_valid),
-                "nb_columns": None if sub_idx is None else _neighbor_columns(sub_idx, sub_valid),
+                "columns": (
+                    self.columns
+                    if valid is None
+                    else degree_columns(self.indptr, sources, valid, vertices)
+                ),
+                "sources": _read_only(sources),
+                "valid": _read_only(valid),
                 "static_eligible": _read_only(sub_eligible),
                 "faulty": _read_only(sub_faulty),
                 "active": _read_only(sub_active),
@@ -1328,12 +1335,7 @@ class _StackRun:
             epoch = schedule.epochs[index]
             sweep = self.epoch_sweeps[s].get(epoch.state_key)
             if sweep is None:
-                # Campaign stacks are padded (never uniform), so epoch
-                # sweeps must carry the dense gather tables the stacked
-                # 3-D tables are rebuilt from.
-                sweep = _VectorSweep(
-                    self.sims[s], "dense", epoch.graph, epoch.fault_plan
-                )
+                sweep = _VectorSweep(self.sims[s], epoch.graph, epoch.fault_plan)
                 self.epoch_sweeps[s][epoch.state_key] = sweep
             # A vertex absent from this epoch through the end of the
             # horizon can never act again: free its lane.  Absence only
@@ -1353,15 +1355,16 @@ class _StackRun:
 
     def set_sweep(self, s: int, sweep: _VectorSweep) -> None:
         """Make ``sweep`` trial ``s``'s and write its rows of the padded
-        gather, eligibility and fault tables -- zeroing stale lanes
-        first, since an epoch graph's max degree can shrink."""
+        stack's source, validity, eligibility and fault tables -- zeroing
+        stale entries first, since an epoch graph may drop edges."""
         self.sweeps[s] = sweep
-        w, cols = sweep.nb_idx.shape
+        w = sweep.width
         depth = self.depths[s]
-        self.nb_idx[s] = 0
-        self.nb_valid[s] = False
-        self.nb_idx[s, :w, :cols] = sweep.nb_idx
-        self.nb_valid[s, :w, :cols] = sweep.nb_valid
+        positions = self.positions[s] = sweep.entries_on(self.indptr)
+        self.sources[s] = 0
+        self.valid[s] = False
+        self.sources[s, positions] = sweep.indices
+        self.valid[s, positions] = True
         self.static_eligible[s] = False
         self.static_eligible[s, : depth - 1, :w] = sweep.static_eligible
         self.faulty[s] = False
@@ -1409,12 +1412,9 @@ class _StackRun:
             return None
         if self.fault_log is None:
             self.fault_log = _FaultSendLog()
-        nb_shape = (
-            (len(self.sims), self.csr[1].shape[0])
-            if self.csr is not None
-            else (len(self.sims), self.width, self.max_deg)
+        return _FaultTable(
+            self.sims, self.sweeps, self.width, self.positions, self.sources.shape[-1]
         )
-        return _FaultTable(self.sims, self.sweeps, self.width, nb_shape)
 
     def record_fault_sends(self, k0: int, layer: int, planes: np.ndarray) -> None:
         """Record the block's sends of ``layer``'s faulty nodes at once.
@@ -1428,11 +1428,11 @@ class _StackRun:
         chunk a call) and into the overlay of ``layer + 1``: an ``(own,
         nb)`` pair with one plane per pulse of the block, each laid out
         like that layer's delay arrays -- ``(B, S, W_max)`` own copies
-        plus ``(B, S, W_max, max_deg)`` neighbor copies, or the ``(B, S,
-        nnz)`` edge vector on CSR stacks.  A silent send is ``+inf``, and
+        plus ``(B, S, E)`` neighbor copies on the entry axis.  A silent
+        send is ``+inf``, and
         so is every slot no send was recorded for.  The fallback reads a
         faulty predecessor's send from the overlay at the cell's pulse
-        and the slot where it reads that edge's delay.
+        and the entry where it reads that edge's delay.
         """
         table = self.faults
         at = table.layer_rows.get(layer)
@@ -1471,8 +1471,8 @@ class _StackRun:
         ``rows`` and ``lanes`` are the plane :func:`_select_cells` picked
         (each :data:`_ALL` on the full plane); the step gathers its
         read-only inputs for them (:meth:`row_structs`,
-        :meth:`delay_stack`, :meth:`rate_stack`) and runs the kernel (or
-        its CSR twin) over the ``(S, B, W)`` plane.  ``window`` is the
+        :meth:`delay_stack`, :meth:`rate_stack`) and runs the kernel
+        over the ``(S, B, W)`` plane.  ``window`` is the
         block's storage rows (its pulses, or the head of the ring).
 
         Results scatter back through the plane's subscripts, ineligible
@@ -1529,14 +1529,9 @@ class _StackRun:
         static_eligible = structs["static_eligible"][:, layer - 1, None, :]
         simplified = self.sims[0].algorithm == "simplified"
         planes = self.store_times  # a streamed run keeps neither codes nor effective
-        if self.csr is None:
-            kernel, tables = _layer_step_kernel, (structs["nb_idx"], structs["nb_valid"])
-            plan = (structs["nb_columns"],)
-        else:
-            kernel, tables, plan = _layer_step_kernel_csr, self.csr, ()
-        eligible, correction, branches, pulse_time, eff = kernel(
-            prev, own_delay, nb_delay, rate, *tables, static_eligible,
-            structs["params"], structs["policy"], simplified, planes, *plan,
+        eligible, correction, branches, pulse_time, eff = _layer_step_kernel(
+            prev, own_delay, nb_delay, rate, structs["columns"], static_eligible,
+            structs["params"], structs["policy"], simplified, planes,
         )
         eligible = _kernel_cells(eligible)
 
@@ -1591,84 +1586,91 @@ class _StackRun:
         arrival events are
         gathered from those arrays at the cell's pulse (pulse 0 of an
         array whose pulse axis has length 1): the own copy at the cell's
-        own column, the neighbor copies through the plane's neighbor
-        table (or the shared CSR segments).  A faulty predecessor's send
+        own column, the neighbor copies at the cell's entries
+        ``indptr[v] + j`` of the stack's axis, from the plane's
+        ``sources`` (valid where ``valid``).  A faulty predecessor's send
         comes from ``sent``, the overlay its recorded sends were written
         to (:meth:`record_fault_sends`; None when no faulty predecessor
         sent anything), and a missing message is ``+inf``.  Parameters
         are each cell's trial's own.
-        :func:`~repro.core.fast._fallback_replay` then replays all cells
-        at once, and the outcomes scatter back to the cells' trials,
-        pulses and vertices.  A faulty cell that pulses has a protocol
+        :func:`~repro.core.fast._fallback_replay` then replays the
+        cells, in one call for all cells of up to 16 neighbor copies and
+        one per doubling of the degree above (a cell's outcome does not
+        depend on the cells it shares a call with, so a hub's wide event
+        rows stay its own), and the outcomes scatter back to the cells'
+        trials, pulses and vertices.  A faulty cell that pulses has a protocol
         time and no ``times`` entry; the run records its sends from the
         protocol plane after the step (:meth:`record_fault_sends`).
         """
         times, protocol_times, corrections, effective, branches = self.matrices
         si, bi, vi = cells
-        trials = structs["trials"][si]
         vertices = vi if structs["vertices"] is None else structs["vertices"][vi]
+        start = self.indptr[vertices]
+        degree = self.degree[vertices]
+        # One replay per degree class -- up to 16 neighbor copies, then
+        # per doubling -- so a hub's copies never widen every other
+        # cell's event row: the pass stays O(cells + entries).  A part
+        # is a slice of the cells and its widest degree.
+        parts = [(slice(None), int(degree.max()))]
+        if parts[0][1] > 16:
+            order = np.argsort(degree, kind="stable")
+            si, bi, vi, vertices, start, degree = (
+                array[order] for array in (si, bi, vi, vertices, start, degree)
+            )
+            kind = np.frexp(np.maximum(degree, 16))[1]
+            cuts = [0, *(np.flatnonzero(np.diff(kind)) + 1), kind.size]
+            parts = [(slice(a, b), int(degree[b - 1])) for a, b in zip(cuts, cuts[1:])]
+        trials = structs["trials"][si]
         own_delay, nb_delay = delays
+        prev_faulty = structs["faulty"][:, layer - 1, :]
+        simplified = self.sims[0].algorithm == "simplified"
 
-        def at_pulse(array: np.ndarray):
+        def at(array: np.ndarray, pulses: np.ndarray):
             # The cells' pulses in ``array``, which broadcasts a length-1
             # pulse axis over the block.
-            return bi if array.shape[1] > 1 else 0
+            return pulses if array.shape[1] > 1 else 0
 
-        prev_faulty = structs["faulty"][:, layer - 1, :]
-
-        # Neighbor slots of each cell: source column in the plane,
-        # validity, delay, and overlay index.
-        pulse = bi[:, None]
-        if self.csr is None:
-            nb_idx, nb_valid = structs["nb_idx"], structs["nb_valid"]
-            if nb_idx.ndim > 2:
-                source, valid = nb_idx[si, 0, vi], nb_valid[si, 0, vi]
+        def replay(part: slice, width: int) -> Tuple[np.ndarray, ...]:
+            # The part's cells' arrival events, then one batched replay.
+            s, b, v, t = si[part], bi[part], vi[part], trials[part]
+            # Neighbor slots of each cell: entry on the axis, source
+            # column in the plane, validity, delay, and overlay index.
+            pulse, row = b[:, None], s[:, None]
+            offsets = np.arange(width)
+            valid = offsets < degree[part, None]
+            entry = np.minimum(start[part, None] + offsets, self.sources.shape[-1] - 1)
+            if structs["valid"] is None:
+                source = structs["sources"][entry]
             else:
-                source, valid = nb_idx[vi], nb_valid[vi]
-            nb_d = nb_delay[si, at_pulse(nb_delay), vi]
-            slot = (bi, trials, vertices)
-        else:
-            indptr, indices = self.csr[0], self.csr[1]
-            start = indptr[vi]
-            degree = indptr[vi + 1] - start
-            offsets = np.arange(int(degree.max()))
-            valid = offsets < degree[:, None]
-            entry = np.minimum(start[:, None] + offsets, indices.shape[0] - 1)
-            source = indices[entry]
-            nb_pulse = pulse if nb_delay.shape[1] > 1 else 0
-            nb_d = nb_delay[si[:, None], nb_pulse, entry]
-            slot = (pulse, trials[:, None], entry)
-        row = si[:, None]
-        own_sent = nb_sent = np.inf  # no faulty predecessor sent anything
-        if sent is not None:
-            own_sent = sent[0][bi, trials, vertices]
-            nb_sent = sent[1][slot]
-        own_send = np.where(prev_faulty[si, vi], own_sent, prev[si, bi, vi])
-        nb_send = np.where(
-            prev_faulty[row, source], nb_sent, prev[row, pulse, source]
-        )
-
-        ev_time = np.empty((si.size, 1 + valid.shape[1]))
-        ev_time[:, 0] = own_send + own_delay[si, at_pulse(own_delay), vi]
-        ev_time[:, 1:] = np.where(valid, nb_send + nb_d, np.inf)
-        # A correct predecessor that never pulsed sent nothing.
-        ev_time[np.isnan(ev_time)] = np.inf
-
-        params, policy = self.params, self.policy
-        if isinstance(params, _StackedParams):
-            params = params.take(trials, flat=True)
-        if isinstance(policy, _StackedPolicy):
-            policy = policy.take(trials, flat=True)
-        rates = rate[si, at_pulse(rate), vi]
-        pulses, correction, branch_codes, pulse_time, eff, h_own = (
-            _fallback_replay(
-                ev_time,
-                valid.sum(axis=1),
-                rates,
-                params,
-                policy,
-                self.sims[0].algorithm == "simplified",
+                source = structs["sources"][row, entry]
+                valid &= structs["valid"][row, entry]
+            nb_d = nb_delay[row, at(nb_delay, pulse), entry]
+            own_sent = nb_sent = np.inf  # no faulty predecessor sent anything
+            if sent is not None:
+                own_sent = sent[0][b, t, vertices[part]]
+                nb_sent = sent[1][pulse, t[:, None], entry]
+            own_send = np.where(prev_faulty[s, v], own_sent, prev[s, b, v])
+            nb_send = np.where(
+                prev_faulty[row, source], nb_sent, prev[row, pulse, source]
             )
+            ev_time = np.empty((s.size, 1 + valid.shape[1]))
+            ev_time[:, 0] = own_send + own_delay[s, at(own_delay, b), v]
+            ev_time[:, 1:] = np.where(valid, nb_send + nb_d, np.inf)
+            # A correct predecessor that never pulsed sent nothing.
+            ev_time[np.isnan(ev_time)] = np.inf
+            params, policy = self.params, self.policy
+            if isinstance(params, _StackedParams):
+                params = params.take(t, flat=True)
+            if isinstance(policy, _StackedPolicy):
+                policy = policy.take(t, flat=True)
+            return _fallback_replay(
+                ev_time, valid.sum(axis=1), rate[s, at(rate, b), v],
+                params, policy, simplified,
+            )
+
+        outcomes = [replay(*part) for part in parts]
+        pulses, correction, branch_codes, pulse_time, eff, h_own = (
+            outcomes[0] if len(parts) == 1 else map(np.concatenate, zip(*outcomes))
         )
 
         rows, slot = rk + bi, _slot(times, layer)

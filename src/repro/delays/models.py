@@ -222,8 +222,8 @@ class DelayModel(ABC):
     to False; such models are gathered edge by edge.
 
     Because models are deterministic functions of their seed and the edge
-    identity (and the pulse, unless ``pulse_invariant``), the vectorized
-    kernels cache the per-layer delay *arrays* they gather on the model
+    identity (and the pulse, unless ``pulse_invariant``), the stacked
+    layer step caches the per-layer delay *arrays* it gathers on the model
     itself (``_edge_array_cache``), keyed by the querying graph's edge
     structure -- so repeated runs and freshly constructed simulations over
     the same model gather nothing.  Replace the model rather than mutating

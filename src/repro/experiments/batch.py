@@ -319,8 +319,7 @@ class BatchResult:
         :class:`~repro.core.fast_batch.TrialStack` run along *both* axes
         -- padded vs executed row steps with min/max depth (depth axis),
         padded vs executed lane steps with min/max width (width axis),
-        the ``neighbor_backend`` (``"dense"``/``"csr"``) the density
-        heuristic chose, and the batched-fallback accounting --
+        and the batched-fallback accounting --
         ``fallback_cells`` (kernel-rejected cells the replay resolved,
         never by per-cell Python loops), ``fallback_batches`` (summed
         over trials: the (pulse, layer) steps each trial had such cells

@@ -7,8 +7,9 @@ Alternative base graphs (cycle, complete, torus) are provided because the
 analysis is stated for arbitrary minimum-degree-2 base graphs.
 
 Nodes are integers ``0 .. n-1``; the adjacency structure is immutable after
-construction.  Everything derived from it alone -- BFS distances and the
-neighbor/edge index arrays -- lives in one :class:`_Structure` per
+construction.  Everything derived from it alone -- BFS distances, the
+CSR neighbor arrays, their degree-column plan and the edge index
+arrays -- lives in one :class:`_Structure` per
 adjacency, shared by every graph of that shape through a small LRU: a
 seed sweep builds a fresh ``replicated_line`` per trial, and all of them
 read one BFS and one set of read-only arrays.
@@ -50,13 +51,13 @@ class _Structure:
     are read-only.
     """
 
-    __slots__ = ("distances", "edge_index", "neighbor_index", "csr")
+    __slots__ = ("distances", "edge_index", "csr", "columns")
 
     def __init__(self) -> None:
         self.distances: Dict[int, np.ndarray] = {}
         self.edge_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.neighbor_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self.csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.columns: Optional[Tuple[Tuple, ...]] = None
 
 
 _structures: "OrderedDict[Adjacency, _Structure]" = OrderedDict()
@@ -103,6 +104,46 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
         frontier = fresh
     dist.setflags(write=False)
     return dist
+
+
+def degree_columns(
+    indptr: np.ndarray,
+    sources: np.ndarray,
+    valid: Optional[np.ndarray] = None,
+    vertices: Optional[np.ndarray] = None,
+) -> Tuple[Tuple, ...]:
+    """The entries of a CSR-style entry axis by degree column (read-only).
+
+    Vertex ``v`` holds entries ``indptr[v] .. indptr[v + 1] - 1``;
+    ``vertices`` are the lanes (None: every vertex).  Column ``j`` is
+    ``(entries, sources, lanes, valid)``: the ``lanes`` with more than
+    ``j`` entries (None: every lane), their entries ``indptr[v] + j``,
+    and ``sources`` / ``valid`` there -- ``sources`` is ``(E,)``, or
+    ``(S, E)`` with one row per trial together with an ``(S, E)``
+    ``valid`` (None: every entry valid; a column with no valid entry is
+    left out).  Each column's lanes are the previous one's survivors, so
+    the columns cost ``O(lanes + entries)``.
+    """
+    starts = indptr[:-1] if vertices is None else indptr[vertices]
+    degree = (indptr[1:] if vertices is None else indptr[vertices + 1]) - starts
+    columns = []
+    lanes = np.arange(degree.size)
+    for j in range(int(degree.max(initial=0))):
+        lanes = lanes[degree[lanes] > j]
+        at = None if lanes.size == degree.size else lanes
+        entries = (starts if at is None else starts[at]) + j
+        mask = None
+        if valid is not None:
+            mask = valid[:, entries]
+            if not mask.any():
+                continue
+            mask = None if mask.all() else mask
+        column = (entries, sources[..., entries], at, mask)
+        for arr in column:
+            if arr is not None:
+                arr.setflags(write=False)
+        columns.append(column)
+    return tuple(columns)
 
 
 class BaseGraph:
@@ -225,41 +266,13 @@ class BaseGraph:
             shared.edge_index = (left, right)
         return shared.edge_index
 
-    def neighbor_index_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Padded ``(W, max_deg)`` neighbor gather indices and validity mask.
+    def neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` CSR neighbor arrays (shared, read-only).
 
-        ``idx[v, j]`` is the ``j``-th (sorted) neighbor of ``v`` where
-        ``valid[v, j]`` is True, and 0 (an inert placeholder never read
-        through an unmasked lane) elsewhere.  ``max_deg`` is at least 1 so
-        downstream gathers always have a last axis.  Shared by every graph
-        with this adjacency: the vectorized simulator kernels used to
-        rebuild these per run per trial with a Python double loop.
-        """
-        shared = self._shared
-        if shared.neighbor_index is None:
-            cols = max(self.max_degree(), 1)
-            idx = np.zeros((self._num_nodes, cols), dtype=np.int64)
-            valid = np.zeros((self._num_nodes, cols), dtype=bool)
-            for v, nbs in enumerate(self._adjacency):
-                idx[v, : len(nbs)] = nbs
-                valid[v, : len(nbs)] = True
-            for arr in (idx, valid):
-                arr.setflags(write=False)
-            shared.neighbor_index = (idx, valid)
-        return shared.neighbor_index
-
-    def neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, edge_slot)`` CSR neighbor arrays (shared).
-
-        The compressed-sparse-row mirror of :meth:`neighbor_index_arrays`:
-        the (sorted) neighbors of vertex ``v`` are
-        ``indices[indptr[v]:indptr[v + 1]]``, and ``edge_slot[j]`` maps the
-        ``j``-th directed entry back to its undirected slot in
-        :attr:`edges` (so per-edge state -- delays, flap schedules -- can
-        be gathered without a Python dict lookup per entry).  Memory is
-        ``O(n + m)`` instead of the padded ``O(n * max_deg)``, which is
-        what makes hub-skewed sparse graphs viable: a single high-degree
-        vertex no longer widens every row of the dense tensors.
+        The (sorted) neighbors of vertex ``v`` are
+        ``indices[indptr[v]:indptr[v + 1]]``: one entry per directed
+        edge, ``O(n + m)`` memory however skewed the degrees are.  The
+        simulator lays every neighbor copy out on this entry axis.
         """
         shared = self._shared
         if shared.csr is None:
@@ -270,21 +283,29 @@ class BaseGraph:
             )
             indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
             np.cumsum(degrees, out=indptr[1:])
-            flat = [w for nbs in self._adjacency for w in nbs]
-            indices = np.array(flat, dtype=np.int64)
-            edge_id = {edge: i for i, edge in enumerate(self._edges)}
-            edge_slot = np.array(
-                [
-                    edge_id[(v, w) if v < w else (w, v)]
-                    for v, nbs in enumerate(self._adjacency)
-                    for w in nbs
-                ],
+            indices = np.fromiter(
+                (w for nbs in self._adjacency for w in nbs),
                 dtype=np.int64,
+                count=int(indptr[-1]),
             )
-            for arr in (indptr, indices, edge_slot):
+            for arr in (indptr, indices):
                 arr.setflags(write=False)
-            shared.csr = (indptr, indices, edge_slot)
+            shared.csr = (indptr, indices)
         return shared.csr
+
+    def neighbor_columns(self) -> Tuple[Tuple, ...]:
+        """:meth:`neighbor_csr` by degree column (shared, read-only).
+
+        :func:`degree_columns` of the CSR arrays: column ``j`` holds the
+        vertices of degree ``> j``, their entries ``indptr[v] + j`` and
+        the neighbors there.  Folding the columns in order visits every
+        entry once, on ``max_degree()`` vectors no longer than ``n``:
+        the simulator's neighbor plan.
+        """
+        shared = self._shared
+        if shared.columns is None:
+            shared.columns = degree_columns(*self.neighbor_csr())
+        return shared.columns
 
     def nodes(self) -> range:
         """Iterable over vertices."""
@@ -325,7 +346,7 @@ class BaseGraph:
         distances = self._shared.distances
         cached = distances.get(source)
         if cached is None:
-            indptr, indices, _ = self.neighbor_csr()
+            indptr, indices = self.neighbor_csr()
             cached = distances[source] = _bfs(indptr, indices, source)
         return cached
 

@@ -6,13 +6,12 @@ tiny -- the regime of Octopus-style sparse CXL pod topologies and
 supernode P2P overlays (see PAPERS.md).  The workhorse here is the
 circulant ring ``C_n(1, s)``: a cycle plus stride-``s`` chords.  With
 ``s ~ sqrt(n)`` the diameter is ``O(sqrt(n))`` at constant degree 4, so
-a million-node layered graph stays within reach of the CSR fast path
-while the dense padded ``(W, max_deg)`` tensors would still be tame --
-until hubs enter.  Optional *hub* vertices attach to evenly spaced ring
-vertices, which both shrinks the diameter and skews the degree
-distribution: one hub of degree ``d`` forces every row of the dense
-padded neighbor tensors to width ``d``, which is exactly the pathology
-the ``csr`` neighbor backend exists to avoid.
+a million-node layered graph stays within reach of the fast path.
+Optional *hub* vertices attach to evenly spaced ring vertices, which
+both shrinks the diameter and skews the degree distribution: one hub of
+degree ``d`` would widen every row of a padded ``(W, d)`` neighbor table
+to ``d``, which is why the simulator keeps neighbor copies on the flat
+CSR entry axis (``O(n + m)``) instead.
 """
 
 from __future__ import annotations

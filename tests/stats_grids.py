@@ -12,7 +12,8 @@ fallback counters:
 * the cycle-9 vs complete-9 pair (same ``(K, L, W)`` shape, different
   edges) and a padded mixed-depth/width batch with an Algorithm 1 trial
   in a second stack group;
-* a hub-skewed sparse stack on the CSR neighbor backend, with varying
+* a hub-skewed sparse stack (the ``csr`` key: the grid the retired CSR
+  neighbor backend ran; partly valid degree columns now), with varying
   delays and callable clock rates;
 * two grids that run in several pulse blocks: a fault-free D=8 seed
   sweep over 64 pulses (six blocks, so a streamed run wraps its ring)
@@ -45,7 +46,7 @@ import numpy as np
 import fault_sends_grids
 import repro.experiments.batch as batch_mod
 from repro.clocks import uniform_random_rates
-from repro.core.fast import FastSimulation, _prefer_csr
+from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.core.layer0 import AlternatingLayer0, ChainLayer0, JitteredLayer0
 from repro.delays import StaticDelayModel, VaryingDelayModel
@@ -183,7 +184,6 @@ def _csr_sims():
     sims = []
     for seed in range(2):
         graph = sparse_layered(128, 3, num_hubs=1, hub_degree=40)
-        assert _prefer_csr(graph.base)
         sims.append(
             FastSimulation(
                 graph,

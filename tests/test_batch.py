@@ -289,7 +289,7 @@ class TestBatchRunnerValidation:
 
 
 class TestSparseBatchOptions:
-    """Neighbor representation and lane compaction through the runner."""
+    """Retired knobs, uniform and lane-compacted stacks through the runner."""
 
     def test_rejects_unknown_backend(self):
         # The retired speed-only and executor knobs are gone, not
@@ -307,32 +307,17 @@ class TestSparseBatchOptions:
             with pytest.raises(TypeError, match=knob):
                 BatchRunner(num_pulses=NUM_PULSES, **{knob: "csr"})
 
-    def test_explicit_csr_matches_dense_on_uniform_group(self, monkeypatch):
+    def test_uniform_group_matches_per_trial(self):
         trials = BatchRunner.seed_sweep(4, (0, 1), num_pulses=NUM_PULSES)
-        dense = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        assert dense.compaction_stats[0]["neighbor_backend"] == "dense"
-        monkeypatch.setattr(fast_mod, "_prefer_csr", lambda base: True)
-        csr = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        np.testing.assert_array_equal(csr.times, dense.times)
-        assert csr.fallback_reasons == {}
-        (stats,) = csr.compaction_stats
-        assert stats["neighbor_backend"] == "csr"
-
-    def test_csr_preference_on_padded_group_runs_dense(self, monkeypatch):
-        # Mixed geometries cannot share one CSR edge layout, so a padded
-        # group stacks on the dense tensors even where the heuristic
-        # prefers CSR.
-        trials = [
-            BatchTrial(config=standard_config(4)),
-            BatchTrial(config=standard_config(6)),
-        ]
-        reference = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        monkeypatch.setattr(fast_mod, "_prefer_csr", lambda base: True)
         batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        np.testing.assert_array_equal(batch.times, reference.times)
         assert batch.fallback_reasons == {}
         (stats,) = batch.compaction_stats
-        assert stats["neighbor_backend"] == "dense"
+        assert stats["active_lane_steps"] == stats["padded_lane_steps"]
+        for i, trial in enumerate(trials):
+            reference = trial.simulation().run(NUM_PULSES)
+            np.testing.assert_array_equal(
+                batch.results[i].times, reference.times
+            )
 
     def test_lane_compacted_stack_matches_per_trial(self):
         trials = [
@@ -348,8 +333,8 @@ class TestSparseBatchOptions:
                 batch.results[i].times, reference.times
             )
 
-    def test_shard_merge_keeps_lane_and_backend_stats(self, monkeypatch):
-        # Regression: shard merging must carry the new width/backend
+    def test_shard_merge_keeps_lane_stats(self, monkeypatch):
+        # Regression: shard merging must carry the width and fallback
         # keys through the pickle boundary, one stats dict per stack
         # group, identical to the serial run's accounting.
         trials = [
@@ -369,7 +354,6 @@ class TestSparseBatchOptions:
                 "padded_lane_steps",
                 "active_lane_steps",
                 "lane_dropped_fraction",
-                "neighbor_backend",
                 "fallback_cells",
                 "fallback_batches",
                 "fallback_passes",

@@ -24,11 +24,11 @@ run through every path, asserting
   replays through the streamed per-trial, scalar, padded, and compacted
   paths, and the online skew and correction folds must equal the
   array reducers applied to the materialized reference exactly, and
-* **bitwise agreement across neighbor backends**: hub-skewed sparse
-  scenarios replay through the CSR edge-segment kernel (per-trial and
-  stacked) against the dense padded kernel, and through the width-axis
-  lane compaction against the lane-padded stack -- both new execution
-  columns must reproduce the dense reference exactly, and
+* **bitwise agreement on skewed degrees and compacted lanes**:
+  hub-skewed sparse scenarios replay stacked and through the all-cell
+  fallback against their own per-trial run, and the width-axis lane
+  compaction against the lane-padded stack -- both must reproduce the
+  reference exactly, and
 * **bitwise agreement across pulse blocks**: the stack advances several
   pulses per layer step; one pulse per block, the default blocks and
   the whole horizon in one block (split only at campaign epoch entries)
@@ -57,7 +57,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import repro.core.fast as fast_mod
 import repro.core.fast_batch as fast_batch_mod
 from repro.analysis.skew import (
     global_skew_layers,
@@ -348,11 +347,6 @@ def lanes_uncompacted():
             layer, depths, dead, prev, None
         ),
     )
-
-
-def prefer_csr(prefer):
-    """Force the density heuristic's dense/CSR verdict."""
-    return mock.patch.object(fast_mod, "_prefer_csr", lambda base: prefer)
 
 
 def all_fallback():
@@ -669,11 +663,12 @@ class TestFastFamilyDifferential:
 
 @st.composite
 def sparse_scenarios(draw):
-    """A small skewed-degree sparse cell for the backend differential.
+    """A small skewed-degree sparse cell for the sparse differential.
 
-    Hub-skewed circulants are where the CSR path earns its keep (one
-    high-degree vertex widens every dense row); keeping them small keeps
-    the harness fast while still exercising ragged edge segments.
+    Hub-skewed circulants give the neighbor plan its partial degree
+    columns (one high-degree vertex alone past the ring's degree);
+    keeping them small keeps the harness fast while still exercising
+    ragged edge segments.
     """
     num_hubs = draw(st.integers(0, 1))
     kwargs = {"num_hubs": num_hubs}
@@ -720,18 +715,19 @@ def sparse_scenarios(draw):
     }
 
 
-class TestSparseBackendDifferential:
-    """The CSR edge-segment kernel against the dense masked kernel.
+class TestSparseDifferential:
+    """Hub-skewed sparse graphs: per trial, stacked, and all-fallback.
 
-    Both kernels evaluate ``min``/``max`` reductions over the same
-    neighbor multiset in the same (sorted) order, so agreement is
-    bitwise -- any drift means the segment bookkeeping gathered the
-    wrong edges.
+    A hub's degree column holds one lane, and its copies fill the tail
+    of the entry axis, so these cells exercise the column plan's partial
+    columns and the fallback's ragged entry windows.  A stack of two and
+    a run whose every cell goes through the fallback must equal the
+    trial's own run bitwise.
     """
 
     @FAMILY_SETTINGS
     @given(data=st.data())
-    def test_csr_matches_dense(self, data):
+    def test_stack_and_fallback_match_per_trial(self, data):
         algorithm = data.draw(st.sampled_from(["full", "simplified"]))
         scenario = data.draw(sparse_scenarios())
 
@@ -746,22 +742,15 @@ class TestSparseBackendDifferential:
                 algorithm=algorithm,
             )
 
-        with prefer_csr(False):
-            dense = sim().run(NUM_PULSES)
-            dense_stack = TrialStack([sim(), sim()])
-            want = dense_stack.run(NUM_PULSES)
-        with prefer_csr(True):
-            csr = sim().run(NUM_PULSES)
-            csr_stack = TrialStack([sim(), sim()])
-            got = csr_stack.run(NUM_PULSES)
-        assert_results_equal(csr, dense, exact=True, label="per-trial csr")
-        for index, (got_one, want_one) in enumerate(zip(got, want)):
+        want = sim().run(NUM_PULSES)
+        got = TrialStack([sim(), sim()]).run(NUM_PULSES)
+        with all_fallback():
+            replayed = sim().run(NUM_PULSES)
+        for index, got_one in enumerate(got):
             assert_results_equal(
-                got_one, want_one, exact=True, label=f"stacked csr[{index}]"
+                got_one, want, exact=True, label=f"stacked[{index}]"
             )
-        assert dense_stack.compaction_stats["neighbor_backend"] == "dense"
-        stats = csr_stack.compaction_stats
-        assert stats["neighbor_backend"] == "csr", stats
+        assert_results_equal(replayed, want, exact=True, label="all-fallback")
 
 
 class TestBatchedFallbackDifferential:
@@ -869,9 +858,10 @@ class TestStackWideFallbackDifferential:
     Every stack mate carries faults, including one on layer 0, so each
     layer step resolves the rejected cells of several trials in one
     pass.  Mates alternate between the two parameter sets (per-trial
-    parameter columns) and draw their own policy knob.  Dense stacks mix
-    widths and depths and run their first trial under a churn campaign;
-    CSR stacks share one graph, as the segment layout needs.  Every
+    parameter columns) and draw their own policy knob.  Padded stacks mix
+    widths and depths and run their first trial under a churn campaign
+    (a union entry axis); uniform stacks share one graph (its own CSR
+    axis).  Every
     materialized matrix and ``fault_sends`` must equal the trial's own
     stack of one bitwise, and so must the streamed folds of a
     ``store_times=False`` run of the same stack.
@@ -881,9 +871,9 @@ class TestStackWideFallbackDifferential:
     @given(data=st.data())
     def test_stack_matches_stacks_of_one(self, data):
         algorithm = data.draw(st.sampled_from(["full", "simplified"]))
-        csr = data.draw(st.booleans())
+        uniform = data.draw(st.booleans())
         count = data.draw(st.integers(2, 3))
-        if csr:
+        if uniform:
             graphs = [data.draw(layered_graphs())] * count
         else:
             graphs = [data.draw(layered_graphs()) for _ in range(count)]
@@ -894,13 +884,13 @@ class TestStackWideFallbackDifferential:
                     graphs[i],
                     params[i],
                     algorithm,
-                    campaign=not csr and i == 0,
+                    campaign=not uniform and i == 0,
                 )
             )
             for i in range(count)
         ]
         step = fast_batch_mod._StackRun.layer_step
-        with prefer_csr(csr), mock.patch.object(
+        with mock.patch.object(
             fast_batch_mod._StackRun, "layer_step", autospec=True, side_effect=step
         ) as steps:
             stack = TrialStack([build() for build in builders])
@@ -911,12 +901,12 @@ class TestStackWideFallbackDifferential:
             alone = [build().run(CAMPAIGN_PULSES) for build in builders]
 
         stats = stack.compaction_stats
-        assert stats["neighbor_backend"] == ("csr" if csr else "dense")
         # The first layer step is the stacked run's.
         run = steps.call_args_list[0].args[0]
         assert isinstance(run.params, fast_batch_mod._StackedParams)
+        assert (run.valid is None) == uniform
         assert 0 < stats["fallback_passes"] <= stats["fallback_batches"]
-        if not csr:
+        if not uniform:
             assert stacked[0].churn_stats["epochs"] >= 2
         for i, (got, want) in enumerate(zip(stacked, alone)):
             assert_results_equal(got, want, exact=True, label=f"trial {i}")
@@ -1263,19 +1253,14 @@ class TestPulseBlockDifferential:
     streamed folds are bitwise equal across block sizes.
     """
 
-    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
-    def test_byzantine_fault_sends_match(self, csr):
+    def test_byzantine_fault_sends_match(self):
         from repro.experiments.thm13_random_faults import thm13_trials
 
         trials, _ = thm13_trials(6, [1, 2, 3, 4], num_pulses=32)
 
         def run():
-            with prefer_csr(csr):
-                stack = TrialStack([trial.simulation() for trial in trials])
-                results = stack.run(32)
-            backend = stack.compaction_stats["neighbor_backend"]
-            assert backend == ("csr" if csr else "dense")
-            return stack, results
+            stack = TrialStack([trial.simulation() for trial in trials])
+            return stack, stack.run(32)
 
         default, legs = _block_legs(run)
         behaviours = {
@@ -1333,8 +1318,7 @@ class TestPulseBlockDifferential:
                 got, want, scenario, label="ragged streamed"
             )
 
-    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
-    def test_varying_delays_and_callable_rates(self, csr):
+    def test_varying_delays_and_callable_rates(self):
         params = PARAMS_CHOICES[0]
         graph = LayeredGraph(cycle_graph(5), 3)
         scenario = {"graph": graph}
@@ -1344,10 +1328,6 @@ class TestPulseBlockDifferential:
             return 1.0 + params.u * ((3 * v + 5 * layer + 7 * pulse) % 11) / 1e3
 
         def run(**kwargs):
-            with prefer_csr(csr):
-                return _run(**kwargs)
-
-        def _run(**kwargs):
             stack = TrialStack(
                 [
                     FastSimulation(
@@ -1364,10 +1344,7 @@ class TestPulseBlockDifferential:
                     for seed in (1, 2)
                 ]
             )
-            results = stack.run(BLOCK_PULSES, **kwargs)
-            backend = stack.compaction_stats["neighbor_backend"]
-            assert backend == ("csr" if csr else "dense")
-            return stack, results
+            return stack, stack.run(BLOCK_PULSES, **kwargs)
 
         default, legs = _block_legs(run)
         for label, results in legs.items():
@@ -1500,31 +1477,28 @@ class TestRingDifferential:
                 )
         return materialized
 
-    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
-    def test_ragged_last_block_dense_and_csr(self, csr):
+    def test_ragged_last_block_with_faults(self):
         """Blocks of 6 over 35 pulses; the last holds five."""
         params = PARAMS_CHOICES[1]
         graph = LayeredGraph(cycle_graph(40), 4)
 
         def build():
-            with prefer_csr(csr):
-                return [
-                    FastSimulation(
-                        graph,
-                        params,
-                        delay_model=StaticDelayModel(params.d, params.u, seed=seed),
-                        layer0=JitteredLayer0(
-                            params.Lambda, graph.width, params.kappa, seed=seed
-                        ),
-                        fault_plan=FaultPlan.from_nodes(
-                            {(seed, 1): FixedOffsetFault(0.3)}
-                        ),
-                    )
-                    for seed in (5, 6)
-                ]
+            return [
+                FastSimulation(
+                    graph,
+                    params,
+                    delay_model=StaticDelayModel(params.d, params.u, seed=seed),
+                    layer0=JitteredLayer0(
+                        params.Lambda, graph.width, params.kappa, seed=seed
+                    ),
+                    fault_plan=FaultPlan.from_nodes(
+                        {(seed, 1): FixedOffsetFault(0.3)}
+                    ),
+                )
+                for seed in (5, 6)
+            ]
 
-        with prefer_csr(csr):
-            self._legs(build, blocks=(6, 6))
+        self._legs(build, blocks=(6, 6))
 
     def test_depth_skewed_stack(self):
         """Rows retire as the shallower trials run out of layers."""

@@ -17,14 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.batch as batch_mod
+from repro.analysis.skew import times_from_trace
 from repro.core.correction import CorrectionPolicy
-from repro.core.fast import BRANCH_CODES, FastSimulation, _neighbor_bounds
+from repro.core.layer0 import JitteredLayer0
+from repro.core.fast import (
+    BRANCH_CODES,
+    FastSimulation,
+    _fallback_replay,
+    _layer_step_kernel,
+    _neighbor_bounds,
+)
 from repro.core.fast_batch import (
     TrialStack,
     _pulse_blocks,
     _StackRun,
     stack_compatibility,
 )
+from repro.core.network_sim import GridSimulation
 from repro.delays.models import StaticDelayModel, VaryingDelayModel
 from repro.experiments.batch import (
     BatchRunner,
@@ -33,9 +42,31 @@ from repro.experiments.batch import (
 )
 from repro.experiments.common import standard_config
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
-from repro.faults import AdversarialLateFault, CrashFault, FaultPlan
+from repro.faults import (
+    AdversarialLateFault,
+    ChaosCampaign,
+    CrashFault,
+    EdgeDown,
+    EdgeUp,
+    FaultPlan,
+    FixedOffsetFault,
+)
+from repro.topology import (
+    LayeredGraph,
+    complete_graph,
+    cycle_graph,
+    replicated_line,
+    sparse_layered,
+)
+from repro.topology.base_graph import degree_columns
 from tests.conftest import shards
-from tests.test_fast_sim import scalar_reference
+from tests.test_fast_sim import (
+    PARAMS,
+    assert_outputs_bitwise,
+    axis_reduced_step,
+    scalar_reference,
+    step_inputs,
+)
 
 NUM_PULSES = 3
 
@@ -448,27 +479,34 @@ class TestFallbackAccounting:
 
 @st.composite
 def masked_planes(draw):
-    """A ``(..., W, deg)`` neighbor plane, its validity mask, the identity.
+    """Neighbor copies of an ``(S, B, W)`` plane on an entry axis.
 
-    Values mix finite floats with NaN and +-inf; some rows are entirely
-    invalid.  The leading axes are ``(S, W)`` or ``(S, B, W)``.
+    Lanes draw their degrees (0 to 3), and with a hub one lane's degree
+    is far above the rest, which leaves many partly valid columns.
+    Returns ``(values, indptr, valid)``: ``(S, B, E)`` values mixing
+    finite floats with NaN and +-inf, the axis, and per-row ``(S, E)``
+    validity in which lane 0 of row 0 has no valid copy.
     """
-    deg = draw(st.integers(1, 6))
-    lead = (draw(st.integers(1, 3)),)
+    lead = tuple(draw(st.integers(1, n)) for n in (3, 4, 5))
+    degree = draw(st.lists(st.integers(0, 3), min_size=lead[2], max_size=lead[2]))
     if draw(st.booleans()):
-        lead += (draw(st.integers(1, 4)),)
-    lead += (draw(st.integers(1, 5)),)
-    size = int(np.prod(lead)) * deg
+        degree[draw(st.integers(0, lead[2] - 1))] = draw(st.integers(4, 12))
+    indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.int64)
+    size = int(np.prod(lead[:2])) * int(indptr[-1])
     element = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         st.sampled_from([np.nan, np.inf, -np.inf]),
     )
-    values = np.array(draw(st.lists(element, min_size=size, max_size=size)))
+    values = np.array(
+        draw(st.lists(element, min_size=size, max_size=size)), dtype=float
+    ).reshape(lead[:2] + (-1,))
     valid = np.array(
-        draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    ).reshape(lead + (deg,))
-    valid.reshape(-1, deg)[0] = False  # one all-invalid row
-    return values.reshape(lead + (deg,)), valid
+        draw(st.lists(st.booleans(), min_size=lead[0] * int(indptr[-1]),
+                      max_size=lead[0] * int(indptr[-1]))),
+        dtype=bool,
+    ).reshape(lead[0], -1)
+    valid[0, indptr[0] : indptr[1]] = False
+    return values, indptr, valid
 
 
 class TestColumnFold:
@@ -479,16 +517,24 @@ class TestColumnFold:
     def test_column_fold_is_the_reduction_bitwise(self, plane):
         # Zero send times and unit rates: the lane values are the delays,
         # through the kernel's own arithmetic (so -0.0 turns +0.0 in both).
-        values, valid = plane
-        lead = values.shape[:-1]
+        values, indptr, valid = plane
+        lead = values.shape[:2] + (indptr.size - 1,)
         prev, rate = np.zeros(lead), np.ones(lead)
-        nb_idx = np.zeros(values.shape, dtype=np.int64)
-        h_nb = rate[..., None] * (prev[..., None] + values)
-        got = _neighbor_bounds(prev, values, rate, nb_idx, valid)
+        sources = np.zeros(valid.shape, dtype=np.int64)
+        columns = degree_columns(indptr, sources, valid)
+        got = _neighbor_bounds(prev, values, rate, columns)
+        # The same copies padded out by degree slot, masked, reduced.
+        degree = np.diff(indptr)
+        slots = np.arange(max(degree.max(initial=0), 1)) < degree[:, None]
+        padded = np.zeros(lead + slots.shape[-1:])
+        padded[..., slots] = values
+        mask = np.zeros((lead[0], 1) + slots.shape, dtype=bool)
+        mask[:, 0, slots] = valid
+        h_nb = rate[..., None] * (prev[..., None] + padded)
         for bound, ufunc, identity in zip(
             got, (np.minimum, np.maximum), (np.inf, -np.inf)
         ):
-            want = ufunc.reduce(np.where(valid, h_nb, identity), axis=-1)
+            want = ufunc.reduce(np.where(mask, h_nb, identity), axis=-1)
             assert bound.shape == want.shape
             assert bound.dtype == want.dtype
             np.testing.assert_array_equal(
@@ -497,14 +543,170 @@ class TestColumnFold:
 
     def test_no_columns_is_the_identity(self):
         h_min, h_max = _neighbor_bounds(
-            np.zeros((2, 3)),
-            np.empty((2, 3, 0)),
-            np.ones((2, 3)),
-            np.empty((3, 0), dtype=np.int64),
-            np.empty((3, 0), dtype=bool),
+            np.zeros((2, 3)), np.empty((2, 0)), np.ones((2, 3)), ()
         )
         np.testing.assert_array_equal(h_min, np.full((2, 3), np.inf))
         np.testing.assert_array_equal(h_max, np.full((2, 3), -np.inf))
+
+    @pytest.mark.parametrize("simplified", [False, True])
+    @pytest.mark.parametrize(
+        "base",
+        [
+            replicated_line(9),
+            cycle_graph(9),
+            sparse_layered(40, 2, num_hubs=1, hub_degree=9).base,
+        ],
+        ids=["replicated_line", "cycle", "hub"],
+    )
+    def test_kernel_is_the_masked_reduction_bitwise(self, base, simplified):
+        """The whole layer step, from the shared plan and from per-trial
+        rows, against the masked axis reduction of the padded tensor."""
+        inputs = step_inputs(base)
+        args = (PARAMS, CorrectionPolicy(), simplified)
+        want = axis_reduced_step(base, *inputs, *args, True)
+        assert want[0].any() and not want[0].all()
+        prev, own_delay, nb_delay, rate, eligible = inputs
+        shared = base.neighbor_columns()
+        # A partly valid column: the replicated line's ends, the hub.
+        assert any(column[2] is not None for column in shared) is (
+            base.min_degree() < base.max_degree()
+        )
+        indptr, indices = base.neighbor_csr()
+        rows = np.broadcast_to(indices, (prev.shape[0], indices.size))
+        per_trial = degree_columns(indptr, rows, np.ones(rows.shape, dtype=bool))
+        for columns in (shared, per_trial):
+            got = _layer_step_kernel(
+                prev, own_delay, nb_delay, rate, columns, eligible, *args
+            )
+            assert_outputs_bitwise(got, want)
+        # Without the planes: the same step, no codes, no effective.
+        lean = _layer_step_kernel(
+            prev, own_delay, nb_delay, rate, shared, eligible, *args, False
+        )
+        assert_outputs_bitwise(lean, want[:2] + (None,) + want[3:4] + (None,))
+
+
+class TestEntryAxis:
+    """Padded stacks on the union entry axis; no ``(W, max_deg)`` table."""
+
+    PULSES = 6
+
+    @staticmethod
+    def builders(algorithm="full"):
+        """A hub trial, a narrower and deeper replicated line, and a
+        campaign trial whose second epoch brings an edge back, so vertex
+        0's degree there (6) tops every other trial's and epoch's."""
+        hub = sparse_layered(24, 4, num_hubs=1, hub_degree=8)
+        line = LayeredGraph(replicated_line(6), 5)
+        dense = LayeredGraph(complete_graph(7), 4)
+        campaign = ChaosCampaign(
+            dense.base, 4, [EdgeDown(pulse=0, edge=(0, 1)), EdgeUp(pulse=3, edge=(0, 1))]
+        )
+        cases = [
+            (hub, {(23, 1): FixedOffsetFault(0.3)}, None),
+            (line, {(2, 1): CrashFault()}, None),
+            (dense, {(0, 1): FixedOffsetFault(0.2)}, campaign),
+        ]
+        return [
+            lambda graph=graph, faults=faults, campaign=campaign: FastSimulation(
+                graph,
+                PARAMS,
+                delay_model=StaticDelayModel(PARAMS.d, PARAMS.u, seed=7),
+                fault_plan=FaultPlan.from_nodes(faults),
+                campaign=campaign,
+                algorithm=algorithm,
+            )
+            for graph, faults, campaign in cases
+        ]
+
+    @pytest.mark.parametrize("store_times", [True, False])
+    @pytest.mark.parametrize("algorithm", ["full", "simplified"])
+    def test_faulted_padded_stack_matches_stacks_of_one(self, algorithm, store_times):
+        builders = self.builders(algorithm)
+        alone = [build().run(self.PULSES) for build in builders]
+        step = _StackRun.layer_step
+        with mock.patch.object(
+            _StackRun, "layer_step", autospec=True, side_effect=step
+        ) as steps:
+            stacked = TrialStack([build() for build in builders]).run(
+                self.PULSES, store_times
+            )
+        run = steps.call_args_list[0].args[0]
+        # Vertex 0's union degree comes from the campaign's second epoch.
+        assert run.valid is not None
+        assert run.indptr[1] - run.indptr[0] == 6
+        assert stacked[2].churn_stats["epochs"] == 2
+        for got, want in zip(stacked, alone):
+            assert want.fault_sends and got.fault_sends == want.fault_sends
+            assert got.fallback_cells == want.fallback_cells
+            if store_times:
+                for name in ("times", "protocol_times", "corrections",
+                             "effective_corrections", "branches"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            else:
+                assert got.times is None
+                layers = want.graph.num_layers
+                assert [got.local_skew(layer) for layer in range(layers)] == [
+                    want.local_skew(layer) for layer in range(layers)
+                ]
+                assert got.global_skew() == want.global_skew()
+
+    def test_faulty_hub_matches_the_engine(self):
+        # A late hub's successors (degree 60, the hub's own copy) and the
+        # ring's (4 or 5) fall back in one pass, replayed in two degree
+        # classes; the event engine is the independent reference.
+        graph = sparse_layered(200, 3, num_hubs=1, hub_degree=60)
+        hub = graph.width - 1
+        model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=5)
+        plan = FaultPlan.from_nodes(
+            {(hub, 1): FixedOffsetFault(0.004), (3, 1): CrashFault()}
+        )
+        layer0 = JitteredLayer0(PARAMS.Lambda, graph.width, PARAMS.kappa, seed=5)
+        with mock.patch(
+            "repro.core.fast_batch._fallback_replay", wraps=_fallback_replay
+        ) as replay:
+            fast = FastSimulation(
+                graph, PARAMS, delay_model=model, fault_plan=plan, layer0=layer0
+            ).run(3)
+        widths = {call.args[0].shape[1] for call in replay.call_args_list}
+        assert min(widths) <= 17 < 61 <= max(widths)
+        assert fast.fallback_cells > 60
+        trace = GridSimulation(
+            graph, PARAMS, delay_model=model, fault_plan=plan, layer0=layer0
+        ).run(3)
+        event = times_from_trace(trace, graph, 3)
+        np.testing.assert_array_equal(np.isnan(event), np.isnan(fast.times))
+        np.testing.assert_allclose(
+            event, fast.times, rtol=0.0, atol=1e-9, equal_nan=True
+        )
+
+    @pytest.mark.parametrize("store_times", [True, False])
+    def test_no_run_allocates_a_degree_table(self, store_times):
+        import tracemalloc
+
+        # A crashed hub: its successors, the hub among them, all go
+        # through the fallback.
+        graph = sparse_layered(3000, 3, num_hubs=1, hub_degree=2000)
+        width, max_deg = graph.width, graph.base.max_degree()
+        model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=3)
+        plan = FaultPlan.from_nodes({(width - 1, 1): CrashFault()})
+
+        def run():
+            return FastSimulation(
+                graph, PARAMS, delay_model=model, fault_plan=plan
+            ).run(2, store_times)
+
+        run()  # the graph's shared structure and the delays, cached
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.fallback_cells > max_deg
+        # Less than one byte per (vertex, degree slot): not even a bool
+        # (W, max_deg) table was alive.
+        assert peak < width * max_deg, (peak, width * max_deg)
 
 
 class TestPulseBlocks:

@@ -26,6 +26,7 @@ from repro.topology import (
     replicated_line,
     sparse_base_graph,
 )
+from repro.topology.base_graph import degree_columns
 
 PARAMS = Parameters(d=1.0, u=0.01, vartheta=1.001, Lambda=2.0)
 
@@ -235,12 +236,12 @@ class TestSimplifiedEquivalence:
         assert np.array_equal(full.times, simple.times)
 
 
-def per_layer_per_edge(model, base, layer, backend):
+def per_layer_per_edge(model, base, layer):
     """One layer's ``(own, nb)`` delays, queried one edge at a time.
 
     The reference layout the sweep's gathers must reproduce bitwise:
-    own copies by vertex; neighbor copies in CSR segment order (a flat
-    vector) or padded ``(W, max_deg)`` by sorted neighbor slot.
+    own copies by vertex; neighbor copies on the CSR entry axis (vertex
+    by vertex, sorted neighbors within a vertex).
     """
     width = base.num_nodes
     own = np.array(
@@ -251,17 +252,12 @@ def per_layer_per_edge(model, base, layer, backend):
         [model.delay(((w, layer - 1), (v, layer))) for w in base.neighbors(v)]
         for v in range(width)
     ]
-    if backend == "csr":
-        return own, np.array([d for row in rows for d in row], dtype=float)
-    nb = np.zeros((width, base.max_degree()))
-    for v, row in enumerate(rows):
-        nb[v, : len(row)] = row
-    return own, nb
+    return own, np.array([d for row in rows for d in row], dtype=float)
 
 
-def sweep_of(sim, backend):
+def sweep_of(sim):
     """The sweep a run builds for ``sim`` on its own graph and plan."""
-    return fast_mod._VectorSweep(sim, backend, sim.graph, sim.fault_plan)
+    return fast_mod._VectorSweep(sim, sim.graph, sim.fault_plan)
 
 
 def assert_gathered(got, want):
@@ -279,7 +275,6 @@ class TestDelayGather:
         [(StaticDelayModel, {"seed": 2**35 + 3}), (UniformDelayModel, {})],
         ids=["static", "uniform"],
     )
-    BACKENDS = pytest.mark.parametrize("backend", ["dense", "csr"])
 
     @staticmethod
     def count_array_calls(monkeypatch, cls):
@@ -296,9 +291,8 @@ class TestDelayGather:
         monkeypatch.setattr(cls, "delay", counting)
         return calls
 
-    @BACKENDS
     @MODELS
-    def test_block_matches_per_edge(self, backend, cls, kwargs):
+    def test_block_matches_per_edge(self, cls, kwargs):
         per_edge_cls = type("PerEdge", (cls,), {"array_endpoints": False})
         graph = LayeredGraph(
             sparse_base_graph(300, num_hubs=2, hub_degree=40), 4
@@ -307,7 +301,7 @@ class TestDelayGather:
         for model_cls in (cls, per_edge_cls):
             model = model_cls(PARAMS.d, PARAMS.u, **kwargs)
             sim = FastSimulation(graph, PARAMS, delay_model=model)
-            sweep = sweep_of(sim, backend)
+            sweep = sweep_of(sim)
             gathered.append([
                 sweep.delay_arrays(layer, 0)
                 for layer in range(1, graph.num_layers)
@@ -315,28 +309,22 @@ class TestDelayGather:
         for block, loop in zip(*gathered):
             assert_gathered(block, loop)
 
-    @BACKENDS
     @MODELS
-    def test_whole_trial_in_one_call(self, monkeypatch, backend, cls, kwargs):
+    def test_whole_trial_in_one_call(self, monkeypatch, cls, kwargs):
         base = sparse_base_graph(60, num_hubs=1, hub_degree=12)
         graph = LayeredGraph(base, 6)
         model = cls(PARAMS.d, PARAMS.u, **kwargs)
         reference = cls(PARAMS.d, PARAMS.u, **kwargs)
         calls = self.count_array_calls(monkeypatch, cls)
-        sweep = sweep_of(
-            FastSimulation(graph, PARAMS, delay_model=model), backend
-        )
+        sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
         for layer in range(1, graph.num_layers):
             assert_gathered(
                 sweep.delay_arrays(layer, 0),
-                per_layer_per_edge(reference, base, layer, backend),
+                per_layer_per_edge(reference, base, layer),
             )
         assert calls == [list(range(1, graph.num_layers))]
 
-    @BACKENDS
-    def test_blocks_larger_than_the_bound_take_several_calls(
-        self, monkeypatch, backend
-    ):
+    def test_blocks_larger_than_the_bound_take_several_calls(self, monkeypatch):
         base = sparse_base_graph(60, num_hubs=1, hub_degree=12)
         graph = LayeredGraph(base, 8)
         layer_edges = base.num_nodes + 2 * len(base.edges)
@@ -346,13 +334,11 @@ class TestDelayGather:
         )
         calls = self.count_array_calls(monkeypatch, StaticDelayModel)
         model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=11)
-        sweep = sweep_of(
-            FastSimulation(graph, PARAMS, delay_model=model), backend
-        )
+        sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
         for layer in range(1, graph.num_layers):
             assert_gathered(
                 sweep.delay_arrays(layer, 0),
-                per_layer_per_edge(model, base, layer, backend),
+                per_layer_per_edge(model, base, layer),
             )
         assert calls == [[1, 2], [3, 4], [5, 6], [7]]
 
@@ -362,13 +348,11 @@ class TestDelayGather:
         monkeypatch.setattr(fast_mod, "_GATHER_BLOCK_EDGES", 3)
         calls = self.count_array_calls(monkeypatch, StaticDelayModel)
         model = StaticDelayModel(PARAMS.d, PARAMS.u, seed=4)
-        sweep = sweep_of(
-            FastSimulation(graph, PARAMS, delay_model=model), "dense"
-        )
+        sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
         for layer in range(1, graph.num_layers):
             assert_gathered(
                 sweep.delay_arrays(layer, 0),
-                per_layer_per_edge(model, base, layer, "dense"),
+                per_layer_per_edge(model, base, layer),
             )
         assert calls == [[1], [2], [3]]
 
@@ -396,7 +380,7 @@ class TestDelayGather:
         for layer in range(1, deep.num_layers):
             assert_gathered(
                 entries[layer],
-                per_layer_per_edge(model, base, layer, "dense"),
+                per_layer_per_edge(model, base, layer),
             )
 
     def test_padded_mixed_depth_stack(self, monkeypatch):
@@ -419,11 +403,11 @@ class TestDelayGather:
         assert calls == [list(range(1, layers)) for _, layers in shapes]
         calls.clear()
         for sim, (base, layers) in zip(sims, shapes):
-            sweep = sweep_of(sim, "dense")
+            sweep = sweep_of(sim)
             for layer in range(1, layers):
                 assert_gathered(
                     sweep.delay_arrays(layer, 0),
-                    per_layer_per_edge(sim.delay_model, base, layer, "dense"),
+                    per_layer_per_edge(sim.delay_model, base, layer),
                 )
         assert calls == []
 
@@ -527,8 +511,7 @@ class TestVectorizedCrossValidation:
 class TestRatePlane:
     """A config's read-only rate view runs exactly like its dict copy."""
 
-    @pytest.mark.parametrize("csr", [False, True])
-    def test_view_matches_dict_bitwise(self, csr):
+    def test_view_matches_dict_bitwise(self):
         from repro.experiments.common import standard_config
 
         config = standard_config(6, seed=4)
@@ -547,14 +530,10 @@ class TestRatePlane:
                 ]
             )
             (result,) = stack.run(3)
-            assert stack.compaction_stats["neighbor_backend"] == (
-                "csr" if csr else "dense"
-            )
             return result
 
-        with mock.patch.object(fast_mod, "_prefer_csr", lambda base: csr):
-            from_view = run(view)
-            from_dict = run(dict(view))
+        from_view = run(view)
+        from_dict = run(dict(view))
         for attr in RESULT_ARRAYS:
             a, b = getattr(from_view, attr), getattr(from_dict, attr)
             assert np.array_equal(a, b, equal_nan=True), attr
@@ -652,35 +631,39 @@ class TestRunIsAStackOfOne:
 
 
 # ----------------------------------------------------------------------
-# Neighbor reductions of the layer-step kernels
+# Neighbor reductions of the layer step
 # ----------------------------------------------------------------------
-def _reductions(kernel, *args):
-    """The ``(H_min, H_max)`` a layer-step kernel hands its register step."""
+def _reductions(prev, nb_delay, rate, columns):
+    """The ``(H_min, H_max)`` the layer step hands its register step."""
     captured = []
 
     def capture(h_own, h_min, h_max, *rest):
         captured.append((h_min, h_max))
 
     with mock.patch.object(fast_mod, "_registers_step", capture):
-        kernel(*args, None, None, False)
+        fast_mod._layer_step_kernel(
+            prev, np.zeros_like(prev), nb_delay, rate, columns,
+            np.ones(prev.shape, dtype=bool), None, None, False,
+        )
     (reduced,) = captured
     return reduced
 
 
-def _dense_reductions(prev, nb_idx, nb_valid, nb_delay, rate):
-    return _reductions(
-        fast_mod._layer_step_kernel,
-        prev, np.zeros_like(prev), nb_delay, rate, nb_idx, nb_valid,
-        np.ones(prev.shape, dtype=bool),
+def padded_reductions(prev, nb_idx, nb_valid, nb_delay, rate):
+    """:func:`_reductions` over ``(S, W, deg)`` neighbor tables laid out
+    as an entry axis of ``deg`` slots per lane, with one row of sources
+    and validity per trial; ``prev`` / ``rate`` are ``(S, W)`` planes
+    and ``nb_delay`` is ``(W, deg)``, shared."""
+    trials, width, deg = nb_idx.shape
+    columns = degree_columns(
+        np.arange(width + 1) * deg,
+        nb_idx.reshape(trials, -1),
+        nb_valid.reshape(trials, -1),
     )
-
-
-def _csr_reductions(prev, indices, indptr, nb_delay, rate, owner, has_nbs):
-    return _reductions(
-        fast_mod._layer_step_kernel_csr,
-        prev, np.zeros_like(prev), nb_delay, rate, indptr, indices, owner,
-        has_nbs, np.ones(prev.shape, dtype=bool),
+    h_min, h_max = _reductions(
+        prev[:, None], nb_delay.reshape(1, 1, -1), rate[:, None], columns
     )
+    return h_min[:, 0], h_max[:, 0]
 
 
 class TestKernelReductions:
@@ -688,12 +671,12 @@ class TestKernelReductions:
         # Zero send times and unit rates: the lane values are the delays.
         vals = np.array([[1.0, -5.0, 3.0], [2.0, 7.0, 0.5]])
         valid = np.array([[True, False, True], [True, True, False]])
-        h_min, h_max = _dense_reductions(
-            np.zeros(2), np.zeros((2, 3), dtype=np.int64), valid, vals,
-            np.ones(2),
+        h_min, h_max = padded_reductions(
+            np.zeros((1, 2)), np.zeros((1, 2, 3), dtype=np.int64),
+            valid[None], vals, np.ones((1, 2)),
         )
-        np.testing.assert_array_equal(h_min, [1.0, 2.0])
-        np.testing.assert_array_equal(h_max, [3.0, 7.0])
+        np.testing.assert_array_equal(h_min, [[1.0, 2.0]])
+        np.testing.assert_array_equal(h_max, [[3.0, 7.0]])
 
     def test_neighbor_min_max_matches_inline_expression(self):
         rng = np.random.default_rng(0)
@@ -706,15 +689,9 @@ class TestKernelReductions:
         h_nb = rate[:, None] * (prev[nb_idx] + nb_delay)
         want_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
         want_max = np.where(nb_valid, h_nb, -np.inf).max(axis=-1)
-        got_min, got_max = _dense_reductions(
-            prev, nb_idx, nb_valid, nb_delay, rate
-        )
-        np.testing.assert_array_equal(got_min, want_min)
-        np.testing.assert_array_equal(got_max, want_max)
-        # Per-trial (S, W, max_deg) index rows gather trial s's plane only.
-        stacked = np.stack([prev, prev[::-1]])
-        got_min, got_max = _dense_reductions(
-            stacked,
+        # Per-trial source rows gather trial s's plane only.
+        got_min, got_max = padded_reductions(
+            np.stack([prev, prev[::-1]]),
             np.stack([nb_idx, nb_idx]),
             np.stack([nb_valid, nb_valid]),
             nb_delay,
@@ -729,26 +706,22 @@ class TestKernelReductions:
 
     def test_neighbor_min_max_propagates_nan(self):
         prev = np.array([np.nan, 1.0, 2.0])
-        nb_idx = np.array([[1], [0], [1]])
-        nb_valid = np.ones((3, 1), dtype=bool)
-        h_min, h_max = _dense_reductions(
-            prev, nb_idx, nb_valid, np.zeros((3, 1)), np.ones(3)
+        columns = degree_columns(
+            np.arange(4), np.array([1, 0, 1])
         )
+        h_min, h_max = _reductions(prev, np.zeros(3), np.ones(3), columns)
         assert np.isnan(h_min[1]) and np.isnan(h_max[1])
         assert h_min[0] == 1.0 and h_max[2] == 1.0
 
     def test_segment_min_max_fills_empty_segments(self):
-        # Vertex 1 has no neighbors (campaign epoch shape): the dense
-        # identities must appear explicitly -- reduceat has no empty
-        # reduction.
+        # Vertex 1 has no neighbors (campaign epoch shape): no column
+        # holds it, so it keeps the identities.
         prev = np.array([3.0, 5.0, 7.0])
         indices = np.array([2, 0], dtype=np.int64)  # v0 -> {2}, v2 -> {0}
         indptr = np.array([0, 1, 1, 2], dtype=np.int64)
-        nb_delay = np.array([0.5, 0.25])
-        owner = np.array([0, 2], dtype=np.int64)
-        has_neighbors = np.array([True, False, True])
-        h_min, h_max = _csr_reductions(
-            prev, indices, indptr, nb_delay, np.ones(3), owner, has_neighbors
+        columns = degree_columns(indptr, indices)
+        h_min, h_max = _reductions(
+            prev, np.array([0.5, 0.25]), np.ones(3), columns
         )
         np.testing.assert_array_equal(h_min, [7.5, np.inf, 3.25])
         np.testing.assert_array_equal(h_max, [7.5, -np.inf, 3.25])
@@ -862,35 +835,44 @@ class TestCorrectionStepParity:
 
 
 def step_inputs(base, trials=3, pulses=4, seed=0):
-    """One ``(S, B, W)`` layer step's inputs on ``base``, dense and CSR.
+    """One ``(S, B, W)`` layer step's inputs on ``base``.
 
-    Returns ``(prev, own_delay, rate, static_eligible, dense, csr)``:
-    ``dense`` is ``(nb_delay, nb_idx, nb_valid)``, ``csr`` is
-    ``(nb_delay, indptr, indices, owner, has_neighbors)``; the CSR delays
-    are the dense ones' valid entries, in the same sorted-neighbor order.
-    Two send times are missing (NaN).
+    Returns ``(prev, own_delay, nb_delay, rate, static_eligible)``, the
+    neighbor delays ``(S, 1, E)`` on the CSR entry axis.  Two send times
+    are missing (NaN).
     """
     rng = np.random.default_rng(seed)
     width = base.num_nodes
-    nb_idx, nb_valid = base.neighbor_index_arrays()
-    indptr, indices, _ = base.neighbor_csr()
-    degrees = np.diff(indptr)
-    owner = np.repeat(np.arange(width, dtype=np.int64), degrees)
+    entries = 2 * len(base.edges)
     prev = rng.uniform(0.0, 0.01, (trials, pulses, width))
     prev[0, 1, 2] = prev[2, 3, width - 1] = np.nan
     own_delay = rng.uniform(PARAMS.d - PARAMS.u, PARAMS.d, (trials, 1, width))
-    nb_delay = rng.uniform(
-        PARAMS.d - PARAMS.u, PARAMS.d, (trials, 1) + nb_idx.shape
-    )
+    nb_delay = rng.uniform(PARAMS.d - PARAMS.u, PARAMS.d, (trials, 1, entries))
     rate = rng.uniform(1.0, PARAMS.vartheta, (trials, 1, width))
     static_eligible = np.ones((trials, 1, width), dtype=bool)
-    return (
-        prev,
-        own_delay,
-        rate,
-        static_eligible,
-        (nb_delay, nb_idx, nb_valid),
-        (nb_delay[:, :, nb_valid], indptr, indices, owner, degrees > 0),
+    return prev, own_delay, nb_delay, rate, static_eligible
+
+
+def axis_reduced_step(
+    base, prev, own_delay, nb_delay, rate, static_eligible, *args
+):
+    """The layer step with ``H_min`` / ``H_max`` as the degree-axis
+    reduction of the whole masked ``(..., W, max_deg)`` neighbor tensor
+    (the entry axis padded out by sorted neighbor slot); ``args`` are
+    :func:`repro.core.fast._registers_step`'s last four."""
+    indptr, indices = base.neighbor_csr()
+    degree = np.diff(indptr)
+    valid = np.arange(max(base.max_degree(), 1)) < degree[:, None]
+    index = np.zeros(valid.shape, dtype=np.int64)
+    index[valid] = indices
+    padded = np.zeros(nb_delay.shape[:-1] + valid.shape)
+    padded[..., valid] = nb_delay
+    h_nb = rate[..., None] * (prev.take(index, axis=-1) + padded)
+    h_min = np.minimum.reduce(np.where(valid, h_nb, np.inf), axis=-1)
+    h_max = np.maximum.reduce(np.where(valid, h_nb, -np.inf), axis=-1)
+    h_own = rate * (prev + own_delay)
+    return fast_mod._registers_step(
+        h_own, h_min, h_max, rate, static_eligible, *args
     )
 
 
@@ -903,57 +885,6 @@ def assert_outputs_bitwise(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype, index
         np.testing.assert_array_equal(
             a.view(np.uint8), b.view(np.uint8), err_msg=str(index)
-        )
-
-
-class TestDenseCsrParity:
-    """The dense kernel against its CSR twin on the same step."""
-
-    @pytest.mark.parametrize("simplified", [False, True])
-    @pytest.mark.parametrize(
-        "base, partial",
-        [(replicated_line(9), True), (cycle_graph(9), False)],
-        ids=["replicated_line", "cycle"],
-    )
-    def test_dense_equals_csr_bitwise(self, base, partial, simplified):
-        prev, own_delay, rate, eligible, dense, csr = step_inputs(base)
-        nb_delay, nb_idx, nb_valid = dense
-        columns = fast_mod._neighbor_columns(nb_idx, nb_valid)
-        # The replicated line's ends leave one column partly valid.
-        assert any(c[1] is not None for c in columns) is partial
-        args = (PARAMS, CorrectionPolicy(), simplified)
-        want = fast_mod._layer_step_kernel_csr(
-            prev, own_delay, csr[0], rate, *csr[1:], eligible, *args
-        )
-        got = fast_mod._layer_step_kernel(
-            prev, own_delay, nb_delay, rate, nb_idx, nb_valid, eligible, *args
-        )
-        assert want[0].any() and not want[0].all()
-        assert_outputs_bitwise(got, want)
-        # Per-trial (S, 1, W, max_deg) tables and the cached plan.
-        trials = prev.shape[0]
-        stacked = [
-            np.broadcast_to(table, (trials, 1) + table.shape)
-            for table in (nb_idx, nb_valid)
-        ]
-        assert_outputs_bitwise(
-            fast_mod._layer_step_kernel(
-                prev, own_delay, nb_delay, rate, *stacked, eligible, *args,
-                True, fast_mod._neighbor_columns(*stacked),
-            ),
-            want,
-        )
-        # Without the planes: the same step, no codes, no effective.
-        lean = fast_mod._layer_step_kernel(
-            prev, own_delay, nb_delay, rate, nb_idx, nb_valid, eligible,
-            *args, False, columns,
-        )
-        assert_outputs_bitwise(lean, want[:2] + (None,) + want[3:4] + (None,))
-        assert_outputs_bitwise(
-            fast_mod._layer_step_kernel_csr(
-                prev, own_delay, csr[0], rate, *csr[1:], eligible, *args, False
-            ),
-            lean,
         )
 
 
@@ -991,18 +922,21 @@ def array_flags(values):
 
 class TestKernelInputsAreOnlyRead:
     def test_kernels_and_replay_leave_inputs_unchanged(self):
-        prev, own_delay, rate, eligible, dense, csr = step_inputs(
-            replicated_line(9)
+        base = replicated_line(9)
+        prev, own_delay, nb_delay, rate, eligible = step_inputs(base)
+        indptr, indices = base.neighbor_csr()
+        trials = prev.shape[0]
+        # The shared plan, and per-trial rows with one copy masked.
+        valid = np.ones((trials, indices.size), dtype=bool)
+        valid[1, 3] = False
+        per_trial = degree_columns(
+            indptr, np.broadcast_to(indices, valid.shape), valid
         )
-        nb_delay, nb_idx, nb_valid = dense
-        columns = fast_mod._neighbor_columns(nb_idx, nb_valid)
-        args = (PARAMS, CorrectionPolicy(), False)
+        args = (PARAMS, CorrectionPolicy(), False, True)
         calls = [
             (fast_mod._layer_step_kernel,
-             (prev, own_delay, nb_delay, rate, nb_idx, nb_valid, eligible,
-              *args, True, columns)),
-            (fast_mod._layer_step_kernel_csr,
-             (prev, own_delay, csr[0], rate, *csr[1:], eligible, *args)),
+             (prev, own_delay, nb_delay, rate, columns, eligible, *args))
+            for columns in (base.neighbor_columns(), per_trial)
         ]
         rng = np.random.default_rng(1)
         ev_time = rng.uniform(1.0, 1.02, (40, 4))
@@ -1023,11 +957,10 @@ class TestKernelInputsAreOnlyRead:
             assert_unchanged(inputs, before)
 
     @pytest.mark.parametrize("store_times", [False, True])
-    @pytest.mark.parametrize("backend", ["dense", "csr"])
-    def test_stack_hands_read_only_inputs(self, backend, store_times):
-        """Every array a run hands the kernels and the replay is read-only."""
+    def test_stack_hands_read_only_inputs(self, store_times):
+        """Every array a uniform and a padded run hand the kernel (the
+        neighbor plan included) is read-only, and the replay runs."""
         plan = FaultPlan.from_nodes({(3, 2): CrashFault()})
-        sims = [noisy_sim(diameter=6, seed=s, fault_plan=plan) for s in (0, 1)]
         seen = {}
 
         def spy(name, function):
@@ -1038,15 +971,17 @@ class TestKernelInputsAreOnlyRead:
 
         with mock.patch.multiple(
             fast_batch_mod,
-            _layer_step_kernel=spy("dense", fast_mod._layer_step_kernel),
-            _layer_step_kernel_csr=spy("csr", fast_mod._layer_step_kernel_csr),
+            _layer_step_kernel=spy("kernel", fast_mod._layer_step_kernel),
             _fallback_replay=spy("replay", fast_mod._fallback_replay),
-        ), mock.patch.object(
-            fast_batch_mod, "_neighbor_backend", lambda base: backend
         ):
-            TrialStack(sims).run(3, store_times=store_times)
-        assert set(seen) == {backend, "replay"}
-        assert not any(seen[backend]), seen[backend]
+            for diameters in ((6, 6), (6, 8)):
+                sims = [
+                    noisy_sim(diameter=diameter, seed=s, fault_plan=plan)
+                    for s, diameter in enumerate(diameters)
+                ]
+                TrialStack(sims).run(3, store_times=store_times)
+        assert set(seen) == {"kernel", "replay"}
+        assert not any(seen["kernel"]), seen["kernel"]
 
     def test_streamed_ring_has_no_effective_or_branch_planes(self):
         sims = [noisy_sim(diameter=6, seed=s) for s in (0, 1)]

@@ -2,11 +2,11 @@
 
 Every :class:`~repro.experiments.batch.BatchResult` statistic of the
 grids in ``stats_grids.py`` -- Algorithms 1 and 3, fault-free, thm13 and
-chaos-campaign faults, same-shape and padded mixed geometries, the CSR
-backend -- streamed, materialized and on process shards, bitwise against
-digests recorded once.  A change that moves any statistic by one ulp
-fails here; re-record with ``python tests/stats_grids.py --record`` only
-when the change is meant to.
+chaos-campaign faults, same-shape and padded mixed geometries, a
+hub-skewed sparse grid -- streamed, materialized and on process shards,
+bitwise against digests recorded once.  A change that moves any
+statistic by one ulp fails here; re-record with ``python
+tests/stats_grids.py --record`` only when the change is meant to.
 """
 
 import json

@@ -315,17 +315,13 @@ class TestNeighborCSR:
     """The cached CSR representation mirrors the adjacency exactly."""
 
     def _check_csr(self, g):
-        indptr, indices, edge_slot = g.neighbor_csr()
+        indptr, indices = g.neighbor_csr()
         assert indptr.shape == (g.num_nodes + 1,)
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         assert len(indices) == 2 * len(g.edges)
-        assert len(edge_slot) == len(indices)
-        edges = g.edges
         for v in range(g.num_nodes):
             segment = indices[indptr[v]: indptr[v + 1]]
             assert tuple(segment) == g.neighbors(v)  # sorted-neighbor order
-            for pos, w in zip(range(indptr[v], indptr[v + 1]), segment):
-                assert edges[edge_slot[pos]] == (min(v, w), max(v, w))
 
     def test_matches_neighbors_and_edges(self):
         for g in (cycle_graph(8), complete_graph(5), replicated_line(4),
@@ -339,6 +335,60 @@ class TestNeighborCSR:
         for arr in first:
             with pytest.raises(ValueError):
                 arr[0] = 99
+
+    @pytest.mark.parametrize(
+        "g",
+        [replicated_line(9), cycle_graph(6), sparse_base_graph(40, num_hubs=1, hub_degree=9)],
+        ids=["replicated_line", "cycle", "hub"],
+    )
+    def test_degree_columns_visit_every_entry_once(self, g):
+        indptr, indices = g.neighbor_csr()
+        degree = np.diff(indptr)
+        columns = g.neighbor_columns()
+        assert columns is g.neighbor_columns()
+        assert len(columns) == g.max_degree()
+        for j, (entries, sources, lanes, mask) in enumerate(columns):
+            want = np.flatnonzero(degree > j)
+            np.testing.assert_array_equal(np.arange(g.num_nodes) if lanes is None else lanes, want)
+            np.testing.assert_array_equal(entries, indptr[want] + j)
+            np.testing.assert_array_equal(sources, indices[entries])
+            assert mask is None
+            for arr in (entries, sources) + (() if lanes is None else (lanes,)):
+                assert not arr.flags.writeable
+        everything = np.concatenate([column[0] for column in columns])
+        np.testing.assert_array_equal(np.sort(everything), np.arange(indices.size))
+
+    def test_degree_columns_drop_unused_columns_and_full_masks(self):
+        # Two trials on a union axis of 3, 1 and 2 slots: the second
+        # column is valid in trial 0 only, the third in none.
+        indptr = np.array([0, 3, 4, 6])
+        sources = np.array([[1, 2, 0, 0, 0, 1], [2, 0, 0, 2, 1, 0]])
+        valid = np.array([[1, 1, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0]], dtype=bool)
+        columns = base_graph_mod.degree_columns(indptr, sources, valid)
+        assert len(columns) == 2
+        (e0, s0, l0, m0), (e1, s1, l1, m1) = columns
+        np.testing.assert_array_equal(e0, [0, 3, 4])
+        assert l0 is None and m0 is None
+        np.testing.assert_array_equal(s0, sources[:, [0, 3, 4]])
+        np.testing.assert_array_equal(l1, [0, 2])
+        np.testing.assert_array_equal(e1, [1, 5])
+        np.testing.assert_array_equal(m1, [[True, False], [False, False]])
+
+    def test_degree_columns_on_a_lane_subset(self):
+        # A lane-compacted plane: the lanes are positions in ``vertices``
+        # and the entries stay on the whole axis.
+        g = sparse_base_graph(40, num_hubs=1, hub_degree=9)
+        indptr, indices = g.neighbor_csr()
+        vertices = np.array([1, 7, 39])  # degree 4, 4 and the hub's 9
+        columns = base_graph_mod.degree_columns(indptr, indices, vertices=vertices)
+        assert len(columns) == 9
+        for j, (entries, sources, lanes, mask) in enumerate(columns):
+            at = np.arange(3) if lanes is None else lanes
+            np.testing.assert_array_equal(entries, indptr[vertices[at]] + j)
+            np.testing.assert_array_equal(sources, indices[entries])
+            assert mask is None
+        assert columns[3][2] is None
+        np.testing.assert_array_equal(columns[4][2], [2])
 
     def test_distances_match_neighbor_bfs(self):
         # The vectorized frontier BFS against a hand-rolled queue BFS.
@@ -405,16 +455,16 @@ class TestSparseGraphs:
 class TestFrozenGraphCaches:
     def test_cached_neighbor_tensors_are_frozen_and_stable(self):
         base = standard_config(6).graph.base
-        idx, valid = base.neighbor_index_arrays()
+        columns = base.neighbor_columns()
         left, right = base.edge_index_arrays()
-        for arr in (idx, valid, left, right):
+        plan = [arr for column in columns for arr in column if arr is not None]
+        for arr in plan + [left, right]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
         # Revisits hand back the same objects -- one cache per graph,
         # shared across trials, stacks, and campaign epochs.
-        idx2, valid2 = base.neighbor_index_arrays()
-        assert idx2 is idx and valid2 is valid
+        assert base.neighbor_columns() is columns
         left2, right2 = base.edge_index_arrays()
         assert left2 is left and right2 is right
 
@@ -440,7 +490,7 @@ class TestFrozenGraphCaches:
         schedule = campaign.compile(num_pulses=6)
         by_state = {}
         for epoch in schedule.epochs:
-            snap = epoch.graph.base.neighbor_index_arrays()
+            snap = epoch.graph.base.neighbor_csr()
             prior = by_state.setdefault(epoch.state_key, snap)
             assert prior[0] is snap[0] and prior[1] is snap[1]
             np.testing.assert_array_equal(prior[0], snap[0])
@@ -471,7 +521,7 @@ class TestSharedStructure:
         assert a is not b
         assert a.distances_from(0) is b.distances_from(0)
         assert a.neighbor_csr() is b.neighbor_csr()
-        assert a.neighbor_index_arrays() is b.neighbor_index_arrays()
+        assert a.neighbor_columns() is b.neighbor_columns()
         assert a.edge_index_arrays() is b.edge_index_arrays()
 
     def test_distinct_adjacencies_do_not_share(self, monkeypatch):
@@ -512,7 +562,7 @@ class TestSharedStructure:
             graph.distances_from(0),
             graph.distances_from(4),
             *graph.neighbor_csr(),
-            *graph.neighbor_index_arrays(),
+            *(arr for column in graph.neighbor_columns() for arr in column[:2]),
         )
         for arr in arrays:
             assert not arr.flags.writeable
