@@ -6,7 +6,7 @@ seed), which keeps every experiment reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -17,13 +17,44 @@ __all__ = [
     "constant_rates",
     "uniform_random_rates",
     "slowly_varying_clock",
+    "bounded_walk",
+    "replayed_walk",
 ]
 
 
-def _as_rng(rng_or_seed) -> np.random.Generator:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return np.random.default_rng(rng_or_seed)
+def bounded_walk(first: float, steps: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``first``, then each entry ``min(max(previous + step, low), high)``:
+    bitwise that scalar loop in Python floats, returned read-only."""
+    walk = [first]
+    for step in steps.tolist():
+        first += step  # clipped as min(max(...)) would, without the calls
+        if first < low:
+            first = low
+        elif first > high:
+            first = high
+        walk.append(first)
+    out = np.array(walk, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def replayed_walk(memo: dict, key: Hashable, index: int, rng_of: Callable[[], np.random.Generator],
+                  low: float, high: float, max_step: float) -> np.ndarray:
+    """A read-only prefix, past ``index``, of the walk ``uniform(low, high)``
+    then ``uniform(-max_step, max_step)`` steps drawn from ``rng_of()``, a
+    fresh generator seeded by the walk's identity ``key``.  ``memo[key]``
+    keeps one prefix; a query past its end replays the walk (its steps in
+    one draw, bitwise the scalar draws) into one at least twice as long.
+    """
+    walk = memo.get(key)
+    if walk is None or len(walk) <= index:
+        # A replay costs mostly its generator's setup: the first covers a short run.
+        length = max(index + 1, 16 if walk is None else 2 * len(walk))
+        rng = rng_of()
+        first = float(rng.uniform(low, high))
+        steps = rng.uniform(-max_step, max_step, length - 1)
+        walk = memo[key] = bounded_walk(first, steps, low, high)
+    return walk
 
 
 class DrawnClocks(Mapping[Hashable, AffineClock]):
@@ -88,7 +119,7 @@ def uniform_random_rates(
     """
     if vartheta < 1:
         raise ValueError(f"vartheta must be >= 1, got {vartheta}")
-    rng = _as_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)  # a Generator as-is
     nodes = tuple(nodes)
     n = len(nodes)
     if offset_span > 0:
@@ -121,14 +152,10 @@ def slowly_varying_clock(
         raise ValueError(f"vartheta must be >= 1, got {vartheta}")
     if horizon <= 0 or segment_duration <= 0:
         raise ValueError("horizon and segment_duration must be positive")
-    rng = _as_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)  # a Generator as-is
     spread = vartheta - 1.0
     num_segments = max(1, int(np.ceil(horizon / segment_duration)))
     breakpoints: List[float] = [i * segment_duration for i in range(num_segments)]
-    rate = float(rng.uniform(1.0, vartheta))
-    rates: List[float] = [rate]
-    for _ in range(num_segments - 1):
-        step = float(rng.uniform(-1.0, 1.0)) * max_step_fraction * spread
-        rate = min(max(rate + step, 1.0), vartheta)
-        rates.append(rate)
-    return PiecewiseRateClock(breakpoints, rates)
+    first = float(rng.uniform(1.0, vartheta))
+    steps = rng.uniform(-1.0, 1.0, size=num_segments - 1) * max_step_fraction * spread
+    return PiecewiseRateClock(breakpoints, bounded_walk(first, steps, 1.0, vartheta).tolist())

@@ -153,9 +153,8 @@ the statistics fold and the campaign epoch entry.  A campaign epoch
 builds its trial's sweep from the epoch's own graph and fault plan and
 rewrites the trial's rows of the run's tables; the
 :class:`~repro.core.fast.FastSimulation` itself is never modified.  So
-the stack and its simulations are only read, and two threads may run
-one stack at once (a :class:`~repro.delays.models.VaryingDelayModel`
-shared between them is the exception: its walks advance per query).
+the stack and its simulations are only read, their run inputs only
+memoize what their arguments fix, and two threads may run one stack at once.
 
 One neighbor layout
 -------------------

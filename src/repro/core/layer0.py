@@ -329,7 +329,7 @@ class ChainLayer0(Layer0Schedule):
         self.source_period = source_period
         self._position = {v: i for i, v in enumerate(self.chain_order)}
         # _chain_times[i][j] = time of *chain* pulse j at chain position i;
-        # filled by scalar queries and by fills on pulse-varying models.
+        # filled by scalar queries only (the array fill carries its own).
         self._chain_times: List[List[float]] = [[] for _ in self.chain_order]
 
     def _rate(self, vertex: int) -> float:
@@ -352,26 +352,6 @@ class ChainLayer0(Layer0Schedule):
         wait = (self.params.Lambda - self.params.d) / self._rate(vertex)
         return (prev, (vertex, 0)), wait
 
-    def _extend_position(self, pos: int, chain_pulse: int) -> None:
-        """Extend one position's cached times through ``chain_pulse``.
-
-        Requires position ``pos - 1`` to already be filled at least that
-        deep (callers sweep front to back).
-        """
-        times = self._chain_times[pos]
-        if len(times) > chain_pulse:
-            return
-        edge, wait = self._hop(pos)
-        delay = self.delay_model.delay
-        first = len(times)
-        if pos == 0:
-            sent = [j * self.source_period for j in range(first, chain_pulse + 1)]
-        else:
-            sent = self._chain_times[pos - 1][first: chain_pulse + 1]
-        times.extend(
-            (t + delay(edge, j)) + wait for j, t in enumerate(sent, first)
-        )
-
     def chain_pulse_time(self, position: int, chain_pulse: int) -> float:
         """Time of *chain* pulse ``chain_pulse`` (0-based) at chain position.
 
@@ -385,7 +365,19 @@ class ChainLayer0(Layer0Schedule):
         if chain_pulse < 0:
             raise ValueError(f"chain_pulse must be >= 0, got {chain_pulse}")
         for pos in range(position + 1):
-            self._extend_position(pos, chain_pulse)
+            times = self._chain_times[pos]
+            first = len(times)
+            if first > chain_pulse:
+                continue
+            edge, wait = self._hop(pos)
+            if pos == 0:
+                sent = [j * self.source_period for j in range(first, chain_pulse + 1)]
+            else:
+                sent = self._chain_times[pos - 1][first: chain_pulse + 1]
+            times.extend(
+                (t + self.delay_model.delay(edge, j)) + wait
+                for j, t in enumerate(sent, first)
+            )
         return self._chain_times[position][chain_pulse]
 
     def pulse_time(self, base_vertex: int, pulse: int) -> float:
@@ -406,13 +398,11 @@ class ChainLayer0(Layer0Schedule):
     def _fill(cls, schedules, bases, pulses, out, rows):
         # Grid pulse k at chain position pos is chain pulse
         # k + P - 1 - pos, so the block needs chain pulses k0 .. k1 + P - 2
-        # at position 0 and one fewer per hop.  On a pulse-invariant model
-        # the sweep carries that row hop by hop, one array op per hop
-        # (entries (prev + delay) + wait, elementwise, so any start pulse
-        # gives the same floats) and leaves the schedule untouched; a
-        # pulse-varying model extends the triangular front-to-back cache
-        # (each position exactly as deep as its successor needs) and
-        # gathers from it.
+        # at position 0 and one fewer per hop.  The sweep carries that row
+        # hop by hop, one array op per hop (entries (prev + delay) + wait,
+        # elementwise, so any start pulse gives the same floats) of the
+        # hop's delays (``DelayModel.pulse_delays``: one delay, broadcast,
+        # on a pulse-invariant model); the schedule is never written.
         k0, count = pulses.start, len(pulses)
         for row, schedule, base in zip(rows, schedules, bases):
             positions = []
@@ -423,23 +413,14 @@ class ChainLayer0(Layer0Schedule):
                 positions.append(position)
             length = len(schedule.chain_order)
             grid = np.empty((max(positions) + 1, count))  # (position, pulse)
-            if getattr(schedule.delay_model, "pulse_invariant", False):
-                chain = schedule.source_period * _grid_pulses(
-                    range(k0, k0 + count + length - 1)
-                )
-                for pos in range(len(grid)):
-                    edge, wait = schedule._hop(pos)
-                    delay = schedule.delay_model.delay(edge, 0)
-                    chain = (chain[: len(chain) - (pos > 0)] + delay) + wait
-                    grid[pos] = chain[length - 1 - pos:]
-            else:
-                for pos in range(len(grid)):
-                    schedule._extend_position(
-                        pos, k0 + count - 1 + (length - 1 - pos)
-                    )
-                for pos in range(len(grid)):
-                    first = k0 + length - 1 - pos
-                    grid[pos] = schedule._chain_times[pos][first: first + count]
+            chain_pulses = range(k0, k0 + count + length - 1)
+            chain = schedule.source_period * _grid_pulses(chain_pulses)
+            for pos in range(len(grid)):
+                edge, wait = schedule._hop(pos)
+                hop = chain_pulses[: len(chain_pulses) - pos]
+                delays = schedule.delay_model.pulse_delays(edge, hop)
+                chain = (chain[: len(hop)] + delays) + wait
+                grid[pos] = chain[length - 1 - pos:]
             out[row, :, : base.num_nodes] = grid[positions].T
             out[row, :, base.num_nodes:] = np.nan
 

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.clocks.drift import replayed_walk
 from repro.topology.layered import NodeId
 
 __all__ = [
@@ -197,7 +198,7 @@ def _edge_shape(edge) -> Optional[Tuple[int, ...]]:
 
 
 def _edge_rng(seed: int, edge: Edge) -> np.random.Generator:
-    """Deterministic per-edge generator, independent of query order."""
+    """A fresh generator seeded by ``seed`` and the edge identity."""
     (v1, l1), (v2, l2) = edge
     entropy = [seed & 0xFFFFFFFF] + [
         _entropy_word(part) for part in (v1, l1, v2, l2)
@@ -221,13 +222,16 @@ class DelayModel(ABC):
     arrays) in one call instead of one Python call per edge.  It defaults
     to False; such models are gathered edge by edge.
 
-    Because models are deterministic functions of their seed and the edge
-    identity (and the pulse, unless ``pulse_invariant``), the stacked
-    layer step caches the per-layer delay *arrays* it gathers on the model
-    itself (``_edge_array_cache``), keyed by the querying graph's edge
-    structure -- so repeated runs and freshly constructed simulations over
-    the same model gather nothing.  Replace the model rather than mutating
-    its state to get different delays.
+    A model is read-only once built: a function of its constructor
+    arguments, the edge identity and (unless ``pulse_invariant``) the
+    pulse, holding no ``Generator``.  Queries only fill two memos with
+    whole values never mutated: ``_cache`` (per edge: an answer or a walk
+    prefix) and ``_edge_array_cache`` (the per-layer delay *arrays* the
+    stacked layer step gathers, keyed by the querying graph's edge
+    structure, so reruns over one model gather nothing).  So concurrent
+    runs may share a model, and it pickles without its memos, to bytes
+    that depend only on its constructor arguments.  Replace a model
+    rather than mutating its state to get different delays.
     """
 
     pulse_invariant = False
@@ -240,22 +244,24 @@ class DelayModel(ABC):
             raise ValueError(f"u must lie in [0, d], got {u}")
         self.d = d
         self.u = u
-        #: per-edge-structure cache of gathered delay arrays; see class
-        #: docstring and :meth:`repro.core.fast._VectorSweep.delay_arrays`.
         self._edge_array_cache: Dict[object, Dict] = {}
+        self._cache: Dict[Edge, object] = {}
 
     def __getstate__(self) -> dict:
-        """Pickle without the gathered arrays: a copy gathers (or, in a
-        pool worker, looks up) its own, and the pickled bytes of a model
-        do not depend on which runs have used it."""
-        return {**self.__dict__, "_edge_array_cache": {}}
+        """Pickle without memos: a copy gathers (or, in a pool worker,
+        looks up) its own arrays."""
+        return {**self.__dict__, "_edge_array_cache": {}, "_cache": {}}
 
     @abstractmethod
     def delay(self, edge: Edge, pulse: int = 0) -> float:
         """Delay applied to pulse ``pulse`` on ``edge``; in ``[d - u, d]``."""
 
-    def _clip(self, value: float) -> float:
-        return min(max(value, self.d - self.u), self.d)
+    def pulse_delays(self, edge: Edge, pulses: range):
+        """:meth:`delay` of ``edge`` for every pulse of ``pulses``: one
+        delay standing for all on a pulse-invariant model, else an array."""
+        if self.pulse_invariant:
+            return self.delay(edge)
+        return np.array([self.delay(edge, k) for k in pulses], dtype=float)
 
 
 class UniformDelayModel(DelayModel):
@@ -297,7 +303,6 @@ class StaticDelayModel(DelayModel):
     def __init__(self, d: float, u: float, seed: int = 0) -> None:
         super().__init__(d, u)
         self.seed = seed
-        self._cache: Dict[Edge, float] = {}
 
     def _sample(self, edge):
         (v1, l1), (v2, l2) = edge
@@ -310,11 +315,9 @@ class StaticDelayModel(DelayModel):
         shape = _edge_shape(edge)
         if shape is not None:
             return self._sample(edge).reshape(shape)
-        cached = self._cache.get(edge)
-        if cached is None:
-            cached = self._sample(edge)
-            self._cache[edge] = cached
-        return cached
+        if edge not in self._cache:
+            self._cache[edge] = self._sample(edge)
+        return self._cache[edge]
 
 
 class AdversarialSplitDelays(DelayModel):
@@ -345,8 +348,8 @@ class VaryingDelayModel(DelayModel):
 
     Models Corollary 1.5(ii): link delays varying by up to
     ``max_step`` between consecutive pulses, always clipped to
-    ``[d - u, d]``.  The walk for each edge is generated lazily but
-    deterministically from ``seed`` and the edge identity.
+    ``[d - u, d]``.  An edge's walk starts at ``uniform(d - u, d)``, all
+    its draws from :func:`_edge_rng` (:func:`~repro.clocks.drift.replayed_walk`).
     """
 
     def __init__(
@@ -357,20 +360,14 @@ class VaryingDelayModel(DelayModel):
             raise ValueError(f"max_step must be >= 0, got {max_step}")
         self.max_step = max_step
         self.seed = seed
-        self._walks: Dict[Edge, List[float]] = {}
-        self._rngs: Dict[Edge, np.random.Generator] = {}
 
     def delay(self, edge: Edge, pulse: int = 0) -> float:
         if pulse < 0:
             raise ValueError(f"pulse must be >= 0, got {pulse}")
-        walk = self._walks.get(edge)
-        if walk is None:
-            rng = _edge_rng(self.seed, edge)
-            walk = [float(rng.uniform(self.d - self.u, self.d))]
-            self._walks[edge] = walk
-            self._rngs[edge] = rng
-        rng = self._rngs[edge]
-        while len(walk) <= pulse:
-            step = float(rng.uniform(-self.max_step, self.max_step))
-            walk.append(self._clip(walk[-1] + step))
-        return walk[pulse]
+        return float(self.pulse_delays(edge, range(pulse, pulse + 1))[0])
+
+    def pulse_delays(self, edge: Edge, pulses: range) -> np.ndarray:
+        return replayed_walk(
+            self._cache, edge, pulses.stop - 1, lambda: _edge_rng(self.seed, edge),
+            self.d - self.u, self.d, self.max_step,
+        )[pulses.start: pulses.stop]

@@ -20,6 +20,7 @@ from typing import Dict
 import numpy as np
 
 from repro.analysis.report import format_table
+from repro.clocks.drift import replayed_walk
 from repro.delays.models import VaryingDelayModel
 from repro.faults.injection import FaultPlan
 from repro.faults.model import (
@@ -68,30 +69,24 @@ class Cor15Result:
 
 
 class _DriftingRates:
-    """Per-node clock rates performing a bounded per-pulse random walk."""
+    """Per-node clock rates performing a bounded per-pulse random walk,
+    drawn from ``SeedSequence([seed, v, layer])`` (see
+    :func:`~repro.clocks.drift.replayed_walk`); pickled without its memo."""
 
     def __init__(self, vartheta: float, step: float, seed: int) -> None:
         self.vartheta = vartheta
         self.step = step
         self.seed = seed
-        self._rates: Dict[NodeId, list] = {}
-        self._rngs: Dict[NodeId, np.random.Generator] = {}
+        self._rates: Dict[NodeId, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_rates": {}}
 
     def __call__(self, node: NodeId, pulse: int) -> float:
-        rates = self._rates.get(node)
-        if rates is None:
-            v, layer = node
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, v, layer])
-            )
-            rates = [float(rng.uniform(1.0, self.vartheta))]
-            self._rates[node] = rates
-            self._rngs[node] = rng
-        rng = self._rngs[node]
-        while len(rates) <= pulse:
-            delta = float(rng.uniform(-self.step, self.step))
-            rates.append(min(max(rates[-1] + delta, 1.0), self.vartheta))
-        return rates[pulse]
+        return float(replayed_walk(
+            self._rates, node, pulse, lambda: np.random.default_rng([self.seed, *node]),
+            1.0, self.vartheta, self.step,
+        )[pulse])
 
 
 def cor15_trial(

@@ -2,12 +2,17 @@
 
 Each run of a stack keeps its state on its own, so two threads that run
 one stack (and its simulations) together must each get exactly what a
-serial run gets -- ``times``, every :class:`BatchResult` statistic and
-every ``fault_sends`` entry, bitwise -- and must leave every
-simulation's ``graph`` and ``fault_plan`` objects as they found them.
+serial run on fresh simulations gets -- ``times``, every
+:class:`BatchResult` statistic and every ``fault_sends`` entry,
+bitwise -- and must leave every simulation's ``graph`` and
+``fault_plan`` objects as they found them.
 The threads start from a barrier under a 1 us switch interval, so they
 interleave inside the run's layer loop; the campaign stack enters
-epochs while the other thread steps.
+epochs while the other thread steps.  Two stacks share run inputs
+that answer per pulse: the corpus's CSR grid (``VaryingDelayModel``
+delays, a callable rate provider) and its varying-chain grid (a
+``ChainLayer0`` over a ``VaryingDelayModel``), so both threads query
+one model's walks at once.
 """
 
 import sys
@@ -44,6 +49,11 @@ STACKS = {
         fault_sends_grids.CAMPAIGN_PULSES,
     ),
     "thm13": (_thm13_sims, stats_grids.THM13_BLOCK_PULSES),
+    "csr": (stats_grids._csr_sims, 4),
+    "varying_chain": (
+        lambda: stats_grids._layer0_sims(stats_grids._varying_chain),
+        stats_grids.LAYER0_PULSES,
+    ),
 }
 
 
@@ -79,10 +89,14 @@ def _observe(sims, results):
 @pytest.mark.parametrize("name", sorted(STACKS))
 def test_two_threads_share_one_stack(name, store_times, fast_switching):
     make_sims, num_pulses = STACKS[name]
+    # The serial reference runs on simulations of its own, so the
+    # threads start on cold run inputs (delay walks, gathered delay
+    # arrays) and fill them together.
+    reference = make_sims()
+    serial = _observe(reference, TrialStack(reference).run(num_pulses, store_times))
     sims = make_sims()
     states = [(sim.graph, sim.fault_plan) for sim in sims]
     stack = TrialStack(sims)
-    serial = _observe(sims, stack.run(num_pulses, store_times))
 
     barrier = threading.Barrier(THREADS, timeout=TIMEOUT)
     outcomes = [[] for _ in range(THREADS)]

@@ -1,6 +1,7 @@
 """Tests for repro.clocks: hardware clock models and drift samplers."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,82 @@ from repro.clocks import (
     slowly_varying_clock,
     uniform_random_rates,
 )
+from repro.clocks.drift import bounded_walk
+from repro.experiments.cor15_variation import _DriftingRates
+
+
+def reference_slowly_varying(vartheta, horizon, segment, fraction, rng):
+    """:func:`slowly_varying_clock`'s rates, one scalar draw a segment."""
+    spread = vartheta - 1.0
+    rate = float(rng.uniform(1.0, vartheta))
+    rates = [rate]
+    for _ in range(max(1, int(np.ceil(horizon / segment))) - 1):
+        step = float(rng.uniform(-1.0, 1.0)) * fraction * spread
+        rate = min(max(rate + step, 1.0), vartheta)
+        rates.append(rate)
+    return rates
+
+
+def reference_drift(seed, node, vartheta, step, length):
+    """One node's drifting rates, one scalar draw per pulse."""
+    v, layer = node
+    rng = np.random.default_rng(np.random.SeedSequence([seed, v, layer]))
+    rates = [float(rng.uniform(1.0, vartheta))]
+    while len(rates) < length:
+        delta = float(rng.uniform(-step, step))
+        rates.append(min(max(rates[-1] + delta, 1.0), vartheta))
+    return rates
+
+
+class TestBoundedWalk:
+    """The one clip-accumulate of every Corollary 1.5 walk."""
+
+    @given(
+        first=st.floats(-2.0, 3.0),
+        steps=st.lists(st.floats(-1.0, 1.0), max_size=40),
+        low=st.floats(-1.0, 1.0),
+        width=st.floats(0.0, 2.0),
+    )
+    def test_matches_the_scalar_clip_loop(self, first, steps, low, width):
+        high = low + width
+        want = [first]
+        for step in steps:
+            want.append(min(max(want[-1] + step, low), high))
+        got = bounded_walk(first, np.array(steps, dtype=float), low, high)
+        assert not got.flags.writeable
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+class TestDriftingRates:
+    """The C15 driver's rates are bitwise :func:`reference_drift`."""
+
+    NODES = [(0, 0), (5, 3), (2**33 + 1, 7)]
+
+    @pytest.mark.parametrize("step", [0.0, 0.001, 0.02])
+    def test_in_order_queries(self, step):
+        rates = _DriftingRates(1.05, step, seed=47)
+        for node in self.NODES:
+            got = [rates(node, k) for k in range(70)]
+            assert all(type(r) is float for r in got)
+            want = reference_drift(47, node, 1.05, step, 70)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_out_of_order_and_repeated_queries(self):
+        rates = _DriftingRates(1.1, 0.03, seed=3)
+        want = {node: reference_drift(3, node, 1.1, 0.03, 200) for node in self.NODES}
+        for k in [90, 0, 0, 199, 31, 17, 90, 1, 64, 63]:
+            for node in self.NODES[::-1] if k % 2 else self.NODES:
+                assert rates(node, k) == want[node][k]
+
+    def test_pickle_depends_only_on_arguments(self):
+        rates = _DriftingRates(1.1, 0.03, seed=3)
+        fresh = pickle.dumps(rates)
+        for k in range(40):
+            rates((1, 2), k)
+        assert pickle.dumps(rates) == fresh
+        assert not any(
+            isinstance(v, np.random.Generator) for v in vars(rates).values()
+        )
 
 
 class TestAffineClock:
@@ -185,6 +262,30 @@ class TestDriftSamplers:
         max_step = 0.05 * 0.1
         for r1, r2 in zip(rates, rates[1:]):
             assert abs(r2 - r1) <= max_step + 1e-12
+
+    @pytest.mark.parametrize(
+        "vartheta, horizon, segment, fraction",
+        [(1.1, 50.0, 1.0, 0.05), (1.01, 7.5, 2.0, 1.0), (2, 3.0, 0.25, 3),
+         (1.2, 1.0, 5.0, 0.5), (1.3, 40.0, 1.0, 0.0)],
+    )
+    def test_slowly_varying_clock_matches_scalar_walk(
+        self, vartheta, horizon, segment, fraction
+    ):
+        for seed in range(5):
+            c = slowly_varying_clock(vartheta, horizon, segment, fraction, seed)
+            want = reference_slowly_varying(
+                vartheta, horizon, segment, fraction, np.random.default_rng(seed)
+            )
+            assert all(type(r) is float for r in c._rates)
+            assert np.array(c._rates).tobytes() == np.array(want, float).tobytes()
+
+    def test_slowly_varying_clock_draws_from_a_given_generator(self):
+        # A passed generator is advanced exactly as the scalar walk does.
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        c = slowly_varying_clock(1.05, 20.0, 1.0, 0.2, ours)
+        want = reference_slowly_varying(1.05, 20.0, 1.0, 0.2, theirs)
+        assert c._rates == want
+        assert ours.random() == theirs.random()
 
     def test_slowly_varying_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for repro.delays: delay model implementations."""
 
 import hashlib
+import pickle
 import zlib
 
 import numpy as np
@@ -73,17 +74,33 @@ class TestStatic:
 
 
 
-def numpy_reference(seed, edge, d, u):
-    """The per-edge draw the static model promises, built from numpy."""
+def reference_rng(seed, edge):
+    """A fresh numpy generator seeded by ``seed`` and the edge's parts
+    (ints as 32-bit words, other parts by the crc32 of their repr)."""
     words = [seed & 0xFFFFFFFF]
     for part in (edge[0][0], edge[0][1], edge[1][0], edge[1][1]):
         if isinstance(part, int):
             words.append(part & 0xFFFFFFFF)
         else:
             words.append(zlib.crc32(repr(part).encode()))
-    return np.random.default_rng(np.random.SeedSequence(words)).uniform(
-        d - u, d
-    )
+    return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def numpy_reference(seed, edge, d, u):
+    """The per-edge draw the static model promises, built from numpy."""
+    return reference_rng(seed, edge).uniform(d - u, d)
+
+
+def reference_walk(seed, edge, d, u, max_step, length):
+    """The first ``length`` delays of an edge's walk, one step at a time:
+    one generator per edge, one scalar draw per step, each sum clipped
+    to ``[d - u, d]`` by ``min(max(...))``."""
+    rng = reference_rng(seed, edge)
+    walk = [float(rng.uniform(d - u, d))]
+    while len(walk) < length:
+        step = float(rng.uniform(-max_step, max_step))
+        walk.append(min(max(walk[-1] + step, d - u), d))
+    return walk
 
 
 class TestArrayEndpoints:
@@ -248,6 +265,74 @@ class TestVarying:
     def test_rejects_negative_step(self):
         with pytest.raises(ValueError):
             VaryingDelayModel(d=1.0, u=0.1, max_step=-0.1)
+
+
+#: Edges with int parts (one past 32 bits) and a string source part.
+WALK_EDGES = [EDGE, (("source", -1), (3, 0)), ((2**33 + 5, 2), (7, 3))]
+
+
+class TestVaryingReference:
+    """The replayed walk is bitwise the scalar walk of
+    :func:`reference_walk`, whatever the order of the queries."""
+
+    @pytest.mark.parametrize("max_step", [0.0, 0.004, 0.05])
+    @pytest.mark.parametrize("edge", WALK_EDGES, ids=["ints", "source", "wide"])
+    def test_in_order_queries(self, edge, max_step):
+        m = VaryingDelayModel(d=1.0, u=0.1, max_step=max_step, seed=5)
+        got = [m.delay(edge, k) for k in range(70)]
+        want = reference_walk(5, edge, 1.0, 0.1, max_step, 70)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_out_of_order_and_repeated_queries(self):
+        m = VaryingDelayModel(d=2.0, u=0.5, max_step=0.2, seed=2**40 + 3)
+        want = {
+            edge: reference_walk(2**40 + 3, edge, 2.0, 0.5, 0.2, 301)
+            for edge in WALK_EDGES
+        }
+        pulses = [40, 3, 3, 0, 129, 17, 129, 64, 1, 300, 0, 299, 16, 15]
+        for k in pulses:
+            for edge in WALK_EDGES[::-1] if k % 2 else WALK_EDGES:
+                assert m.delay(edge, k) == want[edge][k]
+
+    def test_pulse_delays_slice_the_walk(self):
+        m = VaryingDelayModel(d=1.0, u=0.1, max_step=0.02, seed=8)
+        want = np.array(reference_walk(8, EDGE, 1.0, 0.1, 0.02, 90))
+        for pulses in (range(0, 0), range(5, 40), range(17, 18), range(0, 90)):
+            got = m.pulse_delays(EDGE, pulses)
+            assert got.tobytes() == want[pulses.start: pulses.stop].tobytes()
+
+    def test_holds_no_generator(self):
+        m = VaryingDelayModel(d=1.0, u=0.1, max_step=0.01, seed=1)
+        for k in (0, 33, 5):
+            m.delay(EDGE, k)
+        values = list(vars(m).values()) + list(m._cache.values())
+        assert not any(isinstance(v, np.random.Generator) for v in values)
+        assert not any(w.flags.writeable for w in m._cache.values())
+
+
+class TestPickleIsConstructorOnly:
+    """A model pickles to the bytes of a fresh one, however it was used."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StaticDelayModel(d=1.0, u=0.1, seed=3),
+            lambda: VaryingDelayModel(d=1.0, u=0.1, max_step=0.01, seed=3),
+        ],
+        ids=["static", "varying"],
+    )
+    def test_queries_leave_the_pickle_unchanged(self, make):
+        model = make()
+        fresh = pickle.dumps(model)
+        for k in range(20):
+            for edge in WALK_EDGES:
+                model.delay(edge, k)
+        assert pickle.dumps(model) == fresh == pickle.dumps(make())
+        copy = pickle.loads(fresh)
+        assert [copy.delay(EDGE, k) for k in (19, 2)] == [
+            model.delay(EDGE, k) for k in (19, 2)
+        ]
 
 
 @given(

@@ -13,7 +13,7 @@ from repro.core.layer0 import (
     stacked_pulse_row,
     stacked_pulse_times,
 )
-from repro.delays import StaticDelayModel, VaryingDelayModel
+from repro.delays import DelayModel, StaticDelayModel, VaryingDelayModel
 from repro.params import Parameters
 from repro.topology import cycle_graph, replicated_line
 
@@ -290,11 +290,12 @@ class TestChainVectorizedFill:
         cached = _loop_times(self._chain(base, seed=4), base, pulses)
         np.testing.assert_array_equal(vectorized, cached)
 
-    def test_pulse_varying_model_uses_cached_fill(self):
+    def test_pulse_varying_model_fill_leaves_schedule_untouched(self):
         # A VaryingDelayModel with max_step=0 draws the same base delays
         # as StaticDelayModel from the same seed but is not declared
-        # pulse-invariant, so it exercises the per-entry path; both must
-        # agree bit for bit.
+        # pulse-invariant, so the hop carry takes one delay per chain
+        # pulse; both must agree bit for bit, and neither fill writes the
+        # schedule's scalar cache.
         base = replicated_line(40)
         static = self._chain(base, seed=7, rates=False)
         varying = ChainLayer0(
@@ -306,7 +307,22 @@ class TestChainVectorizedFill:
             static.pulse_times_array(base, 3),
             varying.pulse_times_array(base, 3),
         )
-        assert any(varying._chain_times)
+        assert not any(varying._chain_times)
+
+    def test_custom_pulse_varying_model_fill_matches_scalar_loop(self):
+        # A model without its own ``pulse_delays`` is queried pulse by
+        # pulse through the base class's default.
+        class Ramp(DelayModel):
+            def delay(self, edge, pulse=0):
+                return self.d - self.u * ((edge[1][0] + pulse) % 5) / 4
+
+        base = cycle_graph(9)
+        chain = ChainLayer0(PARAMS, list(base.nodes()), delay_model=Ramp(PARAMS.d, PARAMS.u))
+        for pulses in (1, 4):
+            np.testing.assert_array_equal(
+                chain.pulse_times_array(base, pulses), _loop_times(chain, base, pulses)
+            )
+        assert any(chain._chain_times)  # only the scalar loop fills it
 
     def test_five_thousand_node_chain_stacked_equals_per_trial(self):
         """The 5000-node acceptance cell: whole fill == block fill == scalar."""

@@ -38,6 +38,7 @@ import pytest
 import repro.experiments.batch as batch_mod
 from repro.experiments.batch import BatchRunner, BatchTrial
 from repro.experiments.common import standard_config
+from repro.experiments.cor15_variation import cor15_trial
 from repro.service import (
     Job,
     JobRunner,
@@ -178,6 +179,16 @@ class TestGridKey:
             for keep in (False, True)
         ]
         assert deep_equal(*payloads)
+
+    def test_run_leaves_a_cor15_trial_key_and_pickle_unchanged(self):
+        # The trial's varying delays and drifting rates answer per pulse;
+        # a run fills their memos, which neither pickle nor key.
+        trial, _ = cor15_trial(8, num_pulses=NUM_PULSES)
+        blob, key = pickle.dumps(trial), grid_key([trial], NUM_PULSES)
+        BatchRunner(num_pulses=NUM_PULSES).run([trial])
+        assert key is not None
+        assert grid_key([trial], NUM_PULSES) == key
+        assert pickle.dumps(trial) == blob
 
     def test_unpicklable_grid_is_uncacheable(self):
         trial = BatchTrial(
@@ -425,6 +436,16 @@ class TestJobRunner:
             e["event"] == "cache" and e["status"] == "hit"
             for e in second.events
         )
+
+    def test_resubmitted_run_trial_is_a_cache_hit(self, runner):
+        trial, _ = cor15_trial(8, num_pulses=NUM_PULSES)
+        first = runner.submit({"num_pulses": NUM_PULSES}, trials=[trial])
+        runner.wait(first.id, timeout=120)
+        second = runner.submit({"num_pulses": NUM_PULSES}, trials=[trial])
+        runner.wait(second.id, timeout=120)
+        assert first.key is not None
+        assert second.key == first.key
+        assert second.cache_hit is True
 
     def test_different_pulse_budget_misses(self, runner):
         first = runner.submit({"grid": SMALL_GRID, "num_pulses": NUM_PULSES})
