@@ -163,7 +163,7 @@ from repro.analysis.streaming import StreamedStats, fold_correction_planes
 from repro.clocks import uniform_random_rates
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
-from repro.delays import StaticDelayModel, UniformDelayModel
+from repro.delays import DelayModel, StaticDelayModel, UniformDelayModel
 from repro.delays.models import _edge_rng
 from repro.experiments.batch import BatchResult, BatchRunner, BatchTrial
 from repro.experiments.thm13_random_faults import thm13_trials
@@ -2180,11 +2180,11 @@ COLD_GATHER_FLOOR = 5.0
 class PerEdgeStaticDelays(StaticDelayModel):
     """The per-edge static sampler the block gather replaced.
 
-    One ``SeedSequence`` + ``Generator`` per edge (memoized), and no
-    array-valued endpoints, so sweeps gather it one edge at a time.
+    One ``SeedSequence`` + ``Generator`` per edge (memoized), and the
+    base class's block query, so sweeps gather it one edge at a time.
     """
 
-    array_endpoints = False
+    pulse_delays = DelayModel.pulse_delays
 
     def delay(self, edge, pulse=0):
         cached = self._cache.get(edge)
@@ -2201,7 +2201,7 @@ def _gather_all_layers(sims):
     for sim in sims:
         sweep = fast_mod._VectorSweep(sim, sim.graph, sim.fault_plan)
         gathered.extend(
-            sweep.delay_arrays(layer, 0)
+            sweep.delay_arrays(layer, range(1))
             for layer in range(1, sim.graph.num_layers)
         )
     return gathered

@@ -173,7 +173,7 @@ RateProvider = Union[
     None, Mapping[NodeId, float], Callable[[NodeId, int], float]
 ]
 
-#: Most edges one array-valued ``delay`` call gathers: a delay-cache miss
+#: Most edges one block query gathers: a pulse-invariant delay-cache miss
 #: covers whole layers up to this many edges, so a D = 32 trial (~3.3k
 #: edges) replays all its delays in one call while the replay's uint64
 #: temporaries stay bounded on 10^5-node graphs (one layer per call).
@@ -983,8 +983,8 @@ class FastSimulation:
         self.policy = policy
         self.algorithm = algorithm
         self.campaign = campaign
-        # The per-layer *delay* arrays are cached on the delay model
-        # itself (see :class:`~repro.delays.models.DelayModel`), so they
+        # A pulse-invariant model's per-layer *delay* arrays are cached on
+        # the model itself (see :class:`~repro.delays.models.DelayModel`), so they
         # survive simulation reconstruction -- a batch sweep rebuilding
         # one FastSimulation per trial per run gathers a trial's delays
         # once per model, all its layers in one call.
@@ -1047,12 +1047,11 @@ class _VectorSweep:
     sweep reads the simulation's delay model and rates and writes
     nothing to it.  The rate plane is cached on the sweep, so once per
     run (a :class:`RatePlane` provider's own plane, so nothing is
-    rebuilt); delay arrays are cached on the *delay model* (keyed by
-    edge structure and layer/pulse), so they survive simulation
-    reconstruction and are never re-gathered for the same model.  Block
-    gathers pass int64 vertex arrays and per-edge gathers plain ``int``
-    vertices, so delay models keyed or seeded by edge identity see
-    exactly the edges of a per-edge ``delay`` query.
+    rebuilt); a pulse-invariant model's delay arrays are cached on the
+    *delay model* (keyed by edge structure and layer), so they survive
+    simulation reconstruction and are never re-gathered for the same
+    model.  Every gather is one block query with int64 vertex and layer
+    arrays (:meth:`~repro.delays.models.DelayModel.pulse_delays`).
     """
 
     def __init__(
@@ -1141,91 +1140,66 @@ class _VectorSweep:
             entries=reverse[entry],
         )
 
-    def delay_arrays(self, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Own-copy ``(W,)`` and neighbor-copy ``(E,)`` delays for one layer.
+    def delay_arrays(self, layer: int, pulses: range) -> Tuple[np.ndarray, np.ndarray]:
+        """Own-copy ``(P, W)`` and neighbor-copy ``(P, E)`` delays of one
+        layer over ``pulses``; ``P`` is 1 on a pulse-invariant model.
 
-        Neighbor delays follow the CSR entry axis.  Cached on the delay
-        model keyed by the edge structure and layer (plus pulse unless
-        the model is pulse-invariant), so rebuilt simulations over the
-        same model gather nothing.  A miss gathers the requested layer
-        together with every missing layer above it, whole layers up to
+        Neighbor delays follow the CSR entry axis.  A pulse-invariant
+        model's arrays are cached on the model keyed by the edge
+        structure and layer, so rebuilt simulations over the same model
+        gather nothing.  A miss gathers the requested layer together
+        with every missing layer above it, whole layers up to
         :data:`_GATHER_BLOCK_EDGES` edges at a time: a sweep's first
-        layer step fills a small trial's every layer in one array-valued
-        ``delay`` call.  Models not subclassing
-        :class:`~repro.delays.models.DelayModel` are gathered uncached,
-        one layer at a time.
+        layer step fills a small trial's every layer in one block query.
+        A pulse-varying model is asked once per layer and pulse block
+        and keeps only its own per-edge memo.
         """
         model = self.sim.delay_model
-        model_cache = getattr(model, "_edge_array_cache", None)
-        if model_cache is None:
-            return self._gather(model, [layer], k)[0]
-        per_pulse = not getattr(model, "pulse_invariant", False)
-
-        def key(at: int) -> object:
-            return (at, k) if per_pulse else at
-
-        cache = model_cache.setdefault(self.edge_signature, {})
-        cached = cache.get(key(layer))
+        if not model.pulse_invariant:
+            return self._gather(model, [layer], pulses)[0]
+        cache = model._edge_array_cache.setdefault(self.edge_signature, {})
+        cached = cache.get(layer)
         if cached is None:
-            missing = [
-                at for at in range(layer, self.num_layers) if key(at) not in cache
-            ]
+            missing = [at for at in range(layer, self.num_layers) if at not in cache]
             per_call = _GATHER_BLOCK_EDGES // max(1, len(self._edge_ends[0]))
             missing = missing[: max(1, per_call)]
-            for at, arrays in zip(missing, self._gather(model, missing, k)):
-                cache[key(at)] = arrays
-            cached = cache[key(layer)]
+            for at, arrays in zip(missing, self._gather(model, missing, pulses)):
+                cache[at] = arrays
+            cached = cache[layer]
         return cached
 
     def _gather(
-        self, model, layers: List[int], k: int
+        self, model: DelayModel, layers: List[int], pulses: range
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Query every edge into each of ``layers``; one ``(own, nb)`` each.
-
-        A model with ``array_endpoints`` answers all the layers' edges in
-        one array-valued ``delay`` call (layers as an int64 array); other
-        models are queried edge by edge with plain ``int`` parts.
-        """
+        """Every edge into each of ``layers`` over ``pulses`` in one
+        :meth:`~repro.delays.models.DelayModel.pulse_delays` query (layers
+        as an int64 array); one ``(own, nb)`` pair per layer."""
         sources, targets = self._edge_ends
         count = len(layers)
-        if getattr(model, "array_endpoints", False):
-            tops = np.repeat(np.array(layers, dtype=np.int64), sources.shape[0])
-            values = np.asarray(
-                model.delay(
-                    (
-                        (np.tile(sources, count), tops - 1),
-                        (np.tile(targets, count), tops),
-                    ),
-                    k,
-                ),
-                dtype=float,
-            )
-        else:
-            pairs = list(zip(sources.tolist(), targets.tolist()))
-            values = np.array(
-                [
-                    model.delay(((w, top - 1), (v, top)), k)
-                    for top in layers
-                    for w, v in pairs
-                ],
-                dtype=float,
-            )
-        values = values.reshape(count, sources.shape[0])
-        return list(zip(values[:, : self.width], values[:, self.width:]))
+        tops = np.repeat(np.array(layers, dtype=np.int64), sources.shape[0])
+        values = model.pulse_delays(
+            ((np.tile(sources, count), tops - 1), (np.tile(targets, count), tops)),
+            pulses,
+        ).reshape(-1, count, sources.shape[0])
+        return [
+            (values[:, at, : self.width], values[:, at, self.width:])
+            for at in range(count)
+        ]
 
-    def rate_array(self, layer: int, k: int) -> np.ndarray:
-        """Hardware clock rates of the layer's nodes during pulse ``k``.
+    def rate_array(self, layer: int, pulses: range) -> np.ndarray:
+        """Hardware clock rates of the layer's nodes over ``pulses``:
+        ``(P, W)``, with ``P`` 1 for a static provider.
 
         Static providers read a row of :attr:`rate_plane`: a plain dict is
         re-read into it each run, a :class:`RatePlane` is not.  Callable
-        providers are queried per layer and pulse.
+        providers are queried per node and pulse.
         """
         rates = self.sim._rates
         if callable(rates):
             return np.array(
-                [float(rates((v, layer), k)) for v in range(self.width)]
+                [[float(rates((v, layer), k)) for v in range(self.width)] for k in pulses]
             )
-        return self.rate_plane[layer]
+        return self.rate_plane[layer, None]
 
     @cached_property
     def rate_plane(self) -> np.ndarray:

@@ -857,9 +857,7 @@ class _StackRun:
         self.sweeps = [
             _VectorSweep(sim, sim.graph, sim.fault_plan) for sim in sims
         ]
-        self.pulse_invariant = all(
-            getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
-        )
+        self.pulse_invariant = all(sim.delay_model.pulse_invariant for sim in sims)
         # One read-only (S, L, W) rate plane per run when every provider
         # is static; a layer step takes a view of it.  It survives epoch
         # entries: rates are keyed by node id and the vertex set never
@@ -1123,11 +1121,12 @@ class _StackRun:
         ``P`` is 1 when every model is pulse-invariant -- the arrays
         broadcast over the block's pulse axis, never repeated -- and the
         block's pulse count otherwise (one plane per pulse of
-        ``pulses``).  Each sweep's per-trial arrays come from (and fill)
-        its simulation's own delay cache; the stacked copies are cached
-        here per layer when every model is pulse-invariant, else per
-        ``(layer, block)``.  Neighbor delays sit on the stack's entry
-        axis: a uniform stack stacks its trials' CSR vectors, a padded
+        ``pulses``).  Each sweep answers one block query per layer and
+        block (a pulse-invariant model's from its own delay cache, one
+        row broadcast over a mixed stack's pulses); the stacked copies
+        are cached here per layer when every model is pulse-invariant,
+        else per ``(layer, block)``.  Neighbor delays sit on the stack's
+        entry axis: a uniform stack stacks its trials' CSR vectors, a padded
         one scatters each through its ``positions`` (padding entries
         stay 0 and are never valid).  On a compacted step, ``rows``
         selects the active trials and only their arrays are gathered
@@ -1158,40 +1157,17 @@ class _StackRun:
             return cached
         cached = cache.get(key)
         if cached is None:
-            sweeps = self.sweeps
-            if self.uniform:
-                selected = (
-                    sweeps
-                    if isinstance(rows, slice)
-                    else [sweeps[s] for s in rows]
-                )
-                arrays = [
-                    sw.delay_arrays(layer, k) for sw in selected for k in pulses
-                ]
-                # np.array stacks equal-shape rows exactly like np.stack,
-                # at a fraction of its per-call overhead (paid per layer).
-                own = np.array([own for own, _ in arrays])
-                nb = np.array([nb for _, nb in arrays])
-                lead = (len(selected), len(pulses))
-                cached = (
-                    own.reshape(lead + own.shape[1:]),
-                    nb.reshape(lead + nb.shape[1:]),
-                )
-            else:
-                indices = np.arange(len(sweeps))[rows]
-                shape = (len(indices), len(pulses), self.width)
-                own = np.full(shape, np.nan)
-                nb = np.zeros(shape[:2] + self.sources.shape[1:])
-                for i, s in enumerate(indices):
-                    if layer >= self.depths[s]:
-                        continue
-                    for j, k in enumerate(pulses):
-                        own_s, nb_s = sweeps[s].delay_arrays(layer, k)
-                        own[i, j, : own_s.shape[0]] = own_s
-                        nb[i, j, self.positions[s]] = nb_s
-                cached = (own, nb)
-            cached = tuple(map(_read_only, cached))
-            cache[key] = cached
+            indices = np.arange(len(self.sweeps))[rows]
+            own = np.full((len(indices), len(pulses), self.width), np.nan)
+            nb = np.zeros(own.shape[:2] + self.sources.shape[-1:])
+            for i, s in enumerate(indices):
+                if layer >= self.depths[s]:
+                    continue
+                own_s, nb_s = self.sweeps[s].delay_arrays(layer, pulses)
+                own[i, :, : own_s.shape[1]] = own_s
+                entries = self.positions[s]
+                nb[i][:, slice(None) if entries is None else entries] = nb_s
+            cached = cache[key] = (_read_only(own), _read_only(nb))
         return cached
 
     def rate_stack(
@@ -1203,8 +1179,8 @@ class _StackRun:
         (:attr:`rate_planes`) with ``P = 1`` (broadcast over the block's
         pulses): a view of one layer, or a gather of the compacted rows.
         When some provider is callable, ``P`` is the block's pulse count
-        and every trial is queried per pulse, exactly as a per-trial run
-        does.  Inert cells get rate 1 (never read through an eligible
+        and every trial is asked for the block, exactly as a per-trial
+        run does.  Inert cells get rate 1 (never read through an eligible
         lane, but a finite value keeps the whole-plane arithmetic
         NaN-clean).  ``lanes`` slices the active columns out of the
         row-compacted array, mirroring :meth:`delay_stack`.
@@ -1216,9 +1192,8 @@ class _StackRun:
         for i, s in enumerate(indices):
             if layer >= self.depths[s]:
                 continue
-            for j, k in enumerate(pulses):
-                row = self.sweeps[s].rate_array(layer, k)
-                stacked[i, j, : row.shape[0]] = row
+            block = self.sweeps[s].rate_array(layer, pulses)
+            stacked[i, :, : block.shape[1]] = block
         return _read_only(stacked[:, :, lanes])
 
     def row_structs(self, rows, lanes) -> Dict[str, object]:

@@ -401,8 +401,9 @@ class ChainLayer0(Layer0Schedule):
         # at position 0 and one fewer per hop.  The sweep carries that row
         # hop by hop, one array op per hop (entries (prev + delay) + wait,
         # elementwise, so any start pulse gives the same floats) of the
-        # hop's delays (``DelayModel.pulse_delays``: one delay, broadcast,
-        # on a pulse-invariant model); the schedule is never written.
+        # hop's delays (one ``DelayModel.pulse_delays`` block query: a
+        # single row, broadcast, on a pulse-invariant model); the schedule
+        # is never written.
         k0, count = pulses.start, len(pulses)
         for row, schedule, base in zip(rows, schedules, bases):
             positions = []

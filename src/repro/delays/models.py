@@ -6,10 +6,11 @@ deterministic functions of their seed and the edge identity -- the sampled
 delay never depends on query order, so the event-driven and fast simulators
 see identical executions.
 
-Models whose ``array_endpoints`` flag is set also take a whole block of
-edges in one call: ``delay(((v1, l1), (v2, l2)), k)`` with ndarray parts
-(broadcast together; scalar parts, strings included, stand for every
-edge) returns the array of the per-edge delays.
+Every model also answers one block query, :meth:`DelayModel.pulse_delays`:
+edges ``((v1, l1), (v2, l2))`` with ndarray parts (broadcast together;
+scalar parts, strings included, stand for every edge) over a ``range``
+of pulses, as one ``(P, N)`` array, ``(1, N)`` on a pulse-invariant
+model.
 """
 
 from __future__ import annotations
@@ -197,6 +198,19 @@ def _edge_shape(edge) -> Optional[Tuple[int, ...]]:
     return np.broadcast_shapes(*parts) if parts else None
 
 
+def _edges(edge) -> Tuple[List[Edge], Tuple[int, ...]]:
+    """The single edges of an edge block, flattened, and the block's
+    shape: ``[edge]`` and ``()`` for a single edge.  Parts become plain
+    Python values, so each edge is the one a scalar query names."""
+    shape = _edge_shape(edge)
+    if shape is None:
+        return [edge], ()
+    v1, l1, v2, l2 = (
+        np.broadcast_to(part, shape).ravel().tolist() for end in edge for part in end
+    )
+    return list(zip(zip(v1, l1), zip(v2, l2))), shape
+
+
 def _edge_rng(seed: int, edge: Edge) -> np.random.Generator:
     """A fresh generator seeded by ``seed`` and the edge identity."""
     (v1, l1), (v2, l2) = edge
@@ -214,28 +228,27 @@ class DelayModel(ABC):
     arrays across pulses.  It defaults to False so custom subclasses stay
     correct without opting in.
 
-    ``array_endpoints`` declares that :meth:`delay` also accepts
-    array-valued endpoints ``((v1, l1), (v2, l2))`` with ndarray parts and
-    returns the per-edge delays of the whole block, each bitwise equal to
-    the single-edge query.  The vectorized sweep then gathers the edges of
-    many layers (a small trial's every layer, layer parts as int64
-    arrays) in one call instead of one Python call per edge.  It defaults
-    to False; such models are gathered edge by edge.
+    The vectorized sweep reads a model through one block query,
+    :meth:`pulse_delays`: a layer's edges (or, on a pulse-invariant
+    model, many layers' edges) over a block of pulses, each delay bitwise
+    equal to the single-edge :meth:`delay` query.  Its default asks
+    :meth:`delay` once per edge and pulse (one pulse if
+    ``pulse_invariant``); a model that can do better overrides it.
 
     A model is read-only once built: a function of its constructor
     arguments, the edge identity and (unless ``pulse_invariant``) the
     pulse, holding no ``Generator``.  Queries only fill two memos with
     whole values never mutated: ``_cache`` (per edge: an answer or a walk
-    prefix) and ``_edge_array_cache`` (the per-layer delay *arrays* the
-    stacked layer step gathers, keyed by the querying graph's edge
-    structure, so reruns over one model gather nothing).  So concurrent
+    prefix) and ``_edge_array_cache`` (a pulse-invariant model's
+    per-layer delay *arrays* the stacked layer step gathers, keyed by the
+    querying graph's edge structure, so reruns over one model gather
+    nothing).  So concurrent
     runs may share a model, and it pickles without its memos, to bytes
     that depend only on its constructor arguments.  Replace a model
     rather than mutating its state to get different delays.
     """
 
     pulse_invariant = False
-    array_endpoints = False
 
     def __init__(self, d: float, u: float) -> None:
         if d <= 0:
@@ -256,19 +269,49 @@ class DelayModel(ABC):
     def delay(self, edge: Edge, pulse: int = 0) -> float:
         """Delay applied to pulse ``pulse`` on ``edge``; in ``[d - u, d]``."""
 
-    def pulse_delays(self, edge: Edge, pulses: range):
-        """:meth:`delay` of ``edge`` for every pulse of ``pulses``: one
-        delay standing for all on a pulse-invariant model, else an array."""
+    def pulse_delays(self, edge, pulses: range) -> np.ndarray:
+        """:meth:`delay` of an edge block for every pulse of ``pulses``.
+
+        ``edge`` is ``((v1, l1), (v2, l2))`` with ndarray parts of
+        broadcast shape ``(N,)`` (or any one edge, shape ``()``); the
+        result is ``(P, N)`` (``(P,)``) with row ``j`` the delays of pulse
+        ``pulses[j]``, or a single row standing for every pulse on a
+        pulse-invariant model.
+
+        Example
+        -------
+        >>> import numpy as np
+        >>> edges = ((np.array([0, 1, 2]), 0), (np.array([1, 1, 1]), 1))
+        >>> StaticDelayModel(1.0, 0.1, seed=3).pulse_delays(edges, range(4)).shape
+        (1, 3)
+        >>> varying = VaryingDelayModel(1.0, 0.1, max_step=0.01, seed=3)
+        >>> block = varying.pulse_delays(edges, range(2, 6))
+        >>> block.shape
+        (4, 3)
+        >>> bool(block[1, 2] == varying.delay(((2, 0), (1, 1)), 3))
+        True
+        """
+        edges, shape = _edges(edge)
         if self.pulse_invariant:
-            return self.delay(edge)
-        return np.array([self.delay(edge, k) for k in pulses], dtype=float)
+            pulses = range(pulses.start, pulses.start + 1)
+        return np.array(
+            [[self.delay(one, k) for one in edges] for k in pulses], dtype=float
+        ).reshape((len(pulses),) + shape)
 
 
-class UniformDelayModel(DelayModel):
-    """Every edge has the same fixed delay (default: the midpoint)."""
+class _ArrayDelayModel(DelayModel):
+    """A pulse-invariant model whose :meth:`delay` also takes an edge
+    block (ndarray parts) and returns its delays, so the block query is
+    one array-valued ``delay`` call."""
 
     pulse_invariant = True
-    array_endpoints = True
+
+    def pulse_delays(self, edge, pulses: range) -> np.ndarray:
+        return np.asarray(self.delay(edge, pulses.start), dtype=float)[None]
+
+
+class UniformDelayModel(_ArrayDelayModel):
+    """Every edge has the same fixed delay (default: the midpoint)."""
 
     def __init__(self, d: float, u: float, value: float | None = None) -> None:
         super().__init__(d, u)
@@ -285,7 +328,7 @@ class UniformDelayModel(DelayModel):
         return np.full(shape, float(self.value))
 
 
-class StaticDelayModel(DelayModel):
+class StaticDelayModel(_ArrayDelayModel):
     """Independent per-edge delays, uniform in ``[d - u, d]``, fixed forever.
 
     This is the paper's baseline communication model: "each edge has an
@@ -296,9 +339,6 @@ class StaticDelayModel(DelayModel):
     sampled in one vectorized replay of that pipeline
     (:func:`_first_uniform`), bitwise equal to the per-edge draws.
     """
-
-    pulse_invariant = True
-    array_endpoints = True
 
     def __init__(self, d: float, u: float, seed: int = 0) -> None:
         super().__init__(d, u)
@@ -364,10 +404,19 @@ class VaryingDelayModel(DelayModel):
     def delay(self, edge: Edge, pulse: int = 0) -> float:
         if pulse < 0:
             raise ValueError(f"pulse must be >= 0, got {pulse}")
-        return float(self.pulse_delays(edge, range(pulse, pulse + 1))[0])
+        return float(self._walk(edge, pulse)[pulse])
 
-    def pulse_delays(self, edge: Edge, pulses: range) -> np.ndarray:
+    def pulse_delays(self, edge, pulses: range) -> np.ndarray:
+        # One walk slice per edge: a block costs one lookup per edge.
+        edges, shape = _edges(edge)
+        out = np.empty((len(pulses), len(edges)))
+        for j, one in enumerate(edges):
+            out[:, j] = self._walk(one, pulses.stop - 1)[pulses.start: pulses.stop]
+        return out.reshape((len(pulses),) + shape)
+
+    def _walk(self, edge: Edge, index: int) -> np.ndarray:
+        """``edge``'s walk: a read-only prefix past pulse ``index``."""
         return replayed_walk(
-            self._cache, edge, pulses.stop - 1, lambda: _edge_rng(self.seed, edge),
+            self._cache, edge, index, lambda: _edge_rng(self.seed, edge),
             self.d - self.u, self.d, self.max_step,
-        )[pulses.start: pulses.stop]
+        )

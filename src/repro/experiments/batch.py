@@ -245,14 +245,14 @@ def _cells(trials: Sequence[BatchTrial], num_pulses: int) -> int:
 
 
 def _cold_edges(trials: Sequence[BatchTrial]) -> int:
-    """Delay edges of ``trials`` whose models have gathered nothing: every
-    layer above 0 reads one own-copy and two neighbour-copy edges per
-    base edge."""
+    """Delay edges of ``trials`` whose models have filled neither memo (a
+    pulse-varying one keeps only walks): every layer above 0 reads one
+    own-copy and two neighbour-copy edges per base edge."""
     return sum(
         (t.config.graph.num_layers - 1)
         * (t.config.graph.width + 2 * len(t.config.graph.base.edges))
         for t in trials
-        if not _delay_cache(t)
+        if not (_delay_cache(t) or _delay_model(t)._cache)
     )
 
 
@@ -285,10 +285,9 @@ def _delay_model(trial: BatchTrial):
     return trial.delay_model or trial.config.delay_model
 
 
-def _delay_cache(trial: BatchTrial) -> Optional[Dict]:
-    """``trial``'s delay model's cache of gathered arrays, or None for a
-    model that keeps none."""
-    return getattr(_delay_model(trial), "_edge_array_cache", None)
+def _delay_cache(trial: BatchTrial) -> Dict:
+    """``trial``'s delay model's cache of gathered arrays."""
+    return _delay_model(trial)._edge_array_cache
 
 
 class BatchResult:
@@ -565,32 +564,30 @@ def _run_shard(
     return results, list(groups.values()), compaction  # type: ignore[return-value]
 
 
-#: Gathered delay arrays a pool worker keeps between runs, keyed by the
-#: pickled state of the delay model they belong to (a model is a
-#: deterministic function of that state), least recently used first.
-_WORKER_ARRAYS: "OrderedDict[bytes, Dict]" = OrderedDict()
+#: The two memos (gathered arrays, per-edge values or walks) of each delay
+#: model a pool worker keeps between runs, keyed by the model's pickled
+#: state (a model is a deterministic function of it), least recently used first.
+_WORKER_ARRAYS: "OrderedDict[bytes, Tuple[Dict, Dict]]" = OrderedDict()
 #: Delay models whose arrays one worker keeps (about 45 KiB each at
 #: D = 32, 170 KiB at D = 64).
 _WORKER_MODELS = 64
 
 
 def _warm_in_worker(trial: BatchTrial) -> None:
-    """Hand ``trial``'s delay model the arrays this worker gathered for an
-    equal model on an earlier run, or keep the ones this run gathers.
+    """Hand ``trial``'s delay model the memos this worker filled for an
+    equal model on an earlier run, or keep the ones this run fills.
 
-    A model pickles without its arrays
+    A model pickles without its memos
     (:meth:`~repro.delays.models.DelayModel.__getstate__`), so its
     pickled bytes name it whether or not the parent's copy is warm.
     """
     model = _delay_model(trial)
-    if _delay_cache(trial) is None:
-        return
     key = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
     if key in _WORKER_ARRAYS:
         _WORKER_ARRAYS.move_to_end(key)
-        model._edge_array_cache = _WORKER_ARRAYS[key]
+        model._edge_array_cache, model._cache = _WORKER_ARRAYS[key]
         return
-    _WORKER_ARRAYS[key] = model._edge_array_cache
+    _WORKER_ARRAYS[key] = (model._edge_array_cache, model._cache)
     while len(_WORKER_ARRAYS) > _WORKER_MODELS:
         _WORKER_ARRAYS.popitem(last=False)
 

@@ -29,6 +29,7 @@ from repro.experiments.batch import (
     _shard_bounds,
 )
 from repro.experiments.common import standard_config
+from repro.experiments.cor15_variation import cor15_trial
 from repro.experiments.thm13_random_faults import mixed_behavior_factory
 from repro.faults import CrashFault, FaultPlan
 from tests.conftest import shards
@@ -576,6 +577,23 @@ class TestExecutorRule:
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 2
         monkeypatch.setattr(batch_mod, "_SHARD_CELLS", cells + 1)
         assert batch_mod._pick_shards(trials, NUM_PULSES, False) == 1
+
+    def test_a_run_pulse_varying_model_counts_warm(self, monkeypatch):
+        # A pulse-varying model keeps no gathered arrays, only its walks;
+        # after a run it is warm all the same, here and in a worker.
+        trial, _ = cor15_trial(6, num_pulses=NUM_PULSES)
+        twin = pickle.dumps([trial])
+        graph = trial.config.graph
+        assert batch_mod._cold_edges([trial]) == (graph.num_layers - 1) * (
+            graph.width + 2 * len(graph.base.edges)
+        )
+        batch_mod._run_shard([trial], NUM_PULSES, False)
+        assert not batch_mod._delay_cache(trial)
+        assert batch_mod._cold_edges([trial]) == 0
+        monkeypatch.setattr(batch_mod, "_WORKER_ARRAYS", batch_mod.OrderedDict())
+        batch_mod._run_pickled_shard(twin, NUM_PULSES, False)
+        ((arrays, walks),) = batch_mod._WORKER_ARRAYS.values()
+        assert walks and not arrays
 
     def test_picked_pool_runs_the_first_shard_here(self, monkeypatch):
         trials = BatchRunner.seed_sweep(8, range(4), num_pulses=NUM_PULSES)

@@ -17,7 +17,13 @@ from repro.core.correction import CorrectionPolicy, compute_correction
 from repro.core.fast import BRANCH_CODES, FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.core.layer0 import JitteredLayer0
-from repro.delays import StaticDelayModel, UniformDelayModel
+from repro.delays import (
+    AdversarialSplitDelays,
+    DelayModel,
+    StaticDelayModel,
+    UniformDelayModel,
+    VaryingDelayModel,
+)
 from repro.faults import CrashFault, FaultPlan
 from repro.params import Parameters
 from repro.topology import (
@@ -236,8 +242,9 @@ class TestSimplifiedEquivalence:
         assert np.array_equal(full.times, simple.times)
 
 
-def per_layer_per_edge(model, base, layer):
-    """One layer's ``(own, nb)`` delays, queried one edge at a time.
+def per_layer_per_edge(model, base, layer, pulses=range(1)):
+    """One layer's ``(own, nb)`` delays over ``pulses``, ``(P, W)`` and
+    ``(P, E)``, queried one edge and pulse at a time.
 
     The reference layout the sweep's gathers must reproduce bitwise:
     own copies by vertex; neighbor copies on the CSR entry axis (vertex
@@ -245,14 +252,24 @@ def per_layer_per_edge(model, base, layer):
     """
     width = base.num_nodes
     own = np.array(
-        [model.delay(((v, layer - 1), (v, layer))) for v in range(width)],
+        [
+            [model.delay(((v, layer - 1), (v, layer)), k) for v in range(width)]
+            for k in pulses
+        ],
         dtype=float,
     )
-    rows = [
-        [model.delay(((w, layer - 1), (v, layer))) for w in base.neighbors(v)]
-        for v in range(width)
-    ]
-    return own, np.array([d for row in rows for d in row], dtype=float)
+    nb = np.array(
+        [
+            [
+                model.delay(((w, layer - 1), (v, layer)), k)
+                for v in range(width)
+                for w in base.neighbors(v)
+            ]
+            for k in pulses
+        ],
+        dtype=float,
+    )
+    return own, nb
 
 
 def sweep_of(sim):
@@ -266,15 +283,28 @@ def assert_gathered(got, want):
         assert got_part.tobytes() == want_part.tobytes()
 
 
-class TestDelayGather:
-    """The whole-trial block gather equals per-layer per-edge queries
-    bitwise."""
+class Ramp(DelayModel):
+    """An outside pulse-varying model: only the base class's block query."""
 
+    def delay(self, edge, pulse=0):
+        (w, _), (v, layer) = edge
+        return self.d - self.u * ((w + 2 * v + layer + pulse) % 5) / 4
+
+
+class TestDelayGather:
+    """The block gather equals per-layer per-edge queries bitwise."""
+
+    ARRAY_MODELS = [(StaticDelayModel, {"seed": 2**35 + 3}), (UniformDelayModel, {})]
     MODELS = pytest.mark.parametrize(
         "cls, kwargs",
-        [(StaticDelayModel, {"seed": 2**35 + 3}), (UniformDelayModel, {})],
-        ids=["static", "uniform"],
+        ARRAY_MODELS + [
+            (VaryingDelayModel, {"max_step": 0.004, "seed": 2**33 + 9}),
+            (AdversarialSplitDelays, {"slow_edge": lambda e: e[0][0] < e[1][0]}),
+            (Ramp, {}),
+        ],
+        ids=["static", "uniform", "varying", "adversarial", "custom"],
     )
+    HORIZON = 24
 
     @staticmethod
     def count_array_calls(monkeypatch, cls):
@@ -293,7 +323,8 @@ class TestDelayGather:
 
     @MODELS
     def test_block_matches_per_edge(self, cls, kwargs):
-        per_edge_cls = type("PerEdge", (cls,), {"array_endpoints": False})
+        # The base class's default asks ``delay`` per edge and pulse.
+        per_edge_cls = type("PerEdge", (cls,), {"pulse_delays": DelayModel.pulse_delays})
         graph = LayeredGraph(
             sparse_base_graph(300, num_hubs=2, hub_degree=40), 4
         )
@@ -303,13 +334,33 @@ class TestDelayGather:
             sim = FastSimulation(graph, PARAMS, delay_model=model)
             sweep = sweep_of(sim)
             gathered.append([
-                sweep.delay_arrays(layer, 0)
+                sweep.delay_arrays(layer, range(2, 5))
                 for layer in range(1, graph.num_layers)
             ])
         for block, loop in zip(*gathered):
             assert_gathered(block, loop)
 
     @MODELS
+    @pytest.mark.parametrize(
+        "pulses", [range(7, 8), range(4, 7), range(HORIZON)],
+        ids=["one", "three", "horizon"],
+    )
+    def test_block_query_matches_scalar_delay(self, cls, kwargs, pulses):
+        # (P, E) per layer, or one row standing for every pulse on a
+        # pulse-invariant model.
+        base = sparse_base_graph(60, num_hubs=1, hub_degree=12)
+        graph = LayeredGraph(base, 5)
+        model = cls(PARAMS.d, PARAMS.u, **kwargs)
+        reference = cls(PARAMS.d, PARAMS.u, **kwargs)
+        sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
+        rows = 1 if model.pulse_invariant else len(pulses)
+        for layer in range(1, graph.num_layers):
+            want = per_layer_per_edge(reference, base, layer, pulses)
+            for got, part in zip(sweep.delay_arrays(layer, pulses), want):
+                assert got.shape == (rows,) + part.shape[1:]
+                assert np.broadcast_to(got, part.shape).tobytes() == part.tobytes()
+
+    @pytest.mark.parametrize("cls, kwargs", ARRAY_MODELS, ids=["static", "uniform"])
     def test_whole_trial_in_one_call(self, monkeypatch, cls, kwargs):
         base = sparse_base_graph(60, num_hubs=1, hub_degree=12)
         graph = LayeredGraph(base, 6)
@@ -319,7 +370,7 @@ class TestDelayGather:
         sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
         for layer in range(1, graph.num_layers):
             assert_gathered(
-                sweep.delay_arrays(layer, 0),
+                sweep.delay_arrays(layer, range(1)),
                 per_layer_per_edge(reference, base, layer),
             )
         assert calls == [list(range(1, graph.num_layers))]
@@ -337,7 +388,7 @@ class TestDelayGather:
         sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
         for layer in range(1, graph.num_layers):
             assert_gathered(
-                sweep.delay_arrays(layer, 0),
+                sweep.delay_arrays(layer, range(1)),
                 per_layer_per_edge(model, base, layer),
             )
         assert calls == [[1, 2], [3, 4], [5, 6], [7]]
@@ -351,7 +402,7 @@ class TestDelayGather:
         sweep = sweep_of(FastSimulation(graph, PARAMS, delay_model=model))
         for layer in range(1, graph.num_layers):
             assert_gathered(
-                sweep.delay_arrays(layer, 0),
+                sweep.delay_arrays(layer, range(1)),
                 per_layer_per_edge(model, base, layer),
             )
         assert calls == [[1], [2], [3]]
@@ -406,7 +457,7 @@ class TestDelayGather:
             sweep = sweep_of(sim)
             for layer in range(1, layers):
                 assert_gathered(
-                    sweep.delay_arrays(layer, 0),
+                    sweep.delay_arrays(layer, range(1)),
                     per_layer_per_edge(sim.delay_model, base, layer),
                 )
         assert calls == []
